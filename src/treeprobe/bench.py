@@ -117,17 +117,16 @@ def run_single(
         handle = CountingOracle(MajorityOracle(noisy, votes))
         try:
             edges, stats = reconstruct_tree(handle, range(plain.n), degree_bound, rng)
-        except InconsistentOracleError:
-            outcome = RunOutcome(
+        except InconsistentOracleError as err:
+            return RunOutcome(
                 edges=set(),
                 weights=None,
-                stats=ReconstructionStats(),
+                stats=err.stats,
                 raw_queries=handle.raw_count,
                 logical_queries=handle.logical_count,
                 success=False,
                 votes=votes,
             )
-            return outcome
     else:
         if not isinstance(hidden, WeightedDirectedRootedTree):
             raise ValueError("the weighted regime needs a weighted hidden tree")

@@ -41,5 +41,8 @@ class InconsistentOracleError(RuntimeError):
     """Oracle answers are consistent with no directed rooted tree.
 
     Only reachable when the oracle lies (noisy regime); an exact oracle
-    never triggers this.
+    never triggers this. When the reconstruction driver raises it, ``stats``
+    holds the driver's counters up to the failure.
     """
+
+    stats = None

@@ -3,10 +3,12 @@
 The driver is a Las-Vegas divide and conquer: sample a random node pair,
 rebuild the skeleton path between them through the oracle, weigh how many
 off-path nodes hang from each path position, and cut at an edge whose two
-sides are balanced enough. Each side is then solved recursively. With a
-degree bound d the cut leaves pieces no larger than a (d-1)/d fraction, so
-the recursion stays logarithmic and the whole thing needs O(d n log^2 n)
-queries in expectation.
+sides are balanced enough. Both sides go on a stack of parts still to
+solve, and the driver loops until the stack is empty. With a degree bound d
+the cut leaves pieces no larger than a (d-1)/d fraction, so the split depth
+stays logarithmic and the whole thing needs O(d n log^2 n) queries in
+expectation. Each round scans its part once for the path and once for the
+bags; the split reuses the bag positions and asks nothing.
 
 Two more regimes ride on the same driver: noisy queries are cleaned up with
 per-pair majority votes, and additive (weighted-sum) queries are thresholded
@@ -37,9 +39,9 @@ class SeparatorEdge(NamedTuple):
 class ReconstructionStats:
     """Counters from one reconstruction run.
 
-    rounds_total: sampling rounds summed over all recursive calls; every
-        call on >= 2 nodes runs at least one.
-    recursion_depth_max: deepest recursion level, the top call being 1.
+    rounds_total: sampling rounds summed over all parts; every part of
+        >= 2 nodes runs at least one.
+    recursion_depth_max: deepest split level, the whole node set being 1.
     """
 
     rounds_total: int = 0
@@ -57,38 +59,6 @@ def sort_by_ancestry(oracle, items: Sequence[int]) -> list[int]:
         return -1 if oracle.query(a, b) else 1
 
     return sorted(items, key=cmp_to_key(compare))
-
-
-def find_root_path(oracle, nodes: Sequence[int], i: int) -> list[int]:
-    """Proper ancestors of i within ``nodes``, ordered root first."""
-    above = [k for k in nodes if k != i and oracle.query(k, i)]
-    return sort_by_ancestry(oracle, above)
-
-
-def find_lca(oracle, nodes: Sequence[int], i: int, j: int) -> int:
-    """Lowest common ancestor of two incomparable nodes.
-
-    Walks i's root path downward and keeps the deepest node that is still an
-    ancestor of j. Ancestors of j form a prefix of that path, so the scan
-    stops at the first miss. Finding j itself on that path contradicts the
-    incomparability the caller established, so it is treated the same way as
-    finding no shared ancestor at all: the oracle must be lying.
-    """
-    last = None
-    for k in find_root_path(oracle, nodes, i):
-        if k == j:
-            raise InconsistentOracleError(
-                f"node {j} turned up among the ancestors of {i} after denying a path"
-            )
-        if oracle.query(k, j):
-            last = k
-        else:
-            break
-    if last is None:
-        raise InconsistentOracleError(
-            f"nodes {i} and {j} share no ancestor; oracle answers are inconsistent"
-        )
-    return last
 
 
 def find_bag(oracle, path_nodes: Sequence[int], node: int) -> int:
@@ -160,15 +130,27 @@ def find_even_separator(
     return None
 
 
-def split_tree(oracle, nodes: Sequence[int], separator: SeparatorEdge):
-    """Partition ``nodes`` across a true edge: descendants of the child
-    (child included) versus everything else."""
+def split_tree(
+    part: Sequence[int],
+    positions: dict[int, int],
+    separator: SeparatorEdge,
+    lca_index: int,
+):
+    """Partition ``part`` across a path edge by bag position, asking nothing.
+
+    ``positions`` maps every node to the 1-based path position it hangs
+    from. The child's side (child first) is the run of positions that starts
+    at the child and goes away from the LCA; everything else is kept.
+    """
     child = separator.child
+    at = positions[child]
+    away_right = at > lca_index
     keep, below = [], [child]
-    for k in nodes:
+    for k in part:
         if k == child:
             continue
-        if oracle.query(child, k):
+        t = positions[k]
+        if (t >= at) if away_right else (t <= at):
             below.append(k)
         else:
             keep.append(k)
@@ -176,37 +158,51 @@ def split_tree(oracle, nodes: Sequence[int], separator: SeparatorEdge):
 
 
 def reconstruct_skeleton_path(oracle, nodes: Sequence[int], i: int, j: int) -> SkeletonPath:
-    """Rebuild the skeleton path between i and j through queries only.
+    """Rebuild the skeleton path between i and j in one membership pass.
 
-    Matches the ground-truth path oriented i -> j. When one endpoint reaches
-    the other, membership on the directed path is the conjunction
-    Q(head, k) and Q(k, tail); otherwise both slopes hang off the LCA.
+    Matches the ground-truth path oriented i -> j. Every other node k is
+    asked (Q(k, i), Q(k, j)) once: an ancestor of only i lies on the i side
+    below the LCA, an ancestor of only j on the j side, and an ancestor of
+    both at or above the LCA. The LCA is the endpoint that reaches the
+    other, or else the deepest common ancestor.
     """
-    if oracle.query(i, j):
-        interior = [
-            k for k in nodes if k != i and k != j and oracle.query(i, k) and oracle.query(k, j)
-        ]
-        return SkeletonPath(tuple([i, *sort_by_ancestry(oracle, interior), j]), 1)
-
-    if oracle.query(j, i):
-        interior = [
-            k for k in nodes if k != i and k != j and oracle.query(j, k) and oracle.query(k, i)
-        ]
-        seq = [j, *sort_by_ancestry(oracle, interior), i]
-        seq.reverse()  # keep the promised i -> j orientation; the LCA is j
-        return SkeletonPath(tuple(seq), len(seq))
-
-    m = find_lca(oracle, nodes, i, j)
-    left = [
-        k for k in nodes if k != m and k != i and oracle.query(m, k) and oracle.query(k, i)
-    ]
-    right = [
-        k for k in nodes if k != m and k != j and oracle.query(m, k) and oracle.query(k, j)
-    ]
+    i_to_j = oracle.query(i, j)
+    j_to_i = oracle.query(j, i)
+    if i_to_j and j_to_i:
+        raise InconsistentOracleError(f"nodes {i} and {j} each claim a path to the other")
+    left, right, common = [], [], []
+    for k in nodes:
+        if k == i or k == j:
+            continue
+        above_i = oracle.query(k, i)
+        above_j = oracle.query(k, j)
+        if above_i and above_j:
+            common.append(k)
+        elif above_i:
+            left.append(k)
+        elif above_j:
+            right.append(k)
+    apex = []
+    if not (i_to_j or j_to_i):
+        if not common:
+            raise InconsistentOracleError(
+                f"nodes {i} and {j} share no ancestor; oracle answers are inconsistent"
+            )
+        # Common ancestors form one directed path; keep the deepest.
+        deepest = common[0]
+        for k in common[1:]:
+            if oracle.query(deepest, k):
+                deepest = k
+        apex = [deepest]
     left_sorted = sort_by_ancestry(oracle, left)
-    right_sorted = sort_by_ancestry(oracle, right)
-    seq = [i, *reversed(left_sorted), m, *right_sorted, j]
-    return SkeletonPath(tuple(seq), 2 + len(left_sorted))
+    seq = [i, *reversed(left_sorted), *apex, *sort_by_ancestry(oracle, right), j]
+    if i_to_j:
+        lca_index = 1
+    elif j_to_i:
+        lca_index = len(seq)
+    else:
+        lca_index = 2 + len(left_sorted)
+    return SkeletonPath(tuple(seq), lca_index)
 
 
 def reconstruct_tree(
@@ -222,61 +218,61 @@ def reconstruct_tree(
     deterministic given the rng state and the oracle's answers.
     ``separator_hook`` (if given) sees every accepted cut together with the
     node set it was accepted in, which is how the tests audit balance.
+    An InconsistentOracleError raised on the way carries the counters so far
+    as its ``stats``.
     """
     stats = ReconstructionStats()
     edges: Edges = set()
+    # Parts still to solve. The kept side is pushed last, so it is solved in
+    # full before the child's side; that order fixes which pairs rng draws.
+    stack = [(sorted(nodes), 1)]
+    try:
+        while stack:
+            part, depth = stack.pop()
+            stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
+            size = len(part)
+            if size <= 1:
+                continue
+            if size == 2 and degree_bound == 1:
+                # The balance interval is empty at d=1; one query settles the edge.
+                stats.rounds_total += 1
+                a, b = part
+                sep = SeparatorEdge(a, b) if oracle.query(a, b) else SeparatorEdge(b, a)
+                if separator_hook is not None:
+                    separator_hook(sep, tuple(part))
+                edges.add(tuple(sep))
+                continue
 
-    def solve(part: list[int], depth: int) -> None:
-        if depth > stats.recursion_depth_max:
-            stats.recursion_depth_max = depth
-        size = len(part)
-        if size <= 1:
-            return
-        if size == 2 and degree_bound == 1:
-            # The balance interval is empty at d=1; one query settles the edge.
-            stats.rounds_total += 1
-            a, b = part
-            sep = SeparatorEdge(a, b) if oracle.query(a, b) else SeparatorEdge(b, a)
+            while True:
+                stats.rounds_total += 1
+                i, j = rng.sample(part, 2)
+                path = reconstruct_skeleton_path(oracle, part, i, j)
+                seq, lca = path.sequence, path.lca_index
+                path_left = seq[:lca][::-1]  # LCA first, descending toward the head
+                path_right = seq[lca - 1 :]  # LCA first, descending toward the tail
+                positions = {k: t for t, k in enumerate(seq, 1)}
+                bag_sizes = [1] * len(seq)
+                for k in part:
+                    if k in positions:
+                        continue
+                    at_left = find_bag(oracle, path_left, k)
+                    at_right = find_bag(oracle, path_right, k)
+                    spot = assign_bag_index(at_left, at_right, lca, len(path_left))
+                    positions[k] = spot
+                    bag_sizes[spot - 1] += 1
+                sep = find_even_separator(bag_sizes, path, size, degree_bound)
+                if sep is not None:
+                    break
+
             if separator_hook is not None:
                 separator_hook(sep, tuple(part))
+            keep, below = split_tree(part, positions, sep, lca)
             edges.add(tuple(sep))
-            return
-
-        while True:
-            stats.rounds_total += 1
-            i, j = rng.sample(part, 2)
-            path = reconstruct_skeleton_path(oracle, part, i, j)
-            seq, lca = path.sequence, path.lca_index
-            path_left = seq[:lca][::-1]  # LCA first, descending toward the head
-            path_right = seq[lca - 1 :]  # LCA first, descending toward the tail
-            on_path = set(seq)
-            bag_sizes = [1] * len(seq)
-            for k in part:
-                if k in on_path:
-                    continue
-                at_left = find_bag(oracle, path_left, k)
-                at_right = find_bag(oracle, path_right, k)
-                spot = assign_bag_index(at_left, at_right, lca, len(path_left))
-                bag_sizes[spot - 1] += 1
-            sep = find_even_separator(bag_sizes, path, size, degree_bound)
-            if sep is not None:
-                break
-
-        if separator_hook is not None:
-            separator_hook(sep, tuple(part))
-        keep, below = split_tree(oracle, part, sep)
-        if not keep:
-            # The separator's parent claims to sit below its own child; both
-            # answers cannot be true, and recursing on the whole part again
-            # would never terminate.
-            raise InconsistentOracleError(
-                f"edge {tuple(sep)} swallowed its entire part of {size} nodes"
-            )
-        edges.add(tuple(sep))
-        solve(keep, depth + 1)
-        solve(below, depth + 1)
-
-    solve(sorted(nodes), 1)
+            stack.append((below, depth + 1))
+            stack.append((keep, depth + 1))
+    except InconsistentOracleError as err:
+        err.stats = stats
+        raise
     return edges, stats
 
 

@@ -25,7 +25,6 @@ from treeprobe import (
     check_separator,
     enumerate_trees,
     find_bag,
-    find_lca,
     is_ancestor,
     majority_vote_count,
     max_node_degree,
@@ -237,7 +236,8 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
             continue  # chains have no incomparable pair; draw another tree
         done += 1
         i, j = pair
-        if find_lca(ExactOracle(tree), range(tree.n), i, j) != _true_lca(tree, i, j):
+        rebuilt = reconstruct_skeleton_path(ExactOracle(tree), range(tree.n), i, j)
+        if rebuilt.sequence[rebuilt.lca_index - 1] != _true_lca(tree, i, j):
             lca_bad += 1
 
     bag_bad = 0
@@ -267,11 +267,13 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
     split_bad = 0
     for _ in range(SAMPLES):
         tree = _random_instance(rng)
-        parent, child = rng.choice(sorted(tree.edges()))
-        keep, below = split_tree(
-            ExactOracle(tree), range(tree.n), SeparatorEdge(parent, child)
-        )
-        wanted = _subtree_nodes(tree, child)
+        i, j = rng.sample(range(tree.n), 2)
+        path = skeleton_path(tree, i, j)
+        seq, lca = path.sequence, path.lca_index
+        r = rng.randrange(1, len(seq))  # cut between positions r and r + 1
+        sep = SeparatorEdge(seq[r], seq[r - 1]) if r < lca else SeparatorEdge(seq[r - 1], seq[r])
+        keep, below = split_tree(range(tree.n), bag_indices(tree, path), sep, lca)
+        wanted = _subtree_nodes(tree, sep.child)
         if set(below) != wanted or set(keep) != set(range(tree.n)) - wanted:
             split_bad += 1
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from treeprobe import bench
 from treeprobe import (
     CSV_HEADER,
     BenchConfig,
     BenchRecord,
+    NoisyOracle,
     bench_run,
     derive_seed,
     plot_svg,
@@ -52,6 +54,23 @@ class TestRunSingle:
         outcome = run_single("noisy", tree, 3, seed=5, eps=0.1, delta=0.1)
         assert outcome.votes is not None and outcome.votes % 2 == 1
         assert outcome.raw_queries == outcome.votes * outcome.logical_queries
+
+    def test_failed_noisy_run_keeps_its_counters(self, monkeypatch):
+        class LateLiar(NoisyOracle):
+            """Honest for a while, then denies every path."""
+
+            def noisy_query(self, i, j):
+                bit = super().noisy_query(i, j)
+                return bit if self.calls <= 8_000 else 0
+
+        monkeypatch.setattr(bench, "NoisyOracle", LateLiar)
+        tree = random_tree(20, 3, seed=101)
+        outcome = run_single("noisy", tree, 3, seed=5, eps=0.1, delta=0.1)
+        assert not outcome.success
+        assert outcome.edges == set()
+        assert outcome.stats.rounds_total >= 2
+        assert outcome.stats.recursion_depth_max >= 2
+        assert outcome.raw_queries == outcome.votes * outcome.logical_queries > 8_000
 
     def test_weighted_run_checks_weights_too(self):
         hidden = uniform_weights(random_tree(25, 4, seed=102), seed=103)

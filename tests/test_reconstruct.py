@@ -16,10 +16,9 @@ from treeprobe import (
     SeparatorEdge,
     SkeletonPath,
     assign_bag_index,
+    bag_indices,
     find_bag,
     find_even_separator,
-    find_lca,
-    find_root_path,
     parallel_chain,
     random_tree,
     reconstruct_noisy,
@@ -77,41 +76,6 @@ class TestSortByAncestry:
         assert sort_by_ancestry(oracle, [2]) == [2]
 
 
-class TestFindRootPath:
-    def test_bent_tree(self, bent_tree):
-        oracle = ExactOracle(bent_tree)
-        assert find_root_path(oracle, range(11), 0) == [8, 2, 1]
-
-    def test_spine_tree(self, spine_tree):
-        oracle = ExactOracle(spine_tree)
-        assert find_root_path(oracle, range(11), 9) == [0, 1, 2, 8]
-
-    def test_root_has_no_ancestors(self, bent_tree):
-        assert find_root_path(ExactOracle(bent_tree), range(11), 8) == []
-
-
-class TestFindLca:
-    def test_spine_ends_meet_at_the_bend(self, bent_tree):
-        oracle = ExactOracle(bent_tree)
-        assert find_lca(oracle, range(11), 0, 4) == 2
-
-    def test_leaves_meet_lower_down(self, bent_tree):
-        oracle = ExactOracle(bent_tree)
-        assert find_lca(oracle, range(11), 5, 7) == 1
-        assert find_lca(oracle, range(11), 0, 9) == 8
-
-    def test_lying_oracle_is_detected(self):
-        with pytest.raises(InconsistentOracleError):
-            find_lca(_ZeroOracle(), range(3), 0, 1)
-
-    def test_endpoint_among_the_ancestors_is_inconsistent(self):
-        # The caller only asks for an LCA after both direct path queries came
-        # back 0, so 1 showing up as an ancestor of 0 contradicts that.
-        liar = _TableOracle({(1, 0): 1, (2, 0): 1, (2, 1): 1})
-        with pytest.raises(InconsistentOracleError):
-            find_lca(liar, range(3), 0, 1)
-
-
 class TestFindBag:
     def test_positions_along_a_descending_run(self, bent_tree):
         oracle = ExactOracle(bent_tree)
@@ -155,6 +119,28 @@ class TestReconstructSkeletonPath:
         oracle = ExactOracle(bent_tree)
         path = reconstruct_skeleton_path(oracle, range(11), 0, 4)
         assert path == SkeletonPath((0, 1, 2, 3, 4), 3)
+
+    def test_spine_ends_meet_at_the_bend(self, bent_tree):
+        path = reconstruct_skeleton_path(ExactOracle(bent_tree), range(11), 0, 4)
+        assert path.sequence[path.lca_index - 1] == 2
+
+    def test_leaves_meet_lower_down(self, bent_tree):
+        oracle = ExactOracle(bent_tree)
+        for i, j, lca in ((5, 7, 1), (0, 9, 8)):
+            path = reconstruct_skeleton_path(oracle, range(11), i, j)
+            assert path.sequence[path.lca_index - 1] == lca
+
+    def test_lying_oracle_is_detected(self):
+        with pytest.raises(InconsistentOracleError):
+            reconstruct_skeleton_path(_ZeroOracle(), range(3), 0, 1)
+
+    def test_one_query_pair_per_other_node(self, bent_tree):
+        # Two direction queries and two membership queries for each of the
+        # nine other nodes. 2 and 8 lie above both ends, and one query keeps
+        # the deeper; each slope holds one node, so the sorts ask nothing.
+        handle = CountingOracle(ExactOracle(bent_tree))
+        reconstruct_skeleton_path(handle, range(11), 0, 4)
+        assert handle.logical_count == 2 + 2 * 9 + 1
 
     def test_matches_ground_truth_on_both_fixtures(self, spine_tree, bent_tree):
         for tree in (spine_tree, bent_tree):
@@ -212,16 +198,26 @@ class TestFindEvenSeparator:
 
 class TestSplitTree:
     def test_bent_tree_split(self, bent_tree):
-        oracle = ExactOracle(bent_tree)
-        keep, below = split_tree(oracle, range(11), SeparatorEdge(2, 1))
+        path = skeleton_path(bent_tree, 0, 4)
+        positions = bag_indices(bent_tree, path)
+        keep, below = split_tree(range(11), positions, SeparatorEdge(2, 1), path.lca_index)
         assert sorted(keep) == [2, 3, 4, 8, 9, 10]
         assert sorted(below) == [0, 1, 5, 6, 7]
 
     def test_spine_tree_split(self, spine_tree):
-        oracle = ExactOracle(spine_tree)
-        keep, below = split_tree(oracle, range(11), SeparatorEdge(1, 2))
+        path = skeleton_path(spine_tree, 0, 4)
+        positions = bag_indices(spine_tree, path)
+        keep, below = split_tree(range(11), positions, SeparatorEdge(1, 2), path.lca_index)
         assert sorted(below) == [2, 3, 4, 8, 9, 10]
         assert sorted(keep) == [0, 1, 5, 6, 7]
+
+    def test_sides_keep_part_order_with_the_child_first(self, bent_tree):
+        path = skeleton_path(bent_tree, 0, 4)
+        positions = bag_indices(bent_tree, path)
+        part = [9, 5, 3, 1, 0, 7, 2]
+        keep, below = split_tree(part, positions, SeparatorEdge(2, 1), path.lca_index)
+        assert keep == [9, 3, 2]
+        assert below == [1, 5, 0, 7]
 
 
 class TestReconstructTree:
@@ -297,6 +293,14 @@ class TestReconstructTree:
     def test_lying_oracle_is_detected(self):
         with pytest.raises(InconsistentOracleError):
             reconstruct_tree(_ZeroOracle(), range(3), 2, random.Random(0))
+
+    def test_star_beyond_the_recursion_limit(self):
+        star = shaped_tree("star", 1100)
+        edges, stats = reconstruct_tree(
+            ExactOracle(star), range(star.n), star.degree_bound, random.Random(0)
+        )
+        assert edges == set(star.edges())
+        assert stats.recursion_depth_max == 1100
 
     def test_mutual_ancestry_cannot_loop_forever(self):
         # 0 and 1 each claim a path to the other; the split would swallow the
