@@ -120,8 +120,8 @@ def _cmd_generate(args, parser) -> int:
 def _cmd_reconstruct(args, parser) -> int:
     hidden = load_tree(args.tree)
     plain = hidden.tree if isinstance(hidden, WeightedDirectedRootedTree) else hidden
-    if args.regime == "noisy" and (args.eps is None or args.delta is None):
-        parser.error("--regime noisy needs --eps and --delta")
+    if args.regime == "noisy":
+        _check_noise(args, parser)
     if args.regime == "weighted" and not isinstance(hidden, WeightedDirectedRootedTree):
         parser.error("--regime weighted needs a weighted tree file")
     if args.regime != "weighted":
@@ -156,8 +156,8 @@ def _cmd_reconstruct(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    if args.regime == "noisy" and (args.eps is None or args.delta is None):
-        parser.error("--regime noisy needs --eps and --delta")
+    if args.regime == "noisy":
+        _check_noise(args, parser)
     if args.reps < 0:
         parser.error("--reps must be >= 0")
     if any(n < 2 for n in args.nodes):
@@ -198,6 +198,15 @@ def _cmd_verify(args, parser) -> int:
         return EXIT_OK
     print("mismatch", file=sys.stderr)
     return EXIT_MISMATCH
+
+
+def _check_noise(args, parser) -> None:
+    if args.eps is None or args.delta is None:
+        parser.error("--regime noisy needs --eps and --delta")
+    if not 0.0 < args.eps < 0.5:
+        parser.error(f"--eps must lie in (0, 0.5), got {args.eps}")
+    if not 0.0 < args.delta < 1.0:
+        parser.error(f"--delta must lie in (0, 1), got {args.delta}")
 
 
 def _int_list(text: str) -> list[int]:

@@ -6,6 +6,11 @@ evaluations in ``calls``. Wrappers (majority vote, counting, caching) stack
 on top via an ``inner`` attribute, so a counting wrapper can always find the
 innermost evaluation counter.
 
+Base oracles decide ancestry in O(1) per query from preorder spans:
+``i`` is a proper ancestor of ``j`` iff ``tin[i] < tin[j] < tout[i]``. The
+spans are built by one O(n) DFS on an oracle's first query, so an oracle
+that is built but never asked costs nothing beyond its constructor.
+
 Query surfaces:
 
 * ``query(i, j)``        exact / majority / counting / caching: 1 iff the
@@ -22,27 +27,29 @@ import math
 import random
 
 from .errors import SelfQueryError
-from .trees import ROOT, DirectedRootedTree, WeightedDirectedRootedTree
+from .trees import DirectedRootedTree, WeightedDirectedRootedTree
 
 
 class ExactOracle:
-    """Answers Q(i, j) from the hidden tree, no errors."""
+    """Answers Q(i, j) from the hidden tree, no errors.
+
+    Each query is O(1): a comparison of preorder spans, built on the first
+    query.
+    """
 
     def __init__(self, tree: DirectedRootedTree):
         self.tree = tree
         self.calls = 0
-        self._parent = tree.parent
+        self._n = tree.n
+        self._spans: tuple[list[int], list[int]] | None = None
 
     def query(self, i: int, j: int) -> int:
-        _check(len(self._parent), i, j)
+        _check(self._n, i, j)
         self.calls += 1
-        parent = self._parent
-        k = parent[j]
-        while k != ROOT:
-            if k == i:
-                return 1
-            k = parent[k]
-        return 0
+        if self._spans is None:
+            self._spans = _preorder_spans(self.tree)
+        tin, tout = self._spans
+        return 1 if tin[i] < tin[j] < tout[i] else 0
 
 
 class NoisyOracle:
@@ -50,7 +57,8 @@ class NoisyOracle:
 
     Deterministic given (seed, call order): every call draws exactly one
     uniform variate from its own RNG. ``noise`` may be 0.0 (degenerate no-flip
-    limit) but must stay below 1/2.
+    limit) but must stay below 1/2. The exact bit is an O(1) comparison of
+    preorder spans, built on the first query.
     """
 
     def __init__(self, tree: DirectedRootedTree, noise: float, seed: int | None = None):
@@ -59,49 +67,54 @@ class NoisyOracle:
         self.tree = tree
         self.noise = noise
         self.calls = 0
-        self._parent = tree.parent
+        self._n = tree.n
+        self._spans: tuple[list[int], list[int]] | None = None
         self._rng = random.Random(seed)
 
     def noisy_query(self, i: int, j: int) -> int:
-        _check(len(self._parent), i, j)
+        _check(self._n, i, j)
         self.calls += 1
-        parent = self._parent
-        bit = 0
-        k = parent[j]
-        while k != ROOT:
-            if k == i:
-                bit = 1
-                break
-            k = parent[k]
+        if self._spans is None:
+            self._spans = _preorder_spans(self.tree)
+        tin, tout = self._spans
+        bit = 1 if tin[i] < tin[j] < tout[i] else 0
         if self._rng.random() < self.noise:
             return 1 - bit
         return bit
 
 
 class AdditiveOracle:
-    """Returns the total weight of the directed path i -> j, or exactly 0.0."""
+    """Returns the total weight of the directed path i -> j, or exactly 0.0.
+
+    A miss is decided in O(1) from preorder spans, built on the first query.
+    A hit sums the edge weights from ``j`` up to ``i`` one edge at a time, so
+    the sum is the same float, bit for bit, as the sequential path sum.
+    """
 
     def __init__(self, weighted: WeightedDirectedRootedTree):
         self.weighted = weighted
         self.calls = 0
         self._parent = weighted.tree.parent
         self._weights = dict(weighted.weights)
+        self._spans: tuple[list[int], list[int]] | None = None
 
     def additive_query(self, i: int, j: int) -> float:
         _check(len(self._parent), i, j)
         self.calls += 1
+        if self._spans is None:
+            self._spans = _preorder_spans(self.weighted.tree)
+        tin, tout = self._spans
+        if not tin[i] < tin[j] < tout[i]:
+            return 0.0
         parent = self._parent
         weights = self._weights
         total = 0.0
         c = j
-        while True:
+        while c != i:
             p = parent[c]
-            if p == ROOT:
-                return 0.0
             total += weights[(p, c)]
-            if p == i:
-                return total
             c = p
+        return total
 
 
 class MajorityOracle:
@@ -213,6 +226,31 @@ def majority_vote_count(
     )
     m = max(1, math.ceil(need))
     return m if m % 2 == 1 else m + 1
+
+
+def _preorder_spans(tree: DirectedRootedTree) -> tuple[list[int], list[int]]:
+    """Preorder entry times and span ends of every node.
+
+    ``tin[v]`` is v's position in a preorder walk from the root and
+    ``tout[v] = tin[v] + size of v's subtree``, so the nodes below v are
+    exactly those u with ``tin[v] < tin[u] < tout[v]``. Iterative, so chains
+    deeper than the recursion limit are fine.
+    """
+    children = tree.children
+    tin = [0] * tree.n
+    tout = [0] * tree.n
+    clock = 0
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        if v >= 0:
+            tin[v] = clock
+            clock += 1
+            stack.append(~v)
+            stack.extend(children[v])
+        else:
+            tout[~v] = clock
+    return tin, tout
 
 
 def _check(n: int, i: int, j: int) -> None:

@@ -112,6 +112,12 @@ class TestReconstruct:
             run("reconstruct", "--tree", str(hidden_file), "--regime", "noisy")
         assert caught.value.code == 2
 
+    def test_noise_out_of_range_is_a_usage_error(self, hidden_file):
+        with pytest.raises(SystemExit) as caught:
+            run("reconstruct", "--tree", str(hidden_file), "--regime", "noisy",
+                "--eps", "0.6", "--delta", "0.1")
+        assert caught.value.code == 2
+
     def test_weighted_requires_a_weighted_file(self, hidden_file):
         with pytest.raises(SystemExit) as caught:
             run("reconstruct", "--tree", str(hidden_file), "--regime", "weighted")
@@ -184,6 +190,13 @@ class TestBench:
         with pytest.raises(SystemExit) as caught:
             run("bench", "--regime", "noisy", "--nodes", "12", "--degrees", "3",
                 "--reps", "1", "--csv", str(tmp_path / "x.csv"))
+        assert caught.value.code == 2
+
+    def test_failure_budget_out_of_range_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as caught:
+            run("bench", "--regime", "noisy", "--eps", "0.1", "--delta", "1.5",
+                "--nodes", "12", "--degrees", "3", "--reps", "1",
+                "--csv", str(tmp_path / "x.csv"))
         assert caught.value.code == 2
 
     def test_unwritable_csv_is_an_io_error(self, tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -18,8 +19,23 @@ from treeprobe import (
     enumerate_trees,
     is_ancestor,
     majority_vote_count,
+    parallel_chain,
+    random_tree,
     shaped_tree,
+    uniform_weights,
 )
+
+DEEP_AND_RELABELLED = [
+    pytest.param(shaped_tree("chain", 300), id="chain"),
+    pytest.param(shaped_tree("star", 300), id="star"),
+    pytest.param(shaped_tree("caterpillar", 300), id="caterpillar"),
+    pytest.param(parallel_chain(4, 75), id="parallel-chain"),
+    pytest.param(random_tree(300, 3, seed=17), id="random"),
+]
+
+
+def _ordered_pairs(n):
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
 class TestExactOracle:
@@ -44,6 +60,16 @@ class TestExactOracle:
             oracle.query(3, 3)
         with pytest.raises(ValueError):
             oracle.query(0, 11)
+
+
+@pytest.mark.parametrize("tree", DEEP_AND_RELABELLED)
+def test_exact_and_noiseless_bits_match_the_parent_walk(tree):
+    exact = ExactOracle(tree)
+    noiseless = NoisyOracle(tree, 0.0)
+    for i, j in _ordered_pairs(tree.n):
+        truth = int(is_ancestor(tree, i, j))
+        assert exact.query(i, j) == truth
+        assert noiseless.noisy_query(i, j) == truth
 
 
 class TestNoisyOracle:
@@ -83,6 +109,16 @@ class TestNoisyOracle:
                 if i != j:
                     assert oracle.noisy_query(i, j) == int(is_ancestor(bent_tree, i, j))
 
+    def test_one_draw_per_call_in_call_order(self):
+        # Every call draws exactly one variate; a faster oracle must not
+        # add, drop or reorder draws, or every noisy count would change.
+        tree = random_tree(60, 4, seed=5)
+        pairs = random.Random(8).sample(_ordered_pairs(tree.n), 2000)
+        oracle = NoisyOracle(tree, 0.25, seed=31)
+        ref = random.Random(31)
+        expected = [int(is_ancestor(tree, i, j)) ^ (ref.random() < 0.25) for i, j in pairs]
+        assert [oracle.noisy_query(i, j) for i, j in pairs] == expected
+
     @pytest.mark.parametrize("noise", [-0.01, 0.5, 0.7])
     def test_noise_domain(self, bent_tree, noise):
         with pytest.raises(ValueError):
@@ -117,6 +153,23 @@ class TestAdditiveOracle:
                     assert (oracle.additive_query(i, j) > 0) == is_ancestor(
                         weighted.tree, i, j
                     )
+
+    @pytest.mark.parametrize(
+        "tree", [random_tree(300, 3, seed=23), shaped_tree("chain", 200)], ids=["random", "chain"]
+    )
+    def test_sums_are_bit_exact_and_misses_are_positive_zero(self, tree):
+        weighted = uniform_weights(tree, seed=4)
+        oracle = AdditiveOracle(weighted)
+        for i, j in _ordered_pairs(tree.n):
+            got = oracle.additive_query(i, j)
+            if not is_ancestor(tree, i, j):
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0
+                continue
+            ref, c = 0.0, j
+            while c != i:
+                ref += weighted.weights[(tree.parent[c], c)]
+                c = tree.parent[c]
+            assert got.hex() == ref.hex()
 
     def test_rejects_self(self, weighted):
         with pytest.raises(SelfQueryError):
