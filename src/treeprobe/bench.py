@@ -112,7 +112,8 @@ def run_single(
     elif regime == "noisy":
         if eps is None or delta is None:
             raise ValueError("the noisy regime needs eps and delta")
-        votes = majority_vote_count(eps, delta, plain.n, degree_bound)
+        # A single node asks no query, so there is nothing to vote on.
+        votes = majority_vote_count(eps, delta, plain.n, degree_bound) if plain.n > 1 else 1
         noisy = NoisyOracle(plain, eps, seed=seed * 4 + 1)
         handle = CountingOracle(MajorityOracle(noisy, votes))
         try:

@@ -171,7 +171,10 @@ def _cmd_bench(args, parser) -> int:
         eps=args.eps,
         delta=args.delta,
     )
-    records = bench_run(config)
+    try:
+        records = bench_run(config)
+    except InfeasibleDegreeError as exc:
+        parser.error(str(exc))
     with open(args.csv, "w", encoding="ascii") as fp:
         fp.write(records_to_csv(records))
     if args.plot:

@@ -287,7 +287,7 @@ def reconstruct_noisy(
 ) -> tuple[Edges, ReconstructionStats]:
     """Reconstruction over a noisy oracle, majority-voting every query.
 
-    ``oracle`` must expose ``noisy_query``. With the default vote count the
+    ``oracle`` must expose ``majority_query``. With the default vote count the
     returned edge set equals the hidden tree with probability at least
     1 - failure_prob; a failed run returns some wrong edge set (or raises
     InconsistentOracleError when the votes contradict every tree).

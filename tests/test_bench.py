@@ -12,6 +12,7 @@ from treeprobe import (
     NoisyOracle,
     bench_run,
     derive_seed,
+    from_edges,
     plot_svg,
     random_tree,
     records_to_csv,
@@ -59,8 +60,8 @@ class TestRunSingle:
         class LateLiar(NoisyOracle):
             """Honest for a while, then denies every path."""
 
-            def noisy_query(self, i, j):
-                bit = super().noisy_query(i, j)
+            def majority_query(self, i, j, votes):
+                bit = super().majority_query(i, j, votes)
                 return bit if self.calls <= 8_000 else 0
 
         monkeypatch.setattr(bench, "NoisyOracle", LateLiar)
@@ -71,6 +72,12 @@ class TestRunSingle:
         assert outcome.stats.rounds_total >= 2
         assert outcome.stats.recursion_depth_max >= 2
         assert outcome.raw_queries == outcome.votes * outcome.logical_queries > 8_000
+
+    def test_noisy_run_on_a_single_node_asks_nothing(self):
+        outcome = run_single("noisy", from_edges(1, set()), 1, seed=0, eps=0.1, delta=0.1)
+        assert outcome.success
+        assert outcome.edges == set()
+        assert outcome.raw_queries == outcome.logical_queries == 0
 
     def test_weighted_run_checks_weights_too(self):
         hidden = uniform_weights(random_tree(25, 4, seed=102), seed=103)

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from treeprobe import WeightedDirectedRootedTree, load_tree, save_tree, shaped_tree
+from treeprobe import (
+    WeightedDirectedRootedTree,
+    from_edges,
+    load_tree,
+    save_tree,
+    shaped_tree,
+)
 from treeprobe.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
 
 
@@ -95,6 +101,18 @@ class TestReconstruct:
         assert code == EXIT_OK
         assert "votes=" in capsys.readouterr().out
 
+    def test_noisy_run_on_a_single_node_asks_nothing(self, tmp_path, capsys):
+        hidden = tmp_path / "one.txt"
+        save_tree(from_edges(1, set()), hidden)
+        code = run(
+            "reconstruct", "--tree", str(hidden), "--regime", "noisy",
+            "--eps", "0.1", "--delta", "0.1", "--stats",
+        )
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "success=true" in out
+        assert "raw_queries=0" in out and "logical_queries=0" in out
+
     def test_weighted_round_trip(self, tmp_path, bent_tree):
         hidden = tmp_path / "weighted.txt"
         recovered = tmp_path / "recovered.txt"
@@ -177,6 +195,13 @@ class TestBench:
     def test_rejects_tiny_nodes(self, tmp_path):
         with pytest.raises(SystemExit) as caught:
             run("bench", "--nodes", "1,5", "--degrees", "2", "--reps", "1",
+                "--csv", str(tmp_path / "x.csv"))
+        assert caught.value.code == 2
+
+    @pytest.mark.parametrize("degrees", ["1", "0"])
+    def test_infeasible_degree_is_a_usage_error(self, tmp_path, degrees):
+        with pytest.raises(SystemExit) as caught:
+            run("bench", "--nodes", "12", "--degrees", degrees, "--reps", "1",
                 "--csv", str(tmp_path / "x.csv"))
         assert caught.value.code == 2
 

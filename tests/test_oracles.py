@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -24,6 +25,7 @@ from treeprobe import (
     shaped_tree,
     uniform_weights,
 )
+from treeprobe.oracles import _majority_error
 
 DEEP_AND_RELABELLED = [
     pytest.param(shaped_tree("chain", 300), id="chain"),
@@ -176,27 +178,79 @@ class TestAdditiveOracle:
             AdditiveOracle(weighted).additive_query(5, 5)
 
 
-class _ScriptedNoisy:
-    """Inner stand-in with a fixed answer tape."""
+class _FixedDraw:
+    """RNG stand-in whose every uniform draw is the same value."""
 
-    def __init__(self, bits):
-        self._bits = list(bits)
-        self.calls = 0
+    def __init__(self, value):
+        self.value = value
 
-    def noisy_query(self, i, j):
-        self.calls += 1
-        return self._bits.pop(0)
+    def random(self):
+        return self.value
+
+
+class TestMajorityError:
+    @pytest.mark.parametrize("noise", [0.05, 0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("votes", [1, 3, 5, 7, 9])
+    def test_matches_the_sum_over_every_flip_tape(self, votes, noise):
+        # A majority is wrong when more than half of the votes flip.
+        wrong = math.fsum(
+            math.prod(noise if flip else 1.0 - noise for flip in tape)
+            for tape in itertools.product((0, 1), repeat=votes)
+            if 2 * sum(tape) > votes
+        )
+        assert _majority_error(votes, noise) == pytest.approx(wrong, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 0.1, 0.3, 0.45, 0.4999])
+    def test_one_vote_is_exactly_the_noise(self, noise):
+        assert _majority_error(1, noise) == noise
+
+    @pytest.mark.parametrize("votes, noise", [(5755, 0.45), (143871, 0.49)])
+    def test_largest_cli_vote_counts_stay_finite(self, votes, noise):
+        wrong = _majority_error(votes, noise)
+        assert math.isfinite(wrong)
+        assert 0.0 <= wrong < 0.5
+
+    @pytest.mark.parametrize("noise", [0.05, 0.1, 0.3, 0.45])
+    def test_more_votes_never_raise_the_tail(self, noise):
+        counts = [*range(1, 402, 2), 1001, 5755]
+        tails = [_majority_error(m, noise) for m in counts]
+        assert all(later <= earlier for earlier, later in zip(tails, tails[1:]))
+
+
+class TestMajorityQuery:
+    @pytest.mark.parametrize("votes, noise", [(3, 0.45), (5, 0.3), (61, 0.1)])
+    def test_one_draw_per_majority_in_call_order(self, votes, noise):
+        tree = random_tree(60, 4, seed=5)
+        pairs = random.Random(8).sample(_ordered_pairs(tree.n), 2000)
+        oracle = NoisyOracle(tree, noise, seed=31)
+        ref = random.Random(31)
+        wrong = _majority_error(votes, noise)
+        for count, (i, j) in enumerate(pairs, start=1):
+            expected = int(is_ancestor(tree, i, j)) ^ (ref.random() < wrong)
+            assert oracle.majority_query(i, j, votes) == expected
+            assert oracle.calls == votes * count
+
+    def test_draw_just_below_the_tail_flips_the_answer(self, bent_tree):
+        wrong = _majority_error(5, 0.3)
+        truth = int(is_ancestor(bent_tree, 2, 10))
+        voter = MajorityOracle(NoisyOracle(bent_tree, 0.3), votes=5)
+        voter.inner._rng = _FixedDraw(math.nextafter(wrong, 0.0))
+        assert voter.query(2, 10) == 1 - truth
+        for at_or_above in (wrong, math.nextafter(wrong, 1.0)):
+            voter.inner._rng = _FixedDraw(at_or_above)
+            assert voter.query(2, 10) == truth
+
+    def test_wrong_answer_rate_is_the_binomial_tail(self, bent_tree):
+        # P(Bin(5, 0.3) >= 3) = 0.16308; 4 sigma over 20k queries is 0.0105.
+        oracle = NoisyOracle(bent_tree, 0.3, seed=19)
+        truth = int(is_ancestor(bent_tree, 2, 10))
+        trials = 20_000
+        wrong = sum(oracle.majority_query(2, 10, 5) != truth for _ in range(trials))
+        sigma = math.sqrt(0.16308 * (1.0 - 0.16308) / trials)
+        assert abs(wrong / trials - 0.16308) <= 4 * sigma
 
 
 class TestMajorityOracle:
-    def test_three_of_five_wins(self):
-        voter = MajorityOracle(_ScriptedNoisy([1, 1, 0, 1, 0]), votes=5)
-        assert voter.query(0, 1) == 1
-
-    def test_two_of_five_loses(self):
-        voter = MajorityOracle(_ScriptedNoisy([1, 0, 0, 1, 0]), votes=5)
-        assert voter.query(0, 1) == 0
-
     def test_single_vote_equals_one_noisy_call(self, bent_tree):
         voter = MajorityOracle(NoisyOracle(bent_tree, 0.3, seed=7), votes=1)
         plain = NoisyOracle(bent_tree, 0.3, seed=7)
