@@ -13,7 +13,6 @@ from .errors import InconsistentOracleError, InvalidTreeError
 from .generators import random_tree, uniform_weights
 from .oracles import (
     AdditiveOracle,
-    CountingOracle,
     ExactOracle,
     MajorityOracle,
     NoisyOracle,
@@ -106,16 +105,18 @@ def run_single(
     votes = None
     weights_out = None
 
+    # ``handle`` is the layer the driver asks, whose ``calls`` are the logical
+    # queries; ``base`` answers from the hidden tree and counts raw queries.
     if regime == "exact":
-        handle = CountingOracle(ExactOracle(plain))
+        base = handle = ExactOracle(plain)
         edges, stats = reconstruct_tree(handle, range(plain.n), degree_bound, rng)
     elif regime == "noisy":
         if eps is None or delta is None:
             raise ValueError("the noisy regime needs eps and delta")
         # A single node asks no query, so there is nothing to vote on.
         votes = majority_vote_count(eps, delta, plain.n, degree_bound) if plain.n > 1 else 1
-        noisy = NoisyOracle(plain, eps, seed=seed * 4 + 1)
-        handle = CountingOracle(MajorityOracle(noisy, votes))
+        base = NoisyOracle(plain, eps, seed=seed * 4 + 1)
+        handle = MajorityOracle(base, votes)
         try:
             edges, stats = reconstruct_tree(handle, range(plain.n), degree_bound, rng)
         except InconsistentOracleError as err:
@@ -123,15 +124,15 @@ def run_single(
                 edges=set(),
                 weights=None,
                 stats=err.stats,
-                raw_queries=handle.raw_count,
-                logical_queries=handle.logical_count,
+                raw_queries=base.calls,
+                logical_queries=handle.calls,
                 success=False,
                 votes=votes,
             )
     else:
         if not isinstance(hidden, WeightedDirectedRootedTree):
             raise ValueError("the weighted regime needs a weighted hidden tree")
-        handle = CountingOracle(AdditiveOracle(hidden))
+        base = handle = AdditiveOracle(hidden)
         edges, weights_out, stats = reconstruct_weighted(
             handle, range(plain.n), degree_bound, rng
         )
@@ -145,8 +146,8 @@ def run_single(
         edges=edges,
         weights=weights_out,
         stats=stats,
-        raw_queries=handle.raw_count,
-        logical_queries=handle.logical_count,
+        raw_queries=base.calls,
+        logical_queries=handle.calls,
         success=success,
         votes=votes,
     )

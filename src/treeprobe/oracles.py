@@ -1,10 +1,10 @@
 """Simulated path-query oracles and their wrappers.
 
 The reconstruction code never touches a tree directly; it sees one of these
-handles instead. Base oracles answer from a hidden tree and count their own
-evaluations in ``calls``. Wrappers (majority vote, counting, caching) stack
-on top via an ``inner`` attribute, so a counting wrapper can always find the
-innermost evaluation counter.
+handles instead. Every layer counts the queries it answers in ``calls``: a
+base oracle counts its evaluations of the hidden tree, and the majority
+voter, which wraps a noisy oracle, counts logical queries. A caller that
+wants both counts keeps both handles; no layer looks through another.
 
 Base oracles decide ancestry in O(1) per query from preorder spans:
 ``i`` is a proper ancestor of ``j`` iff ``tin[i] < tin[j] < tout[i]``. The
@@ -19,8 +19,8 @@ once per (m, noise) and cached. This has the same answer distribution as
 
 Query surfaces:
 
-* ``query(i, j)``        exact / majority / counting / caching: 1 iff the
-                          hidden tree has a directed path i -> j.
+* ``query(i, j)``        exact / majority: 1 iff the hidden tree has a
+                          directed path i -> j.
 * ``noisy_query(i, j)``  noisy oracle: the exact bit, flipped independently
                           with the configured probability.
 * ``majority_query(i, j, votes)`` noisy oracle: the majority of ``votes``
@@ -53,7 +53,9 @@ class ExactOracle:
         self._spans: tuple[list[int], list[int]] | None = None
 
     def query(self, i: int, j: int) -> int:
-        _check(self._n, i, j)
+        n = self._n
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            _check(n, i, j)
         self.calls += 1
         if self._spans is None:
             self._spans = _preorder_spans(self.tree)
@@ -87,7 +89,9 @@ class NoisyOracle:
         return self.majority_query(i, j, 1)
 
     def majority_query(self, i: int, j: int, votes: int) -> int:
-        _check(self._n, i, j)
+        n = self._n
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            _check(n, i, j)
         self.calls += votes
         if self._spans is None:
             self._spans = _preorder_spans(self.tree)
@@ -109,12 +113,15 @@ class AdditiveOracle:
     def __init__(self, weighted: WeightedDirectedRootedTree):
         self.weighted = weighted
         self.calls = 0
+        self._n = weighted.tree.n
         self._parent = weighted.tree.parent
         self._weights = dict(weighted.weights)
         self._spans: tuple[list[int], list[int]] | None = None
 
     def additive_query(self, i: int, j: int) -> float:
-        _check(len(self._parent), i, j)
+        n = self._n
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            _check(n, i, j)
         self.calls += 1
         if self._spans is None:
             self._spans = _preorder_spans(self.weighted.tree)
@@ -149,58 +156,6 @@ class MajorityOracle:
     def query(self, i: int, j: int) -> int:
         self.calls += 1
         return self.inner.majority_query(i, j, self.votes)
-
-
-class CountingOracle:
-    """Transparent wrapper exposing logical and raw query counters.
-
-    ``logical_count`` is the number of calls made through this wrapper.
-    ``raw_count`` is the number of innermost oracle evaluations they caused
-    (a majority voter multiplies by its vote count, a caching layer stops
-    recharging repeats).
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.logical_count = 0
-        base = inner
-        while hasattr(base, "inner"):
-            base = base.inner
-        self._base = base
-        self._base_start = base.calls
-
-    @property
-    def raw_count(self) -> int:
-        return self._base.calls - self._base_start
-
-    def query(self, i: int, j: int) -> int:
-        self.logical_count += 1
-        return self.inner.query(i, j)
-
-    def noisy_query(self, i: int, j: int) -> int:
-        self.logical_count += 1
-        return self.inner.noisy_query(i, j)
-
-    def additive_query(self, i: int, j: int) -> float:
-        self.logical_count += 1
-        return self.inner.additive_query(i, j)
-
-
-class CachingOracle:
-    """Memoizes query bits per ordered pair; repeats cost nothing inside."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-        self._memo: dict[tuple[int, int], int] = {}
-
-    def query(self, i: int, j: int) -> int:
-        self.calls += 1
-        key = (i, j)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = self.inner.query(i, j)
-        return hit
 
 
 def majority_vote_count(
@@ -297,6 +252,7 @@ def _preorder_spans(tree: DirectedRootedTree) -> tuple[list[int], list[int]]:
 
 
 def _check(n: int, i: int, j: int) -> None:
+    """Raise for a self pair or an out-of-range node; the callers test first."""
     if i == j:
         raise SelfQueryError(f"oracle queried with i == j == {i}")
     if not (0 <= i < n and 0 <= j < n):

@@ -8,7 +8,9 @@ solve, and the driver loops until the stack is empty. With a degree bound d
 the cut leaves pieces no larger than a (d-1)/d fraction, so the split depth
 stays logarithmic and the whole thing needs O(d n log^2 n) queries in
 expectation. Each round scans its part once for the path and once for the
-bags; the split reuses the bag positions and asks nothing.
+bags, and asks nothing twice: nodes the path scan found above both endpoints
+hang from the LCA without a bag search, and the split reuses the bag
+positions.
 
 Two more regimes ride on the same driver: noisy queries are cleaned up with
 per-pair majority votes, and additive (weighted-sum) queries are thresholded
@@ -61,38 +63,38 @@ def sort_by_ancestry(oracle, items: Sequence[int]) -> list[int]:
     return sorted(items, key=cmp_to_key(compare))
 
 
-def find_bag(oracle, path_nodes: Sequence[int], node: int) -> int:
-    """Largest 1-based index t on a directed path with Q(path[t], node) = 1.
+def find_bag(oracle, path_left: Sequence[int], path_right: Sequence[int], node: int) -> int:
+    """1-based path position that an off-path ``node`` hangs from.
 
-    Returns 1 when no position qualifies. Reachability along a directed path
-    is monotone (a prefix of ones), so a binary search over [lo, hi] with
-    ceiling midpoints needs at most ceil(log2 k) queries: a hit moves lo to
-    the midpoint, a miss moves hi just below it.
+    ``path_left`` runs from the LCA to the head of the path and
+    ``path_right`` from the LCA to its tail. Reachability along each slope
+    is monotone (a prefix of ones), so a binary search finds the deepest
+    slope node above ``node`` in at most ceil(log2 k) queries. The left
+    search decides unless it stops at the LCA; only then is the right slope
+    searched. Left slope position s is path position len(path_left) + 1 - s
+    and right slope position s is len(path_left) + s - 1.
     """
-    lo, hi = 1, len(path_nodes)
+    at = _deepest_hit(oracle, path_left, node)
+    if at > 1:
+        return len(path_left) + 1 - at
+    return len(path_left) + _deepest_hit(oracle, path_right, node) - 1
+
+
+def _deepest_hit(oracle, slope: Sequence[int], node: int) -> int:
+    """Largest 1-based index t on a directed path with Q(slope[t], node) = 1.
+
+    Returns 1 when no position qualifies. A binary search over [lo, hi] with
+    ceiling midpoints: a hit moves lo to the midpoint, a miss moves hi just
+    below it.
+    """
+    lo, hi = 1, len(slope)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if oracle.query(path_nodes[mid - 1], node):
+        if oracle.query(slope[mid - 1], node):
             lo = mid
         else:
             hi = mid - 1
     return lo
-
-
-def assign_bag_index(
-    left_index: int, right_index: int, lca_index: int, left_len: int
-) -> int:
-    """Merge the two per-side search results into one path position.
-
-    The left search ran over the path positions lca..1 (reversed), the right
-    one over lca..P. Position s of the left search is path position
-    lca_index + 1 - s; the right side only decides when the left search
-    landed on the shared LCA endpoint, and its position s maps to
-    left_len + s - 1.
-    """
-    if left_index == 1:
-        return left_len + right_index - 1
-    return lca_index + 1 - left_index
 
 
 def find_even_separator(
@@ -157,43 +159,58 @@ def split_tree(
     return keep, below
 
 
-def reconstruct_skeleton_path(oracle, nodes: Sequence[int], i: int, j: int) -> SkeletonPath:
+def reconstruct_skeleton_path(
+    oracle, nodes: Sequence[int], i: int, j: int
+) -> tuple[SkeletonPath, list[int]]:
     """Rebuild the skeleton path between i and j in one membership pass.
 
-    Matches the ground-truth path oriented i -> j. Every other node k is
-    asked (Q(k, i), Q(k, j)) once: an ancestor of only i lies on the i side
-    below the LCA, an ancestor of only j on the j side, and an ancestor of
-    both at or above the LCA. The LCA is the endpoint that reaches the
+    Returns the path, oriented i -> j like the ground truth, and the nodes
+    found above both endpoints but off the path; those hang from the LCA.
+    Every other node k is asked whether it is an ancestor of i and of j: an
+    ancestor of only i lies on the i side below the LCA, an ancestor of only
+    j on the j side, and an ancestor of both at or above the LCA. When one
+    endpoint reaches the other, k is asked about the upper one first, and a
+    hit settles the lower one too. The LCA is the endpoint that reaches the
     other, or else the deepest common ancestor.
     """
-    i_to_j = oracle.query(i, j)
-    j_to_i = oracle.query(j, i)
+    query = oracle.query
+    i_to_j = query(i, j)
+    j_to_i = query(j, i)
     if i_to_j and j_to_i:
         raise InconsistentOracleError(f"nodes {i} and {j} each claim a path to the other")
-    left, right, common = [], [], []
-    for k in nodes:
-        if k == i or k == j:
-            continue
-        above_i = oracle.query(k, i)
-        above_j = oracle.query(k, j)
-        if above_i and above_j:
-            common.append(k)
-        elif above_i:
-            left.append(k)
-        elif above_j:
-            right.append(k)
+    left, right, above = [], [], []
     apex = []
-    if not (i_to_j or j_to_i):
-        if not common:
+    if i_to_j or j_to_i:
+        upper, lower, slope = (i, j, right) if i_to_j else (j, i, left)
+        for k in nodes:
+            if k == i or k == j:
+                continue
+            if query(k, upper):
+                above.append(k)
+            elif query(k, lower):
+                slope.append(k)
+    else:
+        for k in nodes:
+            if k == i or k == j:
+                continue
+            above_i = query(k, i)
+            above_j = query(k, j)
+            if above_i and above_j:
+                above.append(k)
+            elif above_i:
+                left.append(k)
+            elif above_j:
+                right.append(k)
+        if not above:
             raise InconsistentOracleError(
                 f"nodes {i} and {j} share no ancestor; oracle answers are inconsistent"
             )
-        # Common ancestors form one directed path; keep the deepest.
-        deepest = common[0]
-        for k in common[1:]:
-            if oracle.query(deepest, k):
-                deepest = k
-        apex = [deepest]
+        # Common ancestors form one directed path; the deepest is the LCA.
+        deepest = 0
+        for t in range(1, len(above)):
+            if query(above[deepest], above[t]):
+                deepest = t
+        apex = [above.pop(deepest)]
     left_sorted = sort_by_ancestry(oracle, left)
     seq = [i, *reversed(left_sorted), *apex, *sort_by_ancestry(oracle, right), j]
     if i_to_j:
@@ -202,7 +219,7 @@ def reconstruct_skeleton_path(oracle, nodes: Sequence[int], i: int, j: int) -> S
         lca_index = len(seq)
     else:
         lca_index = 2 + len(left_sorted)
-    return SkeletonPath(tuple(seq), lca_index)
+    return SkeletonPath(tuple(seq), lca_index), above
 
 
 def reconstruct_tree(
@@ -246,18 +263,18 @@ def reconstruct_tree(
             while True:
                 stats.rounds_total += 1
                 i, j = rng.sample(part, 2)
-                path = reconstruct_skeleton_path(oracle, part, i, j)
+                path, above = reconstruct_skeleton_path(oracle, part, i, j)
                 seq, lca = path.sequence, path.lca_index
                 path_left = seq[:lca][::-1]  # LCA first, descending toward the head
                 path_right = seq[lca - 1 :]  # LCA first, descending toward the tail
                 positions = {k: t for t, k in enumerate(seq, 1)}
+                positions.update(dict.fromkeys(above, lca))
                 bag_sizes = [1] * len(seq)
+                bag_sizes[lca - 1] += len(above)
                 for k in part:
                     if k in positions:
                         continue
-                    at_left = find_bag(oracle, path_left, k)
-                    at_right = find_bag(oracle, path_right, k)
-                    spot = assign_bag_index(at_left, at_right, lca, len(path_left))
+                    spot = find_bag(oracle, path_left, path_right, k)
                     positions[k] = spot
                     bag_sizes[spot - 1] += 1
                 sep = find_even_separator(bag_sizes, path, size, degree_bound)
@@ -294,7 +311,12 @@ def reconstruct_noisy(
     """
     node_list = sorted(nodes)
     if votes is None:
-        votes = majority_vote_count(noise, failure_prob, len(node_list), degree_bound)
+        # Fewer than two nodes ask no query, so there is nothing to vote on.
+        votes = (
+            majority_vote_count(noise, failure_prob, len(node_list), degree_bound)
+            if len(node_list) > 1
+            else 1
+        )
     voter = MajorityOracle(oracle, votes)
     return reconstruct_tree(voter, node_list, degree_bound, rng)
 

@@ -19,7 +19,6 @@ from treeprobe import (
     BenchConfig,
     ExactOracle,
     SeparatorEdge,
-    assign_bag_index,
     bag_indices,
     bench_run,
     check_separator,
@@ -223,7 +222,7 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
     for _ in range(SAMPLES):
         tree = _random_instance(rng)
         i, j = rng.sample(range(tree.n), 2)
-        rebuilt = reconstruct_skeleton_path(ExactOracle(tree), range(tree.n), i, j)
+        rebuilt, _ = reconstruct_skeleton_path(ExactOracle(tree), range(tree.n), i, j)
         if rebuilt != skeleton_path(tree, i, j):
             path_bad += 1
 
@@ -236,7 +235,7 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
             continue  # chains have no incomparable pair; draw another tree
         done += 1
         i, j = pair
-        rebuilt = reconstruct_skeleton_path(ExactOracle(tree), range(tree.n), i, j)
+        rebuilt, _ = reconstruct_skeleton_path(ExactOracle(tree), range(tree.n), i, j)
         if rebuilt.sequence[rebuilt.lca_index - 1] != _true_lca(tree, i, j):
             lca_bad += 1
 
@@ -254,13 +253,7 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
         for k in range(tree.n):
             if k in on_path:
                 continue
-            spot = assign_bag_index(
-                find_bag(oracle, left, k),
-                find_bag(oracle, right, k),
-                lca,
-                len(left),
-            )
-            if spot != truth[k]:
+            if find_bag(oracle, left, right, k) != truth[k]:
                 bag_bad += 1
                 break
 

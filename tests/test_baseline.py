@@ -7,7 +7,6 @@ from collections import deque
 import pytest
 
 from treeprobe import (
-    CountingOracle,
     EnumerationCapError,
     ExactOracle,
     NotAnEdgeError,
@@ -23,10 +22,10 @@ from treeprobe import (
 
 class TestQueryMatrix:
     def test_collects_every_ordered_pair(self, bent_tree):
-        handle = CountingOracle(ExactOracle(bent_tree))
-        matrix = QueryMatrix.collect(handle, range(11))
+        oracle = ExactOracle(bent_tree)
+        matrix = QueryMatrix.collect(oracle, range(11))
         assert len(matrix.bits) == 11 * 10
-        assert handle.logical_count == 11 * 10
+        assert oracle.calls == 11 * 10
         assert matrix.bits[(8, 0)] == 1
         assert matrix.bits[(0, 8)] == 0
 
@@ -51,10 +50,10 @@ class TestBruteForce:
         assert brute_force_reconstruct(ExactOracle(shaped_tree("star", 1)), [0]) == set()
 
     def test_spends_exactly_the_full_pair_budget(self, bent_tree):
-        handle = CountingOracle(ExactOracle(bent_tree))
-        edges = brute_force_reconstruct(handle, range(11))
+        oracle = ExactOracle(bent_tree)
+        edges = brute_force_reconstruct(oracle, range(11))
         assert edges == set(bent_tree.edges())
-        assert handle.logical_count == 11 * 10
+        assert oracle.calls == 11 * 10
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_recovers_every_small_tree(self, n):

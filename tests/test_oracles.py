@@ -10,8 +10,6 @@ import pytest
 
 from treeprobe import (
     AdditiveOracle,
-    CachingOracle,
-    CountingOracle,
     ExactOracle,
     MajorityOracle,
     NoisyOracle,
@@ -273,48 +271,47 @@ class TestMajorityOracle:
                     assert voter.query(i, j) == int(is_ancestor(bent_tree, i, j))
 
 
-class TestCountingOracle:
+class TestLayerCalls:
+    """Each layer counts the queries it answers in ``calls``."""
+
     def test_plain_stack_counts_one_for_one(self, bent_tree):
-        handle = CountingOracle(ExactOracle(bent_tree))
-        handle.query(0, 1)
-        handle.query(1, 0)
-        assert handle.logical_count == 2
-        assert handle.raw_count == 2
+        oracle = ExactOracle(bent_tree)
+        oracle.query(0, 1)
+        oracle.query(1, 0)
+        assert oracle.calls == 2
 
     def test_majority_stack_multiplies_by_votes(self, bent_tree):
-        handle = CountingOracle(MajorityOracle(NoisyOracle(bent_tree, 0.1, seed=3), 5))
-        handle.query(0, 1)
-        handle.query(2, 3)
-        assert handle.logical_count == 2
-        assert handle.raw_count == 10
-
-    def test_caching_stack_stops_recharging_repeats(self, bent_tree):
-        handle = CountingOracle(CachingOracle(ExactOracle(bent_tree)))
-        for _ in range(4):
-            handle.query(0, 1)
-        handle.query(1, 0)
-        assert handle.logical_count == 5
-        assert handle.raw_count == 2
-
-    def test_counts_start_at_wrap_time(self, bent_tree):
-        inner = ExactOracle(bent_tree)
-        inner.query(0, 1)  # before the wrapper exists; must not be charged
-        handle = CountingOracle(inner)
-        handle.query(1, 0)
-        assert handle.raw_count == 1
+        noisy = NoisyOracle(bent_tree, 0.1, seed=3)
+        voter = MajorityOracle(noisy, 5)
+        voter.query(0, 1)
+        voter.query(2, 3)
+        assert voter.calls == 2
+        assert noisy.calls == 10
 
 
-class TestCachingOracle:
-    def test_distinct_ordered_pairs_charged_once(self, bent_tree):
-        inner = ExactOracle(bent_tree)
-        cache = CachingOracle(inner)
-        for _ in range(3):
-            assert cache.query(8, 0) == 1
-        for _ in range(2):
-            assert cache.query(0, 8) == 0
-        cache.query(0, 2)
-        assert inner.calls == 3
-        assert cache.calls == 6
+def _every_surface(tree):
+    """One asking function per query surface, with the layer that counts it."""
+    weighted = WeightedDirectedRootedTree(tree, {edge: 1.0 for edge in tree.edges()})
+    exact = ExactOracle(tree)
+    noisy = NoisyOracle(tree, 0.0, seed=0)
+    additive = AdditiveOracle(weighted)
+    return [
+        (exact.query, exact),
+        (noisy.noisy_query, noisy),
+        (lambda i, j: noisy.majority_query(i, j, 3), noisy),
+        (additive.additive_query, additive),
+    ]
+
+
+@pytest.mark.parametrize("at", range(4))
+@pytest.mark.parametrize("pair", [(2, 2), (-1, 0), (0, -1), (0, 4), (4, 0)])
+def test_bad_pairs_raise_before_anything_is_charged(at, pair):
+    ask, layer = _every_surface(shaped_tree("chain", 4))[at]
+    with pytest.raises(SelfQueryError if pair == (2, 2) else ValueError) as err:
+        ask(*pair)
+    if pair != (2, 2):
+        assert str(err.value) == f"node pair {pair} out of range for n=4"
+    assert layer.calls == 0
 
 
 class TestMajorityVoteCount:
@@ -363,14 +360,12 @@ class TestMajorityVoteCount:
             majority_vote_count(noise, delta, n, d)
 
 
-def test_counting_forwards_every_surface():
-    tree = shaped_tree("chain", 4)
-    weighted = WeightedDirectedRootedTree(tree, {edge: 1.0 for edge in tree.edges()})
-
-    counting = CountingOracle(NoisyOracle(tree, 0.0, seed=0))
-    assert counting.noisy_query(0, 3) == 1
-    assert counting.logical_count == 1 and counting.raw_count == 1
-
-    counting = CountingOracle(AdditiveOracle(weighted))
-    assert counting.additive_query(0, 3) == 3.0
-    assert counting.logical_count == 1 and counting.raw_count == 1
+def test_every_query_surface_is_counted():
+    # Answers to Q(0, 3) and Q(3, 0) on a chain, and the calls each is charged.
+    expected = [(1, 0, 1), (1, 0, 1), (1, 0, 3), (3.0, 0.0, 1)]
+    surfaces = _every_surface(shaped_tree("chain", 4))
+    for (ask, layer), (hit, miss, charge) in zip(surfaces, expected):
+        before = layer.calls
+        assert ask(0, 3) == hit
+        assert ask(3, 0) == miss
+        assert layer.calls - before == 2 * charge

@@ -6,16 +6,15 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeprobe import (
     AdditiveOracle,
-    CountingOracle,
     ExactOracle,
     InconsistentOracleError,
     NoisyOracle,
     SeparatorEdge,
     SkeletonPath,
-    assign_bag_index,
     bag_indices,
     find_bag,
     find_even_separator,
@@ -25,6 +24,7 @@ from treeprobe import (
     reconstruct_skeleton_path,
     reconstruct_tree,
     reconstruct_weighted,
+    root_chain,
     shaped_tree,
     skeleton_path,
     sort_by_ancestry,
@@ -76,58 +76,107 @@ class TestSortByAncestry:
         assert sort_by_ancestry(oracle, [2]) == [2]
 
 
+def _slopes(path):
+    """The two slopes find_bag searches, each starting at the LCA."""
+    seq, lca = path.sequence, path.lca_index
+    return seq[:lca][::-1], seq[lca - 1 :]
+
+
+def _shaped(shape, n, seed):
+    if shape == "parallel_chain":
+        return parallel_chain(3, max(1, (n - 1) // 3))
+    if shape == "random":
+        return random_tree(n, 3, seed=seed)
+    return shaped_tree(shape, n)
+
+
 class TestFindBag:
     def test_positions_along_a_descending_run(self, bent_tree):
+        path = skeleton_path(bent_tree, 0, 4)
+        truth = bag_indices(bent_tree, path)
         oracle = ExactOracle(bent_tree)
-        descending = [2, 3, 4]  # the LCA-to-tail half of the 0-to-4 walk
-        assert find_bag(oracle, descending, 10) == 3
-        assert find_bag(oracle, descending, 5) == 1  # no hit falls back to 1
-        assert find_bag(oracle, descending, 9) == 1
+        for k in (5, 6, 7, 8, 9, 10):
+            assert find_bag(oracle, *_slopes(path), k) == truth[k]
 
     def test_query_budget_is_logarithmic(self):
         chain = shaped_tree("chain", 9)
-        handle = CountingOracle(ExactOracle(chain))
-        assert find_bag(handle, list(range(8)), 8) == 8
-        assert handle.logical_count <= 3  # ceil(log2 8)
+        oracle = ExactOracle(chain)
+        assert find_bag(oracle, [0], list(range(8)), 8) == 8
+        assert oracle.calls <= 3  # ceil(log2 8)
+
+    def test_left_slope_node_costs_only_the_left_search(self, bent_tree):
+        # 7 hangs from 1 on the left slope 2-1-0: two queries settle it, and
+        # the right slope 2-3-4 is never asked about.
+        recorder = _RecordingOracle(ExactOracle(bent_tree))
+        assert find_bag(recorder, [2, 1, 0], [2, 3, 4], 7) == 2
+        assert [(a, b) for a, b, _ in recorder.transcript] == [(1, 7), (0, 7)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["chain", "star", "caterpillar", "parallel_chain", "random"]),
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=0, max_value=2**16),
+        st.data(),
+    )
+    def test_matches_bag_indices_on_every_shape(self, shape, n, seed, data):
+        tree = _shaped(shape, n, seed)
+        i = data.draw(st.integers(min_value=0, max_value=tree.n - 1))
+        j = data.draw(st.integers(min_value=0, max_value=tree.n - 1).filter(lambda v: v != i))
+        path = skeleton_path(tree, i, j)
+        truth = bag_indices(tree, path)
+        oracle = ExactOracle(tree)
+        for k in set(range(tree.n)) - set(path.sequence):
+            assert find_bag(oracle, *_slopes(path), k) == truth[k]
 
 
 class TestAssignBagIndex:
-    def test_left_side_wins_when_it_moved(self):
-        assert assign_bag_index(2, 1, 3, 3) == 2
+    """find_bag merges its two slope searches into one path position."""
 
-    def test_left_at_the_lca_defers_to_the_right(self):
-        assert assign_bag_index(1, 3, 3, 3) == 5
-        assert assign_bag_index(1, 1, 3, 3) == 3
+    def test_left_side_wins_when_it_moved(self, bent_tree):
+        oracle = ExactOracle(bent_tree)
+        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 7) == 2
+        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 5) == 1
 
-    def test_degenerate_left_of_a_directed_path(self):
-        for right in (1, 2, 3, 4):
-            assert assign_bag_index(1, right, 1, 1) == right
+    def test_left_at_the_lca_defers_to_the_right(self, bent_tree):
+        oracle = ExactOracle(bent_tree)
+        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 10) == 5
+        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 9) == 3
+
+    def test_degenerate_left_of_a_directed_path(self, spine_tree):
+        # The LCA of a directed path is its head, so the left slope is the
+        # head alone and its search asks nothing.
+        oracle = ExactOracle(spine_tree)
+        for k, spot in ((5, 1), (7, 2), (9, 3), (10, 5)):
+            assert find_bag(oracle, [0], [0, 1, 2, 3, 4], k) == spot
 
 
 class TestReconstructSkeletonPath:
     def test_descending_walk(self, spine_tree):
         oracle = ExactOracle(spine_tree)
-        path = reconstruct_skeleton_path(oracle, range(11), 0, 4)
+        path, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
         assert path == SkeletonPath((0, 1, 2, 3, 4), 1)
+        assert above == []
 
     def test_ascending_walk_keeps_the_asked_orientation(self, spine_tree):
         oracle = ExactOracle(spine_tree)
-        path = reconstruct_skeleton_path(oracle, range(11), 4, 0)
+        path, above = reconstruct_skeleton_path(oracle, range(11), 4, 0)
         assert path == SkeletonPath((4, 3, 2, 1, 0), 5)
+        assert above == []
 
     def test_bent_walk(self, bent_tree):
         oracle = ExactOracle(bent_tree)
-        path = reconstruct_skeleton_path(oracle, range(11), 0, 4)
+        path, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
         assert path == SkeletonPath((0, 1, 2, 3, 4), 3)
+        assert above == [8]
 
     def test_spine_ends_meet_at_the_bend(self, bent_tree):
-        path = reconstruct_skeleton_path(ExactOracle(bent_tree), range(11), 0, 4)
+        path, _ = reconstruct_skeleton_path(ExactOracle(bent_tree), range(11), 0, 4)
         assert path.sequence[path.lca_index - 1] == 2
 
     def test_leaves_meet_lower_down(self, bent_tree):
         oracle = ExactOracle(bent_tree)
         for i, j, lca in ((5, 7, 1), (0, 9, 8)):
-            path = reconstruct_skeleton_path(oracle, range(11), i, j)
+            path, _ = reconstruct_skeleton_path(oracle, range(11), i, j)
             assert path.sequence[path.lca_index - 1] == lca
 
     def test_lying_oracle_is_detected(self):
@@ -138,9 +187,20 @@ class TestReconstructSkeletonPath:
         # Two direction queries and two membership queries for each of the
         # nine other nodes. 2 and 8 lie above both ends, and one query keeps
         # the deeper; each slope holds one node, so the sorts ask nothing.
-        handle = CountingOracle(ExactOracle(bent_tree))
-        reconstruct_skeleton_path(handle, range(11), 0, 4)
-        assert handle.logical_count == 2 + 2 * 9 + 1
+        oracle = ExactOracle(bent_tree)
+        reconstruct_skeleton_path(oracle, range(11), 0, 4)
+        assert oracle.calls == 2 + 2 * 9 + 1
+
+    @pytest.mark.parametrize("i, j", [(2, 4), (4, 2)])
+    def test_ancestor_of_the_upper_end_costs_one_scan_query(self, bent_tree, i, j):
+        # 2 reaches 4, and the root 8 lies above both: asked about 2 first,
+        # its hit settles 4 too. 3 lies between them and costs two queries,
+        # like the seven nodes off the path.
+        recorder = _RecordingOracle(ExactOracle(bent_tree))
+        path, above = reconstruct_skeleton_path(recorder, range(11), i, j)
+        assert above == [8]
+        assert [q for q in recorder.transcript if q[0] == 8] == [(8, 2, 1)]
+        assert len(recorder.transcript) == 2 + 1 + 2 * 8
 
     def test_matches_ground_truth_on_both_fixtures(self, spine_tree, bent_tree):
         for tree in (spine_tree, bent_tree):
@@ -148,9 +208,7 @@ class TestReconstructSkeletonPath:
             for i in range(11):
                 for j in range(11):
                     if i != j:
-                        assert reconstruct_skeleton_path(
-                            oracle, range(11), i, j
-                        ) == skeleton_path(tree, i, j)
+                        _assert_matches_ground_truth(oracle, tree, i, j)
 
     @settings(max_examples=60, deadline=None)
     @given(parent_array_trees(min_n=2, max_n=7))
@@ -159,9 +217,16 @@ class TestReconstructSkeletonPath:
         for i in range(tree.n):
             for j in range(tree.n):
                 if i != j:
-                    assert reconstruct_skeleton_path(
-                        oracle, range(tree.n), i, j
-                    ) == skeleton_path(tree, i, j)
+                    _assert_matches_ground_truth(oracle, tree, i, j)
+
+
+def _assert_matches_ground_truth(oracle, tree, i, j):
+    """The path equals the true one, and ``above`` lists the LCA's proper
+    ancestors in node order."""
+    path, above = reconstruct_skeleton_path(oracle, range(tree.n), i, j)
+    truth = skeleton_path(tree, i, j)
+    assert path == truth
+    assert above == sorted(root_chain(tree, truth.sequence[truth.lca_index - 1]))
 
 
 class TestFindEvenSeparator:
@@ -251,6 +316,23 @@ class TestReconstructTree:
         assert accepted[0] == (SeparatorEdge(2, 1), tuple(range(11)))
         assert edges == set(bent_tree.edges())
 
+    def test_nodes_above_the_lca_cost_no_bag_query(self, bent_tree):
+        # The first round on (0, 4) is accepted. Its scan asks 21 queries (see
+        # test_one_query_pair_per_other_node) and finds the root 8 above both
+        # ends; the bag searches ask 11 more, about 5, 6, 7, 9 and 10 only.
+        recorder = _RecordingOracle(ExactOracle(bent_tree))
+        first_cut_at = []
+        reconstruct_tree(
+            recorder,
+            range(11),
+            3,
+            ScriptedRng([(0, 4)]),
+            separator_hook=lambda sep, part: first_cut_at.append(len(recorder.transcript)),
+        )
+        bag_queries = recorder.transcript[21 : first_cut_at[0]]
+        assert len(bag_queries) == 11
+        assert {k for _, k, _ in bag_queries} == {5, 6, 7, 9, 10}
+
     def test_every_accepted_cut_is_a_true_edge(self, bent_tree):
         truth = set(bent_tree.edges())
         seen = []
@@ -329,6 +411,13 @@ class TestReconstructNoisy:
         edges, _ = reconstruct_noisy(oracle, range(12), 3, 0.1, 0.1, random.Random(4))
         assert edges == set(tree.edges())
 
+    def test_single_node_needs_no_vote_count(self):
+        oracle = NoisyOracle(shaped_tree("chain", 1), 0.1)
+        edges, stats = reconstruct_noisy(oracle, range(1), 1, 0.1, 0.1, random.Random(0))
+        assert edges == set()
+        assert stats.rounds_total == 0
+        assert oracle.calls == 0
+
     def test_vote_override_drives_the_raw_count(self):
         tree = random_tree(10, 3, seed=5)
         oracle = NoisyOracle(tree, 0.05, seed=6)
@@ -343,11 +432,18 @@ class TestReconstructNoisy:
 class TestReconstructWeighted:
     def test_edges_and_weights_recovered_verbatim(self, bent_tree):
         hidden = uniform_weights(bent_tree, seed=17)
-        handle = CountingOracle(AdditiveOracle(hidden))
-        edges, weights, _ = reconstruct_weighted(handle, range(11), 3, random.Random(1))
+        oracle = AdditiveOracle(hidden)
+        edges, weights, _ = reconstruct_weighted(oracle, range(11), 3, random.Random(1))
         assert edges == set(bent_tree.edges())
         assert weights == dict(hidden.weights)
-        assert handle.raw_count == handle.logical_count
+
+    def test_weight_reads_are_counted(self, bent_tree):
+        hidden = uniform_weights(bent_tree, seed=17)
+        oracle = AdditiveOracle(hidden)
+        exact = ExactOracle(bent_tree)
+        reconstruct_weighted(oracle, range(11), 3, random.Random(1))
+        reconstruct_tree(exact, range(11), 3, random.Random(1))
+        assert oracle.calls == exact.calls + 10  # one weight read per edge
 
     def test_weight_keys_are_the_recovered_edges(self):
         tree = random_tree(20, 4, seed=3)
