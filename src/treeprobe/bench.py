@@ -109,7 +109,6 @@ def run_single(
     # queries; ``base`` answers from the hidden tree and counts raw queries.
     if regime == "exact":
         base = handle = ExactOracle(plain)
-        edges, stats = reconstruct_tree(handle, range(plain.n), degree_bound, rng)
     elif regime == "noisy":
         if eps is None or delta is None:
             raise ValueError("the noisy regime needs eps and delta")
@@ -117,30 +116,24 @@ def run_single(
         votes = majority_vote_count(eps, delta, plain.n, degree_bound) if plain.n > 1 else 1
         base = NoisyOracle(plain, eps, seed=seed * 4 + 1)
         handle = MajorityOracle(base, votes)
-        try:
-            edges, stats = reconstruct_tree(handle, range(plain.n), degree_bound, rng)
-        except InconsistentOracleError as err:
-            return RunOutcome(
-                edges=set(),
-                weights=None,
-                stats=err.stats,
-                raw_queries=base.calls,
-                logical_queries=handle.calls,
-                success=False,
-                votes=votes,
-            )
     else:
         if not isinstance(hidden, WeightedDirectedRootedTree):
             raise ValueError("the weighted regime needs a weighted hidden tree")
         base = handle = AdditiveOracle(hidden)
-        edges, weights_out, stats = reconstruct_weighted(
-            handle, range(plain.n), degree_bound, rng
-        )
 
-    success = _edges_match(plain, edges)
-    if success and regime == "weighted":
-        assert weights_out is not None
-        success = weights_out == dict(hidden.weights)
+    try:
+        if regime == "weighted":
+            edges, weights_out, stats = reconstruct_weighted(
+                handle, range(plain.n), degree_bound, rng
+            )
+        else:
+            edges, stats = reconstruct_tree(handle, range(plain.n), degree_bound, rng)
+    except InconsistentOracleError as err:
+        edges, stats, success = set(), err.stats, False
+    else:
+        success = _edges_match(plain, edges) and (
+            weights_out is None or weights_out == dict(hidden.weights)
+        )
 
     return RunOutcome(
         edges=edges,

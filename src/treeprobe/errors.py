@@ -21,14 +21,6 @@ class SelfQueryError(ValueError):
     """Path queries and ancestor tests are undefined for i == j."""
 
 
-class NotAnEdgeError(ValueError):
-    """The given (parent, child) pair is not an edge of the tree."""
-
-
-class EnumerationCapError(ValueError):
-    """Exhaustive tree enumeration requested above the supported size."""
-
-
 class InfeasibleDegreeError(ValueError):
     """No tree with the requested node count satisfies the degree bound."""
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .errors import InfeasibleDegreeError
 from .trees import (
     DirectedRootedTree,
     WeightedDirectedRootedTree,
+    check_degree_feasible,
     max_node_degree,
     validate_tree,
 )
@@ -26,7 +26,9 @@ def random_tree(n: int, degree_bound: int, seed) -> DirectedRootedTree:
     bound has positive probability, and the result is a pure function of the
     seed.
     """
-    _check_feasible(n, degree_bound)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    check_degree_feasible(n, degree_bound)
     rng = random.Random(seed)
 
     shape = [-1] * n
@@ -103,13 +105,3 @@ def uniform_weights(tree: DirectedRootedTree, seed) -> WeightedDirectedRootedTre
     weights = {edge: 1.0 - rng.random() for edge in sorted(tree.edges())}
     return WeightedDirectedRootedTree(tree, weights)
 
-
-def _check_feasible(n: int, degree_bound: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if degree_bound < 1:
-        raise InfeasibleDegreeError(f"degree bound must be >= 1, got {degree_bound}")
-    if n >= 3 and degree_bound < 2:
-        raise InfeasibleDegreeError(
-            f"no tree on {n} nodes fits degree bound {degree_bound}"
-        )

@@ -17,16 +17,10 @@ answers a whole majority with one uniform draw against that tail, computed
 once per (m, noise) and cached. This has the same answer distribution as
 ``m`` separate votes, and it still charges ``m`` evaluations in ``calls``.
 
-Query surfaces:
-
-* ``query(i, j)``        exact / majority: 1 iff the hidden tree has a
-                          directed path i -> j.
-* ``noisy_query(i, j)``  noisy oracle: the exact bit, flipped independently
-                          with the configured probability.
-* ``majority_query(i, j, votes)`` noisy oracle: the majority of ``votes``
-                          independent noisy answers, sampled in one draw.
-* ``additive_query(i, j)`` additive oracle: sum of edge weights on the
-                          directed path i -> j, exactly 0.0 when there is none.
+Every oracle answers ``query(i, j)``, truthy exactly when it claims a
+directed path i -> j: the exact bit, a noisy bit (the majority of ``votes``
+noisy answers, one by default), or the path's weight sum, exactly 0.0 when
+there is no path.
 """
 
 from __future__ import annotations
@@ -67,12 +61,12 @@ class NoisyOracle:
     """Exact bit flipped independently per vote with probability ``noise``.
 
     Deterministic given (seed, call order): every call draws exactly one
-    uniform variate from its own RNG. ``noisy_query`` is one vote;
-    ``majority_query`` is a majority over ``votes`` votes, drawn as one
-    variate against the chance that the majority is wrong and charged as
-    ``votes`` evaluations. ``noise`` may be 0.0 (degenerate no-flip limit)
-    but must stay below 1/2. The exact bit is an O(1) comparison of preorder
-    spans, built on the first query.
+    uniform variate from its own RNG. ``query(i, j, votes)`` is a majority
+    over ``votes`` votes, one by default, drawn as one variate against the
+    chance that the majority is wrong and charged as ``votes`` evaluations.
+    ``noise`` may be 0.0 (degenerate no-flip limit) but must stay below 1/2.
+    The exact bit is an O(1) comparison of preorder spans, built on the
+    first query.
     """
 
     def __init__(self, tree: DirectedRootedTree, noise: float, seed: int | None = None):
@@ -85,10 +79,7 @@ class NoisyOracle:
         self._spans: tuple[list[int], list[int]] | None = None
         self._rng = random.Random(seed)
 
-    def noisy_query(self, i: int, j: int) -> int:
-        return self.majority_query(i, j, 1)
-
-    def majority_query(self, i: int, j: int, votes: int) -> int:
+    def query(self, i: int, j: int, votes: int = 1) -> int:
         n = self._n
         if i == j or not (0 <= i < n and 0 <= j < n):
             _check(n, i, j)
@@ -118,7 +109,7 @@ class AdditiveOracle:
         self._weights = dict(weighted.weights)
         self._spans: tuple[list[int], list[int]] | None = None
 
-    def additive_query(self, i: int, j: int) -> float:
+    def query(self, i: int, j: int) -> float:
         n = self._n
         if i == j or not (0 <= i < n and 0 <= j < n):
             _check(n, i, j)
@@ -142,8 +133,8 @@ class AdditiveOracle:
 class MajorityOracle:
     """Wraps a noisy oracle; each query is a majority over m fresh votes.
 
-    The inner oracle samples the majority in one draw (``majority_query``)
-    and charges it as m evaluations.
+    The inner oracle samples the majority in one draw and charges it as m
+    evaluations.
     """
 
     def __init__(self, inner, votes: int):
@@ -155,7 +146,7 @@ class MajorityOracle:
 
     def query(self, i: int, j: int) -> int:
         self.calls += 1
-        return self.inner.majority_query(i, j, self.votes)
+        return self.inner.query(i, j, self.votes)
 
 
 def majority_vote_count(

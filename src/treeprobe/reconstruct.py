@@ -12,10 +12,11 @@ bags, and asks nothing twice: nodes the path scan found above both endpoints
 hang from the LCA without a bag search, and the split reuses the bag
 positions.
 
-Two more regimes ride on the same driver: noisy queries are cleaned up with
-per-pair majority votes, and additive (weighted-sum) queries are thresholded
-into reachability bits, with one extra additive call per recovered edge to
-read its weight.
+The driver reads every answer only as a truth value, so all three regimes
+run on it unchanged: an exact bit, a noisy bit that a ``MajorityOracle``
+cleans up with per-pair votes, or an additive path sum, positive exactly
+when the path exists. The additive regime then reads each recovered edge's
+weight with one more query.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from functools import cmp_to_key
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InconsistentOracleError
-from .oracles import MajorityOracle, majority_vote_count
-from .trees import SkeletonPath
+from .trees import SkeletonPath, check_degree_feasible
 
 
 class SeparatorEdge(NamedTuple):
@@ -231,18 +231,24 @@ def reconstruct_tree(
 ) -> tuple[Edges, ReconstructionStats]:
     """Recover every edge of the hidden tree spanning ``nodes``.
 
-    ``degree_bound`` must be valid for the hidden tree. The run is
-    deterministic given the rng state and the oracle's answers.
+    ``oracle.query(i, j)`` must be truthy exactly when the oracle claims a
+    directed path i -> j; nothing else of an answer is read.
+    ``degree_bound`` must be valid for the hidden tree; a bound that no tree
+    on these nodes fits (below 1, or 1 with more than two nodes) raises
+    InfeasibleDegreeError before any query. The run is deterministic given
+    the rng state and the oracle's answers.
     ``separator_hook`` (if given) sees every accepted cut together with the
     node set it was accepted in, which is how the tests audit balance.
     An InconsistentOracleError raised on the way carries the counters so far
     as its ``stats``.
     """
+    part = sorted(nodes)
+    check_degree_feasible(len(part), degree_bound)
     stats = ReconstructionStats()
     edges: Edges = set()
     # Parts still to solve. The kept side is pushed last, so it is solved in
     # full before the child's side; that order fixes which pairs rng draws.
-    stack = [(sorted(nodes), 1)]
+    stack = [(part, 1)]
     try:
         while stack:
             part, depth = stack.pop()
@@ -293,34 +299,6 @@ def reconstruct_tree(
     return edges, stats
 
 
-def reconstruct_noisy(
-    oracle,
-    nodes: Iterable[int],
-    degree_bound: int,
-    noise: float,
-    failure_prob: float,
-    rng: random.Random,
-    votes: int | None = None,
-) -> tuple[Edges, ReconstructionStats]:
-    """Reconstruction over a noisy oracle, majority-voting every query.
-
-    ``oracle`` must expose ``majority_query``. With the default vote count the
-    returned edge set equals the hidden tree with probability at least
-    1 - failure_prob; a failed run returns some wrong edge set (or raises
-    InconsistentOracleError when the votes contradict every tree).
-    """
-    node_list = sorted(nodes)
-    if votes is None:
-        # Fewer than two nodes ask no query, so there is nothing to vote on.
-        votes = (
-            majority_vote_count(noise, failure_prob, len(node_list), degree_bound)
-            if len(node_list) > 1
-            else 1
-        )
-    voter = MajorityOracle(oracle, votes)
-    return reconstruct_tree(voter, node_list, degree_bound, rng)
-
-
 def reconstruct_weighted(
     oracle,
     nodes: Iterable[int],
@@ -329,24 +307,10 @@ def reconstruct_weighted(
 ) -> tuple[Edges, dict[tuple[int, int], float], ReconstructionStats]:
     """Recover edges and exact weights from an additive oracle.
 
-    ``oracle`` must expose ``additive_query``. Reachability bits are derived
-    as (sum > 0), which is sound because weights are strictly positive; the
-    weights themselves come from one extra additive call per recovered edge,
-    stored verbatim.
+    The driver reads each path sum as a truth value, which is sound because
+    weights are strictly positive; the weights themselves come from one more
+    query per recovered edge, stored verbatim.
     """
-    binary = _ThresholdedAdditive(oracle)
-    edges, stats = reconstruct_tree(binary, nodes, degree_bound, rng)
-    weights = {
-        (p, c): oracle.additive_query(p, c) for (p, c) in sorted(edges)
-    }
+    edges, stats = reconstruct_tree(oracle, nodes, degree_bound, rng)
+    weights = {(p, c): oracle.query(p, c) for (p, c) in sorted(edges)}
     return edges, weights, stats
-
-
-class _ThresholdedAdditive:
-    """Adapter turning additive sums into path-existence bits."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def query(self, i: int, j: int) -> int:
-        return 1 if self.inner.additive_query(i, j) > 0 else 0

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import (
     CycleError,
     DegreeBoundError,
+    InfeasibleDegreeError,
     InvalidTreeError,
     MultipleRootsError,
     SelfQueryError,
@@ -270,6 +271,16 @@ def max_node_degree(parent: Sequence[int]) -> int:
             deg[v] += 1
             deg[p] += 1
     return max(deg, default=0) or 1
+
+
+def check_degree_feasible(n: int, degree_bound: int) -> None:
+    """Raise InfeasibleDegreeError when no tree on n nodes fits the bound."""
+    if degree_bound < 1:
+        raise InfeasibleDegreeError(f"degree bound must be >= 1, got {degree_bound}")
+    if n >= 3 and degree_bound < 2:
+        raise InfeasibleDegreeError(
+            f"no tree on {n} nodes fits degree bound {degree_bound}"
+        )
 
 
 def from_edges(

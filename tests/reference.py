@@ -1,4 +1,4 @@
-"""Reference implementations used to cross-check the fast path.
+"""Reference implementations the tests cross-check the fast path against.
 
 Nothing here is clever on purpose: the brute-force reconstructor spends the
 full n(n-1) queries, the enumerator walks every parent array, and the
@@ -10,11 +10,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import EnumerationCapError, InvalidTreeError, NotAnEdgeError
-from .reconstruct import SeparatorEdge
-from .trees import DirectedRootedTree, subtree_size, validate_tree
+from treeprobe import (
+    DirectedRootedTree,
+    InvalidTreeError,
+    SeparatorEdge,
+    subtree_size,
+    validate_tree,
+)
 
 ENUMERATION_CAP = 7
+
+
+class NotAnEdgeError(ValueError):
+    """The given (parent, child) pair is not an edge of the tree."""
+
+
+class EnumerationCapError(ValueError):
+    """Exhaustive tree enumeration requested above the supported size."""
 
 
 @dataclass

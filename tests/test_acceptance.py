@@ -21,8 +21,6 @@ from treeprobe import (
     SeparatorEdge,
     bag_indices,
     bench_run,
-    check_separator,
-    enumerate_trees,
     find_bag,
     is_ancestor,
     majority_vote_count,
@@ -36,6 +34,8 @@ from treeprobe import (
     validate_tree,
 )
 from treeprobe.cli import EXIT_OK, main as cli_main
+
+from reference import check_separator, enumerate_trees
 
 GRID_NODES = [100, 500, 1000, 2000]
 GRID_DEGREES = [3, 5, 10]

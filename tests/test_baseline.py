@@ -6,17 +6,15 @@ from collections import deque
 
 import pytest
 
-from treeprobe import (
+from treeprobe import ExactOracle, shaped_tree, tree_equals, validate_tree
+
+from reference import (
     EnumerationCapError,
-    ExactOracle,
     NotAnEdgeError,
     QueryMatrix,
     brute_force_reconstruct,
     check_separator,
     enumerate_trees,
-    shaped_tree,
-    tree_equals,
-    validate_tree,
 )
 
 

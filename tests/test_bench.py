@@ -8,7 +8,10 @@ from treeprobe import bench
 from treeprobe import (
     CSV_HEADER,
     BenchConfig,
+    AdditiveOracle,
     BenchRecord,
+    ExactOracle,
+    InfeasibleDegreeError,
     NoisyOracle,
     bench_run,
     derive_seed,
@@ -17,6 +20,7 @@ from treeprobe import (
     random_tree,
     records_to_csv,
     run_single,
+    shaped_tree,
     uniform_weights,
 )
 
@@ -60,8 +64,8 @@ class TestRunSingle:
         class LateLiar(NoisyOracle):
             """Honest for a while, then denies every path."""
 
-            def majority_query(self, i, j, votes):
-                bit = super().majority_query(i, j, votes)
+            def query(self, i, j, votes=1):
+                bit = super().query(i, j, votes)
                 return bit if self.calls <= 8_000 else 0
 
         monkeypatch.setattr(bench, "NoisyOracle", LateLiar)
@@ -77,7 +81,39 @@ class TestRunSingle:
         outcome = run_single("noisy", from_edges(1, set()), 1, seed=0, eps=0.1, delta=0.1)
         assert outcome.success
         assert outcome.edges == set()
+        assert outcome.votes == 1
         assert outcome.raw_queries == outcome.logical_queries == 0
+
+    @pytest.mark.parametrize("regime, base", [("exact", ExactOracle), ("weighted", AdditiveOracle)])
+    def test_inconsistent_answers_fail_the_run_in_every_regime(self, monkeypatch, regime, base):
+        class LateLiar(base):
+            """Honest for a while, then denies every path."""
+
+            def query(self, i, j):
+                answer = super().query(i, j)
+                return answer if self.calls <= 60 else 0
+
+        monkeypatch.setattr(bench, base.__name__, LateLiar)
+        tree = random_tree(20, 3, seed=101)
+        hidden = uniform_weights(tree, seed=7) if regime == "weighted" else tree
+        outcome = run_single(regime, hidden, 3, seed=5)
+        assert not outcome.success
+        assert outcome.edges == set() and outcome.weights is None
+        assert outcome.stats.rounds_total >= 1
+        assert outcome.raw_queries == outcome.logical_queries > 60
+
+    def test_infeasible_degree_bound_raises_at_once(self, monkeypatch):
+        made = []
+
+        class Seen(ExactOracle):
+            def __init__(self, tree):
+                super().__init__(tree)
+                made.append(self)
+
+        monkeypatch.setattr(bench, "ExactOracle", Seen)
+        with pytest.raises(InfeasibleDegreeError):
+            run_single("exact", shaped_tree("chain", 2), 0, 1)
+        assert [oracle.calls for oracle in made] == [0]
 
     def test_weighted_run_checks_weights_too(self):
         hidden = uniform_weights(random_tree(25, 4, seed=102), seed=103)

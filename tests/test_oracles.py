@@ -15,7 +15,6 @@ from treeprobe import (
     NoisyOracle,
     SelfQueryError,
     WeightedDirectedRootedTree,
-    enumerate_trees,
     is_ancestor,
     majority_vote_count,
     parallel_chain,
@@ -24,6 +23,8 @@ from treeprobe import (
     uniform_weights,
 )
 from treeprobe.oracles import _majority_error
+
+from reference import enumerate_trees
 
 DEEP_AND_RELABELLED = [
     pytest.param(shaped_tree("chain", 300), id="chain"),
@@ -69,7 +70,7 @@ def test_exact_and_noiseless_bits_match_the_parent_walk(tree):
     for i, j in _ordered_pairs(tree.n):
         truth = int(is_ancestor(tree, i, j))
         assert exact.query(i, j) == truth
-        assert noiseless.noisy_query(i, j) == truth
+        assert noiseless.query(i, j) == truth
 
 
 class TestNoisyOracle:
@@ -77,8 +78,8 @@ class TestNoisyOracle:
         first = NoisyOracle(bent_tree, 0.2, seed=9)
         second = NoisyOracle(bent_tree, 0.2, seed=9)
         pairs = [(i, j) for i in range(11) for j in range(11) if i != j]
-        assert [first.noisy_query(i, j) for i, j in pairs] == [
-            second.noisy_query(i, j) for i, j in pairs
+        assert [first.query(i, j) for i, j in pairs] == [
+            second.query(i, j) for i, j in pairs
         ]
 
     def test_flips_depend_on_call_order_not_on_the_pair(self, bent_tree):
@@ -87,11 +88,11 @@ class TestNoisyOracle:
         first = NoisyOracle(bent_tree, 0.3, seed=4)
         second = NoisyOracle(bent_tree, 0.3, seed=4)
         flips_first = [
-            first.noisy_query(0, 1) != int(is_ancestor(bent_tree, 0, 1))
+            first.query(0, 1) != int(is_ancestor(bent_tree, 0, 1))
             for _ in range(300)
         ]
         flips_second = [
-            second.noisy_query(8, 3) != int(is_ancestor(bent_tree, 8, 3))
+            second.query(8, 3) != int(is_ancestor(bent_tree, 8, 3))
             for _ in range(300)
         ]
         assert flips_first == flips_second
@@ -99,7 +100,7 @@ class TestNoisyOracle:
     def test_flip_rate_is_near_the_noise_level(self, bent_tree):
         oracle = NoisyOracle(bent_tree, 0.1, seed=13)
         truth = int(is_ancestor(bent_tree, 2, 10))
-        flips = sum(oracle.noisy_query(2, 10) != truth for _ in range(10_000))
+        flips = sum(oracle.query(2, 10) != truth for _ in range(10_000))
         assert 0.08 <= flips / 10_000 <= 0.12
 
     def test_zero_noise_never_flips(self, bent_tree):
@@ -107,7 +108,7 @@ class TestNoisyOracle:
         for i in range(11):
             for j in range(11):
                 if i != j:
-                    assert oracle.noisy_query(i, j) == int(is_ancestor(bent_tree, i, j))
+                    assert oracle.query(i, j) == int(is_ancestor(bent_tree, i, j))
 
     def test_one_draw_per_call_in_call_order(self):
         # Every call draws exactly one variate; a faster oracle must not
@@ -117,7 +118,7 @@ class TestNoisyOracle:
         oracle = NoisyOracle(tree, 0.25, seed=31)
         ref = random.Random(31)
         expected = [int(is_ancestor(tree, i, j)) ^ (ref.random() < 0.25) for i, j in pairs]
-        assert [oracle.noisy_query(i, j) for i, j in pairs] == expected
+        assert [oracle.query(i, j) for i, j in pairs] == expected
 
     @pytest.mark.parametrize("noise", [-0.01, 0.5, 0.7])
     def test_noise_domain(self, bent_tree, noise):
@@ -134,23 +135,23 @@ class TestAdditiveOracle:
     def test_path_sum(self, weighted):
         oracle = AdditiveOracle(weighted)
         w = weighted.weights
-        assert oracle.additive_query(2, 0) == w[(2, 1)] + w[(1, 0)]
-        assert oracle.additive_query(8, 10) == (
+        assert oracle.query(2, 0) == w[(2, 1)] + w[(1, 0)]
+        assert oracle.query(8, 10) == (
             w[(8, 2)] + w[(2, 3)] + w[(3, 4)] + w[(4, 10)]
         )
-        assert oracle.additive_query(2, 1) == w[(2, 1)]
+        assert oracle.query(2, 1) == w[(2, 1)]
 
     def test_no_path_is_exactly_zero(self, weighted):
         oracle = AdditiveOracle(weighted)
-        assert oracle.additive_query(0, 8) == 0.0
-        assert oracle.additive_query(1, 3) == 0.0
+        assert oracle.query(0, 8) == 0.0
+        assert oracle.query(1, 3) == 0.0
 
     def test_positive_sum_iff_ancestor(self, weighted):
         oracle = AdditiveOracle(weighted)
         for i in range(11):
             for j in range(11):
                 if i != j:
-                    assert (oracle.additive_query(i, j) > 0) == is_ancestor(
+                    assert (oracle.query(i, j) > 0) == is_ancestor(
                         weighted.tree, i, j
                     )
 
@@ -161,7 +162,7 @@ class TestAdditiveOracle:
         weighted = uniform_weights(tree, seed=4)
         oracle = AdditiveOracle(weighted)
         for i, j in _ordered_pairs(tree.n):
-            got = oracle.additive_query(i, j)
+            got = oracle.query(i, j)
             if not is_ancestor(tree, i, j):
                 assert got == 0.0 and math.copysign(1.0, got) == 1.0
                 continue
@@ -173,7 +174,7 @@ class TestAdditiveOracle:
 
     def test_rejects_self(self, weighted):
         with pytest.raises(SelfQueryError):
-            AdditiveOracle(weighted).additive_query(5, 5)
+            AdditiveOracle(weighted).query(5, 5)
 
 
 class _FixedDraw:
@@ -225,7 +226,7 @@ class TestMajorityQuery:
         wrong = _majority_error(votes, noise)
         for count, (i, j) in enumerate(pairs, start=1):
             expected = int(is_ancestor(tree, i, j)) ^ (ref.random() < wrong)
-            assert oracle.majority_query(i, j, votes) == expected
+            assert oracle.query(i, j, votes) == expected
             assert oracle.calls == votes * count
 
     def test_draw_just_below_the_tail_flips_the_answer(self, bent_tree):
@@ -243,7 +244,7 @@ class TestMajorityQuery:
         oracle = NoisyOracle(bent_tree, 0.3, seed=19)
         truth = int(is_ancestor(bent_tree, 2, 10))
         trials = 20_000
-        wrong = sum(oracle.majority_query(2, 10, 5) != truth for _ in range(trials))
+        wrong = sum(oracle.query(2, 10, 5) != truth for _ in range(trials))
         sigma = math.sqrt(0.16308 * (1.0 - 0.16308) / trials)
         assert abs(wrong / trials - 0.16308) <= 4 * sigma
 
@@ -254,7 +255,7 @@ class TestMajorityOracle:
         plain = NoisyOracle(bent_tree, 0.3, seed=7)
         pairs = [(i, j) for i in range(11) for j in range(11) if i != j]
         assert [voter.query(i, j) for i, j in pairs] == [
-            plain.noisy_query(i, j) for i, j in pairs
+            plain.query(i, j) for i, j in pairs
         ]
 
     @pytest.mark.parametrize("votes", [0, -1, 2, 8])
@@ -297,9 +298,9 @@ def _every_surface(tree):
     additive = AdditiveOracle(weighted)
     return [
         (exact.query, exact),
-        (noisy.noisy_query, noisy),
-        (lambda i, j: noisy.majority_query(i, j, 3), noisy),
-        (additive.additive_query, additive),
+        (noisy.query, noisy),
+        (lambda i, j: noisy.query(i, j, 3), noisy),
+        (additive.query, additive),
     ]
 
 
@@ -312,6 +313,20 @@ def test_bad_pairs_raise_before_anything_is_charged(at, pair):
     if pair != (2, 2):
         assert str(err.value) == f"node pair {pair} out of range for n=4"
     assert layer.calls == 0
+
+
+@pytest.mark.parametrize("kind", ["exact", "noisy", "additive", "majority"])
+def test_query_is_the_only_public_callable(bent_tree, kind):
+    weighted = WeightedDirectedRootedTree(bent_tree, {edge: 1.0 for edge in bent_tree.edges()})
+    noisy = NoisyOracle(bent_tree, 0.1)
+    oracle = {
+        "exact": ExactOracle(bent_tree),
+        "noisy": noisy,
+        "additive": AdditiveOracle(weighted),
+        "majority": MajorityOracle(noisy, 3),
+    }[kind]
+    public = [name for name in dir(oracle) if not name.startswith("_")]
+    assert [name for name in public if callable(getattr(oracle, name))] == ["query"]
 
 
 class TestMajorityVoteCount:

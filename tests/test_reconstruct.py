@@ -12,19 +12,22 @@ from treeprobe import (
     AdditiveOracle,
     ExactOracle,
     InconsistentOracleError,
+    InfeasibleDegreeError,
+    MajorityOracle,
     NoisyOracle,
     SeparatorEdge,
     SkeletonPath,
     bag_indices,
     find_bag,
     find_even_separator,
+    majority_vote_count,
     parallel_chain,
     random_tree,
-    reconstruct_noisy,
     reconstruct_skeleton_path,
     reconstruct_tree,
     reconstruct_weighted,
     root_chain,
+    run_single,
     shaped_tree,
     skeleton_path,
     sort_by_ancestry,
@@ -306,6 +309,14 @@ class TestReconstructTree:
         assert edges == {(0, 1)}
         assert stats.rounds_total == 1
 
+    @pytest.mark.parametrize("n, bound", [(2, 0), (2, -1), (3, 1), (3, 0), (40, 1)])
+    def test_infeasible_degree_bound_raises_before_any_query(self, n, bound):
+        # No balanced cut exists below d=2, so these rounds used to spin forever.
+        oracle = ExactOracle(shaped_tree("chain", n))
+        with pytest.raises(InfeasibleDegreeError):
+            reconstruct_tree(oracle, range(n), bound, random.Random(0))
+        assert oracle.calls == 0
+
     def test_forced_first_pair_yields_the_expected_cut(self, bent_tree):
         accepted = []
         oracle = ExactOracle(bent_tree)
@@ -393,40 +404,43 @@ class TestReconstructTree:
 
 
 class TestReconstructNoisy:
+    """The driver over a ``MajorityOracle``, the composition ``run_single`` uses."""
+
     def test_zero_noise_single_vote_is_exact(self):
         tree = random_tree(15, 3, seed=21)
-        oracle = NoisyOracle(tree, 0.0, seed=0)
-        edges, _ = reconstruct_noisy(oracle, range(15), 3, 0.0, 0.1, random.Random(0), votes=1)
+        voter = MajorityOracle(NoisyOracle(tree, 0.0, seed=0), 1)
+        edges, _ = reconstruct_tree(voter, range(15), 3, random.Random(0))
         assert edges == set(tree.edges())
 
     def test_zero_noise_rejects_the_default_vote_formula(self):
         tree = random_tree(6, 3, seed=1)
-        oracle = NoisyOracle(tree, 0.0, seed=0)
         with pytest.raises(ValueError):
-            reconstruct_noisy(oracle, range(6), 3, 0.0, 0.1, random.Random(0))
+            run_single("noisy", tree, 3, seed=0, eps=0.0, delta=0.1)
 
     def test_noisy_recovery_with_default_votes(self):
         tree = random_tree(12, 3, seed=8)
-        oracle = NoisyOracle(tree, 0.1, seed=42)
-        edges, _ = reconstruct_noisy(oracle, range(12), 3, 0.1, 0.1, random.Random(4))
+        votes = majority_vote_count(0.1, 0.1, 12, 3)
+        voter = MajorityOracle(NoisyOracle(tree, 0.1, seed=42), votes)
+        edges, _ = reconstruct_tree(voter, range(12), 3, random.Random(4))
         assert edges == set(tree.edges())
 
     def test_single_node_needs_no_vote_count(self):
-        oracle = NoisyOracle(shaped_tree("chain", 1), 0.1)
-        edges, stats = reconstruct_noisy(oracle, range(1), 1, 0.1, 0.1, random.Random(0))
+        noisy = NoisyOracle(shaped_tree("chain", 1), 0.1)
+        edges, stats = reconstruct_tree(MajorityOracle(noisy, 1), range(1), 1, random.Random(0))
         assert edges == set()
         assert stats.rounds_total == 0
-        assert oracle.calls == 0
+        assert noisy.calls == 0
 
     def test_vote_override_drives_the_raw_count(self):
         tree = random_tree(10, 3, seed=5)
-        oracle = NoisyOracle(tree, 0.05, seed=6)
+        noisy = NoisyOracle(tree, 0.05, seed=6)
+        voter = MajorityOracle(noisy, 3)
         try:
-            reconstruct_noisy(oracle, range(10), 3, 0.05, 0.1, random.Random(9), votes=3)
+            reconstruct_tree(voter, range(10), 3, random.Random(9))
         except InconsistentOracleError:
             pass  # three votes lie often enough for the run itself to fail
-        assert oracle.calls > 0
-        assert oracle.calls % 3 == 0
+        assert voter.calls > 0
+        assert noisy.calls == 3 * voter.calls
 
 
 class TestReconstructWeighted:
@@ -438,12 +452,26 @@ class TestReconstructWeighted:
         assert weights == dict(hidden.weights)
 
     def test_weight_reads_are_counted(self, bent_tree):
-        hidden = uniform_weights(bent_tree, seed=17)
-        oracle = AdditiveOracle(hidden)
-        exact = ExactOracle(bent_tree)
-        reconstruct_weighted(oracle, range(11), 3, random.Random(1))
-        reconstruct_tree(exact, range(11), 3, random.Random(1))
-        assert oracle.calls == exact.calls + 10  # one weight read per edge
+        # Path sums drive the same run as exact bits, plus one read per edge.
+        shapes = [
+            bent_tree,
+            shaped_tree("chain", 40),
+            shaped_tree("star", 40),
+            shaped_tree("caterpillar", 40),
+            random_tree(60, 3, seed=29),
+        ]
+        for tree in shapes:
+            oracle = AdditiveOracle(uniform_weights(tree, seed=17))
+            exact = ExactOracle(tree)
+            edges, _, stats = reconstruct_weighted(
+                oracle, range(tree.n), tree.degree_bound, random.Random(1)
+            )
+            want_edges, want_stats = reconstruct_tree(
+                exact, range(tree.n), tree.degree_bound, random.Random(1)
+            )
+            assert edges == want_edges == set(tree.edges())
+            assert stats.rounds_total == want_stats.rounds_total
+            assert oracle.calls == exact.calls + tree.n - 1
 
     def test_weight_keys_are_the_recovered_edges(self):
         tree = random_tree(20, 4, seed=3)
