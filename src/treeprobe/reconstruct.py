@@ -1,16 +1,22 @@
 """Tree reconstruction from path queries.
 
 The driver is a Las-Vegas divide and conquer: sample a random node pair,
-rebuild the skeleton path between them through the oracle, weigh how many
-off-path nodes hang from each path position, and cut at an edge whose two
-sides are balanced enough. Both sides go on a stack of parts still to
-solve, and the driver loops until the stack is empty. With a degree bound d
-the cut leaves pieces no larger than a (d-1)/d fraction, so the split depth
-stays logarithmic and the whole thing needs O(d n log^2 n) queries in
+rebuild the skeleton path between them through the oracle, sort every other
+node into the piece of the path position it hangs from, and accept the
+round if some path edge has two balanced enough sides. An accepted round
+keeps every path edge and pushes each piece, a connected subtree, on a stack
+of parts still to solve; the driver loops until the stack is empty. With a
+degree bound d the balanced cut leaves sides no larger than a (d-1)/d
+fraction and every piece lies inside one side, so the split depth stays
+logarithmic and the whole thing needs O(d n log^2 n) queries in
 expectation. Each round scans its part once for the path and once for the
-bags, and asks nothing twice: nodes the path scan found above both endpoints
-hang from the LCA without a bag search, and the split reuses the bag
-positions.
+pieces, and asks nothing twice: nodes the path scan found above both
+endpoints join the LCA's piece without a bag search.
+
+A bound below the true degree can leave no balanced edge on any path. Any
+true edge is a correct cut, so the bound only sets the gate: a part whose
+rounds keep failing doubles its gate's bound, which accepts any path once it
+reaches the part size less one. Every input therefore ends.
 
 The driver reads every answer only as a truth value, so all three regimes
 run on it unchanged: an exact bit, a noisy bit that a ``MajorityOracle``
@@ -111,52 +117,51 @@ def find_even_separator(
     better split than (n-1)/d) and one fewer node must be accepted. An edge
     meeting this threshold always exists: the heaviest component around a
     centroid has at least ceil((n-1)/d) nodes and at most floor(n/2).
-
-    Edges left of the LCA point back toward the sequence head, so the cut
-    between positions r and r+1 is oriented (x_{r+1}, x_r) there and
-    (x_r, x_{r+1}) from the LCA on.
     """
     if degree_bound < 2:
         return None
     low = -(-(n - 1) // degree_bound)
     high = n - low
-    seq, lca = path.sequence, path.lca_index
     left = 0
-    for r in range(1, len(seq)):
+    for r in range(1, len(path.sequence)):
         left += bag_sizes[r - 1]
         if low <= left <= high:
-            a, b = seq[r - 1], seq[r]
-            if r < lca:
-                return SeparatorEdge(parent=b, child=a)
-            return SeparatorEdge(parent=a, child=b)
+            return _path_edge(path, r)
     return None
 
 
-def split_tree(
-    part: Sequence[int],
-    positions: dict[int, int],
-    separator: SeparatorEdge,
-    lca_index: int,
-):
-    """Partition ``part`` across a path edge by bag position, asking nothing.
+def _path_edge(path: SkeletonPath, r: int) -> SeparatorEdge:
+    """The edge between path positions r and r+1, in its true orientation.
 
-    ``positions`` maps every node to the 1-based path position it hangs
-    from. The child's side (child first) is the run of positions that starts
-    at the child and goes away from the LCA; everything else is kept.
+    Edges left of the LCA point back toward the sequence head, so the edge
+    is (x_{r+1}, x_r) there and (x_r, x_{r+1}) from the LCA on.
     """
-    child = separator.child
-    at = positions[child]
-    away_right = at > lca_index
-    keep, below = [], [child]
+    a, b = path.sequence[r - 1], path.sequence[r]
+    if r < path.lca_index:
+        return SeparatorEdge(parent=b, child=a)
+    return SeparatorEdge(parent=a, child=b)
+
+
+def path_pieces(
+    oracle, part: Sequence[int], path: SkeletonPath, above: Sequence[int]
+) -> list[list[int]]:
+    """One piece per path position: the path node and every node hanging from it.
+
+    Cutting all path edges leaves exactly these pieces, each a connected
+    subtree. ``above`` (the scan's nodes above both endpoints) joins the
+    LCA's piece with no search; every other node is placed by find_bag.
+    Each piece lists its path node first, then the rest in ``part`` order.
+    """
+    seq, lca = path.sequence, path.lca_index
+    path_left = seq[:lca][::-1]  # LCA first, descending toward the head
+    path_right = seq[lca - 1 :]  # LCA first, descending toward the tail
+    pieces = [[k] for k in seq]
+    pieces[lca - 1].extend(above)
+    placed = {*seq, *above}
     for k in part:
-        if k == child:
-            continue
-        t = positions[k]
-        if (t >= at) if away_right else (t <= at):
-            below.append(k)
-        else:
-            keep.append(k)
-    return keep, below
+        if k not in placed:
+            pieces[find_bag(oracle, path_left, path_right, k) - 1].append(k)
+    return pieces
 
 
 def reconstruct_skeleton_path(
@@ -233,12 +238,16 @@ def reconstruct_tree(
 
     ``oracle.query(i, j)`` must be truthy exactly when the oracle claims a
     directed path i -> j; nothing else of an answer is read.
-    ``degree_bound`` must be valid for the hidden tree; a bound that no tree
-    on these nodes fits (below 1, or 1 with more than two nodes) raises
-    InfeasibleDegreeError before any query. The run is deterministic given
-    the rng state and the oracle's answers.
-    ``separator_hook`` (if given) sees every accepted cut together with the
-    node set it was accepted in, which is how the tests audit balance.
+    Each accepted round adds every edge of its skeleton path and splits its
+    part into one piece per path position. ``degree_bound`` sets only the
+    balance gate: a bound that no tree on these nodes fits (below 1, or 1
+    with more than two nodes) raises InfeasibleDegreeError before any query,
+    and a part whose rounds keep failing under a bound below the true degree
+    doubles its own bound, so the edges stay exact. The run is deterministic
+    given the rng state and the oracle's answers.
+    ``separator_hook`` (if given) sees the balanced cut that let each round
+    through, with the node set it was accepted in; the tests audit balance
+    with it.
     An InconsistentOracleError raised on the way carries the counters so far
     as its ``stats``.
     """
@@ -246,8 +255,8 @@ def reconstruct_tree(
     check_degree_feasible(len(part), degree_bound)
     stats = ReconstructionStats()
     edges: Edges = set()
-    # Parts still to solve. The kept side is pushed last, so it is solved in
-    # full before the child's side; that order fixes which pairs rng draws.
+    # Parts still to solve. Pieces are pushed last to first, so they are
+    # solved in path order; that order fixes which pairs rng draws.
     stack = [(part, 1)]
     try:
         while stack:
@@ -266,33 +275,26 @@ def reconstruct_tree(
                 edges.add(tuple(sep))
                 continue
 
+            # A correct bound b needs b^2/(b-1) rounds on average. After four
+            # times that many failures the part's gate doubles b; at
+            # b >= size - 1 it accepts any path.
+            bound, failed = degree_bound, 0
             while True:
                 stats.rounds_total += 1
                 i, j = rng.sample(part, 2)
                 path, above = reconstruct_skeleton_path(oracle, part, i, j)
-                seq, lca = path.sequence, path.lca_index
-                path_left = seq[:lca][::-1]  # LCA first, descending toward the head
-                path_right = seq[lca - 1 :]  # LCA first, descending toward the tail
-                positions = {k: t for t, k in enumerate(seq, 1)}
-                positions.update(dict.fromkeys(above, lca))
-                bag_sizes = [1] * len(seq)
-                bag_sizes[lca - 1] += len(above)
-                for k in part:
-                    if k in positions:
-                        continue
-                    spot = find_bag(oracle, path_left, path_right, k)
-                    positions[k] = spot
-                    bag_sizes[spot - 1] += 1
-                sep = find_even_separator(bag_sizes, path, size, degree_bound)
+                pieces = path_pieces(oracle, part, path, above)
+                sep = find_even_separator([len(p) for p in pieces], path, size, bound)
                 if sep is not None:
                     break
+                failed += 1
+                if failed >= 4 * bound * bound // (bound - 1):
+                    bound, failed = 2 * bound, 0
 
             if separator_hook is not None:
                 separator_hook(sep, tuple(part))
-            keep, below = split_tree(part, positions, sep, lca)
-            edges.add(tuple(sep))
-            stack.append((below, depth + 1))
-            stack.append((keep, depth + 1))
+            edges.update(tuple(_path_edge(path, r)) for r in range(1, len(pieces)))
+            stack.extend((piece, depth + 1) for piece in reversed(pieces))
     except InconsistentOracleError as err:
         err.stats = stats
         raise

@@ -1,8 +1,9 @@
-"""Directed rooted trees: validation, ancestry, skeleton paths, bags.
+"""Directed rooted trees: validation, skeleton paths, degree checks.
 
 Everything in this module works from ground truth (the full parent array).
-The query-driven counterparts live in :mod:`treeprobe.reconstruct` and are
-only allowed to look at the tree through an oracle.
+The query-driven driver lives in :mod:`treeprobe.reconstruct` and is only
+allowed to look at the tree through an oracle; the ground-truth ancestry,
+path and bag helpers the tests check it against live in the test suite.
 
 Node ids are dense integers ``0 .. n-1``. ``parent[v]`` is the parent of
 ``v`` and the single root carries the sentinel ``ROOT`` (-1). Trees are
@@ -20,7 +21,6 @@ from .errors import (
     InfeasibleDegreeError,
     InvalidTreeError,
     MultipleRootsError,
-    SelfQueryError,
 )
 
 ROOT = -1
@@ -158,105 +158,6 @@ def validate_tree(parent: Sequence[int], degree_bound: int) -> DirectedRootedTre
     )
 
 
-def is_ancestor(tree: DirectedRootedTree, i: int, j: int) -> bool:
-    """True iff a directed path i -> j exists (i is a proper ancestor of j)."""
-    _check_pair(tree.n, i, j)
-    parent = tree.parent
-    k = parent[j]
-    while k != ROOT:
-        if k == i:
-            return True
-        k = parent[k]
-    return False
-
-
-def root_chain(tree: DirectedRootedTree, v: int) -> list[int]:
-    """All proper ancestors of v, ordered root first."""
-    parent = tree.parent
-    chain = []
-    k = parent[v]
-    while k != ROOT:
-        chain.append(k)
-        k = parent[k]
-    chain.reverse()
-    return chain
-
-
-def skeleton_path(tree: DirectedRootedTree, i: int, j: int) -> SkeletonPath:
-    """Ground-truth path between i and j, oriented from i to j.
-
-    The result climbs from i to the lowest common ancestor and descends to
-    j; when one endpoint is an ancestor of the other this degenerates to a
-    single directed path.
-    """
-    _check_pair(tree.n, i, j)
-    parent = tree.parent
-
-    up_i = [i]
-    k = parent[i]
-    while k != ROOT:
-        up_i.append(k)
-        k = parent[k]
-    pos = {v: t for t, v in enumerate(up_i)}
-
-    down_j = []  # j's strict climb until it meets i's chain
-    k = j
-    while k not in pos:
-        down_j.append(k)
-        k = parent[k]
-    lca_at = pos[k]
-
-    sequence = up_i[: lca_at + 1] + down_j[::-1]
-    return SkeletonPath(tuple(sequence), lca_at + 1)
-
-
-def bag_indices(tree: DirectedRootedTree, path: SkeletonPath) -> dict[int, int]:
-    """Map every node to the 1-based path position it hangs from.
-
-    Remove the path's edges from the skeleton; each remaining component
-    contains exactly one path node, and all nodes of the component share its
-    index. Path nodes map to their own position.
-    """
-    seq = path.sequence
-    index_of = {v: t + 1 for t, v in enumerate(seq)}
-    cut = set()
-    for a, b in zip(seq, seq[1:]):
-        cut.add((a, b))
-        cut.add((b, a))
-
-    neighbours: list[list[int]] = [[] for _ in range(tree.n)]
-    for p, c in tree.edges():
-        if (p, c) not in cut:
-            neighbours[p].append(c)
-            neighbours[c].append(p)
-
-    out: dict[int, int] = {}
-    for start in seq:
-        label = index_of[start]
-        stack = [start]
-        out[start] = label
-        while stack:
-            u = stack.pop()
-            for w in neighbours[u]:
-                if w not in out:
-                    out[w] = label
-                    stack.append(w)
-    if len(out) != tree.n:
-        raise ValueError("path does not belong to this tree")
-    return out
-
-
-def subtree_size(tree: DirectedRootedTree, v: int) -> int:
-    """Number of nodes in the subtree rooted at v (v included)."""
-    total = 0
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        total += 1
-        stack.extend(tree.children[u])
-    return total
-
-
 def tree_equals(a: DirectedRootedTree, b: DirectedRootedTree) -> bool:
     """Same node count and identical parent arrays (bounds are ignored)."""
     return a.parent == b.parent
@@ -306,9 +207,3 @@ def from_edges(
         degree_bound = max_node_degree(parent)
     return validate_tree(parent, degree_bound)
 
-
-def _check_pair(n: int, i: int, j: int) -> None:
-    if i == j:
-        raise SelfQueryError(f"i and j must differ, both are {i}")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"node pair ({i}, {j}) out of range for n={n}")

@@ -1,6 +1,7 @@
 """Reference implementations the tests cross-check the fast path against.
 
-Nothing here is clever on purpose: the brute-force reconstructor spends the
+Nothing here is clever on purpose: the ancestry, skeleton-path and bag
+helpers walk the full parent array, the brute-force reconstructor spends the
 full n(n-1) queries, the enumerator walks every parent array, and the
 separator check recomputes component sizes from ground truth.
 """
@@ -11,14 +12,122 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from treeprobe import (
+    ROOT,
     DirectedRootedTree,
     InvalidTreeError,
+    SelfQueryError,
     SeparatorEdge,
-    subtree_size,
+    SkeletonPath,
     validate_tree,
 )
 
 ENUMERATION_CAP = 7
+
+
+def is_ancestor(tree: DirectedRootedTree, i: int, j: int) -> bool:
+    """True iff a directed path i -> j exists (i is a proper ancestor of j)."""
+    _check_pair(tree.n, i, j)
+    parent = tree.parent
+    k = parent[j]
+    while k != ROOT:
+        if k == i:
+            return True
+        k = parent[k]
+    return False
+
+
+def root_chain(tree: DirectedRootedTree, v: int) -> list[int]:
+    """All proper ancestors of v, ordered root first."""
+    parent = tree.parent
+    chain = []
+    k = parent[v]
+    while k != ROOT:
+        chain.append(k)
+        k = parent[k]
+    chain.reverse()
+    return chain
+
+
+def skeleton_path(tree: DirectedRootedTree, i: int, j: int) -> SkeletonPath:
+    """Ground-truth path between i and j, oriented from i to j.
+
+    The result climbs from i to the lowest common ancestor and descends to
+    j; when one endpoint is an ancestor of the other this degenerates to a
+    single directed path.
+    """
+    _check_pair(tree.n, i, j)
+    parent = tree.parent
+
+    up_i = [i]
+    k = parent[i]
+    while k != ROOT:
+        up_i.append(k)
+        k = parent[k]
+    pos = {v: t for t, v in enumerate(up_i)}
+
+    down_j = []  # j's strict climb until it meets i's chain
+    k = j
+    while k not in pos:
+        down_j.append(k)
+        k = parent[k]
+    lca_at = pos[k]
+
+    sequence = up_i[: lca_at + 1] + down_j[::-1]
+    return SkeletonPath(tuple(sequence), lca_at + 1)
+
+
+def bag_indices(tree: DirectedRootedTree, path: SkeletonPath) -> dict[int, int]:
+    """Map every node to the 1-based path position it hangs from.
+
+    Remove the path's edges from the skeleton; each remaining component
+    contains exactly one path node, and all nodes of the component share its
+    index. Path nodes map to their own position.
+    """
+    seq = path.sequence
+    index_of = {v: t + 1 for t, v in enumerate(seq)}
+    cut = set()
+    for a, b in zip(seq, seq[1:]):
+        cut.add((a, b))
+        cut.add((b, a))
+
+    neighbours: list[list[int]] = [[] for _ in range(tree.n)]
+    for p, c in tree.edges():
+        if (p, c) not in cut:
+            neighbours[p].append(c)
+            neighbours[c].append(p)
+
+    out: dict[int, int] = {}
+    for start in seq:
+        label = index_of[start]
+        stack = [start]
+        out[start] = label
+        while stack:
+            u = stack.pop()
+            for w in neighbours[u]:
+                if w not in out:
+                    out[w] = label
+                    stack.append(w)
+    if len(out) != tree.n:
+        raise ValueError("path does not belong to this tree")
+    return out
+
+
+def subtree_size(tree: DirectedRootedTree, v: int) -> int:
+    """Number of nodes in the subtree rooted at v (v included)."""
+    total = 0
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        total += 1
+        stack.extend(tree.children[u])
+    return total
+
+
+def _check_pair(n: int, i: int, j: int) -> None:
+    if i == j:
+        raise SelfQueryError(f"i and j must differ, both are {i}")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"node pair ({i}, {j}) out of range for n={n}")
 
 
 class NotAnEdgeError(ValueError):

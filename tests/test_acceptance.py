@@ -19,23 +19,26 @@ from treeprobe import (
     BenchConfig,
     ExactOracle,
     SeparatorEdge,
-    bag_indices,
     bench_run,
     find_bag,
-    is_ancestor,
     majority_vote_count,
     max_node_degree,
     random_tree,
     reconstruct_skeleton_path,
     reconstruct_tree,
-    root_chain,
-    skeleton_path,
-    split_tree,
     validate_tree,
 )
 from treeprobe.cli import EXIT_OK, main as cli_main
+from treeprobe.reconstruct import path_pieces
 
-from reference import check_separator, enumerate_trees
+from reference import (
+    bag_indices,
+    check_separator,
+    enumerate_trees,
+    is_ancestor,
+    root_chain,
+    skeleton_path,
+)
 
 GRID_NODES = [100, 500, 1000, 2000]
 GRID_DEGREES = [3, 5, 10]
@@ -193,16 +196,6 @@ def _true_lca(tree, i: int, j: int) -> int:
     return deepest
 
 
-def _subtree_nodes(tree, v: int) -> set[int]:
-    out: set[int] = set()
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        out.add(u)
-        stack.extend(tree.children[u])
-    return out
-
-
 def _induced_subtree(tree, part):
     """Relabel a connected part densely and rebuild it as its own tree."""
     order = {v: t for t, v in enumerate(sorted(part))}
@@ -262,12 +255,12 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
         tree = _random_instance(rng)
         i, j = rng.sample(range(tree.n), 2)
         path = skeleton_path(tree, i, j)
-        seq, lca = path.sequence, path.lca_index
-        r = rng.randrange(1, len(seq))  # cut between positions r and r + 1
-        sep = SeparatorEdge(seq[r], seq[r - 1]) if r < lca else SeparatorEdge(seq[r - 1], seq[r])
-        keep, below = split_tree(range(tree.n), bag_indices(tree, path), sep, lca)
-        wanted = _subtree_nodes(tree, sep.child)
-        if set(below) != wanted or set(keep) != set(range(tree.n)) - wanted:
+        above = root_chain(tree, path.sequence[path.lca_index - 1])
+        pieces = path_pieces(ExactOracle(tree), range(tree.n), path, above)
+        truth = bag_indices(tree, path)
+        spots = range(1, len(path.sequence) + 1)
+        wanted = [{k for k in range(tree.n) if truth[k] == t} for t in spots]
+        if [set(p) for p in pieces] != wanted or sum(map(len, pieces)) != tree.n:
             split_bad += 1
 
     sep_bad = 0
@@ -292,7 +285,7 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
     report(
         7,
         ok,
-        f"paths/LCAs/bags/splits x{SAMPLES} samples, {audited} accepted cuts audited",
+        f"paths/LCAs/bags/pieces x{SAMPLES} samples, {audited} accepted cuts audited",
     )
     assert path_bad == 0, path_bad
     assert lca_bad == 0, lca_bad

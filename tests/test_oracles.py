@@ -15,7 +15,6 @@ from treeprobe import (
     NoisyOracle,
     SelfQueryError,
     WeightedDirectedRootedTree,
-    is_ancestor,
     majority_vote_count,
     parallel_chain,
     random_tree,
@@ -24,7 +23,7 @@ from treeprobe import (
 )
 from treeprobe.oracles import _majority_error
 
-from reference import enumerate_trees
+from reference import enumerate_trees, is_ancestor
 
 DEEP_AND_RELABELLED = [
     pytest.param(shaped_tree("chain", 300), id="chain"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from treeprobe import (
     NoisyOracle,
     SeparatorEdge,
     SkeletonPath,
-    bag_indices,
     find_bag,
     find_even_separator,
     majority_vote_count,
@@ -26,16 +26,15 @@ from treeprobe import (
     reconstruct_skeleton_path,
     reconstruct_tree,
     reconstruct_weighted,
-    root_chain,
     run_single,
     shaped_tree,
-    skeleton_path,
     sort_by_ancestry,
-    split_tree,
     uniform_weights,
 )
+from treeprobe.reconstruct import path_pieces
 
 from conftest import ScriptedRng, parent_array_trees
+from reference import bag_indices, root_chain, skeleton_path
 
 
 class _RecordingOracle:
@@ -56,6 +55,45 @@ class _ZeroOracle:
 
     def query(self, i, j):
         return 0
+
+
+class _QueryCapExceeded(AssertionError):
+    """A run asked more queries than its test allows."""
+
+
+class _CappedOracle:
+    """Forwarding wrapper that raises once more than ``cap`` queries are asked."""
+
+    def __init__(self, inner, cap):
+        self.inner = inner
+        self.cap = cap
+        self.calls = 0
+
+    def query(self, i, j):
+        self.calls += 1
+        if self.calls > self.cap:
+            raise _QueryCapExceeded(f"more than {self.cap} queries")
+        return self.inner.query(i, j)
+
+
+class _RandomLiar:
+    """Answers every query with a fresh seeded coin flip."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+
+    def query(self, i, j):
+        return self._rng.random() < 0.5
+
+
+def _query_cap(n):
+    """The budget every run in TestEveryInputTerminates must stay within.
+
+    A star rebuilt at bound 2 is the costliest case: each of its parts fails
+    until its gate has doubled past the hub degree, about 5.6 n^3 queries at
+    n = 12. 16 n^3 leaves room for every shape and seed drawn here.
+    """
+    return 16 * n**3
 
 
 class _TableOracle:
@@ -264,37 +302,53 @@ class TestFindEvenSeparator:
         assert sep == SeparatorEdge(parent=0, child=1)
 
 
-class TestSplitTree:
-    def test_bent_tree_split(self, bent_tree):
-        path = skeleton_path(bent_tree, 0, 4)
-        positions = bag_indices(bent_tree, path)
-        keep, below = split_tree(range(11), positions, SeparatorEdge(2, 1), path.lca_index)
-        assert sorted(keep) == [2, 3, 4, 8, 9, 10]
-        assert sorted(below) == [0, 1, 5, 6, 7]
+class TestPathPieces:
+    # Both fixtures hang 5, 6 from 0, 7 from 1, 8 and 9 from 2, and 10 from 4
+    # along the 0-to-4 walk.
+    PIECES = [[0, 5, 6], [1, 7], [2, 8, 9], [3], [4, 10]]
 
-    def test_spine_tree_split(self, spine_tree):
-        path = skeleton_path(spine_tree, 0, 4)
-        positions = bag_indices(spine_tree, path)
-        keep, below = split_tree(range(11), positions, SeparatorEdge(1, 2), path.lca_index)
-        assert sorted(below) == [2, 3, 4, 8, 9, 10]
-        assert sorted(keep) == [0, 1, 5, 6, 7]
+    def test_bent_tree_pieces(self, bent_tree):
+        oracle = ExactOracle(bent_tree)
+        path, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
+        pieces = path_pieces(oracle, range(11), path, above)
+        assert [sorted(p) for p in pieces] == self.PIECES
+        # Cutting (2, 1) alone would leave the first two pieces below it.
+        assert sorted(pieces[0] + pieces[1]) == [0, 1, 5, 6, 7]
+        assert sorted(sum(pieces[2:], [])) == [2, 3, 4, 8, 9, 10]
 
-    def test_sides_keep_part_order_with_the_child_first(self, bent_tree):
-        path = skeleton_path(bent_tree, 0, 4)
-        positions = bag_indices(bent_tree, path)
-        part = [9, 5, 3, 1, 0, 7, 2]
-        keep, below = split_tree(part, positions, SeparatorEdge(2, 1), path.lca_index)
-        assert keep == [9, 3, 2]
-        assert below == [1, 5, 0, 7]
+    def test_spine_tree_pieces(self, spine_tree):
+        oracle = ExactOracle(spine_tree)
+        path, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
+        pieces = path_pieces(oracle, range(11), path, above)
+        assert [sorted(p) for p in pieces] == self.PIECES
+        assert sorted(pieces[0] + pieces[1]) == [0, 1, 5, 6, 7]
+        assert sorted(sum(pieces[2:], [])) == [2, 3, 4, 8, 9, 10]
+
+    def test_pieces_keep_part_order_with_the_path_node_first(self, bent_tree):
+        # 8 lies above both ends and joins the LCA's piece unasked; 9 hangs
+        # from it, so a bag search puts 9 there too.
+        oracle = ExactOracle(bent_tree)
+        part = [9, 6, 3, 1, 0, 7, 2, 8, 5]
+        path, above = reconstruct_skeleton_path(oracle, part, 0, 3)
+        assert above == [8]
+        assert path_pieces(oracle, part, path, above) == [[0, 6, 5], [1, 7], [2, 8, 9], [3]]
 
 
 class TestReconstructTree:
     def test_recovers_both_fixtures(self, spine_tree, bent_tree):
         for tree in (spine_tree, bent_tree):
             oracle = ExactOracle(tree)
-            edges, stats = reconstruct_tree(oracle, range(11), 3, random.Random(5))
+            cuts = []
+            edges, stats = reconstruct_tree(
+                oracle,
+                range(11),
+                3,
+                random.Random(5),
+                separator_hook=lambda sep, part: cuts.append(sep),
+            )
             assert edges == set(tree.edges())
-            assert stats.rounds_total >= 10  # one separator per edge at least
+            # Each accepted round keeps at least one new edge, so at most ten.
+            assert 1 <= len(cuts) <= min(10, stats.rounds_total)
             assert stats.recursion_depth_max >= 2
 
     def test_single_node_needs_nothing(self):
@@ -351,7 +405,9 @@ class TestReconstructTree:
         reconstruct_tree(
             oracle, range(11), 3, random.Random(3), separator_hook=lambda sep, part: seen.append(sep)
         )
-        assert len(seen) == 10
+        # One gating cut per accepted round, each a distinct true edge.
+        assert seen
+        assert len(set(seen)) == len(seen)
         assert all(tuple(sep) in truth for sep in seen)
 
     def test_deterministic_given_seed_and_oracle(self, bent_tree):
@@ -388,12 +444,14 @@ class TestReconstructTree:
             reconstruct_tree(_ZeroOracle(), range(3), 2, random.Random(0))
 
     def test_star_beyond_the_recursion_limit(self):
-        star = shaped_tree("star", 1100)
+        # Each round on a star removes the two leaves its path ends at, so
+        # the parts nest about n/2 deep.
+        star = shaped_tree("star", 2100)
         edges, stats = reconstruct_tree(
             ExactOracle(star), range(star.n), star.degree_bound, random.Random(0)
         )
         assert edges == set(star.edges())
-        assert stats.recursion_depth_max == 1100
+        assert stats.recursion_depth_max > sys.getrecursionlimit()
 
     def test_mutual_ancestry_cannot_loop_forever(self):
         # 0 and 1 each claim a path to the other; the split would swallow the
@@ -401,6 +459,44 @@ class TestReconstructTree:
         liar = _TableOracle({(0, 1): 1, (1, 0): 1})
         with pytest.raises(InconsistentOracleError):
             reconstruct_tree(liar, range(2), 2, ScriptedRng([(0, 1)]))
+
+
+class TestEveryInputTerminates:
+    """A wrong degree bound or a lying oracle still ends within a query cap."""
+
+    def test_star_under_a_wrong_bound(self):
+        star = shaped_tree("star", 5)
+        oracle = _CappedOracle(ExactOracle(star), _query_cap(5))
+        edges, _ = reconstruct_tree(oracle, range(5), 2, random.Random(0))
+        assert edges == set(star.edges())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["chain", "star", "caterpillar", "parallel_chain", "random"]),
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_bound_two_recovers_every_shape(self, shape, n, seed):
+        tree = _shaped(shape, n, seed)
+        oracle = _CappedOracle(ExactOracle(tree), _query_cap(tree.n))
+        edges, _ = reconstruct_tree(oracle, range(tree.n), 2, random.Random(seed))
+        assert edges == set(tree.edges())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=30),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_random_liar_returns_or_raises(self, n, bound, seed):
+        oracle = _CappedOracle(_RandomLiar(seed), _query_cap(n))
+        try:
+            edges, _ = reconstruct_tree(oracle, range(n), bound, random.Random(seed))
+        except InconsistentOracleError:
+            return
+        # The pieces of every accepted round partition its part, so even
+        # made-up answers yield n - 1 distinct pairs.
+        assert len(edges) == n - 1
 
 
 class TestReconstructNoisy:

@@ -15,18 +15,14 @@ from treeprobe import (
     SelfQueryError,
     SkeletonPath,
     WeightedDirectedRootedTree,
-    bag_indices,
     from_edges,
-    is_ancestor,
     max_node_degree,
-    root_chain,
-    skeleton_path,
-    subtree_size,
     tree_equals,
     validate_tree,
 )
 
 from conftest import BENT_PARENT, SPINE_PARENT, parent_array_trees
+from reference import bag_indices, is_ancestor, root_chain, skeleton_path, subtree_size
 
 
 class TestValidateTree:
