@@ -21,28 +21,17 @@ from .errors import (
     TreeFormatError,
 )
 from .generators import parallel_chain, random_tree, shaped_tree, uniform_weights
-from .oracles import (
-    AdditiveOracle,
-    ExactOracle,
-    MajorityOracle,
-    NoisyOracle,
-    majority_vote_count,
-)
+from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, majority_vote_count
 from .reconstruct import (
     ReconstructionStats,
     SeparatorEdge,
-    find_bag,
-    find_even_separator,
-    reconstruct_skeleton_path,
     reconstruct_tree,
     reconstruct_weighted,
-    sort_by_ancestry,
 )
 from .treeio import format_tree, load_tree, parse_tree, save_tree
 from .trees import (
     ROOT,
     DirectedRootedTree,
-    SkeletonPath,
     WeightedDirectedRootedTree,
     from_edges,
     max_node_degree,
@@ -65,19 +54,15 @@ __all__ = [
     "InconsistentOracleError",
     "InfeasibleDegreeError",
     "InvalidTreeError",
-    "MajorityOracle",
     "MultipleRootsError",
     "NoisyOracle",
     "ReconstructionStats",
     "SelfQueryError",
     "SeparatorEdge",
-    "SkeletonPath",
     "TreeFormatError",
     "WeightedDirectedRootedTree",
     "bench_run",
     "derive_seed",
-    "find_bag",
-    "find_even_separator",
     "format_tree",
     "from_edges",
     "load_tree",
@@ -87,14 +72,12 @@ __all__ = [
     "parse_tree",
     "plot_svg",
     "random_tree",
-    "reconstruct_skeleton_path",
     "reconstruct_tree",
     "reconstruct_weighted",
     "records_to_csv",
     "run_single",
     "save_tree",
     "shaped_tree",
-    "sort_by_ancestry",
     "tree_equals",
     "uniform_weights",
     "validate_tree",

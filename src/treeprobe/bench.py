@@ -11,13 +11,7 @@ from typing import Iterable, Sequence
 
 from .errors import InconsistentOracleError, InvalidTreeError
 from .generators import random_tree, uniform_weights
-from .oracles import (
-    AdditiveOracle,
-    ExactOracle,
-    MajorityOracle,
-    NoisyOracle,
-    majority_vote_count,
-)
+from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, majority_vote_count
 from .reconstruct import ReconstructionStats, reconstruct_tree, reconstruct_weighted
 from .trees import (
     DirectedRootedTree,
@@ -105,29 +99,26 @@ def run_single(
     votes = None
     weights_out = None
 
-    # ``handle`` is the layer the driver asks, whose ``calls`` are the logical
-    # queries; ``base`` answers from the hidden tree and counts raw queries.
     if regime == "exact":
-        base = handle = ExactOracle(plain)
+        oracle = ExactOracle(plain)
     elif regime == "noisy":
         if eps is None or delta is None:
             raise ValueError("the noisy regime needs eps and delta")
         # A single node asks no query, so there is nothing to vote on.
         votes = majority_vote_count(eps, delta, plain.n, degree_bound) if plain.n > 1 else 1
-        base = NoisyOracle(plain, eps, seed=seed * 4 + 1)
-        handle = MajorityOracle(base, votes)
+        oracle = NoisyOracle(plain, eps, seed=seed * 4 + 1, votes=votes)
     else:
         if not isinstance(hidden, WeightedDirectedRootedTree):
             raise ValueError("the weighted regime needs a weighted hidden tree")
-        base = handle = AdditiveOracle(hidden)
+        oracle = AdditiveOracle(hidden)
 
     try:
         if regime == "weighted":
             edges, weights_out, stats = reconstruct_weighted(
-                handle, range(plain.n), degree_bound, rng
+                oracle, range(plain.n), degree_bound, rng
             )
         else:
-            edges, stats = reconstruct_tree(handle, range(plain.n), degree_bound, rng)
+            edges, stats = reconstruct_tree(oracle, range(plain.n), degree_bound, rng)
     except InconsistentOracleError as err:
         edges, stats, success = set(), err.stats, False
     else:
@@ -139,8 +130,8 @@ def run_single(
         edges=edges,
         weights=weights_out,
         stats=stats,
-        raw_queries=base.calls,
-        logical_queries=handle.calls,
+        raw_queries=oracle.calls * (votes or 1),
+        logical_queries=oracle.calls,
         success=success,
         votes=votes,
     )

@@ -1,12 +1,11 @@
-"""Simulated path-query oracles and their wrappers.
+"""Simulated path-query oracles.
 
 The reconstruction code never touches a tree directly; it sees one of these
-handles instead. Every layer counts the queries it answers in ``calls``: a
-base oracle counts its evaluations of the hidden tree, and the majority
-voter, which wraps a noisy oracle, counts logical queries. A caller that
-wants both counts keeps both handles; no layer looks through another.
+oracles instead, one per regime, each counting the queries it answers in
+``calls``. A noisy oracle answers every query with a majority of ``votes``
+noisy answers, so its hidden-tree evaluations are ``calls * votes``.
 
-Base oracles decide ancestry in O(1) per query from preorder spans:
+The oracles decide ancestry in O(1) per query from preorder spans:
 ``i`` is a proper ancestor of ``j`` iff ``tin[i] < tin[j] < tout[i]``. The
 spans are built by one O(n) DFS on an oracle's first query, so an oracle
 that is built but never asked costs nothing beyond its constructor.
@@ -15,12 +14,11 @@ A majority over ``m`` noisy votes is wrong exactly when more than half of
 them flip, the event ``Bin(m, noise) > m/2``. The noisy oracle therefore
 answers a whole majority with one uniform draw against that tail, computed
 once per (m, noise) and cached. This has the same answer distribution as
-``m`` separate votes, and it still charges ``m`` evaluations in ``calls``.
+``m`` separate votes.
 
 Every oracle answers ``query(i, j)``, truthy exactly when it claims a
-directed path i -> j: the exact bit, a noisy bit (the majority of ``votes``
-noisy answers, one by default), or the path's weight sum, exactly 0.0 when
-there is no path.
+directed path i -> j: the exact bit, a noisy majority bit, or the path's
+weight sum, exactly 0.0 when there is no path.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import math
 import random
 
 from .errors import SelfQueryError
-from .trees import DirectedRootedTree, WeightedDirectedRootedTree
+from .trees import DirectedRootedTree, WeightedDirectedRootedTree, check_degree_feasible
 
 
 class ExactOracle:
@@ -58,37 +56,42 @@ class ExactOracle:
 
 
 class NoisyOracle:
-    """Exact bit flipped independently per vote with probability ``noise``.
+    """Majority of ``votes`` exact bits, each flipped with probability ``noise``.
 
-    Deterministic given (seed, call order): every call draws exactly one
-    uniform variate from its own RNG. ``query(i, j, votes)`` is a majority
-    over ``votes`` votes, one by default, drawn as one variate against the
-    chance that the majority is wrong and charged as ``votes`` evaluations.
+    Deterministic given (seed, call order): every query draws exactly one
+    uniform variate from its own RNG, against the chance that the majority
+    is wrong. ``votes`` must be odd; one vote is a single noisy answer.
     ``noise`` may be 0.0 (degenerate no-flip limit) but must stay below 1/2.
     The exact bit is an O(1) comparison of preorder spans, built on the
     first query.
     """
 
-    def __init__(self, tree: DirectedRootedTree, noise: float, seed: int | None = None):
+    def __init__(
+        self, tree: DirectedRootedTree, noise: float, seed: int | None = None, votes: int = 1
+    ):
         if not 0.0 <= noise < 0.5:
             raise ValueError(f"noise must lie in [0, 0.5), got {noise}")
+        if votes < 1 or votes % 2 == 0:
+            raise ValueError(f"vote count must be odd and >= 1, got {votes}")
         self.tree = tree
         self.noise = noise
+        self.votes = votes
         self.calls = 0
         self._n = tree.n
         self._spans: tuple[list[int], list[int]] | None = None
         self._rng = random.Random(seed)
+        self._wrong = _majority_error(votes, noise)
 
-    def query(self, i: int, j: int, votes: int = 1) -> int:
+    def query(self, i: int, j: int) -> int:
         n = self._n
         if i == j or not (0 <= i < n and 0 <= j < n):
             _check(n, i, j)
-        self.calls += votes
+        self.calls += 1
         if self._spans is None:
             self._spans = _preorder_spans(self.tree)
         tin, tout = self._spans
         bit = 1 if tin[i] < tin[j] < tout[i] else 0
-        if self._rng.random() < _majority_error(votes, self.noise):
+        if self._rng.random() < self._wrong:
             return 1 - bit
         return bit
 
@@ -130,25 +133,6 @@ class AdditiveOracle:
         return total
 
 
-class MajorityOracle:
-    """Wraps a noisy oracle; each query is a majority over m fresh votes.
-
-    The inner oracle samples the majority in one draw and charges it as m
-    evaluations.
-    """
-
-    def __init__(self, inner, votes: int):
-        if votes < 1 or votes % 2 == 0:
-            raise ValueError(f"vote count must be odd and >= 1, got {votes}")
-        self.inner = inner
-        self.votes = votes
-        self.calls = 0
-
-    def query(self, i: int, j: int) -> int:
-        self.calls += 1
-        return self.inner.query(i, j, self.votes)
-
-
 def majority_vote_count(
     noise: float,
     failure_prob: float,
@@ -177,8 +161,7 @@ def majority_vote_count(
         raise ValueError(f"failure probability must lie in (0, 1), got {failure_prob}")
     if n < 2:
         raise ValueError(f"need at least two nodes, got {n}")
-    if degree_bound < 1:
-        raise ValueError(f"degree bound must be >= 1, got {degree_bound}")
+    check_degree_feasible(n, degree_bound)
     if pair_budget is None:
         log_ceil = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
         pair_budget = (2.0 / failure_prob) * 4.0 * degree_bound * n * log_ceil**2

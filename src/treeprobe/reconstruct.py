@@ -16,13 +16,13 @@ endpoints join the LCA's piece without a bag search.
 A bound below the true degree can leave no balanced edge on any path. Any
 true edge is a correct cut, so the bound only sets the gate: a part whose
 rounds keep failing doubles its gate's bound, which accepts any path once it
-reaches the part size less one. Every input therefore ends.
+reaches the part size less one, and its pieces start from the bound it was
+accepted at. Every input therefore ends.
 
 The driver reads every answer only as a truth value, so all three regimes
-run on it unchanged: an exact bit, a noisy bit that a ``MajorityOracle``
-cleans up with per-pair votes, or an additive path sum, positive exactly
-when the path exists. The additive regime then reads each recovered edge's
-weight with one more query.
+run on it unchanged: an exact bit, a noisy majority bit, or an additive path
+sum, positive exactly when the path exists. The additive regime then reads
+each recovered edge's weight with one more query.
 """
 
 from __future__ import annotations
@@ -243,8 +243,8 @@ def reconstruct_tree(
     balance gate: a bound that no tree on these nodes fits (below 1, or 1
     with more than two nodes) raises InfeasibleDegreeError before any query,
     and a part whose rounds keep failing under a bound below the true degree
-    doubles its own bound, so the edges stay exact. The run is deterministic
-    given the rng state and the oracle's answers.
+    doubles its own bound, which its pieces inherit, so the edges stay exact.
+    The run is deterministic given the rng state and the oracle's answers.
     ``separator_hook`` (if given) sees the balanced cut that let each round
     through, with the node set it was accepted in; the tests audit balance
     with it.
@@ -255,17 +255,18 @@ def reconstruct_tree(
     check_degree_feasible(len(part), degree_bound)
     stats = ReconstructionStats()
     edges: Edges = set()
-    # Parts still to solve. Pieces are pushed last to first, so they are
-    # solved in path order; that order fixes which pairs rng draws.
-    stack = [(part, 1)]
+    # Parts still to solve, each with the gate bound it starts from. Pieces
+    # are pushed last to first, so they are solved in path order; that order
+    # fixes which pairs rng draws.
+    stack = [(part, 1, degree_bound)]
     try:
         while stack:
-            part, depth = stack.pop()
+            part, depth, bound = stack.pop()
             stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
             size = len(part)
             if size <= 1:
                 continue
-            if size == 2 and degree_bound == 1:
+            if size == 2 and bound == 1:
                 # The balance interval is empty at d=1; one query settles the edge.
                 stats.rounds_total += 1
                 a, b = part
@@ -277,8 +278,9 @@ def reconstruct_tree(
 
             # A correct bound b needs b^2/(b-1) rounds on average. After four
             # times that many failures the part's gate doubles b; at
-            # b >= size - 1 it accepts any path.
-            bound, failed = degree_bound, 0
+            # b >= size - 1 it accepts any path. Any true edge is a correct
+            # cut, so the pieces keep the bound the part was accepted at.
+            failed = 0
             while True:
                 stats.rounds_total += 1
                 i, j = rng.sample(part, 2)
@@ -294,7 +296,7 @@ def reconstruct_tree(
             if separator_hook is not None:
                 separator_hook(sep, tuple(part))
             edges.update(tuple(_path_edge(path, r)) for r in range(1, len(pieces)))
-            stack.extend((piece, depth + 1) for piece in reversed(pieces))
+            stack.extend((piece, depth + 1, bound) for piece in reversed(pieces))
     except InconsistentOracleError as err:
         err.stats = stats
         raise

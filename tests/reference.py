@@ -17,9 +17,9 @@ from treeprobe import (
     InvalidTreeError,
     SelfQueryError,
     SeparatorEdge,
-    SkeletonPath,
     validate_tree,
 )
+from treeprobe.trees import SkeletonPath
 
 ENUMERATION_CAP = 7
 

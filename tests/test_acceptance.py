@@ -20,16 +20,14 @@ from treeprobe import (
     ExactOracle,
     SeparatorEdge,
     bench_run,
-    find_bag,
     majority_vote_count,
     max_node_degree,
     random_tree,
-    reconstruct_skeleton_path,
     reconstruct_tree,
     validate_tree,
 )
 from treeprobe.cli import EXIT_OK, main as cli_main
-from treeprobe.reconstruct import path_pieces
+from treeprobe.reconstruct import find_bag, path_pieces, reconstruct_skeleton_path
 
 from reference import (
     bag_indices,

@@ -64,9 +64,9 @@ class TestRunSingle:
         class LateLiar(NoisyOracle):
             """Honest for a while, then denies every path."""
 
-            def query(self, i, j, votes=1):
-                bit = super().query(i, j, votes)
-                return bit if self.calls <= 8_000 else 0
+            def query(self, i, j):
+                bit = super().query(i, j)
+                return bit if self.calls * self.votes <= 8_000 else 0
 
         monkeypatch.setattr(bench, "NoisyOracle", LateLiar)
         tree = random_tree(20, 3, seed=101)
@@ -102,18 +102,23 @@ class TestRunSingle:
         assert outcome.stats.rounds_total >= 1
         assert outcome.raw_queries == outcome.logical_queries > 60
 
-    def test_infeasible_degree_bound_raises_at_once(self, monkeypatch):
+    @pytest.mark.parametrize("bound", [0, 1])
+    @pytest.mark.parametrize("regime", ["exact", "noisy", "weighted"])
+    def test_infeasible_degree_bound_raises_at_once(self, monkeypatch, regime, bound):
+        cls = {"exact": ExactOracle, "noisy": NoisyOracle, "weighted": AdditiveOracle}[regime]
         made = []
 
-        class Seen(ExactOracle):
-            def __init__(self, tree):
-                super().__init__(tree)
+        class Seen(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 made.append(self)
 
-        monkeypatch.setattr(bench, "ExactOracle", Seen)
+        monkeypatch.setattr(bench, cls.__name__, Seen)
+        chain = shaped_tree("chain", 5)
+        hidden = uniform_weights(chain, seed=0) if regime == "weighted" else chain
         with pytest.raises(InfeasibleDegreeError):
-            run_single("exact", shaped_tree("chain", 2), 0, 1)
-        assert [oracle.calls for oracle in made] == [0]
+            run_single(regime, hidden, bound, 1, eps=0.1, delta=0.1)
+        assert sum(oracle.calls for oracle in made) == 0
 
     def test_weighted_run_checks_weights_too(self):
         hidden = uniform_weights(random_tree(25, 4, seed=102), seed=103)

@@ -1,7 +1,8 @@
-"""Oracle behavior: exactness, seeded noise, additive sums, wrappers."""
+"""Oracle behavior: exactness, seeded noise and majorities, additive sums."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -11,7 +12,6 @@ import pytest
 from treeprobe import (
     AdditiveOracle,
     ExactOracle,
-    MajorityOracle,
     NoisyOracle,
     SelfQueryError,
     WeightedDirectedRootedTree,
@@ -220,37 +220,37 @@ class TestMajorityQuery:
     def test_one_draw_per_majority_in_call_order(self, votes, noise):
         tree = random_tree(60, 4, seed=5)
         pairs = random.Random(8).sample(_ordered_pairs(tree.n), 2000)
-        oracle = NoisyOracle(tree, noise, seed=31)
+        oracle = NoisyOracle(tree, noise, seed=31, votes=votes)
         ref = random.Random(31)
         wrong = _majority_error(votes, noise)
         for count, (i, j) in enumerate(pairs, start=1):
             expected = int(is_ancestor(tree, i, j)) ^ (ref.random() < wrong)
-            assert oracle.query(i, j, votes) == expected
-            assert oracle.calls == votes * count
+            assert oracle.query(i, j) == expected
+            assert oracle.calls * oracle.votes == votes * count
 
     def test_draw_just_below_the_tail_flips_the_answer(self, bent_tree):
         wrong = _majority_error(5, 0.3)
         truth = int(is_ancestor(bent_tree, 2, 10))
-        voter = MajorityOracle(NoisyOracle(bent_tree, 0.3), votes=5)
-        voter.inner._rng = _FixedDraw(math.nextafter(wrong, 0.0))
+        voter = NoisyOracle(bent_tree, 0.3, votes=5)
+        voter._rng = _FixedDraw(math.nextafter(wrong, 0.0))
         assert voter.query(2, 10) == 1 - truth
         for at_or_above in (wrong, math.nextafter(wrong, 1.0)):
-            voter.inner._rng = _FixedDraw(at_or_above)
+            voter._rng = _FixedDraw(at_or_above)
             assert voter.query(2, 10) == truth
 
     def test_wrong_answer_rate_is_the_binomial_tail(self, bent_tree):
         # P(Bin(5, 0.3) >= 3) = 0.16308; 4 sigma over 20k queries is 0.0105.
-        oracle = NoisyOracle(bent_tree, 0.3, seed=19)
+        oracle = NoisyOracle(bent_tree, 0.3, seed=19, votes=5)
         truth = int(is_ancestor(bent_tree, 2, 10))
         trials = 20_000
-        wrong = sum(oracle.query(2, 10, 5) != truth for _ in range(trials))
+        wrong = sum(oracle.query(2, 10) != truth for _ in range(trials))
         sigma = math.sqrt(0.16308 * (1.0 - 0.16308) / trials)
         assert abs(wrong / trials - 0.16308) <= 4 * sigma
 
 
 class TestMajorityOracle:
     def test_single_vote_equals_one_noisy_call(self, bent_tree):
-        voter = MajorityOracle(NoisyOracle(bent_tree, 0.3, seed=7), votes=1)
+        voter = NoisyOracle(bent_tree, 0.3, seed=7, votes=1)
         plain = NoisyOracle(bent_tree, 0.3, seed=7)
         pairs = [(i, j) for i in range(11) for j in range(11) if i != j]
         assert [voter.query(i, j) for i, j in pairs] == [
@@ -260,11 +260,11 @@ class TestMajorityOracle:
     @pytest.mark.parametrize("votes", [0, -1, 2, 8])
     def test_vote_count_must_be_odd_and_positive(self, bent_tree, votes):
         with pytest.raises(ValueError):
-            MajorityOracle(NoisyOracle(bent_tree, 0.1), votes)
+            NoisyOracle(bent_tree, 0.1, votes=votes)
 
     @pytest.mark.parametrize("votes", [1, 3, 7])
     def test_noiseless_inner_gives_exact_bits(self, bent_tree, votes):
-        voter = MajorityOracle(NoisyOracle(bent_tree, 0.0, seed=2), votes)
+        voter = NoisyOracle(bent_tree, 0.0, seed=2, votes=votes)
         for i in range(11):
             for j in range(11):
                 if i != j:
@@ -281,24 +281,24 @@ class TestLayerCalls:
         assert oracle.calls == 2
 
     def test_majority_stack_multiplies_by_votes(self, bent_tree):
-        noisy = NoisyOracle(bent_tree, 0.1, seed=3)
-        voter = MajorityOracle(noisy, 5)
+        voter = NoisyOracle(bent_tree, 0.1, seed=3, votes=5)
         voter.query(0, 1)
         voter.query(2, 3)
         assert voter.calls == 2
-        assert noisy.calls == 10
+        assert voter.calls * voter.votes == 10
 
 
 def _every_surface(tree):
-    """One asking function per query surface, with the layer that counts it."""
+    """One asking function per query surface, with the oracle that counts it."""
     weighted = WeightedDirectedRootedTree(tree, {edge: 1.0 for edge in tree.edges()})
     exact = ExactOracle(tree)
     noisy = NoisyOracle(tree, 0.0, seed=0)
+    majority = NoisyOracle(tree, 0.0, seed=0, votes=3)
     additive = AdditiveOracle(weighted)
     return [
         (exact.query, exact),
         (noisy.query, noisy),
-        (lambda i, j: noisy.query(i, j, 3), noisy),
+        (majority.query, majority),
         (additive.query, additive),
     ]
 
@@ -317,15 +317,15 @@ def test_bad_pairs_raise_before_anything_is_charged(at, pair):
 @pytest.mark.parametrize("kind", ["exact", "noisy", "additive", "majority"])
 def test_query_is_the_only_public_callable(bent_tree, kind):
     weighted = WeightedDirectedRootedTree(bent_tree, {edge: 1.0 for edge in bent_tree.edges()})
-    noisy = NoisyOracle(bent_tree, 0.1)
     oracle = {
         "exact": ExactOracle(bent_tree),
-        "noisy": noisy,
+        "noisy": NoisyOracle(bent_tree, 0.1),
         "additive": AdditiveOracle(weighted),
-        "majority": MajorityOracle(noisy, 3),
+        "majority": NoisyOracle(bent_tree, 0.1, votes=3),
     }[kind]
     public = [name for name in dir(oracle) if not name.startswith("_")]
     assert [name for name in public if callable(getattr(oracle, name))] == ["query"]
+    assert list(inspect.signature(oracle.query).parameters) == ["i", "j"]
 
 
 class TestMajorityVoteCount:
@@ -375,11 +375,11 @@ class TestMajorityVoteCount:
 
 
 def test_every_query_surface_is_counted():
-    # Answers to Q(0, 3) and Q(3, 0) on a chain, and the calls each is charged.
+    # Answers to Q(0, 3) and Q(3, 0) on a chain, and the evaluations each costs.
     expected = [(1, 0, 1), (1, 0, 1), (1, 0, 3), (3.0, 0.0, 1)]
     surfaces = _every_surface(shaped_tree("chain", 4))
     for (ask, layer), (hit, miss, charge) in zip(surfaces, expected):
         before = layer.calls
         assert ask(0, 3) == hit
         assert ask(3, 0) == miss
-        assert layer.calls - before == 2 * charge
+        assert (layer.calls - before) * getattr(layer, "votes", 1) == 2 * charge

@@ -14,24 +14,25 @@ from treeprobe import (
     ExactOracle,
     InconsistentOracleError,
     InfeasibleDegreeError,
-    MajorityOracle,
     NoisyOracle,
     SeparatorEdge,
-    SkeletonPath,
-    find_bag,
-    find_even_separator,
     majority_vote_count,
     parallel_chain,
     random_tree,
-    reconstruct_skeleton_path,
     reconstruct_tree,
     reconstruct_weighted,
     run_single,
     shaped_tree,
-    sort_by_ancestry,
     uniform_weights,
 )
-from treeprobe.reconstruct import path_pieces
+from treeprobe.reconstruct import (
+    find_bag,
+    find_even_separator,
+    path_pieces,
+    reconstruct_skeleton_path,
+    sort_by_ancestry,
+)
+from treeprobe.trees import SkeletonPath
 
 from conftest import ScriptedRng, parent_array_trees
 from reference import bag_indices, root_chain, skeleton_path
@@ -89,9 +90,10 @@ class _RandomLiar:
 def _query_cap(n):
     """The budget every run in TestEveryInputTerminates must stay within.
 
-    A star rebuilt at bound 2 is the costliest case: each of its parts fails
-    until its gate has doubled past the hub degree, about 5.6 n^3 queries at
-    n = 12. 16 n^3 leaves room for every shape and seed drawn here.
+    A star rebuilt at bound 2 is the costliest case: its first part fails
+    until its gate has doubled past the hub degree, and its pieces start
+    from that bound, at most 1.75 n^3 queries at n = 12 over rng seeds
+    0-49. 16 n^3 leaves room for every shape and seed drawn here.
     """
     return 16 * n**3
 
@@ -470,6 +472,14 @@ class TestEveryInputTerminates:
         edges, _ = reconstruct_tree(oracle, range(5), 2, random.Random(0))
         assert edges == set(star.edges())
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pieces_keep_their_parts_bound(self, seed):
+        # Restarting every piece at bound 2 costs about 4 n^3 queries here.
+        star = shaped_tree("star", 100)
+        oracle = _CappedOracle(ExactOracle(star), 100**3)
+        edges, _ = reconstruct_tree(oracle, range(100), 2, random.Random(seed))
+        assert edges == set(star.edges())
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from(["chain", "star", "caterpillar", "parallel_chain", "random"]),
@@ -500,11 +510,11 @@ class TestEveryInputTerminates:
 
 
 class TestReconstructNoisy:
-    """The driver over a ``MajorityOracle``, the composition ``run_single`` uses."""
+    """The driver over a voting ``NoisyOracle``, the oracle ``run_single`` uses."""
 
     def test_zero_noise_single_vote_is_exact(self):
         tree = random_tree(15, 3, seed=21)
-        voter = MajorityOracle(NoisyOracle(tree, 0.0, seed=0), 1)
+        voter = NoisyOracle(tree, 0.0, seed=0, votes=1)
         edges, _ = reconstruct_tree(voter, range(15), 3, random.Random(0))
         assert edges == set(tree.edges())
 
@@ -516,27 +526,26 @@ class TestReconstructNoisy:
     def test_noisy_recovery_with_default_votes(self):
         tree = random_tree(12, 3, seed=8)
         votes = majority_vote_count(0.1, 0.1, 12, 3)
-        voter = MajorityOracle(NoisyOracle(tree, 0.1, seed=42), votes)
+        voter = NoisyOracle(tree, 0.1, seed=42, votes=votes)
         edges, _ = reconstruct_tree(voter, range(12), 3, random.Random(4))
         assert edges == set(tree.edges())
 
     def test_single_node_needs_no_vote_count(self):
-        noisy = NoisyOracle(shaped_tree("chain", 1), 0.1)
-        edges, stats = reconstruct_tree(MajorityOracle(noisy, 1), range(1), 1, random.Random(0))
+        noisy = NoisyOracle(shaped_tree("chain", 1), 0.1, votes=1)
+        edges, stats = reconstruct_tree(noisy, range(1), 1, random.Random(0))
         assert edges == set()
         assert stats.rounds_total == 0
         assert noisy.calls == 0
 
     def test_vote_override_drives_the_raw_count(self):
         tree = random_tree(10, 3, seed=5)
-        noisy = NoisyOracle(tree, 0.05, seed=6)
-        voter = MajorityOracle(noisy, 3)
+        voter = NoisyOracle(tree, 0.05, seed=6, votes=3)
         try:
             reconstruct_tree(voter, range(10), 3, random.Random(9))
         except InconsistentOracleError:
             pass  # three votes lie often enough for the run itself to fail
         assert voter.calls > 0
-        assert noisy.calls == 3 * voter.calls
+        assert voter.calls * voter.votes == 3 * voter.calls
 
 
 class TestReconstructWeighted:

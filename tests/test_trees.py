@@ -13,13 +13,13 @@ from treeprobe import (
     InvalidTreeError,
     MultipleRootsError,
     SelfQueryError,
-    SkeletonPath,
     WeightedDirectedRootedTree,
     from_edges,
     max_node_degree,
     tree_equals,
     validate_tree,
 )
+from treeprobe.trees import SkeletonPath
 
 from conftest import BENT_PARENT, SPINE_PARENT, parent_array_trees
 from reference import bag_indices, is_ancestor, root_chain, skeleton_path, subtree_size
