@@ -24,7 +24,6 @@ from .generators import parallel_chain, random_tree, shaped_tree, uniform_weight
 from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, majority_vote_count
 from .reconstruct import (
     ReconstructionStats,
-    SeparatorEdge,
     reconstruct_tree,
     reconstruct_weighted,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "NoisyOracle",
     "ReconstructionStats",
     "SelfQueryError",
-    "SeparatorEdge",
     "TreeFormatError",
     "WeightedDirectedRootedTree",
     "bench_run",

@@ -207,11 +207,14 @@ def _edges_match(hidden: DirectedRootedTree, edges: set[tuple[int, int]]) -> boo
 # SVG scatter plot, written by hand so the package stays dependency-free.
 
 _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f7943d", "#882e72", "#777777")
+_WIDTH, _HEIGHT = 720, 480
+_CURVE_STEPS = 120
 
 
-def plot_svg(records: Sequence[BenchRecord], width: int = 720, height: int = 480) -> str:
+def plot_svg(records: Sequence[BenchRecord]) -> str:
     """Scatter raw queries against n, one colour per degree bound, with the
     d*n*(log2 n)^2 reference curve overlaid for each degree."""
+    width, height = _WIDTH, _HEIGHT
     points = [(r.n, r.raw_queries, r.d) for r in records if r.n >= 2]
     degrees = sorted({d for _, _, d in points})
     if not points:
@@ -283,6 +286,6 @@ def plot_svg(records: Sequence[BenchRecord], width: int = 720, height: int = 480
     return "\n".join(parts) + "\n"
 
 
-def _curve_grid(x_max: float, steps: int = 120) -> list[int]:
-    grid = sorted({max(2, round(x_max * k / steps)) for k in range(1, steps + 1)})
-    return grid
+def _curve_grid(x_max: float) -> list[int]:
+    steps = _CURVE_STEPS
+    return sorted({max(2, round(x_max * k / steps)) for k in range(1, steps + 1)})

@@ -12,12 +12,7 @@ from .bench import BenchConfig, bench_run, plot_svg, records_to_csv, run_single
 from .errors import InfeasibleDegreeError, InvalidTreeError, TreeFormatError
 from .generators import SHAPES, parallel_chain, random_tree, shaped_tree, uniform_weights
 from .treeio import load_tree, save_tree
-from .trees import (
-    DirectedRootedTree,
-    WeightedDirectedRootedTree,
-    from_edges,
-    max_node_degree,
-)
+from .trees import DirectedRootedTree, WeightedDirectedRootedTree, from_edges
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -107,7 +102,7 @@ def _cmd_generate(args, parser) -> int:
                 parser.error("parallel-chain needs --nodes = branches * length + 1")
             tree = parallel_chain(branches, (n - 1) // branches)
         else:
-            tree = shaped_tree(shape, n, seed=args.seed)
+            tree = shaped_tree(shape, n)
     except (InfeasibleDegreeError, ValueError) as exc:
         parser.error(str(exc))
     out: DirectedRootedTree | WeightedDirectedRootedTree = tree
@@ -124,12 +119,9 @@ def _cmd_reconstruct(args, parser) -> int:
         _check_noise(args, parser)
     if args.regime == "weighted" and not isinstance(hidden, WeightedDirectedRootedTree):
         parser.error("--regime weighted needs a weighted tree file")
-    if args.regime != "weighted":
-        hidden = plain
-    degree_bound = max_node_degree(plain.parent)
 
     outcome = run_single(
-        args.regime, hidden, degree_bound, args.seed, eps=args.eps, delta=args.delta
+        args.regime, hidden, plain.degree_bound, args.seed, eps=args.eps, delta=args.delta
     )
 
     if args.out:

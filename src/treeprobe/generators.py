@@ -71,12 +71,8 @@ def parallel_chain(branches: int, length: int) -> DirectedRootedTree:
     return validate_tree(parent, max_node_degree(parent))
 
 
-def shaped_tree(shape: str, n: int, seed=None) -> DirectedRootedTree:
-    """Canonical named shapes: chain, star, caterpillar, balanced (binary).
-
-    These are deterministic; ``seed`` is accepted for interface uniformity
-    with :func:`random_tree` and ignored.
-    """
+def shaped_tree(shape: str, n: int) -> DirectedRootedTree:
+    """Canonical named shapes: chain, star, caterpillar, balanced (binary)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if shape == "chain":

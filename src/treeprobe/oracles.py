@@ -138,7 +138,6 @@ def majority_vote_count(
     failure_prob: float,
     n: int,
     degree_bound: int,
-    pair_budget: float | None = None,
 ) -> int:
     """Votes per majority query so a whole run stays correct w.h.p.
 
@@ -152,8 +151,6 @@ def majority_vote_count(
     exact algorithm), giving the smallest odd integer at least
 
         (ln C + ln(2/failure_prob)) / (2 * (1/2 - noise)^2).
-
-    ``pair_budget`` overrides C directly (used by tests).
     """
     if not 0.0 < noise < 0.5:
         raise ValueError(f"noise must lie in (0, 0.5), got {noise}")
@@ -162,9 +159,8 @@ def majority_vote_count(
     if n < 2:
         raise ValueError(f"need at least two nodes, got {n}")
     check_degree_feasible(n, degree_bound)
-    if pair_budget is None:
-        log_ceil = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
-        pair_budget = (2.0 / failure_prob) * 4.0 * degree_bound * n * log_ceil**2
+    log_ceil = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
+    pair_budget = (2.0 / failure_prob) * 4.0 * degree_bound * n * log_ceil**2
     need = (math.log(pair_budget) + math.log(2.0 / failure_prob)) / (
         2.0 * (0.5 - noise) ** 2
     )

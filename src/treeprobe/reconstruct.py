@@ -3,9 +3,10 @@
 The driver is a Las-Vegas divide and conquer: sample a random node pair,
 rebuild the skeleton path between them through the oracle, sort every other
 node into the piece of the path position it hangs from, and accept the
-round if some path edge has two balanced enough sides. An accepted round
-keeps every path edge and pushes each piece, a connected subtree, on a stack
-of parts still to solve; the driver loops until the stack is empty. With a
+round if some path edge has two balanced enough sides. Parts still to solve
+wait on a stack, and each pass of the driver loop runs one round on the top
+part: an accepted round keeps every path edge and pushes each piece, a
+connected subtree; a failed round pushes its part back. With a
 degree bound d the balanced cut leaves sides no larger than a (d-1)/d
 fraction and every piece lies inside one side, so the split depth stays
 logarithmic and the whole thing needs O(d n log^2 n) queries in
@@ -17,7 +18,8 @@ A bound below the true degree can leave no balanced edge on any path. Any
 true edge is a correct cut, so the bound only sets the gate: a part whose
 rounds keep failing doubles its gate's bound, which accepts any path once it
 reaches the part size less one, and its pieces start from the bound it was
-accepted at. Every input therefore ends.
+accepted at. Every input therefore ends. A bound of 1 fits only two nodes
+and gates as 2, where they pass.
 
 The driver reads every answer only as a truth value, so all three regimes
 run on it unchanged: an exact bit, a noisy majority bit, or an additive path
@@ -30,17 +32,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InconsistentOracleError
 from .trees import SkeletonPath, check_degree_feasible
-
-
-class SeparatorEdge(NamedTuple):
-    """A cut edge in its true orientation."""
-
-    parent: int
-    child: int
 
 
 @dataclass
@@ -57,7 +52,7 @@ class ReconstructionStats:
 
 
 Edges = set[tuple[int, int]]
-SeparatorHook = Callable[[SeparatorEdge, tuple[int, ...]], None]
+SeparatorHook = Callable[[tuple[int, int], tuple[int, ...]], None]
 
 
 def sort_by_ancestry(oracle, items: Sequence[int]) -> list[int]:
@@ -108,7 +103,7 @@ def find_even_separator(
     path: SkeletonPath,
     n: int,
     degree_bound: int,
-) -> SeparatorEdge | None:
+) -> tuple[int, int] | None:
     """First path edge whose cut leaves both sides big enough, if any.
 
     A side counts as big enough at ceil((n-1)/d) nodes. For integer sizes
@@ -118,8 +113,6 @@ def find_even_separator(
     meeting this threshold always exists: the heaviest component around a
     centroid has at least ceil((n-1)/d) nodes and at most floor(n/2).
     """
-    if degree_bound < 2:
-        return None
     low = -(-(n - 1) // degree_bound)
     high = n - low
     left = 0
@@ -130,16 +123,16 @@ def find_even_separator(
     return None
 
 
-def _path_edge(path: SkeletonPath, r: int) -> SeparatorEdge:
-    """The edge between path positions r and r+1, in its true orientation.
+def _path_edge(path: SkeletonPath, r: int) -> tuple[int, int]:
+    """The (parent, child) edge between path positions r and r+1.
 
     Edges left of the LCA point back toward the sequence head, so the edge
     is (x_{r+1}, x_r) there and (x_r, x_{r+1}) from the LCA on.
     """
     a, b = path.sequence[r - 1], path.sequence[r]
     if r < path.lca_index:
-        return SeparatorEdge(parent=b, child=a)
-    return SeparatorEdge(parent=a, child=b)
+        return b, a
+    return a, b
 
 
 def path_pieces(
@@ -240,14 +233,15 @@ def reconstruct_tree(
     directed path i -> j; nothing else of an answer is read.
     Each accepted round adds every edge of its skeleton path and splits its
     part into one piece per path position. ``degree_bound`` sets only the
-    balance gate: a bound that no tree on these nodes fits (below 1, or 1
+    balance gate. A bound that no tree on these nodes fits (below 1, or 1
     with more than two nodes) raises InfeasibleDegreeError before any query,
-    and a part whose rounds keep failing under a bound below the true degree
-    doubles its own bound, which its pieces inherit, so the edges stay exact.
-    The run is deterministic given the rng state and the oracle's answers.
-    ``separator_hook`` (if given) sees the balanced cut that let each round
-    through, with the node set it was accepted in; the tests audit balance
-    with it.
+    a bound of 1 on two nodes gates as 2, and a part whose rounds keep
+    failing under a bound below the true degree doubles its own bound, which
+    its pieces inherit, so the edges stay exact. The run is deterministic
+    given the rng state and the oracle's answers. ``separator_hook`` (if
+    given) sees the balanced cut that let each round through, as a
+    ``(parent, child)`` pair, with the node set it was accepted in; the tests
+    audit balance with it.
     An InconsistentOracleError raised on the way carries the counters so far
     as its ``stats``.
     """
@@ -255,48 +249,38 @@ def reconstruct_tree(
     check_degree_feasible(len(part), degree_bound)
     stats = ReconstructionStats()
     edges: Edges = set()
-    # Parts still to solve, each with the gate bound it starts from. Pieces
-    # are pushed last to first, so they are solved in path order; that order
-    # fixes which pairs rng draws.
-    stack = [(part, 1, degree_bound)]
+    # Parts still to solve, each with its gate bound and failed rounds so far.
+    # A failed part goes back on top, so it is retried next. Pieces are
+    # pushed last to first, so they are solved in path order; that order
+    # fixes which pairs rng draws. Starting the gate at 2 or more keeps the
+    # doubling below from dividing by zero.
+    stack = [(part, 1, max(degree_bound, 2), 0)]
     try:
         while stack:
-            part, depth, bound = stack.pop()
+            part, depth, bound, failed = stack.pop()
             stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
             size = len(part)
             if size <= 1:
                 continue
-            if size == 2 and bound == 1:
-                # The balance interval is empty at d=1; one query settles the edge.
-                stats.rounds_total += 1
-                a, b = part
-                sep = SeparatorEdge(a, b) if oracle.query(a, b) else SeparatorEdge(b, a)
-                if separator_hook is not None:
-                    separator_hook(sep, tuple(part))
-                edges.add(tuple(sep))
-                continue
-
-            # A correct bound b needs b^2/(b-1) rounds on average. After four
-            # times that many failures the part's gate doubles b; at
-            # b >= size - 1 it accepts any path. Any true edge is a correct
-            # cut, so the pieces keep the bound the part was accepted at.
-            failed = 0
-            while True:
-                stats.rounds_total += 1
-                i, j = rng.sample(part, 2)
-                path, above = reconstruct_skeleton_path(oracle, part, i, j)
-                pieces = path_pieces(oracle, part, path, above)
-                sep = find_even_separator([len(p) for p in pieces], path, size, bound)
-                if sep is not None:
-                    break
+            stats.rounds_total += 1
+            i, j = rng.sample(part, 2)
+            path, above = reconstruct_skeleton_path(oracle, part, i, j)
+            pieces = path_pieces(oracle, part, path, above)
+            sep = find_even_separator([len(p) for p in pieces], path, size, bound)
+            if sep is None:
+                # A correct bound b needs b^2/(b-1) rounds on average. After
+                # four times that many failures the part's gate doubles b; at
+                # b >= size - 1 it accepts any path. Any true edge is a correct
+                # cut, so the pieces keep the bound the part was accepted at.
                 failed += 1
                 if failed >= 4 * bound * bound // (bound - 1):
                     bound, failed = 2 * bound, 0
-
+                stack.append((part, depth, bound, failed))
+                continue
             if separator_hook is not None:
                 separator_hook(sep, tuple(part))
-            edges.update(tuple(_path_edge(path, r)) for r in range(1, len(pieces)))
-            stack.extend((piece, depth + 1, bound) for piece in reversed(pieces))
+            edges.update(_path_edge(path, r) for r in range(1, len(pieces)))
+            stack.extend((piece, depth + 1, bound, 0) for piece in reversed(pieces))
     except InconsistentOracleError as err:
         err.stats = stats
         raise

@@ -104,7 +104,11 @@ def save_tree(tree: AnyTree, path: str | os.PathLike) -> None:
 
 def load_tree(path: str | os.PathLike) -> AnyTree:
     with open(path, "r", encoding="ascii") as fp:
-        return parse_tree(fp.read())
+        try:
+            text = fp.read()
+        except UnicodeDecodeError as exc:
+            raise TreeFormatError(f"not an ASCII tree file: {exc}") from None
+    return parse_tree(text)
 
 
 def _int(token: str, what: str) -> int:

@@ -184,10 +184,8 @@ def check_degree_feasible(n: int, degree_bound: int) -> None:
         )
 
 
-def from_edges(
-    n: int, edges: Iterable[tuple[int, int]], degree_bound: int | None = None
-) -> DirectedRootedTree:
-    """Build a validated tree from (parent, child) pairs.
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> DirectedRootedTree:
+    """Build a validated tree from (parent, child) pairs, at the tight bound.
 
     Raises InvalidTreeError when the pairs are not a tree on 0..n-1 (useful
     for vetting edge sets recovered from unreliable oracles).
@@ -203,7 +201,5 @@ def from_edges(
         count += 1
     if count != n - 1:
         raise InvalidTreeError(f"expected {n - 1} edges, got {count}")
-    if degree_bound is None:
-        degree_bound = max_node_degree(parent)
-    return validate_tree(parent, degree_bound)
+    return validate_tree(parent, max_node_degree(parent))
 

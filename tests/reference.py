@@ -16,7 +16,6 @@ from treeprobe import (
     DirectedRootedTree,
     InvalidTreeError,
     SelfQueryError,
-    SeparatorEdge,
     validate_tree,
 )
 from treeprobe.trees import SkeletonPath
@@ -221,7 +220,7 @@ def enumerate_trees(n: int, degree_bound: int) -> Iterator[DirectedRootedTree]:
         yield from fill(0, root)
 
 
-def check_separator(tree: DirectedRootedTree, separator: SeparatorEdge | tuple[int, int]) -> bool:
+def check_separator(tree: DirectedRootedTree, separator: tuple[int, int]) -> bool:
     """True iff cutting this true edge leaves both sides big enough.
 
     Uses the same balance threshold as the reconstruction (both components

@@ -18,7 +18,6 @@ from treeprobe import (
     ROOT,
     BenchConfig,
     ExactOracle,
-    SeparatorEdge,
     bench_run,
     majority_vote_count,
     max_node_degree,
@@ -265,7 +264,7 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
     audited = 0
     while audited < SAMPLES:
         tree = _random_instance(rng)
-        cuts: list[tuple[SeparatorEdge, tuple[int, ...]]] = []
+        cuts: list[tuple[tuple[int, int], tuple[int, ...]]] = []
         reconstruct_tree(
             ExactOracle(tree),
             range(tree.n),
@@ -273,9 +272,9 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
             random.Random(rng.getrandbits(32)),
             separator_hook=lambda sep, part: cuts.append((sep, part)),
         )
-        for sep, part in cuts:
+        for (p, c), part in cuts:
             sub, order = _induced_subtree(tree, part)
-            if not check_separator(sub, (order[sep.parent], order[sep.child])):
+            if not check_separator(sub, (order[p], order[c])):
                 sep_bad += 1
         audited += len(cuts)
 

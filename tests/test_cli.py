@@ -147,9 +147,10 @@ class TestReconstruct:
 
     def test_malformed_tree_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
-        bad.write_text("3\n0 -1\n")
-        assert run("reconstruct", "--tree", str(bad)) == EXIT_IO
-        assert "error:" in capsys.readouterr().err
+        for content in (b"3\n0 -1\n", b"2\n0 -1\n1 0 0.5\xc3\xa9\n"):
+            bad.write_bytes(content)
+            assert run("reconstruct", "--tree", str(bad)) == EXIT_IO
+            assert "error:" in capsys.readouterr().err
 
 
 class TestVerify:

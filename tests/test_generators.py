@@ -66,9 +66,6 @@ class TestShapedTree:
         tree = shaped_tree("balanced", 7)
         assert tree.parent == (-1, 0, 0, 1, 1, 2, 2)
 
-    def test_seed_is_ignored(self):
-        assert tree_equals(shaped_tree("chain", 9, seed=1), shaped_tree("chain", 9, seed=2))
-
     def test_single_node_shapes(self):
         for shape in ("chain", "star", "caterpillar", "balanced"):
             assert shaped_tree(shape, 1).parent == (-1,)

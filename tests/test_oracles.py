@@ -329,9 +329,6 @@ def test_query_is_the_only_public_callable(bent_tree, kind):
 
 
 class TestMajorityVoteCount:
-    def test_forced_budget_worked_example(self):
-        assert majority_vote_count(0.1, 0.05, 100, 3, pair_budget=1e6) == 55
-
     def test_default_budget_values(self):
         assert majority_vote_count(0.1, 0.1, 200, 5) == 59
         assert majority_vote_count(0.1, 0.05, 200, 5) == 63

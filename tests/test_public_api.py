@@ -1,0 +1,56 @@
+"""The package's public surface, pinned so that any change to it is explicit."""
+
+import treeprobe
+
+PUBLIC_NAMES = [
+    "AdditiveOracle",
+    "BenchConfig",
+    "BenchRecord",
+    "CSV_HEADER",
+    "CycleError",
+    "DegreeBoundError",
+    "DirectedRootedTree",
+    "ExactOracle",
+    "InconsistentOracleError",
+    "InfeasibleDegreeError",
+    "InvalidTreeError",
+    "MultipleRootsError",
+    "NoisyOracle",
+    "ROOT",
+    "ReconstructionStats",
+    "SelfQueryError",
+    "TreeFormatError",
+    "WeightedDirectedRootedTree",
+    "bench_run",
+    "derive_seed",
+    "format_tree",
+    "from_edges",
+    "load_tree",
+    "majority_vote_count",
+    "max_node_degree",
+    "parallel_chain",
+    "parse_tree",
+    "plot_svg",
+    "random_tree",
+    "reconstruct_tree",
+    "reconstruct_weighted",
+    "records_to_csv",
+    "run_single",
+    "save_tree",
+    "shaped_tree",
+    "tree_equals",
+    "uniform_weights",
+    "validate_tree",
+]
+
+
+def test_all_is_the_pinned_list():
+    assert PUBLIC_NAMES == sorted(set(PUBLIC_NAMES))
+    assert len(PUBLIC_NAMES) == 38
+    assert sorted(treeprobe.__all__) == PUBLIC_NAMES
+    assert len(treeprobe.__all__) == len(set(treeprobe.__all__))
+
+
+def test_every_public_name_resolves():
+    for name in treeprobe.__all__:
+        assert getattr(treeprobe, name) is not None

@@ -15,7 +15,6 @@ from treeprobe import (
     InconsistentOracleError,
     InfeasibleDegreeError,
     NoisyOracle,
-    SeparatorEdge,
     majority_vote_count,
     parallel_chain,
     random_tree,
@@ -277,13 +276,11 @@ class TestFindEvenSeparator:
 
     def test_edge_left_of_the_lca_points_backward(self):
         path = SkeletonPath((0, 1, 2, 3, 4), 3)
-        sep = find_even_separator(self.BAGS, path, 11, 3)
-        assert sep == SeparatorEdge(parent=2, child=1)
+        assert find_even_separator(self.BAGS, path, 11, 3) == (2, 1)
 
     def test_edge_right_of_the_lca_points_forward(self):
         path = SkeletonPath((0, 1, 2, 3, 4), 1)
-        sep = find_even_separator(self.BAGS, path, 11, 3)
-        assert sep == SeparatorEdge(parent=1, child=2)
+        assert find_even_separator(self.BAGS, path, 11, 3) == (1, 2)
 
     def test_no_balanced_edge_returns_none(self):
         # A hub with 7 nodes hanging off the middle: prefixes are 1 and 8,
@@ -291,17 +288,12 @@ class TestFindEvenSeparator:
         path = SkeletonPath((0, 1, 2), 2)
         assert find_even_separator([1, 7, 1], path, 9, 3) is None
 
-    def test_degree_bound_one_has_no_interval(self):
-        path = SkeletonPath((0, 1), 1)
-        assert find_even_separator([1, 1], path, 2, 1) is None
-
     def test_tight_star_threshold_accepts_a_leaf_edge(self):
         # n = 4 around a full-degree hub: every cut is (1, 3), and the
         # acceptance floor must come down to ceil((n-1)/d) = 1 for any
         # progress to be possible.
         path = SkeletonPath((1, 0, 2), 2)
-        sep = find_even_separator([1, 2, 1], path, 4, 3)
-        assert sep == SeparatorEdge(parent=0, child=1)
+        assert find_even_separator([1, 2, 1], path, 4, 3) == (0, 1)
 
 
 class TestPathPieces:
@@ -360,10 +352,13 @@ class TestReconstructTree:
         assert stats.rounds_total == 0
 
     def test_two_nodes_at_degree_one_take_one_round(self):
+        # Bound 1 gates as 2: one round asks both directions of the pair.
         oracle = ExactOracle(shaped_tree("chain", 2))
         edges, stats = reconstruct_tree(oracle, [0, 1], 1, random.Random(0))
         assert edges == {(0, 1)}
         assert stats.rounds_total == 1
+        assert oracle.calls == 2
+        assert stats.recursion_depth_max == 2
 
     @pytest.mark.parametrize("n, bound", [(2, 0), (2, -1), (3, 1), (3, 0), (40, 1)])
     def test_infeasible_degree_bound_raises_before_any_query(self, n, bound):
@@ -380,7 +375,7 @@ class TestReconstructTree:
         edges, _ = reconstruct_tree(
             oracle, range(11), 3, rng, separator_hook=lambda sep, part: accepted.append((sep, part))
         )
-        assert accepted[0] == (SeparatorEdge(2, 1), tuple(range(11)))
+        assert accepted[0] == ((2, 1), tuple(range(11)))
         assert edges == set(bent_tree.edges())
 
     def test_nodes_above_the_lca_cost_no_bag_query(self, bent_tree):
@@ -410,7 +405,7 @@ class TestReconstructTree:
         # One gating cut per accepted round, each a distinct true edge.
         assert seen
         assert len(set(seen)) == len(seen)
-        assert all(tuple(sep) in truth for sep in seen)
+        assert all(sep in truth for sep in seen)
 
     def test_deterministic_given_seed_and_oracle(self, bent_tree):
         runs = []
@@ -461,6 +456,44 @@ class TestReconstructTree:
         liar = _TableOracle({(0, 1): 1, (1, 0): 1})
         with pytest.raises(InconsistentOracleError):
             reconstruct_tree(liar, range(2), 2, ScriptedRng([(0, 1)]))
+
+
+def _run_exact(tree, bound):
+    oracle = ExactOracle(tree)
+    edges, stats = reconstruct_tree(oracle, range(tree.n), bound, random.Random(0))
+    return oracle, edges, stats
+
+
+def _run_noisy(tree, bound):
+    oracle = NoisyOracle(tree, 0.1, seed=1, votes=55)
+    edges, stats = reconstruct_tree(oracle, range(tree.n), bound, random.Random(0))
+    return oracle, edges, stats
+
+
+def _run_weighted(tree, bound):
+    oracle = AdditiveOracle(uniform_weights(tree, seed=9))
+    edges, _, stats = reconstruct_weighted(oracle, range(tree.n), bound, random.Random(0))
+    return oracle, edges, stats
+
+
+@pytest.mark.parametrize(
+    "run, tree, bound, calls, rounds, depth",
+    [
+        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 4939, 192, 8, id="random-d3"),
+        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 5828, 164, 11, id="random-d10"),
+        pytest.param(_run_exact, parallel_chain(4, 30), 4, 1612, 21, 6, id="parallel-chain"),
+        pytest.param(_run_exact, shaped_tree("star", 40), 2, 42550, 295, 23, id="star-doubling"),
+        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 5052, 128, 8, id="wrong-bound"),
+        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 2612, 81, 7, id="noisy"),
+        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 5238, 192, 8, id="weighted"),
+    ],
+)
+def test_query_stream_is_pinned(run, tree, bound, calls, rounds, depth):
+    # Query, round and depth counts are a pure function of the seeds, so any
+    # change to the order of rng draws or oracle queries shows here.
+    oracle, edges, stats = run(tree, bound)
+    assert edges == set(tree.edges())
+    assert (oracle.calls, stats.rounds_total, stats.recursion_depth_max) == (calls, rounds, depth)
 
 
 class TestEveryInputTerminates:
@@ -585,9 +618,3 @@ class TestReconstructWeighted:
             AdditiveOracle(hidden), range(20), 4, random.Random(2)
         )
         assert set(weights) == edges
-
-
-def test_separator_edge_is_a_plain_tuple():
-    sep = SeparatorEdge(parent=3, child=7)
-    assert tuple(sep) == (3, 7)
-    assert sep.parent == 3 and sep.child == 7

@@ -204,7 +204,7 @@ class TestHelpers:
         assert max_node_degree(BENT_PARENT) == 3
 
     def test_from_edges_round_trips_a_tree(self, spine_tree):
-        rebuilt = from_edges(11, spine_tree.edges(), degree_bound=3)
+        rebuilt = from_edges(11, spine_tree.edges())
         assert tree_equals(rebuilt, spine_tree)
 
     def test_from_edges_defaults_to_the_tight_bound(self):
