@@ -1,11 +1,9 @@
 """treeprobe: reconstruct hidden directed rooted trees from path queries."""
 
 from .bench import (
-    CSV_HEADER,
     BenchConfig,
     BenchRecord,
     bench_run,
-    derive_seed,
     plot_svg,
     records_to_csv,
     run_single,
@@ -34,14 +32,12 @@ from .trees import (
     WeightedDirectedRootedTree,
     from_edges,
     max_node_degree,
-    tree_equals,
     validate_tree,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CSV_HEADER",
     "ROOT",
     "AdditiveOracle",
     "BenchConfig",
@@ -60,7 +56,6 @@ __all__ = [
     "TreeFormatError",
     "WeightedDirectedRootedTree",
     "bench_run",
-    "derive_seed",
     "format_tree",
     "from_edges",
     "load_tree",
@@ -76,7 +71,6 @@ __all__ = [
     "run_single",
     "save_tree",
     "shaped_tree",
-    "tree_equals",
     "uniform_weights",
     "validate_tree",
 ]

@@ -9,16 +9,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import InconsistentOracleError, InvalidTreeError
+from .errors import InconsistentOracleError
 from .generators import random_tree, uniform_weights
 from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, majority_vote_count
 from .reconstruct import ReconstructionStats, reconstruct_tree, reconstruct_weighted
-from .trees import (
-    DirectedRootedTree,
-    WeightedDirectedRootedTree,
-    from_edges,
-    tree_equals,
-)
+from .trees import DirectedRootedTree, WeightedDirectedRootedTree
 
 REGIMES = ("exact", "noisy", "weighted")
 
@@ -122,7 +117,7 @@ def run_single(
     except InconsistentOracleError as err:
         edges, stats, success = set(), err.stats, False
     else:
-        success = _edges_match(plain, edges) and (
+        success = edges == set(plain.edges()) and (
             weights_out is None or weights_out == dict(hidden.weights)
         )
 
@@ -193,14 +188,6 @@ def records_to_csv(records: Iterable[BenchRecord]) -> str:
             f"{str(r.success).lower()},{r.wall_ms:.3f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _edges_match(hidden: DirectedRootedTree, edges: set[tuple[int, int]]) -> bool:
-    try:
-        candidate = from_edges(hidden.n, edges)
-    except InvalidTreeError:
-        return False
-    return tree_equals(hidden, candidate)
 
 
 # ---------------------------------------------------------------------------

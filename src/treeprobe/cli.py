@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verify mismatch, 2 usage error, 3 IO or parse error.
+Exit codes: 0 success, 1 verify mismatch or failed reconstruction, 2 usage
+error, 3 IO or parse error.
 """
 
 from __future__ import annotations
@@ -8,8 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import BenchConfig, bench_run, plot_svg, records_to_csv, run_single
-from .errors import InfeasibleDegreeError, InvalidTreeError, TreeFormatError
+from .bench import REGIMES, BenchConfig, bench_run, plot_svg, records_to_csv, run_single
+from .errors import InfeasibleDegreeError, TreeFormatError
 from .generators import SHAPES, parallel_chain, random_tree, shaped_tree, uniform_weights
 from .treeio import load_tree, save_tree
 from .trees import DirectedRootedTree, WeightedDirectedRootedTree, from_edges
@@ -57,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("reconstruct", help="reconstruct a hidden tree file through a simulated oracle")
     rec.add_argument("--tree", required=True, help="hidden tree file (the simulation's ground truth)")
-    rec.add_argument("--regime", choices=("exact", "noisy", "weighted"), default="exact")
+    rec.add_argument("--regime", choices=REGIMES, default="exact")
     rec.add_argument("--eps", type=float, help="noise rate, noisy regime only")
     rec.add_argument("--delta", type=float, help="failure probability budget, noisy regime only")
     rec.add_argument("--seed", type=int, default=0)
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.set_defaults(run=_cmd_reconstruct)
 
     ben = sub.add_parser("bench", help="run a seeded benchmark grid")
-    ben.add_argument("--regime", choices=("exact", "noisy", "weighted"), default="exact")
+    ben.add_argument("--regime", choices=REGIMES, default="exact")
     ben.add_argument("--nodes", type=_int_list, required=True, help="comma-separated sizes")
     ben.add_argument("--degrees", type=_int_list, required=True, help="comma-separated bounds")
     ben.add_argument("--reps", type=int, default=10)
@@ -124,18 +125,6 @@ def _cmd_reconstruct(args, parser) -> int:
         args.regime, hidden, plain.degree_bound, args.seed, eps=args.eps, delta=args.delta
     )
 
-    if args.out:
-        result: DirectedRootedTree | WeightedDirectedRootedTree
-        try:
-            result = from_edges(plain.n, outcome.edges)
-        except InvalidTreeError:
-            # A failed noisy run can leave edges that form no tree at all.
-            print("error: recovered edges do not form a tree; not writing --out",
-                  file=sys.stderr)
-            return EXIT_MISMATCH
-        if outcome.weights is not None:
-            result = WeightedDirectedRootedTree(result, outcome.weights)
-        save_tree(result, args.out)
     if args.stats:
         print(f"success={str(outcome.success).lower()}")
         print(f"raw_queries={outcome.raw_queries}")
@@ -144,6 +133,16 @@ def _cmd_reconstruct(args, parser) -> int:
         print(f"max_depth={outcome.stats.recursion_depth_max}")
         if outcome.votes is not None:
             print(f"votes={outcome.votes}")
+    if not outcome.success:
+        print("error: reconstruction failed", file=sys.stderr)
+        return EXIT_MISMATCH
+    if args.out:
+        # A successful run recovered exactly the hidden tree's edges.
+        result: DirectedRootedTree | WeightedDirectedRootedTree
+        result = from_edges(plain.n, outcome.edges)
+        if outcome.weights is not None:
+            result = WeightedDirectedRootedTree(result, outcome.weights)
+        save_tree(result, args.out)
     return EXIT_OK
 
 

@@ -1,15 +1,17 @@
 """Tree reconstruction from path queries.
 
 The driver is a Las-Vegas divide and conquer: sample a random node pair,
-rebuild the skeleton path between them through the oracle, sort every other
-node into the piece of the path position it hangs from, and accept the
-round if some path edge has two balanced enough sides. Parts still to solve
-wait on a stack, and each pass of the driver loop runs one round on the top
-part: an accepted round keeps every path edge and pushes each piece, a
-connected subtree; a failed round pushes its part back. With a
-degree bound d the balanced cut leaves sides no larger than a (d-1)/d
-fraction and every piece lies inside one side, so the split depth stays
-logarithmic and the whole thing needs O(d n log^2 n) queries in
+rebuild the skeleton path between them through the oracle, put every other
+node into the piece of the path node it hangs from, and accept the round if
+some path edge has two balanced enough sides. A path is held as its two
+slopes, each running from the lowest common ancestor (LCA) down to one
+endpoint, so consecutive slope nodes are (parent, child) edges as they
+stand. Parts still to solve wait on a stack, and each pass of the driver
+loop runs one round on the top part: an accepted round keeps every path
+edge and pushes each piece, a connected subtree; a failed round pushes its
+part back. With a degree bound d the balanced cut leaves sides no larger
+than a (d-1)/d fraction and every piece lies inside one side, so the split
+depth stays logarithmic and the whole thing needs O(d n log^2 n) queries in
 expectation. Each round scans its part once for the path and once for the
 pieces, and asks nothing twice: nodes the path scan found above both
 endpoints join the LCA's piece without a bag search.
@@ -35,7 +37,7 @@ from functools import cmp_to_key
 from typing import Callable, Iterable, Sequence
 
 from .errors import InconsistentOracleError
-from .trees import SkeletonPath, check_degree_feasible
+from .trees import check_degree_feasible
 
 
 @dataclass
@@ -64,34 +66,32 @@ def sort_by_ancestry(oracle, items: Sequence[int]) -> list[int]:
     return sorted(items, key=cmp_to_key(compare))
 
 
-def find_bag(oracle, path_left: Sequence[int], path_right: Sequence[int], node: int) -> int:
-    """1-based path position that an off-path ``node`` hangs from.
+def find_bag(oracle, to_i: Sequence[int], to_j: Sequence[int], node: int) -> int:
+    """The path node that an off-path ``node`` hangs from.
 
-    ``path_left`` runs from the LCA to the head of the path and
-    ``path_right`` from the LCA to its tail. Reachability along each slope
-    is monotone (a prefix of ones), so a binary search finds the deepest
-    slope node above ``node`` in at most ceil(log2 k) queries. The left
-    search decides unless it stops at the LCA; only then is the right slope
-    searched. Left slope position s is path position len(path_left) + 1 - s
-    and right slope position s is len(path_left) + s - 1.
+    ``to_i`` and ``to_j`` are the path's slopes, each running from the LCA
+    down to one endpoint. Reachability along a slope is monotone (a prefix
+    of ones), so a binary search finds the deepest slope node above ``node``
+    in at most ceil(log2 k) queries. The ``to_i`` search decides unless it
+    stops at the LCA; only then is ``to_j`` searched.
     """
-    at = _deepest_hit(oracle, path_left, node)
-    if at > 1:
-        return len(path_left) + 1 - at
-    return len(path_left) + _deepest_hit(oracle, path_right, node) - 1
+    at = _deepest_hit(oracle, to_i, node)
+    if at > 0:
+        return to_i[at]
+    return to_j[_deepest_hit(oracle, to_j, node)]
 
 
 def _deepest_hit(oracle, slope: Sequence[int], node: int) -> int:
-    """Largest 1-based index t on a directed path with Q(slope[t], node) = 1.
+    """Largest 0-based index t on a directed path with Q(slope[t], node) = 1.
 
-    Returns 1 when no position qualifies. A binary search over [lo, hi] with
-    ceiling midpoints: a hit moves lo to the midpoint, a miss moves hi just
-    below it.
+    Returns 0 when no position qualifies; slope[0] itself is never asked. A
+    binary search over [lo, hi] with ceiling midpoints: a hit moves lo to
+    the midpoint, a miss moves hi just below it.
     """
-    lo, hi = 1, len(slope)
+    lo, hi = 0, len(slope) - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if oracle.query(slope[mid - 1], node):
+        if oracle.query(slope[mid], node):
             lo = mid
         else:
             hi = mid - 1
@@ -99,71 +99,61 @@ def _deepest_hit(oracle, slope: Sequence[int], node: int) -> int:
 
 
 def find_even_separator(
-    bag_sizes: Sequence[int],
-    path: SkeletonPath,
+    piece_sizes: Sequence[int],
+    cuts: Sequence[tuple[int, int]],
     n: int,
     degree_bound: int,
 ) -> tuple[int, int] | None:
     """First path edge whose cut leaves both sides big enough, if any.
 
-    A side counts as big enough at ceil((n-1)/d) nodes. For integer sizes
-    this matches the ideal n/d fraction except when n is 1 mod d, where the
-    ideal is unreachable (stars and spiders with a full-degree hub have no
-    better split than (n-1)/d) and one fewer node must be accepted. An edge
-    meeting this threshold always exists: the heaviest component around a
-    centroid has at least ceil((n-1)/d) nodes and at most floor(n/2).
+    ``cuts`` are the path's edges in path order, edge r between the pieces
+    r and r+1. A side counts as big enough at ceil((n-1)/d) nodes. For
+    integer sizes this matches the ideal n/d fraction except when n is 1 mod
+    d, where the ideal is unreachable (stars and spiders with a full-degree
+    hub have no better split than (n-1)/d) and one fewer node must be
+    accepted. An edge meeting this threshold always exists: the heaviest
+    component around a centroid has at least ceil((n-1)/d) nodes and at most
+    floor(n/2).
     """
     low = -(-(n - 1) // degree_bound)
     high = n - low
     left = 0
-    for r in range(1, len(path.sequence)):
-        left += bag_sizes[r - 1]
+    for size, cut in zip(piece_sizes, cuts):
+        left += size
         if low <= left <= high:
-            return _path_edge(path, r)
+            return cut
     return None
 
 
-def _path_edge(path: SkeletonPath, r: int) -> tuple[int, int]:
-    """The (parent, child) edge between path positions r and r+1.
-
-    Edges left of the LCA point back toward the sequence head, so the edge
-    is (x_{r+1}, x_r) there and (x_r, x_{r+1}) from the LCA on.
-    """
-    a, b = path.sequence[r - 1], path.sequence[r]
-    if r < path.lca_index:
-        return b, a
-    return a, b
-
-
 def path_pieces(
-    oracle, part: Sequence[int], path: SkeletonPath, above: Sequence[int]
+    oracle, part: Sequence[int], to_i: Sequence[int], to_j: Sequence[int], above: Sequence[int]
 ) -> list[list[int]]:
-    """One piece per path position: the path node and every node hanging from it.
+    """One piece per path node, in path order from i to j: the path node and
+    every node hanging from it.
 
     Cutting all path edges leaves exactly these pieces, each a connected
     subtree. ``above`` (the scan's nodes above both endpoints) joins the
     LCA's piece with no search; every other node is placed by find_bag.
     Each piece lists its path node first, then the rest in ``part`` order.
     """
-    seq, lca = path.sequence, path.lca_index
-    path_left = seq[:lca][::-1]  # LCA first, descending toward the head
-    path_right = seq[lca - 1 :]  # LCA first, descending toward the tail
-    pieces = [[k] for k in seq]
-    pieces[lca - 1].extend(above)
-    placed = {*seq, *above}
+    pieces = {k: [k] for k in (*reversed(to_i), *to_j[1:])}
+    pieces[to_i[0]].extend(above)
+    placed = {*pieces, *above}
     for k in part:
         if k not in placed:
-            pieces[find_bag(oracle, path_left, path_right, k) - 1].append(k)
-    return pieces
+            pieces[find_bag(oracle, to_i, to_j, k)].append(k)
+    return list(pieces.values())
 
 
 def reconstruct_skeleton_path(
     oracle, nodes: Sequence[int], i: int, j: int
-) -> tuple[SkeletonPath, list[int]]:
+) -> tuple[list[int], list[int], list[int]]:
     """Rebuild the skeleton path between i and j in one membership pass.
 
-    Returns the path, oriented i -> j like the ground truth, and the nodes
-    found above both endpoints but off the path; those hang from the LCA.
+    Returns the path as its two slopes ``(to_i, to_j)``, each running from
+    the LCA down to one endpoint (an endpoint that is the LCA is its own
+    one-node slope), and the nodes found above both endpoints but off the
+    path; those hang from the LCA.
     Every other node k is asked whether it is an ancestor of i and of j: an
     ancestor of only i lies on the i side below the LCA, an ancestor of only
     j on the j side, and an ancestor of both at or above the LCA. When one
@@ -177,13 +167,12 @@ def reconstruct_skeleton_path(
     if i_to_j and j_to_i:
         raise InconsistentOracleError(f"nodes {i} and {j} each claim a path to the other")
     left, right, above = [], [], []
-    apex = []
     if i_to_j or j_to_i:
-        upper, lower, slope = (i, j, right) if i_to_j else (j, i, left)
+        lca, lower, slope = (i, j, right) if i_to_j else (j, i, left)
         for k in nodes:
             if k == i or k == j:
                 continue
-            if query(k, upper):
+            if query(k, lca):
                 above.append(k)
             elif query(k, lower):
                 slope.append(k)
@@ -208,16 +197,10 @@ def reconstruct_skeleton_path(
         for t in range(1, len(above)):
             if query(above[deepest], above[t]):
                 deepest = t
-        apex = [above.pop(deepest)]
-    left_sorted = sort_by_ancestry(oracle, left)
-    seq = [i, *reversed(left_sorted), *apex, *sort_by_ancestry(oracle, right), j]
-    if i_to_j:
-        lca_index = 1
-    elif j_to_i:
-        lca_index = len(seq)
-    else:
-        lca_index = 2 + len(left_sorted)
-    return SkeletonPath(tuple(seq), lca_index), above
+        lca = above.pop(deepest)
+    to_i = [lca, *sort_by_ancestry(oracle, left), i] if lca != i else [i]
+    to_j = [lca, *sort_by_ancestry(oracle, right), j] if lca != j else [j]
+    return to_i, to_j, above
 
 
 def reconstruct_tree(
@@ -232,9 +215,10 @@ def reconstruct_tree(
     ``oracle.query(i, j)`` must be truthy exactly when the oracle claims a
     directed path i -> j; nothing else of an answer is read.
     Each accepted round adds every edge of its skeleton path and splits its
-    part into one piece per path position. ``degree_bound`` sets only the
-    balance gate. A bound that no tree on these nodes fits (below 1, or 1
-    with more than two nodes) raises InfeasibleDegreeError before any query,
+    part into one piece per path node. ``degree_bound`` sets only the
+    balance gate. A node listed twice raises ValueError, and a bound that no
+    tree on these nodes fits (below 1, or 1 with more than two nodes) raises
+    InfeasibleDegreeError, both before any query;
     a bound of 1 on two nodes gates as 2, and a part whose rounds keep
     failing under a bound below the true degree doubles its own bound, which
     its pieces inherit, so the edges stay exact. The run is deterministic
@@ -246,6 +230,9 @@ def reconstruct_tree(
     as its ``stats``.
     """
     part = sorted(nodes)
+    for a, b in zip(part, part[1:]):
+        if a == b:
+            raise ValueError(f"node {a} is listed more than once")
     check_degree_feasible(len(part), degree_bound)
     stats = ReconstructionStats()
     edges: Edges = set()
@@ -264,9 +251,11 @@ def reconstruct_tree(
                 continue
             stats.rounds_total += 1
             i, j = rng.sample(part, 2)
-            path, above = reconstruct_skeleton_path(oracle, part, i, j)
-            pieces = path_pieces(oracle, part, path, above)
-            sep = find_even_separator([len(p) for p in pieces], path, size, bound)
+            to_i, to_j, above = reconstruct_skeleton_path(oracle, part, i, j)
+            pieces = path_pieces(oracle, part, to_i, to_j, above)
+            # The path's (parent, child) edges in path order, from i to j.
+            cuts = [*reversed([*zip(to_i, to_i[1:])]), *zip(to_j, to_j[1:])]
+            sep = find_even_separator([len(p) for p in pieces], cuts, size, bound)
             if sep is None:
                 # A correct bound b needs b^2/(b-1) rounds on average. After
                 # four times that many failures the part's gate doubles b; at
@@ -279,7 +268,7 @@ def reconstruct_tree(
                 continue
             if separator_hook is not None:
                 separator_hook(sep, tuple(part))
-            edges.update(_path_edge(path, r) for r in range(1, len(pieces)))
+            edges.update(cuts)
             stack.extend((piece, depth + 1, bound, 0) for piece in reversed(pieces))
     except InconsistentOracleError as err:
         err.stats = stats

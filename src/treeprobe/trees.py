@@ -1,4 +1,4 @@
-"""Directed rooted trees: validation, skeleton paths, degree checks.
+"""Directed rooted trees: validation, degree checks, edge-list conversion.
 
 Everything in this module works from ground truth (the full parent array).
 The query-driven driver lives in :mod:`treeprobe.reconstruct` and is only
@@ -76,27 +76,6 @@ class WeightedDirectedRootedTree:
         return self.tree.n
 
 
-@dataclass(frozen=True)
-class SkeletonPath:
-    """The unique path between two nodes in the undirected skeleton.
-
-    ``sequence`` lists the nodes in order from the first endpoint to the
-    second. ``lca_index`` is the 1-based position of the lowest common
-    ancestor inside ``sequence``; it is 1 exactly when the whole sequence is
-    a single directed path starting at the head.
-    """
-
-    sequence: tuple[int, ...]
-    lca_index: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.lca_index <= len(self.sequence):
-            raise ValueError(
-                f"lca_index {self.lca_index} out of range for a "
-                f"{len(self.sequence)}-node sequence"
-            )
-
-
 def validate_tree(parent: Sequence[int], degree_bound: int) -> DirectedRootedTree:
     """Check a parent array and return the immutable tree.
 
@@ -156,11 +135,6 @@ def validate_tree(parent: Sequence[int], degree_bound: int) -> DirectedRootedTre
         root=root,
         degree_bound=degree_bound,
     )
-
-
-def tree_equals(a: DirectedRootedTree, b: DirectedRootedTree) -> bool:
-    """Same node count and identical parent arrays (bounds are ignored)."""
-    return a.parent == b.parent
 
 
 def max_node_degree(parent: Sequence[int]) -> int:

@@ -18,7 +18,6 @@ from treeprobe import (
     SelfQueryError,
     validate_tree,
 )
-from treeprobe.trees import SkeletonPath
 
 ENUMERATION_CAP = 7
 
@@ -47,12 +46,11 @@ def root_chain(tree: DirectedRootedTree, v: int) -> list[int]:
     return chain
 
 
-def skeleton_path(tree: DirectedRootedTree, i: int, j: int) -> SkeletonPath:
-    """Ground-truth path between i and j, oriented from i to j.
+def skeleton_path(tree: DirectedRootedTree, i: int, j: int) -> tuple[list[int], list[int]]:
+    """Ground-truth path between i and j as its two slopes ``(to_i, to_j)``.
 
-    The result climbs from i to the lowest common ancestor and descends to
-    j; when one endpoint is an ancestor of the other this degenerates to a
-    single directed path.
+    Each slope runs from the lowest common ancestor down to one endpoint;
+    an endpoint that is the ancestor of the other is its own one-node slope.
     """
     _check_pair(tree.n, i, j)
     parent = tree.parent
@@ -69,25 +67,21 @@ def skeleton_path(tree: DirectedRootedTree, i: int, j: int) -> SkeletonPath:
     while k not in pos:
         down_j.append(k)
         k = parent[k]
-    lca_at = pos[k]
 
-    sequence = up_i[: lca_at + 1] + down_j[::-1]
-    return SkeletonPath(tuple(sequence), lca_at + 1)
+    return up_i[pos[k] :: -1], [k, *reversed(down_j)]
 
 
-def bag_indices(tree: DirectedRootedTree, path: SkeletonPath) -> dict[int, int]:
-    """Map every node to the 1-based path position it hangs from.
+def bag_nodes(tree: DirectedRootedTree, to_i: list[int], to_j: list[int]) -> dict[int, int]:
+    """Map every node to the path node it hangs from.
 
     Remove the path's edges from the skeleton; each remaining component
-    contains exactly one path node, and all nodes of the component share its
-    index. Path nodes map to their own position.
+    contains exactly one path node, and all nodes of the component map to
+    it. Path nodes map to themselves.
     """
-    seq = path.sequence
-    index_of = {v: t + 1 for t, v in enumerate(seq)}
     cut = set()
-    for a, b in zip(seq, seq[1:]):
-        cut.add((a, b))
-        cut.add((b, a))
+    for slope in (to_i, to_j):
+        for a, b in zip(slope, slope[1:]):
+            cut.add((a, b))
 
     neighbours: list[list[int]] = [[] for _ in range(tree.n)]
     for p, c in tree.edges():
@@ -96,19 +90,23 @@ def bag_indices(tree: DirectedRootedTree, path: SkeletonPath) -> dict[int, int]:
             neighbours[c].append(p)
 
     out: dict[int, int] = {}
-    for start in seq:
-        label = index_of[start]
+    for start in (*to_i, *to_j):
         stack = [start]
-        out[start] = label
+        out[start] = start
         while stack:
             u = stack.pop()
             for w in neighbours[u]:
                 if w not in out:
-                    out[w] = label
+                    out[w] = start
                     stack.append(w)
     if len(out) != tree.n:
         raise ValueError("path does not belong to this tree")
     return out
+
+
+def tree_equals(a: DirectedRootedTree, b: DirectedRootedTree) -> bool:
+    """Same node count and identical parent arrays (bounds are ignored)."""
+    return a.parent == b.parent
 
 
 def subtree_size(tree: DirectedRootedTree, v: int) -> int:

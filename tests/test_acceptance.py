@@ -29,7 +29,7 @@ from treeprobe.cli import EXIT_OK, main as cli_main
 from treeprobe.reconstruct import find_bag, path_pieces, reconstruct_skeleton_path
 
 from reference import (
-    bag_indices,
+    bag_nodes,
     check_separator,
     enumerate_trees,
     is_ancestor,
@@ -212,8 +212,8 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
     for _ in range(SAMPLES):
         tree = _random_instance(rng)
         i, j = rng.sample(range(tree.n), 2)
-        rebuilt, _ = reconstruct_skeleton_path(ExactOracle(tree), range(tree.n), i, j)
-        if rebuilt != skeleton_path(tree, i, j):
+        to_i, to_j, _ = reconstruct_skeleton_path(ExactOracle(tree), range(tree.n), i, j)
+        if (to_i, to_j) != skeleton_path(tree, i, j):
             path_bad += 1
 
     lca_bad = 0
@@ -225,25 +225,22 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
             continue  # chains have no incomparable pair; draw another tree
         done += 1
         i, j = pair
-        rebuilt, _ = reconstruct_skeleton_path(ExactOracle(tree), range(tree.n), i, j)
-        if rebuilt.sequence[rebuilt.lca_index - 1] != _true_lca(tree, i, j):
+        to_i, _, _ = reconstruct_skeleton_path(ExactOracle(tree), range(tree.n), i, j)
+        if to_i[0] != _true_lca(tree, i, j):
             lca_bad += 1
 
     bag_bad = 0
     for _ in range(SAMPLES):
         tree = _random_instance(rng)
         i, j = rng.sample(range(tree.n), 2)
-        path = skeleton_path(tree, i, j)
-        truth = bag_indices(tree, path)
+        to_i, to_j = skeleton_path(tree, i, j)
+        truth = bag_nodes(tree, to_i, to_j)
         oracle = ExactOracle(tree)
-        seq, lca = path.sequence, path.lca_index
-        left = seq[:lca][::-1]  # the two descending slopes the searches walk
-        right = seq[lca - 1 :]
-        on_path = set(seq)
+        on_path = {*to_i, *to_j}
         for k in range(tree.n):
             if k in on_path:
                 continue
-            if find_bag(oracle, left, right, k) != truth[k]:
+            if find_bag(oracle, to_i, to_j, k) != truth[k]:
                 bag_bad += 1
                 break
 
@@ -251,12 +248,12 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
     for _ in range(SAMPLES):
         tree = _random_instance(rng)
         i, j = rng.sample(range(tree.n), 2)
-        path = skeleton_path(tree, i, j)
-        above = root_chain(tree, path.sequence[path.lca_index - 1])
-        pieces = path_pieces(ExactOracle(tree), range(tree.n), path, above)
-        truth = bag_indices(tree, path)
-        spots = range(1, len(path.sequence) + 1)
-        wanted = [{k for k in range(tree.n) if truth[k] == t} for t in spots]
+        to_i, to_j = skeleton_path(tree, i, j)
+        above = root_chain(tree, to_i[0])
+        pieces = path_pieces(ExactOracle(tree), range(tree.n), to_i, to_j, above)
+        truth = bag_nodes(tree, to_i, to_j)
+        path = [*reversed(to_i), *to_j[1:]]
+        wanted = [{k for k in range(tree.n) if truth[k] == v} for v in path]
         if [set(p) for p in pieces] != wanted or sum(map(len, pieces)) != tree.n:
             split_bad += 1
 

@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from treeprobe import ExactOracle, shaped_tree, tree_equals, validate_tree
+from treeprobe import ExactOracle, shaped_tree, validate_tree
 
 from reference import (
     EnumerationCapError,
@@ -15,6 +15,7 @@ from reference import (
     brute_force_reconstruct,
     check_separator,
     enumerate_trees,
+    tree_equals,
 )
 
 

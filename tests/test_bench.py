@@ -6,7 +6,6 @@ import pytest
 
 from treeprobe import bench
 from treeprobe import (
-    CSV_HEADER,
     BenchConfig,
     AdditiveOracle,
     BenchRecord,
@@ -14,7 +13,6 @@ from treeprobe import (
     InfeasibleDegreeError,
     NoisyOracle,
     bench_run,
-    derive_seed,
     from_edges,
     plot_svg,
     random_tree,
@@ -23,6 +21,7 @@ from treeprobe import (
     shaped_tree,
     uniform_weights,
 )
+from treeprobe.bench import CSV_HEADER, derive_seed
 
 
 class TestDeriveSeed:

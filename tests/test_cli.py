@@ -5,12 +5,15 @@ from __future__ import annotations
 import pytest
 
 from treeprobe import (
+    ReconstructionStats,
     WeightedDirectedRootedTree,
     from_edges,
     load_tree,
     save_tree,
     shaped_tree,
 )
+from treeprobe import cli
+from treeprobe.bench import RunOutcome
 from treeprobe.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
 
 
@@ -112,6 +115,27 @@ class TestReconstruct:
         out = capsys.readouterr().out
         assert "success=true" in out
         assert "raw_queries=0" in out and "logical_queries=0" in out
+
+    @pytest.mark.parametrize("with_out", [True, False])
+    def test_failed_run_exits_one_and_writes_nothing(
+        self, tmp_path, hidden_file, spine_tree, monkeypatch, capsys, with_out
+    ):
+        # With --out, the run returns a valid tree that is not the hidden
+        # one; without, it returns no edges at all.
+        edges = set(spine_tree.edges()) if with_out else set()
+
+        def failed_run(*args, **kwargs):
+            return RunOutcome(edges, None, ReconstructionStats(), 0, 0, success=False)
+
+        monkeypatch.setattr(cli, "run_single", failed_run)
+        argv = ["reconstruct", "--tree", str(hidden_file), "--stats"]
+        if with_out:
+            argv += ["--out", str(tmp_path / "out.txt")]
+        assert run(*argv) == EXIT_MISMATCH
+        captured = capsys.readouterr()
+        assert "success=false" in captured.out
+        assert "error: reconstruction failed" in captured.err
+        assert list(tmp_path.iterdir()) == [hidden_file]
 
     def test_weighted_round_trip(self, tmp_path, bent_tree):
         hidden = tmp_path / "weighted.txt"

@@ -10,9 +10,10 @@ from treeprobe import (
     parallel_chain,
     random_tree,
     shaped_tree,
-    tree_equals,
     uniform_weights,
 )
+
+from reference import tree_equals
 
 
 class TestRandomTree:

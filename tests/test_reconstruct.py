@@ -31,10 +31,9 @@ from treeprobe.reconstruct import (
     reconstruct_skeleton_path,
     sort_by_ancestry,
 )
-from treeprobe.trees import SkeletonPath
 
 from conftest import ScriptedRng, parent_array_trees
-from reference import bag_indices, root_chain, skeleton_path
+from reference import bag_nodes, root_chain, skeleton_path
 
 
 class _RecordingOracle:
@@ -118,12 +117,6 @@ class TestSortByAncestry:
         assert sort_by_ancestry(oracle, [2]) == [2]
 
 
-def _slopes(path):
-    """The two slopes find_bag searches, each starting at the LCA."""
-    seq, lca = path.sequence, path.lca_index
-    return seq[:lca][::-1], seq[lca - 1 :]
-
-
 def _shaped(shape, n, seed):
     if shape == "parallel_chain":
         return parallel_chain(3, max(1, (n - 1) // 3))
@@ -134,23 +127,23 @@ def _shaped(shape, n, seed):
 
 class TestFindBag:
     def test_positions_along_a_descending_run(self, bent_tree):
-        path = skeleton_path(bent_tree, 0, 4)
-        truth = bag_indices(bent_tree, path)
+        to_i, to_j = skeleton_path(bent_tree, 0, 4)
+        truth = bag_nodes(bent_tree, to_i, to_j)
         oracle = ExactOracle(bent_tree)
         for k in (5, 6, 7, 8, 9, 10):
-            assert find_bag(oracle, *_slopes(path), k) == truth[k]
+            assert find_bag(oracle, to_i, to_j, k) == truth[k]
 
     def test_query_budget_is_logarithmic(self):
         chain = shaped_tree("chain", 9)
         oracle = ExactOracle(chain)
-        assert find_bag(oracle, [0], list(range(8)), 8) == 8
+        assert find_bag(oracle, [0], list(range(8)), 8) == 7
         assert oracle.calls <= 3  # ceil(log2 8)
 
     def test_left_slope_node_costs_only_the_left_search(self, bent_tree):
-        # 7 hangs from 1 on the left slope 2-1-0: two queries settle it, and
-        # the right slope 2-3-4 is never asked about.
+        # 7 hangs from 1 on the slope 2-1-0: two queries settle it, and the
+        # slope 2-3-4 is never asked about.
         recorder = _RecordingOracle(ExactOracle(bent_tree))
-        assert find_bag(recorder, [2, 1, 0], [2, 3, 4], 7) == 2
+        assert find_bag(recorder, [2, 1, 0], [2, 3, 4], 7) == 1
         assert [(a, b) for a, b, _ in recorder.transcript] == [(1, 7), (0, 7)]
 
     @settings(max_examples=150, deadline=None)
@@ -164,62 +157,62 @@ class TestFindBag:
         tree = _shaped(shape, n, seed)
         i = data.draw(st.integers(min_value=0, max_value=tree.n - 1))
         j = data.draw(st.integers(min_value=0, max_value=tree.n - 1).filter(lambda v: v != i))
-        path = skeleton_path(tree, i, j)
-        truth = bag_indices(tree, path)
+        to_i, to_j = skeleton_path(tree, i, j)
+        truth = bag_nodes(tree, to_i, to_j)
         oracle = ExactOracle(tree)
-        for k in set(range(tree.n)) - set(path.sequence):
-            assert find_bag(oracle, *_slopes(path), k) == truth[k]
+        for k in set(range(tree.n)) - {*to_i, *to_j}:
+            assert find_bag(oracle, to_i, to_j, k) == truth[k]
 
 
 class TestAssignBagIndex:
-    """find_bag merges its two slope searches into one path position."""
+    """find_bag merges its two slope searches into one path node."""
 
     def test_left_side_wins_when_it_moved(self, bent_tree):
         oracle = ExactOracle(bent_tree)
-        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 7) == 2
-        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 5) == 1
+        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 7) == 1
+        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 5) == 0
 
     def test_left_at_the_lca_defers_to_the_right(self, bent_tree):
         oracle = ExactOracle(bent_tree)
-        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 10) == 5
-        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 9) == 3
+        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 10) == 4
+        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 9) == 2
 
     def test_degenerate_left_of_a_directed_path(self, spine_tree):
-        # The LCA of a directed path is its head, so the left slope is the
+        # The LCA of a directed path is its head, so the head's slope is the
         # head alone and its search asks nothing.
         oracle = ExactOracle(spine_tree)
-        for k, spot in ((5, 1), (7, 2), (9, 3), (10, 5)):
-            assert find_bag(oracle, [0], [0, 1, 2, 3, 4], k) == spot
+        for k, bag in ((5, 0), (7, 1), (9, 2), (10, 4)):
+            assert find_bag(oracle, [0], [0, 1, 2, 3, 4], k) == bag
 
 
 class TestReconstructSkeletonPath:
     def test_descending_walk(self, spine_tree):
         oracle = ExactOracle(spine_tree)
-        path, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
-        assert path == SkeletonPath((0, 1, 2, 3, 4), 1)
+        to_i, to_j, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
+        assert (to_i, to_j) == ([0], [0, 1, 2, 3, 4])
         assert above == []
 
     def test_ascending_walk_keeps_the_asked_orientation(self, spine_tree):
         oracle = ExactOracle(spine_tree)
-        path, above = reconstruct_skeleton_path(oracle, range(11), 4, 0)
-        assert path == SkeletonPath((4, 3, 2, 1, 0), 5)
+        to_i, to_j, above = reconstruct_skeleton_path(oracle, range(11), 4, 0)
+        assert (to_i, to_j) == ([0, 1, 2, 3, 4], [0])
         assert above == []
 
     def test_bent_walk(self, bent_tree):
         oracle = ExactOracle(bent_tree)
-        path, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
-        assert path == SkeletonPath((0, 1, 2, 3, 4), 3)
+        to_i, to_j, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
+        assert (to_i, to_j) == ([2, 1, 0], [2, 3, 4])
         assert above == [8]
 
     def test_spine_ends_meet_at_the_bend(self, bent_tree):
-        path, _ = reconstruct_skeleton_path(ExactOracle(bent_tree), range(11), 0, 4)
-        assert path.sequence[path.lca_index - 1] == 2
+        to_i, to_j, _ = reconstruct_skeleton_path(ExactOracle(bent_tree), range(11), 0, 4)
+        assert to_i[0] == to_j[0] == 2
 
     def test_leaves_meet_lower_down(self, bent_tree):
         oracle = ExactOracle(bent_tree)
         for i, j, lca in ((5, 7, 1), (0, 9, 8)):
-            path, _ = reconstruct_skeleton_path(oracle, range(11), i, j)
-            assert path.sequence[path.lca_index - 1] == lca
+            to_i, to_j, _ = reconstruct_skeleton_path(oracle, range(11), i, j)
+            assert to_i[0] == to_j[0] == lca
 
     def test_lying_oracle_is_detected(self):
         with pytest.raises(InconsistentOracleError):
@@ -239,7 +232,7 @@ class TestReconstructSkeletonPath:
         # its hit settles 4 too. 3 lies between them and costs two queries,
         # like the seven nodes off the path.
         recorder = _RecordingOracle(ExactOracle(bent_tree))
-        path, above = reconstruct_skeleton_path(recorder, range(11), i, j)
+        _, _, above = reconstruct_skeleton_path(recorder, range(11), i, j)
         assert above == [8]
         assert [q for q in recorder.transcript if q[0] == 8] == [(8, 2, 1)]
         assert len(recorder.transcript) == 2 + 1 + 2 * 8
@@ -265,35 +258,35 @@ class TestReconstructSkeletonPath:
 def _assert_matches_ground_truth(oracle, tree, i, j):
     """The path equals the true one, and ``above`` lists the LCA's proper
     ancestors in node order."""
-    path, above = reconstruct_skeleton_path(oracle, range(tree.n), i, j)
-    truth = skeleton_path(tree, i, j)
-    assert path == truth
-    assert above == sorted(root_chain(tree, truth.sequence[truth.lca_index - 1]))
+    to_i, to_j, above = reconstruct_skeleton_path(oracle, range(tree.n), i, j)
+    assert (to_i, to_j) == skeleton_path(tree, i, j)
+    assert above == sorted(root_chain(tree, to_i[0]))
 
 
 class TestFindEvenSeparator:
-    BAGS = [3, 2, 3, 1, 2]  # bag sizes along the 0-to-4 walk in both fixtures
+    # Bag sizes along the 0-to-4 walk in both fixtures, and its (parent,
+    # child) edges in path order when it bends at 2 (bent_tree) and when it
+    # runs straight down from 0 (spine_tree).
+    BAGS = [3, 2, 3, 1, 2]
+    BENT_CUTS = [(1, 0), (2, 1), (2, 3), (3, 4)]
+    SPINE_CUTS = [(0, 1), (1, 2), (2, 3), (3, 4)]
 
     def test_edge_left_of_the_lca_points_backward(self):
-        path = SkeletonPath((0, 1, 2, 3, 4), 3)
-        assert find_even_separator(self.BAGS, path, 11, 3) == (2, 1)
+        assert find_even_separator(self.BAGS, self.BENT_CUTS, 11, 3) == (2, 1)
 
     def test_edge_right_of_the_lca_points_forward(self):
-        path = SkeletonPath((0, 1, 2, 3, 4), 1)
-        assert find_even_separator(self.BAGS, path, 11, 3) == (1, 2)
+        assert find_even_separator(self.BAGS, self.SPINE_CUTS, 11, 3) == (1, 2)
 
     def test_no_balanced_edge_returns_none(self):
         # A hub with 7 nodes hanging off the middle: prefixes are 1 and 8,
         # both outside [3, 6] at n=9, d=3.
-        path = SkeletonPath((0, 1, 2), 2)
-        assert find_even_separator([1, 7, 1], path, 9, 3) is None
+        assert find_even_separator([1, 7, 1], [(1, 0), (1, 2)], 9, 3) is None
 
     def test_tight_star_threshold_accepts_a_leaf_edge(self):
-        # n = 4 around a full-degree hub: every cut is (1, 3), and the
-        # acceptance floor must come down to ceil((n-1)/d) = 1 for any
-        # progress to be possible.
-        path = SkeletonPath((1, 0, 2), 2)
-        assert find_even_separator([1, 2, 1], path, 4, 3) == (0, 1)
+        # n = 4 around a full-degree hub 0 on the walk 1-0-2: every cut is
+        # (1, 3), and the acceptance floor must come down to
+        # ceil((n-1)/d) = 1 for any progress to be possible.
+        assert find_even_separator([1, 2, 1], [(0, 1), (0, 2)], 4, 3) == (0, 1)
 
 
 class TestPathPieces:
@@ -303,8 +296,8 @@ class TestPathPieces:
 
     def test_bent_tree_pieces(self, bent_tree):
         oracle = ExactOracle(bent_tree)
-        path, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
-        pieces = path_pieces(oracle, range(11), path, above)
+        to_i, to_j, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
+        pieces = path_pieces(oracle, range(11), to_i, to_j, above)
         assert [sorted(p) for p in pieces] == self.PIECES
         # Cutting (2, 1) alone would leave the first two pieces below it.
         assert sorted(pieces[0] + pieces[1]) == [0, 1, 5, 6, 7]
@@ -312,8 +305,8 @@ class TestPathPieces:
 
     def test_spine_tree_pieces(self, spine_tree):
         oracle = ExactOracle(spine_tree)
-        path, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
-        pieces = path_pieces(oracle, range(11), path, above)
+        to_i, to_j, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
+        pieces = path_pieces(oracle, range(11), to_i, to_j, above)
         assert [sorted(p) for p in pieces] == self.PIECES
         assert sorted(pieces[0] + pieces[1]) == [0, 1, 5, 6, 7]
         assert sorted(sum(pieces[2:], [])) == [2, 3, 4, 8, 9, 10]
@@ -323,9 +316,9 @@ class TestPathPieces:
         # from it, so a bag search puts 9 there too.
         oracle = ExactOracle(bent_tree)
         part = [9, 6, 3, 1, 0, 7, 2, 8, 5]
-        path, above = reconstruct_skeleton_path(oracle, part, 0, 3)
+        to_i, to_j, above = reconstruct_skeleton_path(oracle, part, 0, 3)
         assert above == [8]
-        assert path_pieces(oracle, part, path, above) == [[0, 6, 5], [1, 7], [2, 8, 9], [3]]
+        assert path_pieces(oracle, part, to_i, to_j, above) == [[0, 6, 5], [1, 7], [2, 8, 9], [3]]
 
 
 class TestReconstructTree:
@@ -366,6 +359,15 @@ class TestReconstructTree:
         oracle = ExactOracle(shaped_tree("chain", n))
         with pytest.raises(InfeasibleDegreeError):
             reconstruct_tree(oracle, range(n), bound, random.Random(0))
+        assert oracle.calls == 0
+
+    @pytest.mark.parametrize("nodes", [[0, 1, 2, 0], [0, 1, 1, 2]])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_repeated_node_raises_before_any_query(self, nodes, seed):
+        # Unchecked, the repeat made the outcome depend on the pairs drawn.
+        oracle = ExactOracle(shaped_tree("chain", 3))
+        with pytest.raises(ValueError, match="node [01] is listed more than once"):
+            reconstruct_tree(oracle, nodes, 2, random.Random(seed))
         assert oracle.calls == 0
 
     def test_forced_first_pair_yields_the_expected_cut(self, bent_tree):

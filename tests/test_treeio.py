@@ -11,9 +11,10 @@ from treeprobe import (
     load_tree,
     parse_tree,
     save_tree,
-    tree_equals,
     validate_tree,
 )
+
+from reference import tree_equals
 
 
 def test_plain_round_trip(bent_tree):

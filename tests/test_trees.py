@@ -16,13 +16,18 @@ from treeprobe import (
     WeightedDirectedRootedTree,
     from_edges,
     max_node_degree,
-    tree_equals,
     validate_tree,
 )
-from treeprobe.trees import SkeletonPath
 
 from conftest import BENT_PARENT, SPINE_PARENT, parent_array_trees
-from reference import bag_indices, is_ancestor, root_chain, skeleton_path, subtree_size
+from reference import (
+    bag_nodes,
+    is_ancestor,
+    root_chain,
+    skeleton_path,
+    subtree_size,
+    tree_equals,
+)
 
 
 class TestValidateTree:
@@ -115,22 +120,17 @@ class TestAncestry:
 
 class TestSkeletonPath:
     def test_straight_walk_from_the_spine_root(self, spine_tree):
-        path = skeleton_path(spine_tree, 0, 4)
-        assert path.sequence == (0, 1, 2, 3, 4)
-        assert path.lca_index == 1
+        assert skeleton_path(spine_tree, 0, 4) == ([0], [0, 1, 2, 3, 4])
 
     def test_bent_walk_turns_at_the_spine_middle(self, bent_tree):
-        path = skeleton_path(bent_tree, 0, 4)
-        assert path.sequence == (0, 1, 2, 3, 4)
-        assert path.lca_index == 3
+        assert skeleton_path(bent_tree, 0, 4) == ([2, 1, 0], [2, 3, 4])
 
     def test_walk_ending_at_an_ancestor(self, bent_tree):
-        path = skeleton_path(bent_tree, 5, 9)
-        assert path.sequence == (5, 0, 1, 2, 8, 9)
-        assert path.lca_index == 5
+        # The walk 5-0-1-2-8-9 turns at the root 8.
+        assert skeleton_path(bent_tree, 5, 9) == ([8, 2, 1, 0, 5], [8, 9])
 
     def test_adjacent_nodes(self, spine_tree):
-        assert skeleton_path(spine_tree, 3, 2) == SkeletonPath((3, 2), 2)
+        assert skeleton_path(spine_tree, 3, 2) == ([2, 3], [2])
 
     def test_rejects_self_path(self, spine_tree):
         with pytest.raises(SelfQueryError):
@@ -142,49 +142,46 @@ class TestSkeletonPath:
             for j in range(tree.n):
                 if i == j:
                     continue
-                forward = skeleton_path(tree, i, j)
-                backward = skeleton_path(tree, j, i)
-                assert backward.sequence == tuple(reversed(forward.sequence))
-                assert backward.lca_index == len(forward.sequence) - forward.lca_index + 1
+                to_i, to_j = skeleton_path(tree, i, j)
+                assert skeleton_path(tree, j, i) == (to_j, to_i)
+                assert to_i[0] == to_j[0]
                 if is_ancestor(tree, i, j):
-                    assert forward.lca_index == 1
+                    assert to_i == [i]
                 elif is_ancestor(tree, j, i):
-                    assert forward.lca_index == len(forward.sequence)
+                    assert to_j == [j]
                 else:
-                    assert 1 < forward.lca_index < len(forward.sequence)
+                    assert len(to_i) > 1 and len(to_j) > 1
 
     @given(parent_array_trees(min_n=2, max_n=10))
     def test_consecutive_nodes_are_skeleton_edges(self, tree):
         for j in range(1, tree.n):
-            seq = skeleton_path(tree, 0, j).sequence
-            assert seq[0] == 0 and seq[-1] == j
-            for a, b in zip(seq, seq[1:]):
-                assert tree.parent[a] == b or tree.parent[b] == a
+            to_i, to_j = skeleton_path(tree, 0, j)
+            assert to_i[-1] == 0 and to_j[-1] == j
+            for slope in (to_i, to_j):
+                for a, b in zip(slope, slope[1:]):
+                    assert tree.parent[b] == a
 
 
 class TestBagIndices:
     def test_bent_tree_bags_along_the_spine(self, bent_tree):
-        path = skeleton_path(bent_tree, 0, 4)
-        bags = bag_indices(bent_tree, path)
-        assert bags[8] == 3 and bags[9] == 3  # root side hangs off the LCA
-        assert bags[5] == 1 and bags[6] == 1 and bags[7] == 2 and bags[10] == 5
-        sizes = [0] * len(path.sequence)
-        for spot in bags.values():
-            sizes[spot - 1] += 1
+        bags = bag_nodes(bent_tree, *skeleton_path(bent_tree, 0, 4))
+        assert bags[8] == 2 and bags[9] == 2  # root side hangs off the LCA
+        assert bags[5] == 0 and bags[6] == 0 and bags[7] == 1 and bags[10] == 4
+        sizes = [list(bags.values()).count(v) for v in (0, 1, 2, 3, 4)]
         assert sizes == [3, 2, 3, 1, 2]
 
     def test_spine_tree_bags_along_the_spine(self, spine_tree):
-        bags = bag_indices(spine_tree, skeleton_path(spine_tree, 0, 4))
-        assert bags[9] == 3 and bags[10] == 5
+        bags = bag_nodes(spine_tree, *skeleton_path(spine_tree, 0, 4))
+        assert bags[9] == 2 and bags[10] == 4
 
     @given(parent_array_trees(min_n=2, max_n=10))
     def test_bags_partition_every_node(self, tree):
-        path = skeleton_path(tree, 0, tree.n - 1)
-        bags = bag_indices(tree, path)
+        to_i, to_j = skeleton_path(tree, 0, tree.n - 1)
+        bags = bag_nodes(tree, to_i, to_j)
         assert set(bags) == set(range(tree.n))
-        assert all(1 <= spot <= len(path.sequence) for spot in bags.values())
-        for at, node in enumerate(path.sequence, start=1):
-            assert bags[node] == at
+        assert set(bags.values()) <= {*to_i, *to_j}
+        for node in (*to_i, *to_j):
+            assert bags[node] == node
 
 
 class TestHelpers:
@@ -244,10 +241,3 @@ class TestWeightedTree:
         weights[(0, 1)] = 0.0
         with pytest.raises(InvalidTreeError):
             WeightedDirectedRootedTree(spine_tree, weights)
-
-
-def test_skeleton_path_checks_lca_bounds():
-    with pytest.raises(ValueError):
-        SkeletonPath((0, 1), 3)
-    with pytest.raises(ValueError):
-        SkeletonPath((0, 1), 0)
