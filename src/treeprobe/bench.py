@@ -84,7 +84,7 @@ def run_single(
     """Reconstruct one hidden tree under a regime, counting every query.
 
     ``seed`` feeds the role streams: seed*4+1 drives the noise, seed*4+2 the
-    pair sampling (seed*4+0 and +3 are reserved for tree generation and
+    node sampling (seed*4+0 and +3 are reserved for tree generation and
     weights by :func:`bench_run`).
     """
     if regime not in REGIMES:

@@ -1,27 +1,32 @@
 """Tree reconstruction from path queries.
 
-The driver is a Las-Vegas divide and conquer: sample a random node pair,
-rebuild the skeleton path between them through the oracle, put every other
-node into the piece of the path node it hangs from, and accept the round if
-some path edge has two balanced enough sides. A path is held as its two
-slopes, each running from the lowest common ancestor (LCA) down to one
-endpoint, so consecutive slope nodes are (parent, child) edges as they
-stand. Parts still to solve wait on a stack, and each pass of the driver
-loop runs one round on the top part: an accepted round keeps every path
-edge and pushes each piece, a connected subtree; a failed round pushes its
-part back. With a degree bound d the balanced cut leaves sides no larger
-than a (d-1)/d fraction and every piece lies inside one side, so the split
-depth stays logarithmic and the whole thing needs O(d n log^2 n) queries in
-expectation. Each round scans its part once for the path and once for the
-pieces, and asks nothing twice: nodes the path scan found above both
-endpoints join the LCA's piece without a bag search.
+The driver is a Las-Vegas divide and conquer over parts whose root it knows.
+A tournament of n-1 queries finds the root of the whole node set. A round on
+a part with root r samples one other node i, rebuilds the path r -> i with
+one membership query per other node, puts every other node into the piece of
+the path node it hangs from, and accepts the round if some path edge has two
+balanced enough sides. Each piece is a subtree rooted at its path node, so
+no later part needs a tournament, and a 2-node part is settled by the two
+checks that its root reaches the other node, with nothing to sample. Parts
+still to solve wait on a stack, and each pass of the driver loop runs one
+round on the top part: an accepted round keeps every path edge and pushes
+each piece; a failed round pushes its part back. With a degree bound d the
+balanced cut leaves sides no larger than a (d-1)/d fraction and every piece
+lies inside one side, so the split depth stays logarithmic and the whole
+thing needs O(d n log^2 n) queries in expectation.
+
+A path is held as its two slopes, each running from the lowest common
+ancestor (LCA) down to one endpoint, so consecutive slope nodes are (parent,
+child) edges as they stand. A round's path r -> i is one slope, with r alone
+as the other, where a bag search asks nothing. ``reconstruct_skeleton_path``
+rebuilds the path between two nodes with no known root.
 
 A bound below the true degree can leave no balanced edge on any path. Any
 true edge is a correct cut, so the bound only sets the gate: a part whose
 rounds keep failing doubles its gate's bound, which accepts any path once it
 reaches the part size less one, and its pieces start from the bound it was
-accepted at. Every input therefore ends. A bound of 1 fits only two nodes
-and gates as 2, where they pass.
+accepted at. Every input therefore ends. A bound of 1 fits only two nodes,
+which their two checks settle.
 
 The driver reads every answer only as a truth value, so all three regimes
 run on it unchanged: an exact bit, a noisy majority bit, or an additive path
@@ -45,7 +50,8 @@ class ReconstructionStats:
     """Counters from one reconstruction run.
 
     rounds_total: sampling rounds summed over all parts; every part of
-        >= 2 nodes runs at least one.
+        >= 3 nodes runs at least one, and a 2-node part is settled by its
+        two checks without a round.
     recursion_depth_max: deepest split level, the whole node set being 1.
     """
 
@@ -203,6 +209,15 @@ def reconstruct_skeleton_path(
     return to_i, to_j, above
 
 
+def _check_below(oracle, root: int, node: int) -> None:
+    """Raise unless the oracle claims root -> node and denies node -> root."""
+    if not oracle.query(root, node) or oracle.query(node, root):
+        raise InconsistentOracleError(
+            f"node {node} does not hang below its part's root {root}; "
+            "oracle answers are inconsistent"
+        )
+
+
 def reconstruct_tree(
     oracle,
     nodes: Iterable[int],
@@ -214,18 +229,19 @@ def reconstruct_tree(
 
     ``oracle.query(i, j)`` must be truthy exactly when the oracle claims a
     directed path i -> j; nothing else of an answer is read.
-    Each accepted round adds every edge of its skeleton path and splits its
-    part into one piece per path node. ``degree_bound`` sets only the
-    balance gate. A node listed twice raises ValueError, and a bound that no
-    tree on these nodes fits (below 1, or 1 with more than two nodes) raises
-    InfeasibleDegreeError, both before any query;
-    a bound of 1 on two nodes gates as 2, and a part whose rounds keep
-    failing under a bound below the true degree doubles its own bound, which
-    its pieces inherit, so the edges stay exact. The run is deterministic
-    given the rng state and the oracle's answers. ``separator_hook`` (if
-    given) sees the balanced cut that let each round through, as a
-    ``(parent, child)`` pair, with the node set it was accepted in; the tests
-    audit balance with it.
+    Each round draws its node i with ``rng.choice`` and first checks that
+    the part's root reaches i and i does not reach the root; a 2-node part
+    asks only these checks. Each accepted round adds every edge of its path
+    and splits its part into one piece per path node.
+    ``degree_bound`` sets only the balance gate. A node listed twice raises
+    ValueError, and a bound that no tree on these nodes fits (below 1, or 1
+    with more than two nodes) raises InfeasibleDegreeError, both before any
+    query. A part whose rounds keep failing under a bound below the true
+    degree doubles its own bound, which its pieces inherit, so the edges
+    stay exact. The run is deterministic given the rng state and the
+    oracle's answers. ``separator_hook`` (if given) sees the balanced cut
+    that let each round through, as a ``(parent, child)`` pair, with the
+    node set it was accepted in; the tests audit balance with it.
     An InconsistentOracleError raised on the way carries the counters so far
     as its ``stats``.
     """
@@ -236,25 +252,43 @@ def reconstruct_tree(
     check_degree_feasible(len(part), degree_bound)
     stats = ReconstructionStats()
     edges: Edges = set()
-    # Parts still to solve, each with its gate bound and failed rounds so far.
-    # A failed part goes back on top, so it is retried next. Pieces are
-    # pushed last to first, so they are solved in path order; that order
-    # fixes which pairs rng draws. Starting the gate at 2 or more keeps the
-    # doubling below from dividing by zero.
-    stack = [(part, 1, max(degree_bound, 2), 0)]
+    query = oracle.query
+    # The tournament: a node replaces the candidate when it reaches it. The
+    # root reaches every node and nothing reaches it, so it ends the winner.
+    root = part[0] if part else None
+    for k in part[1:]:
+        if query(k, root):
+            root = k
+    # Parts still to solve, each with its root, gate bound and failed rounds
+    # so far. A failed part goes back on top, so it is retried next. Pieces
+    # are pushed last to first, so they are solved in path order; that order
+    # fixes which nodes rng draws. Only parts of 3 or more nodes run rounds,
+    # and those exist only at bounds of 2 or more, so the gate never divides
+    # by zero.
+    stack = [(part, root, 1, degree_bound, 0)]
     try:
         while stack:
-            part, depth, bound, failed = stack.pop()
+            part, root, depth, bound, failed = stack.pop()
             stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
             size = len(part)
             if size <= 1:
                 continue
+            others = [k for k in part if k != root]
+            if size == 2:
+                # With the root known there is nothing left to sample.
+                _check_below(oracle, root, others[0])
+                edges.add((root, others[0]))
+                continue
             stats.rounds_total += 1
-            i, j = rng.sample(part, 2)
-            to_i, to_j, above = reconstruct_skeleton_path(oracle, part, i, j)
-            pieces = path_pieces(oracle, part, to_i, to_j, above)
-            # The path's (parent, child) edges in path order, from i to j.
-            cuts = [*reversed([*zip(to_i, to_i[1:])]), *zip(to_j, to_j[1:])]
+            i = rng.choice(others)
+            _check_below(oracle, root, i)
+            # Every node of the part lies below the root, so the path r -> i
+            # is r, i and the nodes that reach i: one query per node.
+            between = [k for k in others if k != i and query(k, i)]
+            to_i = [root, *sort_by_ancestry(oracle, between), i]
+            pieces = path_pieces(oracle, part, to_i, [root], [])
+            # The path's (parent, child) edges in piece order, from i up to r.
+            cuts = [*zip(to_i, to_i[1:])][::-1]
             sep = find_even_separator([len(p) for p in pieces], cuts, size, bound)
             if sep is None:
                 # A correct bound b needs b^2/(b-1) rounds on average. After
@@ -264,12 +298,13 @@ def reconstruct_tree(
                 failed += 1
                 if failed >= 4 * bound * bound // (bound - 1):
                     bound, failed = 2 * bound, 0
-                stack.append((part, depth, bound, failed))
+                stack.append((part, root, depth, bound, failed))
                 continue
             if separator_hook is not None:
                 separator_hook(sep, tuple(part))
             edges.update(cuts)
-            stack.extend((piece, depth + 1, bound, 0) for piece in reversed(pieces))
+            # path_pieces lists each piece's path node, its root, first.
+            stack.extend((piece, piece[0], depth + 1, bound, 0) for piece in reversed(pieces))
     except InconsistentOracleError as err:
         err.stats = stats
         raise

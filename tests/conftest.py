@@ -33,23 +33,24 @@ def bent_tree() -> DirectedRootedTree:
 
 
 class ScriptedRng:
-    """Sampling stub that dequeues preset ``sample`` results first.
+    """Sampling stub that dequeues preset ``choice`` results first.
 
-    Once the script is exhausted it defers to a normal seeded Random, so a
-    reconstruction can be steered through a chosen first pair and then left
-    to finish on its own.
+    The driver draws one node per round with ``rng.choice``. Once the script
+    is exhausted the stub defers to a normal seeded Random, so a
+    reconstruction can be steered through a chosen first endpoint and then
+    left to finish on its own.
     """
 
-    def __init__(self, scripted_samples, seed=0):
-        self._scripted = [list(s) for s in scripted_samples]
+    def __init__(self, scripted_choices, seed=0):
+        self._scripted = list(scripted_choices)
         self._fallback = random.Random(seed)
 
-    def sample(self, population, k):
+    def choice(self, population):
         if self._scripted:
             picked = self._scripted.pop(0)
-            assert len(picked) == k
+            assert picked in population
             return picked
-        return self._fallback.sample(population, k)
+        return self._fallback.choice(population)
 
 
 @st.composite

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeprobe import (
+    ROOT,
     AdditiveOracle,
     ExactOracle,
     InconsistentOracleError,
@@ -23,6 +24,7 @@ from treeprobe import (
     run_single,
     shaped_tree,
     uniform_weights,
+    validate_tree,
 )
 from treeprobe.reconstruct import (
     find_bag,
@@ -90,8 +92,8 @@ def _query_cap(n):
 
     A star rebuilt at bound 2 is the costliest case: its first part fails
     until its gate has doubled past the hub degree, and its pieces start
-    from that bound, at most 1.75 n^3 queries at n = 12 over rng seeds
-    0-49. 16 n^3 leaves room for every shape and seed drawn here.
+    from that bound, at most 1.88 n^3 queries (at n = 6) over n 2-40 and
+    rng seeds 0-19. 16 n^3 leaves room for every shape and seed drawn here.
     """
     return 16 * n**3
 
@@ -344,14 +346,15 @@ class TestReconstructTree:
         assert edges == set()
         assert stats.rounds_total == 0
 
-    def test_two_nodes_at_degree_one_take_one_round(self):
-        # Bound 1 gates as 2: one round asks both directions of the pair.
+    def test_two_nodes_at_degree_one_are_settled_by_two_checks(self):
+        # Bound 1 fits two nodes and never reaches a gate: one tournament
+        # query finds the root, and its two checks settle the edge.
         oracle = ExactOracle(shaped_tree("chain", 2))
         edges, stats = reconstruct_tree(oracle, [0, 1], 1, random.Random(0))
         assert edges == {(0, 1)}
-        assert stats.rounds_total == 1
-        assert oracle.calls == 2
-        assert stats.recursion_depth_max == 2
+        assert stats.rounds_total == 0
+        assert oracle.calls == 3
+        assert stats.recursion_depth_max == 1
 
     @pytest.mark.parametrize("n, bound", [(2, 0), (2, -1), (3, 1), (3, 0), (40, 1)])
     def test_infeasible_degree_bound_raises_before_any_query(self, n, bound):
@@ -371,31 +374,36 @@ class TestReconstructTree:
         assert oracle.calls == 0
 
     def test_forced_first_pair_yields_the_expected_cut(self, bent_tree):
+        # The first round's path runs from the root 8 to the scripted 0, with
+        # pieces of 3, 2, 4 and 2 nodes from 0 up; (2, 1) leaves 5 below it.
         accepted = []
         oracle = ExactOracle(bent_tree)
-        rng = ScriptedRng([(0, 4)], seed=1)
+        rng = ScriptedRng([0], seed=1)
         edges, _ = reconstruct_tree(
             oracle, range(11), 3, rng, separator_hook=lambda sep, part: accepted.append((sep, part))
         )
         assert accepted[0] == ((2, 1), tuple(range(11)))
         assert edges == set(bent_tree.edges())
 
-    def test_nodes_above_the_lca_cost_no_bag_query(self, bent_tree):
-        # The first round on (0, 4) is accepted. Its scan asks 21 queries (see
-        # test_one_query_pair_per_other_node) and finds the root 8 above both
-        # ends; the bag searches ask 11 more, about 5, 6, 7, 9 and 10 only.
+    def test_path_nodes_cost_no_bag_query(self, bent_tree):
+        # The first round, on the root 8 and the scripted 0, is accepted.
+        # The tournament asks 10 queries, the checks 2 and the scan 9, which
+        # finds 1 and 2 on the path; sorting them asks 1. The bag searches
+        # ask 14 more, two for each node off the path 8-2-1-0, and never
+        # about the root's one-node slope.
         recorder = _RecordingOracle(ExactOracle(bent_tree))
         first_cut_at = []
         reconstruct_tree(
             recorder,
             range(11),
             3,
-            ScriptedRng([(0, 4)]),
+            ScriptedRng([0]),
             separator_hook=lambda sep, part: first_cut_at.append(len(recorder.transcript)),
         )
-        bag_queries = recorder.transcript[21 : first_cut_at[0]]
-        assert len(bag_queries) == 11
-        assert {k for _, k, _ in bag_queries} == {5, 6, 7, 9, 10}
+        bag_queries = recorder.transcript[22 : first_cut_at[0]]
+        assert len(bag_queries) == 14
+        assert {k for _, k, _ in bag_queries} == {3, 4, 5, 6, 7, 9, 10}
+        assert {a for a, _, _ in bag_queries} <= {2, 1, 0}
 
     def test_every_accepted_cut_is_a_true_edge(self, bent_tree):
         truth = set(bent_tree.edges())
@@ -443,8 +451,8 @@ class TestReconstructTree:
             reconstruct_tree(_ZeroOracle(), range(3), 2, random.Random(0))
 
     def test_star_beyond_the_recursion_limit(self):
-        # Each round on a star removes the two leaves its path ends at, so
-        # the parts nest about n/2 deep.
+        # Each round on a star removes the leaf its path ends at, so the
+        # parts nest about n deep.
         star = shaped_tree("star", 2100)
         edges, stats = reconstruct_tree(
             ExactOracle(star), range(star.n), star.degree_bound, random.Random(0)
@@ -453,11 +461,77 @@ class TestReconstructTree:
         assert stats.recursion_depth_max > sys.getrecursionlimit()
 
     def test_mutual_ancestry_cannot_loop_forever(self):
-        # 0 and 1 each claim a path to the other; the split would swallow the
-        # whole part and recurse on it unchanged.
+        # 0 and 1 each claim a path to the other; unchecked, the split would
+        # swallow the whole part and recurse on it unchanged.
         liar = _TableOracle({(0, 1): 1, (1, 0): 1})
         with pytest.raises(InconsistentOracleError):
-            reconstruct_tree(liar, range(2), 2, ScriptedRng([(0, 1)]))
+            reconstruct_tree(liar, range(2), 2, random.Random(0))
+
+
+def _relabelled(tree, seed):
+    """The same shape under a seeded shuffle of its labels, so the root is
+    not always node 0."""
+    label = list(range(tree.n))
+    random.Random(seed).shuffle(label)
+    parent = [ROOT] * tree.n
+    for v, p in enumerate(tree.parent):
+        if p != ROOT:
+            parent[label[v]] = label[p]
+    return validate_tree(parent, tree.degree_bound)
+
+
+class TestRootRounds:
+    """What the driver asks before and inside a round on a part with a known root."""
+
+    SHAPES = ["chain", "star", "caterpillar", "random"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tournament_finds_the_root_in_n_minus_one_queries(self, shape, seed):
+        # Each node in turn is asked whether it reaches the candidate so far;
+        # the first query after that is the first round's check from the root.
+        tree = _relabelled(_shaped(shape, 30, seed), seed)
+        n = tree.n
+        recorder = _RecordingOracle(ExactOracle(tree))
+        reconstruct_tree(recorder, range(n), tree.degree_bound, random.Random(seed))
+        tournament = recorder.transcript[: n - 1]
+        assert [k for k, _, _ in tournament] == list(range(1, n))
+        winner = 0
+        for k, candidate, hit in tournament:
+            assert candidate == winner
+            winner = k if hit else winner
+        assert winner == tree.parent.index(ROOT)
+        assert recorder.transcript[n - 1][0] == winner
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_round_asks_one_query_per_other_node_before_its_sort(self, shape, seed):
+        # On an s-node part with root r and drawn node i: Q(r, i), Q(i, r),
+        # then Q(k, i) once for each of the s - 2 other nodes, in part order.
+        tree = _relabelled(_shaped(shape, 30, seed), seed)
+        s = tree.n
+        recorder = _RecordingOracle(ExactOracle(tree))
+        reconstruct_tree(recorder, range(s), tree.degree_bound, random.Random(seed))
+        root, i, _ = recorder.transcript[s - 1]
+        round_start = recorder.transcript[s - 1 : s - 1 + 2 + (s - 2)]
+        assert round_start[:2] == [(root, i, True), (i, root, False)]
+        assert [(a, b) for a, b, _ in round_start[2:]] == [
+            (k, i) for k in range(s) if k not in (root, i)
+        ]
+
+    @pytest.mark.parametrize("parent", [(-1, 0), (1, -1)])
+    def test_two_node_part_asks_its_checks_and_draws_nothing(self, parent):
+        tree = validate_tree(parent, 1)
+        root, x = (0, 1) if parent[0] == ROOT else (1, 0)
+        recorder = _RecordingOracle(ExactOracle(tree))
+        rng = random.Random(3)
+        state = rng.getstate()
+        edges, stats = reconstruct_tree(recorder, range(2), 2, rng)
+        assert edges == {(root, x)}
+        # One tournament query, then exactly the two checks.
+        assert [(a, b) for a, b, _ in recorder.transcript[1:]] == [(root, x), (x, root)]
+        assert rng.getstate() == state
+        assert stats.rounds_total == 0
 
 
 def _run_exact(tree, bound):
@@ -481,13 +555,13 @@ def _run_weighted(tree, bound):
 @pytest.mark.parametrize(
     "run, tree, bound, calls, rounds, depth",
     [
-        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 4939, 192, 8, id="random-d3"),
-        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 5828, 164, 11, id="random-d10"),
-        pytest.param(_run_exact, parallel_chain(4, 30), 4, 1612, 21, 6, id="parallel-chain"),
-        pytest.param(_run_exact, shaped_tree("star", 40), 2, 42550, 295, 23, id="star-doubling"),
-        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 5052, 128, 8, id="wrong-bound"),
-        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 2612, 81, 7, id="noisy"),
-        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 5238, 192, 8, id="weighted"),
+        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 4503, 97, 8, id="random-d3"),
+        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 5770, 114, 11, id="random-d10"),
+        pytest.param(_run_exact, parallel_chain(4, 30), 4, 1453, 11, 7, id="parallel-chain"),
+        pytest.param(_run_exact, shaped_tree("star", 40), 2, 22893, 311, 39, id="star-doubling"),
+        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 4334, 147, 9, id="wrong-bound"),
+        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1537, 42, 7, id="noisy"),
+        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 4802, 97, 8, id="weighted"),
     ],
 )
 def test_query_stream_is_pinned(run, tree, bound, calls, rounds, depth):
