@@ -15,6 +15,13 @@ balanced cut leaves sides no larger than a (d-1)/d fraction and every piece
 lies inside one side, so the split depth stays logarithmic and the whole
 thing needs O(d n log^2 n) queries in expectation.
 
+A node is put into its piece by a search down the path for the deepest path
+node that reaches it. A round's first 16 nodes take plain binary searches.
+After that the search is weighted by the sizes the pieces have reached so
+far (Mehlhorn's bisection rule), so nodes of the big pieces, the root's on
+random trees and the sampled node's on chains, cost fewer queries. Every
+placement still asks O(log n) queries, which the bound above rests on.
+
 A path is held as its two slopes, each running from the lowest common
 ancestor (LCA) down to one endpoint, so consecutive slope nodes are (parent,
 child) edges as they stand. A round's path r -> i is one slope, with r alone
@@ -37,8 +44,10 @@ each recovered edge's weight with one more query.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .errors import InconsistentOracleError
@@ -61,6 +70,11 @@ class ReconstructionStats:
 
 Edges = set[tuple[int, int]]
 SeparatorHook = Callable[[tuple[int, int], tuple[int, ...]], None]
+# A search plan over a k-node slope, ``(first, hit, miss)``: the walk starts
+# at entry ``first``. An entry m >= 1 is a split point, which asks about
+# slope[m] and goes on to hit[m] or miss[m]; an entry below 0 is the answer
+# ~entry.
+Plan = tuple[int, list[int], list[int]]
 
 
 def sort_by_ancestry(oracle, items: Sequence[int]) -> list[int]:
@@ -72,36 +86,72 @@ def sort_by_ancestry(oracle, items: Sequence[int]) -> list[int]:
     return sorted(items, key=cmp_to_key(compare))
 
 
-def find_bag(oracle, to_i: Sequence[int], to_j: Sequence[int], node: int) -> int:
+def find_bag(
+    oracle,
+    to_i: Sequence[int],
+    to_j: Sequence[int],
+    node: int,
+    plan_i: Plan | None = None,
+    plan_j: Plan | None = None,
+) -> int:
     """The path node that an off-path ``node`` hangs from.
 
     ``to_i`` and ``to_j`` are the path's slopes, each running from the LCA
     down to one endpoint. Reachability along a slope is monotone (a prefix
-    of ones), so a binary search finds the deepest slope node above ``node``
-    in at most ceil(log2 k) queries. The ``to_i`` search decides unless it
-    stops at the LCA; only then is ``to_j`` searched.
+    of ones), so a search finds the deepest slope node that reaches
+    ``node``; the LCA itself is never asked. The ``to_i`` search decides
+    unless it stops at the LCA; only then is ``to_j`` searched. Each search
+    walks its slope's plan (see ``search_plan``). Without one it walks the
+    unit-weight plan, a binary search with ceiling midpoints that asks at
+    most ceil(log2 k) queries on a k-node slope; a weighted plan asks at
+    most 2 ceil(log2(W / w)) for an answer of weight w out of W.
     """
-    at = _deepest_hit(oracle, to_i, node)
-    if at > 0:
-        return to_i[at]
-    return to_j[_deepest_hit(oracle, to_j, node)]
+    query = oracle.query
+    at, hit, miss = plan_i or _unit_plan(len(to_i))
+    while at > 0:
+        at = hit[at] if query(to_i[at], node) else miss[at]
+    if at < -1:
+        return to_i[~at]
+    at, hit, miss = plan_j or _unit_plan(len(to_j))
+    while at > 0:
+        at = hit[at] if query(to_j[at], node) else miss[at]
+    return to_j[~at]
 
 
-def _deepest_hit(oracle, slope: Sequence[int], node: int) -> int:
-    """Largest 0-based index t on a directed path with Q(slope[t], node) = 1.
+def search_plan(weights: Sequence[int]) -> Plan:
+    """The weight-balanced search plan over slope positions 0..k-1.
 
-    Returns 0 when no position qualifies; slope[0] itself is never asked. A
-    binary search over [lo, hi] with ceiling midpoints: a hit moves lo to
-    the midpoint, a miss moves hi just below it.
+    The answer is the deepest position whose node reaches the searched
+    node, and position 0 is never asked. An interval [lo, hi] of candidate
+    answers asks about the last m in (lo, hi] whose weight from lo,
+    positions lo..m-1, is at most half the interval's weight (m = lo + 1 if
+    none is): Mehlhorn's bisection rule. A hit leaves [m, hi], a miss
+    [lo, m-1]. With unit weights m is the ceiling midpoint (lo + hi + 1) // 2.
+    Any two queries in a row either end the search or halve the weight
+    left, so with integer weights of at least 1 and total W an answer of
+    weight w takes at most 2 ceil(log2(W / w)) queries, and the plan's
+    recursion is no deeper than that.
     """
-    lo, hi = 0, len(slope) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if oracle.query(slope[mid], node):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    prefix = [0, *accumulate(weights)]
+    hit = [0] * len(weights)
+    miss = [0] * len(weights)
+
+    def split(lo: int, hi: int) -> int:
+        if lo == hi:
+            return ~lo
+        m = bisect_right(prefix, (prefix[lo] + prefix[hi + 1]) // 2, lo + 1, hi + 1) - 1
+        m = max(m, lo + 1)
+        hit[m] = split(m, hi)
+        miss[m] = split(lo, m - 1)
+        return m
+
+    return split(0, len(weights) - 1), hit, miss
+
+
+@lru_cache(maxsize=32)
+def _unit_plan(length: int) -> Plan:
+    """The plan over a ``length``-node slope with every position weighing 1."""
+    return search_plan([1] * length)
 
 
 def find_even_separator(
@@ -141,14 +191,34 @@ def path_pieces(
     subtree. ``above`` (the scan's nodes above both endpoints) joins the
     LCA's piece with no search; every other node is placed by find_bag.
     Each piece lists its path node first, then the rest in ``part`` order.
+
+    The first 16 nodes are placed with unit weights, by plain binary
+    searches. Then each slope is reweighed, and again each time the count
+    of placed nodes grows eightfold, so a round builds only a few plans. A
+    position weighs its piece so far, and the LCA's position on ``to_i``
+    also the pieces of ``to_j``, which a search reaches only through it.
+    So a node asks fewer queries the more of the part its piece holds, and
+    a placement asks at most 2 ceil(log2 s) + 2 queries on a part of s
+    nodes (see ``search_plan``). A path whose slopes have at most two nodes
+    each has only one plan and is never reweighed.
     """
     pieces = {k: [k] for k in (*reversed(to_i), *to_j[1:])}
     pieces[to_i[0]].extend(above)
     placed = {*pieces, *above}
-    for k in part:
-        if k not in placed:
-            pieces[find_bag(oracle, to_i, to_j, k)].append(k)
-    return list(pieces.values())
+    todo = [k for k in part if k not in placed]
+    plan_i, plan_j = _unit_plan(len(to_i)), _unit_plan(len(to_j))
+    stop = 16 if len(to_i) > 2 or len(to_j) > 2 else len(todo)
+    start = 0
+    while True:
+        for k in todo[start:stop]:
+            pieces[find_bag(oracle, to_i, to_j, k, plan_i, plan_j)].append(k)
+        if stop >= len(todo):
+            return list(pieces.values())
+        weights_j = [len(pieces[v]) for v in to_j]
+        weights_i = [len(pieces[v]) for v in to_i]
+        weights_i[0] += sum(weights_j) - weights_j[0]
+        plan_i, plan_j = search_plan(weights_i), search_plan(weights_j)
+        start, stop = stop, stop * 8
 
 
 def reconstruct_skeleton_path(
