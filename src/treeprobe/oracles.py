@@ -143,14 +143,23 @@ def majority_vote_count(
 
     Sized so that, with query noise ``noise``, the probability that any of
     the run's majority answers is wrong stays below ``failure_prob``: a
-    Hoeffding bound per pair, a union bound over a budget of
+    union bound over a budget of
 
         C = (2/failure_prob) * 4 * degree_bound * n * ceil(log2 n)^2
 
     logical queries (the calibrated high-probability query count of the
-    exact algorithm), giving the smallest odd integer at least
+    exact algorithm), giving the smallest odd m whose exact majority error
+    (see ``_majority_error``) is at most
 
-        (ln C + ln(2/failure_prob)) / (2 * (1/2 - noise)^2).
+        failure_prob / (2 * C).
+
+    It is found by bisection over the odd m up to the Hoeffding count, the
+    smallest odd integer at least
+
+        (ln C + ln(2/failure_prob)) / (2 * (1/2 - noise)^2),
+
+    which always meets the target, since exp(-2 m (1/2 - noise)^2) bounds
+    the error.
     """
     if not 0.0 < noise < 0.5:
         raise ValueError(f"noise must lie in (0, 0.5), got {noise}")
@@ -164,8 +173,16 @@ def majority_vote_count(
     need = (math.log(pair_budget) + math.log(2.0 / failure_prob)) / (
         2.0 * (0.5 - noise) ** 2
     )
-    m = max(1, math.ceil(need))
-    return m if m % 2 == 1 else m + 1
+    target = failure_prob / (2.0 * pair_budget)
+    # The majority error falls as the odd count m = 2h + 1 grows.
+    lo, hi = 0, max(1, math.ceil(need)) // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _majority_error(2 * mid + 1, noise) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return 2 * lo + 1
 
 
 @functools.cache

@@ -15,6 +15,16 @@ balanced cut leaves sides no larger than a (d-1)/d fraction and every piece
 lies inside one side, so the split depth stays logarithmic and the whole
 thing needs O(d n log^2 n) queries in expectation.
 
+A part keeps the path its last round found and the piece of each path node.
+A round's node i lies in the piece of one path node p, so the path r -> p
+is known and the rest of r -> i runs through p's piece: the round scans and
+places only that piece, and the known path below p joins p's new piece
+unasked. A node on the known path costs only its two checks. A failed round
+pushes its part back with its new path, and an accepted one hands p's piece
+the branch below p as its known path. A retry so asks no more than a fresh
+round would, and on consistent answers it draws, accepts and adds exactly
+what a fresh round would.
+
 A node is put into its piece by a search down the path for the deepest path
 node that reaches it. A round's first 16 nodes take plain binary searches.
 After that the search is weighted by the sizes the pieces have reached so
@@ -24,9 +34,10 @@ placement still asks O(log n) queries, which the bound above rests on.
 
 A path is held as its two slopes, each running from the lowest common
 ancestor (LCA) down to one endpoint, so consecutive slope nodes are (parent,
-child) edges as they stand. A round's path r -> i is one slope, with r alone
-as the other, where a bag search asks nothing. ``reconstruct_skeleton_path``
-rebuilds the path between two nodes with no known root.
+child) edges as they stand. A round searches the new stretch p -> i of its
+path as one slope, with p alone as the other, where a bag search asks
+nothing. ``reconstruct_skeleton_path`` rebuilds the path between two nodes
+with no known root.
 
 A bound below the true degree can leave no balanced edge on any path. Any
 true edge is a correct cut, so the bound only sets the gate: a part whose
@@ -47,7 +58,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Sequence
 
 from .errors import InconsistentOracleError
@@ -302,7 +313,10 @@ def reconstruct_tree(
     Each round draws its node i with ``rng.choice`` and first checks that
     the part's root reaches i and i does not reach the root; a 2-node part
     asks only these checks. Each accepted round adds every edge of its path
-    and splits its part into one piece per path node.
+    and splits its part into one piece per path node, listed with its path
+    node first and the rest in ascending order. A part's next round reuses
+    the path its last round found and asks only inside the piece, of one
+    path node, that holds its new node.
     ``degree_bound`` sets only the balance gate. A node listed twice raises
     ValueError, and a bound that no tree on these nodes fits (below 1, or 1
     with more than two nodes) raises InfeasibleDegreeError, both before any
@@ -329,16 +343,21 @@ def reconstruct_tree(
     for k in part[1:]:
         if query(k, root):
             root = k
-    # Parts still to solve, each with its root, gate bound and failed rounds
-    # so far. A failed part goes back on top, so it is retried next. Pieces
-    # are pushed last to first, so they are solved in path order; that order
-    # fixes which nodes rng draws. Only parts of 3 or more nodes run rounds,
-    # and those exist only at bounds of 2 or more, so the gate never divides
-    # by zero.
-    stack = [(part, root, 1, degree_bound, 0)]
+    # Parts still to solve, each with its root, gate bound, failed rounds so
+    # far, and what its last round found: the path from its root and the
+    # piece that hangs from each path node, each listing its path node first.
+    # A fresh part has None there: its path is its root alone, and its piece
+    # is the part itself, which lists its root first. The whole node set is
+    # sorted instead, so it starts with a root-first copy as its piece. A
+    # failed part goes back on top, so it is retried next. Pieces are pushed
+    # last to first, so they are solved in path order; that order fixes which
+    # nodes rng draws. Only parts of 3 or more nodes run rounds, and those
+    # exist only at bounds of 2 or more, so the gate never divides by zero.
+    whole = [root, *(k for k in part if k != root)]
+    stack = [(part, root, 1, degree_bound, 0, ([root], [whole]))]
     try:
         while stack:
-            part, root, depth, bound, failed = stack.pop()
+            part, root, depth, bound, failed, known = stack.pop()
             stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
             size = len(part)
             if size <= 1:
@@ -352,14 +371,33 @@ def reconstruct_tree(
             stats.rounds_total += 1
             i = rng.choice(others)
             _check_below(oracle, root, i)
-            # Every node of the part lies below the root, so the path r -> i
-            # is r, i and the nodes that reach i: one query per node.
-            between = [k for k in others if k != i and query(k, i)]
-            to_i = [root, *sort_by_ancestry(oracle, between), i]
-            pieces = path_pieces(oracle, part, to_i, [root], [])
-            # The path's (parent, child) edges in piece order, from i up to r.
-            cuts = [*zip(to_i, to_i[1:])][::-1]
-            sep = find_even_separator([len(p) for p in pieces], cuts, size, bound)
+            path, pieces = known or ([root], [part])
+            # The known path r -> p, to the path node p whose piece holds i,
+            # is a prefix of the path r -> i. The rest of it runs through p's
+            # piece, and the known branch below p hangs off p beside it. The
+            # root's piece, often the largest, holds what no other piece does.
+            t = len(path) - 1
+            while t and i not in pieces[t]:
+                t -= 1
+            p, piece = path[t], pieces[t]
+            branch, branch_pieces = path[t + 1 :], pieces[t + 1 :]
+            if i == p:
+                slope, below = [p], [piece]
+            else:
+                # Every node of p's piece lies below p, so the path p -> i is
+                # p, i and the nodes that reach i: one query per node.
+                between = [k for k in piece[1:] if k != i and query(k, i)]
+                slope = [p, *sort_by_ancestry(oracle, between), i]
+                below = path_pieces(oracle, piece, slope, [p], [])[::-1]
+            # p's new piece is what it kept of its old one and the branch.
+            own = below[0]
+            merged = [p, *sorted(chain(own[1:], *branch_pieces))] if branch else own
+            path = [*path[:t], *slope]
+            pieces = [*pieces[:t], merged, *below[1:]]
+            # The gate reads the path's (parent, child) edges and its pieces
+            # from i up to r.
+            cuts = [*zip(path, path[1:])][::-1]
+            sep = find_even_separator([len(q) for q in reversed(pieces)], cuts, size, bound)
             if sep is None:
                 # A correct bound b needs b^2/(b-1) rounds on average. After
                 # four times that many failures the part's gate doubles b; at
@@ -368,13 +406,16 @@ def reconstruct_tree(
                 failed += 1
                 if failed >= 4 * bound * bound // (bound - 1):
                     bound, failed = 2 * bound, 0
-                stack.append((part, root, depth, bound, failed))
+                stack.append((part, root, depth, bound, failed, (path, pieces)))
                 continue
             if separator_hook is not None:
                 separator_hook(sep, tuple(part))
             edges.update(cuts)
-            # path_pieces lists each piece's path node, its root, first.
-            stack.extend((piece, piece[0], depth + 1, bound, 0) for piece in reversed(pieces))
+            # Each piece is rooted at its path node. p's piece keeps the
+            # branch below p as its known path; every other piece is fresh.
+            pushed = [(q, v, depth + 1, bound, 0, None) for v, q in zip(path, pieces)]
+            pushed[t] = (merged, p, depth + 1, bound, 0, ([p, *branch], [own, *branch_pieces]))
+            stack.extend(pushed)
     except InconsistentOracleError as err:
         err.stats = stats
         raise

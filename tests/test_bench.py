@@ -68,9 +68,9 @@ class TestRunSingle:
                 return bit if self.calls * self.votes <= 8_000 else 0
 
         monkeypatch.setattr(bench, "NoisyOracle", LateLiar)
-        # The liar must start before the run ends; an honest run on 20 of
-        # these nodes ends within 8,000 raw queries.
-        tree = random_tree(30, 3, seed=101)
+        # The liar must start before the run ends; an honest run on these 60
+        # nodes asks about 17,000 raw queries.
+        tree = random_tree(60, 3, seed=101)
         outcome = run_single("noisy", tree, 3, seed=5, eps=0.1, delta=0.1)
         assert not outcome.success
         assert outcome.edges == set()

@@ -330,8 +330,8 @@ def test_query_is_the_only_public_callable(bent_tree, kind):
 
 class TestMajorityVoteCount:
     def test_default_budget_values(self):
-        assert majority_vote_count(0.1, 0.1, 200, 5) == 59
-        assert majority_vote_count(0.1, 0.05, 200, 5) == 63
+        assert majority_vote_count(0.1, 0.1, 200, 5) == 31
+        assert majority_vote_count(0.1, 0.05, 200, 5) == 33
 
     def test_always_odd(self):
         for noise in (0.05, 0.1, 0.2, 0.3, 0.45):

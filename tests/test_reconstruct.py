@@ -473,11 +473,15 @@ class TestWeightedPlacement:
 def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
     # Tracers charge bag-search queries to find_bag by name, so the round's
     # placement must ask all of its queries inside find_bag calls, one call
-    # per off-path node, also once the plans are reweighed.
+    # per off-path node, also once the plans are reweighed and in retries.
+    # They count accepted rounds as the non-None returns of
+    # find_even_separator, so every round must consult it exactly once.
     tree = random_tree(600, 3, seed=4)
     oracle = ExactOracle(tree)
     real_path_pieces, real_find_bag = reconstruct.path_pieces, reconstruct.find_bag
+    real_find_even_separator = reconstruct.find_even_separator
     seen = {"calls": 0, "placements": 0, "find_bag": 0, "path_pieces": 0, "largest": 0}
+    gates = []
 
     def find_bag(*args):
         before = oracle.calls
@@ -496,13 +500,27 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
             seen["largest"] = max(seen["largest"], placements)
         return pieces
 
+    def find_even_separator(*args):
+        gates.append(real_find_even_separator(*args))
+        return gates[-1]
+
     monkeypatch.setattr(reconstruct, "find_bag", find_bag)
     monkeypatch.setattr(reconstruct, "path_pieces", path_pieces)
-    edges, _ = reconstruct_tree(oracle, range(tree.n), 3, random.Random(1))
+    monkeypatch.setattr(reconstruct, "find_even_separator", find_even_separator)
+    accepted = []
+    edges, stats = reconstruct_tree(
+        oracle,
+        range(tree.n),
+        3,
+        random.Random(1),
+        separator_hook=lambda sep, part: accepted.append(sep),
+    )
     assert edges == set(tree.edges())
     assert seen["largest"] > 128  # reweighed at least twice in one round
     assert seen["calls"] == seen["placements"]
     assert seen["find_bag"] == seen["path_pieces"] > 0
+    assert len(gates) == stats.rounds_total > len(accepted)  # some rounds failed
+    assert [sep for sep in gates if sep is not None] == accepted
 
 
 class TestReconstructTree:
@@ -716,6 +734,97 @@ class TestRootRounds:
         assert stats.rounds_total == 0
 
 
+class TestRetries:
+    """A failed round's path and pieces carry over to the part's next round.
+
+    The tree hangs 1 -> 3, 2 and the leaf 12 from the root 0, and the binary
+    subtree 2 -> 4, 5; 4 -> 6, 7; 5 -> 8, 9; 6 -> 10, 11 below 2. At bound 3
+    a cut must leave at least 4 of the 13 nodes below it, so the path
+    0 -> 1 -> 3, whose pieces from 3 up hold 1, 1 and 11 nodes, fails.
+    """
+
+    PARENT = (ROOT, 0, 0, 1, 2, 2, 4, 4, 5, 5, 6, 6, 0)
+
+    def _run(self, script):
+        tree = validate_tree(self.PARENT, 3)
+        recorder = _RecordingOracle(ExactOracle(tree))
+        cut_at = []
+        edges, _ = reconstruct_tree(
+            recorder,
+            range(tree.n),
+            3,
+            ScriptedRng(script),
+            separator_hook=lambda sep, part: cut_at.append(len(recorder.transcript)),
+        )
+        assert edges == set(tree.edges())
+        pairs = [(a, b) for a, b, _ in recorder.transcript]
+        return pairs, cut_at
+
+    def test_retry_asks_only_inside_the_piece_of_its_node(self):
+        # The retry draws 6, which lies in the root's piece: every node but
+        # 1 and 3. It scans that piece alone and is accepted at (2, 4).
+        pairs, cut_at = self._run([3, 6])
+        start = pairs.index((0, 6))  # no earlier query asks 0 about 6
+        retry = pairs[start : cut_at[0]]
+        assert retry[:2] == [(0, 6), (6, 0)]
+        piece = set(range(13)) - {1, 3}
+        assert len(retry) > 2
+        assert all(a in piece and b in piece for a, b in retry)
+
+    def test_retry_on_the_known_path_asks_only_its_checks(self):
+        # 1 lies on the known path 0 -> 1 -> 3, so the retry's path is 0 -> 1
+        # and its pieces follow from the last round's: it fails again unasked.
+        pairs, _ = self._run([3, 1, 6])
+        start = pairs.index((0, 1))  # the first round only asks 1 about 3
+        assert pairs[start : pairs.index((0, 6))] == [(0, 1), (1, 0)]
+
+    def test_accepted_retry_hands_its_branch_to_the_root_piece(self):
+        # The accepted retry leaves the root's piece 0, 1, 3, 12 with the
+        # known path 0 -> 1 -> 3, so the round that draws 12 asks nothing
+        # about 1 or 3, and the part 0, 1, 3 left after it asks only the
+        # checks of a node on its known path.
+        pairs, _ = self._run([3, 6, 10, 8, 12])
+        tail = pairs[pairs.index((0, 12)) :]
+        assert tail[:2] == [(0, 12), (12, 0)]
+        assert len(tail) == 4 and tail[2] in ((0, 1), (0, 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["chain", "star", "caterpillar", "parallel_chain", "random"]),
+        st.integers(min_value=3, max_value=40),
+        st.integers(min_value=0, max_value=2**16),
+        st.data(),
+    )
+    def test_pieces_keep_their_order_on_every_shape(self, shape, n, seed, data):
+        # At the true bound and below it: every round draws from its part in
+        # ascending order, and every part that reaches an accepted round
+        # after the first lists its root first, then the rest ascending.
+        tree = _shaped(shape, n, seed)
+        bound = data.draw(st.integers(min_value=2, max_value=max(2, tree.degree_bound)))
+        drawn_from = []
+
+        class Recording(random.Random):
+            def choice(self, population):
+                drawn_from.append(list(population))
+                return super().choice(population)
+
+        parts = []
+        oracle = _CappedOracle(ExactOracle(tree), _query_cap(tree.n))
+        edges, stats = reconstruct_tree(
+            oracle,
+            range(tree.n),
+            bound,
+            Recording(seed),
+            separator_hook=lambda sep, part: parts.append(part),
+        )
+        assert edges == set(tree.edges())
+        assert len(drawn_from) == stats.rounds_total
+        assert all(others == sorted(others) for others in drawn_from)
+        for part in parts[1:]:
+            assert list(part[1:]) == sorted(part[1:])
+            assert all(part[0] in root_chain(tree, k) for k in part[1:])
+
+
 def _run_exact(tree, bound):
     oracle = ExactOracle(tree)
     edges, stats = reconstruct_tree(oracle, range(tree.n), bound, random.Random(0))
@@ -737,13 +846,13 @@ def _run_weighted(tree, bound):
 @pytest.mark.parametrize(
     "run, tree, bound, calls, rounds, depth",
     [
-        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 4244, 97, 8, id="random-d3"),
-        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4968, 114, 11, id="random-d10"),
+        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 4008, 97, 8, id="random-d3"),
+        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4870, 114, 11, id="random-d10"),
         pytest.param(_run_exact, parallel_chain(4, 30), 4, 1333, 11, 7, id="parallel-chain"),
-        pytest.param(_run_exact, shaped_tree("star", 40), 2, 22893, 311, 39, id="star-doubling"),
-        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 4126, 147, 9, id="wrong-bound"),
-        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1460, 42, 7, id="noisy"),
-        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 4543, 97, 8, id="weighted"),
+        pytest.param(_run_exact, shaped_tree("star", 40), 2, 22051, 311, 39, id="star-doubling"),
+        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 3111, 147, 9, id="wrong-bound"),
+        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1401, 42, 7, id="noisy"),
+        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 4307, 97, 8, id="weighted"),
     ],
 )
 def test_query_stream_is_pinned(run, tree, bound, calls, rounds, depth):
