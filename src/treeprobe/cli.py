@@ -114,10 +114,9 @@ def _cmd_generate(args, parser) -> int:
 
 
 def _cmd_reconstruct(args, parser) -> int:
+    _check_noise(args, parser)
     hidden = load_tree(args.tree)
     plain = hidden.tree if isinstance(hidden, WeightedDirectedRootedTree) else hidden
-    if args.regime == "noisy":
-        _check_noise(args, parser)
     if args.regime == "weighted" and not isinstance(hidden, WeightedDirectedRootedTree):
         parser.error("--regime weighted needs a weighted tree file")
 
@@ -147,8 +146,7 @@ def _cmd_reconstruct(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    if args.regime == "noisy":
-        _check_noise(args, parser)
+    _check_noise(args, parser)
     if args.reps < 0:
         parser.error("--reps must be >= 0")
     if any(n < 2 for n in args.nodes):
@@ -195,6 +193,11 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _check_noise(args, parser) -> None:
+    if args.regime != "noisy":
+        # A noise rate the run never used must not reach its output.
+        if args.eps is not None or args.delta is not None:
+            parser.error("--eps and --delta apply only to --regime noisy")
+        return
     if args.eps is None or args.delta is None:
         parser.error("--regime noisy needs --eps and --delta")
     if not 0.0 < args.eps < 0.5:

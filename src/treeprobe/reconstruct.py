@@ -1,29 +1,31 @@
 """Tree reconstruction from path queries.
 
 The driver is a Las-Vegas divide and conquer over parts whose root it knows.
-A tournament of n-1 queries finds the root of the whole node set. A round on
-a part with root r samples one other node i, rebuilds the path r -> i with
-one membership query per other node, puts every other node into the piece of
-the path node it hangs from, and accepts the round if some path edge has two
-balanced enough sides. Each piece is a subtree rooted at its path node, so
-no later part needs a tournament, and a 2-node part is settled by the two
-checks that its root reaches the other node, with nothing to sample. Parts
-still to solve wait on a stack, and each pass of the driver loop runs one
-round on the top part: an accepted round keeps every path edge and pushes
-each piece; a failed round pushes its part back. With a degree bound d the
-balanced cut leaves sides no larger than a (d-1)/d fraction and every piece
-lies inside one side, so the split depth stays logarithmic and the whole
-thing needs O(d n log^2 n) queries in expectation.
+``find_root`` runs a tournament of n-1 queries for the root of the whole
+node set. A round on a part with root r samples one other node i, rebuilds
+the path r -> i with one membership query per other node, puts every other
+node into the piece of the path node it hangs from, and accepts the round if
+some path edge has two balanced enough sides. Each piece is a subtree rooted
+at its path node, so no later part needs a tournament, and a 2-node part is
+settled by the two checks that its root reaches the other node, with nothing
+to sample. Parts still to solve wait on a stack, and each pass of the driver
+loop runs one round on the top part: an accepted round keeps every path edge
+and pushes each piece; a failed round pushes its part back. With a degree
+bound d the balanced cut leaves sides no larger than a (d-1)/d fraction and
+every piece lies inside one side, so the split depth stays logarithmic and
+the whole thing needs O(d n log^2 n) queries in expectation.
 
-A part keeps the path its last round found and the piece of each path node.
-A round's node i lies in the piece of one path node p, so the path r -> p
-is known and the rest of r -> i runs through p's piece: the round scans and
-places only that piece, and the known path below p joins p's new piece
-unasked. A node on the known path costs only its two checks. A failed round
-pushes its part back with its new path, and an accepted one hands p's piece
-the branch below p as its known path. A retry so asks no more than a fresh
-round would, and on consistent answers it draws, accepts and adds exactly
-what a fresh round would.
+Every part lists its root first, and a path is one list from a part's root
+down, so consecutive path nodes are (parent, child) edges as they stand. A
+part keeps the path its last round found and the piece of each path node,
+each piece listing its path node first. A round's node i lies in the piece
+of one path node p, so the path r -> p is known and the rest of r -> i runs
+through p's piece: the round scans and places only that piece, and the known
+path below p joins p's new piece unasked. A node on the known path costs
+only its two checks. A failed round pushes its part back with its new path,
+and an accepted one hands p's piece the branch below p as its known path. A
+retry so asks no more than a fresh round would, and on consistent answers it
+draws, accepts and adds exactly what a fresh round would.
 
 A node is put into its piece by a search down the path for the deepest path
 node that reaches it. A round's first 16 nodes take plain binary searches.
@@ -31,13 +33,6 @@ After that the search is weighted by the sizes the pieces have reached so
 far (Mehlhorn's bisection rule), so nodes of the big pieces, the root's on
 random trees and the sampled node's on chains, cost fewer queries. Every
 placement still asks O(log n) queries, which the bound above rests on.
-
-A path is held as its two slopes, each running from the lowest common
-ancestor (LCA) down to one endpoint, so consecutive slope nodes are (parent,
-child) edges as they stand. A round searches the new stretch p -> i of its
-path as one slope, with p alone as the other, where a bag search asks
-nothing. ``reconstruct_skeleton_path`` rebuilds the path between two nodes
-with no known root.
 
 A bound below the true degree can leave no balanced edge on any path. Any
 true edge is a correct cut, so the bound only sets the gate: a part whose
@@ -81,9 +76,9 @@ class ReconstructionStats:
 
 Edges = set[tuple[int, int]]
 SeparatorHook = Callable[[tuple[int, int], tuple[int, ...]], None]
-# A search plan over a k-node slope, ``(first, hit, miss)``: the walk starts
+# A search plan over a k-node path, ``(first, hit, miss)``: the walk starts
 # at entry ``first``. An entry m >= 1 is a split point, which asks about
-# slope[m] and goes on to hit[m] or miss[m]; an entry below 0 is the answer
+# path[m] and goes on to hit[m] or miss[m]; an entry below 0 is the answer
 # ~entry.
 Plan = tuple[int, list[int], list[int]]
 
@@ -97,40 +92,26 @@ def sort_by_ancestry(oracle, items: Sequence[int]) -> list[int]:
     return sorted(items, key=cmp_to_key(compare))
 
 
-def find_bag(
-    oracle,
-    to_i: Sequence[int],
-    to_j: Sequence[int],
-    node: int,
-    plan_i: Plan | None = None,
-    plan_j: Plan | None = None,
-) -> int:
-    """The path node that an off-path ``node`` hangs from.
+def find_bag(oracle, path: Sequence[int], node: int, plan: Plan | None = None) -> int:
+    """The path node that an off-path ``node`` of the path's part hangs from.
 
-    ``to_i`` and ``to_j`` are the path's slopes, each running from the LCA
-    down to one endpoint. Reachability along a slope is monotone (a prefix
-    of ones), so a search finds the deepest slope node that reaches
-    ``node``; the LCA itself is never asked. The ``to_i`` search decides
-    unless it stops at the LCA; only then is ``to_j`` searched. Each search
-    walks its slope's plan (see ``search_plan``). Without one it walks the
-    unit-weight plan, a binary search with ceiling midpoints that asks at
-    most ceil(log2 k) queries on a k-node slope; a weighted plan asks at
-    most 2 ceil(log2(W / w)) for an answer of weight w out of W.
+    ``path`` runs from its part's root down. Reachability along it is
+    monotone (a prefix of ones), so a search finds the deepest path node
+    that reaches ``node``; the root itself is never asked. The search walks
+    ``plan`` (see ``search_plan``). Without one it walks the unit-weight
+    plan, a binary search with ceiling midpoints that asks at most
+    ceil(log2 k) queries on a k-node path; a weighted plan asks at most
+    2 ceil(log2(W / w)) for an answer of weight w out of W.
     """
     query = oracle.query
-    at, hit, miss = plan_i or _unit_plan(len(to_i))
+    at, hit, miss = plan or _unit_plan(len(path))
     while at > 0:
-        at = hit[at] if query(to_i[at], node) else miss[at]
-    if at < -1:
-        return to_i[~at]
-    at, hit, miss = plan_j or _unit_plan(len(to_j))
-    while at > 0:
-        at = hit[at] if query(to_j[at], node) else miss[at]
-    return to_j[~at]
+        at = hit[at] if query(path[at], node) else miss[at]
+    return path[~at]
 
 
 def search_plan(weights: Sequence[int]) -> Plan:
-    """The weight-balanced search plan over slope positions 0..k-1.
+    """The weight-balanced search plan over path positions 0..k-1.
 
     The answer is the deepest position whose node reaches the searched
     node, and position 0 is never asked. An interval [lo, hi] of candidate
@@ -161,7 +142,7 @@ def search_plan(weights: Sequence[int]) -> Plan:
 
 @lru_cache(maxsize=32)
 def _unit_plan(length: int) -> Plan:
-    """The plan over a ``length``-node slope with every position weighing 1."""
+    """The plan over a ``length``-node path with every position weighing 1."""
     return search_plan([1] * length)
 
 
@@ -192,102 +173,63 @@ def find_even_separator(
     return None
 
 
-def path_pieces(
-    oracle, part: Sequence[int], to_i: Sequence[int], to_j: Sequence[int], above: Sequence[int]
-) -> list[list[int]]:
-    """One piece per path node, in path order from i to j: the path node and
-    every node hanging from it.
+def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[int]]:
+    """One piece per path node, in path order: the path node and every node
+    of ``part`` hanging from it.
 
     Cutting all path edges leaves exactly these pieces, each a connected
-    subtree. ``above`` (the scan's nodes above both endpoints) joins the
-    LCA's piece with no search; every other node is placed by find_bag.
-    Each piece lists its path node first, then the rest in ``part`` order.
+    subtree. Every node off the path is placed by find_bag. Each piece lists
+    its path node first, then the rest in ``part`` order.
 
     The first 16 nodes are placed with unit weights, by plain binary
-    searches. Then each slope is reweighed, and again each time the count
-    of placed nodes grows eightfold, so a round builds only a few plans. A
-    position weighs its piece so far, and the LCA's position on ``to_i``
-    also the pieces of ``to_j``, which a search reaches only through it.
-    So a node asks fewer queries the more of the part its piece holds, and
-    a placement asks at most 2 ceil(log2 s) + 2 queries on a part of s
-    nodes (see ``search_plan``). A path whose slopes have at most two nodes
-    each has only one plan and is never reweighed.
+    searches. Then the path is reweighed, and again each time the count of
+    placed nodes grows eightfold, so a round builds only a few plans. A
+    position weighs its piece so far, so a node asks fewer queries the more
+    of the part its piece holds, and a placement asks at most
+    2 ceil(log2 s) + 2 queries on a part of s nodes (see ``search_plan``).
+    A path of at most two nodes has only one plan and is never reweighed.
     """
-    pieces = {k: [k] for k in (*reversed(to_i), *to_j[1:])}
-    pieces[to_i[0]].extend(above)
-    placed = {*pieces, *above}
-    todo = [k for k in part if k not in placed]
-    plan_i, plan_j = _unit_plan(len(to_i)), _unit_plan(len(to_j))
-    stop = 16 if len(to_i) > 2 or len(to_j) > 2 else len(todo)
+    pieces = {k: [k] for k in path}
+    todo = [k for k in part if k not in pieces]
+    plan = _unit_plan(len(path))
+    stop = 16 if len(path) > 2 else len(todo)
     start = 0
     while True:
         for k in todo[start:stop]:
-            pieces[find_bag(oracle, to_i, to_j, k, plan_i, plan_j)].append(k)
+            pieces[find_bag(oracle, path, k, plan)].append(k)
         if stop >= len(todo):
             return list(pieces.values())
-        weights_j = [len(pieces[v]) for v in to_j]
-        weights_i = [len(pieces[v]) for v in to_i]
-        weights_i[0] += sum(weights_j) - weights_j[0]
-        plan_i, plan_j = search_plan(weights_i), search_plan(weights_j)
+        plan = search_plan([len(pieces[v]) for v in path])
         start, stop = stop, stop * 8
 
 
-def reconstruct_skeleton_path(
-    oracle, nodes: Sequence[int], i: int, j: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Rebuild the skeleton path between i and j in one membership pass.
+def find_root(oracle, nodes: Sequence[int]) -> int:
+    """The root of a non-empty node set, by a tournament of n-1 queries.
 
-    Returns the path as its two slopes ``(to_i, to_j)``, each running from
-    the LCA down to one endpoint (an endpoint that is the LCA is its own
-    one-node slope), and the nodes found above both endpoints but off the
-    path; those hang from the LCA.
-    Every other node k is asked whether it is an ancestor of i and of j: an
-    ancestor of only i lies on the i side below the LCA, an ancestor of only
-    j on the j side, and an ancestor of both at or above the LCA. When one
-    endpoint reaches the other, k is asked about the upper one first, and a
-    hit settles the lower one too. The LCA is the endpoint that reaches the
-    other, or else the deepest common ancestor.
+    A node replaces the candidate when it reaches it. The root reaches every
+    node and nothing reaches it, so it ends the winner.
     """
     query = oracle.query
-    i_to_j = query(i, j)
-    j_to_i = query(j, i)
-    if i_to_j and j_to_i:
-        raise InconsistentOracleError(f"nodes {i} and {j} each claim a path to the other")
-    left, right, above = [], [], []
-    if i_to_j or j_to_i:
-        lca, lower, slope = (i, j, right) if i_to_j else (j, i, left)
-        for k in nodes:
-            if k == i or k == j:
-                continue
-            if query(k, lca):
-                above.append(k)
-            elif query(k, lower):
-                slope.append(k)
-    else:
-        for k in nodes:
-            if k == i or k == j:
-                continue
-            above_i = query(k, i)
-            above_j = query(k, j)
-            if above_i and above_j:
-                above.append(k)
-            elif above_i:
-                left.append(k)
-            elif above_j:
-                right.append(k)
-        if not above:
-            raise InconsistentOracleError(
-                f"nodes {i} and {j} share no ancestor; oracle answers are inconsistent"
-            )
-        # Common ancestors form one directed path; the deepest is the LCA.
-        deepest = 0
-        for t in range(1, len(above)):
-            if query(above[deepest], above[t]):
-                deepest = t
-        lca = above.pop(deepest)
-    to_i = [lca, *sort_by_ancestry(oracle, left), i] if lca != i else [i]
-    to_j = [lca, *sort_by_ancestry(oracle, right), j] if lca != j else [j]
-    return to_i, to_j, above
+    root = nodes[0]
+    for k in nodes[1:]:
+        if query(k, root):
+            root = k
+    return root
+
+
+def reconstruct_skeleton_path(oracle, part: Sequence[int], i: int) -> list[int]:
+    """The path from the root ``part[0]`` down to its node ``i``.
+
+    Every node of the part lies below its root, so the path is the root, the
+    nodes that reach i and i itself: one query per other node, then a sort
+    by ancestry. The path to the root is the root alone and asks nothing.
+    """
+    root = part[0]
+    if i == root:
+        return [root]
+    query = oracle.query
+    between = [k for k in part[1:] if k != i and query(k, i)]
+    return [root, *sort_by_ancestry(oracle, between), i]
 
 
 def _check_below(oracle, root: int, node: int) -> None:
@@ -310,13 +252,15 @@ def reconstruct_tree(
 
     ``oracle.query(i, j)`` must be truthy exactly when the oracle claims a
     directed path i -> j; nothing else of an answer is read.
-    Each round draws its node i with ``rng.choice`` and first checks that
-    the part's root reaches i and i does not reach the root; a 2-node part
-    asks only these checks. Each accepted round adds every edge of its path
-    and splits its part into one piece per path node, listed with its path
-    node first and the rest in ascending order. A part's next round reuses
-    the path its last round found and asks only inside the piece, of one
-    path node, that holds its new node.
+    ``find_root`` first finds the root, and the whole node set goes on as
+    one part, its root first and the rest in ascending order. Each round
+    draws its node i with ``rng.choice`` and first checks that the part's
+    root reaches i and i does not reach the root; a 2-node part asks only
+    these checks. Each accepted round adds every edge of its path and splits
+    its part into one piece per path node, listed with its path node first
+    and the rest in ascending order. A part's next round reuses the path its
+    last round found and asks only inside the piece, of one path node, that
+    holds its new node.
     ``degree_bound`` sets only the balance gate. A node listed twice raises
     ValueError, and a bound that no tree on these nodes fits (below 1, or 1
     with more than two nodes) raises InfeasibleDegreeError, both before any
@@ -325,7 +269,7 @@ def reconstruct_tree(
     stay exact. The run is deterministic given the rng state and the
     oracle's answers. ``separator_hook`` (if given) sees the balanced cut
     that let each round through, as a ``(parent, child)`` pair, with the
-    node set it was accepted in; the tests audit balance with it.
+    part it was accepted in, root first; the tests audit balance with it.
     An InconsistentOracleError raised on the way carries the counters so far
     as its ``stats``.
     """
@@ -336,40 +280,34 @@ def reconstruct_tree(
     check_degree_feasible(len(part), degree_bound)
     stats = ReconstructionStats()
     edges: Edges = set()
-    query = oracle.query
-    # The tournament: a node replaces the candidate when it reaches it. The
-    # root reaches every node and nothing reaches it, so it ends the winner.
-    root = part[0] if part else None
-    for k in part[1:]:
-        if query(k, root):
-            root = k
-    # Parts still to solve, each with its root, gate bound, failed rounds so
-    # far, and what its last round found: the path from its root and the
-    # piece that hangs from each path node, each listing its path node first.
-    # A fresh part has None there: its path is its root alone, and its piece
-    # is the part itself, which lists its root first. The whole node set is
-    # sorted instead, so it starts with a root-first copy as its piece. A
-    # failed part goes back on top, so it is retried next. Pieces are pushed
-    # last to first, so they are solved in path order; that order fixes which
-    # nodes rng draws. Only parts of 3 or more nodes run rounds, and those
-    # exist only at bounds of 2 or more, so the gate never divides by zero.
-    whole = [root, *(k for k in part if k != root)]
-    stack = [(part, root, 1, degree_bound, 0, ([root], [whole]))]
+    if part:
+        root = find_root(oracle, part)
+        part = [root, *(k for k in part if k != root)]
+    # Parts still to solve, each listing its root first, with its gate
+    # bound, failed rounds so far, and what its last round found: the path
+    # from its root and the piece that hangs from each path node, each
+    # listing its path node first. A fresh part has None there: its path is
+    # its root alone, and its piece is the part itself. A failed part goes
+    # back on top, so it is retried next. Pieces are pushed last to first,
+    # so they are solved in path order; that order fixes which nodes rng
+    # draws. Only parts of 3 or more nodes run rounds, and those exist only
+    # at bounds of 2 or more, so the gate never divides by zero.
+    stack = [(part, 1, degree_bound, 0, None)]
     try:
         while stack:
-            part, root, depth, bound, failed, known = stack.pop()
+            part, depth, bound, failed, known = stack.pop()
             stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
             size = len(part)
             if size <= 1:
                 continue
-            others = [k for k in part if k != root]
+            root = part[0]
             if size == 2:
                 # With the root known there is nothing left to sample.
-                _check_below(oracle, root, others[0])
-                edges.add((root, others[0]))
+                _check_below(oracle, root, part[1])
+                edges.add((root, part[1]))
                 continue
             stats.rounds_total += 1
-            i = rng.choice(others)
+            i = rng.choice(part[1:])
             _check_below(oracle, root, i)
             path, pieces = known or ([root], [part])
             # The known path r -> p, to the path node p whose piece holds i,
@@ -381,18 +319,12 @@ def reconstruct_tree(
                 t -= 1
             p, piece = path[t], pieces[t]
             branch, branch_pieces = path[t + 1 :], pieces[t + 1 :]
-            if i == p:
-                slope, below = [p], [piece]
-            else:
-                # Every node of p's piece lies below p, so the path p -> i is
-                # p, i and the nodes that reach i: one query per node.
-                between = [k for k in piece[1:] if k != i and query(k, i)]
-                slope = [p, *sort_by_ancestry(oracle, between), i]
-                below = path_pieces(oracle, piece, slope, [p], [])[::-1]
+            tail = reconstruct_skeleton_path(oracle, piece, i)
+            below = path_pieces(oracle, piece, tail)
             # p's new piece is what it kept of its old one and the branch.
             own = below[0]
             merged = [p, *sorted(chain(own[1:], *branch_pieces))] if branch else own
-            path = [*path[:t], *slope]
+            path = [*path[:t], *tail]
             pieces = [*pieces[:t], merged, *below[1:]]
             # The gate reads the path's (parent, child) edges and its pieces
             # from i up to r.
@@ -406,15 +338,15 @@ def reconstruct_tree(
                 failed += 1
                 if failed >= 4 * bound * bound // (bound - 1):
                     bound, failed = 2 * bound, 0
-                stack.append((part, root, depth, bound, failed, (path, pieces)))
+                stack.append((part, depth, bound, failed, (path, pieces)))
                 continue
             if separator_hook is not None:
                 separator_hook(sep, tuple(part))
             edges.update(cuts)
             # Each piece is rooted at its path node. p's piece keeps the
             # branch below p as its known path; every other piece is fresh.
-            pushed = [(q, v, depth + 1, bound, 0, None) for v, q in zip(path, pieces)]
-            pushed[t] = (merged, p, depth + 1, bound, 0, ([p, *branch], [own, *branch_pieces]))
+            pushed = [(q, depth + 1, bound, 0, None) for q in pieces]
+            pushed[t] = (merged, depth + 1, bound, 0, ([p, *branch], [own, *branch_pieces]))
             stack.extend(pushed)
     except InconsistentOracleError as err:
         err.stats = stats

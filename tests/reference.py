@@ -109,15 +109,30 @@ def tree_equals(a: DirectedRootedTree, b: DirectedRootedTree) -> bool:
     return a.parent == b.parent
 
 
-def subtree_size(tree: DirectedRootedTree, v: int) -> int:
-    """Number of nodes in the subtree rooted at v (v included)."""
-    total = 0
-    stack = [v]
+def descent(tree: DirectedRootedTree, pick) -> tuple[int, int]:
+    """A node i below the root and a proper ancestor p of it, as a round on
+    p's subtree meets them: ``pick(k)`` chooses one of k indices."""
+    lower = [v for v in range(tree.n) if tree.parent[v] != ROOT]
+    i = lower[pick(len(lower))]
+    ancestors = root_chain(tree, i)
+    return ancestors[pick(len(ancestors))], i
+
+
+def subtree_nodes(tree: DirectedRootedTree, v: int) -> list[int]:
+    """The subtree rooted at v: v first, then its proper descendants in
+    ascending order, as the driver lists a part."""
+    below = []
+    stack = list(tree.children[v])
     while stack:
         u = stack.pop()
-        total += 1
+        below.append(u)
         stack.extend(tree.children[u])
-    return total
+    return [v, *sorted(below)]
+
+
+def subtree_size(tree: DirectedRootedTree, v: int) -> int:
+    """Number of nodes in the subtree rooted at v (v included)."""
+    return len(subtree_nodes(tree, v))
 
 
 def _check_pair(n: int, i: int, j: int) -> None:

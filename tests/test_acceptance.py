@@ -26,15 +26,16 @@ from treeprobe import (
     validate_tree,
 )
 from treeprobe.cli import EXIT_OK, main as cli_main
-from treeprobe.reconstruct import find_bag, path_pieces, reconstruct_skeleton_path
+from treeprobe.reconstruct import find_bag, find_root, path_pieces, reconstruct_skeleton_path
 
 from reference import (
     bag_nodes,
     check_separator,
+    descent,
     enumerate_trees,
-    is_ancestor,
     root_chain,
     skeleton_path,
+    subtree_nodes,
 )
 
 GRID_NODES = [100, 500, 1000, 2000]
@@ -176,23 +177,6 @@ def _random_instance(rng: random.Random):
     return random_tree(n, d, seed=rng.getrandbits(48))
 
 
-def _incomparable_pair(tree, rng: random.Random):
-    for _ in range(32):
-        i, j = rng.sample(range(tree.n), 2)
-        if not is_ancestor(tree, i, j) and not is_ancestor(tree, j, i):
-            return i, j
-    return None
-
-
-def _true_lca(tree, i: int, j: int) -> int:
-    others = set(root_chain(tree, j))
-    deepest = None
-    for k in root_chain(tree, i):
-        if k in others:
-            deepest = k
-    return deepest
-
-
 def _induced_subtree(tree, part):
     """Relabel a connected part densely and rebuild it as its own tree."""
     order = {v: t for t, v in enumerate(sorted(part))}
@@ -208,53 +192,49 @@ def _induced_subtree(tree, part):
 def test_criterion_7_subprocedures_match_ground_truth(report):
     rng = random.Random(0x5EED5)
 
+    # Each audit calls what a round calls, on the subtree of a node p listed
+    # p first, as the driver lists a part.
     path_bad = 0
     for _ in range(SAMPLES):
         tree = _random_instance(rng)
-        i, j = rng.sample(range(tree.n), 2)
-        to_i, to_j, _ = reconstruct_skeleton_path(ExactOracle(tree), range(tree.n), i, j)
-        if (to_i, to_j) != skeleton_path(tree, i, j):
+        p, i = descent(tree, rng.randrange)
+        path = reconstruct_skeleton_path(ExactOracle(tree), subtree_nodes(tree, p), i)
+        if path != skeleton_path(tree, p, i)[1]:
             path_bad += 1
 
-    lca_bad = 0
-    done = 0
-    while done < SAMPLES:
+    root_bad = 0
+    for _ in range(SAMPLES):
         tree = _random_instance(rng)
-        pair = _incomparable_pair(tree, rng)
-        if pair is None:
-            continue  # chains have no incomparable pair; draw another tree
-        done += 1
-        i, j = pair
-        to_i, _, _ = reconstruct_skeleton_path(ExactOracle(tree), range(tree.n), i, j)
-        if to_i[0] != _true_lca(tree, i, j):
-            lca_bad += 1
+        p = rng.randrange(tree.n)
+        part = subtree_nodes(tree, p)
+        rng.shuffle(part)
+        if find_root(ExactOracle(tree), part) != p:
+            root_bad += 1
 
     bag_bad = 0
     for _ in range(SAMPLES):
         tree = _random_instance(rng)
-        i, j = rng.sample(range(tree.n), 2)
-        to_i, to_j = skeleton_path(tree, i, j)
-        truth = bag_nodes(tree, to_i, to_j)
+        p, i = descent(tree, rng.randrange)
+        path = skeleton_path(tree, p, i)[1]
+        truth = bag_nodes(tree, [p], path)
         oracle = ExactOracle(tree)
-        on_path = {*to_i, *to_j}
-        for k in range(tree.n):
-            if k in on_path:
+        for k in subtree_nodes(tree, p):
+            if k in path:
                 continue
-            if find_bag(oracle, to_i, to_j, k) != truth[k]:
+            if find_bag(oracle, path, k) != truth[k]:
                 bag_bad += 1
                 break
 
     split_bad = 0
     for _ in range(SAMPLES):
         tree = _random_instance(rng)
-        i, j = rng.sample(range(tree.n), 2)
-        to_i, to_j = skeleton_path(tree, i, j)
-        above = root_chain(tree, to_i[0])
-        pieces = path_pieces(ExactOracle(tree), range(tree.n), to_i, to_j, above)
-        truth = bag_nodes(tree, to_i, to_j)
-        path = [*reversed(to_i), *to_j[1:]]
-        wanted = [{k for k in range(tree.n) if truth[k] == v} for v in path]
-        if [set(p) for p in pieces] != wanted or sum(map(len, pieces)) != tree.n:
+        p, i = descent(tree, rng.randrange)
+        part = subtree_nodes(tree, p)
+        path = skeleton_path(tree, p, i)[1]
+        pieces = path_pieces(ExactOracle(tree), part, path)
+        truth = bag_nodes(tree, [p], path)
+        wanted = [{k for k in part if truth[k] == v} for v in path]
+        if [set(q) for q in pieces] != wanted or sum(map(len, pieces)) != len(part):
             split_bad += 1
 
     sep_bad = 0
@@ -275,14 +255,14 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
                 sep_bad += 1
         audited += len(cuts)
 
-    ok = path_bad == lca_bad == bag_bad == split_bad == sep_bad == 0
+    ok = path_bad == root_bad == bag_bad == split_bad == sep_bad == 0
     report(
         7,
         ok,
-        f"paths/LCAs/bags/pieces x{SAMPLES} samples, {audited} accepted cuts audited",
+        f"paths/roots/bags/pieces x{SAMPLES} samples, {audited} accepted cuts audited",
     )
     assert path_bad == 0, path_bad
-    assert lca_bad == 0, lca_bad
+    assert root_bad == 0, root_bad
     assert bag_bad == 0, bag_bad
     assert split_bad == 0, split_bad
     assert sep_bad == 0, sep_bad

@@ -160,6 +160,16 @@ class TestReconstruct:
                 "--eps", "0.6", "--delta", "0.1")
         assert caught.value.code == 2
 
+    @pytest.mark.parametrize("regime", ["exact", "weighted"])
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    def test_noise_flags_outside_the_noisy_regime_are_usage_errors(
+        self, hidden_file, capsys, regime, flag
+    ):
+        with pytest.raises(SystemExit) as caught:
+            run("reconstruct", "--tree", str(hidden_file), "--regime", regime, flag, "0.1")
+        assert caught.value.code == 2
+        assert "only to --regime noisy" in capsys.readouterr().err
+
     def test_weighted_requires_a_weighted_file(self, hidden_file):
         with pytest.raises(SystemExit) as caught:
             run("reconstruct", "--tree", str(hidden_file), "--regime", "weighted")
@@ -248,6 +258,19 @@ class TestBench:
                 "--nodes", "12", "--degrees", "3", "--reps", "1",
                 "--csv", str(tmp_path / "x.csv"))
         assert caught.value.code == 2
+
+    @pytest.mark.parametrize("regime", ["exact", "weighted"])
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    def test_noise_flags_outside_the_noisy_regime_are_usage_errors(
+        self, tmp_path, regime, flag
+    ):
+        # The CSV would record a noise rate the run never used.
+        target = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as caught:
+            run("bench", "--regime", regime, flag, "0.3", "--nodes", "12",
+                "--degrees", "3", "--reps", "1", "--csv", str(target))
+        assert caught.value.code == 2
+        assert not target.exists()
 
     def test_unwritable_csv_is_an_io_error(self, tmp_path, capsys):
         code = run("bench", "--nodes", "12", "--degrees", "3", "--reps", "1",

@@ -66,3 +66,11 @@ def test_traced_driver_names_exist():
         "reconstruct_weighted",
     ):
         assert callable(getattr(reconstruct, name, None)), name
+
+
+def test_base_oracles_define_their_own_query():
+    # perfbench/tracer.py wraps each base oracle's ``query`` through the
+    # class's own namespace, so a ``query`` inherited from a shared base
+    # class would silently drop the base-oracle layer from its traces.
+    for cls in (treeprobe.ExactOracle, treeprobe.NoisyOracle, treeprobe.AdditiveOracle):
+        assert "query" in vars(cls), cls.__name__

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 import sys
@@ -38,7 +39,7 @@ from treeprobe.reconstruct import (
 )
 
 from conftest import ScriptedRng, parent_array_trees
-from reference import bag_nodes, root_chain, skeleton_path
+from reference import bag_nodes, descent, root_chain, skeleton_path, subtree_nodes
 
 
 class _RecordingOracle:
@@ -131,24 +132,25 @@ def _shaped(shape, n, seed):
 
 
 class TestFindBag:
-    def test_positions_along_a_descending_run(self, bent_tree):
-        to_i, to_j = skeleton_path(bent_tree, 0, 4)
-        truth = bag_nodes(bent_tree, to_i, to_j)
-        oracle = ExactOracle(bent_tree)
-        for k in (5, 6, 7, 8, 9, 10):
-            assert find_bag(oracle, to_i, to_j, k) == truth[k]
+    def test_positions_along_a_descending_run(self, spine_tree):
+        # 5 and 6 hang from 0, 7 from 1, 8 and 9 from 2, and 10 from 4.
+        path = [0, 1, 2, 3, 4]
+        truth = bag_nodes(spine_tree, [0], path)
+        oracle = ExactOracle(spine_tree)
+        for k, bag in ((5, 0), (6, 0), (7, 1), (8, 2), (9, 2), (10, 4)):
+            assert find_bag(oracle, path, k) == truth[k] == bag
 
     def test_query_budget_is_logarithmic(self):
         chain = shaped_tree("chain", 9)
         oracle = ExactOracle(chain)
-        assert find_bag(oracle, [0], list(range(8)), 8) == 7
+        assert find_bag(oracle, list(range(8)), 8) == 7
         assert oracle.calls <= 3  # ceil(log2 8)
 
-    def test_left_slope_node_costs_only_the_left_search(self, bent_tree):
-        # 7 hangs from 1 on the slope 2-1-0: two queries settle it, and the
-        # slope 2-3-4 is never asked about.
+    def test_unit_search_asks_the_ceiling_midpoints(self, bent_tree):
+        # 7 hangs from 1 on the path 8-2-1-0: the search asks 1, which hits,
+        # then 0, which misses, and never the root 8.
         recorder = _RecordingOracle(ExactOracle(bent_tree))
-        assert find_bag(recorder, [2, 1, 0], [2, 3, 4], 7) == 1
+        assert find_bag(recorder, [8, 2, 1, 0], 7) == 1
         assert [(a, b) for a, b, _ in recorder.transcript] == [(1, 7), (0, 7)]
 
     @settings(max_examples=150, deadline=None)
@@ -160,112 +162,59 @@ class TestFindBag:
     )
     def test_matches_bag_indices_on_every_shape(self, shape, n, seed, data):
         tree = _shaped(shape, n, seed)
-        i = data.draw(st.integers(min_value=0, max_value=tree.n - 1))
-        j = data.draw(st.integers(min_value=0, max_value=tree.n - 1).filter(lambda v: v != i))
-        to_i, to_j = skeleton_path(tree, i, j)
-        truth = bag_nodes(tree, to_i, to_j)
+        p, i = descent(tree, lambda k: data.draw(st.integers(min_value=0, max_value=k - 1)))
+        path = skeleton_path(tree, p, i)[1]
+        truth = bag_nodes(tree, [p], path)
         oracle = ExactOracle(tree)
-        for k in set(range(tree.n)) - {*to_i, *to_j}:
-            assert find_bag(oracle, to_i, to_j, k) == truth[k]
-
-
-class TestAssignBagIndex:
-    """find_bag merges its two slope searches into one path node."""
-
-    def test_left_side_wins_when_it_moved(self, bent_tree):
-        oracle = ExactOracle(bent_tree)
-        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 7) == 1
-        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 5) == 0
-
-    def test_left_at_the_lca_defers_to_the_right(self, bent_tree):
-        oracle = ExactOracle(bent_tree)
-        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 10) == 4
-        assert find_bag(oracle, [2, 1, 0], [2, 3, 4], 9) == 2
-
-    def test_degenerate_left_of_a_directed_path(self, spine_tree):
-        # The LCA of a directed path is its head, so the head's slope is the
-        # head alone and its search asks nothing.
-        oracle = ExactOracle(spine_tree)
-        for k, bag in ((5, 0), (7, 1), (9, 2), (10, 4)):
-            assert find_bag(oracle, [0], [0, 1, 2, 3, 4], k) == bag
+        for k in set(subtree_nodes(tree, p)) - set(path):
+            assert find_bag(oracle, path, k) == truth[k]
 
 
 class TestReconstructSkeletonPath:
     def test_descending_walk(self, spine_tree):
         oracle = ExactOracle(spine_tree)
-        to_i, to_j, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
-        assert (to_i, to_j) == ([0], [0, 1, 2, 3, 4])
-        assert above == []
+        assert reconstruct_skeleton_path(oracle, range(11), 4) == [0, 1, 2, 3, 4]
 
-    def test_ascending_walk_keeps_the_asked_orientation(self, spine_tree):
-        oracle = ExactOracle(spine_tree)
-        to_i, to_j, above = reconstruct_skeleton_path(oracle, range(11), 4, 0)
-        assert (to_i, to_j) == ([0, 1, 2, 3, 4], [0])
-        assert above == []
+    def test_walk_inside_a_subtree(self, bent_tree):
+        # The subtree of 2, listed 2 first; 8 and 9 lie outside it.
+        part = subtree_nodes(bent_tree, 2)
+        assert reconstruct_skeleton_path(ExactOracle(bent_tree), part, 0) == [2, 1, 0]
 
-    def test_bent_walk(self, bent_tree):
+    def test_path_to_the_root_asks_nothing(self, bent_tree):
         oracle = ExactOracle(bent_tree)
-        to_i, to_j, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
-        assert (to_i, to_j) == ([2, 1, 0], [2, 3, 4])
-        assert above == [8]
+        assert reconstruct_skeleton_path(oracle, [8, *range(8), 9, 10], 8) == [8]
+        assert oracle.calls == 0
 
-    def test_spine_ends_meet_at_the_bend(self, bent_tree):
-        to_i, to_j, _ = reconstruct_skeleton_path(ExactOracle(bent_tree), range(11), 0, 4)
-        assert to_i[0] == to_j[0] == 2
-
-    def test_leaves_meet_lower_down(self, bent_tree):
-        oracle = ExactOracle(bent_tree)
-        for i, j, lca in ((5, 7, 1), (0, 9, 8)):
-            to_i, to_j, _ = reconstruct_skeleton_path(oracle, range(11), i, j)
-            assert to_i[0] == to_j[0] == lca
-
-    def test_lying_oracle_is_detected(self):
-        with pytest.raises(InconsistentOracleError):
-            reconstruct_skeleton_path(_ZeroOracle(), range(3), 0, 1)
-
-    def test_one_query_pair_per_other_node(self, bent_tree):
-        # Two direction queries and two membership queries for each of the
-        # nine other nodes. 2 and 8 lie above both ends, and one query keeps
-        # the deeper; each slope holds one node, so the sorts ask nothing.
-        oracle = ExactOracle(bent_tree)
-        reconstruct_skeleton_path(oracle, range(11), 0, 4)
-        assert oracle.calls == 2 + 2 * 9 + 1
-
-    @pytest.mark.parametrize("i, j", [(2, 4), (4, 2)])
-    def test_ancestor_of_the_upper_end_costs_one_scan_query(self, bent_tree, i, j):
-        # 2 reaches 4, and the root 8 lies above both: asked about 2 first,
-        # its hit settles 4 too. 3 lies between them and costs two queries,
-        # like the seven nodes off the path.
-        recorder = _RecordingOracle(ExactOracle(bent_tree))
-        _, _, above = reconstruct_skeleton_path(recorder, range(11), i, j)
-        assert above == [8]
-        assert [q for q in recorder.transcript if q[0] == 8] == [(8, 2, 1)]
-        assert len(recorder.transcript) == 2 + 1 + 2 * 8
+    def test_one_query_per_other_node_then_the_sort(self, spine_tree):
+        # Each of the nine nodes other than the root 0 and the end 4 is asked
+        # once whether it reaches 4, in part order; only the sort of 1, 2, 3
+        # asks more, and it asks only about those three.
+        recorder = _RecordingOracle(ExactOracle(spine_tree))
+        reconstruct_skeleton_path(recorder, range(11), 4)
+        scan = [(k, 4) for k in (1, 2, 3, 5, 6, 7, 8, 9, 10)]
+        assert [(a, b) for a, b, _ in recorder.transcript[:9]] == scan
+        assert all({a, b} <= {1, 2, 3} for a, b, _ in recorder.transcript[9:])
 
     def test_matches_ground_truth_on_both_fixtures(self, spine_tree, bent_tree):
         for tree in (spine_tree, bent_tree):
             oracle = ExactOracle(tree)
             for i in range(11):
-                for j in range(11):
-                    if i != j:
-                        _assert_matches_ground_truth(oracle, tree, i, j)
+                for p in (i, *root_chain(tree, i)):
+                    _assert_matches_ground_truth(oracle, tree, p, i)
 
     @settings(max_examples=60, deadline=None)
     @given(parent_array_trees(min_n=2, max_n=7))
     def test_matches_ground_truth_on_random_trees(self, tree):
         oracle = ExactOracle(tree)
         for i in range(tree.n):
-            for j in range(tree.n):
-                if i != j:
-                    _assert_matches_ground_truth(oracle, tree, i, j)
+            for p in (i, *root_chain(tree, i)):
+                _assert_matches_ground_truth(oracle, tree, p, i)
 
 
-def _assert_matches_ground_truth(oracle, tree, i, j):
-    """The path equals the true one, and ``above`` lists the LCA's proper
-    ancestors in node order."""
-    to_i, to_j, above = reconstruct_skeleton_path(oracle, range(tree.n), i, j)
-    assert (to_i, to_j) == skeleton_path(tree, i, j)
-    assert above == sorted(root_chain(tree, to_i[0]))
+def _assert_matches_ground_truth(oracle, tree, p, i):
+    """The scan of p's subtree for i gives the true path p -> i."""
+    path = reconstruct_skeleton_path(oracle, subtree_nodes(tree, p), i)
+    assert path == (skeleton_path(tree, p, i)[1] if p != i else [i])
 
 
 class TestFindEvenSeparator:
@@ -295,35 +244,31 @@ class TestFindEvenSeparator:
 
 
 class TestPathPieces:
-    # Both fixtures hang 5, 6 from 0, 7 from 1, 8 and 9 from 2, and 10 from 4
-    # along the 0-to-4 walk.
+    # Along the spine 0-1-2-3-4, 5 and 6 hang from 0, 7 from 1, 8 (which
+    # carries 9) from 2, and 10 from 4.
     PIECES = [[0, 5, 6], [1, 7], [2, 8, 9], [3], [4, 10]]
-
-    def test_bent_tree_pieces(self, bent_tree):
-        oracle = ExactOracle(bent_tree)
-        to_i, to_j, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
-        pieces = path_pieces(oracle, range(11), to_i, to_j, above)
-        assert [sorted(p) for p in pieces] == self.PIECES
-        # Cutting (2, 1) alone would leave the first two pieces below it.
-        assert sorted(pieces[0] + pieces[1]) == [0, 1, 5, 6, 7]
-        assert sorted(sum(pieces[2:], [])) == [2, 3, 4, 8, 9, 10]
 
     def test_spine_tree_pieces(self, spine_tree):
         oracle = ExactOracle(spine_tree)
-        to_i, to_j, above = reconstruct_skeleton_path(oracle, range(11), 0, 4)
-        pieces = path_pieces(oracle, range(11), to_i, to_j, above)
-        assert [sorted(p) for p in pieces] == self.PIECES
-        assert sorted(pieces[0] + pieces[1]) == [0, 1, 5, 6, 7]
-        assert sorted(sum(pieces[2:], [])) == [2, 3, 4, 8, 9, 10]
+        pieces = path_pieces(oracle, range(11), [0, 1, 2, 3, 4])
+        assert pieces == self.PIECES
+
+    def test_bent_tree_pieces(self, bent_tree):
+        # The path from the root 8 down to 4 turns off the spine at 2, so 0,
+        # 1 and their leaves join 2's piece.
+        oracle = ExactOracle(bent_tree)
+        pieces = path_pieces(oracle, range(11), [8, 2, 3, 4])
+        assert pieces == [[8, 9], [2, 0, 1, 5, 6, 7], [3], [4, 10]]
 
     def test_pieces_keep_part_order_with_the_path_node_first(self, bent_tree):
-        # 8 lies above both ends and joins the LCA's piece unasked; 9 hangs
-        # from it, so a bag search puts 9 there too.
         oracle = ExactOracle(bent_tree)
         part = [9, 6, 3, 1, 0, 7, 2, 8, 5]
-        to_i, to_j, above = reconstruct_skeleton_path(oracle, part, 0, 3)
-        assert above == [8]
-        assert path_pieces(oracle, part, to_i, to_j, above) == [[0, 6, 5], [1, 7], [2, 8, 9], [3]]
+        assert path_pieces(oracle, part, [8, 2, 3]) == [[8, 9], [2, 6, 1, 0, 7, 5], [3]]
+
+    def test_one_node_path_asks_nothing(self, bent_tree):
+        oracle = ExactOracle(bent_tree)
+        assert path_pieces(oracle, [2, 0, 1, 3], [2]) == [[2, 0, 1, 3]]
+        assert oracle.calls == 0
 
 
 def _walk(plan, answer):
@@ -379,10 +324,10 @@ def _root_path(tree, i):
     return [*root_chain(tree, i), i]
 
 
-def _assert_pieces_match(tree, pieces, to_i, to_j):
-    truth = bag_nodes(tree, to_i, to_j)
-    assert [p[0] for p in pieces] == [*reversed(to_i), *to_j[1:]]
-    assert sorted(k for p in pieces for k in p) == list(range(tree.n))
+def _assert_pieces_match(tree, pieces, path, part):
+    truth = bag_nodes(tree, [path[0]], path)
+    assert [p[0] for p in pieces] == path
+    assert sorted(k for p in pieces for k in p) == sorted(part)
     for piece in pieces:
         assert {truth[k] for k in piece} == {piece[0]}
 
@@ -411,31 +356,31 @@ class TestWeightedPlacement:
         if order == "shuffled":
             rng.shuffle(part)
         root = tree.parent.index(ROOT)
-        to_i = _root_path(tree, rng.choice([k for k in part if k != root]))
+        path = _root_path(tree, rng.choice([k for k in part if k != root]))
         oracle = ExactOracle(tree)
-        _assert_pieces_match(tree, path_pieces(oracle, part, to_i, [root], []), to_i, [root])
-        # A path between two nodes, bent at their LCA, with the LCA's
-        # ancestors handed in as ``above``.
-        i, j = rng.sample(part, 2)
-        to_i, to_j = skeleton_path(tree, i, j)
-        above = root_chain(tree, to_i[0])
-        _assert_pieces_match(tree, path_pieces(oracle, part, to_i, to_j, above), to_i, to_j)
+        _assert_pieces_match(tree, path_pieces(oracle, part, path), path, part)
+        # A path from a node below the root, over that node's subtree.
+        p, i = descent(tree, rng.randrange)
+        part = subtree_nodes(tree, p)
+        if order == "shuffled":
+            rng.shuffle(part)
+        path = skeleton_path(tree, p, i)[1]
+        _assert_pieces_match(tree, path_pieces(oracle, part, path), path, part)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_first_placements_ask_what_plain_binary_search_asks(self, seed):
-        # Until 16 nodes are placed the plans have unit weights, so the
+        # Until 16 nodes are placed the plan has unit weights, so the
         # transcript starts exactly as one find_bag call per node would.
         tree = random_tree(300, 3, seed=seed)
         part = list(range(tree.n))
         random.Random(seed).shuffle(part)
-        to_i = _root_path(tree, max(range(tree.n), key=lambda v: len(root_chain(tree, v))))
-        assert len(to_i) > 2
-        root = to_i[0]
+        path = _root_path(tree, max(range(tree.n), key=lambda v: len(root_chain(tree, v))))
+        assert len(path) > 2
         weighted = _RecordingOracle(ExactOracle(tree))
-        path_pieces(weighted, part, to_i, [root], [])
+        path_pieces(weighted, part, path)
         plain = _RecordingOracle(ExactOracle(tree))
-        for k in [k for k in part if k not in to_i][:16]:
-            find_bag(plain, to_i, [root], k)
+        for k in [k for k in part if k not in path][:16]:
+            find_bag(plain, path, k)
         assert weighted.transcript[: len(plain.transcript)] == plain.transcript
 
     @pytest.mark.parametrize("crowd", [64, 200, 1100])
@@ -448,77 +393,94 @@ class TestWeightedPlacement:
         parent = [ROOT, *range(length - 1), *[0] * crowd, length - 1]
         tree = validate_tree(parent, crowd + 1)
         recorder = _RecordingOracle(ExactOracle(tree))
-        to_i = list(range(length))
-        pieces = path_pieces(recorder, range(tree.n), to_i, [0], [])
-        assert pieces[0] == [length - 1, last]
+        pieces = path_pieces(recorder, range(tree.n), list(range(length)))
+        assert pieces[-1] == [length - 1, last]
         asked = [q for q in recorder.transcript if q[1] == last]
         assert len(asked) <= 2 * math.ceil(math.log2(tree.n)) + 2
 
-    def test_lca_position_carries_the_other_slopes_weight(self):
-        # Below the root 0 run the slope 0 -> 1 -> ... -> 39 and the slope
-        # 0 -> 40 -> 41, and 200 leaves hang from 41. Once reweighed, the
-        # LCA's position on the first slope weighs all of them, so a leaf
-        # asks one query to leave that slope and one to reach 41.
-        parent = [ROOT, *range(39), 0, 40, *[41] * 200]
-        tree = validate_tree(parent, 201)
-        recorder = _RecordingOracle(ExactOracle(tree))
-        pieces = path_pieces(recorder, range(tree.n), list(range(40)), [0, 40, 41], [])
-        _assert_pieces_match(tree, pieces, list(range(40)), [0, 40, 41])
-        assert [q for q in recorder.transcript if q[1] == tree.n - 1] == [
-            (1, tree.n - 1, False),
-            (41, tree.n - 1, True),
-        ]
-
 
 def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
-    # Tracers charge bag-search queries to find_bag by name, so the round's
-    # placement must ask all of its queries inside find_bag calls, one call
-    # per off-path node, also once the plans are reweighed and in retries.
-    # They count accepted rounds as the non-None returns of
+    # Tracers charge each query to the innermost phase function it is asked
+    # in, by name. So the tournament must ask all of its queries inside
+    # find_root, each round's scan inside reconstruct_skeleton_path (its
+    # sort inside sort_by_ancestry), and the round's placement inside
+    # find_bag calls, one call per off-path node, also once the plans are
+    # reweighed and in retries; the checks are the only other queries.
+    # Tracers count accepted rounds as the non-None returns of
     # find_even_separator, so every round must consult it exactly once.
     tree = random_tree(600, 3, seed=4)
-    oracle = ExactOracle(tree)
-    real_path_pieces, real_find_bag = reconstruct.path_pieces, reconstruct.find_bag
-    real_find_even_separator = reconstruct.find_even_separator
-    seen = {"calls": 0, "placements": 0, "find_bag": 0, "path_pieces": 0, "largest": 0}
+    inner = ExactOracle(tree)
+    phases = ["outside"]
+    asked = collections.Counter()
+    calls = collections.Counter()
+    seen = {"placements": 0, "largest": 0, "scans": []}
     gates = []
 
-    def find_bag(*args):
-        before = oracle.calls
-        bag = real_find_bag(*args)
-        seen["find_bag"] += oracle.calls - before
-        seen["calls"] += 1
-        return bag
+    class Charging:
+        def query(self, i, j):
+            asked[phases[-1]] += 1
+            return inner.query(i, j)
 
-    def path_pieces(oracle_, part, to_i, to_j, above):
-        before = oracle.calls
-        pieces = real_path_pieces(oracle_, part, to_i, to_j, above)
-        seen["path_pieces"] += oracle.calls - before
-        placements = len(part) - len({*to_i, *to_j}) - len(above)
+    def charged(name):
+        real = getattr(reconstruct, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            if name == "sort_by_ancestry":
+                assert phases[-1] == "reconstruct_skeleton_path"
+            phases.append(name)
+            try:
+                return real(*args)
+            finally:
+                phases.pop()
+
+        monkeypatch.setattr(reconstruct, name, wrapper)
+        return wrapper
+
+    for name in ("find_root", "_check_below", "sort_by_ancestry", "find_bag"):
+        charged(name)
+    scan, pieces_of = charged("reconstruct_skeleton_path"), charged("path_pieces")
+
+    def reconstruct_skeleton_path(oracle_, part, i):
+        before = asked["reconstruct_skeleton_path"]
+        path = scan(oracle_, part, i)
+        own = asked["reconstruct_skeleton_path"] - before
+        seen["scans"].append(own == (len(part) - 2 if i != part[0] else 0))
+        return path
+
+    def path_pieces(oracle_, part, path):
+        placements = len(part) - len(path)
         seen["placements"] += placements
-        if len(to_i) > 2:
+        if len(path) > 2:
             seen["largest"] = max(seen["largest"], placements)
-        return pieces
+        return pieces_of(oracle_, part, path)
+
+    real_find_even_separator = reconstruct.find_even_separator
 
     def find_even_separator(*args):
         gates.append(real_find_even_separator(*args))
         return gates[-1]
 
-    monkeypatch.setattr(reconstruct, "find_bag", find_bag)
+    monkeypatch.setattr(reconstruct, "reconstruct_skeleton_path", reconstruct_skeleton_path)
     monkeypatch.setattr(reconstruct, "path_pieces", path_pieces)
     monkeypatch.setattr(reconstruct, "find_even_separator", find_even_separator)
     accepted = []
     edges, stats = reconstruct_tree(
-        oracle,
+        Charging(),
         range(tree.n),
         3,
         random.Random(1),
         separator_hook=lambda sep, part: accepted.append(sep),
     )
     assert edges == set(tree.edges())
+    assert calls["find_root"] == 1 and asked["find_root"] == tree.n - 1
+    assert asked["outside"] == asked["path_pieces"] == 0
+    assert asked["_check_below"] == 2 * calls["_check_below"]
+    assert len(seen["scans"]) == stats.rounds_total and all(seen["scans"])
+    assert asked["reconstruct_skeleton_path"] > 0 and asked["sort_by_ancestry"] > 0
     assert seen["largest"] > 128  # reweighed at least twice in one round
-    assert seen["calls"] == seen["placements"]
-    assert seen["find_bag"] == seen["path_pieces"] > 0
+    assert calls["find_bag"] == seen["placements"]
+    assert asked["find_bag"] > 0
     assert len(gates) == stats.rounds_total > len(accepted)  # some rounds failed
     assert [sep for sep in gates if sep is not None] == accepted
 
@@ -576,13 +538,14 @@ class TestReconstructTree:
     def test_forced_first_pair_yields_the_expected_cut(self, bent_tree):
         # The first round's path runs from the root 8 to the scripted 0, with
         # pieces of 3, 2, 4 and 2 nodes from 0 up; (2, 1) leaves 5 below it.
+        # The whole node set is listed with its root first.
         accepted = []
         oracle = ExactOracle(bent_tree)
         rng = ScriptedRng([0], seed=1)
         edges, _ = reconstruct_tree(
             oracle, range(11), 3, rng, separator_hook=lambda sep, part: accepted.append((sep, part))
         )
-        assert accepted[0] == ((2, 1), tuple(range(11)))
+        assert accepted[0] == ((2, 1), (8, 0, 1, 2, 3, 4, 5, 6, 7, 9, 10))
         assert edges == set(bent_tree.edges())
 
     def test_path_nodes_cost_no_bag_query(self, bent_tree):
@@ -590,7 +553,7 @@ class TestReconstructTree:
         # The tournament asks 10 queries, the checks 2 and the scan 9, which
         # finds 1 and 2 on the path; sorting them asks 1. The bag searches
         # ask 14 more, two for each node off the path 8-2-1-0, and never
-        # about the root's one-node slope.
+        # about the root 8.
         recorder = _RecordingOracle(ExactOracle(bent_tree))
         first_cut_at = []
         reconstruct_tree(
@@ -797,8 +760,9 @@ class TestRetries:
     )
     def test_pieces_keep_their_order_on_every_shape(self, shape, n, seed, data):
         # At the true bound and below it: every round draws from its part in
-        # ascending order, and every part that reaches an accepted round
-        # after the first lists its root first, then the rest ascending.
+        # ascending order, and every part that reaches an accepted round,
+        # the whole node set too, lists its root first, then the rest
+        # ascending.
         tree = _shaped(shape, n, seed)
         bound = data.draw(st.integers(min_value=2, max_value=max(2, tree.degree_bound)))
         drawn_from = []
@@ -820,7 +784,7 @@ class TestRetries:
         assert edges == set(tree.edges())
         assert len(drawn_from) == stats.rounds_total
         assert all(others == sorted(others) for others in drawn_from)
-        for part in parts[1:]:
+        for part in parts:
             assert list(part[1:]) == sorted(part[1:])
             assert all(part[0] in root_chain(tree, k) for k in part[1:])
 
