@@ -103,6 +103,9 @@ def _cmd_generate(args, parser) -> int:
                 parser.error("parallel-chain needs --nodes = branches * length + 1")
             tree = parallel_chain(branches, (n - 1) // branches)
         else:
+            # A fixed shape has no bound to set, so a --degree would be dropped.
+            if args.degree is not None:
+                parser.error("--degree applies only to --shape random and parallel-chain")
             tree = shaped_tree(shape, n)
     except (InfeasibleDegreeError, ValueError) as exc:
         parser.error(str(exc))

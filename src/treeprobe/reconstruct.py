@@ -1,19 +1,23 @@
 """Tree reconstruction from path queries.
 
 The driver is a Las-Vegas divide and conquer over parts whose root it knows.
-``find_root`` runs a tournament of n-1 queries for the root of the whole
-node set. A round on a part with root r samples one other node i, rebuilds
-the path r -> i with one membership query per other node, puts every other
-node into the piece of the path node it hangs from, and accepts the round if
-some path edge has two balanced enough sides. Each piece is a subtree rooted
-at its path node, so no later part needs a tournament, and a 2-node part is
-settled by the two checks that its root reaches the other node, with nothing
-to sample. Parts still to solve wait on a stack, and each pass of the driver
-loop runs one round on the top part: an accepted round keeps every path edge
-and pushes each piece; a failed round pushes its part back. With a degree
-bound d the balanced cut leaves sides no larger than a (d-1)/d fraction and
-every piece lies inside one side, so the split depth stays logarithmic and
-the whole thing needs O(d n log^2 n) queries in expectation.
+A round on a part with root r samples one other node i, rebuilds the path
+r -> i with one membership query per other node, puts every other node into
+the piece of the path node it hangs from, and accepts the round if some path
+edge has two balanced enough sides. The first round finds the root of the
+whole node set on the way: it samples i from every node, and the nodes that
+reach i, sorted, are the path down to i from the root, which comes first; if
+no node reaches i, i is the root, and the round fails on a one-node path.
+Each piece is a subtree rooted at its path node, so no later part looks for
+its root, and a 2-node part is settled by the two checks that its root
+reaches the other node, with nothing to sample. Only a node set of at most
+two nodes asks ``find_root``, which needs one query. Parts still to solve
+wait on a stack, and each pass of the driver loop runs one round on the top
+part: an accepted round keeps every path edge and pushes each piece; a
+failed round pushes its part back. With a degree bound d the balanced cut
+leaves sides no larger than a (d-1)/d fraction and every piece lies inside
+one side, so the split depth stays logarithmic and the whole thing needs
+O(d n log^2 n) queries in expectation.
 
 Every part lists its root first, and a path is one list from a part's root
 down, so consecutive path nodes are (parent, child) edges as they stand. A
@@ -217,19 +221,24 @@ def find_root(oracle, nodes: Sequence[int]) -> int:
     return root
 
 
-def reconstruct_skeleton_path(oracle, part: Sequence[int], i: int) -> list[int]:
-    """The path from the root ``part[0]`` down to its node ``i``.
+def reconstruct_skeleton_path(
+    oracle, part: Sequence[int], i: int, rooted: bool = True
+) -> list[int]:
+    """The path from the root of ``part`` down to its node ``i``.
 
-    Every node of the part lies below its root, so the path is the root, the
-    nodes that reach i and i itself: one query per other node, then a sort
-    by ancestry. The path to the root is the root alone and asks nothing.
+    Every node of the part lies below its root, so the path is the nodes
+    that reach i, sorted by ancestry, then i itself: one query per other
+    node, then the sort. If ``rooted``, the root is ``part[0]`` and is not
+    asked, and the path to the root is the root alone and asks nothing.
+    Otherwise the first node of the path is the part's root, and i is the
+    root when no node reaches it.
     """
-    root = part[0]
-    if i == root:
-        return [root]
+    head = list(part[:1]) if rooted else []
+    if i in head:
+        return head
     query = oracle.query
-    between = [k for k in part[1:] if k != i and query(k, i)]
-    return [root, *sort_by_ancestry(oracle, between), i]
+    between = [k for k in part[len(head) :] if k != i and query(k, i)]
+    return [*head, *sort_by_ancestry(oracle, between), i]
 
 
 def _check_below(oracle, root: int, node: int) -> None:
@@ -252,15 +261,19 @@ def reconstruct_tree(
 
     ``oracle.query(i, j)`` must be truthy exactly when the oracle claims a
     directed path i -> j; nothing else of an answer is read.
-    ``find_root`` first finds the root, and the whole node set goes on as
-    one part, its root first and the rest in ascending order. Each round
-    draws its node i with ``rng.choice`` and first checks that the part's
-    root reaches i and i does not reach the root; a 2-node part asks only
-    these checks. Each accepted round adds every edge of its path and splits
-    its part into one piece per path node, listed with its path node first
-    and the rest in ascending order. A part's next round reuses the path its
-    last round found and asks only inside the piece, of one path node, that
-    holds its new node.
+    Each round draws its node i with ``rng.choice`` and checks that its
+    part's root reaches i and i does not reach the root. The first round
+    draws from the whole node set in ascending order and asks every other
+    node whether it reaches i before its checks: the first node of the path
+    it finds is the root. If no node reaches i, i is the root and the round
+    asks no check. From then on the node set is one part, its root first
+    and the rest in ascending order. A node set of at most two nodes asks
+    ``find_root`` instead, and a 2-node part asks only its two checks.
+    Each accepted round adds every edge of its path and splits its part into
+    one piece per path node, listed with its path node first and the rest in
+    ascending order. A part's next round reuses the path its last round
+    found and asks only inside the piece, of one path node, that holds its
+    new node.
     ``degree_bound`` sets only the balance gate. A node listed twice raises
     ValueError, and a bound that no tree on these nodes fits (below 1, or 1
     with more than two nodes) raises InfeasibleDegreeError, both before any
@@ -280,19 +293,24 @@ def reconstruct_tree(
     check_degree_feasible(len(part), degree_bound)
     stats = ReconstructionStats()
     edges: Edges = set()
-    if part:
-        root = find_root(oracle, part)
-        part = [root, *(k for k in part if k != root)]
     # Parts still to solve, each listing its root first, with its gate
     # bound, failed rounds so far, and what its last round found: the path
     # from its root and the piece that hangs from each path node, each
     # listing its path node first. A fresh part has None there: its path is
-    # its root alone, and its piece is the part itself. A failed part goes
-    # back on top, so it is retried next. Pieces are pushed last to first,
-    # so they are solved in path order; that order fixes which nodes rng
+    # its root alone, and its piece is the part itself. A node set of 3 or
+    # more nodes has an empty path there instead and stays in ascending
+    # order until its first round finds its root. A failed part goes back
+    # on top, so it is retried next. Pieces are pushed last to first, so
+    # they are solved in path order; that order fixes which nodes rng
     # draws. Only parts of 3 or more nodes run rounds, and those exist only
     # at bounds of 2 or more, so the gate never divides by zero.
-    stack = [(part, 1, degree_bound, 0, None)]
+    known = None
+    if len(part) >= 3:
+        known = ([], [part])
+    elif part:
+        root = find_root(oracle, part)
+        part = [root, *(k for k in part if k != root)]
+    stack = [(part, 1, degree_bound, 0, known)]
     try:
         while stack:
             part, depth, bound, failed, known = stack.pop()
@@ -307,19 +325,31 @@ def reconstruct_tree(
                 edges.add((root, part[1]))
                 continue
             stats.rounds_total += 1
-            i = rng.choice(part[1:])
-            _check_below(oracle, root, i)
             path, pieces = known or ([root], [part])
-            # The known path r -> p, to the path node p whose piece holds i,
-            # is a prefix of the path r -> i. The rest of it runs through p's
-            # piece, and the known branch below p hangs off p beside it. The
-            # root's piece, often the largest, holds what no other piece does.
-            t = len(path) - 1
-            while t and i not in pieces[t]:
-                t -= 1
-            p, piece = path[t], pieces[t]
+            if path:
+                i = rng.choice(part[1:])
+                _check_below(oracle, root, i)
+                # The known path r -> p, to the path node p whose piece holds
+                # i, is a prefix of the path r -> i. The rest of it runs
+                # through p's piece, and the known branch below p hangs off p
+                # beside it. The root's piece, often the largest, holds what
+                # no other piece does.
+                t = len(path) - 1
+                while t and i not in pieces[t]:
+                    t -= 1
+                tail = reconstruct_skeleton_path(oracle, pieces[t], i)
+            else:
+                # The root reaches i, so it heads the path to i; with no
+                # node reaching i, i is the root and the path is i alone.
+                i = rng.choice(part)
+                tail = reconstruct_skeleton_path(oracle, part, i, rooted=False)
+                root = tail[0]
+                if root != i:
+                    _check_below(oracle, root, i)
+                part = [root, *(k for k in part if k != root)]
+                pieces, t = [part], 0
+            p, piece = tail[0], pieces[t]
             branch, branch_pieces = path[t + 1 :], pieces[t + 1 :]
-            tail = reconstruct_skeleton_path(oracle, piece, i)
             below = path_pieces(oracle, piece, tail)
             # p's new piece is what it kept of its old one and the branch.
             own = below[0]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from treeprobe import (
@@ -66,6 +69,15 @@ class TestGenerate:
             run("generate", "--shape", "random", "--nodes", "10",
                 "--out", str(tmp_path / "t.txt"))
         assert caught.value.code == 2
+
+    @pytest.mark.parametrize("shape", ["chain", "star", "caterpillar", "balanced"])
+    def test_degree_on_a_fixed_shape_is_a_usage_error(self, tmp_path, capsys, shape):
+        out = tmp_path / "t.txt"
+        with pytest.raises(SystemExit) as caught:
+            run("generate", "--shape", shape, "--nodes", "5", "--degree", "2", "--out", str(out))
+        assert caught.value.code == 2
+        assert "--degree applies only to" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infeasible_degree_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as caught:
@@ -283,3 +295,29 @@ def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as caught:
         run()
     assert caught.value.code == 2
+
+
+def _readme_session():
+    """The README's generate / reconstruct / verify example, as a list of
+    (argv, printed lines) pairs, one per ``$ treeprobe`` command."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("```\n$ treeprobe generate", 1)[1].split("```", 1)[0]
+    session = []
+    for line in ("$ treeprobe generate" + block).splitlines():
+        if line.startswith("$ treeprobe "):
+            session.append((shlex.split(line)[2:], []))
+        elif line:
+            session[-1][1].append(line)
+    return session
+
+
+def test_readme_cli_example_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    # The documented counters are a pure function of the seeds, so they must
+    # match a fresh run exactly.
+    session = _readme_session()
+    assert [argv[0] for argv, _ in session] == ["generate", "reconstruct", "verify"]
+    assert any(line.startswith("logical_queries=") for _, shown in session for line in shown)
+    monkeypatch.chdir(tmp_path)
+    for argv, shown in session:
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == shown

@@ -6,6 +6,7 @@ import collections
 import math
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -401,11 +402,12 @@ class TestWeightedPlacement:
 
 def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
     # Tracers charge each query to the innermost phase function it is asked
-    # in, by name. So the tournament must ask all of its queries inside
-    # find_root, each round's scan inside reconstruct_skeleton_path (its
-    # sort inside sort_by_ancestry), and the round's placement inside
-    # find_bag calls, one call per off-path node, also once the plans are
-    # reweighed and in retries; the checks are the only other queries.
+    # in, by name. So each round's scan, the first round's too, which finds
+    # the root and leaves find_root nothing to ask, must ask its queries
+    # inside reconstruct_skeleton_path (its sort inside sort_by_ancestry),
+    # and the round's placement inside find_bag calls, one call per off-path
+    # node, also once the plans are reweighed and in retries; the checks are
+    # the only other queries.
     # Tracers count accepted rounds as the non-None returns of
     # find_even_separator, so every round must consult it exactly once.
     tree = random_tree(600, 3, seed=4)
@@ -424,13 +426,13 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
     def charged(name):
         real = getattr(reconstruct, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
             if name == "sort_by_ancestry":
                 assert phases[-1] == "reconstruct_skeleton_path"
             phases.append(name)
             try:
-                return real(*args)
+                return real(*args, **kwargs)
             finally:
                 phases.pop()
 
@@ -441,11 +443,12 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
         charged(name)
     scan, pieces_of = charged("reconstruct_skeleton_path"), charged("path_pieces")
 
-    def reconstruct_skeleton_path(oracle_, part, i):
+    def reconstruct_skeleton_path(oracle_, part, i, rooted=True):
         before = asked["reconstruct_skeleton_path"]
-        path = scan(oracle_, part, i)
+        path = scan(oracle_, part, i, rooted=rooted)
         own = asked["reconstruct_skeleton_path"] - before
-        seen["scans"].append(own == (len(part) - 2 if i != part[0] else 0))
+        others = 0 if rooted and i == part[0] else len(part) - (2 if rooted else 1)
+        seen["scans"].append((rooted, own == others))
         return path
 
     def path_pieces(oracle_, part, path):
@@ -473,10 +476,12 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
         separator_hook=lambda sep, part: accepted.append(sep),
     )
     assert edges == set(tree.edges())
-    assert calls["find_root"] == 1 and asked["find_root"] == tree.n - 1
+    assert calls["find_root"] == asked["find_root"] == 0
     assert asked["outside"] == asked["path_pieces"] == 0
     assert asked["_check_below"] == 2 * calls["_check_below"]
-    assert len(seen["scans"]) == stats.rounds_total and all(seen["scans"])
+    assert len(seen["scans"]) == stats.rounds_total
+    assert [rooted for rooted, _ in seen["scans"]] == [False] + [True] * (stats.rounds_total - 1)
+    assert all(ok for _, ok in seen["scans"])
     assert asked["reconstruct_skeleton_path"] > 0 and asked["sort_by_ancestry"] > 0
     assert seen["largest"] > 128  # reweighed at least twice in one round
     assert calls["find_bag"] == seen["placements"]
@@ -509,7 +514,7 @@ class TestReconstructTree:
         assert stats.rounds_total == 0
 
     def test_two_nodes_at_degree_one_are_settled_by_two_checks(self):
-        # Bound 1 fits two nodes and never reaches a gate: one tournament
+        # Bound 1 fits two nodes and never reaches a gate: find_root's one
         # query finds the root, and its two checks settle the edge.
         oracle = ExactOracle(shaped_tree("chain", 2))
         edges, stats = reconstruct_tree(oracle, [0, 1], 1, random.Random(0))
@@ -549,9 +554,9 @@ class TestReconstructTree:
         assert edges == set(bent_tree.edges())
 
     def test_path_nodes_cost_no_bag_query(self, bent_tree):
-        # The first round, on the root 8 and the scripted 0, is accepted.
-        # The tournament asks 10 queries, the checks 2 and the scan 9, which
-        # finds 1 and 2 on the path; sorting them asks 1. The bag searches
+        # The first round, on the scripted 0, is accepted. Its scan asks the
+        # 10 other nodes, which finds 1, 2 and 8 above 0; sorting them asks
+        # 2, puts the root 8 first, and its checks ask 2. The bag searches
         # ask 14 more, two for each node off the path 8-2-1-0, and never
         # about the root 8.
         recorder = _RecordingOracle(ExactOracle(bent_tree))
@@ -563,7 +568,8 @@ class TestReconstructTree:
             ScriptedRng([0]),
             separator_hook=lambda sep, part: first_cut_at.append(len(recorder.transcript)),
         )
-        bag_queries = recorder.transcript[22 : first_cut_at[0]]
+        assert [(a, b) for a, b, _ in recorder.transcript[12:14]] == [(8, 0), (0, 8)]
+        bag_queries = recorder.transcript[14 : first_cut_at[0]]
         assert len(bag_queries) == 14
         assert {k for _, k, _ in bag_queries} == {3, 4, 5, 6, 7, 9, 10}
         assert {a for a, _, _ in bag_queries} <= {2, 1, 0}
@@ -644,43 +650,121 @@ def _relabelled(tree, seed):
 
 
 class TestRootRounds:
-    """What the driver asks before and inside a round on a part with a known root."""
+    """What the driver asks in its first round, which finds the root, and in
+    a round on a part whose root it knows."""
 
     SHAPES = ["chain", "star", "caterpillar", "random"]
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("seed", range(3))
-    def test_tournament_finds_the_root_in_n_minus_one_queries(self, shape, seed):
-        # Each node in turn is asked whether it reaches the candidate so far;
-        # the first query after that is the first round's check from the root.
+    def test_first_round_scan_finds_the_root(self, shape, seed):
+        # The first round draws i from every node and asks each other node in
+        # turn whether it reaches i. The sort asks only about the nodes that
+        # do, which are the true ancestors of i, and puts the root first;
+        # the root's checks come next.
         tree = _relabelled(_shaped(shape, 30, seed), seed)
         n = tree.n
+        root = tree.parent.index(ROOT)
         recorder = _RecordingOracle(ExactOracle(tree))
         reconstruct_tree(recorder, range(n), tree.degree_bound, random.Random(seed))
-        tournament = recorder.transcript[: n - 1]
-        assert [k for k, _, _ in tournament] == list(range(1, n))
-        winner = 0
-        for k, candidate, hit in tournament:
-            assert candidate == winner
-            winner = k if hit else winner
-        assert winner == tree.parent.index(ROOT)
-        assert recorder.transcript[n - 1][0] == winner
+        i = recorder.transcript[0][1]
+        scan = recorder.transcript[: n - 1]
+        assert [(a, b) for a, b, _ in scan] == [(k, i) for k in range(n) if k != i]
+        above = {k for k, _, hit in scan if hit}
+        assert above == set(root_chain(tree, i))
+        rest = [(a, b) for a, b, _ in recorder.transcript[n - 1 :]]
+        sort = 0
+        while {*rest[sort]} <= above:
+            sort += 1
+        if i != root:
+            assert rest[sort : sort + 2] == [(root, i), (i, root)]
+
+    def _root_first(self, shape, seed):
+        """A run whose first draw is the root, with the transcript position
+        and result of each gate."""
+        tree = _relabelled(_shaped(shape, 30, seed), seed)
+        root = tree.parent.index(ROOT)
+        recorder = _RecordingOracle(ExactOracle(tree))
+        gates = []
+        real_find_even_separator = reconstruct.find_even_separator
+
+        def find_even_separator(*args):
+            gates.append((len(recorder.transcript), real_find_even_separator(*args)))
+            return gates[-1][1]
+
+        with mock.patch.object(reconstruct, "find_even_separator", find_even_separator):
+            edges, stats = reconstruct_tree(
+                recorder, range(tree.n), tree.degree_bound, ScriptedRng([root], seed=seed)
+            )
+        assert edges == set(tree.edges())
+        return tree.n, root, recorder.transcript, gates, stats
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_draw_of_the_root_is_one_failed_round(self, shape, seed):
+        # Nothing reaches the root, so the round asks its n - 1 scan queries
+        # and no check, and its gate fails on a one-node path. Every round
+        # consults the gate once, and the next round starts with the checks
+        # of an ordinary rooted round.
+        n, root, transcript, gates, stats = self._root_first(shape, seed)
+        assert transcript[: n - 1] == [(k, root, 0) for k in range(n) if k != root]
+        assert gates[0] == (n - 1, None)
+        assert len(gates) == stats.rounds_total
+        i = transcript[n - 1][1]
+        assert transcript[n - 1 : n + 1] == [(root, i, True), (i, root, False)]
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("seed", range(3))
     def test_round_asks_one_query_per_other_node_before_its_sort(self, shape, seed):
         # On an s-node part with root r and drawn node i: Q(r, i), Q(i, r),
         # then Q(k, i) once for each of the s - 2 other nodes, in part order.
-        tree = _relabelled(_shaped(shape, 30, seed), seed)
-        s = tree.n
-        recorder = _RecordingOracle(ExactOracle(tree))
-        reconstruct_tree(recorder, range(s), tree.degree_bound, random.Random(seed))
-        root, i, _ = recorder.transcript[s - 1]
-        round_start = recorder.transcript[s - 1 : s - 1 + 2 + (s - 2)]
+        # The round after a first draw of the root runs on the whole node
+        # set, listed root first, then ascending.
+        s, root, transcript, _, _ = self._root_first(shape, seed)
+        i = transcript[s - 1][1]
+        round_start = transcript[s - 1 : s - 1 + 2 + (s - 2)]
         assert round_start[:2] == [(root, i, True), (i, root, False)]
         assert [(a, b) for a, b, _ in round_start[2:]] == [
             (k, i) for k in range(s) if k not in (root, i)
         ]
+
+    @pytest.mark.parametrize("first, rounds", [(0, 2), (1, 1), (2, 1)])
+    def test_drawing_the_root_first_costs_one_round(self, first, rounds):
+        # On the chain 0 -> 1 -> 2 any path with an edge is accepted, so the
+        # run takes one round, and one more when the first draw is the root.
+        oracle = ExactOracle(shaped_tree("chain", 3))
+        edges, stats = reconstruct_tree(oracle, range(3), 2, ScriptedRng([first]))
+        assert edges == {(0, 1), (1, 2)}
+        assert stats.rounds_total == rounds
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["chain", "star", "caterpillar", "parallel_chain", "random"]),
+        st.integers(min_value=3, max_value=60),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_first_scan_asks_every_other_node_on_every_shape(self, shape, n, seed):
+        tree = _relabelled(_shaped(shape, n, seed), seed)
+        recorder = _RecordingOracle(ExactOracle(tree))
+        paths = []
+        real_scan = reconstruct.reconstruct_skeleton_path
+
+        def reconstruct_skeleton_path(*args, **kwargs):
+            paths.append(real_scan(*args, **kwargs))
+            return paths[-1]
+
+        scanning = mock.patch.object(
+            reconstruct, "reconstruct_skeleton_path", reconstruct_skeleton_path
+        )
+        with scanning:
+            edges, _ = reconstruct_tree(
+                recorder, range(tree.n), tree.degree_bound, random.Random(seed)
+            )
+        i = recorder.transcript[0][1]
+        scan = [(a, b) for a, b, _ in recorder.transcript[: tree.n - 1]]
+        assert scan == [(k, i) for k in range(tree.n) if k != i]
+        assert paths[0] == _root_path(tree, i)
+        assert edges == set(tree.edges())
 
     @pytest.mark.parametrize("parent", [(-1, 0), (1, -1)])
     def test_two_node_part_asks_its_checks_and_draws_nothing(self, parent):
@@ -691,7 +775,7 @@ class TestRootRounds:
         state = rng.getstate()
         edges, stats = reconstruct_tree(recorder, range(2), 2, rng)
         assert edges == {(root, x)}
-        # One tournament query, then exactly the two checks.
+        # find_root's one query, then exactly the two checks.
         assert [(a, b) for a, b, _ in recorder.transcript[1:]] == [(root, x), (x, root)]
         assert rng.getstate() == state
         assert stats.rounds_total == 0
@@ -810,13 +894,13 @@ def _run_weighted(tree, bound):
 @pytest.mark.parametrize(
     "run, tree, bound, calls, rounds, depth",
     [
-        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 4008, 97, 8, id="random-d3"),
-        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4870, 114, 11, id="random-d10"),
-        pytest.param(_run_exact, parallel_chain(4, 30), 4, 1333, 11, 7, id="parallel-chain"),
-        pytest.param(_run_exact, shaped_tree("star", 40), 2, 22051, 311, 39, id="star-doubling"),
-        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 3111, 147, 9, id="wrong-bound"),
-        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1401, 42, 7, id="noisy"),
-        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 4307, 97, 8, id="weighted"),
+        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 3713, 97, 8, id="random-d3"),
+        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4576, 114, 11, id="random-d10"),
+        pytest.param(_run_exact, parallel_chain(4, 30), 4, 1156, 11, 7, id="parallel-chain"),
+        pytest.param(_run_exact, shaped_tree("star", 40), 2, 22013, 311, 39, id="star-doubling"),
+        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2437, 93, 7, id="wrong-bound"),
+        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1207, 43, 6, id="noisy"),
+        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 4012, 97, 8, id="weighted"),
     ],
 )
 def test_query_stream_is_pinned(run, tree, bound, calls, rounds, depth):
