@@ -32,9 +32,10 @@ class TreeFormatError(ValueError):
 class InconsistentOracleError(RuntimeError):
     """Oracle answers are consistent with no directed rooted tree.
 
-    Only reachable when the oracle lies (noisy regime); an exact oracle
-    never triggers this. When the reconstruction driver raises it, ``stats``
-    holds the driver's counters up to the failure.
+    Raised in any regime when the answers fit no tree; an oracle that
+    answers every query truly never triggers this. When the reconstruction
+    driver raises it, ``stats`` holds the driver's counters up to the
+    failure.
     """
 
     stats = None

@@ -8,16 +8,17 @@ edge has two balanced enough sides. The first round finds the root of the
 whole node set on the way: it samples i from every node, and the nodes that
 reach i, sorted, are the path down to i from the root, which comes first; if
 no node reaches i, i is the root, and the round fails on a one-node path.
-Each piece is a subtree rooted at its path node, so no later part looks for
-its root, and a 2-node part is settled by the two checks that its root
-reaches the other node, with nothing to sample. Only a node set of at most
-two nodes asks ``find_root``, which needs one query. Parts still to solve
-wait on a stack, and each pass of the driver loop runs one round on the top
-part: an accepted round keeps every path edge and pushes each piece; a
-failed round pushes its part back. With a degree bound d the balanced cut
-leaves sides no larger than a (d-1)/d fraction and every piece lies inside
-one side, so the split depth stays logarithmic and the whole thing needs
-O(d n log^2 n) queries in expectation.
+The scan has answered that the root reaches i, so the round's check asks
+only that i does not reach the root. Each piece is a subtree rooted at its
+path node, so no later part looks for its root, and a 2-node part is
+settled by the two checks that its root reaches the other node, with
+nothing to sample. A node set of two nodes is oriented by one query. Parts
+still to solve wait on a stack, and each pass of the driver loop runs one
+round on the top part: an accepted round keeps every path edge and pushes
+each piece; a failed round pushes its part back. With a degree bound d the
+balanced cut leaves sides no larger than a (d-1)/d fraction and every piece
+lies inside one side, so the split depth stays logarithmic and the whole
+thing needs O(d n log^2 n) queries in expectation.
 
 Every part lists its root first, and a path is one list from a part's root
 down, so consecutive path nodes are (parent, child) edges as they stand. A
@@ -207,38 +208,18 @@ def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[i
         start, stop = stop, stop * 8
 
 
-def find_root(oracle, nodes: Sequence[int]) -> int:
-    """The root of a non-empty node set, by a tournament of n-1 queries.
+def reconstruct_skeleton_path(oracle, nodes: Sequence[int], i: int) -> list[int]:
+    """The nodes of ``nodes`` that reach ``i``, sorted by ancestry, then ``i``.
 
-    A node replaces the candidate when it reaches it. The root reaches every
-    node and nothing reaches it, so it ends the winner.
+    One query per other node, then the sort. On a subtree that holds ``i``
+    this is the path from the subtree's root down to ``i``, so its first
+    node is the root, and it is ``[i]`` when ``i`` is the root. A round on a
+    part whose root it knows passes the part without its root and puts the
+    root in front.
     """
     query = oracle.query
-    root = nodes[0]
-    for k in nodes[1:]:
-        if query(k, root):
-            root = k
-    return root
-
-
-def reconstruct_skeleton_path(
-    oracle, part: Sequence[int], i: int, rooted: bool = True
-) -> list[int]:
-    """The path from the root of ``part`` down to its node ``i``.
-
-    Every node of the part lies below its root, so the path is the nodes
-    that reach i, sorted by ancestry, then i itself: one query per other
-    node, then the sort. If ``rooted``, the root is ``part[0]`` and is not
-    asked, and the path to the root is the root alone and asks nothing.
-    Otherwise the first node of the path is the part's root, and i is the
-    root when no node reaches it.
-    """
-    head = list(part[:1]) if rooted else []
-    if i in head:
-        return head
-    query = oracle.query
-    between = [k for k in part[len(head) :] if k != i and query(k, i)]
-    return [*head, *sort_by_ancestry(oracle, between), i]
+    between = [k for k in nodes if k != i and query(k, i)]
+    return [*sort_by_ancestry(oracle, between), i]
 
 
 def _check_below(oracle, root: int, node: int) -> None:
@@ -264,11 +245,12 @@ def reconstruct_tree(
     Each round draws its node i with ``rng.choice`` and checks that its
     part's root reaches i and i does not reach the root. The first round
     draws from the whole node set in ascending order and asks every other
-    node whether it reaches i before its checks: the first node of the path
-    it finds is the root. If no node reaches i, i is the root and the round
-    asks no check. From then on the node set is one part, its root first
-    and the rest in ascending order. A node set of at most two nodes asks
-    ``find_root`` instead, and a 2-node part asks only its two checks.
+    node whether it reaches i: the first node of the path it finds is the
+    root, and that answer is the first half of the check, so the round asks
+    only the second. If no node reaches i, i is the root and the round asks
+    no check. From then on the node set is one part, its root first and the
+    rest in ascending order. A node set of two nodes is oriented by one
+    query instead, and a 2-node part asks only its two checks.
     Each accepted round adds every edge of its path and splits its part into
     one piece per path node, listed with its path node first and the rest in
     ascending order. A part's next round reuses the path its last round
@@ -281,8 +263,9 @@ def reconstruct_tree(
     degree doubles its own bound, which its pieces inherit, so the edges
     stay exact. The run is deterministic given the rng state and the
     oracle's answers. ``separator_hook`` (if given) sees the balanced cut
-    that let each round through, as a ``(parent, child)`` pair, with the
-    part it was accepted in, root first; the tests audit balance with it.
+    that let each round through, the first one down the path from the
+    part's root, as a ``(parent, child)`` pair, with the part it was
+    accepted in, root first; the tests audit balance with it.
     An InconsistentOracleError raised on the way carries the counters so far
     as its ``stats``.
     """
@@ -304,12 +287,10 @@ def reconstruct_tree(
     # they are solved in path order; that order fixes which nodes rng
     # draws. Only parts of 3 or more nodes run rounds, and those exist only
     # at bounds of 2 or more, so the gate never divides by zero.
-    known = None
-    if len(part) >= 3:
-        known = ([], [part])
-    elif part:
-        root = find_root(oracle, part)
-        part = [root, *(k for k in part if k != root)]
+    # A node set of two nodes is listed root first by one query.
+    known = ([], [part]) if len(part) >= 3 else None
+    if len(part) == 2 and oracle.query(part[1], part[0]):
+        part.reverse()
     stack = [(part, 1, degree_bound, 0, known)]
     try:
         while stack:
@@ -337,29 +318,32 @@ def reconstruct_tree(
                 t = len(path) - 1
                 while t and i not in pieces[t]:
                     t -= 1
-                tail = reconstruct_skeleton_path(oracle, pieces[t], i)
+                p = path[t]
+                tail = [p] if i == p else [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i)]
             else:
                 # The root reaches i, so it heads the path to i; with no
                 # node reaching i, i is the root and the path is i alone.
+                # The scan has claimed root -> i, so only the denial is left
+                # to check.
                 i = rng.choice(part)
-                tail = reconstruct_skeleton_path(oracle, part, i, rooted=False)
-                root = tail[0]
-                if root != i:
-                    _check_below(oracle, root, i)
+                tail = reconstruct_skeleton_path(oracle, part, i)
+                p = root = tail[0]
+                if root != i and oracle.query(i, root):
+                    raise InconsistentOracleError(
+                        f"node {i} reaches the root {root} above it; "
+                        "oracle answers are inconsistent"
+                    )
                 part = [root, *(k for k in part if k != root)]
                 pieces, t = [part], 0
-            p, piece = tail[0], pieces[t]
             branch, branch_pieces = path[t + 1 :], pieces[t + 1 :]
-            below = path_pieces(oracle, piece, tail)
+            below = path_pieces(oracle, pieces[t], tail)
             # p's new piece is what it kept of its old one and the branch.
             own = below[0]
             merged = [p, *sorted(chain(own[1:], *branch_pieces))] if branch else own
             path = [*path[:t], *tail]
             pieces = [*pieces[:t], merged, *below[1:]]
-            # The gate reads the path's (parent, child) edges and its pieces
-            # from i up to r.
-            cuts = [*zip(path, path[1:])][::-1]
-            sep = find_even_separator([len(q) for q in reversed(pieces)], cuts, size, bound)
+            cuts = [*zip(path, path[1:])]
+            sep = find_even_separator([len(q) for q in pieces], cuts, size, bound)
             if sep is None:
                 # A correct bound b needs b^2/(b-1) rounds on average. After
                 # four times that many failures the part's gate doubles b; at

@@ -26,7 +26,7 @@ from treeprobe import (
     validate_tree,
 )
 from treeprobe.cli import EXIT_OK, main as cli_main
-from treeprobe.reconstruct import find_bag, find_root, path_pieces, reconstruct_skeleton_path
+from treeprobe.reconstruct import find_bag, path_pieces, reconstruct_skeleton_path
 
 from reference import (
     bag_nodes,
@@ -208,7 +208,8 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
         p = rng.randrange(tree.n)
         part = subtree_nodes(tree, p)
         rng.shuffle(part)
-        if find_root(ExactOracle(tree), part) != p:
+        i = rng.choice(part)
+        if reconstruct_skeleton_path(ExactOracle(tree), part, i)[0] != p:
             root_bad += 1
 
     bag_bad = 0

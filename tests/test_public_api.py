@@ -1,7 +1,8 @@
 """The package's public surface, pinned so that any change to it is explicit."""
 
+import importlib
+
 import treeprobe
-from treeprobe import reconstruct
 
 PUBLIC_NAMES = [
     "AdditiveOracle",
@@ -57,15 +58,23 @@ def test_every_public_name_resolves():
 def test_traced_driver_names_exist():
     # perfbench/tracer.py wraps these by name and reports a missing one as
     # absent, so a rename would silently empty its per-phase spans.
-    for name in (
-        "reconstruct_skeleton_path",
-        "sort_by_ancestry",
-        "find_bag",
-        "find_even_separator",
-        "reconstruct_tree",
-        "reconstruct_weighted",
-    ):
-        assert callable(getattr(reconstruct, name, None)), name
+    traced = {
+        "bench": ["run_single"],
+        "reconstruct": [
+            "reconstruct_tree",
+            "reconstruct_weighted",
+            "reconstruct_skeleton_path",
+            "sort_by_ancestry",
+            "find_bag",
+            "find_even_separator",
+        ],
+        "generators": ["random_tree", "parallel_chain", "shaped_tree", "uniform_weights"],
+        "trees": ["validate_tree"],
+    }
+    for module, names in traced.items():
+        namespace = importlib.import_module(f"treeprobe.{module}")
+        for name in names:
+            assert callable(getattr(namespace, name, None)), f"{module}.{name}"
 
 
 def test_base_oracles_define_their_own_query():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import math
 import random
 import sys
@@ -113,6 +114,21 @@ class _TableOracle:
         return self._table.get((i, j), 0)
 
 
+@contextlib.contextmanager
+def _recording_gates(recorder):
+    """Collect the transcript position and result of every gate the driver
+    consults while the block runs."""
+    gates = []
+    real_find_even_separator = reconstruct.find_even_separator
+
+    def find_even_separator(*args):
+        gates.append((len(recorder.transcript), real_find_even_separator(*args)))
+        return gates[-1][1]
+
+    with mock.patch.object(reconstruct, "find_even_separator", find_even_separator):
+        yield gates
+
+
 class TestSortByAncestry:
     def test_orders_a_shuffled_chain_segment(self):
         oracle = ExactOracle(shaped_tree("chain", 8))
@@ -181,20 +197,15 @@ class TestReconstructSkeletonPath:
         part = subtree_nodes(bent_tree, 2)
         assert reconstruct_skeleton_path(ExactOracle(bent_tree), part, 0) == [2, 1, 0]
 
-    def test_path_to_the_root_asks_nothing(self, bent_tree):
-        oracle = ExactOracle(bent_tree)
-        assert reconstruct_skeleton_path(oracle, [8, *range(8), 9, 10], 8) == [8]
-        assert oracle.calls == 0
-
     def test_one_query_per_other_node_then_the_sort(self, spine_tree):
-        # Each of the nine nodes other than the root 0 and the end 4 is asked
-        # once whether it reaches 4, in part order; only the sort of 1, 2, 3
-        # asks more, and it asks only about those three.
+        # Each of the ten nodes other than the end 4 is asked once whether
+        # it reaches 4, in node order; only the sort of 0, 1, 2, 3 asks
+        # more, and it asks only about those four.
         recorder = _RecordingOracle(ExactOracle(spine_tree))
-        reconstruct_skeleton_path(recorder, range(11), 4)
-        scan = [(k, 4) for k in (1, 2, 3, 5, 6, 7, 8, 9, 10)]
-        assert [(a, b) for a, b, _ in recorder.transcript[:9]] == scan
-        assert all({a, b} <= {1, 2, 3} for a, b, _ in recorder.transcript[9:])
+        assert reconstruct_skeleton_path(recorder, range(11), 4) == [0, 1, 2, 3, 4]
+        scan = [(k, 4) for k in (0, 1, 2, 3, 5, 6, 7, 8, 9, 10)]
+        assert [(a, b) for a, b, _ in recorder.transcript[:10]] == scan
+        assert all({a, b} <= {0, 1, 2, 3} for a, b, _ in recorder.transcript[10:])
 
     def test_matches_ground_truth_on_both_fixtures(self, spine_tree, bent_tree):
         for tree in (spine_tree, bent_tree):
@@ -403,11 +414,11 @@ class TestWeightedPlacement:
 def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
     # Tracers charge each query to the innermost phase function it is asked
     # in, by name. So each round's scan, the first round's too, which finds
-    # the root and leaves find_root nothing to ask, must ask its queries
-    # inside reconstruct_skeleton_path (its sort inside sort_by_ancestry),
-    # and the round's placement inside find_bag calls, one call per off-path
-    # node, also once the plans are reweighed and in retries; the checks are
-    # the only other queries.
+    # the root, must ask its queries inside reconstruct_skeleton_path (its
+    # sort inside sort_by_ancestry), and the round's placement inside
+    # find_bag calls, one call per off-path node, also once the plans are
+    # reweighed and in retries; the checks are the only other queries, and
+    # the driver asks only the first round's denial Q(i, root) itself.
     # Tracers count accepted rounds as the non-None returns of
     # find_even_separator, so every round must consult it exactly once.
     tree = random_tree(600, 3, seed=4)
@@ -439,16 +450,15 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
         monkeypatch.setattr(reconstruct, name, wrapper)
         return wrapper
 
-    for name in ("find_root", "_check_below", "sort_by_ancestry", "find_bag"):
+    for name in ("_check_below", "sort_by_ancestry", "find_bag"):
         charged(name)
     scan, pieces_of = charged("reconstruct_skeleton_path"), charged("path_pieces")
 
-    def reconstruct_skeleton_path(oracle_, part, i, rooted=True):
+    def reconstruct_skeleton_path(oracle_, nodes, i):
         before = asked["reconstruct_skeleton_path"]
-        path = scan(oracle_, part, i, rooted=rooted)
+        path = scan(oracle_, nodes, i)
         own = asked["reconstruct_skeleton_path"] - before
-        others = 0 if rooted and i == part[0] else len(part) - (2 if rooted else 1)
-        seen["scans"].append((rooted, own == others))
+        seen["scans"].append((len(nodes), own == len(nodes) - 1))
         return path
 
     def path_pieces(oracle_, part, path):
@@ -476,11 +486,12 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
         separator_hook=lambda sep, part: accepted.append(sep),
     )
     assert edges == set(tree.edges())
-    assert calls["find_root"] == asked["find_root"] == 0
-    assert asked["outside"] == asked["path_pieces"] == 0
+    assert asked["outside"] == 1 and asked["path_pieces"] == 0
     assert asked["_check_below"] == 2 * calls["_check_below"]
-    assert len(seen["scans"]) == stats.rounds_total
-    assert [rooted for rooted, _ in seen["scans"]] == [False] + [True] * (stats.rounds_total - 1)
+    # A round whose node is on its part's known path scans nothing; every
+    # other round scans once, the first over the whole node set.
+    assert 0 < len(seen["scans"]) <= stats.rounds_total
+    assert seen["scans"][0][0] == tree.n
     assert all(ok for _, ok in seen["scans"])
     assert asked["reconstruct_skeleton_path"] > 0 and asked["sort_by_ancestry"] > 0
     assert seen["largest"] > 128  # reweighed at least twice in one round
@@ -514,8 +525,8 @@ class TestReconstructTree:
         assert stats.rounds_total == 0
 
     def test_two_nodes_at_degree_one_are_settled_by_two_checks(self):
-        # Bound 1 fits two nodes and never reaches a gate: find_root's one
-        # query finds the root, and its two checks settle the edge.
+        # Bound 1 fits two nodes and never reaches a gate: one query orients
+        # the pair, and its two checks settle the edge.
         oracle = ExactOracle(shaped_tree("chain", 2))
         edges, stats = reconstruct_tree(oracle, [0, 1], 1, random.Random(0))
         assert edges == {(0, 1)}
@@ -556,9 +567,10 @@ class TestReconstructTree:
     def test_path_nodes_cost_no_bag_query(self, bent_tree):
         # The first round, on the scripted 0, is accepted. Its scan asks the
         # 10 other nodes, which finds 1, 2 and 8 above 0; sorting them asks
-        # 2, puts the root 8 first, and its checks ask 2. The bag searches
-        # ask 14 more, two for each node off the path 8-2-1-0, and never
-        # about the root 8.
+        # 2 and puts the root 8 first. The scan has claimed 8 -> 0, so the
+        # check asks only that 0 does not reach 8. The bag searches ask 14
+        # more, two for each node off the path 8-2-1-0, and never about the
+        # root 8.
         recorder = _RecordingOracle(ExactOracle(bent_tree))
         first_cut_at = []
         reconstruct_tree(
@@ -568,8 +580,9 @@ class TestReconstructTree:
             ScriptedRng([0]),
             separator_hook=lambda sep, part: first_cut_at.append(len(recorder.transcript)),
         )
-        assert [(a, b) for a, b, _ in recorder.transcript[12:14]] == [(8, 0), (0, 8)]
-        bag_queries = recorder.transcript[14 : first_cut_at[0]]
+        assert recorder.transcript[7] == (8, 0, True)
+        assert recorder.transcript[12] == (0, 8, False)
+        bag_queries = recorder.transcript[13 : first_cut_at[0]]
         assert len(bag_queries) == 14
         assert {k for _, k, _ in bag_queries} == {3, 4, 5, 6, 7, 9, 10}
         assert {a for a, _, _ in bag_queries} <= {2, 1, 0}
@@ -660,24 +673,28 @@ class TestRootRounds:
     def test_first_round_scan_finds_the_root(self, shape, seed):
         # The first round draws i from every node and asks each other node in
         # turn whether it reaches i. The sort asks only about the nodes that
-        # do, which are the true ancestors of i, and puts the root first;
-        # the root's checks come next.
+        # do, which are the true ancestors of i, and puts the root first.
+        # The scan has answered Q(root, i), so the check asks only Q(i, root),
+        # once, and no later query of the round repeats a scan pair.
         tree = _relabelled(_shaped(shape, 30, seed), seed)
         n = tree.n
         root = tree.parent.index(ROOT)
         recorder = _RecordingOracle(ExactOracle(tree))
-        reconstruct_tree(recorder, range(n), tree.degree_bound, random.Random(seed))
+        with _recording_gates(recorder) as gates:
+            reconstruct_tree(recorder, range(n), tree.degree_bound, random.Random(seed))
         i = recorder.transcript[0][1]
         scan = recorder.transcript[: n - 1]
         assert [(a, b) for a, b, _ in scan] == [(k, i) for k in range(n) if k != i]
         above = {k for k, _, hit in scan if hit}
         assert above == set(root_chain(tree, i))
-        rest = [(a, b) for a, b, _ in recorder.transcript[n - 1 :]]
+        rest = [(a, b) for a, b, _ in recorder.transcript[n - 1 : gates[0][0]]]
         sort = 0
-        while {*rest[sort]} <= above:
+        while sort < len(rest) and {*rest[sort]} <= above:
             sort += 1
         if i != root:
-            assert rest[sort : sort + 2] == [(root, i), (i, root)]
+            assert rest[sort] == (i, root)
+        assert rest.count((i, root)) == (i != root)
+        assert not {(a, b) for a, b, _ in scan} & set(rest)
 
     def _root_first(self, shape, seed):
         """A run whose first draw is the root, with the transcript position
@@ -685,14 +702,7 @@ class TestRootRounds:
         tree = _relabelled(_shaped(shape, 30, seed), seed)
         root = tree.parent.index(ROOT)
         recorder = _RecordingOracle(ExactOracle(tree))
-        gates = []
-        real_find_even_separator = reconstruct.find_even_separator
-
-        def find_even_separator(*args):
-            gates.append((len(recorder.transcript), real_find_even_separator(*args)))
-            return gates[-1][1]
-
-        with mock.patch.object(reconstruct, "find_even_separator", find_even_separator):
+        with _recording_gates(recorder) as gates:
             edges, stats = reconstruct_tree(
                 recorder, range(tree.n), tree.degree_bound, ScriptedRng([root], seed=seed)
             )
@@ -775,7 +785,7 @@ class TestRootRounds:
         state = rng.getstate()
         edges, stats = reconstruct_tree(recorder, range(2), 2, rng)
         assert edges == {(root, x)}
-        # find_root's one query, then exactly the two checks.
+        # One query orients the pair, then exactly the two checks.
         assert [(a, b) for a, b, _ in recorder.transcript[1:]] == [(root, x), (x, root)]
         assert rng.getstate() == state
         assert stats.rounds_total == 0
@@ -824,6 +834,20 @@ class TestRetries:
         pairs, _ = self._run([3, 1, 6])
         start = pairs.index((0, 1))  # the first round only asks 1 about 3
         assert pairs[start : pairs.index((0, 6))] == [(0, 1), (1, 0)]
+
+    def test_retry_that_draws_a_path_node_asks_only_its_checks(self):
+        # 0 -> 1 -> 2, with the other ten nodes below 1, fails at bound 3:
+        # its pieces hold 1, 11 and 1 nodes. The retry draws 1, a path node
+        # whose piece holds ten more nodes, and knows its path 0 -> 1
+        # already: it asks its two checks, scans nothing, and fails again.
+        tree = validate_tree((ROOT, 0, 1, 1, 1, 3, 3, 4, 4, 5, 5, 6, 6), 4)
+        recorder = _RecordingOracle(ExactOracle(tree))
+        with _recording_gates(recorder) as gates:
+            edges, _ = reconstruct_tree(recorder, range(tree.n), 3, ScriptedRng([2, 1, 5]))
+        assert edges == set(tree.edges())
+        (first, miss), (retry, again), (_, cut) = gates[:3]
+        assert miss is None and again is None and cut == (1, 3)
+        assert [(a, b) for a, b, _ in recorder.transcript[first:retry]] == [(0, 1), (1, 0)]
 
     def test_accepted_retry_hands_its_branch_to_the_root_piece(self):
         # The accepted retry leaves the root's piece 0, 1, 3, 12 with the
@@ -894,13 +918,13 @@ def _run_weighted(tree, bound):
 @pytest.mark.parametrize(
     "run, tree, bound, calls, rounds, depth",
     [
-        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 3713, 97, 8, id="random-d3"),
-        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4576, 114, 11, id="random-d10"),
-        pytest.param(_run_exact, parallel_chain(4, 30), 4, 1156, 11, 7, id="parallel-chain"),
-        pytest.param(_run_exact, shaped_tree("star", 40), 2, 22013, 311, 39, id="star-doubling"),
-        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2437, 93, 7, id="wrong-bound"),
-        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1207, 43, 6, id="noisy"),
-        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 4012, 97, 8, id="weighted"),
+        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 3712, 97, 8, id="random-d3"),
+        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4575, 114, 11, id="random-d10"),
+        pytest.param(_run_exact, parallel_chain(4, 30), 4, 1155, 11, 7, id="parallel-chain"),
+        pytest.param(_run_exact, shaped_tree("star", 40), 2, 22012, 311, 39, id="star-doubling"),
+        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2436, 93, 7, id="wrong-bound"),
+        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1206, 43, 6, id="noisy"),
+        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 4011, 97, 8, id="weighted"),
     ],
 )
 def test_query_stream_is_pinned(run, tree, bound, calls, rounds, depth):
