@@ -133,6 +133,7 @@ def _cmd_reconstruct(args, parser) -> int:
         print(f"logical_queries={outcome.logical_queries}")
         print(f"rounds={outcome.stats.rounds_total}")
         print(f"max_depth={outcome.stats.recursion_depth_max}")
+        print(f"audit_queries={outcome.stats.audit_queries}")
         if outcome.votes is not None:
             print(f"votes={outcome.votes}")
     if not outcome.success:

@@ -8,14 +8,12 @@ edge has two balanced enough sides. The first round finds the root of the
 whole node set on the way: it samples i from every node, and the nodes that
 reach i, sorted, are the path down to i from the root, which comes first; if
 no node reaches i, i is the root, and the round fails on a one-node path.
-The scan has answered that the root reaches i, so the round's check asks
-only that i does not reach the root. Each piece is a subtree rooted at its
-path node, so no later part looks for its root, and a 2-node part is
-settled by the two checks that its root reaches the other node, with
-nothing to sample. A node set of two nodes is oriented by one query. Parts
-still to solve wait on a stack, and each pass of the driver loop runs one
-round on the top part: an accepted round keeps every path edge and pushes
-each piece; a failed round pushes its part back. With a degree bound d the
+Each piece is a subtree rooted at its path node, so no later part looks for
+its root, and a 2-node part is settled with nothing to sample. A node set
+of two nodes is oriented by asking both ways. Parts still to solve wait on
+a stack, and each pass of the driver loop runs one round on the top part:
+an accepted round keeps every path edge and pushes each piece; a failed
+round pushes its part back. With a degree bound d the
 balanced cut leaves sides no larger than a (d-1)/d fraction and every piece
 lies inside one side, so the split depth stays logarithmic and the whole
 thing needs O(d n log^2 n) queries in expectation.
@@ -27,10 +25,19 @@ each piece listing its path node first. A round's node i lies in the piece
 of one path node p, so the path r -> p is known and the rest of r -> i runs
 through p's piece: the round scans and places only that piece, and the known
 path below p joins p's new piece unasked. A node on the known path costs
-only its two checks. A failed round pushes its part back with its new path,
-and an accepted one hands p's piece the branch below p as its known path. A
-retry so asks no more than a fresh round would, and on consistent answers it
-draws, accepts and adds exactly what a fresh round would.
+nothing, and if its round fails the part keeps the longer path it knew. A
+failed round pushes its part back with its new path, and an accepted one
+hands p's piece the branch below p as its known path. A retry so asks no
+more than a fresh round would, and on consistent answers it draws, accepts
+and adds exactly what a fresh round would.
+
+No round checks its answers. Every returned edge is instead vouched for by
+an answer the run heard: the scan's on the edge into i, the sort's
+comparison on every other edge it found, and, for the edge from p into the
+path, the placements that put each member of p's piece there. A placement
+at a path node below the part's root asks that node, so only the root's
+piece and pieces that a known branch was merged into lack that answer. The
+audit asks the few edges out of those once, after the last round.
 
 A node is put into its piece by a search down the path for the deepest path
 node that reaches it. A round's first 16 nodes take plain binary searches.
@@ -44,12 +51,13 @@ true edge is a correct cut, so the bound only sets the gate: a part whose
 rounds keep failing doubles its gate's bound, which accepts any path once it
 reaches the part size less one, and its pieces start from the bound it was
 accepted at. Every input therefore ends. A bound of 1 fits only two nodes,
-which their two checks settle.
+which asking both ways settles.
 
 The driver reads every answer only as a truth value, so all three regimes
 run on it unchanged: an exact bit, a noisy majority bit, or an additive path
-sum, positive exactly when the path exists. The additive regime then reads
-each recovered edge's weight with one more query.
+sum, positive exactly when the path exists. The additive regime keeps the
+audit's answers as weights and reads every other recovered edge's weight
+with one more query.
 """
 
 from __future__ import annotations
@@ -70,13 +78,16 @@ class ReconstructionStats:
     """Counters from one reconstruction run.
 
     rounds_total: sampling rounds summed over all parts; every part of
-        >= 3 nodes runs at least one, and a 2-node part is settled by its
-        two checks without a round.
+        >= 3 nodes runs at least one, and a 2-node part is settled without
+        a round.
     recursion_depth_max: deepest split level, the whole node set being 1.
+    audit_queries: queries the end-of-run audit asked, one per returned
+        edge that no earlier answer vouched for.
     """
 
     rounds_total: int = 0
     recursion_depth_max: int = 0
+    audit_queries: int = 0
 
 
 Edges = set[tuple[int, int]]
@@ -222,15 +233,6 @@ def reconstruct_skeleton_path(oracle, nodes: Sequence[int], i: int) -> list[int]
     return [*sort_by_ancestry(oracle, between), i]
 
 
-def _check_below(oracle, root: int, node: int) -> None:
-    """Raise unless the oracle claims root -> node and denies node -> root."""
-    if not oracle.query(root, node) or oracle.query(node, root):
-        raise InconsistentOracleError(
-            f"node {node} does not hang below its part's root {root}; "
-            "oracle answers are inconsistent"
-        )
-
-
 def reconstruct_tree(
     oracle,
     nodes: Iterable[int],
@@ -242,20 +244,24 @@ def reconstruct_tree(
 
     ``oracle.query(i, j)`` must be truthy exactly when the oracle claims a
     directed path i -> j; nothing else of an answer is read.
-    Each round draws its node i with ``rng.choice`` and checks that its
-    part's root reaches i and i does not reach the root. The first round
-    draws from the whole node set in ascending order and asks every other
-    node whether it reaches i: the first node of the path it finds is the
-    root, and that answer is the first half of the check, so the round asks
-    only the second. If no node reaches i, i is the root and the round asks
-    no check. From then on the node set is one part, its root first and the
-    rest in ascending order. A node set of two nodes is oriented by one
-    query instead, and a 2-node part asks only its two checks.
+    Each round draws its node i with ``rng.choice``. The first round draws
+    from the whole node set in ascending order and asks every other node
+    whether it reaches i: the first node of the path it finds is the root.
+    If no node reaches i, i is the root. From then on the node set is one
+    part, its root first and the rest in ascending order. A node set of two
+    nodes is oriented by asking both ways instead, and raises
+    InconsistentOracleError unless exactly one answer is yes.
     Each accepted round adds every edge of its path and splits its part into
     one piece per path node, listed with its path node first and the rest in
     ascending order. A part's next round reuses the path its last round
     found and asks only inside the piece, of one path node, that holds its
     new node.
+    No round checks its answers: every returned edge (p, c) is vouched for
+    by an answer the run heard, Q(p, c) = 1 or Q(c, p) = 0, or is asked
+    once by the audit after the last round (see the module docstring), and
+    a denial there raises InconsistentOracleError. ``stats.audit_queries``
+    counts the audit's queries: none on a chain unless the first draw is
+    the root, about one per leaf on a star.
     ``degree_bound`` sets only the balance gate. A node listed twice raises
     ValueError, and a bound that no tree on these nodes fits (below 1, or 1
     with more than two nodes) raises InfeasibleDegreeError, both before any
@@ -269,6 +275,19 @@ def reconstruct_tree(
     An InconsistentOracleError raised on the way carries the counters so far
     as its ``stats``.
     """
+    edges, stats, _ = _reconstruct(oracle, nodes, degree_bound, rng, separator_hook)
+    return edges, stats
+
+
+def _reconstruct(
+    oracle,
+    nodes: Iterable[int],
+    degree_bound: int,
+    rng: random.Random,
+    separator_hook: SeparatorHook | None = None,
+) -> tuple[Edges, ReconstructionStats, dict[tuple[int, int], object]]:
+    """reconstruct_tree, which also returns the audit's answer on each edge
+    it asked about."""
     part = sorted(nodes)
     for a, b in zip(part, part[1:]):
         if a == b:
@@ -276,40 +295,55 @@ def reconstruct_tree(
     check_degree_feasible(len(part), degree_bound)
     stats = ReconstructionStats()
     edges: Edges = set()
-    # Parts still to solve, each listing its root first, with its gate
-    # bound, failed rounds so far, and what its last round found: the path
-    # from its root and the piece that hangs from each path node, each
-    # listing its path node first. A fresh part has None there: its path is
-    # its root alone, and its piece is the part itself. A node set of 3 or
-    # more nodes has an empty path there instead and stays in ascending
-    # order until its first round finds its root. A failed part goes back
-    # on top, so it is retried next. Pieces are pushed last to first, so
-    # they are solved in path order; that order fixes which nodes rng
-    # draws. Only parts of 3 or more nodes run rounds, and those exist only
-    # at bounds of 2 or more, so the gate never divides by zero.
-    # A node set of two nodes is listed root first by one query.
-    known = ([], [part]) if len(part) >= 3 else None
-    if len(part) == 2 and oracle.query(part[1], part[0]):
-        part.reverse()
-    stack = [(part, 1, degree_bound, 0, known)]
+    # Edges no answer vouches for yet, to ask once at the end.
+    audit: list[tuple[int, int]] = []
+    answers: dict[tuple[int, int], object] = {}
     try:
+        # A node set of two nodes is listed root first by asking both ways.
+        if len(part) == 2:
+            backward = oracle.query(part[1], part[0])
+            if bool(backward) == bool(oracle.query(part[0], part[1])):
+                raise InconsistentOracleError(
+                    f"exactly one of nodes {part[0]} and {part[1]} must reach the other; "
+                    "oracle answers are inconsistent"
+                )
+            if backward:
+                part.reverse()
+        # Parts still to solve, each listing its root first, with its gate
+        # bound, failed rounds so far, what its rounds found, and one flag
+        # per piece. What a round found is the path from the part's
+        # root and the piece that hangs from each path node, each listing
+        # its path node first. A fresh part has None there: its path is its
+        # root alone, and its piece is the part itself. A node set of 3 or
+        # more nodes has an empty path there instead and stays in ascending
+        # order until its first round finds its root. A piece is vouched
+        # when its path node has been heard to reach each of its members.
+        # A failed part goes back on top, so it is retried next. Pieces are
+        # pushed last to first, so they are solved in path order; that
+        # order fixes which nodes rng draws. Only parts of 3 or more nodes
+        # run rounds, and those exist only at bounds of 2 or more, so the
+        # gate never divides by zero.
+        known = ([], [part]) if len(part) >= 3 else None
+        stack = [(part, 1, degree_bound, 0, known, [len(part) == 2])]
         while stack:
-            part, depth, bound, failed, known = stack.pop()
+            part, depth, bound, failed, known, vouched = stack.pop()
             stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
             size = len(part)
             if size <= 1:
                 continue
             root = part[0]
+            path, pieces = known or ([root], [part])
             if size == 2:
-                # With the root known there is nothing left to sample.
-                _check_below(oracle, root, part[1])
+                # With the root known there is nothing left to sample. The
+                # edge is on the known path already, or the piece vouches
+                # for it, or the audit asks it.
+                if len(path) == 1 and not vouched[0]:
+                    audit.append((root, part[1]))
                 edges.add((root, part[1]))
                 continue
             stats.rounds_total += 1
-            path, pieces = known or ([root], [part])
             if path:
                 i = rng.choice(part[1:])
-                _check_below(oracle, root, i)
                 # The known path r -> p, to the path node p whose piece holds
                 # i, is a prefix of the path r -> i. The rest of it runs
                 # through p's piece, and the known branch below p hangs off p
@@ -319,29 +353,37 @@ def reconstruct_tree(
                 while t and i not in pieces[t]:
                     t -= 1
                 p = path[t]
-                tail = [p] if i == p else [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i)]
+                if i == p:
+                    tail = [p]
+                else:
+                    tail = [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i)]
+                    # The scan and the sort vouch for every edge below
+                    # tail[1]; only a vouched piece vouches for p -> tail[1].
+                    if not vouched[t]:
+                        audit.append((p, tail[1]))
             else:
                 # The root reaches i, so it heads the path to i; with no
                 # node reaching i, i is the root and the path is i alone.
-                # The scan has claimed root -> i, so only the denial is left
-                # to check.
+                # The scan heard the last node above i reach it, and the sort
+                # compared the two ends of every other edge, so the whole
+                # path is vouched. From here on the part is fresh, root first.
                 i = rng.choice(part)
                 tail = reconstruct_skeleton_path(oracle, part, i)
                 p = root = tail[0]
-                if root != i and oracle.query(i, root):
-                    raise InconsistentOracleError(
-                        f"node {i} reaches the root {root} above it; "
-                        "oracle answers are inconsistent"
-                    )
                 part = [root, *(k for k in part if k != root)]
-                pieces, t = [part], 0
+                path, pieces, t = [root], [part], 0
+                known = (path, pieces)
             branch, branch_pieces = path[t + 1 :], pieces[t + 1 :]
             below = path_pieces(oracle, pieces[t], tail)
-            # p's new piece is what it kept of its old one and the branch.
+            # p's new piece is what it kept of its old one and the branch,
+            # and stays vouched only if its old one was and no branch joins.
+            # Every member of the tail's other pieces was placed by a yes
+            # from its path node, so those pieces are vouched.
             own = below[0]
             merged = [p, *sorted(chain(own[1:], *branch_pieces))] if branch else own
             path = [*path[:t], *tail]
             pieces = [*pieces[:t], merged, *below[1:]]
+            flags = [*vouched[:t], vouched[t] and not branch, *[True] * (len(tail) - 1)]
             cuts = [*zip(path, path[1:])]
             sep = find_even_separator([len(q) for q in pieces], cuts, size, bound)
             if sep is None:
@@ -352,20 +394,36 @@ def reconstruct_tree(
                 failed += 1
                 if failed >= 4 * bound * bound // (bound - 1):
                     bound, failed = 2 * bound, 0
-                stack.append((part, depth, bound, failed, (path, pieces)))
+                # A round that drew a path node asked nothing, so its part
+                # keeps the longer path it knew and its retry scans less.
+                if i != p:
+                    known, vouched = (path, pieces), flags
+                stack.append((part, depth, bound, failed, known, vouched))
                 continue
             if separator_hook is not None:
                 separator_hook(sep, tuple(part))
             edges.update(cuts)
             # Each piece is rooted at its path node. p's piece keeps the
             # branch below p as its known path; every other piece is fresh.
-            pushed = [(q, depth + 1, bound, 0, None) for q in pieces]
-            pushed[t] = (merged, depth + 1, bound, 0, ([p, *branch], [own, *branch_pieces]))
+            pushed = [(q, depth + 1, bound, 0, None, [v]) for q, v in zip(pieces, flags)]
+            known = ([p, *branch], [own, *branch_pieces])
+            pushed[t] = (merged, depth + 1, bound, 0, known, vouched[t:])
             stack.extend(pushed)
+        # A retry can drop an edge queued before it: ask only the returned
+        # ones, each once.
+        for edge in audit:
+            if edge in edges and edge not in answers:
+                answers[edge] = answer = oracle.query(*edge)
+                stats.audit_queries += 1
+                if not answer:
+                    raise InconsistentOracleError(
+                        f"the oracle denies the edge {edge} its answers implied; "
+                        "oracle answers are inconsistent"
+                    )
     except InconsistentOracleError as err:
         err.stats = stats
         raise
-    return edges, stats
+    return edges, stats, answers
 
 
 def reconstruct_weighted(
@@ -377,9 +435,21 @@ def reconstruct_weighted(
     """Recover edges and exact weights from an additive oracle.
 
     The driver reads each path sum as a truth value, which is sound because
-    weights are strictly positive; the weights themselves come from one more
-    query per recovered edge, stored verbatim.
+    weights are strictly positive. An additive answer on an edge is its
+    weight, so the answers the audit heard are kept, and every other edge
+    is read once more; each is stored verbatim. The reads are the audit of
+    the other edges: a read of 0 raises InconsistentOracleError with the
+    run's stats.
     """
-    edges, stats = reconstruct_tree(oracle, nodes, degree_bound, rng)
-    weights = {(p, c): oracle.query(p, c) for (p, c) in sorted(edges)}
+    edges, stats, heard = _reconstruct(oracle, nodes, degree_bound, rng)
+    weights = {}
+    for edge in sorted(edges):
+        weights[edge] = heard[edge] if edge in heard else oracle.query(*edge)
+        if not weights[edge]:
+            err = InconsistentOracleError(
+                f"the oracle reads the edge {edge} as weight 0; "
+                "oracle answers are inconsistent"
+            )
+            err.stats = stats
+            raise err
     return edges, weights, stats

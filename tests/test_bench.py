@@ -103,6 +103,26 @@ class TestRunSingle:
         assert outcome.stats.rounds_total >= 1
         assert outcome.raw_queries == outcome.logical_queries > 60
 
+    def test_a_denial_in_the_audit_keeps_the_run_counters(self, monkeypatch):
+        # The liar answers truly through every round, then denies the first
+        # edge the audit asks.
+        tree = random_tree(40, 3, seed=11)
+        honest = run_single("exact", tree, 3, seed=2)
+        assert honest.success and honest.stats.audit_queries > 0
+        rounds_asked = honest.logical_queries - honest.stats.audit_queries
+
+        class AuditLiar(ExactOracle):
+            def query(self, i, j):
+                bit = super().query(i, j)
+                return bit if self.calls <= rounds_asked else 0
+
+        monkeypatch.setattr(bench, "ExactOracle", AuditLiar)
+        outcome = run_single("exact", tree, 3, seed=2)
+        assert not outcome.success and outcome.edges == set()
+        assert outcome.logical_queries == rounds_asked + 1
+        assert outcome.stats.audit_queries == 1
+        assert outcome.stats.rounds_total == honest.stats.rounds_total
+
     @pytest.mark.parametrize("bound", [0, 1])
     @pytest.mark.parametrize("regime", ["exact", "noisy", "weighted"])
     def test_infeasible_degree_bound_raises_at_once(self, monkeypatch, regime, bound):

@@ -104,7 +104,17 @@ class TestReconstruct:
         out = capsys.readouterr().out
         assert "success=true" in out
         assert "raw_queries=" in out and "logical_queries=" in out
-        assert "rounds=" in out and "max_depth=" in out
+        assert "rounds=" in out and "max_depth=" in out and "audit_queries=" in out
+
+    def test_failed_run_prints_its_audit_count(self, hidden_file, monkeypatch, capsys):
+        def failed_run(*args, **kwargs):
+            stats = ReconstructionStats(rounds_total=5, audit_queries=3)
+            return RunOutcome(set(), None, stats, 40, 40, success=False)
+
+        monkeypatch.setattr(cli, "run_single", failed_run)
+        assert run("reconstruct", "--tree", str(hidden_file), "--stats") == EXIT_MISMATCH
+        out = capsys.readouterr().out.splitlines()
+        assert "rounds=5" in out and "audit_queries=3" in out
 
     def test_noisy_reports_votes(self, tmp_path, capsys):
         hidden = tmp_path / "small.txt"

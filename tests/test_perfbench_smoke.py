@@ -1,0 +1,34 @@
+"""The benchmark runs one pass of each of its workloads, and every run in it
+recovers its hidden tree."""
+
+from __future__ import annotations
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_one_pass_of_the_workload_is_correct(workload, tmp_path):
+    # The benchmark writes its record beside itself, so it runs from a copy.
+    skip = shutil.ignore_patterns("results", "__pycache__")
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"]
+    done = subprocess.run(
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), *argv],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0

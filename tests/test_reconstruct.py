@@ -417,10 +417,9 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
     # the root, must ask its queries inside reconstruct_skeleton_path (its
     # sort inside sort_by_ancestry), and the round's placement inside
     # find_bag calls, one call per off-path node, also once the plans are
-    # reweighed and in retries; the checks are the only other queries, and
-    # the driver asks only the first round's denial Q(i, root) itself.
-    # Tracers count accepted rounds as the non-None returns of
-    # find_even_separator, so every round must consult it exactly once.
+    # reweighed and in retries. The driver itself asks only the audit, after
+    # the last round. Tracers count accepted rounds as the non-None returns
+    # of find_even_separator, so every round must consult it exactly once.
     tree = random_tree(600, 3, seed=4)
     inner = ExactOracle(tree)
     phases = ["outside"]
@@ -429,9 +428,12 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
     seen = {"placements": 0, "largest": 0, "scans": []}
     gates = []
 
+    order = []
+
     class Charging:
         def query(self, i, j):
             asked[phases[-1]] += 1
+            order.append(phases[-1])
             return inner.query(i, j)
 
     def charged(name):
@@ -450,7 +452,7 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
         monkeypatch.setattr(reconstruct, name, wrapper)
         return wrapper
 
-    for name in ("_check_below", "sort_by_ancestry", "find_bag"):
+    for name in ("sort_by_ancestry", "find_bag"):
         charged(name)
     scan, pieces_of = charged("reconstruct_skeleton_path"), charged("path_pieces")
 
@@ -472,6 +474,7 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
 
     def find_even_separator(*args):
         gates.append(real_find_even_separator(*args))
+        order.append("gate")
         return gates[-1]
 
     monkeypatch.setattr(reconstruct, "reconstruct_skeleton_path", reconstruct_skeleton_path)
@@ -486,8 +489,11 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
         separator_hook=lambda sep, part: accepted.append(sep),
     )
     assert edges == set(tree.edges())
-    assert asked["outside"] == 1 and asked["path_pieces"] == 0
-    assert asked["_check_below"] == 2 * calls["_check_below"]
+    assert asked["path_pieces"] == 0
+    # Every query the driver asks itself is the audit's, after the last gate.
+    audit = stats.audit_queries
+    assert 0 < audit == asked["outside"]
+    assert order[-audit - 1 :] == ["gate", *["outside"] * audit]
     # A round whose node is on its part's known path scans nothing; every
     # other round scans once, the first over the whole node set.
     assert 0 < len(seen["scans"]) <= stats.rounds_total
@@ -525,14 +531,15 @@ class TestReconstructTree:
         assert stats.rounds_total == 0
 
     def test_two_nodes_at_degree_one_are_settled_by_two_checks(self):
-        # Bound 1 fits two nodes and never reaches a gate: one query orients
-        # the pair, and its two checks settle the edge.
+        # Bound 1 fits two nodes and never reaches a gate: asking both ways
+        # orients the pair and settles the edge, and the audit asks nothing.
         oracle = ExactOracle(shaped_tree("chain", 2))
         edges, stats = reconstruct_tree(oracle, [0, 1], 1, random.Random(0))
         assert edges == {(0, 1)}
         assert stats.rounds_total == 0
-        assert oracle.calls == 3
+        assert oracle.calls == 2
         assert stats.recursion_depth_max == 1
+        assert stats.audit_queries == 0
 
     @pytest.mark.parametrize("n, bound", [(2, 0), (2, -1), (3, 1), (3, 0), (40, 1)])
     def test_infeasible_degree_bound_raises_before_any_query(self, n, bound):
@@ -567,10 +574,9 @@ class TestReconstructTree:
     def test_path_nodes_cost_no_bag_query(self, bent_tree):
         # The first round, on the scripted 0, is accepted. Its scan asks the
         # 10 other nodes, which finds 1, 2 and 8 above 0; sorting them asks
-        # 2 and puts the root 8 first. The scan has claimed 8 -> 0, so the
-        # check asks only that 0 does not reach 8. The bag searches ask 14
-        # more, two for each node off the path 8-2-1-0, and never about the
-        # root 8.
+        # 2 and puts the root 8 first. No check follows: the bag searches
+        # ask the next 14, two for each node off the path 8-2-1-0, and never
+        # about the root 8.
         recorder = _RecordingOracle(ExactOracle(bent_tree))
         first_cut_at = []
         reconstruct_tree(
@@ -581,8 +587,7 @@ class TestReconstructTree:
             separator_hook=lambda sep, part: first_cut_at.append(len(recorder.transcript)),
         )
         assert recorder.transcript[7] == (8, 0, True)
-        assert recorder.transcript[12] == (0, 8, False)
-        bag_queries = recorder.transcript[13 : first_cut_at[0]]
+        bag_queries = recorder.transcript[12 : first_cut_at[0]]
         assert len(bag_queries) == 14
         assert {k for _, k, _ in bag_queries} == {3, 4, 5, 6, 7, 9, 10}
         assert {a for a, _, _ in bag_queries} <= {2, 1, 0}
@@ -632,6 +637,16 @@ class TestReconstructTree:
         with pytest.raises(InconsistentOracleError):
             reconstruct_tree(_ZeroOracle(), range(3), 2, random.Random(0))
 
+    def test_a_denied_edge_fails_the_run_with_its_counters(self):
+        # Nothing reaches anything, so the first round takes its node for
+        # the root and the next one's path to the other node it draws is
+        # one unvouched edge, which the audit asks first and hears denied.
+        with pytest.raises(InconsistentOracleError) as caught:
+            reconstruct_tree(_ZeroOracle(), range(3), 2, random.Random(0))
+        stats = caught.value.stats
+        assert (stats.rounds_total, stats.recursion_depth_max) == (2, 2)
+        assert stats.audit_queries == 1
+
     def test_star_beyond_the_recursion_limit(self):
         # Each round on a star removes the leaf its path ends at, so the
         # parts nest about n deep.
@@ -674,8 +689,9 @@ class TestRootRounds:
         # The first round draws i from every node and asks each other node in
         # turn whether it reaches i. The sort asks only about the nodes that
         # do, which are the true ancestors of i, and puts the root first.
-        # The scan has answered Q(root, i), so the check asks only Q(i, root),
-        # once, and no later query of the round repeats a scan pair.
+        # No check follows: the rest of the round is bag searches, each
+        # asking a path node below the root about a node off the path, so
+        # the round never asks i about the root or repeats a scan pair.
         tree = _relabelled(_shaped(shape, 30, seed), seed)
         n = tree.n
         root = tree.parent.index(ROOT)
@@ -691,9 +707,8 @@ class TestRootRounds:
         sort = 0
         while sort < len(rest) and {*rest[sort]} <= above:
             sort += 1
-        if i != root:
-            assert rest[sort] == (i, root)
-        assert rest.count((i, root)) == (i != root)
+        path = above | {i}
+        assert all(a in path - {root} and b not in path for a, b in rest[sort:])
         assert not {(a, b) for a, b, _ in scan} & set(rest)
 
     def _root_first(self, shape, seed):
@@ -713,28 +728,28 @@ class TestRootRounds:
     @pytest.mark.parametrize("seed", range(3))
     def test_first_draw_of_the_root_is_one_failed_round(self, shape, seed):
         # Nothing reaches the root, so the round asks its n - 1 scan queries
-        # and no check, and its gate fails on a one-node path. Every round
-        # consults the gate once, and the next round starts with the checks
-        # of an ordinary rooted round.
+        # and nothing else, and its gate fails on a one-node path. Every
+        # round consults the gate once. No later query repeats a pair of
+        # that scan: a rooted round never draws its root, and the root is
+        # never scanned or placed, so nothing is asked about it again.
         n, root, transcript, gates, stats = self._root_first(shape, seed)
         assert transcript[: n - 1] == [(k, root, 0) for k in range(n) if k != root]
         assert gates[0] == (n - 1, None)
         assert len(gates) == stats.rounds_total
-        i = transcript[n - 1][1]
-        assert transcript[n - 1 : n + 1] == [(root, i, True), (i, root, False)]
+        later = {(a, b) for a, b, _ in transcript[n - 1 :]}
+        assert later and not later & {(k, root) for k in range(n)}
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("seed", range(3))
     def test_round_asks_one_query_per_other_node_before_its_sort(self, shape, seed):
-        # On an s-node part with root r and drawn node i: Q(r, i), Q(i, r),
-        # then Q(k, i) once for each of the s - 2 other nodes, in part order.
-        # The round after a first draw of the root runs on the whole node
-        # set, listed root first, then ascending.
+        # On an s-node part with root r and drawn node i, the round asks
+        # first Q(k, i) once for each of the s - 2 other nodes, in part
+        # order. The round after a first draw of the root runs on the whole
+        # node set, listed root first, then ascending.
         s, root, transcript, _, _ = self._root_first(shape, seed)
         i = transcript[s - 1][1]
-        round_start = transcript[s - 1 : s - 1 + 2 + (s - 2)]
-        assert round_start[:2] == [(root, i, True), (i, root, False)]
-        assert [(a, b) for a, b, _ in round_start[2:]] == [
+        round_start = transcript[s - 1 : s - 1 + (s - 2)]
+        assert [(a, b) for a, b, _ in round_start] == [
             (k, i) for k in range(s) if k not in (root, i)
         ]
 
@@ -777,7 +792,7 @@ class TestRootRounds:
         assert edges == set(tree.edges())
 
     @pytest.mark.parametrize("parent", [(-1, 0), (1, -1)])
-    def test_two_node_part_asks_its_checks_and_draws_nothing(self, parent):
+    def test_two_node_set_asks_both_ways_and_draws_nothing(self, parent):
         tree = validate_tree(parent, 1)
         root, x = (0, 1) if parent[0] == ROOT else (1, 0)
         recorder = _RecordingOracle(ExactOracle(tree))
@@ -785,10 +800,43 @@ class TestRootRounds:
         state = rng.getstate()
         edges, stats = reconstruct_tree(recorder, range(2), 2, rng)
         assert edges == {(root, x)}
-        # One query orients the pair, then exactly the two checks.
-        assert [(a, b) for a, b, _ in recorder.transcript[1:]] == [(root, x), (x, root)]
+        # The two queries orient the pair, and one of them is the edge's.
+        assert [(a, b) for a, b, _ in recorder.transcript] == [(1, 0), (0, 1)]
         assert rng.getstate() == state
-        assert stats.rounds_total == 0
+        assert stats.rounds_total == 0 and stats.audit_queries == 0
+
+    @pytest.mark.parametrize("table", [{}, {(0, 1): 1, (1, 0): 1}])
+    def test_two_node_set_needs_exactly_one_yes(self, table):
+        with pytest.raises(InconsistentOracleError) as caught:
+            reconstruct_tree(_TableOracle(table), range(2), 1, random.Random(0))
+        assert caught.value.stats.rounds_total == 0
+
+    def test_two_node_part_of_a_placed_piece_asks_nothing(self):
+        # 0 -> 1 -> 2 with 3 below 1. The path to the scripted 2 places 3 by
+        # asking Q(1, 3) = 1, then Q(2, 3) = 0, and is accepted at bound 3:
+        # the 2-node part 1, 3 is vouched by that yes and costs nothing.
+        tree = validate_tree((ROOT, 0, 1, 1), 3)
+        recorder = _RecordingOracle(ExactOracle(tree))
+        with _recording_gates(recorder) as gates:
+            edges, stats = reconstruct_tree(recorder, range(4), 3, ScriptedRng([2]))
+        assert edges == set(tree.edges())
+        assert recorder.transcript[-2:] == [(1, 3, True), (2, 3, False)]
+        assert gates == [(len(recorder.transcript), (0, 1))]
+        assert stats.audit_queries == 0
+
+    def test_two_node_part_of_the_root_piece_is_audited(self):
+        # 0 -> 1 -> 3 with 2 below 0. The path to the scripted 3 places 2 in
+        # the root's piece, which no answer vouches for, so the audit asks
+        # the edge of the 2-node part 0, 2 once, after the only gate.
+        tree = validate_tree((ROOT, 0, 0, 1), 2)
+        recorder = _RecordingOracle(ExactOracle(tree))
+        with _recording_gates(recorder) as gates:
+            edges, stats = reconstruct_tree(recorder, range(4), 2, ScriptedRng([3]))
+        assert edges == set(tree.edges())
+        assert gates == [(len(recorder.transcript) - 1, (0, 1))]
+        assert recorder.transcript[-1] == (0, 2, True)
+        assert [(a, b) for a, b, _ in recorder.transcript].count((0, 2)) == 1
+        assert stats.audit_queries == 1
 
 
 class TestRetries:
@@ -805,59 +853,63 @@ class TestRetries:
     def _run(self, script):
         tree = validate_tree(self.PARENT, 3)
         recorder = _RecordingOracle(ExactOracle(tree))
-        cut_at = []
-        edges, _ = reconstruct_tree(
-            recorder,
-            range(tree.n),
-            3,
-            ScriptedRng(script),
-            separator_hook=lambda sep, part: cut_at.append(len(recorder.transcript)),
-        )
+        with _recording_gates(recorder) as gates:
+            edges, stats = reconstruct_tree(recorder, range(tree.n), 3, ScriptedRng(script))
         assert edges == set(tree.edges())
         pairs = [(a, b) for a, b, _ in recorder.transcript]
-        return pairs, cut_at
+        return pairs, [at for at, _ in gates], [cut for _, cut in gates], stats
 
     def test_retry_asks_only_inside_the_piece_of_its_node(self):
         # The retry draws 6, which lies in the root's piece: every node but
-        # 1 and 3. It scans that piece alone and is accepted at (2, 4).
-        pairs, cut_at = self._run([3, 6])
-        start = pairs.index((0, 6))  # no earlier query asks 0 about 6
-        retry = pairs[start : cut_at[0]]
-        assert retry[:2] == [(0, 6), (6, 0)]
+        # 1 and 3. It scans that piece alone, without its root, and is
+        # accepted at (2, 4); it asks nothing about the root 0.
+        pairs, at, cuts, _ = self._run([3, 6])
+        assert cuts[:2] == [None, (0, 2)]
+        retry = pairs[at[0] : at[1]]
         piece = set(range(13)) - {1, 3}
-        assert len(retry) > 2
-        assert all(a in piece and b in piece for a, b in retry)
+        assert retry[:9] == [(k, 6) for k in sorted(piece - {0, 6})]
+        assert all(a in piece - {0} and b in piece - {0} for a, b in retry)
 
-    def test_retry_on_the_known_path_asks_only_its_checks(self):
+    def test_retry_on_the_known_path_asks_nothing(self):
         # 1 lies on the known path 0 -> 1 -> 3, so the retry's path is 0 -> 1
-        # and its pieces follow from the last round's: it fails again unasked.
-        pairs, _ = self._run([3, 1, 6])
-        start = pairs.index((0, 1))  # the first round only asks 1 about 3
-        assert pairs[start : pairs.index((0, 6))] == [(0, 1), (1, 0)]
+        # and its pieces follow from the last round's: it fails again unasked
+        # and leaves the part as it found it, so the run goes on exactly as
+        # one that never drew 1.
+        pairs, at, cuts, stats = self._run([3, 1, 6])
+        assert at[0] == at[1] and cuts[:2] == [None, None]
+        assert (pairs, at[1:], cuts[1:]) == self._run([3, 6])[:3]
+        assert stats.rounds_total == len(at)
 
-    def test_retry_that_draws_a_path_node_asks_only_its_checks(self):
+    def test_retry_that_draws_a_path_node_asks_nothing(self):
         # 0 -> 1 -> 2, with the other ten nodes below 1, fails at bound 3:
         # its pieces hold 1, 11 and 1 nodes. The retry draws 1, a path node
         # whose piece holds ten more nodes, and knows its path 0 -> 1
-        # already: it asks its two checks, scans nothing, and fails again.
+        # already: it asks nothing and fails again. The part keeps the path
+        # 0 -> 1 -> 2, so the next round, on 5 in 1's piece, never asks
+        # about 2.
         tree = validate_tree((ROOT, 0, 1, 1, 1, 3, 3, 4, 4, 5, 5, 6, 6), 4)
         recorder = _RecordingOracle(ExactOracle(tree))
         with _recording_gates(recorder) as gates:
             edges, _ = reconstruct_tree(recorder, range(tree.n), 3, ScriptedRng([2, 1, 5]))
         assert edges == set(tree.edges())
-        (first, miss), (retry, again), (_, cut) = gates[:3]
+        (first, miss), (retry, again), (third, cut) = gates[:3]
         assert miss is None and again is None and cut == (1, 3)
-        assert [(a, b) for a, b, _ in recorder.transcript[first:retry]] == [(0, 1), (1, 0)]
+        assert first == retry < third
+        assert all(2 not in pair[:2] for pair in recorder.transcript[retry:third])
 
     def test_accepted_retry_hands_its_branch_to_the_root_piece(self):
         # The accepted retry leaves the root's piece 0, 1, 3, 12 with the
-        # known path 0 -> 1 -> 3, so the round that draws 12 asks nothing
-        # about 1 or 3, and the part 0, 1, 3 left after it asks only the
-        # checks of a node on its known path.
-        pairs, _ = self._run([3, 6, 10, 8, 12])
-        tail = pairs[pairs.index((0, 12)) :]
-        assert tail[:2] == [(0, 12), (12, 0)]
-        assert len(tail) == 4 and tail[2] in ((0, 1), (0, 3))
+        # known path 0 -> 1 -> 3, so the round that draws 12, alone in the
+        # root's piece beside that path, scans nothing, and the part 0, 1, 3
+        # left after it draws a node on its known path and asks nothing.
+        # The root's piece is unvouched, so the audit asks the root's edges
+        # to 2 and 12, once each, after the last round.
+        pairs, at, cuts, stats = self._run([3, 6, 10, 8, 12])
+        assert cuts[-2:] == [(0, 12), (0, 1)]
+        assert at[-3] == at[-2] == at[-1] == len(pairs) - 2
+        assert pairs[-2:] == [(0, 2), (0, 12)]
+        assert pairs.count((0, 12)) == 1
+        assert stats.audit_queries == 2
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -897,6 +949,76 @@ class TestRetries:
             assert all(part[0] in root_chain(tree, k) for k in part[1:])
 
 
+class TestAudit:
+    """Every returned edge is vouched for by an answer the run heard before
+    its audit, Q(p, c) truthy or Q(c, p) falsy, or asked by the audit."""
+
+    ORACLES = {
+        "exact": ExactOracle,
+        "weighted": lambda tree: AdditiveOracle(uniform_weights(tree, seed=3)),
+        "noisy": lambda tree: NoisyOracle(tree, 0.0, seed=3, votes=1),
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["chain", "star", "caterpillar", "parallel_chain", "random"]),
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=0, max_value=2**16),
+        st.booleans(),
+        st.sampled_from(["true", "one below", "two"]),
+        st.sampled_from(sorted(ORACLES)),
+    )
+    def test_the_transcript_vouches_for_every_edge(
+        self, shape, n, seed, relabel, bound, regime
+    ):
+        tree = _shaped(shape, n, seed)
+        if relabel:
+            tree = _relabelled(tree, seed)
+        d = tree.degree_bound
+        bound = {"true": d, "one below": max(2, d - 1), "two": 2}[bound]
+        recorder = _RecordingOracle(self.ORACLES[regime](tree))
+        rng = random.Random(seed)
+        if regime == "weighted":
+            edges, _, stats = reconstruct_weighted(recorder, range(tree.n), bound, rng)
+        else:
+            edges, stats = reconstruct_tree(recorder, range(tree.n), bound, rng)
+        assert edges == set(tree.edges())
+        # The weighted run reads the edges the audit left after it.
+        end = len(recorder.transcript)
+        if regime == "weighted":
+            end -= len(edges) - stats.audit_queries
+        audit = [(a, b) for a, b, _ in recorder.transcript[end - stats.audit_queries : end]]
+        assert len(set(audit)) == len(audit) and set(audit) <= edges
+        heard = recorder.transcript[: end - stats.audit_queries]
+        yes = {(a, b) for a, b, bit in heard if bit}
+        no = {(a, b) for a, b, bit in heard if not bit}
+        for p, c in edges - set(audit):
+            assert (p, c) in yes or (c, p) in no
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 60, 300])
+    @pytest.mark.parametrize("bound", [2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_chain_audits_only_after_drawing_its_root_first(self, n, bound, seed):
+        # Every piece of a chain but the root's is vouched, and the root's
+        # holds the root alone, unless the first round drew the root: then
+        # the next round's first edge is the one edge the audit asks.
+        chain = shaped_tree("chain", n)
+        first = random.Random(seed).choice(range(n))
+        edges, stats = reconstruct_tree(ExactOracle(chain), range(n), bound, random.Random(seed))
+        assert edges == set(chain.edges())
+        assert stats.audit_queries == (first == 0)
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 60, 300])
+    @pytest.mark.parametrize("bound", ["true", "two"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_star_audits_at_most_one_query_per_leaf(self, n, bound, seed):
+        star = shaped_tree("star", n)
+        d = star.degree_bound if bound == "true" else 2
+        edges, stats = reconstruct_tree(ExactOracle(star), range(n), d, random.Random(seed))
+        assert edges == set(star.edges())
+        assert 0 < stats.audit_queries <= n - 1
+
+
 def _run_exact(tree, bound):
     oracle = ExactOracle(tree)
     edges, stats = reconstruct_tree(oracle, range(tree.n), bound, random.Random(0))
@@ -918,13 +1040,13 @@ def _run_weighted(tree, bound):
 @pytest.mark.parametrize(
     "run, tree, bound, calls, rounds, depth",
     [
-        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 3712, 97, 8, id="random-d3"),
-        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4575, 114, 11, id="random-d10"),
-        pytest.param(_run_exact, parallel_chain(4, 30), 4, 1155, 11, 7, id="parallel-chain"),
-        pytest.param(_run_exact, shaped_tree("star", 40), 2, 22012, 311, 39, id="star-doubling"),
-        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2436, 93, 7, id="wrong-bound"),
-        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1206, 43, 6, id="noisy"),
-        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 4011, 97, 8, id="weighted"),
+        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 3350, 97, 8, id="random-d3"),
+        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4203, 114, 11, id="random-d10"),
+        pytest.param(_run_exact, parallel_chain(4, 30), 4, 1131, 11, 7, id="parallel-chain"),
+        pytest.param(_run_exact, shaped_tree("star", 40), 2, 21428, 311, 39, id="star-doubling"),
+        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2140, 93, 7, id="wrong-bound"),
+        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1063, 43, 6, id="noisy"),
+        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3646, 97, 8, id="weighted"),
     ],
 )
 def test_query_stream_is_pinned(run, tree, bound, calls, rounds, depth):
@@ -1029,7 +1151,8 @@ class TestReconstructWeighted:
         assert weights == dict(hidden.weights)
 
     def test_weight_reads_are_counted(self, bent_tree):
-        # Path sums drive the same run as exact bits, plus one read per edge.
+        # Path sums drive the same run as exact bits, audit included, and
+        # every edge the audit did not ask is read once more.
         shapes = [
             bent_tree,
             shaped_tree("chain", 40),
@@ -1047,8 +1170,42 @@ class TestReconstructWeighted:
                 exact, range(tree.n), tree.degree_bound, random.Random(1)
             )
             assert edges == want_edges == set(tree.edges())
-            assert stats.rounds_total == want_stats.rounds_total
-            assert oracle.calls == exact.calls + tree.n - 1
+            assert stats == want_stats
+            assert oracle.calls == exact.calls + tree.n - 1 - stats.audit_queries
+
+    @pytest.mark.parametrize("shape", ["star", "random"])
+    def test_no_edge_is_read_twice(self, shape):
+        # After the last round the run asks each edge once: the audit's
+        # answers are weights already, and the reads cover the rest.
+        tree = shaped_tree("star", 30) if shape == "star" else random_tree(80, 3, seed=2)
+        recorder = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=5)))
+        with _recording_gates(recorder) as gates:
+            edges, weights, stats = reconstruct_weighted(
+                recorder, range(tree.n), tree.degree_bound, random.Random(4)
+            )
+        after = [(a, b) for a, b, _ in recorder.transcript[gates[-1][0] :]]
+        assert sorted(after) == sorted(edges) == sorted(weights)
+        assert stats.audit_queries > 0
+
+    def test_a_weight_read_of_zero_fails_the_run(self):
+        # The liar answers truly until every query the exact run asks, the
+        # audit included, is spent, then reads every weight as 0.0.
+        tree = random_tree(40, 3, seed=11)
+        exact = ExactOracle(tree)
+        _, want_stats = reconstruct_tree(exact, range(tree.n), 3, random.Random(6))
+        assert want_stats.audit_queries < tree.n - 1
+        honest = exact.calls
+
+        class LateLiar(AdditiveOracle):
+            def query(self, i, j):
+                answer = super().query(i, j)
+                return answer if self.calls <= honest else 0.0
+
+        liar = LateLiar(uniform_weights(tree, seed=12))
+        with pytest.raises(InconsistentOracleError) as caught:
+            reconstruct_weighted(liar, range(tree.n), 3, random.Random(6))
+        assert caught.value.stats == want_stats
+        assert liar.calls == honest + 1
 
     def test_weight_keys_are_the_recovered_edges(self):
         tree = random_tree(20, 4, seed=3)
