@@ -41,4 +41,6 @@ class InconsistentOracleError(RuntimeError):
     up to the failure.
     """
 
-    stats = None
+    def __init__(self, message: str, stats=None):
+        super().__init__(message)
+        self.stats = stats

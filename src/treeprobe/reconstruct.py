@@ -20,16 +20,17 @@ thing needs O(d n log^2 n) queries in expectation.
 
 Every part lists its root first, and a path is one list from a part's root
 down, so consecutive path nodes are (parent, child) edges as they stand. A
-part keeps the path its last round found and the piece of each path node,
-each piece listing its path node first. A round's node i lies in the piece
-of one path node p, so the path r -> p is known and the rest of r -> i runs
-through p's piece: the round scans and places only that piece, and the known
-path below p joins p's new piece unasked. A node on the known path costs
-nothing, and if its round fails the part keeps the longer path it knew. A
-failed round pushes its part back with its new path, and an accepted one
-hands p's piece the branch below p as its known path. A retry so asks no
-more than a fresh round would, and on consistent answers it draws, accepts
-and adds exactly what a fresh round would.
+part's only record of its rounds is the pieces its last round found, in
+path order, each listing its path node first: their first nodes are the
+path, and the balance gate reads the cut sizes off them. A round's node i
+lies in the piece of one path node p, so the path r -> p is known and the
+rest of r -> i runs through p's piece: the round scans and places only that
+piece, and the known path below p joins p's new piece unasked. A node on
+the known path costs nothing, and if its round fails the part keeps the
+longer path it knew. A failed round pushes its part back with its new
+pieces, and an accepted one hands p's piece the pieces of the branch below
+p. A retry so asks no more than a fresh round would, and on consistent
+answers it draws, accepts and adds exactly what a fresh round would.
 
 No round checks its answers. Every returned edge is instead vouched for by
 an answer the run heard: the scan's on the edge into i, the sort's
@@ -56,8 +57,9 @@ which asking both ways settles.
 The driver reads every answer only as a truth value, so all three regimes
 run on it unchanged: an exact bit, a noisy majority bit, or an additive path
 sum, positive exactly when the path exists. The additive regime keeps the
-audit's answers as weights and reads every other recovered edge's weight
-with one more query.
+answers heard on returned edges, the audit's and a 2-node node set's yes,
+as weights and reads every other recovered edge's weight with one more
+query.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InconsistentOracleError
 from .trees import check_degree_feasible
@@ -91,7 +93,6 @@ class ReconstructionStats:
 
 
 Edges = set[tuple[int, int]]
-SeparatorHook = Callable[[tuple[int, int], tuple[int, ...]], None]
 # A search plan over a k-node path, ``(first, hit, miss)``: the walk starts
 # at entry ``first``. An entry m >= 1 is a split point, which asks about
 # path[m] and goes on to hit[m] or miss[m]; an entry below 0 is the answer
@@ -163,29 +164,28 @@ def _unit_plan(length: int) -> Plan:
 
 
 def find_even_separator(
-    piece_sizes: Sequence[int],
-    cuts: Sequence[tuple[int, int]],
-    n: int,
-    degree_bound: int,
+    pieces: Sequence[Sequence[int]], degree_bound: int
 ) -> tuple[int, int] | None:
     """First path edge whose cut leaves both sides big enough, if any.
 
-    ``cuts`` are the path's edges in path order, edge r between the pieces
-    r and r+1. A side counts as big enough at ceil((n-1)/d) nodes. For
-    integer sizes this matches the ideal n/d fraction except when n is 1 mod
-    d, where the ideal is unreachable (stars and spiders with a full-degree
-    hub have no better split than (n-1)/d) and one fewer node must be
-    accepted. An edge meeting this threshold always exists: the heaviest
-    component around a centroid has at least ceil((n-1)/d) nodes and at most
-    floor(n/2).
+    ``pieces`` are a part's pieces in path order, each listing its path node
+    first, so edge r runs from the first node of piece r to that of piece
+    r+1; the part has n nodes, their total. A side counts as big enough at
+    ceil((n-1)/d) nodes. For integer sizes this matches the ideal n/d
+    fraction except when n is 1 mod d, where the ideal is unreachable (stars
+    and spiders with a full-degree hub have no better split than (n-1)/d)
+    and one fewer node must be accepted. An edge meeting this threshold
+    always exists: the heaviest component around a centroid has at least
+    ceil((n-1)/d) nodes and at most floor(n/2).
     """
+    n = sum(map(len, pieces))
     low = -(-(n - 1) // degree_bound)
     high = n - low
     left = 0
-    for size, cut in zip(piece_sizes, cuts):
-        left += size
+    for upper, lower in zip(pieces, pieces[1:]):
+        left += len(upper)
         if low <= left <= high:
-            return cut
+            return upper[0], lower[0]
     return None
 
 
@@ -238,7 +238,6 @@ def reconstruct_tree(
     nodes: Iterable[int],
     degree_bound: int,
     rng: random.Random,
-    separator_hook: SeparatorHook | None = None,
 ) -> tuple[Edges, ReconstructionStats]:
     """Recover every edge of the hidden tree spanning ``nodes``.
 
@@ -251,11 +250,12 @@ def reconstruct_tree(
     part, its root first and the rest in ascending order. A node set of two
     nodes is oriented by asking both ways instead, and raises
     InconsistentOracleError unless exactly one answer is yes.
-    Each accepted round adds every edge of its path and splits its part into
-    one piece per path node, listed with its path node first and the rest in
-    ascending order. A part's next round reuses the path its last round
-    found and asks only inside the piece, of one path node, that holds its
-    new node.
+    Each round hands its pieces, one per path node in path order, to
+    ``find_even_separator``, and is accepted if that finds a balanced cut.
+    An accepted round adds every edge of its path and splits its part into
+    its pieces, each listed with its path node first and the rest in
+    ascending order. A part's next round reuses the pieces its last round
+    found and asks only inside the one that holds its new node.
     No round checks its answers: every returned edge (p, c) is vouched for
     by an answer the run heard, Q(p, c) = 1 or Q(c, p) = 0, or is asked
     once by the audit after the last round (see the module docstring), and
@@ -268,14 +268,10 @@ def reconstruct_tree(
     query. A part whose rounds keep failing under a bound below the true
     degree doubles its own bound, which its pieces inherit, so the edges
     stay exact. The run is deterministic given the rng state and the
-    oracle's answers. ``separator_hook`` (if given) sees the balanced cut
-    that let each round through, the first one down the path from the
-    part's root, as a ``(parent, child)`` pair, with the part it was
-    accepted in, root first; the tests audit balance with it.
-    An InconsistentOracleError raised on the way carries the counters so far
-    as its ``stats``.
+    oracle's answers. An InconsistentOracleError raised on the way carries
+    the counters so far as its ``stats``.
     """
-    edges, stats, _ = _reconstruct(oracle, nodes, degree_bound, rng, separator_hook)
+    edges, stats, _ = _reconstruct(oracle, nodes, degree_bound, rng)
     return edges, stats
 
 
@@ -284,10 +280,9 @@ def _reconstruct(
     nodes: Iterable[int],
     degree_bound: int,
     rng: random.Random,
-    separator_hook: SeparatorHook | None = None,
 ) -> tuple[Edges, ReconstructionStats, dict[tuple[int, int], object]]:
-    """reconstruct_tree, which also returns the audit's answer on each edge
-    it asked about."""
+    """reconstruct_tree, which also returns the answer on each edge that the
+    audit asked or that oriented a 2-node node set."""
     part = sorted(nodes)
     for a, b in zip(part, part[1:]):
         if a == b:
@@ -298,131 +293,123 @@ def _reconstruct(
     # Edges no answer vouches for yet, to ask once at the end.
     audit: list[tuple[int, int]] = []
     answers: dict[tuple[int, int], object] = {}
-    try:
-        # A node set of two nodes is listed root first by asking both ways.
-        if len(part) == 2:
-            backward = oracle.query(part[1], part[0])
-            if bool(backward) == bool(oracle.query(part[0], part[1])):
-                raise InconsistentOracleError(
-                    f"exactly one of nodes {part[0]} and {part[1]} must reach the other; "
-                    "oracle answers are inconsistent"
-                )
-            if backward:
-                part.reverse()
-        # Parts still to solve, each listing its root first, with its gate
-        # bound, failed rounds so far, what its rounds found, and one flag
-        # per piece. What a round found is the path from the part's
-        # root and the piece that hangs from each path node, each listing
-        # its path node first. A fresh part has None there: its path is its
-        # root alone, and its piece is the part itself. A node set of 3 or
-        # more nodes has an empty path there instead and stays in ascending
-        # order until its first round finds its root. A piece is vouched
-        # when its path node has been heard to reach each of its members.
-        # A failed part goes back on top, so it is retried next. Pieces are
-        # pushed last to first, so they are solved in path order; that
-        # order fixes which nodes rng draws. Only parts of 3 or more nodes
-        # run rounds, and those exist only at bounds of 2 or more, so the
-        # gate never divides by zero.
-        known = ([], [part]) if len(part) >= 3 else None
-        stack = [(part, 1, degree_bound, 0, known, [len(part) == 2])]
-        while stack:
-            part, depth, bound, failed, known, vouched = stack.pop()
-            stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
-            size = len(part)
-            if size <= 1:
-                continue
-            root = part[0]
-            path, pieces = known or ([root], [part])
-            if size == 2:
-                # With the root known there is nothing left to sample. The
-                # edge is on the known path already, or the piece vouches
-                # for it, or the audit asks it.
-                if len(path) == 1 and not vouched[0]:
-                    audit.append((root, part[1]))
-                edges.add((root, part[1]))
-                continue
-            stats.rounds_total += 1
-            if path:
-                i = rng.choice(part[1:])
-                # The known path r -> p, to the path node p whose piece holds
-                # i, is a prefix of the path r -> i. The rest of it runs
-                # through p's piece, and the known branch below p hangs off p
-                # beside it. The root's piece, often the largest, holds what
-                # no other piece does.
-                t = len(path) - 1
-                while t and i not in pieces[t]:
-                    t -= 1
-                p = path[t]
-                if i == p:
-                    tail = [p]
-                else:
-                    tail = [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i)]
-                    # The scan and the sort vouch for every edge below
-                    # tail[1]; only a vouched piece vouches for p -> tail[1].
-                    if not vouched[t]:
-                        audit.append((p, tail[1]))
+    # A node set of two nodes is listed root first by asking both ways, and
+    # the yes is its edge's answer.
+    if len(part) == 2:
+        backward = oracle.query(part[1], part[0])
+        forward = oracle.query(part[0], part[1])
+        if bool(backward) == bool(forward):
+            raise InconsistentOracleError(
+                f"exactly one of nodes {part[0]} and {part[1]} must reach the other; "
+                "oracle answers are inconsistent",
+                stats,
+            )
+        if backward:
+            part.reverse()
+        answers[(part[0], part[1])] = backward or forward
+    # Parts still to solve, each listing its root first, with its gate
+    # bound, failed rounds so far, the pieces its rounds found, and one flag
+    # per piece. Each piece lists its path node first, so the pieces in path
+    # order begin with the path from the part's root. A fresh part is its
+    # own one piece. A node set of 3 or more nodes has no pieces instead and
+    # stays in ascending order until its first round finds its root. A
+    # piece is vouched when its path node has been heard to reach each of
+    # its members. A failed part goes back on top, so it is retried next.
+    # Pieces are pushed last to first, so they are solved in path order;
+    # that order fixes which nodes rng draws. Only parts of 3 or more nodes
+    # run rounds, and those exist only at bounds of 2 or more, so the gate
+    # never divides by zero.
+    pieces = [] if len(part) >= 3 else [part]
+    stack = [(part, 1, degree_bound, 0, pieces, [len(part) == 2])]
+    while stack:
+        part, depth, bound, failed, pieces, vouched = stack.pop()
+        stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
+        size = len(part)
+        if size <= 1:
+            continue
+        root = part[0]
+        if size == 2:
+            # With the root known there is nothing left to sample. The edge
+            # is on the known path already, or the piece vouches for it, or
+            # the audit asks it.
+            if len(pieces) == 1 and not vouched[0]:
+                audit.append((root, part[1]))
+            edges.add((root, part[1]))
+            continue
+        stats.rounds_total += 1
+        if pieces:
+            i = rng.choice(part[1:])
+            # The known path r -> p, to the path node p whose piece holds i,
+            # is a prefix of the path r -> i. The rest of it runs through
+            # p's piece, and the known branch below p hangs off p beside it.
+            # The root's piece, often the largest, holds what no other
+            # piece does.
+            t = len(pieces) - 1
+            while t and i not in pieces[t]:
+                t -= 1
+            p = pieces[t][0]
+            if i == p:
+                tail = [p]
             else:
-                # The root reaches i, so it heads the path to i; with no
-                # node reaching i, i is the root and the path is i alone.
-                # The scan heard the last node above i reach it, and the sort
-                # compared the two ends of every other edge, so the whole
-                # path is vouched. From here on the part is fresh, root first.
-                i = rng.choice(part)
-                tail = reconstruct_skeleton_path(oracle, part, i)
-                p = root = tail[0]
-                part = [root, *(k for k in part if k != root)]
-                path, pieces, t = [root], [part], 0
-                known = (path, pieces)
-            branch, branch_pieces = path[t + 1 :], pieces[t + 1 :]
-            below = path_pieces(oracle, pieces[t], tail)
-            # p's new piece is what it kept of its old one and the branch,
-            # and stays vouched only if its old one was and no branch joins.
-            # Every member of the tail's other pieces was placed by a yes
-            # from its path node, so those pieces are vouched.
-            own = below[0]
-            merged = [p, *sorted(chain(own[1:], *branch_pieces))] if branch else own
-            path = [*path[:t], *tail]
-            pieces = [*pieces[:t], merged, *below[1:]]
-            flags = [*vouched[:t], vouched[t] and not branch, *[True] * (len(tail) - 1)]
-            cuts = [*zip(path, path[1:])]
-            sep = find_even_separator([len(q) for q in pieces], cuts, size, bound)
-            if sep is None:
-                # A correct bound b needs b^2/(b-1) rounds on average. After
-                # four times that many failures the part's gate doubles b; at
-                # b >= size - 1 it accepts any path. Any true edge is a correct
-                # cut, so the pieces keep the bound the part was accepted at.
-                failed += 1
-                if failed >= 4 * bound * bound // (bound - 1):
-                    bound, failed = 2 * bound, 0
-                # A round that drew a path node asked nothing, so its part
-                # keeps the longer path it knew and its retry scans less.
-                if i != p:
-                    known, vouched = (path, pieces), flags
-                stack.append((part, depth, bound, failed, known, vouched))
-                continue
-            if separator_hook is not None:
-                separator_hook(sep, tuple(part))
-            edges.update(cuts)
-            # Each piece is rooted at its path node. p's piece keeps the
-            # branch below p as its known path; every other piece is fresh.
-            pushed = [(q, depth + 1, bound, 0, None, [v]) for q, v in zip(pieces, flags)]
-            known = ([p, *branch], [own, *branch_pieces])
-            pushed[t] = (merged, depth + 1, bound, 0, known, vouched[t:])
-            stack.extend(pushed)
-        # A retry can drop an edge queued before it: ask only the returned
-        # ones, each once.
-        for edge in audit:
-            if edge in edges and edge not in answers:
-                answers[edge] = answer = oracle.query(*edge)
-                stats.audit_queries += 1
-                if not answer:
-                    raise InconsistentOracleError(
-                        f"the oracle denies the edge {edge} its answers implied; "
-                        "oracle answers are inconsistent"
-                    )
-    except InconsistentOracleError as err:
-        err.stats = stats
-        raise
+                tail = [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i)]
+                # The scan and the sort vouch for every edge below tail[1];
+                # only a vouched piece vouches for p -> tail[1].
+                if not vouched[t]:
+                    audit.append((p, tail[1]))
+        else:
+            # The root reaches i, so it heads the path to i; with no node
+            # reaching i, i is the root and the path is i alone. The scan
+            # heard the last node above i reach it, and the sort compared
+            # the two ends of every other edge, so the whole path is
+            # vouched. From here on the part is fresh, root first.
+            i = rng.choice(part)
+            tail = reconstruct_skeleton_path(oracle, part, i)
+            p = tail[0]
+            part = [p, *(k for k in part if k != p)]
+            pieces, t = [part], 0
+        branch = pieces[t + 1 :]
+        below = path_pieces(oracle, pieces[t], tail)
+        # p's new piece is what it kept of its old one and the branch, and
+        # stays vouched only if its old one was and no branch joins. Every
+        # member of the tail's other pieces was placed by a yes from its
+        # path node, so those pieces are vouched.
+        own = below[0]
+        merged = [p, *sorted(chain(own[1:], *branch))] if branch else own
+        found = [*pieces[:t], merged, *below[1:]]
+        flags = [*vouched[:t], vouched[t] and not branch, *[True] * (len(tail) - 1)]
+        if find_even_separator(found, bound) is None:
+            # A correct bound b needs b^2/(b-1) rounds on average. After
+            # four times that many failures the part's gate doubles b; at
+            # b >= size - 1 it accepts any path. Any true edge is a correct
+            # cut, so the pieces keep the bound the part was accepted at.
+            failed += 1
+            if failed >= 4 * bound * bound // (bound - 1):
+                bound, failed = 2 * bound, 0
+            # A round that drew a path node asked nothing, so its part
+            # keeps the longer path it knew and its retry scans less.
+            if i != p:
+                pieces, vouched = found, flags
+            stack.append((part, depth, bound, failed, pieces, vouched))
+            continue
+        path = [q[0] for q in found]
+        edges.update(zip(path, path[1:]))
+        # Each piece is rooted at its path node. p's piece keeps the branch
+        # below p as its known pieces; every other piece is fresh.
+        pushed = [(q, depth + 1, bound, 0, [q], [v]) for q, v in zip(found, flags)]
+        pushed[t] = (merged, depth + 1, bound, 0, [own, *branch], vouched[t:])
+        stack.extend(pushed)
+    # A retry can drop an edge queued before it: ask only the returned ones,
+    # each once.
+    for edge in audit:
+        if edge in edges and edge not in answers:
+            answers[edge] = answer = oracle.query(*edge)
+            stats.audit_queries += 1
+            if not answer:
+                raise InconsistentOracleError(
+                    f"the oracle denies the edge {edge} its answers implied; "
+                    "oracle answers are inconsistent",
+                    stats,
+                )
     return edges, stats, answers
 
 
@@ -436,8 +423,9 @@ def reconstruct_weighted(
 
     The driver reads each path sum as a truth value, which is sound because
     weights are strictly positive. An additive answer on an edge is its
-    weight, so the answers the audit heard are kept, and every other edge
-    is read once more; each is stored verbatim. The reads are the audit of
+    weight, so the answers the audit heard and a 2-node node set's
+    orienting yes are kept, and every other edge is read once more; each is
+    stored verbatim. The reads are the audit of
     the other edges: a read of 0 raises InconsistentOracleError with the
     run's stats.
     """
@@ -446,10 +434,9 @@ def reconstruct_weighted(
     for edge in sorted(edges):
         weights[edge] = heard[edge] if edge in heard else oracle.query(*edge)
         if not weights[edge]:
-            err = InconsistentOracleError(
+            raise InconsistentOracleError(
                 f"the oracle reads the edge {edge} as weight 0; "
-                "oracle answers are inconsistent"
+                "oracle answers are inconsistent",
+                stats,
             )
-            err.stats = stats
-            raise err
     return edges, weights, stats

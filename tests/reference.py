@@ -3,19 +3,23 @@
 Nothing here is clever on purpose: the ancestry, skeleton-path and bag
 helpers walk the full parent array, the brute-force reconstructor spends the
 full n(n-1) queries, the enumerator walks every parent array, and the
-separator check recomputes component sizes from ground truth.
+separator check recomputes component sizes from ground truth, on the cuts
+that ``accepted_cuts`` collects from the driver's own gate.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+from unittest import mock
 
 from treeprobe import (
     ROOT,
     DirectedRootedTree,
     InvalidTreeError,
     SelfQueryError,
+    reconstruct,
     validate_tree,
 )
 
@@ -247,3 +251,27 @@ def check_separator(tree: DirectedRootedTree, separator: tuple[int, int]) -> boo
     rest = tree.n - below
     low = -(-(tree.n - 1) // tree.degree_bound)
     return below >= low and rest >= low
+
+
+@contextlib.contextmanager
+def accepted_cuts() -> Iterator[list[tuple[tuple[int, int], tuple[int, ...]]]]:
+    """Collect ``(cut, part)`` for every round accepted while the block runs.
+
+    Every round hands its pieces to ``reconstruct.find_even_separator``, so
+    wrapping it sees each cut the gate lets through. The part is rebuilt
+    from the pieces as the driver lists it: its root, the first piece's
+    path node, then every other node ascending.
+    """
+    cuts = []
+    gate = reconstruct.find_even_separator
+
+    def recording(pieces, degree_bound):
+        cut = gate(pieces, degree_bound)
+        if cut is not None:
+            root = pieces[0][0]
+            rest = sorted(k for piece in pieces for k in piece if k != root)
+            cuts.append((cut, (root, *rest)))
+        return cut
+
+    with mock.patch.object(reconstruct, "find_even_separator", recording):
+        yield cuts

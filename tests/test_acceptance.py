@@ -29,6 +29,7 @@ from treeprobe.cli import EXIT_OK, main as cli_main
 from treeprobe.reconstruct import find_bag, path_pieces, reconstruct_skeleton_path
 
 from reference import (
+    accepted_cuts,
     bag_nodes,
     check_separator,
     descent,
@@ -242,14 +243,17 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
     audited = 0
     while audited < SAMPLES:
         tree = _random_instance(rng)
-        cuts: list[tuple[tuple[int, int], tuple[int, ...]]] = []
-        reconstruct_tree(
-            ExactOracle(tree),
-            range(tree.n),
-            tree.degree_bound,
-            random.Random(rng.getrandbits(32)),
-            separator_hook=lambda sep, part: cuts.append((sep, part)),
-        )
+        with accepted_cuts() as cuts:
+            reconstruct_tree(
+                ExactOracle(tree),
+                range(tree.n),
+                tree.degree_bound,
+                random.Random(rng.getrandbits(32)),
+            )
+        # Every node set of 3 or more nodes passes the gate at least once,
+        # so a driver that stopped consulting it fails here instead of
+        # looping forever.
+        assert cuts or tree.n < 3, f"no accepted cut recorded on {tree.n} nodes"
         for (p, c), part in cuts:
             sub, order = _induced_subtree(tree, part)
             if not check_separator(sub, (order[p], order[c])):

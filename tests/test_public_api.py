@@ -1,6 +1,7 @@
 """The package's public surface, pinned so that any change to it is explicit."""
 
 import importlib
+import inspect
 
 import treeprobe
 
@@ -53,6 +54,14 @@ def test_all_is_the_pinned_list():
 def test_every_public_name_resolves():
     for name in treeprobe.__all__:
         assert getattr(treeprobe, name) is not None
+
+
+def test_driver_signatures_are_pinned():
+    # Every parameter of a driver is one its callers set, so none may serve
+    # only the tests.
+    for driver in (treeprobe.reconstruct_tree, treeprobe.reconstruct_weighted):
+        params = list(inspect.signature(driver).parameters)
+        assert params == ["oracle", "nodes", "degree_bound", "rng"], driver.__name__
 
 
 def test_traced_driver_names_exist():

@@ -41,7 +41,14 @@ from treeprobe.reconstruct import (
 )
 
 from conftest import ScriptedRng, parent_array_trees
-from reference import bag_nodes, descent, root_chain, skeleton_path, subtree_nodes
+from reference import (
+    accepted_cuts,
+    bag_nodes,
+    descent,
+    root_chain,
+    skeleton_path,
+    subtree_nodes,
+)
 
 
 class _RecordingOracle:
@@ -230,29 +237,26 @@ def _assert_matches_ground_truth(oracle, tree, p, i):
 
 
 class TestFindEvenSeparator:
-    # Bag sizes along the 0-to-4 walk in both fixtures, and its (parent,
-    # child) edges in path order when it bends at 2 (bent_tree) and when it
-    # runs straight down from 0 (spine_tree).
-    BAGS = [3, 2, 3, 1, 2]
-    BENT_CUTS = [(1, 0), (2, 1), (2, 3), (3, 4)]
-    SPINE_CUTS = [(0, 1), (1, 2), (2, 3), (3, 4)]
-
-    def test_edge_left_of_the_lca_points_backward(self):
-        assert find_even_separator(self.BAGS, self.BENT_CUTS, 11, 3) == (2, 1)
+    # The pieces of the spine 0-1-2-3-4 in spine_tree, in path order, each
+    # listing its path node first.
+    SPINE_PIECES = [[0, 5, 6], [1, 7], [2, 8, 9], [3], [4, 10]]
 
     def test_edge_right_of_the_lca_points_forward(self):
-        assert find_even_separator(self.BAGS, self.SPINE_CUTS, 11, 3) == (1, 2)
+        # A path runs down from its part's root, the walk's LCA, so edge r
+        # runs from piece r's path node to piece r+1's. At n = 11, d = 3 a
+        # side needs 4 nodes: 3 above (0, 1) are too few, 5 above (1, 2) do.
+        assert find_even_separator(self.SPINE_PIECES, 3) == (1, 2)
 
     def test_no_balanced_edge_returns_none(self):
-        # A hub with 7 nodes hanging off the middle: prefixes are 1 and 8,
-        # both outside [3, 6] at n=9, d=3.
-        assert find_even_separator([1, 7, 1], [(1, 0), (1, 2)], 9, 3) is None
+        # 7 of the 9 nodes hang from the middle path node: prefixes are 1
+        # and 8, both outside [3, 6] at n=9, d=3.
+        assert find_even_separator([[0], [1, 3, 4, 5, 6, 7, 8], [2]], 3) is None
 
     def test_tight_star_threshold_accepts_a_leaf_edge(self):
-        # n = 4 around a full-degree hub 0 on the walk 1-0-2: every cut is
+        # n = 4 around a full-degree hub 0 on the path 0 -> 1: every cut is
         # (1, 3), and the acceptance floor must come down to
         # ceil((n-1)/d) = 1 for any progress to be possible.
-        assert find_even_separator([1, 2, 1], [(0, 1), (0, 2)], 4, 3) == (0, 1)
+        assert find_even_separator([[0, 2, 3], [1]], 3) == (0, 1)
 
 
 class TestPathPieces:
@@ -480,14 +484,8 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
     monkeypatch.setattr(reconstruct, "reconstruct_skeleton_path", reconstruct_skeleton_path)
     monkeypatch.setattr(reconstruct, "path_pieces", path_pieces)
     monkeypatch.setattr(reconstruct, "find_even_separator", find_even_separator)
-    accepted = []
-    edges, stats = reconstruct_tree(
-        Charging(),
-        range(tree.n),
-        3,
-        random.Random(1),
-        separator_hook=lambda sep, part: accepted.append(sep),
-    )
+    with accepted_cuts() as accepted:
+        edges, stats = reconstruct_tree(Charging(), range(tree.n), 3, random.Random(1))
     assert edges == set(tree.edges())
     assert asked["path_pieces"] == 0
     # Every query the driver asks itself is the audit's, after the last gate.
@@ -504,21 +502,15 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
     assert calls["find_bag"] == seen["placements"]
     assert asked["find_bag"] > 0
     assert len(gates) == stats.rounds_total > len(accepted)  # some rounds failed
-    assert [sep for sep in gates if sep is not None] == accepted
+    assert [sep for sep in gates if sep is not None] == [cut for cut, _ in accepted]
 
 
 class TestReconstructTree:
     def test_recovers_both_fixtures(self, spine_tree, bent_tree):
         for tree in (spine_tree, bent_tree):
             oracle = ExactOracle(tree)
-            cuts = []
-            edges, stats = reconstruct_tree(
-                oracle,
-                range(11),
-                3,
-                random.Random(5),
-                separator_hook=lambda sep, part: cuts.append(sep),
-            )
+            with accepted_cuts() as cuts:
+                edges, stats = reconstruct_tree(oracle, range(11), 3, random.Random(5))
             assert edges == set(tree.edges())
             # Each accepted round keeps at least one new edge, so at most ten.
             assert 1 <= len(cuts) <= min(10, stats.rounds_total)
@@ -562,12 +554,10 @@ class TestReconstructTree:
         # The first round's path runs from the root 8 to the scripted 0, with
         # pieces of 3, 2, 4 and 2 nodes from 0 up; (2, 1) leaves 5 below it.
         # The whole node set is listed with its root first.
-        accepted = []
         oracle = ExactOracle(bent_tree)
         rng = ScriptedRng([0], seed=1)
-        edges, _ = reconstruct_tree(
-            oracle, range(11), 3, rng, separator_hook=lambda sep, part: accepted.append((sep, part))
-        )
+        with accepted_cuts() as accepted:
+            edges, _ = reconstruct_tree(oracle, range(11), 3, rng)
         assert accepted[0] == ((2, 1), (8, 0, 1, 2, 3, 4, 5, 6, 7, 9, 10))
         assert edges == set(bent_tree.edges())
 
@@ -578,27 +568,21 @@ class TestReconstructTree:
         # ask the next 14, two for each node off the path 8-2-1-0, and never
         # about the root 8.
         recorder = _RecordingOracle(ExactOracle(bent_tree))
-        first_cut_at = []
-        reconstruct_tree(
-            recorder,
-            range(11),
-            3,
-            ScriptedRng([0]),
-            separator_hook=lambda sep, part: first_cut_at.append(len(recorder.transcript)),
-        )
+        with _recording_gates(recorder) as gates:
+            reconstruct_tree(recorder, range(11), 3, ScriptedRng([0]))
+        first_cut_at = next(at for at, cut in gates if cut is not None)
         assert recorder.transcript[7] == (8, 0, True)
-        bag_queries = recorder.transcript[12 : first_cut_at[0]]
+        bag_queries = recorder.transcript[12:first_cut_at]
         assert len(bag_queries) == 14
         assert {k for _, k, _ in bag_queries} == {3, 4, 5, 6, 7, 9, 10}
         assert {a for a, _, _ in bag_queries} <= {2, 1, 0}
 
     def test_every_accepted_cut_is_a_true_edge(self, bent_tree):
         truth = set(bent_tree.edges())
-        seen = []
         oracle = ExactOracle(bent_tree)
-        reconstruct_tree(
-            oracle, range(11), 3, random.Random(3), separator_hook=lambda sep, part: seen.append(sep)
-        )
+        with accepted_cuts() as accepted:
+            reconstruct_tree(oracle, range(11), 3, random.Random(3))
+        seen = [cut for cut, _ in accepted]
         # One gating cut per accepted round, each a distinct true edge.
         assert seen
         assert len(set(seen)) == len(seen)
@@ -920,9 +904,9 @@ class TestRetries:
     )
     def test_pieces_keep_their_order_on_every_shape(self, shape, n, seed, data):
         # At the true bound and below it: every round draws from its part in
-        # ascending order, and every part that reaches an accepted round,
-        # the whole node set too, lists its root first, then the rest
-        # ascending.
+        # ascending order, the root of a known part left out, and every part
+        # that reaches an accepted round, the whole node set too, has its
+        # root as the path node of its first piece.
         tree = _shaped(shape, n, seed)
         bound = data.draw(st.integers(min_value=2, max_value=max(2, tree.degree_bound)))
         drawn_from = []
@@ -932,19 +916,13 @@ class TestRetries:
                 drawn_from.append(list(population))
                 return super().choice(population)
 
-        parts = []
         oracle = _CappedOracle(ExactOracle(tree), _query_cap(tree.n))
-        edges, stats = reconstruct_tree(
-            oracle,
-            range(tree.n),
-            bound,
-            Recording(seed),
-            separator_hook=lambda sep, part: parts.append(part),
-        )
+        with accepted_cuts() as cuts:
+            edges, stats = reconstruct_tree(oracle, range(tree.n), bound, Recording(seed))
         assert edges == set(tree.edges())
         assert len(drawn_from) == stats.rounds_total
         assert all(others == sorted(others) for others in drawn_from)
-        for part in parts:
+        for _, part in cuts:
             assert list(part[1:]) == sorted(part[1:])
             assert all(part[0] in root_chain(tree, k) for k in part[1:])
 
@@ -986,7 +964,8 @@ class TestAudit:
         # The weighted run reads the edges the audit left after it.
         end = len(recorder.transcript)
         if regime == "weighted":
-            end -= len(edges) - stats.audit_queries
+            # A 2-node node set's orienting yes is its edge's weight already.
+            end -= len(edges) - stats.audit_queries - (tree.n == 2)
         audit = [(a, b) for a, b, _ in recorder.transcript[end - stats.audit_queries : end]]
         assert len(set(audit)) == len(audit) and set(audit) <= edges
         heard = recorder.transcript[: end - stats.audit_queries]
@@ -1186,6 +1165,20 @@ class TestReconstructWeighted:
         after = [(a, b) for a, b, _ in recorder.transcript[gates[-1][0] :]]
         assert sorted(after) == sorted(edges) == sorted(weights)
         assert stats.audit_queries > 0
+
+    @pytest.mark.parametrize("parent", [(ROOT, 0), (1, ROOT)])
+    def test_a_two_node_set_reads_its_weight_off_the_orienting_yes(self, parent):
+        # Asking both ways orients the pair, and the yes is the edge's
+        # weight, so no pair is asked twice.
+        tree = validate_tree(parent, 1)
+        hidden = uniform_weights(tree, seed=5)
+        recorder = _RecordingOracle(AdditiveOracle(hidden))
+        edges, weights, stats = reconstruct_weighted(recorder, range(2), 1, random.Random(0))
+        assert edges == set(tree.edges())
+        assert weights == dict(hidden.weights)
+        pairs = [(a, b) for a, b, _ in recorder.transcript]
+        assert pairs == [(1, 0), (0, 1)]
+        assert stats.audit_queries == 0
 
     def test_a_weight_read_of_zero_fails_the_run(self):
         # The liar answers truly until every query the exact run asks, the
