@@ -1,7 +1,6 @@
 """treeprobe: reconstruct hidden directed rooted trees from path queries."""
 
 from .bench import (
-    BenchConfig,
     BenchRecord,
     bench_run,
     plot_svg,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ROOT",
     "AdditiveOracle",
-    "BenchConfig",
     "BenchRecord",
     "CycleError",
     "DegreeBoundError",

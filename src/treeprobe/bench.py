@@ -6,7 +6,7 @@ import hashlib
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InconsistentOracleError
@@ -37,17 +37,6 @@ class BenchRecord:
     rounds: int
     success: bool
     wall_ms: float
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    regime: str
-    nodes: Sequence[int]
-    degrees: Sequence[int]
-    reps: int
-    base_seed: int
-    eps: float | None = None
-    delta: float | None = None
 
 
 @dataclass
@@ -132,40 +121,47 @@ def run_single(
     )
 
 
-def bench_run(config: BenchConfig) -> list[BenchRecord]:
+def bench_run(
+    regime: str,
+    nodes: Sequence[int],
+    degrees: Sequence[int],
+    reps: int,
+    base_seed: int,
+    eps: float | None = None,
+    delta: float | None = None,
+) -> list[BenchRecord]:
     """Run the full (n, d, rep) grid and return one record per run.
 
-    Each record's seed is derived independently from the base seed, so the
-    grid order never shifts a run's randomness. Re-running the same config
-    reproduces everything but the wall times.
+    Each record's seed is derived independently from ``base_seed``, so the
+    grid order never shifts a run's randomness. Re-running the same grid
+    reproduces everything but the wall times. ``eps`` and ``delta`` are
+    the noisy regime's noise rate and failure budget.
     """
-    if config.regime not in REGIMES:
-        raise ValueError(f"unknown regime {config.regime!r}")
-    if config.reps < 0:
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+    if reps < 0:
         raise ValueError("reps must be >= 0")
     records = []
-    for n in config.nodes:
-        for d in config.degrees:
-            for rep in range(config.reps):
-                seed = derive_seed(config.base_seed, n, d, rep)
+    for n in nodes:
+        for d in degrees:
+            for rep in range(reps):
+                seed = derive_seed(base_seed, n, d, rep)
                 tree = random_tree(n, d, seed=seed * 4)
-                if config.regime == "weighted":
+                if regime == "weighted":
                     hidden: DirectedRootedTree | WeightedDirectedRootedTree
                     hidden = uniform_weights(tree, seed=seed * 4 + 3)
                 else:
                     hidden = tree
                 started = time.perf_counter()
-                outcome = run_single(
-                    config.regime, hidden, d, seed, eps=config.eps, delta=config.delta
-                )
+                outcome = run_single(regime, hidden, d, seed, eps=eps, delta=delta)
                 wall_ms = (time.perf_counter() - started) * 1000.0
                 records.append(
                     BenchRecord(
-                        regime=config.regime,
+                        regime=regime,
                         n=n,
                         d=d,
-                        eps=config.eps,
-                        delta=config.delta,
+                        eps=eps,
+                        delta=delta,
                         seed=seed,
                         raw_queries=outcome.raw_queries,
                         logical_queries=outcome.logical_queries,

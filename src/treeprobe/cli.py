@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import REGIMES, BenchConfig, bench_run, plot_svg, records_to_csv, run_single
+from .bench import REGIMES, bench_run, plot_svg, records_to_csv, run_single
 from .errors import InfeasibleDegreeError, TreeFormatError
 from .generators import SHAPES, parallel_chain, random_tree, shaped_tree, uniform_weights
 from .treeio import load_tree, save_tree
@@ -121,7 +121,10 @@ def _cmd_reconstruct(args, parser) -> int:
     hidden = load_tree(args.tree)
     plain = hidden.tree if isinstance(hidden, WeightedDirectedRootedTree) else hidden
     if args.regime == "weighted" and not isinstance(hidden, WeightedDirectedRootedTree):
-        parser.error("--regime weighted needs a weighted tree file")
+        # A 1-node tree has no edge to weigh, so its file reads back unweighted.
+        if plain.n > 1:
+            parser.error("--regime weighted needs a weighted tree file")
+        hidden = WeightedDirectedRootedTree(plain, {})
 
     outcome = run_single(
         args.regime, hidden, plain.degree_bound, args.seed, eps=args.eps, delta=args.delta
@@ -155,17 +158,10 @@ def _cmd_bench(args, parser) -> int:
         parser.error("--reps must be >= 0")
     if any(n < 2 for n in args.nodes):
         parser.error("--nodes entries must be >= 2")
-    config = BenchConfig(
-        regime=args.regime,
-        nodes=args.nodes,
-        degrees=args.degrees,
-        reps=args.reps,
-        base_seed=args.seed,
-        eps=args.eps,
-        delta=args.delta,
-    )
     try:
-        records = bench_run(config)
+        records = bench_run(
+            args.regime, args.nodes, args.degrees, args.reps, args.seed, args.eps, args.delta
+        )
     except InfeasibleDegreeError as exc:
         parser.error(str(exc))
     with open(args.csv, "w", encoding="ascii") as fp:

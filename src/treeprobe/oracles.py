@@ -31,18 +31,24 @@ from .errors import SelfQueryError
 from .trees import DirectedRootedTree, WeightedDirectedRootedTree, check_degree_feasible
 
 
-class ExactOracle:
-    """Answers Q(i, j) from the hidden tree, no errors.
-
-    Each query is O(1): a comparison of preorder spans, built on the first
-    query.
-    """
+class _Oracle:
+    """What every oracle keeps: the hidden tree, the queries it has answered,
+    and the preorder spans, built on its first query. Each oracle defines
+    its own ``query``."""
 
     def __init__(self, tree: DirectedRootedTree):
         self.tree = tree
         self.calls = 0
         self._n = tree.n
         self._spans: tuple[list[int], list[int]] | None = None
+
+
+class ExactOracle(_Oracle):
+    """Answers Q(i, j) from the hidden tree, no errors.
+
+    Each query is O(1): a comparison of preorder spans, built on the first
+    query.
+    """
 
     def query(self, i: int, j: int) -> int:
         n = self._n
@@ -55,7 +61,7 @@ class ExactOracle:
         return 1 if tin[i] < tin[j] < tout[i] else 0
 
 
-class NoisyOracle:
+class NoisyOracle(_Oracle):
     """Majority of ``votes`` exact bits, each flipped with probability ``noise``.
 
     Deterministic given (seed, call order): every query draws exactly one
@@ -73,12 +79,9 @@ class NoisyOracle:
             raise ValueError(f"noise must lie in [0, 0.5), got {noise}")
         if votes < 1 or votes % 2 == 0:
             raise ValueError(f"vote count must be odd and >= 1, got {votes}")
-        self.tree = tree
+        super().__init__(tree)
         self.noise = noise
         self.votes = votes
-        self.calls = 0
-        self._n = tree.n
-        self._spans: tuple[list[int], list[int]] | None = None
         self._rng = random.Random(seed)
         self._wrong = _majority_error(votes, noise)
 
@@ -96,7 +99,7 @@ class NoisyOracle:
         return bit
 
 
-class AdditiveOracle:
+class AdditiveOracle(_Oracle):
     """Returns the total weight of the directed path i -> j, or exactly 0.0.
 
     A miss is decided in O(1) from preorder spans, built on the first query.
@@ -105,12 +108,10 @@ class AdditiveOracle:
     """
 
     def __init__(self, weighted: WeightedDirectedRootedTree):
+        super().__init__(weighted.tree)
         self.weighted = weighted
-        self.calls = 0
-        self._n = weighted.tree.n
         self._parent = weighted.tree.parent
         self._weights = dict(weighted.weights)
-        self._spans: tuple[list[int], list[int]] | None = None
 
     def query(self, i: int, j: int) -> float:
         n = self._n
@@ -118,7 +119,7 @@ class AdditiveOracle:
             _check(n, i, j)
         self.calls += 1
         if self._spans is None:
-            self._spans = _preorder_spans(self.weighted.tree)
+            self._spans = _preorder_spans(self.tree)
         tin, tout = self._spans
         if not tin[i] < tin[j] < tout[i]:
             return 0.0

@@ -9,14 +9,15 @@ whole node set on the way: it samples i from every node, and the nodes that
 reach i, sorted, are the path down to i from the root, which comes first; if
 no node reaches i, i is the root, and the round fails on a one-node path.
 Each piece is a subtree rooted at its path node, so no later part looks for
-its root, and a 2-node part is settled with nothing to sample. A node set
-of two nodes is oriented by asking both ways. Parts still to solve wait on
-a stack, and each pass of the driver loop runs one round on the top part:
-an accepted round keeps every path edge and pushes each piece; a failed
-round pushes its part back. With a degree bound d the
-balanced cut leaves sides no larger than a (d-1)/d fraction and every piece
-lies inside one side, so the split depth stays logarithmic and the whole
-thing needs O(d n log^2 n) queries in expectation.
+its root, and a 2-node part is settled with nothing to sample. Parts still
+to solve wait on a stack, the whole node set first, and each pass of the
+driver loop runs one round on the top part: an accepted round keeps every
+path edge and pushes each piece; a failed round pushes its part back. A
+node set of two nodes has no round: its pass orients it by asking both
+ways. With a degree bound d the balanced cut leaves sides no larger than a
+(d-1)/d fraction and every piece lies inside one side, so the split depth
+stays logarithmic and the whole thing needs O(d n log^2 n) queries in
+expectation.
 
 Every part lists its root first, and a path is one list from a part's root
 down, so consecutive path nodes are (parent, child) edges as they stand. A
@@ -109,19 +110,19 @@ def sort_by_ancestry(oracle, items: Sequence[int]) -> list[int]:
     return sorted(items, key=cmp_to_key(compare))
 
 
-def find_bag(oracle, path: Sequence[int], node: int, plan: Plan | None = None) -> int:
+def find_bag(oracle, path: Sequence[int], node: int, plan: Plan) -> int:
     """The path node that an off-path ``node`` of the path's part hangs from.
 
     ``path`` runs from its part's root down. Reachability along it is
     monotone (a prefix of ones), so a search finds the deepest path node
     that reaches ``node``; the root itself is never asked. The search walks
-    ``plan`` (see ``search_plan``). Without one it walks the unit-weight
-    plan, a binary search with ceiling midpoints that asks at most
-    ceil(log2 k) queries on a k-node path; a weighted plan asks at most
+    ``plan``, a ``search_plan`` over the path's positions: with unit weights
+    it is a binary search with ceiling midpoints that asks at most
+    ceil(log2 k) queries on a k-node path, and a weighted plan asks at most
     2 ceil(log2(W / w)) for an answer of weight w out of W.
     """
     query = oracle.query
-    at, hit, miss = plan or _unit_plan(len(path))
+    at, hit, miss = plan
     while at > 0:
         at = hit[at] if query(path[at], node) else miss[at]
     return path[~at]
@@ -248,7 +249,7 @@ def reconstruct_tree(
     whether it reaches i: the first node of the path it finds is the root.
     If no node reaches i, i is the root. From then on the node set is one
     part, its root first and the rest in ascending order. A node set of two
-    nodes is oriented by asking both ways instead, and raises
+    nodes runs no round: the driver loop asks both ways instead, and raises
     InconsistentOracleError unless exactly one answer is yes.
     Each round hands its pieces, one per path node in path order, to
     ``find_even_separator``, and is accepted if that finds a balanced cut.
@@ -282,7 +283,8 @@ def _reconstruct(
     rng: random.Random,
 ) -> tuple[Edges, ReconstructionStats, dict[tuple[int, int], object]]:
     """reconstruct_tree, which also returns the answer on each edge that the
-    audit asked or that oriented a 2-node node set."""
+    audit asked or that oriented a 2-node node set. Every query is asked in
+    the driver loop or by the audit after it."""
     part = sorted(nodes)
     for a, b in zip(part, part[1:]):
         if a == b:
@@ -293,48 +295,47 @@ def _reconstruct(
     # Edges no answer vouches for yet, to ask once at the end.
     audit: list[tuple[int, int]] = []
     answers: dict[tuple[int, int], object] = {}
-    # A node set of two nodes is listed root first by asking both ways, and
-    # the yes is its edge's answer.
-    if len(part) == 2:
-        backward = oracle.query(part[1], part[0])
-        forward = oracle.query(part[0], part[1])
-        if bool(backward) == bool(forward):
-            raise InconsistentOracleError(
-                f"exactly one of nodes {part[0]} and {part[1]} must reach the other; "
-                "oracle answers are inconsistent",
-                stats,
-            )
-        if backward:
-            part.reverse()
-        answers[(part[0], part[1])] = backward or forward
     # Parts still to solve, each listing its root first, with its gate
     # bound, failed rounds so far, the pieces its rounds found, and one flag
     # per piece. Each piece lists its path node first, so the pieces in path
     # order begin with the path from the part's root. A fresh part is its
-    # own one piece. A node set of 3 or more nodes has no pieces instead and
-    # stays in ascending order until its first round finds its root. A
-    # piece is vouched when its path node has been heard to reach each of
-    # its members. A failed part goes back on top, so it is retried next.
-    # Pieces are pushed last to first, so they are solved in path order;
-    # that order fixes which nodes rng draws. Only parts of 3 or more nodes
-    # run rounds, and those exist only at bounds of 2 or more, so the gate
-    # never divides by zero.
-    pieces = [] if len(part) >= 3 else [part]
-    stack = [(part, 1, degree_bound, 0, pieces, [len(part) == 2])]
+    # own one piece. The whole node set has no pieces instead, as its root
+    # is not known, and stays in ascending order until its first round, or
+    # for two nodes its orientation, finds the root. A piece is vouched
+    # when its path node has been heard to reach each of its members. A
+    # failed part goes back on top, so it is retried next. Pieces are pushed
+    # last to first, so they are solved in path order; that order fixes
+    # which nodes rng draws. Only parts of 3 or more nodes run rounds, and
+    # those exist only at bounds of 2 or more, so the gate never divides by
+    # zero.
+    stack = [(part, 1, degree_bound, 0, [], [False])]
     while stack:
         part, depth, bound, failed, pieces, vouched = stack.pop()
         stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
         size = len(part)
         if size <= 1:
             continue
-        root = part[0]
         if size == 2:
-            # With the root known there is nothing left to sample. The edge
-            # is on the known path already, or the piece vouches for it, or
-            # the audit asks it.
-            if len(pieces) == 1 and not vouched[0]:
-                audit.append((root, part[1]))
-            edges.add((root, part[1]))
+            if not pieces:
+                # A node set of two nodes is listed root first by asking
+                # both ways, and the yes is its edge's answer.
+                backward = oracle.query(part[1], part[0])
+                forward = oracle.query(part[0], part[1])
+                if bool(backward) == bool(forward):
+                    raise InconsistentOracleError(
+                        f"exactly one of nodes {part[0]} and {part[1]} must reach "
+                        "the other; oracle answers are inconsistent",
+                        stats,
+                    )
+                if backward:
+                    part.reverse()
+                answers[(part[0], part[1])] = backward or forward
+            elif len(pieces) == 1 and not vouched[0]:
+                # With the root known there is nothing left to sample. The
+                # edge is on the known path already, or the piece vouches
+                # for it, or the audit asks it.
+                audit.append((part[0], part[1]))
+            edges.add((part[0], part[1]))
             continue
         stats.rounds_total += 1
         if pieces:

@@ -16,7 +16,6 @@ import pytest
 
 from treeprobe import (
     ROOT,
-    BenchConfig,
     ExactOracle,
     bench_run,
     majority_vote_count,
@@ -26,7 +25,12 @@ from treeprobe import (
     validate_tree,
 )
 from treeprobe.cli import EXIT_OK, main as cli_main
-from treeprobe.reconstruct import find_bag, path_pieces, reconstruct_skeleton_path
+from treeprobe.reconstruct import (
+    find_bag,
+    path_pieces,
+    reconstruct_skeleton_path,
+    search_plan,
+)
 
 from reference import (
     accepted_cuts,
@@ -64,14 +68,7 @@ def report(capfd):
 @pytest.fixture(scope="module")
 def exact_grid():
     """One shared 120-run exact benchmark; criteria 2, 3 and 4 all read it."""
-    config = BenchConfig(
-        regime="exact",
-        nodes=GRID_NODES,
-        degrees=GRID_DEGREES,
-        reps=GRID_REPS,
-        base_seed=GRID_SEED,
-    )
-    return bench_run(config)
+    return bench_run("exact", GRID_NODES, GRID_DEGREES, GRID_REPS, GRID_SEED)
 
 
 def test_criterion_1_every_small_tree_is_recovered(report):
@@ -136,16 +133,7 @@ def test_criterion_4_rounds_per_split_stay_bounded(exact_grid, report):
 
 
 def test_criterion_5_noisy_majority_recovers(report):
-    config = BenchConfig(
-        regime="noisy",
-        nodes=[200],
-        degrees=[5],
-        reps=10,
-        base_seed=NOISY_SEED,
-        eps=0.1,
-        delta=0.1,
-    )
-    records = bench_run(config)
+    records = bench_run("noisy", [200], [5], 10, NOISY_SEED, eps=0.1, delta=0.1)
     votes = majority_vote_count(0.1, 0.1, 200, 5)
     wins = sum(1 for r in records if r.success)
     paid = all(r.raw_queries == votes * r.logical_queries for r in records)
@@ -157,14 +145,7 @@ def test_criterion_5_noisy_majority_recovers(report):
 
 
 def test_criterion_6_weighted_recovery_is_exact(report):
-    config = BenchConfig(
-        regime="weighted",
-        nodes=[500],
-        degrees=[5],
-        reps=10,
-        base_seed=WEIGHTED_SEED,
-    )
-    records = bench_run(config)
+    records = bench_run("weighted", [500], [5], 10, WEIGHTED_SEED)
     wins = sum(1 for r in records if r.success)
     ok = len(records) == 10 and wins == 10
     report(6, ok, f"{wins}/10 runs match edges and weights exactly")
@@ -220,10 +201,11 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
         path = skeleton_path(tree, p, i)[1]
         truth = bag_nodes(tree, [p], path)
         oracle = ExactOracle(tree)
+        plan = search_plan([1] * len(path))
         for k in subtree_nodes(tree, p):
             if k in path:
                 continue
-            if find_bag(oracle, path, k) != truth[k]:
+            if find_bag(oracle, path, k, plan) != truth[k]:
                 bag_bad += 1
                 break
 

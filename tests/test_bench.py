@@ -6,7 +6,6 @@ import pytest
 
 from treeprobe import bench
 from treeprobe import (
-    BenchConfig,
     AdditiveOracle,
     BenchRecord,
     ExactOracle,
@@ -164,10 +163,10 @@ class TestRunSingle:
 
 
 class TestBenchRun:
-    CONFIG = BenchConfig(regime="exact", nodes=[12, 18], degrees=[3], reps=2, base_seed=77)
+    GRID = ("exact", [12, 18], [3], 2, 77)
 
     def test_grid_size_and_record_fields(self):
-        records = bench_run(self.CONFIG)
+        records = bench_run(*self.GRID)
         assert len(records) == 2 * 1 * 2
         assert [(r.n, r.d) for r in records] == [(12, 3), (12, 3), (18, 3), (18, 3)]
         for r in records:
@@ -184,23 +183,21 @@ class TestBenchRun:
                 r.raw_queries, r.logical_queries, r.rounds, r.success,
             )
 
-        assert list(map(key, bench_run(self.CONFIG))) == list(map(key, bench_run(self.CONFIG)))
+        assert list(map(key, bench_run(*self.GRID))) == list(map(key, bench_run(*self.GRID)))
 
     def test_record_seeds_do_not_depend_on_grid_position(self):
-        wide = BenchConfig(regime="exact", nodes=[12, 18], degrees=[3], reps=1, base_seed=77)
-        narrow = BenchConfig(regime="exact", nodes=[18], degrees=[3], reps=1, base_seed=77)
-        wide_by_n = {r.n: r for r in bench_run(wide)}
-        narrow_record = bench_run(narrow)[0]
+        wide_by_n = {r.n: r for r in bench_run("exact", [12, 18], [3], 1, 77)}
+        narrow_record = bench_run("exact", [18], [3], 1, 77)[0]
         assert wide_by_n[18].seed == narrow_record.seed
         assert wide_by_n[18].raw_queries == narrow_record.raw_queries
 
     def test_negative_reps_rejected(self):
         with pytest.raises(ValueError):
-            bench_run(BenchConfig("exact", [10], [3], reps=-1, base_seed=0))
+            bench_run("exact", [10], [3], reps=-1, base_seed=0)
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):
-            bench_run(BenchConfig("psychic", [10], [3], reps=1, base_seed=0))
+            bench_run("psychic", [10], [3], reps=1, base_seed=0)
 
 
 class TestCsv:
@@ -210,12 +207,12 @@ class TestCsv:
         )
 
     def test_zero_reps_writes_header_only(self):
-        records = bench_run(BenchConfig("exact", [10], [3], reps=0, base_seed=0))
+        records = bench_run("exact", [10], [3], reps=0, base_seed=0)
         assert records == []
         assert records_to_csv(records) == CSV_HEADER + "\n"
 
     def test_row_shape_and_empty_noise_columns(self):
-        records = bench_run(BenchConfig("exact", [12], [3], reps=1, base_seed=3))
+        records = bench_run("exact", [12], [3], reps=1, base_seed=3)
         lines = records_to_csv(records).splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
@@ -241,9 +238,7 @@ class TestCsv:
 
 class TestPlotSvg:
     def test_scatter_contains_points_and_reference_curves(self):
-        records = bench_run(
-            BenchConfig(regime="exact", nodes=[12, 18], degrees=[2, 3], reps=1, base_seed=5)
-        )
+        records = bench_run("exact", [12, 18], [2, 3], reps=1, base_seed=5)
         svg = plot_svg(records)
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 2  # one dashed curve per degree

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,6 +174,21 @@ class TestReconstruct:
         assert code == EXIT_OK
         assert run("verify", "--expected", str(hidden), "--actual", str(recovered)) == EXIT_OK
 
+    def test_one_node_weighted_round_trip(self, tmp_path, capsys):
+        # A 1-node tree has no edge to carry a weight, so its file reads
+        # back unweighted; the weighted regime still takes it.
+        hidden = tmp_path / "one.txt"
+        recovered = tmp_path / "recovered.txt"
+        assert run("generate", "--shape", "chain", "--nodes", "1",
+                   "--weights", "uniform", "--out", str(hidden)) == EXIT_OK
+        code = run(
+            "reconstruct", "--tree", str(hidden), "--regime", "weighted",
+            "--out", str(recovered), "--stats",
+        )
+        assert code == EXIT_OK
+        assert "logical_queries=0" in capsys.readouterr().out.splitlines()
+        assert run("verify", "--expected", str(hidden), "--actual", str(recovered)) == EXIT_OK
+
     def test_noisy_requires_eps_and_delta(self, hidden_file):
         with pytest.raises(SystemExit) as caught:
             run("reconstruct", "--tree", str(hidden_file), "--regime", "noisy")
@@ -305,6 +323,21 @@ def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as caught:
         run()
     assert caught.value.code == 2
+
+
+def test_readme_library_examples_run():
+    # The second block goes on from the first, so they run as one script.
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    blocks = [chunk.split("```", 1)[0] for chunk in text.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", "\n".join(blocks)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 2
 
 
 def _readme_session():

@@ -4,10 +4,10 @@ import importlib
 import inspect
 
 import treeprobe
+from treeprobe.reconstruct import find_bag
 
 PUBLIC_NAMES = [
     "AdditiveOracle",
-    "BenchConfig",
     "BenchRecord",
     "CycleError",
     "DegreeBoundError",
@@ -46,7 +46,7 @@ PUBLIC_NAMES = [
 
 def test_all_is_the_pinned_list():
     assert PUBLIC_NAMES == sorted(set(PUBLIC_NAMES))
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 34
     assert sorted(treeprobe.__all__) == PUBLIC_NAMES
     assert len(treeprobe.__all__) == len(set(treeprobe.__all__))
 
@@ -62,6 +62,19 @@ def test_driver_signatures_are_pinned():
     for driver in (treeprobe.reconstruct_tree, treeprobe.reconstruct_weighted):
         params = list(inspect.signature(driver).parameters)
         assert params == ["oracle", "nodes", "degree_bound", "rng"], driver.__name__
+
+
+def test_bench_run_takes_the_grid_as_parameters():
+    params = list(inspect.signature(treeprobe.bench_run).parameters)
+    assert params == ["regime", "nodes", "degrees", "reps", "base_seed", "eps", "delta"]
+
+
+def test_find_bag_needs_its_plan():
+    # The driver always hands find_bag the plan it walks, so a default plan
+    # would serve only the tests.
+    params = inspect.signature(find_bag).parameters
+    assert list(params) == ["oracle", "path", "node", "plan"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
 
 
 def test_traced_driver_names_exist():

@@ -161,20 +161,21 @@ class TestFindBag:
         path = [0, 1, 2, 3, 4]
         truth = bag_nodes(spine_tree, [0], path)
         oracle = ExactOracle(spine_tree)
+        plan = search_plan([1] * len(path))
         for k, bag in ((5, 0), (6, 0), (7, 1), (8, 2), (9, 2), (10, 4)):
-            assert find_bag(oracle, path, k) == truth[k] == bag
+            assert find_bag(oracle, path, k, plan) == truth[k] == bag
 
     def test_query_budget_is_logarithmic(self):
         chain = shaped_tree("chain", 9)
         oracle = ExactOracle(chain)
-        assert find_bag(oracle, list(range(8)), 8) == 7
+        assert find_bag(oracle, list(range(8)), 8, search_plan([1] * 8)) == 7
         assert oracle.calls <= 3  # ceil(log2 8)
 
     def test_unit_search_asks_the_ceiling_midpoints(self, bent_tree):
         # 7 hangs from 1 on the path 8-2-1-0: the search asks 1, which hits,
         # then 0, which misses, and never the root 8.
         recorder = _RecordingOracle(ExactOracle(bent_tree))
-        assert find_bag(recorder, [8, 2, 1, 0], 7) == 1
+        assert find_bag(recorder, [8, 2, 1, 0], 7, search_plan([1] * 4)) == 1
         assert [(a, b) for a, b, _ in recorder.transcript] == [(1, 7), (0, 7)]
 
     @settings(max_examples=150, deadline=None)
@@ -190,8 +191,9 @@ class TestFindBag:
         path = skeleton_path(tree, p, i)[1]
         truth = bag_nodes(tree, [p], path)
         oracle = ExactOracle(tree)
+        plan = search_plan([1] * len(path))
         for k in set(subtree_nodes(tree, p)) - set(path):
-            assert find_bag(oracle, path, k) == truth[k]
+            assert find_bag(oracle, path, k, plan) == truth[k]
 
 
 class TestReconstructSkeletonPath:
@@ -395,8 +397,9 @@ class TestWeightedPlacement:
         weighted = _RecordingOracle(ExactOracle(tree))
         path_pieces(weighted, part, path)
         plain = _RecordingOracle(ExactOracle(tree))
+        plan = search_plan([1] * len(path))
         for k in [k for k in part if k not in path][:16]:
-            find_bag(plain, path, k)
+            find_bag(plain, path, k, plan)
         assert weighted.transcript[: len(plain.transcript)] == plain.transcript
 
     @pytest.mark.parametrize("crowd", [64, 200, 1100])
@@ -422,7 +425,7 @@ def test_every_bag_search_query_is_asked_inside_find_bag(monkeypatch):
     # sort inside sort_by_ancestry), and the round's placement inside
     # find_bag calls, one call per off-path node, also once the plans are
     # reweighed and in retries. The driver itself asks only the audit, after
-    # the last round. Tracers count accepted rounds as the non-None returns
+    # the last round, and a 2-node node set's two orienting queries. Tracers count accepted rounds as the non-None returns
     # of find_even_separator, so every round must consult it exactly once.
     tree = random_tree(600, 3, seed=4)
     inner = ExactOracle(tree)
@@ -794,6 +797,9 @@ class TestRootRounds:
         with pytest.raises(InconsistentOracleError) as caught:
             reconstruct_tree(_TableOracle(table), range(2), 1, random.Random(0))
         assert caught.value.stats.rounds_total == 0
+        # The pair is oriented in the driver loop, so its counters are the
+        # loop's: the whole node set is level 1.
+        assert caught.value.stats.recursion_depth_max == 1
 
     def test_two_node_part_of_a_placed_piece_asks_nothing(self):
         # 0 -> 1 -> 2 with 3 below 1. The path to the scripted 2 places 3 by
