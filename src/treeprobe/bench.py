@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .errors import InconsistentOracleError
 from .generators import random_tree, uniform_weights
-from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, majority_vote_count
+from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, majority_vote_count, vote_lead
 from .reconstruct import ReconstructionStats, reconstruct_tree, reconstruct_weighted
 from .trees import DirectedRootedTree, WeightedDirectedRootedTree
 
@@ -50,6 +50,7 @@ class RunOutcome:
     logical_queries: int
     success: bool
     votes: int | None = None
+    lead: int | None = None
 
 
 def derive_seed(base_seed: int, n: int, d: int, rep: int) -> int:
@@ -72,15 +73,18 @@ def run_single(
 ) -> RunOutcome:
     """Reconstruct one hidden tree under a regime, counting every query.
 
-    ``seed`` feeds the role streams: seed*4+1 drives the noise, seed*4+2 the
-    node sampling (seed*4+0 and +3 are reserved for tree generation and
-    weights by :func:`bench_run`).
+    ``seed`` feeds the role streams: seed*4+1 drives the noise (the answers,
+    and a stream derived from it that bills each vote's answers), seed*4+2
+    the node sampling (seed*4+0 and +3 are reserved for tree generation and
+    weights by :func:`bench_run`). A noisy run votes with a cap of
+    ``votes`` answers and a lead of ``lead``, and its ``raw_queries`` are
+    the answers its votes asked.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; pick one of {REGIMES}")
     plain = hidden.tree if isinstance(hidden, WeightedDirectedRootedTree) else hidden
     rng = random.Random(seed * 4 + 2)
-    votes = None
+    votes = lead = None
     weights_out = None
 
     if regime == "exact":
@@ -89,8 +93,11 @@ def run_single(
         if eps is None or delta is None:
             raise ValueError("the noisy regime needs eps and delta")
         # A single node asks no query, so there is nothing to vote on.
-        votes = majority_vote_count(eps, delta, plain.n, degree_bound) if plain.n > 1 else 1
-        oracle = NoisyOracle(plain, eps, seed=seed * 4 + 1, votes=votes)
+        votes = lead = 1
+        if plain.n > 1:
+            votes = majority_vote_count(eps, delta, plain.n, degree_bound)
+            lead = vote_lead(eps, delta, plain.n, degree_bound, votes)
+        oracle = NoisyOracle(plain, eps, seed=seed * 4 + 1, votes=votes, lead=lead)
     else:
         if not isinstance(hidden, WeightedDirectedRootedTree):
             raise ValueError("the weighted regime needs a weighted hidden tree")
@@ -114,10 +121,11 @@ def run_single(
         edges=edges,
         weights=weights_out,
         stats=stats,
-        raw_queries=oracle.calls * (votes or 1),
+        raw_queries=oracle.raw,
         logical_queries=oracle.calls,
         success=success,
         votes=votes,
+        lead=lead,
     )
 
 

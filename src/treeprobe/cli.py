@@ -139,6 +139,7 @@ def _cmd_reconstruct(args, parser) -> int:
         print(f"audit_queries={outcome.stats.audit_queries}")
         if outcome.votes is not None:
             print(f"votes={outcome.votes}")
+            print(f"lead={outcome.lead}")
     if not outcome.success:
         print("error: reconstruction failed", file=sys.stderr)
         return EXIT_MISMATCH

@@ -2,22 +2,29 @@
 
 The reconstruction code never touches a tree directly; it sees one of these
 oracles instead, one per regime, each counting the queries it answers in
-``calls``. A noisy oracle answers every query with a majority of ``votes``
-noisy answers, so its hidden-tree evaluations are ``calls * votes``.
+``calls`` and the hidden-tree evaluations they cost in ``raw``.
 
 The oracles decide ancestry in O(1) per query from preorder spans:
 ``i`` is a proper ancestor of ``j`` iff ``tin[i] < tin[j] < tout[i]``. The
 spans are built by one O(n) DFS on an oracle's first query, so an oracle
 that is built but never asked costs nothing beyond its constructor.
 
-A majority over ``m`` noisy votes is wrong exactly when more than half of
-them flip, the event ``Bin(m, noise) > m/2``. The noisy oracle therefore
-answers a whole majority with one uniform draw against that tail, computed
-once per (m, noise) and cached. This has the same answer distribution as
-``m`` separate votes.
+A noisy oracle settles each query by a capped sequential vote: it asks noisy
+answers one at a time and stops at the first time t where the lead
+|yes - no| reaches ``lead``, or exceeds the ``votes - t`` answers left to
+ask. With ``lead = (votes + 1) / 2`` that is a majority of ``votes``,
+stopped as soon as it is decided. The chance that the vote is wrong, and
+the law of the time it stops at, are computed exactly once per (votes,
+lead, noise) and cached (``_walk``). The oracle answers each query with one
+uniform draw against that chance, and bills the votes of the queries it
+answered only when ``raw`` is read: per outcome, how many of them stopped
+at each time is one multinomial draw from a second random stream that the
+answers never see. Given the outcomes, the stopping times are independent
+of everything else, so answers and bill have the same joint law as votes
+asked one by one.
 
 Every oracle answers ``query(i, j)``, truthy exactly when it claims a
-directed path i -> j: the exact bit, a noisy majority bit, or the path's
+directed path i -> j: the exact bit, a noisy vote's bit, or the path's
 weight sum, exactly 0.0 when there is no path.
 """
 
@@ -26,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from typing import Iterator
 
 from .errors import SelfQueryError
 from .trees import DirectedRootedTree, WeightedDirectedRootedTree, check_degree_feasible
@@ -41,6 +49,11 @@ class _Oracle:
         self.calls = 0
         self._n = tree.n
         self._spans: tuple[list[int], list[int]] | None = None
+
+    @property
+    def raw(self) -> int:
+        """Hidden-tree evaluations so far: one per query."""
+        return self.calls
 
 
 class ExactOracle(_Oracle):
@@ -62,28 +75,56 @@ class ExactOracle(_Oracle):
 
 
 class NoisyOracle(_Oracle):
-    """Majority of ``votes`` exact bits, each flipped with probability ``noise``.
+    """A capped sequential vote over exact bits, each flipped with probability
+    ``noise``.
+
+    Each query asks at most ``votes`` noisy answers and stops once its lead
+    |yes - no| reaches ``lead`` or can no longer be overturned (see the
+    module docstring). ``votes`` must be odd; one vote is a single noisy
+    answer. ``lead`` lies in [1, (votes + 1) / 2]; None means
+    (votes + 1) / 2, a plain majority of ``votes`` stopped once decided.
+    ``noise`` may be 0.0 (degenerate no-flip limit) but must stay below 1/2.
 
     Deterministic given (seed, call order): every query draws exactly one
-    uniform variate from its own RNG, against the chance that the majority
-    is wrong. ``votes`` must be odd; one vote is a single noisy answer.
-    ``noise`` may be 0.0 (degenerate no-flip limit) but must stay below 1/2.
-    The exact bit is an O(1) comparison of preorder spans, built on the
-    first query.
+    uniform variate from its own RNG, against the chance that the vote is
+    wrong. ``raw``, the noisy answers asked so far, is billed when read from
+    a second stream derived from ``seed``, so it is deterministic given the
+    seed and the calls made before each read, and never moves an answer. The
+    exact bit is an O(1) comparison of preorder spans, built on the first
+    query.
     """
 
     def __init__(
-        self, tree: DirectedRootedTree, noise: float, seed: int | None = None, votes: int = 1
+        self,
+        tree: DirectedRootedTree,
+        noise: float,
+        seed: int | None = None,
+        votes: int = 1,
+        lead: int | None = None,
     ):
         if not 0.0 <= noise < 0.5:
             raise ValueError(f"noise must lie in [0, 0.5), got {noise}")
         if votes < 1 or votes % 2 == 0:
             raise ValueError(f"vote count must be odd and >= 1, got {votes}")
+        half = (votes + 1) // 2
+        if lead is None:
+            lead = half
+        elif not 1 <= lead <= half:
+            raise ValueError(f"lead must lie in [1, {half}] for {votes} votes, got {lead}")
         super().__init__(tree)
         self.noise = noise
         self.votes = votes
+        self.lead = lead
+        self._seed = seed
         self._rng = random.Random(seed)
-        self._wrong = _majority_error(votes, noise)
+        # A full-lead walk is the plain majority; keep its closed-form tail.
+        if lead == half:
+            self._wrong = _majority_error(votes, noise)
+        else:
+            self._wrong = _walk(votes, lead, noise)[0]
+        self._flips = 0
+        self._billed = self._billed_flips = self._raw = 0
+        self._bill_rng: random.Random | None = None
 
     def query(self, i: int, j: int) -> int:
         n = self._n
@@ -95,8 +136,29 @@ class NoisyOracle(_Oracle):
         tin, tout = self._spans
         bit = 1 if tin[i] < tin[j] < tout[i] else 0
         if self._rng.random() < self._wrong:
+            self._flips += 1
             return 1 - bit
         return bit
+
+    @property
+    def raw(self) -> int:
+        """Noisy answers asked so far: the stopping times of every vote.
+
+        Billed on read, for the queries answered since the last read: per
+        outcome, a multinomial split of their count over the walk's stopping
+        times, drawn from a stream seeded on the first bill.
+        """
+        calls, flips = self.calls, self._flips
+        if calls != self._billed:
+            if self._bill_rng is None:
+                seed = self._seed
+                self._bill_rng = random.Random(None if seed is None else f"bill:{seed}")
+            _, right, wrong = _walk(self.votes, self.lead, self.noise)
+            new_flips = flips - self._billed_flips
+            self._raw += _bill(self._bill_rng, right, calls - self._billed - new_flips)
+            self._raw += _bill(self._bill_rng, wrong, new_flips)
+            self._billed, self._billed_flips = calls, flips
+        return self._raw
 
 
 class AdditiveOracle(_Oracle):
@@ -140,7 +202,7 @@ def majority_vote_count(
     n: int,
     degree_bound: int,
 ) -> int:
-    """Votes per majority query so a whole run is exact with chance >= 1 - delta.
+    """Votes per noisy query so a whole run is exact with chance >= 1 - delta.
 
     With ``delta = failure_prob``, ``d = degree_bound`` and the budget
 
@@ -148,13 +210,16 @@ def majority_vote_count(
 
     (criterion 3's cap on the exact algorithm's mean query count), this is
     the smallest odd m whose exact majority error (see ``_majority_error``)
-    is at most delta / B. Proof that a run with m votes then fails with
-    chance at most delta: let S be the node-sampling RNG and F_t the flip
-    of logical query t. Each query draws once from the noisy oracle's own
-    RNG, so the F_t are i.i.d. with chance eps' = ``_majority_error(m,
-    noise)`` and independent of S. With the same S, the noisy run asks
-    exactly what the exact run asks until its first flip, so it can fail
-    only if F_t = 1 for some t <= Q_exact(S). Hence
+    is at most delta / B. ``vote_lead`` then picks the smallest lead whose
+    capped walk over at most m votes stays under the same target. Proof that
+    a run whose votes are wrong with chance eps' <= delta / B fails with
+    chance at most delta: let S be the node-sampling RNG and F_t the flip of
+    logical query t. Each query draws once from the noisy oracle's own RNG,
+    so the F_t are i.i.d. with chance eps', the exact error of the capped
+    walk (``_walk``), and independent of S. The votes a walk took are billed
+    from a separate stream that no answer reads. With the same S, the noisy
+    run asks exactly what the exact run asks until its first flip, so it can
+    fail only if F_t = 1 for some t <= Q_exact(S). Hence
 
         P(fail) <= sum_t P(t <= Q_exact) * eps' = eps' * E[Q_exact]
                 <= eps' * B <= delta.
@@ -171,17 +236,8 @@ def majority_vote_count(
     which always meets the target, since exp(-2 m (1/2 - noise)^2) bounds
     the error.
     """
-    if not 0.0 < noise < 0.5:
-        raise ValueError(f"noise must lie in (0, 0.5), got {noise}")
-    if not 0.0 < failure_prob < 1.0:
-        raise ValueError(f"failure probability must lie in (0, 1), got {failure_prob}")
-    if n < 2:
-        raise ValueError(f"need at least two nodes, got {n}")
-    check_degree_feasible(n, degree_bound)
-    log_ceil = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
-    budget = 4.0 * degree_bound * n * log_ceil**2
-    need = math.log(budget / failure_prob) / (2.0 * (0.5 - noise) ** 2)
-    target = failure_prob / budget
+    target = _error_target(noise, failure_prob, n, degree_bound)
+    need = -math.log(target) / (2.0 * (0.5 - noise) ** 2)
     # The majority error falls as the odd count m = 2h + 1 grows.
     lo, hi = 0, max(1, math.ceil(need)) // 2
     while lo < hi:
@@ -191,6 +247,56 @@ def majority_vote_count(
         else:
             lo = mid + 1
     return 2 * lo + 1
+
+
+@functools.cache
+def vote_lead(noise: float, failure_prob: float, n: int, degree_bound: int, votes: int) -> int:
+    """The smallest lead h whose capped walk over at most ``votes`` answers
+    is wrong with chance at most delta / B (see ``majority_vote_count``).
+
+    With r = (1 - noise) / noise, a vote that stops with lead |D| is wrong
+    with posterior chance Z = 1 / (1 + r^|D|) under a fair prior on the true
+    bit, and its error is E[Z]. Z is the smaller of the two posteriors, a
+    supermartingale, and a walk with a higher lead stops no earlier, so the
+    error falls as h grows. A capped walk stops with |D| <= h, so its error
+    is at least 1 / (1 + r^h), the error of Wald's uncapped walk. The search
+    starts at the smallest h that bound allows, doubles its step until the
+    target is met, and bisects back; the full lead (votes + 1) / 2 is the
+    majority of ``votes``, which meets the target when ``votes`` is
+    ``majority_vote_count``'s. Cached: every run of a grid cell asks the same.
+    """
+    target = _error_target(noise, failure_prob, n, degree_bound)
+
+    def meets(lead: int) -> bool:
+        return math.fsum(wrong for _, _, wrong in _stops(votes, lead, noise)) <= target
+
+    log_odds = math.log1p(-noise) - math.log(noise)
+    half = (votes + 1) // 2
+    lo = min(half, max(1, math.ceil(math.log((1.0 - target) / target) / log_odds)))
+    hi, step = lo, 1
+    while hi < half and not meets(hi):
+        lo, hi, step = hi + 1, min(half, hi + step), 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _error_target(noise: float, failure_prob: float, n: int, degree_bound: int) -> float:
+    """delta / B, the chance each noisy query may be wrong with, after the
+    argument checks both vote sizings share."""
+    if not 0.0 < noise < 0.5:
+        raise ValueError(f"noise must lie in (0, 0.5), got {noise}")
+    if not 0.0 < failure_prob < 1.0:
+        raise ValueError(f"failure probability must lie in (0, 1), got {failure_prob}")
+    if n < 2:
+        raise ValueError(f"need at least two nodes, got {n}")
+    check_degree_feasible(n, degree_bound)
+    log_ceil = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
+    return failure_prob / (4.0 * degree_bound * n * log_ceil**2)
 
 
 @functools.cache
@@ -219,6 +325,126 @@ def _majority_error(votes: int, noise: float) -> float:
         )
         for k in range(votes // 2 + 1, votes + 1)
     )
+
+
+# (t, P(T = t, outcome), P(T = t | T >= t, outcome)) for each stopping time t
+# with mass, in order: the last share is 1.0.
+_Stops = tuple[tuple[int, float, float], ...]
+
+
+@functools.cache
+def _walk(votes: int, lead: int, noise: float) -> tuple[float, _Stops, _Stops]:
+    """The capped sequential vote's error and its stopping-time law for
+    each outcome, ``(error, right, wrong)``, exactly (see ``_stops``).
+    Cached: an oracle reads one table per (votes, lead, noise)."""
+    right: list[tuple[int, float]] = []
+    wrong: list[tuple[int, float]] = []
+    for t, hit_right, hit_wrong in _stops(votes, lead, noise):
+        if hit_right:
+            right.append((t, hit_right))
+        if hit_wrong:
+            wrong.append((t, hit_wrong))
+    return math.fsum(m for _, m in wrong), _with_shares(right), _with_shares(wrong)
+
+
+def _stops(votes: int, lead: int, noise: float) -> Iterator[tuple[int, float, float]]:
+    """Yield (t, P(T = t, right), P(T = t, wrong)) for t = 1 .. votes.
+
+    The walk is D = (right answers) - (wrong answers), one noisy answer per
+    step; it stops at the first t with |D| >= min(lead, votes - t + 1), the
+    second term being the point where the answers left can no longer
+    overturn the lead. It stops by t = votes, since an odd count leaves
+    |D| >= 1. The masses are forward sums of positive terms over the
+    2 * lead + 1 positions, so no cancellation loses the tail; a step costs
+    O(lead), a walk O(votes * lead).
+    """
+    q = 1.0 - noise
+    alive = [0.0] * (2 * lead + 1)  # alive[lead + D]: not yet stopped
+    alive[lead] = 1.0
+    for t in range(1, votes + 1):
+        inner = [q * a + noise * b for a, b in zip(alive, alive[2:])]
+        alive = [noise * alive[1], *inner, q * alive[-2]]
+        bound = min(lead, votes - t + 1)
+        top, bottom = lead + bound, lead - bound
+        yield t, math.fsum(alive[top:]), math.fsum(alive[: bottom + 1])
+        alive[top:] = [0.0] * (lead - bound + 1)
+        alive[: bottom + 1] = [0.0] * (lead - bound + 1)
+
+
+def _with_shares(stops: list[tuple[int, float]]) -> _Stops:
+    """Append to each (t, mass) its mass over the mass at t and later, which
+    is exactly 1.0 for the last."""
+    out = []
+    tail = 0.0
+    for t, mass in reversed(stops):
+        tail += mass
+        out.append((t, mass, mass / tail))
+    return tuple(reversed(out))
+
+
+def _bill(rng: random.Random, stops: _Stops, count: int) -> int:
+    """Total votes of ``count`` walks with one outcome, given its ``stops``
+    from ``_walk``: the count stopping at each time in turn is one binomial
+    of the count left, with that time's share."""
+    total = 0
+    for t, _, share in stops:
+        if not count:
+            break
+        k = _binomial(rng, count, share)
+        total += t * k
+        count -= k
+    return total
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One exact draw of Bin(n, p).
+
+    A mean under 10 is found by inversion from 0, one pmf term per step. A
+    larger one takes Hormann's transformed rejection with squeeze (BTRS; J.
+    Stat. Comput. Simul. 46, 1993), as ``random.binomialvariate`` does from
+    Python 3.12: about 1.15 rounds of two uniforms a draw, whatever n is.
+    """
+    if n == 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    q = 1.0 - p
+    if n * p < 10.0:
+        odds = p / q
+        f = math.exp(n * math.log1p(-p))
+        u = rng.random()
+        k = 0
+        while u >= f and k < n:
+            u -= f
+            k += 1
+            f *= (n - k + 1) / k * odds
+        return k
+    spq = math.sqrt(n * p * q)
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    mode = int((n + 1) * p)
+    log_mode = math.lgamma(mode + 1) + math.lgamma(n - mode + 1)
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if not us:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if not 0 <= k <= n:
+            continue
+        v = rng.random()
+        if us >= 0.07 and v <= v_r:
+            return k
+        v *= alpha / (a / (us * us) + b)
+        if not v or math.log(v) <= (
+            log_mode - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - mode) * math.log(p / q)
+        ):
+            return k
 
 
 def _preorder_spans(tree: DirectedRootedTree) -> tuple[list[int], list[int]]:

@@ -56,7 +56,7 @@ accepted at. Every input therefore ends. A bound of 1 fits only two nodes,
 which asking both ways settles.
 
 The driver reads every answer only as a truth value, so all three regimes
-run on it unchanged: an exact bit, a noisy majority bit, or an additive path
+run on it unchanged: an exact bit, a noisy vote's bit, or an additive path
 sum, positive exactly when the path exists. The additive regime keeps the
 answers heard on returned edges, the audit's and a 2-node node set's yes,
 as weights and reads every other recovered edge's weight with one more

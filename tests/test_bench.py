@@ -21,6 +21,7 @@ from treeprobe import (
     uniform_weights,
 )
 from treeprobe.bench import CSV_HEADER, derive_seed
+from treeprobe.oracles import vote_lead
 
 
 class TestDeriveSeed:
@@ -53,10 +54,14 @@ class TestRunSingle:
         assert outcome.stats.rounds_total > 0  # a round may keep several path edges
 
     def test_noisy_run_multiplies_raw_by_votes(self):
+        # Each logical query asks between its lead and its cap of votes.
         tree = random_tree(20, 3, seed=101)
         outcome = run_single("noisy", tree, 3, seed=5, eps=0.1, delta=0.1)
         assert outcome.votes is not None and outcome.votes % 2 == 1
-        assert outcome.raw_queries == outcome.votes * outcome.logical_queries
+        assert outcome.lead == vote_lead(0.1, 0.1, 20, 3, outcome.votes)
+        logical = outcome.logical_queries
+        assert outcome.lead * logical <= outcome.raw_queries < outcome.votes * logical
+        assert run_single("noisy", tree, 3, seed=5, eps=0.1, delta=0.1) == outcome
 
     def test_failed_noisy_run_keeps_its_counters(self, monkeypatch):
         class LateLiar(NoisyOracle):
@@ -64,24 +69,26 @@ class TestRunSingle:
 
             def query(self, i, j):
                 bit = super().query(i, j)
-                return bit if self.calls * self.votes <= 8_000 else 0
+                return bit if self.raw <= 2_000 else 0
 
         monkeypatch.setattr(bench, "NoisyOracle", LateLiar)
         # The liar must start before the run ends; an honest run on these 60
-        # nodes asks about 17,000 raw queries.
+        # nodes asks about 3,400 raw queries.
         tree = random_tree(60, 3, seed=101)
         outcome = run_single("noisy", tree, 3, seed=5, eps=0.1, delta=0.1)
         assert not outcome.success
         assert outcome.edges == set()
         assert outcome.stats.rounds_total >= 2
         assert outcome.stats.recursion_depth_max >= 2
-        assert outcome.raw_queries == outcome.votes * outcome.logical_queries > 8_000
+        logical = outcome.logical_queries
+        assert outcome.lead * logical <= outcome.raw_queries <= outcome.votes * logical
+        assert outcome.raw_queries > 2_000
 
     def test_noisy_run_on_a_single_node_asks_nothing(self):
         outcome = run_single("noisy", from_edges(1, set()), 1, seed=0, eps=0.1, delta=0.1)
         assert outcome.success
         assert outcome.edges == set()
-        assert outcome.votes == 1
+        assert outcome.votes == outcome.lead == 1
         assert outcome.raw_queries == outcome.logical_queries == 0
 
     @pytest.mark.parametrize("regime, base", [("exact", ExactOracle), ("weighted", AdditiveOracle)])

@@ -127,7 +127,13 @@ class TestReconstruct:
             "--eps", "0.1", "--delta", "0.1", "--seed", "3", "--stats",
         )
         assert code == EXIT_OK
-        assert "votes=" in capsys.readouterr().out
+        out = dict(
+            line.split("=", 1) for line in capsys.readouterr().out.splitlines() if "=" in line
+        )
+        votes, lead = int(out["votes"]), int(out["lead"])
+        assert votes % 2 == 1 and 1 <= lead <= (votes + 1) // 2
+        logical = int(out["logical_queries"])
+        assert lead * logical <= int(out["raw_queries"]) <= votes * logical
 
     def test_noisy_run_on_a_single_node_asks_nothing(self, tmp_path, capsys):
         hidden = tmp_path / "one.txt"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import inspect
 import itertools
 import math
@@ -25,7 +26,7 @@ from treeprobe import (
     shaped_tree,
     uniform_weights,
 )
-from treeprobe.oracles import _majority_error
+from treeprobe.oracles import _binomial, _majority_error, _walk, vote_lead
 
 from reference import enumerate_trees, is_ancestor
 
@@ -285,11 +286,12 @@ class TestLayerCalls:
         assert oracle.calls == 2
 
     def test_majority_stack_multiplies_by_votes(self, bent_tree):
+        # A majority of 5 stops once 3 answers agree, so a query asks 3 to 5.
         voter = NoisyOracle(bent_tree, 0.1, seed=3, votes=5)
         voter.query(0, 1)
         voter.query(2, 3)
         assert voter.calls == 2
-        assert voter.calls * voter.votes == 10
+        assert 3 * 2 <= voter.raw <= 5 * 2
 
 
 def _every_surface(tree):
@@ -391,23 +393,194 @@ class TestMajorityVoteCount:
             majority_vote_count(noise, delta, n, d)
 
 
+def _walk_by_tapes(votes, lead, noise):
+    """The capped walk by brute force: every tape of ``votes`` answers
+    (1 = wrong), run until it stops, its chance added to (outcome, time)."""
+    right, wrong = {}, {}
+    for tape in itertools.product((0, 1), repeat=votes):
+        lead_now = 0
+        for t, flip in enumerate(tape, start=1):
+            lead_now += -1 if flip else 1
+            if abs(lead_now) >= min(lead, votes - t + 1):
+                break
+        chance = math.prod(noise if flip else 1.0 - noise for flip in tape)
+        stops = wrong if lead_now < 0 else right
+        stops[t] = stops.get(t, 0.0) + chance
+    return right, wrong
+
+
+def _stop_moments(votes, lead, noise):
+    """Mean and variance of a walk's stopping time, from ``_walk``."""
+    _, right, wrong = _walk(votes, lead, noise)
+    mean = math.fsum(t * mass for t, mass, _ in right + wrong)
+    return mean, math.fsum(t * t * mass for t, mass, _ in right + wrong) - mean**2
+
+
+class TestSequentialVote:
+    @pytest.mark.parametrize("noise", [0.05, 0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("votes", [1, 3, 5, 7, 9])
+    def test_matches_the_sum_over_every_flip_tape(self, votes, noise):
+        for lead in range(1, (votes + 3) // 2):
+            error, right, wrong = _walk(votes, lead, noise)
+            right_tapes, wrong_tapes = _walk_by_tapes(votes, lead, noise)
+            for stops, tapes in ((right, right_tapes), (wrong, wrong_tapes)):
+                assert [t for t, _, _ in stops] == sorted(tapes)
+                total = math.fsum(tapes.values())
+                for t, mass, share in stops:
+                    assert mass == pytest.approx(tapes[t], rel=1e-12, abs=0.0)
+                    # The conditional law, and the share of what is left.
+                    assert mass / math.fsum(m for _, m, _ in stops) == pytest.approx(
+                        tapes[t] / total, rel=1e-12, abs=0.0
+                    )
+                    later = math.fsum(tapes[u] for u in tapes if u >= t)
+                    assert share == pytest.approx(tapes[t] / later, rel=1e-12, abs=0.0)
+                assert stops[-1][2] == 1.0
+            assert error == pytest.approx(math.fsum(wrong_tapes.values()), rel=1e-12, abs=0.0)
+        full = _walk(votes, (votes + 1) // 2, noise)[0]
+        assert full == pytest.approx(_majority_error(votes, noise), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("noise", [0.05, 0.1, 0.3, 0.45])
+    def test_error_falls_with_the_lead_and_stays_above_the_uncapped_walk(self, noise):
+        # The two facts vote_lead's search rests on.
+        odds = (1.0 - noise) / noise
+        for votes in (1, 3, 9, 25, 41):
+            errors = [_walk(votes, lead, noise)[0] for lead in range(1, (votes + 3) // 2)]
+            assert all(b <= a * (1 + 1e-12) for a, b in zip(errors, errors[1:])), errors
+            for lead, error in enumerate(errors, start=1):
+                assert error >= (1 - 1e-12) / (1.0 + odds**lead)
+
+    def test_noiseless_walk_stops_at_its_lead(self):
+        assert _walk(25, 8, 0.0) == (0.0, ((8, 1.0, 1.0),), ())
+
+    @pytest.mark.parametrize(
+        "n, d, votes, lead, mean",
+        [(400, 3, 25, 8, 9.99), (400, 10, 27, 9, 11.24), (200, 5, 25, 7, 8.75)],
+    )
+    def test_default_leads(self, n, d, votes, lead, mean):
+        assert majority_vote_count(0.1, 0.1, n, d) == votes
+        assert vote_lead(0.1, 0.1, n, d, votes) == lead
+        assert _stop_moments(votes, lead, 0.1)[0] == pytest.approx(mean, abs=0.005)
+
+    def test_lead_is_the_smallest_under_delta_over_b(self):
+        grid = itertools.product(
+            (0.05, 0.1, 0.2, 0.3), (0.01, 0.1, 0.4), (2, 50, 400, 3000), (3, 5, 10)
+        )
+        for noise, delta, n, d in [*grid, (0.45, 0.1, 400, 3)]:
+            target = delta / _budget(n, d)
+            m = majority_vote_count(noise, delta, n, d)
+            h = vote_lead(noise, delta, n, d, m)
+            assert 1 <= h <= (m + 1) // 2
+            assert _walk(m, h, noise)[0] <= target, (noise, delta, n, d, m, h)
+            assert h == 1 or _walk(m, h - 1, noise)[0] > target, (noise, delta, n, d, m, h)
+
+    @pytest.mark.parametrize("lead", [0, -1, 4])
+    def test_lead_must_fit_the_votes(self, bent_tree, lead):
+        with pytest.raises(ValueError):
+            NoisyOracle(bent_tree, 0.1, votes=5, lead=lead)
+
+
+class TestBinomial:
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (12, 0.3), (200, 0.02), (40, 0.45), (30, 0.8)])
+    def test_total_variation_to_the_exact_pmf(self, n, p):
+        # Means under 10 take the inversion, the rest the rejection sampler.
+        rng = random.Random(n)
+        draws = 50_000
+        counts = collections.Counter(_binomial(rng, n, p) for _ in range(draws))
+        assert set(counts) <= set(range(n + 1))
+        pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+        for k, f in enumerate(pmf):
+            assert abs(counts[k] / draws - f) <= 5 * math.sqrt(f * (1 - f) / draws) + 1e-9, k
+        tv = 0.5 * sum(abs(counts[k] / draws - f) for k, f in enumerate(pmf))
+        # E|count_k / draws - f_k| <= sqrt(f_k / draws) bounds the mean TV.
+        assert tv <= 0.5 * sum(math.sqrt(f / draws) for f in pmf)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.97])
+    def test_mean_and_variance_at_large_n(self, p):
+        rng = random.Random(11)
+        n, draws = 10**5, 4000
+        xs = [_binomial(rng, n, p) for _ in range(draws)]
+        mean, var = n * p, n * p * (1 - p)
+        assert abs(statistics.fmean(xs) - mean) <= 4 * math.sqrt(var / draws)
+        # The sample variance has standard deviation about var * sqrt(2 / draws).
+        assert abs(statistics.variance(xs) - var) <= 4 * var * math.sqrt(2 / draws)
+
+    def test_degenerate_cases(self):
+        rng = random.Random(0)
+        assert _binomial(rng, 0, 0.4) == 0
+        assert _binomial(rng, 9, 0.0) == 0
+        assert _binomial(rng, 9, 1.0) == 9
+
+
+class TestBilling:
+    """``raw`` bills each answered query's votes when it is read."""
+
+    PAIRS = random.Random(8).sample(_ordered_pairs(60), 3000)
+
+    def _run(self, reads, votes=25, lead=8, noise=0.1):
+        """Ask every pair, reading ``raw`` after the counts in ``reads``."""
+        oracle = NoisyOracle(random_tree(60, 4, seed=5), noise, seed=4, votes=votes, lead=lead)
+        answers, bills = [], []
+        for count, pair in enumerate(self.PAIRS, start=1):
+            answers.append(oracle.query(*pair))
+            if count in reads:
+                bills.append((count, oracle.raw))
+        return oracle, answers, bills
+
+    def test_raw_is_deterministic_and_never_moves_an_answer(self):
+        reads = {1, 2, 50, 51, 1000, 3000}
+        _, answers, bills = self._run(reads)
+        assert self._run(reads)[1:] == (answers, bills)
+        assert self._run(set())[1] == answers
+
+    @pytest.mark.parametrize(
+        "votes, lead, noise", [(25, 8, 0.1), (25, None, 0.1), (9, 2, 0.3), (1, None, 0.3)]
+    )
+    def test_raw_never_decreases_and_stays_between_lead_and_cap(self, votes, lead, noise):
+        reads = {k * k for k in range(1, 55)}
+        oracle, _, bills = self._run(reads, votes, lead, noise)
+        assert len(bills) == 54
+        least = min(oracle.lead, (votes + 1) // 2)
+        for (_, before), (count, raw) in zip([(0, 0), *bills], bills):
+            assert before <= raw
+            assert least * count <= raw <= votes * count
+
+    @pytest.mark.parametrize("votes, lead, noise", [(25, 8, 0.1), (15, None, 0.3), (11, 3, 0.2)])
+    def test_mean_votes_match_the_walk(self, bent_tree, votes, lead, noise):
+        oracle = NoisyOracle(bent_tree, noise, seed=19, votes=votes, lead=lead)
+        queries = 20_000
+        for count in range(1, queries + 1):
+            oracle.query(2, 10)
+            if count % 997 == 0:
+                oracle.raw  # a read schedule must not bias the bill
+        mean, var = _stop_moments(votes, oracle.lead, noise)
+        assert abs(oracle.raw / queries - mean) <= 4 * math.sqrt(var / queries)
+
+
 class TestVoteSizingProof:
     """The two steps ``majority_vote_count`` rests on: a run fails with chance
     at most eps' * E[Q_exact], and E[Q_exact] stays under B."""
 
-    @pytest.mark.parametrize("n, noise, votes", [(10, 0.2, 9), (16, 0.1, 5)])
-    def test_failure_rate_is_bounded_by_the_expected_flips(self, n, noise, votes):
+    @pytest.mark.parametrize(
+        "n, noise, votes, lead",
+        [
+            pytest.param(10, 0.2, 9, None, id="10-0.2-9"),
+            pytest.param(16, 0.1, 5, None, id="16-0.1-5"),
+            pytest.param(10, 0.2, 11, 3, id="10-0.2-11-lead3"),
+        ],
+    )
+    def test_failure_rate_is_bounded_by_the_expected_flips(self, n, noise, votes, lead):
         # Few votes on a small tree make failures common, so the bound is
-        # tested where it is not vacuous: 0.71 and 0.62 against observed
-        # rates near 0.51 and 0.46.
+        # tested where it is not vacuous: 0.71, 0.62 and 0.73 against
+        # observed rates near 0.51, 0.46 and 0.52. With a lead below the
+        # majority, eps' is the capped walk's error.
         tree = random_tree(n, 3, seed=7)
         truth = set(tree.edges())
-        wrong = _majority_error(votes, noise)
+        wrong = _majority_error(votes, noise) if lead is None else _walk(votes, lead, noise)[0]
         excess = []
         for s in range(3000):
             exact = ExactOracle(tree)
             reconstruct_tree(exact, range(n), 3, random.Random(s))
-            noisy = NoisyOracle(tree, noise, seed=10**6 + s, votes=votes)
+            noisy = NoisyOracle(tree, noise, seed=10**6 + s, votes=votes, lead=lead)
             try:
                 edges, _ = reconstruct_tree(noisy, range(n), 3, random.Random(s))
                 failed = edges != truth
@@ -431,11 +604,13 @@ class TestVoteSizingProof:
 
 
 def test_every_query_surface_is_counted():
-    # Answers to Q(0, 3) and Q(3, 0) on a chain, and the evaluations each costs.
-    expected = [(1, 0, 1), (1, 0, 1), (1, 0, 3), (3.0, 0.0, 1)]
+    # Answers to Q(0, 3) and Q(3, 0) on a chain, and the evaluations each
+    # costs: a noiseless majority of 3 stops after 2 agreeing answers.
+    expected = [(1, 0, 1), (1, 0, 1), (1, 0, 2), (3.0, 0.0, 1)]
     surfaces = _every_surface(shaped_tree("chain", 4))
     for (ask, layer), (hit, miss, charge) in zip(surfaces, expected):
-        before = layer.calls
+        before, raw_before = layer.calls, layer.raw
         assert ask(0, 3) == hit
         assert ask(3, 0) == miss
-        assert (layer.calls - before) * getattr(layer, "votes", 1) == 2 * charge
+        assert layer.calls - before == 2
+        assert layer.raw - raw_before == 2 * charge
