@@ -3,7 +3,6 @@
 from .bench import (
     BenchRecord,
     bench_run,
-    plot_svg,
     records_to_csv,
     run_single,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "max_node_degree",
     "parallel_chain",
     "parse_tree",
-    "plot_svg",
     "random_tree",
     "reconstruct_tree",
     "reconstruct_weighted",

@@ -1,9 +1,8 @@
-"""Benchmark harness: seeded runs, query accounting, CSV and SVG output."""
+"""Benchmark harness: seeded runs, query accounting and CSV output."""
 
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -78,10 +77,15 @@ def run_single(
     the node sampling (seed*4+0 and +3 are reserved for tree generation and
     weights by :func:`bench_run`). A noisy run votes with a cap of
     ``votes`` answers and a lead of ``lead``, and its ``raw_queries`` are
-    the answers its votes asked.
+    the answers its votes asked. ``eps`` and ``delta`` belong to the noisy
+    regime alone: given to another, they raise ValueError before any
+    oracle is built.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; pick one of {REGIMES}")
+    if regime != "noisy" and (eps is not None or delta is not None):
+        # A noise rate the run never used must not reach its output.
+        raise ValueError("eps and delta apply only to the noisy regime")
     plain = hidden.tree if isinstance(hidden, WeightedDirectedRootedTree) else hidden
     rng = random.Random(seed * 4 + 2)
     votes = lead = None
@@ -192,91 +196,3 @@ def records_to_csv(records: Iterable[BenchRecord]) -> str:
             f"{str(r.success).lower()},{r.wall_ms:.3f}"
         )
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# SVG scatter plot, written by hand so the package stays dependency-free.
-
-_PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f7943d", "#882e72", "#777777")
-_WIDTH, _HEIGHT = 720, 480
-_CURVE_STEPS = 120
-
-
-def plot_svg(records: Sequence[BenchRecord]) -> str:
-    """Scatter raw queries against n, one colour per degree bound, with the
-    d*n*(log2 n)^2 reference curve overlaid for each degree."""
-    width, height = _WIDTH, _HEIGHT
-    points = [(r.n, r.raw_queries, r.d) for r in records if r.n >= 2]
-    degrees = sorted({d for _, _, d in points})
-    if not points:
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}"><text x="20" y="30">no data</text></svg>'
-        )
-
-    margin = 60
-    x_max = max(n for n, _, _ in points) * 1.06
-    reference = {
-        d: [(n, d * n * math.log2(n) ** 2) for n in _curve_grid(x_max)] for d in degrees
-    }
-    y_max = max(
-        max(q for _, q, _ in points),
-        max(y for curve in reference.values() for _, y in curve),
-    ) * 1.06
-
-    def sx(v: float) -> float:
-        return margin + v / x_max * (width - 2 * margin)
-
-    def sy(v: float) -> float:
-        return height - margin - v / y_max * (height - 2 * margin)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
-        f'stroke="black"/>',
-        f'<text x="{width / 2:.0f}" y="{height - 16}" text-anchor="middle">nodes</text>',
-        f'<text x="18" y="{height / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {height / 2:.0f})">raw queries</text>',
-    ]
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        xv, yv = frac * x_max, frac * y_max
-        parts.append(
-            f'<text x="{sx(xv):.1f}" y="{height - margin + 16}" '
-            f'text-anchor="middle">{xv:.0f}</text>'
-        )
-        parts.append(
-            f'<text x="{margin - 6}" y="{sy(yv) + 4:.1f}" text-anchor="end">{yv:.0f}</text>'
-        )
-
-    for at, d in enumerate(degrees):
-        colour = _PALETTE[at % len(_PALETTE)]
-        coords = " ".join(f"{sx(n):.1f},{sy(y):.1f}" for n, y in reference[d])
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{colour}" '
-            f'stroke-dasharray="5,4" stroke-width="1.2"/>'
-        )
-        for n, q, pd in points:
-            if pd == d:
-                parts.append(
-                    f'<circle cx="{sx(n):.1f}" cy="{sy(q):.1f}" r="3.2" '
-                    f'fill="{colour}" fill-opacity="0.75"/>'
-                )
-        y_key = margin + 16 + 16 * at
-        parts.append(
-            f'<circle cx="{width - margin - 150}" cy="{y_key - 4}" r="3.2" fill="{colour}"/>'
-        )
-        parts.append(
-            f'<text x="{width - margin - 140}" y="{y_key}">d={d} '
-            f'(dashed: d&#183;n&#183;log&#178;n)</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def _curve_grid(x_max: float) -> list[int]:
-    steps = _CURVE_STEPS
-    return sorted({max(2, round(x_max * k / steps)) for k in range(1, steps + 1)})

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import REGIMES, bench_run, plot_svg, records_to_csv, run_single
+from .bench import REGIMES, bench_run, records_to_csv, run_single
 from .errors import InfeasibleDegreeError, TreeFormatError
 from .generators import SHAPES, parallel_chain, random_tree, shaped_tree, uniform_weights
 from .treeio import load_tree, save_tree
@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--delta", type=float)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--csv", required=True, help="output CSV path")
-    ben.add_argument("--plot", help="optional SVG scatter path")
     ben.set_defaults(run=_cmd_bench)
 
     ver = sub.add_parser("verify", help="compare two tree files")
@@ -167,9 +166,6 @@ def _cmd_bench(args, parser) -> int:
         parser.error(str(exc))
     with open(args.csv, "w", encoding="ascii") as fp:
         fp.write(records_to_csv(records))
-    if args.plot:
-        with open(args.plot, "w", encoding="ascii") as fp:
-            fp.write(plot_svg(records))
     print(f"wrote {len(records)} records to {args.csv}")
     return EXIT_OK
 

@@ -110,24 +110,6 @@ def sort_by_ancestry(oracle, items: Sequence[int]) -> list[int]:
     return sorted(items, key=cmp_to_key(compare))
 
 
-def find_bag(oracle, path: Sequence[int], node: int, plan: Plan) -> int:
-    """The path node that an off-path ``node`` of the path's part hangs from.
-
-    ``path`` runs from its part's root down. Reachability along it is
-    monotone (a prefix of ones), so a search finds the deepest path node
-    that reaches ``node``; the root itself is never asked. The search walks
-    ``plan``, a ``search_plan`` over the path's positions: with unit weights
-    it is a binary search with ceiling midpoints that asks at most
-    ceil(log2 k) queries on a k-node path, and a weighted plan asks at most
-    2 ceil(log2(W / w)) for an answer of weight w out of W.
-    """
-    query = oracle.query
-    at, hit, miss = plan
-    while at > 0:
-        at = hit[at] if query(path[at], node) else miss[at]
-    return path[~at]
-
-
 def search_plan(weights: Sequence[int]) -> Plan:
     """The weight-balanced search plan over path positions 0..k-1.
 
@@ -195,28 +177,37 @@ def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[i
     of ``part`` hanging from it.
 
     Cutting all path edges leaves exactly these pieces, each a connected
-    subtree. Every node off the path is placed by find_bag. Each piece lists
-    its path node first, then the rest in ``part`` order.
+    subtree. Each piece lists its path node first, then the rest in ``part``
+    order. ``path`` runs from its part's root down, and reachability along
+    it is monotone (a prefix of ones), so each node off the path is placed
+    under the deepest path node that reaches it by walking a
+    ``search_plan`` over the path's positions; the root is never asked.
 
     The first 16 nodes are placed with unit weights, by plain binary
-    searches. Then the path is reweighed, and again each time the count of
-    placed nodes grows eightfold, so a round builds only a few plans. A
+    searches with ceiling midpoints that ask at most ceil(log2 k) queries on
+    a k-node path. Then the path is reweighed, and again each time the count
+    of placed nodes grows eightfold, so a round builds only a few plans. A
     position weighs its piece so far, so a node asks fewer queries the more
-    of the part its piece holds, and a placement asks at most
-    2 ceil(log2 s) + 2 queries on a part of s nodes (see ``search_plan``).
-    A path of at most two nodes has only one plan and is never reweighed.
+    of the part its piece holds: a weighted plan asks at most
+    2 ceil(log2(W / w)) for an answer of weight w out of W, so at most
+    2 ceil(log2 s) + 2 on a part of s nodes. A path of at most two nodes has
+    only one plan and is never reweighed.
     """
+    query = oracle.query
     pieces = {k: [k] for k in path}
     todo = [k for k in part if k not in pieces]
-    plan = _unit_plan(len(path))
+    first, hit, miss = _unit_plan(len(path))
     stop = 16 if len(path) > 2 else len(todo)
     start = 0
     while True:
         for k in todo[start:stop]:
-            pieces[find_bag(oracle, path, k, plan)].append(k)
+            at = first
+            while at > 0:
+                at = hit[at] if query(path[at], k) else miss[at]
+            pieces[path[~at]].append(k)
         if stop >= len(todo):
             return list(pieces.values())
-        plan = search_plan([len(pieces[v]) for v in path])
+        first, hit, miss = search_plan([len(pieces[v]) for v in path])
         start, stop = stop, stop * 8
 
 

@@ -1,4 +1,4 @@
-"""Benchmark harness: per-run accounting, grid determinism, CSV and SVG."""
+"""Benchmark harness: per-run accounting, grid determinism and CSV."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from treeprobe import (
     NoisyOracle,
     bench_run,
     from_edges,
-    plot_svg,
+    parallel_chain,
     random_tree,
     records_to_csv,
     run_single,
@@ -143,8 +143,9 @@ class TestRunSingle:
         monkeypatch.setattr(bench, cls.__name__, Seen)
         chain = shaped_tree("chain", 5)
         hidden = uniform_weights(chain, seed=0) if regime == "weighted" else chain
+        noise = {"eps": 0.1, "delta": 0.1} if regime == "noisy" else {}
         with pytest.raises(InfeasibleDegreeError):
-            run_single(regime, hidden, bound, 1, eps=0.1, delta=0.1)
+            run_single(regime, hidden, bound, 1, **noise)
         assert sum(oracle.calls for oracle in made) == 0
 
     def test_weighted_run_checks_weights_too(self):
@@ -167,6 +168,61 @@ class TestRunSingle:
         tree = random_tree(10, 3, seed=106)
         with pytest.raises(ValueError):
             run_single("telepathic", tree, 3, seed=0)
+
+    @pytest.mark.parametrize("regime", ["exact", "weighted"])
+    @pytest.mark.parametrize("noise", [{"eps": 0.3}, {"delta": 0.2}])
+    def test_noise_parameters_outside_the_noisy_regime_are_refused(
+        self, monkeypatch, regime, noise
+    ):
+        # A noise rate the run never used must not reach its output, so the
+        # run refuses it before it builds an oracle.
+        cls = {"exact": ExactOracle, "weighted": AdditiveOracle}[regime]
+        made = []
+
+        class Seen(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(bench, cls.__name__, Seen)
+        tree = random_tree(10, 3, seed=107)
+        hidden = uniform_weights(tree, seed=0) if regime == "weighted" else tree
+        with pytest.raises(ValueError, match="noisy"):
+            run_single(regime, hidden, 3, seed=0, **noise)
+        assert made == []
+        with pytest.raises(ValueError, match="noisy"):
+            bench_run(regime, [10], [3], 1, 0, **noise)
+
+    # (logical_queries, raw_queries, rounds_total, audit_queries) per cell.
+    # Any change to what the driver asks, in what order, or to what the rng
+    # draws moves at least one of them.
+    PINNED = [
+        ("exact", lambda: random_tree(300, 3, seed=1), 3, 1, (3366, 3366, 101, 6)),
+        ("exact", lambda: shaped_tree("chain", 200), 2, 2, (1035, 1035, 7, 0)),
+        ("exact", lambda: shaped_tree("star", 60), 59, 3, (3481, 3481, 58, 58)),
+        ("exact", lambda: parallel_chain(4, 30), 4, 4, (1250, 1250, 13, 3)),
+        ("noisy", lambda: random_tree(60, 3, seed=5), 3, 5, (418, 3124, 17, 2)),
+        (
+            "weighted",
+            lambda: uniform_weights(random_tree(300, 5, seed=6), seed=7),
+            5,
+            6,
+            (3882, 3882, 127, 5),
+        ),
+    ]
+
+    @pytest.mark.parametrize("regime, hidden, bound, seed, counts", PINNED)
+    def test_counts_are_pinned(self, regime, hidden, bound, seed, counts):
+        noise = {"eps": 0.1, "delta": 0.1} if regime == "noisy" else {}
+        outcome = run_single(regime, hidden(), bound, seed, **noise)
+        assert outcome.success
+        stats = outcome.stats
+        assert (
+            outcome.logical_queries,
+            outcome.raw_queries,
+            stats.rounds_total,
+            stats.audit_queries,
+        ) == counts
 
 
 class TestBenchRun:
@@ -241,16 +297,3 @@ class TestCsv:
         assert float(fields[3]) == 0.1
         assert float(fields[4]) == 0.05
         assert fields[9] == "false"
-
-
-class TestPlotSvg:
-    def test_scatter_contains_points_and_reference_curves(self):
-        records = bench_run("exact", [12, 18], [2, 3], reps=1, base_seed=5)
-        svg = plot_svg(records)
-        assert svg.startswith("<svg")
-        assert svg.count("<polyline") == 2  # one dashed curve per degree
-        assert svg.count("<circle") >= len(records)
-        assert "raw queries" in svg
-
-    def test_empty_input_degrades_gracefully(self):
-        assert "no data" in plot_svg([])

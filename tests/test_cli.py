@@ -261,16 +261,15 @@ class TestVerify:
 
 
 class TestBench:
-    def test_writes_csv_and_plot(self, tmp_path, capsys):
-        csv_path, svg_path = tmp_path / "runs.csv", tmp_path / "runs.svg"
+    def test_writes_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "runs.csv"
         code = run(
             "bench", "--nodes", "12,16", "--degrees", "3", "--reps", "2",
-            "--seed", "5", "--csv", str(csv_path), "--plot", str(svg_path),
+            "--seed", "5", "--csv", str(csv_path),
         )
         assert code == EXIT_OK
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 1 + 4
-        assert svg_path.read_text().startswith("<svg")
         assert "wrote 4 records" in capsys.readouterr().out
 
     def test_rejects_tiny_nodes(self, tmp_path):

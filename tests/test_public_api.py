@@ -4,7 +4,6 @@ import importlib
 import inspect
 
 import treeprobe
-from treeprobe.reconstruct import find_bag
 
 PUBLIC_NAMES = [
     "AdditiveOracle",
@@ -31,7 +30,6 @@ PUBLIC_NAMES = [
     "max_node_degree",
     "parallel_chain",
     "parse_tree",
-    "plot_svg",
     "random_tree",
     "reconstruct_tree",
     "reconstruct_weighted",
@@ -46,7 +44,7 @@ PUBLIC_NAMES = [
 
 def test_all_is_the_pinned_list():
     assert PUBLIC_NAMES == sorted(set(PUBLIC_NAMES))
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 33
     assert sorted(treeprobe.__all__) == PUBLIC_NAMES
     assert len(treeprobe.__all__) == len(set(treeprobe.__all__))
 
@@ -69,17 +67,13 @@ def test_bench_run_takes_the_grid_as_parameters():
     assert params == ["regime", "nodes", "degrees", "reps", "base_seed", "eps", "delta"]
 
 
-def test_find_bag_needs_its_plan():
-    # The driver always hands find_bag the plan it walks, so a default plan
-    # would serve only the tests.
-    params = inspect.signature(find_bag).parameters
-    assert list(params) == ["oracle", "path", "node", "plan"]
-    assert all(p.default is inspect.Parameter.empty for p in params.values())
-
-
 def test_traced_driver_names_exist():
     # perfbench/tracer.py wraps these by name and reports a missing one as
-    # absent, so a rename would silently empty its per-phase spans.
+    # absent, so a rename would silently empty its per-phase spans. Its
+    # reconstruct.bag_search phase wraps find_bag, which is gone: placement
+    # runs inline in path_pieces, so that phase reads absent and its
+    # queries are charged to reconstruct.driver (to reconstruct.weights in
+    # the weighted regime).
     traced = {
         "bench": ["run_single"],
         "reconstruct": [
@@ -87,7 +81,6 @@ def test_traced_driver_names_exist():
             "reconstruct_weighted",
             "reconstruct_skeleton_path",
             "sort_by_ancestry",
-            "find_bag",
             "find_even_separator",
         ],
         "generators": ["random_tree", "parallel_chain", "shaped_tree", "uniform_weights"],
