@@ -17,7 +17,7 @@ from .errors import (
     TreeFormatError,
 )
 from .generators import parallel_chain, random_tree, shaped_tree, uniform_weights
-from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, majority_vote_count
+from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, vote_size
 from .reconstruct import (
     ReconstructionStats,
     reconstruct_tree,
@@ -56,7 +56,6 @@ __all__ = [
     "format_tree",
     "from_edges",
     "load_tree",
-    "majority_vote_count",
     "max_node_degree",
     "parallel_chain",
     "parse_tree",
@@ -69,4 +68,5 @@ __all__ = [
     "shaped_tree",
     "uniform_weights",
     "validate_tree",
+    "vote_size",
 ]

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 from .errors import InconsistentOracleError
 from .generators import random_tree, uniform_weights
-from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, majority_vote_count, vote_lead
+from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, vote_size
 from .reconstruct import ReconstructionStats, reconstruct_tree, reconstruct_weighted
 from .trees import DirectedRootedTree, WeightedDirectedRootedTree
 
@@ -99,8 +99,7 @@ def run_single(
         # A single node asks no query, so there is nothing to vote on.
         votes = lead = 1
         if plain.n > 1:
-            votes = majority_vote_count(eps, delta, plain.n, degree_bound)
-            lead = vote_lead(eps, delta, plain.n, degree_bound, votes)
+            votes, lead = vote_size(eps, delta, plain.n, degree_bound)
         oracle = NoisyOracle(plain, eps, seed=seed * 4 + 1, votes=votes, lead=lead)
     else:
         if not isinstance(hidden, WeightedDirectedRootedTree):

@@ -23,6 +23,9 @@ answers never see. Given the outcomes, the stopping times are independent
 of everything else, so answers and bill have the same joint law as votes
 asked one by one.
 
+``vote_size`` sizes a run's votes: the smallest lead from Wald's up that an
+odd cap keeps, and the smallest such cap, so every vote stops within it.
+
 Every oracle answers ``query(i, j)``, truthy exactly when it claims a
 directed path i -> j: the exact bit, a noisy vote's bit, or the path's
 weight sum, exactly 0.0 when there is no path.
@@ -196,24 +199,20 @@ class AdditiveOracle(_Oracle):
         return total
 
 
-def majority_vote_count(
-    noise: float,
-    failure_prob: float,
-    n: int,
-    degree_bound: int,
-) -> int:
-    """Votes per noisy query so a whole run is exact with chance >= 1 - delta.
+@functools.cache
+def vote_size(noise: float, failure_prob: float, n: int, degree_bound: int) -> tuple[int, int]:
+    """``(votes, lead)`` for each noisy query, so a whole run is exact with
+    chance >= 1 - delta.
 
     With ``delta = failure_prob``, ``d = degree_bound`` and the budget
 
         B = 4 * d * n * ceil(log2 n)^2
 
-    (criterion 3's cap on the exact algorithm's mean query count), this is
-    the smallest odd m whose exact majority error (see ``_majority_error``)
-    is at most delta / B. ``vote_lead`` then picks the smallest lead whose
-    capped walk over at most m votes stays under the same target. Proof that
-    a run whose votes are wrong with chance eps' <= delta / B fails with
-    chance at most delta: let S be the node-sampling RNG and F_t the flip of
+    (criterion 3's cap on the exact algorithm's mean query count), the
+    capped walk over at most ``votes`` answers with lead ``lead`` (see
+    ``_walk``) is wrong with chance at most delta / B. Proof that a run
+    whose votes are wrong with chance eps' <= delta / B fails with chance
+    at most delta: let S be the node-sampling RNG and F_t the flip of
     logical query t. Each query draws once from the noisy oracle's own RNG,
     so the F_t are i.i.d. with chance eps', the exact error of the capped
     walk (``_walk``), and independent of S. The votes a walk took are billed
@@ -228,66 +227,24 @@ def majority_vote_count(
     ``degree_bound`` is at least the true degree, and the tests check it on
     random trees at d = 3, 5 and 10.
 
-    m is found by bisection over the odd m up to the Hoeffding count, the
-    smallest odd integer at least
+    With r = (1 - noise) / noise, a vote that stops with lead |D| is wrong
+    with posterior chance Z = 1 / (1 + r^|D|) under a fair prior on the true
+    bit, and its error is E[Z]. A capped walk stops with |D| <= h, so its
+    error is at least 1 / (1 + r^h), the error of Wald's uncapped walk: no
+    lead below the smallest h with 1 / (1 + r^h) <= delta / B can do. From
+    that h up, one pass of ``_cap_errors`` per lead gives the error of every
+    odd cap up to the Hoeffding count, the smallest odd integer at least
 
         ln(B / delta) / (2 * (1/2 - noise)^2),
 
-    which always meets the target, since exp(-2 m (1/2 - noise)^2) bounds
-    the error.
+    and the first cap that meets the target there and in the table the
+    oracle bills from (``_walk``) is taken. A capped error tends to Wald's
+    from above, so a lead whose Wald error sits just under the target may
+    have no cap and the next lead is tried. Half the Hoeffding count is a
+    plain majority of it, which always meets the target, since
+    exp(-2 m (1/2 - noise)^2) bounds a majority of m's error. Cached: every
+    run of a grid cell asks the same.
     """
-    target = _error_target(noise, failure_prob, n, degree_bound)
-    need = -math.log(target) / (2.0 * (0.5 - noise) ** 2)
-    # The majority error falls as the odd count m = 2h + 1 grows.
-    lo, hi = 0, max(1, math.ceil(need)) // 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _majority_error(2 * mid + 1, noise) <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return 2 * lo + 1
-
-
-@functools.cache
-def vote_lead(noise: float, failure_prob: float, n: int, degree_bound: int, votes: int) -> int:
-    """The smallest lead h whose capped walk over at most ``votes`` answers
-    is wrong with chance at most delta / B (see ``majority_vote_count``).
-
-    With r = (1 - noise) / noise, a vote that stops with lead |D| is wrong
-    with posterior chance Z = 1 / (1 + r^|D|) under a fair prior on the true
-    bit, and its error is E[Z]. Z is the smaller of the two posteriors, a
-    supermartingale, and a walk with a higher lead stops no earlier, so the
-    error falls as h grows. A capped walk stops with |D| <= h, so its error
-    is at least 1 / (1 + r^h), the error of Wald's uncapped walk. The search
-    starts at the smallest h that bound allows, doubles its step until the
-    target is met, and bisects back; the full lead (votes + 1) / 2 is the
-    majority of ``votes``, which meets the target when ``votes`` is
-    ``majority_vote_count``'s. Cached: every run of a grid cell asks the same.
-    """
-    target = _error_target(noise, failure_prob, n, degree_bound)
-
-    def meets(lead: int) -> bool:
-        return math.fsum(wrong for _, _, wrong in _stops(votes, lead, noise)) <= target
-
-    log_odds = math.log1p(-noise) - math.log(noise)
-    half = (votes + 1) // 2
-    lo = min(half, max(1, math.ceil(math.log((1.0 - target) / target) / log_odds)))
-    hi, step = lo, 1
-    while hi < half and not meets(hi):
-        lo, hi, step = hi + 1, min(half, hi + step), 2 * step
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
-def _error_target(noise: float, failure_prob: float, n: int, degree_bound: int) -> float:
-    """delta / B, the chance each noisy query may be wrong with, after the
-    argument checks both vote sizings share."""
     if not 0.0 < noise < 0.5:
         raise ValueError(f"noise must lie in (0, 0.5), got {noise}")
     if not 0.0 < failure_prob < 1.0:
@@ -296,7 +253,49 @@ def _error_target(noise: float, failure_prob: float, n: int, degree_bound: int) 
         raise ValueError(f"need at least two nodes, got {n}")
     check_degree_feasible(n, degree_bound)
     log_ceil = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
-    return failure_prob / (4.0 * degree_bound * n * log_ceil**2)
+    target = failure_prob / (4.0 * degree_bound * n * log_ceil**2)
+    need = -math.log(target) / (2.0 * (0.5 - noise) ** 2)
+    most = math.ceil(need) // 2 * 2 + 1
+    log_odds = math.log1p(-noise) - math.log(noise)
+    wald = max(1, math.ceil(math.log((1.0 - target) / target) / log_odds))
+    for lead in range(wald, (most + 1) // 2):
+        for votes, error in _cap_errors(lead, noise, most):
+            if error <= target and _walk(votes, lead, noise)[0] <= target:
+                return votes, lead
+    return most, (most + 1) // 2
+
+
+def _cap_errors(lead: int, noise: float, most: int) -> Iterator[tuple[int, float]]:
+    """Yield (votes, error) for each odd cap from 2 * lead - 1 up to ``most``:
+    the chance that the capped walk with this lead is wrong.
+
+    One forward pass of the walk with its barrier fixed at +-lead serves
+    every cap. Stopping early, once the answers left can no longer overturn
+    the lead, never changes the answer, so the walk capped at t is wrong
+    exactly when this one was absorbed at -lead by t or is still alive below
+    0 at t. At odd t the walk sits on the odd D in (-lead, lead), so the pass
+    takes two answers a step: D moves up 2, stays or moves down 2, and an
+    even lead is hit on the answer between, which halves the stay chance at
+    the two ends. A step costs O(lead), the pass O(most * lead).
+    """
+    q = 1.0 - noise
+    up, stay, down = q * q, 2.0 * q * noise, noise * noise
+    half = lead // 2
+    alive = [0.0] * (2 * half)  # alive[half + (D - 1) // 2], after one answer
+    low = noise
+    if half:
+        alive[half - 1], alive[half], low = noise, q, 0.0
+    edge, drop = (stay, down) if lead % 2 else (q * noise, noise)
+    for t in range(1, most + 1, 2):
+        if t >= 2 * lead - 1:
+            yield t, low + sum(alive[:half])
+        if half:
+            low += drop * alive[0]
+            alive = [
+                edge * alive[0] + down * alive[1],
+                *[up * b + stay * c + down * d for b, c, d in zip(alive, alive[1:], alive[2:])],
+                up * alive[-2] + edge * alive[-1],
+            ]
 
 
 @functools.cache

@@ -18,14 +18,13 @@ from treeprobe import (
     ROOT,
     ExactOracle,
     bench_run,
-    majority_vote_count,
     max_node_degree,
     random_tree,
     reconstruct_tree,
     validate_tree,
+    vote_size,
 )
 from treeprobe.cli import EXIT_OK, main as cli_main
-from treeprobe.oracles import vote_lead
 from treeprobe.reconstruct import path_pieces, reconstruct_skeleton_path
 
 from reference import (
@@ -130,8 +129,7 @@ def test_criterion_4_rounds_per_split_stay_bounded(exact_grid, report):
 
 def test_criterion_5_noisy_majority_recovers(report):
     records = bench_run("noisy", [200], [5], 10, NOISY_SEED, eps=0.1, delta=0.1)
-    votes = majority_vote_count(0.1, 0.1, 200, 5)
-    lead = vote_lead(0.1, 0.1, 200, 5, votes)
+    votes, lead = vote_size(0.1, 0.1, 200, 5)
     wins = sum(1 for r in records if r.success)
     # A vote asks at least its lead and at most the cap, and stopping at the
     # lead saves votes over the batch.

@@ -19,9 +19,9 @@ from treeprobe import (
     run_single,
     shaped_tree,
     uniform_weights,
+    vote_size,
 )
 from treeprobe.bench import CSV_HEADER, derive_seed
-from treeprobe.oracles import vote_lead
 
 
 class TestDeriveSeed:
@@ -58,7 +58,7 @@ class TestRunSingle:
         tree = random_tree(20, 3, seed=101)
         outcome = run_single("noisy", tree, 3, seed=5, eps=0.1, delta=0.1)
         assert outcome.votes is not None and outcome.votes % 2 == 1
-        assert outcome.lead == vote_lead(0.1, 0.1, 20, 3, outcome.votes)
+        assert (outcome.votes, outcome.lead) == vote_size(0.1, 0.1, 20, 3)
         logical = outcome.logical_queries
         assert outcome.lead * logical <= outcome.raw_queries < outcome.votes * logical
         assert run_single("noisy", tree, 3, seed=5, eps=0.1, delta=0.1) == outcome

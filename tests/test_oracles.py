@@ -19,14 +19,14 @@ from treeprobe import (
     SelfQueryError,
     WeightedDirectedRootedTree,
     bench_run,
-    majority_vote_count,
     parallel_chain,
     random_tree,
     reconstruct_tree,
     shaped_tree,
     uniform_weights,
+    vote_size,
 )
-from treeprobe.oracles import _binomial, _majority_error, _walk, vote_lead
+from treeprobe.oracles import _binomial, _cap_errors, _majority_error, _walk
 
 from reference import enumerate_trees, is_ancestor
 
@@ -342,42 +342,50 @@ def _budget(n, d):
     return 4 * d * n * (n - 1).bit_length() ** 2
 
 
-class TestMajorityVoteCount:
+def _hoeffding_count(noise, delta, n, d):
+    """The smallest odd count at least ln(B / delta) / (2 (1/2 - noise)^2)."""
+    need = math.log(_budget(n, d) / delta) / (2 * (0.5 - noise) ** 2)
+    return math.ceil(need) // 2 * 2 + 1
+
+
+class TestVoteSize:
     def test_default_budget_values(self):
-        assert majority_vote_count(0.1, 0.1, 200, 5) == 25
-        assert majority_vote_count(0.1, 0.05, 200, 5) == 25
+        assert vote_size(0.1, 0.1, 200, 5) == (25, 7)
+        assert vote_size(0.1, 0.05, 200, 5) == (25, 8)
 
-    def test_vote_count_is_the_smallest_odd_count_under_delta_over_b(self):
-        grid = itertools.product(
-            (0.05, 0.1, 0.2, 0.3, 0.45), (0.01, 0.1, 0.4), (2, 50, 400, 3000), (3, 5, 10)
-        )
-        for noise, delta, n, d in grid:
+    @pytest.mark.parametrize("noise", [0.05, 0.1, 0.2, 0.3, 0.45])
+    def test_walk_meets_the_target_with_the_smallest_lead_and_cap(self, noise):
+        for delta, n, d in itertools.product((0.01, 0.1, 0.4), (2, 50, 400, 3000), (3, 5, 10)):
+            cell = (noise, delta, n, d)
             target = delta / _budget(n, d)
-            m = majority_vote_count(noise, delta, n, d)
-            assert _majority_error(m, noise) <= target, (noise, delta, n, d, m)
-            assert m == 1 or _majority_error(m - 2, noise) > target, (noise, delta, n, d, m)
-
-    def test_always_odd(self):
-        for noise in (0.05, 0.1, 0.2, 0.3, 0.45):
-            for delta in (0.01, 0.1, 0.4):
-                for n in (2, 50, 3000):
-                    assert majority_vote_count(noise, delta, n, 4) % 2 == 1
+            most = _hoeffding_count(noise, delta, n, d)
+            votes, lead = vote_size(noise, delta, n, d)
+            assert votes % 2 == 1 and votes <= most, (cell, votes, most)
+            assert 1 <= lead <= (votes + 1) // 2, (cell, votes, lead)
+            # The exact table the oracle bills from keeps the run's delta.
+            assert _walk(votes, lead, noise)[0] <= target, (cell, votes, lead)
+            # No cap up to the Hoeffding count keeps it at a lower lead ...
+            if lead > 1:
+                misses = [error > target for _, error in _cap_errors(lead - 1, noise, most)]
+                assert all(misses), (cell, votes, lead)
+            # ... and no smaller cap at this lead.
+            assert votes == 1 or _walk(votes - 2, lead, noise)[0] > target, (cell, votes, lead)
 
     def test_monotone_in_noise_and_confidence(self):
-        base = majority_vote_count(0.1, 0.1, 500, 5)
-        assert majority_vote_count(0.2, 0.1, 500, 5) >= base
-        assert majority_vote_count(0.1, 0.01, 500, 5) >= base
-        assert majority_vote_count(0.1, 0.1, 5000, 5) >= base
+        base = vote_size(0.1, 0.1, 500, 5)
+        for cell in ((0.2, 0.1, 500, 5), (0.1, 0.01, 500, 5), (0.1, 0.1, 5000, 5)):
+            votes, lead = vote_size(*cell)
+            assert lead >= base[1], cell
+            assert _stop_moments(votes, lead, cell[0])[0] >= _stop_moments(*base, 0.1)[0], cell
 
-    def test_halving_delta_adds_boundedly_many_votes(self):
-        # Halving delta adds ln 2 to ln(B / delta), so the Hoeffding count
-        # grows by at most ceil(ln2 / (2*(1/2-eps)^2)); forcing the result
-        # odd can cost one more.
+    def test_halving_delta_raises_the_lead_boundedly(self):
+        # Halving delta adds ln 2 to ln(B / delta), so Wald's floor grows by
+        # at most ceil(ln 2 / ln r); the cap search may add one more lead.
         for noise in (0.1, 0.25, 0.4):
-            step = math.ceil(math.log(2) / (2 * (0.5 - noise) ** 2))
+            step = math.ceil(math.log(2) / math.log((1 - noise) / noise))
             for delta in (0.2, 0.1, 0.05):
-                before = majority_vote_count(noise, delta, 300, 5)
-                after = majority_vote_count(noise, delta / 2, 300, 5)
+                before = vote_size(noise, delta, 300, 5)[1]
+                after = vote_size(noise, delta / 2, 300, 5)[1]
                 assert before <= after <= before + step + 1
 
     @pytest.mark.parametrize(
@@ -393,7 +401,7 @@ class TestMajorityVoteCount:
     )
     def test_domain_errors(self, noise, delta, n, d):
         with pytest.raises(ValueError):
-            majority_vote_count(noise, delta, n, d)
+            vote_size(noise, delta, n, d)
 
 
 def _walk_by_tapes(votes, lead, noise):
@@ -444,7 +452,8 @@ class TestSequentialVote:
 
     @pytest.mark.parametrize("noise", [0.05, 0.1, 0.3, 0.45])
     def test_error_falls_with_the_lead_and_stays_above_the_uncapped_walk(self, noise):
-        # The two facts vote_lead's search rests on.
+        # The capped error falls with the lead and never beats Wald's, where
+        # vote_size's lead search starts.
         odds = (1.0 - noise) / noise
         for votes in (1, 3, 9, 25, 41):
             errors = [_walk(votes, lead, noise)[0] for lead in range(1, (votes + 3) // 2)]
@@ -455,26 +464,23 @@ class TestSequentialVote:
     def test_noiseless_walk_stops_at_its_lead(self):
         assert _walk(25, 8, 0.0) == (0.0, ((8, 1.0, 1.0),), ())
 
+    @pytest.mark.parametrize("noise", [0.05, 0.1, 0.3, 0.45])
+    def test_one_pass_gives_every_caps_error(self, noise):
+        # The walk capped at t with its early stop, against the barrier-only
+        # pass at t: stopping early never changes the answer.
+        for lead in range(1, 12):
+            caps = list(_cap_errors(lead, noise, 41))
+            assert [t for t, _ in caps] == list(range(2 * lead - 1, 42, 2))
+            for t, error in caps:
+                assert error == pytest.approx(_walk(t, lead, noise)[0], rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize(
         "n, d, votes, lead, mean",
-        [(400, 3, 25, 8, 9.99), (400, 10, 27, 9, 11.24), (200, 5, 25, 7, 8.75)],
+        [(400, 3, 29, 7, 8.75), (400, 10, 29, 8, 10.00), (200, 5, 25, 7, 8.75)],
     )
     def test_default_leads(self, n, d, votes, lead, mean):
-        assert majority_vote_count(0.1, 0.1, n, d) == votes
-        assert vote_lead(0.1, 0.1, n, d, votes) == lead
+        assert vote_size(0.1, 0.1, n, d) == (votes, lead)
         assert _stop_moments(votes, lead, 0.1)[0] == pytest.approx(mean, abs=0.005)
-
-    def test_lead_is_the_smallest_under_delta_over_b(self):
-        grid = itertools.product(
-            (0.05, 0.1, 0.2, 0.3), (0.01, 0.1, 0.4), (2, 50, 400, 3000), (3, 5, 10)
-        )
-        for noise, delta, n, d in [*grid, (0.45, 0.1, 400, 3)]:
-            target = delta / _budget(n, d)
-            m = majority_vote_count(noise, delta, n, d)
-            h = vote_lead(noise, delta, n, d, m)
-            assert 1 <= h <= (m + 1) // 2
-            assert _walk(m, h, noise)[0] <= target, (noise, delta, n, d, m, h)
-            assert h == 1 or _walk(m, h - 1, noise)[0] > target, (noise, delta, n, d, m, h)
 
     @pytest.mark.parametrize("lead", [0, -1, 4])
     def test_lead_must_fit_the_votes(self, bent_tree, lead):
@@ -560,7 +566,7 @@ class TestBilling:
 
 
 class TestVoteSizingProof:
-    """The two steps ``majority_vote_count`` rests on: a run fails with chance
+    """The two steps ``vote_size`` rests on: a run fails with chance
     at most eps' * E[Q_exact], and E[Q_exact] stays under B."""
 
     @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "format_tree",
     "from_edges",
     "load_tree",
-    "majority_vote_count",
     "max_node_degree",
     "parallel_chain",
     "parse_tree",
@@ -39,6 +38,7 @@ PUBLIC_NAMES = [
     "shaped_tree",
     "uniform_weights",
     "validate_tree",
+    "vote_size",
 ]
 
 

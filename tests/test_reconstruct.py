@@ -20,7 +20,6 @@ from treeprobe import (
     InconsistentOracleError,
     InfeasibleDegreeError,
     NoisyOracle,
-    majority_vote_count,
     parallel_chain,
     random_tree,
     reconstruct_tree,
@@ -29,6 +28,7 @@ from treeprobe import (
     shaped_tree,
     uniform_weights,
     validate_tree,
+    vote_size,
 )
 from treeprobe import reconstruct
 from treeprobe.reconstruct import (
@@ -1105,8 +1105,8 @@ class TestReconstructNoisy:
 
     def test_noisy_recovery_with_default_votes(self):
         tree = random_tree(12, 3, seed=8)
-        votes = majority_vote_count(0.1, 0.1, 12, 3)
-        voter = NoisyOracle(tree, 0.1, seed=42, votes=votes)
+        votes, lead = vote_size(0.1, 0.1, 12, 3)
+        voter = NoisyOracle(tree, 0.1, seed=42, votes=votes, lead=lead)
         edges, _ = reconstruct_tree(voter, range(12), 3, random.Random(4))
         assert edges == set(tree.edges())
 
