@@ -7,7 +7,10 @@ oracles instead, one per regime, each counting the queries it answers in
 The oracles decide ancestry in O(1) per query from preorder spans:
 ``i`` is a proper ancestor of ``j`` iff ``tin[i] < tin[j] < tout[i]``. The
 spans are built by one O(n) DFS on an oracle's first query, so an oracle
-that is built but never asked costs nothing beyond its constructor.
+that is built but never asked costs nothing beyond its constructor. The
+additive oracle reads its weights on that query too, once each, into a
+per-node array of the weight on the edge into each node; it does not copy
+them at construction, since a validated tree and its weights do not change.
 
 A noisy oracle settles each query by a capped sequential vote: it asks noisy
 answers one at a time and stops at the first time t where the lead
@@ -167,16 +170,19 @@ class NoisyOracle(_Oracle):
 class AdditiveOracle(_Oracle):
     """Returns the total weight of the directed path i -> j, or exactly 0.0.
 
-    A miss is decided in O(1) from preorder spans, built on the first query.
-    A hit sums the edge weights from ``j`` up to ``i`` one edge at a time, so
-    the sum is the same float, bit for bit, as the sequential path sum.
+    A miss is decided in O(1) from preorder spans. A hit sums the edge
+    weights from ``j`` up to ``i`` one edge at a time, so the sum is the same
+    float, bit for bit, as the sequential path sum. The weights are read
+    once, on the first query, into a per-node array beside the spans: entry
+    ``c`` is the weight of the edge into ``c``. They are not copied at
+    construction, since a validated tree and its weights do not change.
     """
 
     def __init__(self, weighted: WeightedDirectedRootedTree):
         super().__init__(weighted.tree)
         self.weighted = weighted
         self._parent = weighted.tree.parent
-        self._weights = dict(weighted.weights)
+        self._up: list[float] = []
 
     def query(self, i: int, j: int) -> float:
         n = self._n
@@ -185,17 +191,19 @@ class AdditiveOracle(_Oracle):
         self.calls += 1
         if self._spans is None:
             self._spans = _preorder_spans(self.tree)
+            self._up = up = [0.0] * n
+            for (_, c), weight in self.weighted.weights.items():
+                up[c] = weight
         tin, tout = self._spans
         if not tin[i] < tin[j] < tout[i]:
             return 0.0
         parent = self._parent
-        weights = self._weights
+        up = self._up
         total = 0.0
         c = j
         while c != i:
-            p = parent[c]
-            total += weights[(p, c)]
-            c = p
+            total += up[c]
+            c = parent[c]
         return total
 
 
@@ -353,21 +361,26 @@ def _stops(votes: int, lead: int, noise: float) -> Iterator[tuple[int, float, fl
     step; it stops at the first t with |D| >= min(lead, votes - t + 1), the
     second term being the point where the answers left can no longer
     overturn the lead. It stops by t = votes, since an odd count leaves
-    |D| >= 1. The masses are forward sums of positive terms over the
-    2 * lead + 1 positions, so no cancellation loses the tail; a step costs
-    O(lead), a walk O(votes * lead).
+    |D| >= 1. After t answers D has the parity of t, so a step moves only
+    D = -lead + off, -lead + off + 2, ..., lead - off, off = (lead + t) % 2:
+    the other half of the 2 * lead + 1 positions holds exactly 0.0, and each
+    mass is the same two-term sum as in a step over all of them, bit for bit
+    (``tests/reference.py``). The masses are forward sums of positive terms,
+    so no cancellation loses the tail; a step costs O(lead), a walk
+    O(votes * lead).
     """
     q = 1.0 - noise
-    alive = [0.0] * (2 * lead + 1)  # alive[lead + D]: not yet stopped
-    alive[lead] = 1.0
+    alive = [0.0] * (lead + 1 - lead % 2)  # alive[m]: D = -lead + off + 2 * m
+    alive[lead // 2] = 1.0
     for t in range(1, votes + 1):
-        inner = [q * a + noise * b for a, b in zip(alive, alive[2:])]
-        alive = [noise * alive[1], *inner, q * alive[-2]]
+        off = (lead + t) % 2
+        moved = [q * a + noise * b for a, b in zip(alive, alive[1:])]
+        alive = moved if off else [noise * alive[0], *moved, q * alive[-1]]
         bound = min(lead, votes - t + 1)
-        top, bottom = lead + bound, lead - bound
-        yield t, math.fsum(alive[top:]), math.fsum(alive[: bottom + 1])
-        alive[top:] = [0.0] * (lead - bound + 1)
-        alive[: bottom + 1] = [0.0] * (lead - bound + 1)
+        cut = (lead - bound + 2 - off) // 2  # positions at D >= bound, as many at D <= -bound
+        top = len(alive) - cut
+        yield t, math.fsum(alive[top:]), math.fsum(alive[:cut])
+        alive[top:] = alive[:cut] = [0.0] * cut
 
 
 def _with_shares(stops: list[tuple[int, float]]) -> _Stops:

@@ -2,14 +2,16 @@
 
 Nothing here is clever on purpose: the ancestry, skeleton-path and bag
 helpers walk the full parent array, the brute-force reconstructor spends the
-full n(n-1) queries, the enumerator walks every parent array, and the
+full n(n-1) queries, the enumerator walks every parent array, the
 separator check recomputes component sizes from ground truth, on the cuts
-that ``accepted_cuts`` collects from the driver's own gate.
+that ``accepted_cuts`` collects from the driver's own gate, and the
+sequential vote's billing table steps every position of the walk.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 from unittest import mock
@@ -275,3 +277,42 @@ def accepted_cuts() -> Iterator[list[tuple[tuple[int, int], tuple[int, ...]]]]:
 
     with mock.patch.object(reconstruct, "find_even_separator", recording):
         yield cuts
+
+
+def walk_by_positions(votes: int, lead: int, noise: float):
+    """The capped sequential vote's ``(error, right, wrong)`` table, as
+    ``oracles._walk`` returns it, by the one-step recurrence over all
+    2 * lead + 1 positions of D = right - wrong answers.
+
+    Each step moves every position, dead parity included, then takes the
+    stops at |D| >= min(lead, votes - t + 1) as ``math.fsum`` of the slices
+    and zeroes them. ``right`` and ``wrong`` list (t, P(T = t, outcome),
+    share of the mass at t and later) for each t with mass.
+    """
+    q = 1.0 - noise
+    alive = [0.0] * (2 * lead + 1)  # alive[lead + D]: not yet stopped
+    alive[lead] = 1.0
+    right: list[tuple[int, float]] = []
+    wrong: list[tuple[int, float]] = []
+    for t in range(1, votes + 1):
+        inner = [q * a + noise * b for a, b in zip(alive, alive[2:])]
+        alive = [noise * alive[1], *inner, q * alive[-2]]
+        bound = min(lead, votes - t + 1)
+        top, bottom = lead + bound, lead - bound
+        hit_right, hit_wrong = math.fsum(alive[top:]), math.fsum(alive[: bottom + 1])
+        if hit_right:
+            right.append((t, hit_right))
+        if hit_wrong:
+            wrong.append((t, hit_wrong))
+        alive[top:] = [0.0] * (lead - bound + 1)
+        alive[: bottom + 1] = [0.0] * (lead - bound + 1)
+
+    def with_shares(stops):
+        out = []
+        tail = 0.0
+        for t, mass in reversed(stops):
+            tail += mass
+            out.append((t, mass, mass / tail))
+        return tuple(reversed(out))
+
+    return math.fsum(m for _, m in wrong), with_shares(right), with_shares(wrong)

@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 import statistics
+from collections.abc import Mapping
 
 import pytest
 
@@ -28,7 +29,7 @@ from treeprobe import (
 )
 from treeprobe.oracles import _binomial, _cap_errors, _majority_error, _walk
 
-from reference import enumerate_trees, is_ancestor
+from reference import enumerate_trees, is_ancestor, walk_by_positions
 
 DEEP_AND_RELABELLED = [
     pytest.param(shaped_tree("chain", 300), id="chain"),
@@ -130,6 +131,33 @@ class TestNoisyOracle:
             NoisyOracle(bent_tree, noise)
 
 
+def _magnitude_chain(n):
+    """A chain whose edge weights are 1.0 every fourth edge and 2**-53
+    between: summed from the root down, 1.0 + 2**-53 rounds back to 1.0 and
+    the small weights are lost, where summed upward they add up first."""
+    tree = shaped_tree("chain", n)
+    weights = {(c - 1, c): 1.0 if c % 4 == 1 else 2.0**-53 for c in range(1, n)}
+    return WeightedDirectedRootedTree(tree, weights)
+
+
+class _CountingWeights(Mapping):
+    """A weight mapping that counts how often each weight is read."""
+
+    def __init__(self, weights):
+        self._weights = dict(weights)
+        self.reads = collections.Counter()
+
+    def __getitem__(self, edge):
+        self.reads[edge] += 1
+        return self._weights[edge]
+
+    def __iter__(self):
+        return iter(self._weights)
+
+    def __len__(self):
+        return len(self._weights)
+
+
 class TestAdditiveOracle:
     @pytest.fixture
     def weighted(self, bent_tree):
@@ -160,10 +188,16 @@ class TestAdditiveOracle:
                     )
 
     @pytest.mark.parametrize(
-        "tree", [random_tree(300, 3, seed=23), shaped_tree("chain", 200)], ids=["random", "chain"]
+        "weighted",
+        [
+            uniform_weights(random_tree(300, 3, seed=23), seed=4),
+            uniform_weights(shaped_tree("chain", 200), seed=4),
+            _magnitude_chain(40),
+        ],
+        ids=["random", "chain", "magnitudes"],
     )
-    def test_sums_are_bit_exact_and_misses_are_positive_zero(self, tree):
-        weighted = uniform_weights(tree, seed=4)
+    def test_sums_are_bit_exact_and_misses_are_positive_zero(self, weighted):
+        tree = weighted.tree
         oracle = AdditiveOracle(weighted)
         for i, j in _ordered_pairs(tree.n):
             got = oracle.query(i, j)
@@ -179,6 +213,19 @@ class TestAdditiveOracle:
     def test_rejects_self(self, weighted):
         with pytest.raises(SelfQueryError):
             AdditiveOracle(weighted).query(5, 5)
+
+    def test_weights_are_read_once_on_the_first_query(self, weighted):
+        counting = _CountingWeights(weighted.weights)
+        tree = WeightedDirectedRootedTree(weighted.tree, counting)
+        counting.reads.clear()  # validation reads every weight once
+        oracle = AdditiveOracle(tree)
+        assert not counting.reads
+        oracle.query(0, 1)
+        once = dict.fromkeys(weighted.weights, 1)
+        assert counting.reads == once
+        for i, j in _ordered_pairs(tree.n):
+            oracle.query(i, j)
+        assert counting.reads == once
 
 
 class _FixedDraw:
@@ -460,6 +507,24 @@ class TestSequentialVote:
             assert all(b <= a * (1 + 1e-12) for a, b in zip(errors, errors[1:])), errors
             for lead, error in enumerate(errors, start=1):
                 assert error >= (1 - 1e-12) / (1.0 + odds**lead)
+
+    @pytest.mark.parametrize(
+        "votes, lead, noise",
+        [
+            (29, 7, 0.1),
+            (29, 8, 0.1),
+            (2997, 76, 0.45),
+            *[
+                (votes, lead, noise)
+                for votes in (1, 3, 5, 9, 25)
+                for lead in range(1, min(4, (votes + 1) // 2) + 1)
+                for noise in (0.1, 0.45)
+            ],
+            (25, 8, 0.0),
+        ],
+    )
+    def test_table_matches_the_step_over_every_position(self, votes, lead, noise):
+        assert _walk(votes, lead, noise) == walk_by_positions(votes, lead, noise)
 
     def test_noiseless_walk_stops_at_its_lead(self):
         assert _walk(25, 8, 0.0) == (0.0, ((8, 1.0, 1.0),), ())
