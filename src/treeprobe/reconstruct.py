@@ -42,11 +42,15 @@ piece and pieces that a known branch was merged into lack that answer. The
 audit asks the few edges out of those once, after the last round.
 
 A node is put into its piece by a search down the path for the deepest path
-node that reaches it. A round's first 16 nodes take plain binary searches.
-After that the search is weighted by the sizes the pieces have reached so
-far (Mehlhorn's bisection rule), so nodes of the big pieces, the root's on
-random trees and the sampled node's on chains, cost fewer queries. Every
-placement still asks O(log n) queries, which the bound above rests on.
+node that reaches it. On a two-node path that is one query to the lower
+node, asked for every node in one pass; nearly all of a star's rounds are
+of this kind. On a longer path a round's first 16 nodes take plain binary
+searches. After that the search is weighted by the sizes the pieces have
+reached so far (Mehlhorn's bisection rule), so nodes of the big pieces, the
+root's on random trees and the sampled node's on chains, cost fewer
+queries. Each search walks a plan built in one loop, with no recursion.
+Every placement still asks O(log n) queries, which the bound above rests
+on.
 
 A bound below the true degree can leave no balanced edge on any path. Any
 true edge is a correct cut, so the bound only sets the gate: a part whose
@@ -103,6 +107,8 @@ Plan = tuple[int, list[int], list[int]]
 
 def sort_by_ancestry(oracle, items: Sequence[int]) -> list[int]:
     """Sort nodes of one directed path ancestor-first, one query per compare."""
+    if len(items) < 2:
+        return list(items)
 
     def compare(a: int, b: int) -> int:
         return -1 if oracle.query(a, b) else 1
@@ -121,23 +127,36 @@ def search_plan(weights: Sequence[int]) -> Plan:
     [lo, m-1]. With unit weights m is the ceiling midpoint (lo + hi + 1) // 2.
     Any two queries in a row either end the search or halve the weight
     left, so with integer weights of at least 1 and total W an answer of
-    weight w takes at most 2 ceil(log2(W / w)) queries, and the plan's
-    recursion is no deeper than that.
+    weight w takes at most 2 ceil(log2(W / w)) queries.
+
+    The plan is built in one loop over a stack of intervals of two or more
+    positions, each with the slot its split point fills: the plan's start,
+    or hit[m] or miss[m] of the split point m above it. An interval of one
+    position fills its slot with its answer and is never pushed.
     """
     prefix = [0, *accumulate(weights)]
     hit = [0] * len(weights)
     miss = [0] * len(weights)
-
-    def split(lo: int, hi: int) -> int:
-        if lo == hi:
-            return ~lo
+    last = len(weights) - 1
+    if not last:
+        return ~0, hit, miss
+    first = [0]
+    todo = [(0, last, first, 0)]
+    while todo:
+        lo, hi, slot, at = todo.pop()
         m = bisect_right(prefix, (prefix[lo] + prefix[hi + 1]) // 2, lo + 1, hi + 1) - 1
-        m = max(m, lo + 1)
-        hit[m] = split(m, hi)
-        miss[m] = split(lo, m - 1)
-        return m
-
-    return split(0, len(weights) - 1), hit, miss
+        if m <= lo:
+            m = lo + 1
+        slot[at] = m
+        if m < hi:
+            todo.append((m, hi, hit, m))
+        else:
+            hit[m] = ~m
+        if lo < m - 1:
+            todo.append((lo, m - 1, miss, m))
+        else:
+            miss[m] = ~lo
+    return first[0], hit, miss
 
 
 @lru_cache(maxsize=32)
@@ -180,34 +199,47 @@ def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[i
     subtree. Each piece lists its path node first, then the rest in ``part``
     order. ``path`` runs from its part's root down, and reachability along
     it is monotone (a prefix of ones), so each node off the path is placed
-    under the deepest path node that reaches it by walking a
-    ``search_plan`` over the path's positions; the root is never asked.
+    under the deepest path node that reaches it; the root is never asked.
 
-    The first 16 nodes are placed with unit weights, by plain binary
-    searches with ceiling midpoints that ask at most ceil(log2 k) queries on
-    a k-node path. Then the path is reweighed, and again each time the count
-    of placed nodes grows eightfold, so a round builds only a few plans. A
-    position weighs its piece so far, so a node asks fewer queries the more
-    of the part its piece holds: a weighted plan asks at most
-    2 ceil(log2(W / w)) for an answer of weight w out of W, so at most
-    2 ceil(log2 s) + 2 on a part of s nodes. A path of at most two nodes has
-    only one plan and is never reweighed.
+    A path of one node asks nothing. A path of two nodes has one split, so
+    each node off it asks ``Q(path[1], k)`` once, in ``part`` order, in one
+    pass. On a longer path each node walks a ``search_plan`` over the
+    path's positions. The first 16 nodes are placed with unit weights, by
+    plain binary searches with ceiling midpoints that ask at most
+    ceil(log2 k) queries on a k-node path. Then the path is reweighed, and
+    again each time the count of placed nodes grows eightfold, so a round
+    builds only a few plans. A position weighs its piece so far, so a node
+    asks fewer queries the more of the part its piece holds: a weighted
+    plan asks at most 2 ceil(log2(W / w)) for an answer of weight w out of
+    W, so at most 2 ceil(log2 s) + 2 on a part of s nodes.
     """
     query = oracle.query
-    pieces = {k: [k] for k in path}
-    todo = [k for k in part if k not in pieces]
+    pieces = [[k] for k in path]
+    on_path = set(path)
+    todo = [k for k in part if k not in on_path]
+    if len(path) == 1:
+        pieces[0] += todo
+        return pieces
+    if len(path) == 2:
+        top, below = pieces
+        last = path[1]
+        for k in todo:
+            if query(last, k):
+                below.append(k)
+            else:
+                top.append(k)
+        return pieces
     first, hit, miss = _unit_plan(len(path))
-    stop = 16 if len(path) > 2 else len(todo)
-    start = 0
+    start, stop = 0, 16
     while True:
         for k in todo[start:stop]:
             at = first
             while at > 0:
                 at = hit[at] if query(path[at], k) else miss[at]
-            pieces[path[~at]].append(k)
+            pieces[~at].append(k)
         if stop >= len(todo):
-            return list(pieces.values())
-        first, hit, miss = search_plan([len(pieces[v]) for v in path])
+            return pieces
+        first, hit, miss = search_plan(list(map(len, pieces)))
         start, stop = stop, stop * 8
 
 
@@ -294,11 +326,11 @@ def _reconstruct(
     # is not known, and stays in ascending order until its first round, or
     # for two nodes its orientation, finds the root. A piece is vouched
     # when its path node has been heard to reach each of its members. A
-    # failed part goes back on top, so it is retried next. Pieces are pushed
-    # last to first, so they are solved in path order; that order fixes
-    # which nodes rng draws. Only parts of 3 or more nodes run rounds, and
-    # those exist only at bounds of 2 or more, so the gate never divides by
-    # zero.
+    # failed part goes back on top, so it is retried next. Pieces of two or
+    # more nodes are pushed in path order, so the last is solved first; that
+    # order fixes which nodes rng draws. Only parts of 3 or more nodes run
+    # rounds, and those exist only at bounds of 2 or more, so the gate never
+    # divides by zero. Only the whole node set can hold fewer than 2 nodes.
     stack = [(part, 1, degree_bound, 0, [], [False])]
     while stack:
         part, depth, bound, failed, pieces, vouched = stack.pop()
@@ -368,7 +400,6 @@ def _reconstruct(
         own = below[0]
         merged = [p, *sorted(chain(own[1:], *branch))] if branch else own
         found = [*pieces[:t], merged, *below[1:]]
-        flags = [*vouched[:t], vouched[t] and not branch, *[True] * (len(tail) - 1)]
         if find_even_separator(found, bound) is None:
             # A correct bound b needs b^2/(b-1) rounds on average. After
             # four times that many failures the part's gate doubles b; at
@@ -380,16 +411,27 @@ def _reconstruct(
             # A round that drew a path node asked nothing, so its part
             # keeps the longer path it knew and its retry scans less.
             if i != p:
-                pieces, vouched = found, flags
+                pieces = found
+                vouched = [*vouched[:t], vouched[t] and not branch, *[True] * (len(tail) - 1)]
             stack.append((part, depth, bound, failed, pieces, vouched))
             continue
         path = [q[0] for q in found]
         edges.update(zip(path, path[1:]))
-        # Each piece is rooted at its path node. p's piece keeps the branch
-        # below p as its known pieces; every other piece is fresh.
-        pushed = [(q, depth + 1, bound, 0, [q], [v]) for q, v in zip(found, flags)]
-        pushed[t] = (merged, depth + 1, bound, 0, [own, *branch], vouched[t:])
-        stack.extend(pushed)
+        # Each piece of two or more nodes is pushed, rooted at its path node;
+        # a one-node piece has nothing left to solve. p's piece keeps the
+        # branch below p as its known pieces; every other piece is fresh.
+        # The pieces are one level deeper, which the round records here, as
+        # a popped part would.
+        depth += 1
+        stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
+        for q, v in zip(pieces[:t], vouched):
+            if len(q) > 1:
+                stack.append((q, depth, bound, 0, [q], [v]))
+        if len(merged) > 1:
+            stack.append((merged, depth, bound, 0, [own, *branch], vouched[t:]))
+        for q in below[1:]:
+            if len(q) > 1:
+                stack.append((q, depth, bound, 0, [q], [True]))
     # A retry can drop an edge queued before it: ask only the returned ones,
     # each once.
     for edge in audit:

@@ -4,15 +4,19 @@ Nothing here is clever on purpose: the ancestry, skeleton-path and bag
 helpers walk the full parent array, the brute-force reconstructor spends the
 full n(n-1) queries, the enumerator walks every parent array, the
 separator check recomputes component sizes from ground truth, on the cuts
-that ``accepted_cuts`` collects from the driver's own gate, and the
-sequential vote's billing table steps every position of the walk.
+that ``accepted_cuts`` collects from the driver's own gate, the sequential
+vote's billing table steps every position of the walk, the search plan is
+split by recursion, and placement walks a plan for every node, on paths of
+two nodes too.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 from unittest import mock
 
@@ -316,3 +320,49 @@ def walk_by_positions(votes: int, lead: int, noise: float):
         return tuple(reversed(out))
 
     return math.fsum(m for _, m in wrong), with_shares(right), with_shares(wrong)
+
+
+def recursive_search_plan(weights: Sequence[int]) -> reconstruct.Plan:
+    """``reconstruct.search_plan`` by its recursive definition: the interval
+    [lo, hi] of candidate answers splits at the last m in (lo, hi] whose
+    weight from lo is at most half the interval's (m = lo + 1 if none is),
+    and its entry is m, or ~lo for one position. One frame per position."""
+    prefix = [0, *accumulate(weights)]
+    hit = [0] * len(weights)
+    miss = [0] * len(weights)
+
+    def split(lo: int, hi: int) -> int:
+        if lo == hi:
+            return ~lo
+        m = bisect_right(prefix, (prefix[lo] + prefix[hi + 1]) // 2, lo + 1, hi + 1) - 1
+        m = max(m, lo + 1)
+        hit[m] = split(m, hi)
+        miss[m] = split(lo, m - 1)
+        return m
+
+    return split(0, len(weights) - 1), hit, miss
+
+
+def plan_walk_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[int]]:
+    """``reconstruct.path_pieces`` with every node placed by a plan walk,
+    whatever the path's length, and plans from ``recursive_search_plan``.
+
+    The first 16 nodes off the path walk the unit plan, and the plan is
+    reweighed by the pieces so far at 16, 128, 1024, ... placements, except
+    on a path of at most two nodes, which has only one plan.
+    """
+    pieces = {k: [k] for k in path}
+    todo = [k for k in part if k not in pieces]
+    first, hit, miss = recursive_search_plan([1] * len(path))
+    stop = 16 if len(path) > 2 else len(todo)
+    start = 0
+    while True:
+        for k in todo[start:stop]:
+            at = first
+            while at > 0:
+                at = hit[at] if oracle.query(path[at], k) else miss[at]
+            pieces[path[~at]].append(k)
+        if stop >= len(todo):
+            return list(pieces.values())
+        first, hit, miss = recursive_search_plan([len(pieces[v]) for v in path])
+        start, stop = stop, stop * 8

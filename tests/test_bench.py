@@ -193,21 +193,21 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="noisy"):
             bench_run(regime, [10], [3], 1, 0, **noise)
 
-    # (logical_queries, raw_queries, rounds_total, audit_queries) per cell.
-    # Any change to what the driver asks, in what order, or to what the rng
-    # draws moves at least one of them.
+    # (logical_queries, raw_queries, rounds_total, audit_queries,
+    # recursion_depth_max) per cell. Any change to what the driver asks, in
+    # what order, or to what the rng draws moves at least one of them.
     PINNED = [
-        ("exact", lambda: random_tree(300, 3, seed=1), 3, 1, (3366, 3366, 101, 6)),
-        ("exact", lambda: shaped_tree("chain", 200), 2, 2, (1035, 1035, 7, 0)),
-        ("exact", lambda: shaped_tree("star", 60), 59, 3, (3481, 3481, 58, 58)),
-        ("exact", lambda: parallel_chain(4, 30), 4, 4, (1250, 1250, 13, 3)),
-        ("noisy", lambda: random_tree(60, 3, seed=5), 3, 5, (418, 3124, 17, 2)),
+        ("exact", lambda: random_tree(300, 3, seed=1), 3, 1, (3366, 3366, 101, 6, 7)),
+        ("exact", lambda: shaped_tree("chain", 200), 2, 2, (1035, 1035, 7, 0, 5)),
+        ("exact", lambda: shaped_tree("star", 60), 59, 3, (3481, 3481, 58, 58, 59)),
+        ("exact", lambda: parallel_chain(4, 30), 4, 4, (1250, 1250, 13, 3, 7)),
+        ("noisy", lambda: random_tree(60, 3, seed=5), 3, 5, (418, 3124, 17, 2, 5)),
         (
             "weighted",
             lambda: uniform_weights(random_tree(300, 5, seed=6), seed=7),
             5,
             6,
-            (3882, 3882, 127, 5),
+            (3882, 3882, 127, 5, 9),
         ),
     ]
 
@@ -222,7 +222,47 @@ class TestRunSingle:
             outcome.raw_queries,
             stats.rounds_total,
             stats.audit_queries,
+            stats.recursion_depth_max,
         ) == counts
+
+
+class TestEveryQueryIsOneQueryCall:
+    """A tracer counts logical queries by wrapping the oracle class's
+    ``query`` method, as ``perfbench/tracer.py`` does, and checks that
+    count against the run's own. A fast path that read answers some other
+    way would break that check, so each regime's runs must ask every query
+    through one ``query`` call."""
+
+    CELLS = [
+        pytest.param("exact", ExactOracle, lambda: random_tree(150, 3, seed=2), 3, id="random"),
+        pytest.param("exact", ExactOracle, lambda: shaped_tree("star", 40), 39, id="star"),
+        pytest.param("exact", ExactOracle, lambda: shaped_tree("chain", 120), 2, id="chain"),
+        pytest.param("exact", ExactOracle, lambda: parallel_chain(3, 20), 3, id="parallel"),
+        pytest.param("noisy", NoisyOracle, lambda: random_tree(60, 3, seed=4), 3, id="noisy"),
+        pytest.param(
+            "weighted",
+            AdditiveOracle,
+            lambda: uniform_weights(random_tree(150, 5, seed=3), seed=5),
+            5,
+            id="weighted",
+        ),
+    ]
+
+    @pytest.mark.parametrize("regime, cls, hidden, bound", CELLS)
+    def test_class_level_wrapper_sees_every_query(self, monkeypatch, regime, cls, hidden, bound):
+        seen = []
+        real = cls.query
+
+        def counted(self, i, j):
+            seen.append(self)
+            return real(self, i, j)
+
+        monkeypatch.setattr(cls, "query", counted)
+        noise = {"eps": 0.1, "delta": 0.1} if regime == "noisy" else {}
+        outcome = run_single(regime, hidden(), bound, 7, **noise)
+        assert outcome.success
+        assert len(seen) == outcome.logical_queries > 0
+        assert len(set(map(id, seen))) == 1 and seen[0].calls == len(seen)
 
 
 class TestBenchRun:

@@ -44,6 +44,8 @@ from reference import (
     accepted_cuts,
     bag_nodes,
     descent,
+    plan_walk_pieces,
+    recursive_search_plan,
     root_chain,
     skeleton_path,
     subtree_nodes,
@@ -108,6 +110,22 @@ def _query_cap(n):
     rng seeds 0-19. 16 n^3 leaves room for every shape and seed drawn here.
     """
     return 16 * n**3
+
+
+class _FlippingOracle:
+    """Forwards to ``inner``, but flips each answer on a seeded coin of
+    ``rate``; counts the queries it answers."""
+
+    def __init__(self, inner, rate, seed):
+        self.inner = inner
+        self.rate = rate
+        self._rng = random.Random(seed)
+        self.calls = 0
+
+    def query(self, i, j):
+        self.calls += 1
+        answer = self.inner.query(i, j)
+        return not answer if self._rng.random() < self.rate else answer
 
 
 class _TableOracle:
@@ -292,6 +310,30 @@ class TestPathPieces:
         assert path_pieces(oracle, [2, 0, 1, 3], [2]) == [[2, 0, 1, 3]]
         assert oracle.calls == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["chain", "star", "caterpillar", "parallel_chain", "random"]),
+        st.integers(min_value=2, max_value=120),
+        st.integers(min_value=0, max_value=2**16),
+        st.data(),
+    )
+    def test_two_node_path_asks_its_lower_node_once_per_node(self, shape, n, seed, data):
+        # A path p -> c has one split, at c: each node off it is asked
+        # Q(c, k) once, in part order, which is what walking the one plan
+        # for each node asks, and lands in the same piece.
+        tree = _shaped(shape, n, seed)
+        p = data.draw(st.sampled_from([v for v in range(tree.n) if tree.children[v]]))
+        c = data.draw(st.sampled_from(tree.children[p]))
+        rest = data.draw(st.permutations(subtree_nodes(tree, p)[1:]))
+        part = [p, *rest]
+        fast = _RecordingOracle(ExactOracle(tree))
+        pieces = path_pieces(fast, part, [p, c])
+        assert [(a, b) for a, b, _ in fast.transcript] == [(c, k) for k in rest if k != c]
+        walk = _RecordingOracle(ExactOracle(tree))
+        assert pieces == plan_walk_pieces(walk, part, [p, c])
+        assert fast.transcript == walk.transcript
+        _assert_pieces_match(tree, pieces, [p, c], part)
+
 
 def _walk(plan, answer):
     """The positions a plan asks about, in order, when the true answer is
@@ -333,6 +375,27 @@ class TestSearchPlan:
             asked = _walk(plan, answer)
             assert len(asked) <= 2 * math.ceil(math.log2(total / w))
             assert len(set(asked)) == len(asked) and 0 not in asked
+
+    def test_unit_plans_equal_the_recursive_split(self):
+        for k in range(1, 201):
+            assert search_plan([1] * k) == recursive_search_plan([1] * k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(min_value=1, max_value=10**4), min_size=1, max_size=150),
+            # Powers of two up to 2^40: one position can outweigh all others.
+            st.lists(
+                st.integers(min_value=0, max_value=40).map(lambda e: 2**e),
+                min_size=1,
+                max_size=150,
+            ),
+            # Mostly ones and a few heavy positions, as a round's pieces are.
+            st.lists(st.sampled_from([1, 1, 1, 2, 10**6]), min_size=1, max_size=150),
+        )
+    )
+    def test_weighted_plans_equal_the_recursive_split(self, weights):
+        assert search_plan(weights) == recursive_search_plan(weights)
 
     def test_heavy_position_is_asked_about_first(self):
         # Position 5 holds most of the weight, so the first query tells
@@ -388,6 +451,23 @@ class TestWeightedPlacement:
             rng.shuffle(part)
         path = skeleton_path(tree, p, i)[1]
         _assert_pieces_match(tree, path_pieces(oracle, part, path), path, part)
+
+    @pytest.mark.parametrize("shape", sorted(TREES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_transcript_equals_a_plan_walk_per_node(self, shape, seed):
+        # Paths of every length, reweighed or not, ask the same queries in
+        # the same order and build the same pieces as walking a plan from
+        # the recursive split for every node.
+        tree = self.TREES[shape]()
+        rng = random.Random(seed)
+        for _ in range(3):
+            p, i = descent(tree, rng.randrange)
+            rest = subtree_nodes(tree, p)[1:]
+            rng.shuffle(rest)
+            part, path = [p, *rest], skeleton_path(tree, p, i)[1]
+            fast, walk = _RecordingOracle(ExactOracle(tree)), _RecordingOracle(ExactOracle(tree))
+            assert path_pieces(fast, part, path) == plan_walk_pieces(walk, part, path)
+            assert fast.transcript == walk.transcript
 
     @pytest.mark.parametrize("seed", range(5))
     def test_first_placements_ask_what_plain_binary_search_asks(self, seed):
@@ -1041,6 +1121,18 @@ def test_query_stream_is_pinned(run, tree, bound, calls, rounds, depth):
     oracle, edges, stats = run(tree, bound)
     assert edges == set(tree.edges())
     assert (oracle.calls, stats.rounds_total, stats.recursion_depth_max) == (calls, rounds, depth)
+
+
+def test_a_seeded_liar_fails_with_pinned_counters():
+    # A 1% liar on a random tree fails at the audit. The counters it carries
+    # are a pure function of the seeds, the deepest split level included.
+    tree = random_tree(200, 3, seed=0)
+    liar = _FlippingOracle(ExactOracle(tree), 0.01, seed=0)
+    with pytest.raises(InconsistentOracleError, match=r"\(17, 157\)") as caught:
+        reconstruct_tree(liar, range(200), 3, random.Random(0))
+    stats = caught.value.stats
+    counts = (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries)
+    assert (liar.calls, *counts) == (5360, 161, 13, 8)
 
 
 class TestEveryInputTerminates:
