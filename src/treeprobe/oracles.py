@@ -16,15 +16,17 @@ A noisy oracle settles each query by a capped sequential vote: it asks noisy
 answers one at a time and stops at the first time t where the lead
 |yes - no| reaches ``lead``, or exceeds the ``votes - t`` answers left to
 ask. With ``lead = (votes + 1) / 2`` that is a majority of ``votes``,
-stopped as soon as it is decided. The chance that the vote is wrong, and
-the law of the time it stops at, are computed exactly once per (votes,
-lead, noise) and cached (``_walk``). The oracle answers each query with one
-uniform draw against that chance, and bills the votes of the queries it
-answered only when ``raw`` is read: per outcome, how many of them stopped
-at each time is one multinomial draw from a second random stream that the
-answers never see. Given the outcomes, the stopping times are independent
-of everything else, so answers and bill have the same joint law as votes
-asked one by one.
+stopped as soon as it is decided: a plain majority is the full-lead walk,
+read from the same table as every other lead. The chance that the vote is
+wrong, and the law of the time it stops at, are computed exactly once per
+(votes, lead, noise) and cached (``_walk``), and an oracle binds its table
+at construction. The oracle answers each query with one uniform draw
+against that chance, and bills the votes of the queries it answered only
+when ``raw`` is read: per outcome, how many of them stopped at each time is
+one multinomial draw from a second random stream that the answers never
+see. Given the outcomes, the stopping times are independent of everything
+else, so answers and bill have the same joint law as votes asked one by
+one.
 
 ``vote_size`` sizes a run's votes: the smallest lead from Wald's up that an
 odd cap keeps, and the smallest such cap, so every vote stops within it.
@@ -39,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import SelfQueryError
@@ -88,8 +91,10 @@ class NoisyOracle(_Oracle):
     |yes - no| reaches ``lead`` or can no longer be overturned (see the
     module docstring). ``votes`` must be odd; one vote is a single noisy
     answer. ``lead`` lies in [1, (votes + 1) / 2]; None means
-    (votes + 1) / 2, a plain majority of ``votes`` stopped once decided.
-    ``noise`` may be 0.0 (degenerate no-flip limit) but must stay below 1/2.
+    (votes + 1) / 2, a plain majority of ``votes`` stopped once decided,
+    whose error and stopping law come from the same ``_walk`` table as any
+    other lead's. ``noise`` may be 0.0 (degenerate no-flip limit) but must
+    stay below 1/2.
 
     Deterministic given (seed, call order): every query draws exactly one
     uniform variate from its own RNG, against the chance that the vote is
@@ -123,11 +128,7 @@ class NoisyOracle(_Oracle):
         self.lead = lead
         self._seed = seed
         self._rng = random.Random(seed)
-        # A full-lead walk is the plain majority; keep its closed-form tail.
-        if lead == half:
-            self._wrong = _majority_error(votes, noise)
-        else:
-            self._wrong = _walk(votes, lead, noise)[0]
+        self._wrong, self._right_stops, self._wrong_stops = _walk(votes, lead, noise)
         self._flips = 0
         self._billed = self._billed_flips = self._raw = 0
         self._bill_rng: random.Random | None = None
@@ -159,10 +160,9 @@ class NoisyOracle(_Oracle):
             if self._bill_rng is None:
                 seed = self._seed
                 self._bill_rng = random.Random(None if seed is None else f"bill:{seed}")
-            _, right, wrong = _walk(self.votes, self.lead, self.noise)
             new_flips = flips - self._billed_flips
-            self._raw += _bill(self._bill_rng, right, calls - self._billed - new_flips)
-            self._raw += _bill(self._bill_rng, wrong, new_flips)
+            self._raw += _bill(self._bill_rng, self._right_stops, calls - self._billed - new_flips)
+            self._raw += _bill(self._bill_rng, self._wrong_stops, new_flips)
             self._billed, self._billed_flips = calls, flips
         return self._raw
 
@@ -306,34 +306,6 @@ def _cap_errors(lead: int, noise: float, most: int) -> Iterator[tuple[int, float
             ]
 
 
-@functools.cache
-def _majority_error(votes: int, noise: float) -> float:
-    """Chance that a majority of ``votes`` noisy answers is wrong.
-
-    That is ``P(Bin(votes, noise) >= (votes + 1) / 2)``, exactly ``noise``
-    for one vote. The binomial terms are formed in log space and added with
-    ``math.fsum``, so vote counts in the hundreds of thousands neither
-    overflow nor lose the tail to rounding. Cached: a run asks for one value.
-    """
-    if votes == 1:
-        return noise
-    if noise == 0.0:
-        return 0.0
-    log_p = math.log(noise)
-    log_q = math.log1p(-noise)
-    log_m = math.lgamma(votes + 1)
-    return math.fsum(
-        math.exp(
-            log_m
-            - math.lgamma(k + 1)
-            - math.lgamma(votes - k + 1)
-            + k * log_p
-            + (votes - k) * log_q
-        )
-        for k in range(votes // 2 + 1, votes + 1)
-    )
-
-
 # (t, P(T = t, outcome), P(T = t | T >= t, outcome)) for each stopping time t
 # with mass, in order: the last share is 1.0.
 _Stops = tuple[tuple[int, float, float], ...]
@@ -342,20 +314,7 @@ _Stops = tuple[tuple[int, float, float], ...]
 @functools.cache
 def _walk(votes: int, lead: int, noise: float) -> tuple[float, _Stops, _Stops]:
     """The capped sequential vote's error and its stopping-time law for
-    each outcome, ``(error, right, wrong)``, exactly (see ``_stops``).
-    Cached: an oracle reads one table per (votes, lead, noise)."""
-    right: list[tuple[int, float]] = []
-    wrong: list[tuple[int, float]] = []
-    for t, hit_right, hit_wrong in _stops(votes, lead, noise):
-        if hit_right:
-            right.append((t, hit_right))
-        if hit_wrong:
-            wrong.append((t, hit_wrong))
-    return math.fsum(m for _, m in wrong), _with_shares(right), _with_shares(wrong)
-
-
-def _stops(votes: int, lead: int, noise: float) -> Iterator[tuple[int, float, float]]:
-    """Yield (t, P(T = t, right), P(T = t, wrong)) for t = 1 .. votes.
+    each outcome, ``(error, right, wrong)``, exactly.
 
     The walk is D = (right answers) - (wrong answers), one noisy answer per
     step; it stops at the first t with |D| >= min(lead, votes - t + 1), the
@@ -367,11 +326,16 @@ def _stops(votes: int, lead: int, noise: float) -> Iterator[tuple[int, float, fl
     mass is the same two-term sum as in a step over all of them, bit for bit
     (``tests/reference.py``). The masses are forward sums of positive terms,
     so no cancellation loses the tail; a step costs O(lead), a walk
-    O(votes * lead).
+    O(votes * lead). At the full lead (votes + 1) / 2 the error is a plain
+    majority's binomial tail. Each stop's share is its mass over the mass
+    at its time and later. Cached: every oracle and ``vote_size`` with the
+    same (votes, lead, noise) read one table.
     """
     q = 1.0 - noise
     alive = [0.0] * (lead + 1 - lead % 2)  # alive[m]: D = -lead + off + 2 * m
     alive[lead // 2] = 1.0
+    right: list[tuple[int, float]] = []
+    wrong: list[tuple[int, float]] = []
     for t in range(1, votes + 1):
         off = (lead + t) % 2
         moved = [q * a + noise * b for a, b in zip(alive, alive[1:])]
@@ -379,19 +343,17 @@ def _stops(votes: int, lead: int, noise: float) -> Iterator[tuple[int, float, fl
         bound = min(lead, votes - t + 1)
         cut = (lead - bound + 2 - off) // 2  # positions at D >= bound, as many at D <= -bound
         top = len(alive) - cut
-        yield t, math.fsum(alive[top:]), math.fsum(alive[:cut])
+        hit_right, hit_wrong = math.fsum(alive[top:]), math.fsum(alive[:cut])
+        if hit_right:
+            right.append((t, hit_right))
+        if hit_wrong:
+            wrong.append((t, hit_wrong))
         alive[top:] = alive[:cut] = [0.0] * cut
-
-
-def _with_shares(stops: list[tuple[int, float]]) -> _Stops:
-    """Append to each (t, mass) its mass over the mass at t and later, which
-    is exactly 1.0 for the last."""
-    out = []
-    tail = 0.0
-    for t, mass in reversed(stops):
-        tail += mass
-        out.append((t, mass, mass / tail))
-    return tuple(reversed(out))
+    tables = []
+    for stops in (right, wrong):
+        tails = [*accumulate(mass for _, mass in reversed(stops))][::-1]
+        tables.append(tuple((t, mass, mass / tail) for (t, mass), tail in zip(stops, tails)))
+    return math.fsum(m for _, m in wrong), *tables
 
 
 def _bill(rng: random.Random, stops: _Stops, count: int) -> int:

@@ -412,6 +412,10 @@ def _reconstruct(
             # keeps the longer path it knew and its retry scans less.
             if i != p:
                 pieces = found
+                # A merged piece loses its flag: with lying answers a later
+                # round's tail[1] can be any node of the branch, and no answer
+                # heard covers the edge from p to it. Keeping the flag lets a
+                # liar's wrong edge past the audit.
                 vouched = [*vouched[:t], vouched[t] and not branch, *[True] * (len(tail) - 1)]
             stack.append((part, depth, bound, failed, pieces, vouched))
             continue

@@ -5,9 +5,10 @@ helpers walk the full parent array, the brute-force reconstructor spends the
 full n(n-1) queries, the enumerator walks every parent array, the
 separator check recomputes component sizes from ground truth, on the cuts
 that ``accepted_cuts`` collects from the driver's own gate, the sequential
-vote's billing table steps every position of the walk, the search plan is
-split by recursion, and placement walks a plan for every node, on paths of
-two nodes too.
+vote's billing table steps every position of the walk, a plain majority's
+error is its closed-form binomial tail, the search plan is split by
+recursion, and placement walks a plan for every node, on paths of two nodes
+too.
 """
 
 from __future__ import annotations
@@ -320,6 +321,30 @@ def walk_by_positions(votes: int, lead: int, noise: float):
         return tuple(reversed(out))
 
     return math.fsum(m for _, m in wrong), with_shares(right), with_shares(wrong)
+
+
+def majority_error(votes: int, noise: float) -> float:
+    """Chance that a majority of ``votes`` noisy answers is wrong, in closed
+    form: ``P(Bin(votes, noise) >= (votes + 1) / 2)``, exactly ``noise`` for
+    one vote. The binomial terms are formed in log space and added with
+    ``math.fsum``, so large counts neither overflow nor lose the tail."""
+    if votes == 1:
+        return noise
+    if noise == 0.0:
+        return 0.0
+    log_p = math.log(noise)
+    log_q = math.log1p(-noise)
+    log_m = math.lgamma(votes + 1)
+    return math.fsum(
+        math.exp(
+            log_m
+            - math.lgamma(k + 1)
+            - math.lgamma(votes - k + 1)
+            + k * log_p
+            + (votes - k) * log_q
+        )
+        for k in range(votes // 2 + 1, votes + 1)
+    )
 
 
 def recursive_search_plan(weights: Sequence[int]) -> reconstruct.Plan:

@@ -27,9 +27,9 @@ from treeprobe import (
     uniform_weights,
     vote_size,
 )
-from treeprobe.oracles import _binomial, _cap_errors, _majority_error, _walk
+from treeprobe.oracles import _binomial, _cap_errors, _walk
 
-from reference import enumerate_trees, is_ancestor, walk_by_positions
+from reference import enumerate_trees, is_ancestor, majority_error, walk_by_positions
 
 DEEP_AND_RELABELLED = [
     pytest.param(shaped_tree("chain", 300), id="chain"),
@@ -238,7 +238,15 @@ class _FixedDraw:
         return self.value
 
 
+def _majority(votes, noise):
+    """A plain majority's error: the full-lead walk's."""
+    return _walk(votes, (votes + 1) // 2, noise)[0]
+
+
 class TestMajorityError:
+    """A plain majority's error is the full-lead walk's, checked against the
+    closed-form binomial tail in ``reference.majority_error``."""
+
     @pytest.mark.parametrize("noise", [0.05, 0.1, 0.3, 0.45])
     @pytest.mark.parametrize("votes", [1, 3, 5, 7, 9])
     def test_matches_the_sum_over_every_flip_tape(self, votes, noise):
@@ -248,23 +256,50 @@ class TestMajorityError:
             for tape in itertools.product((0, 1), repeat=votes)
             if 2 * sum(tape) > votes
         )
-        assert _majority_error(votes, noise) == pytest.approx(wrong, rel=1e-12, abs=0.0)
+        assert majority_error(votes, noise) == pytest.approx(wrong, rel=1e-12, abs=0.0)
+        assert _majority(votes, noise) == pytest.approx(wrong, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("noise", [0.05, 0.1, 0.3, 0.45])
+    def test_full_lead_walk_is_the_closed_form_tail(self, noise):
+        for votes in range(1, 202, 2):
+            tail = majority_error(votes, noise)
+            assert _majority(votes, noise) == pytest.approx(tail, rel=1e-12, abs=0.0), votes
 
     @pytest.mark.parametrize("noise", [0.0, 0.05, 0.1, 0.3, 0.45, 0.4999])
     def test_one_vote_is_exactly_the_noise(self, noise):
-        assert _majority_error(1, noise) == noise
+        assert _majority(1, noise) == majority_error(1, noise) == noise
 
-    @pytest.mark.parametrize("votes, noise", [(5755, 0.45), (143871, 0.49)])
-    def test_largest_cli_vote_counts_stay_finite(self, votes, noise):
-        wrong = _majority_error(votes, noise)
+    def test_largest_cli_vote_count_stays_finite_and_on_target(self):
+        # Near eps 1/2 a vote runs to thousands of answers; its error must
+        # stay finite and meet delta / B in the table the oracle bills from.
+        votes, lead = vote_size(0.45, 0.1, 400, 3)
+        assert (votes, lead) == (2997, 76)
+        wrong = _walk(votes, lead, 0.45)[0]
         assert math.isfinite(wrong)
-        assert 0.0 <= wrong < 0.5
+        assert 0.0 < wrong <= 0.1 / _budget(400, 3)
 
     @pytest.mark.parametrize("noise", [0.05, 0.1, 0.3, 0.45])
     def test_more_votes_never_raise_the_tail(self, noise):
-        counts = [*range(1, 402, 2), 1001, 5755]
-        tails = [_majority_error(m, noise) for m in counts]
+        counts = [*range(1, 402, 2), 1001]
+        tails = [_majority(m, noise) for m in counts]
         assert all(later <= earlier for earlier, later in zip(tails, tails[1:]))
+
+    @pytest.mark.parametrize(
+        "votes, lead, noise",
+        [
+            (5, None, 0.3),
+            (61, None, 0.1),
+            (1, None, 0.45),
+            (25, None, 0.0),
+            (29, 7, 0.1),
+            (9, 2, 0.3),
+        ],
+    )
+    def test_oracle_binds_the_walk_table(self, bent_tree, votes, lead, noise):
+        oracle = NoisyOracle(bent_tree, noise, votes=votes, lead=lead)
+        table = _walk(votes, oracle.lead, noise)
+        assert oracle._wrong.hex() == table[0].hex()
+        assert (oracle._wrong, oracle._right_stops, oracle._wrong_stops) == table
 
 
 class TestMajorityQuery:
@@ -274,7 +309,7 @@ class TestMajorityQuery:
         pairs = random.Random(8).sample(_ordered_pairs(tree.n), 2000)
         oracle = NoisyOracle(tree, noise, seed=31, votes=votes)
         ref = random.Random(31)
-        wrong = _majority_error(votes, noise)
+        wrong = _majority(votes, noise)
         for i, j in pairs:
             expected = int(is_ancestor(tree, i, j)) ^ (ref.random() < wrong)
             assert oracle.query(i, j) == expected
@@ -284,7 +319,7 @@ class TestMajorityQuery:
         assert (votes + 1) // 2 * len(pairs) <= oracle.raw <= votes * len(pairs)
 
     def test_draw_just_below_the_tail_flips_the_answer(self, bent_tree):
-        wrong = _majority_error(5, 0.3)
+        wrong = _majority(5, 0.3)
         truth = int(is_ancestor(bent_tree, 2, 10))
         voter = NoisyOracle(bent_tree, 0.3, votes=5)
         voter._rng = _FixedDraw(math.nextafter(wrong, 0.0))
@@ -494,8 +529,8 @@ class TestSequentialVote:
                     assert share == pytest.approx(tapes[t] / later, rel=1e-12, abs=0.0)
                 assert stops[-1][2] == 1.0
             assert error == pytest.approx(math.fsum(wrong_tapes.values()), rel=1e-12, abs=0.0)
-        full = _walk(votes, (votes + 1) // 2, noise)[0]
-        assert full == pytest.approx(_majority_error(votes, noise), rel=1e-12, abs=0.0)
+        full = _majority(votes, noise)
+        assert full == pytest.approx(majority_error(votes, noise), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("noise", [0.05, 0.1, 0.3, 0.45])
     def test_error_falls_with_the_lead_and_stays_above_the_uncapped_walk(self, noise):
@@ -649,7 +684,7 @@ class TestVoteSizingProof:
         # majority, eps' is the capped walk's error.
         tree = random_tree(n, 3, seed=7)
         truth = set(tree.edges())
-        wrong = _majority_error(votes, noise) if lead is None else _walk(votes, lead, noise)[0]
+        wrong = _majority(votes, noise) if lead is None else _walk(votes, lead, noise)[0]
         excess = []
         for s in range(3000):
             exact = ExactOracle(tree)

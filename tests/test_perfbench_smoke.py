@@ -1,5 +1,5 @@
-"""The benchmark runs one pass of each of its workloads, and every run in it
-recovers its hidden tree."""
+"""The benchmark runs one pass of each of its workloads, every run in it
+recovers its hidden tree, and its counts are the committed ones."""
 
 from __future__ import annotations
 
@@ -13,6 +13,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+# (logical_queries, oracle_queries, rounds) of one pass at seed 1. Counts are
+# a pure function of the seeds, so a change that claims to keep every
+# transcript must keep these exactly.
+COUNTS = {
+    "exact-random": (854764, 854764, 17219),
+    "exact-deep": (1008591, 1008591, 2174),
+    "noisy-random": (95069, 895189, 2673),
+    "weighted-random": (402532, 402532, 7490),
+}
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -32,3 +42,6 @@ def test_one_pass_of_the_workload_is_correct(workload, tmp_path):
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout.splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0
+    metrics = summary["metrics"]
+    counts = tuple(metrics[k]["value"] for k in ("logical_queries", "oracle_queries", "rounds"))
+    assert counts == COUNTS[workload]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import itertools
 import math
 import random
 import sys
@@ -1083,6 +1084,41 @@ class TestAudit:
         edges, stats = reconstruct_tree(ExactOracle(star), range(n), d, random.Random(seed))
         assert edges == set(star.edges())
         assert 0 < stats.audit_queries <= n - 1
+
+
+def _sibling_leaf_pairs(tree):
+    """Every ordered pair of distinct leaves with the same parent."""
+    leaves = collections.defaultdict(list)
+    for v, p in enumerate(tree.parent):
+        if p != ROOT and not tree.children[v]:
+            leaves[p].append(v)
+    return {(a, b) for kin in leaves.values() for a in kin for b in kin if a != b}
+
+
+class TestQueryFloor:
+    """Moving leaf b under its sibling leaf a keeps the degree bound (at
+    least 2) and changes only Q(a, b), so a run that is always right asks
+    every ordered pair of sibling leaves. Stars sit near this floor."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_a_random_tree_run_asks_every_sibling_leaf_pair(self, d):
+        for n, seed in itertools.product((3, 5, 8, 13, 30, 70, 150), range(20)):
+            self._check(random_tree(n, d, seed=seed), d, seed)
+
+    @pytest.mark.parametrize("shape", ["star", "chain", "caterpillar", "balanced", "parallel_chain"])
+    def test_a_shaped_run_asks_every_sibling_leaf_pair(self, shape):
+        for n, seed in itertools.product((3, 4, 5, 8, 13, 30, 70, 150), range(10)):
+            tree = _shaped(shape, n, seed)
+            self._check(_relabelled(tree, seed), tree.degree_bound, seed)
+
+    @staticmethod
+    def _check(tree, bound, seed):
+        recorder = _RecordingOracle(ExactOracle(tree))
+        edges, _ = reconstruct_tree(recorder, range(tree.n), bound, random.Random(seed))
+        assert edges == set(tree.edges())
+        asked = {(i, j) for i, j, _ in recorder.transcript}
+        missing = _sibling_leaf_pairs(tree) - asked
+        assert not missing, (tree.parent, seed, sorted(missing))
 
 
 def _run_exact(tree, bound):
