@@ -93,8 +93,9 @@ class NoisyOracle(_Oracle):
     answer. ``lead`` lies in [1, (votes + 1) / 2]; None means
     (votes + 1) / 2, a plain majority of ``votes`` stopped once decided,
     whose error and stopping law come from the same ``_walk`` table as any
-    other lead's. ``noise`` may be 0.0 (degenerate no-flip limit) but must
-    stay below 1/2.
+    other lead's. Building that table costs O(votes * lead), so O(votes^2)
+    at the full lead, where a lead from ``vote_size`` is far below it.
+    ``noise`` may be 0.0 (degenerate no-flip limit) but must stay below 1/2.
 
     Deterministic given (seed, call order): every query draws exactly one
     uniform variate from its own RNG, against the chance that the vote is

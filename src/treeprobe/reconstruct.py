@@ -59,12 +59,21 @@ reaches the part size less one, and its pieces start from the bound it was
 accepted at. Every input therefore ends. A bound of 1 fits only two nodes,
 which asking both ways settles.
 
-The driver reads every answer only as a truth value, so all three regimes
-run on it unchanged: an exact bit, a noisy vote's bit, or an additive path
-sum, positive exactly when the path exists. The additive regime keeps the
-answers heard on returned edges, the audit's and a 2-node node set's yes,
-as weights and reads every other recovered edge's weight with one more
-query.
+The exact and noisy regimes read every answer only as a truth value: an
+exact bit or a noisy vote's bit. The additive regime reads path sums, which
+are positive exactly when the path exists, and also reads them as depths.
+Once the first round has found the root r, it asks Q(r, k) for every other
+node k, k's weighted depth D(k). The oracle sums a path from its deep end,
+and float addition is monotone, so an ancestor of i is never deeper than
+i, bit for bit, though depths can tie. Every later scan for i so skips the
+nodes strictly deeper than i and orders its path by depth, asking
+comparisons only when two of its depths tie. On consistent answers the
+rounds, their draws and their placements are the exact regime's. It keeps
+the answers heard on returned edges as weights: the audit's, a 2-node node
+set's yes, and the depth of each root child. It reads every other
+recovered edge's weight with one more query. So each returned edge is asked
+on its own, and an edge that a depth-ordered path holds with no comparison
+is still checked: a weight of 0 raises.
 """
 
 from __future__ import annotations
@@ -243,7 +252,9 @@ def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[i
         start, stop = stop, stop * 8
 
 
-def reconstruct_skeleton_path(oracle, nodes: Sequence[int], i: int) -> list[int]:
+def reconstruct_skeleton_path(
+    oracle, nodes: Sequence[int], i: int, dist: Sequence[float] | None = None
+) -> list[int]:
     """The nodes of ``nodes`` that reach ``i``, sorted by ancestry, then ``i``.
 
     One query per other node, then the sort. On a subtree that holds ``i``
@@ -251,10 +262,23 @@ def reconstruct_skeleton_path(oracle, nodes: Sequence[int], i: int) -> list[int]
     node is the root, and it is ``[i]`` when ``i`` is the root. A round on a
     part whose root it knows passes the part without its root and puts the
     root in front.
+
+    ``dist``, if given, holds each node's weighted depth, an additive
+    oracle's sum from the root. No ancestor of ``i`` is deeper than ``i``,
+    bit for bit, so the scan skips every node that is, and the path is
+    ordered by depth with no query. Depths can tie in floats, so a path with
+    two equal depths is sorted by comparisons instead.
     """
     query = oracle.query
-    between = [k for k in nodes if k != i and query(k, i)]
-    return [*sort_by_ancestry(oracle, between), i]
+    if dist is None:
+        between = [k for k in nodes if k != i and query(k, i)]
+        return [*sort_by_ancestry(oracle, between), i]
+    most = dist[i]
+    between = [k for k in nodes if dist[k] <= most and k != i and query(k, i)]
+    between.sort(key=dist.__getitem__)
+    if len(set(map(dist.__getitem__, between))) < len(between):
+        between = sort_by_ancestry(oracle, between)
+    return [*between, i]
 
 
 def reconstruct_tree(
@@ -304,10 +328,13 @@ def _reconstruct(
     nodes: Iterable[int],
     degree_bound: int,
     rng: random.Random,
+    additive: bool = False,
 ) -> tuple[Edges, ReconstructionStats, dict[tuple[int, int], object]]:
-    """reconstruct_tree, which also returns the answer on each edge that the
-    audit asked or that oriented a 2-node node set. Every query is asked in
-    the driver loop or by the audit after it."""
+    """reconstruct_tree, which also returns the answers it kept: on each edge
+    that the audit asked or that oriented a 2-node node set, and with
+    ``additive`` (path sums) each depth read Q(root, k), which every later
+    scan then takes (see the module docstring). Every query is asked in the
+    driver loop or by the audit after it."""
     part = sorted(nodes)
     for a, b in zip(part, part[1:]):
         if a == b:
@@ -318,6 +345,9 @@ def _reconstruct(
     # Edges no answer vouches for yet, to ask once at the end.
     audit: list[tuple[int, int]] = []
     answers: dict[tuple[int, int], object] = {}
+    # With ``additive``, the weighted depths once read, as the scan's last
+    # argument; until then, and in the other regimes, no argument.
+    by_depth: tuple[list[float], ...] = ()
     # Parts still to solve, each listing its root first, with its gate
     # bound, failed rounds so far, the pieces its rounds found, and one flag
     # per piece. Each piece lists its path node first, so the pieces in path
@@ -375,9 +405,10 @@ def _reconstruct(
             if i == p:
                 tail = [p]
             else:
-                tail = [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i)]
-                # The scan and the sort vouch for every edge below tail[1];
-                # only a vouched piece vouches for p -> tail[1].
+                tail = [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i, *by_depth)]
+                # The scan and the sort vouch for every edge below tail[1],
+                # and in the additive regime the weight reads do; only a
+                # vouched piece vouches for p -> tail[1].
                 if not vouched[t]:
                     audit.append((p, tail[1]))
         else:
@@ -390,6 +421,13 @@ def _reconstruct(
             tail = reconstruct_skeleton_path(oracle, part, i)
             p = tail[0]
             part = [p, *(k for k in part if k != p)]
+            if additive:
+                # Q(p, k) is k's weighted depth, and on an edge out of the
+                # root its weight, so the audit and the weight reads skip it.
+                dist = [0.0] * (max(part) + 1)
+                for k in part[1:]:
+                    dist[k] = answers[(p, k)] = oracle.query(p, k)
+                by_depth = (dist,)
             pieces, t = [part], 0
         branch = pieces[t + 1 :]
         below = path_pieces(oracle, pieces[t], tail)
@@ -460,14 +498,18 @@ def reconstruct_weighted(
     """Recover edges and exact weights from an additive oracle.
 
     The driver reads each path sum as a truth value, which is sound because
-    weights are strictly positive. An additive answer on an edge is its
-    weight, so the answers the audit heard and a 2-node node set's
-    orienting yes are kept, and every other edge is read once more; each is
-    stored verbatim. The reads are the audit of
-    the other edges: a read of 0 raises InconsistentOracleError with the
-    run's stats.
+    weights are strictly positive, and as a depth: once the first round has
+    found the root, Q(root, k) is read for every other node k, and each
+    later scan skips the nodes deeper than its target and orders its path
+    by depth (see the module docstring). On consistent answers the rounds,
+    the split depth and the edges are those of ``reconstruct_tree`` with the
+    same rng. An additive answer on an edge is its weight, so the answers
+    the audit heard, a 2-node node set's orienting yes and each root
+    child's depth are kept, and every other edge is read once more; each is
+    stored verbatim. The reads are the audit of the other edges: a read of
+    0 raises InconsistentOracleError with the run's stats.
     """
-    edges, stats, heard = _reconstruct(oracle, nodes, degree_bound, rng)
+    edges, stats, heard = _reconstruct(oracle, nodes, degree_bound, rng, additive=True)
     weights = {}
     for edge in sorted(edges):
         weights[edge] = heard[edge] if edge in heard else oracle.query(*edge)

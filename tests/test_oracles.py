@@ -453,6 +453,17 @@ class TestVoteSize:
             # ... and no smaller cap at this lead.
             assert votes == 1 or _walk(votes - 2, lead, noise)[0] > target, (cell, votes, lead)
 
+    def test_a_lead_below_the_full_one_is_always_found(self):
+        # The search tries only leads below (most + 1) / 2, where most is
+        # the Hoeffding count, so a lead that low means it never fell back
+        # to its last resort, a plain majority of the Hoeffding count.
+        grid = itertools.product(
+            (0.01, 0.05, 0.1, 0.25, 0.4, 0.45), (1e-3, 0.1, 0.5), (2, 3, 60, 400, 10**4), (2, 3, 10)
+        )
+        for noise, delta, n, d in grid:
+            votes, lead = vote_size(noise, delta, n, d)
+            assert lead < (_hoeffding_count(noise, delta, n, d) + 1) // 2, (noise, delta, n, d)
+
     def test_monotone_in_noise_and_confidence(self):
         base = vote_size(0.1, 0.1, 500, 5)
         for cell in ((0.2, 0.1, 500, 5), (0.1, 0.01, 500, 5), (0.1, 0.1, 5000, 5)):

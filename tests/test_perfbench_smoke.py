@@ -21,7 +21,7 @@ COUNTS = {
     "exact-random": (854764, 854764, 17219),
     "exact-deep": (1008591, 1008591, 2174),
     "noisy-random": (95069, 895189, 2673),
-    "weighted-random": (402532, 402532, 7490),
+    "weighted-random": (357616, 357616, 7490),
 }
 
 

@@ -21,6 +21,7 @@ from treeprobe import (
     InconsistentOracleError,
     InfeasibleDegreeError,
     NoisyOracle,
+    WeightedDirectedRootedTree,
     parallel_chain,
     random_tree,
     reconstruct_tree,
@@ -253,6 +254,68 @@ class TestReconstructSkeletonPath:
         for i in range(tree.n):
             for p in (i, *root_chain(tree, i)):
                 _assert_matches_ground_truth(oracle, tree, p, i)
+
+
+def _depths(weighted):
+    """Each node's weighted depth, as the additive oracle sums it from the
+    root: 0.0 at the root."""
+    oracle = AdditiveOracle(weighted)
+    root = weighted.tree.root
+    return [0.0 if k == root else oracle.query(root, k) for k in range(weighted.n)]
+
+
+def _magnitudes(tree, seed):
+    """``tree`` with weight 1.0 on about a quarter of its edges, drawn by
+    ``seed``, and 2**-53 on the rest, so that many depths tie in floats: the
+    oracle sums from the deep end, and a node 2**-53 below a node whose own
+    edge weighs 1.0 gets that node's depth, as 2**-53 + 1.0 rounds to 1.0."""
+    rng = random.Random(seed)
+    weights = {edge: 1.0 if rng.random() < 0.25 else 2.0**-53 for edge in sorted(tree.edges())}
+    return WeightedDirectedRootedTree(tree, weights)
+
+
+class TestDepthOrderedScan:
+    """``reconstruct_skeleton_path`` given each node's weighted depth."""
+
+    def test_skips_the_deeper_nodes_and_sorts_by_depth(self, spine_tree):
+        # Only the nodes no deeper than 4 are asked, in node order, and the
+        # path 1, 2, 3 below the root 0 comes in depth order with no
+        # comparison.
+        hidden = uniform_weights(spine_tree, seed=3)
+        dist = _depths(hidden)
+        recorder = _RecordingOracle(AdditiveOracle(hidden))
+        path = reconstruct_skeleton_path(recorder, range(1, 11), 4, dist)
+        assert path == [1, 2, 3, 4]
+        asked = [k for k in range(1, 11) if k != 4 and dist[k] <= dist[4]]
+        assert [(a, b) for a, b, _ in recorder.transcript] == [(k, 4) for k in asked]
+
+    def test_tied_depths_fall_back_to_the_comparison_sort(self):
+        # On the magnitude chain 1.0 + 2**-53 rounds to 1.0, so nodes 1 and
+        # 2 share depth 1.0. A path through both is sorted by comparisons
+        # after its scan, and comes out in ancestry order.
+        chain = shaped_tree("chain", 12)
+        weights = {(c - 1, c): 1.0 if c % 4 == 1 else 2.0**-53 for c in range(1, 12)}
+        hidden = WeightedDirectedRootedTree(chain, weights)
+        dist = _depths(hidden)
+        assert dist[1] == dist[2] == 1.0
+        nodes = list(range(11, 0, -1))
+        for i in range(2, 12):
+            recorder = _RecordingOracle(AdditiveOracle(hidden))
+            assert reconstruct_skeleton_path(recorder, nodes, i, dist) == list(range(1, i + 1))
+            scanned = sum(k != i and dist[k] <= dist[i] for k in nodes)
+            assert (len(recorder.transcript) > scanned) == (i > 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(parent_array_trees(min_n=2, max_n=9), st.integers(min_value=0, max_value=2**16))
+    def test_matches_ground_truth_under_ties(self, tree, seed):
+        hidden = _magnitudes(tree, seed)
+        oracle = AdditiveOracle(hidden)
+        dist = _depths(hidden)
+        for i in range(tree.n):
+            for p in root_chain(tree, i):
+                nodes = subtree_nodes(tree, p)[1:]
+                path = [p, *reconstruct_skeleton_path(oracle, nodes, i, dist)]
+                assert path == skeleton_path(tree, p, i)[1]
 
 
 def _assert_matches_ground_truth(oracle, tree, p, i):
@@ -1049,14 +1112,16 @@ class TestAudit:
         else:
             edges, stats = reconstruct_tree(recorder, range(tree.n), bound, rng)
         assert edges == set(tree.edges())
-        # The weighted run reads the edges the audit left after it.
+        # The weighted run reads the edges the audit left after it, all but
+        # those out of the root: their depth reads, or a 2-node node set's
+        # orienting yes, are their weights already. Its scans are ordered by
+        # depth and ask no comparisons, so the weight reads count as heard.
         end = len(recorder.transcript)
         if regime == "weighted":
-            # A 2-node node set's orienting yes is its edge's weight already.
-            end -= len(edges) - stats.audit_queries - (tree.n == 2)
+            end -= len(edges) - stats.audit_queries - sum(p == tree.root for p, _ in edges)
         audit = [(a, b) for a, b, _ in recorder.transcript[end - stats.audit_queries : end]]
         assert len(set(audit)) == len(audit) and set(audit) <= edges
-        heard = recorder.transcript[: end - stats.audit_queries]
+        heard = recorder.transcript[: end - stats.audit_queries] + recorder.transcript[end:]
         yes = {(a, b) for a, b, bit in heard if bit}
         no = {(a, b) for a, b, bit in heard if not bit}
         for p, c in edges - set(audit):
@@ -1148,7 +1213,7 @@ def _run_weighted(tree, bound):
         pytest.param(_run_exact, shaped_tree("star", 40), 2, 21428, 311, 39, id="star-doubling"),
         pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2140, 93, 7, id="wrong-bound"),
         pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1063, 43, 6, id="noisy"),
-        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3646, 97, 8, id="weighted"),
+        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3369, 97, 8, id="weighted"),
     ],
 )
 def test_query_stream_is_pinned(run, tree, bound, calls, rounds, depth):
@@ -1205,11 +1270,17 @@ class TestEveryInputTerminates:
         st.integers(min_value=2, max_value=30),
         st.integers(min_value=2, max_value=5),
         st.integers(min_value=0, max_value=2**16),
+        st.booleans(),
     )
-    def test_random_liar_returns_or_raises(self, n, bound, seed):
+    def test_random_liar_returns_or_raises(self, n, bound, seed, additive):
+        # In the additive regime the coin flips are depths too, so its
+        # pruned, depth-ordered scans meet made-up and tied depths.
         oracle = _CappedOracle(_RandomLiar(seed), _query_cap(n))
         try:
-            edges, _ = reconstruct_tree(oracle, range(n), bound, random.Random(seed))
+            if additive:
+                edges, _, _ = reconstruct_weighted(oracle, range(n), bound, random.Random(seed))
+            else:
+                edges, _ = reconstruct_tree(oracle, range(n), bound, random.Random(seed))
         except InconsistentOracleError:
             return
         # The pieces of every accepted round partition its part, so even
@@ -1266,8 +1337,9 @@ class TestReconstructWeighted:
         assert weights == dict(hidden.weights)
 
     def test_weight_reads_are_counted(self, bent_tree):
-        # Path sums drive the same run as exact bits, audit included, and
-        # every edge the audit did not ask is read once more.
+        # Path sums drive a run with the exact run's rounds and split depth.
+        # After its last round, every edge that neither the audit nor a
+        # depth read asked is read once more.
         shapes = [
             bent_tree,
             shaped_tree("chain", 40),
@@ -1276,31 +1348,41 @@ class TestReconstructWeighted:
             random_tree(60, 3, seed=29),
         ]
         for tree in shapes:
-            oracle = AdditiveOracle(uniform_weights(tree, seed=17))
-            exact = ExactOracle(tree)
-            edges, _, stats = reconstruct_weighted(
-                oracle, range(tree.n), tree.degree_bound, random.Random(1)
-            )
+            recorder = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=17)))
+            with _recording_gates(recorder) as gates:
+                edges, _, stats = reconstruct_weighted(
+                    recorder, range(tree.n), tree.degree_bound, random.Random(1)
+                )
             want_edges, want_stats = reconstruct_tree(
-                exact, range(tree.n), tree.degree_bound, random.Random(1)
+                ExactOracle(tree), range(tree.n), tree.degree_bound, random.Random(1)
             )
             assert edges == want_edges == set(tree.edges())
-            assert stats == want_stats
-            assert oracle.calls == exact.calls + tree.n - 1 - stats.audit_queries
+            assert stats.rounds_total == want_stats.rounds_total
+            assert stats.recursion_depth_max == want_stats.recursion_depth_max
+            assert stats.audit_queries <= want_stats.audit_queries
+            from_root = sum(p == tree.root for p, _ in edges)
+            # The queries after the last gate are the audit's and the reads.
+            assert len(recorder.transcript) - gates[-1][0] == tree.n - 1 - from_root
 
     @pytest.mark.parametrize("shape", ["star", "random"])
     def test_no_edge_is_read_twice(self, shape):
-        # After the last round the run asks each edge once: the audit's
-        # answers are weights already, and the reads cover the rest.
-        tree = shaped_tree("star", 30) if shape == "star" else random_tree(80, 3, seed=2)
+        # After the last round the run asks each edge once, but for the
+        # edges out of the root: the audit's answers are weights already,
+        # the reads cover the rest, and a root child's depth read, asked
+        # once before, is its weight. A star's edges all leave the root, so
+        # its audit asks nothing; the random tree's asks an edge below.
+        tree = shaped_tree("star", 30) if shape == "star" else random_tree(200, 3, seed=2)
         recorder = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=5)))
         with _recording_gates(recorder) as gates:
             edges, weights, stats = reconstruct_weighted(
                 recorder, range(tree.n), tree.degree_bound, random.Random(4)
             )
         after = [(a, b) for a, b, _ in recorder.transcript[gates[-1][0] :]]
-        assert sorted(after) == sorted(edges) == sorted(weights)
-        assert stats.audit_queries > 0
+        from_root = [(p, c) for p, c in edges if p == tree.root]
+        assert sorted(after + from_root) == sorted(edges) == sorted(weights)
+        depth_reads = [(a, b) for a, b, _ in recorder.transcript if a == tree.root]
+        assert len(set(depth_reads)) == tree.n - 1
+        assert (stats.audit_queries > 0) == (shape == "random")
 
     @pytest.mark.parametrize("parent", [(ROOT, 0), (1, ROOT)])
     def test_a_two_node_set_reads_its_weight_off_the_orienting_yes(self, parent):
@@ -1317,13 +1399,15 @@ class TestReconstructWeighted:
         assert stats.audit_queries == 0
 
     def test_a_weight_read_of_zero_fails_the_run(self):
-        # The liar answers truly until every query the exact run asks, the
-        # audit included, is spent, then reads every weight as 0.0.
+        # The liar answers truly until every query a truthful run asks
+        # before its weight reads, the audit included, is spent, then reads
+        # every weight as 0.0. Edges out of the root are not read again.
         tree = random_tree(40, 3, seed=11)
-        exact = ExactOracle(tree)
-        _, want_stats = reconstruct_tree(exact, range(tree.n), 3, random.Random(6))
-        assert want_stats.audit_queries < tree.n - 1
-        honest = exact.calls
+        truthful = AdditiveOracle(uniform_weights(tree, seed=12))
+        edges, _, want_stats = reconstruct_weighted(truthful, range(tree.n), 3, random.Random(6))
+        reads = len(edges) - want_stats.audit_queries - sum(p == tree.root for p, _ in edges)
+        assert reads > 0
+        honest = truthful.calls - reads
 
         class LateLiar(AdditiveOracle):
             def query(self, i, j):
@@ -1335,6 +1419,87 @@ class TestReconstructWeighted:
             reconstruct_weighted(liar, range(tree.n), 3, random.Random(6))
         assert caught.value.stats == want_stats
         assert liar.calls == honest + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["chain", "star", "caterpillar", "parallel_chain", "random"]),
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_tied_depths_keep_every_edge_and_weight(self, shape, n, seed):
+        # Weights of 1.0 and 2**-53 make many depths tie in floats, so the
+        # scans skip only strictly deeper nodes and sort tied paths by
+        # comparisons. The run still matches the exact one round for round.
+        tree = _relabelled(_shaped(shape, n, seed), seed)
+        hidden = _magnitudes(tree, seed)
+        bound = tree.degree_bound
+        edges, weights, stats = reconstruct_weighted(
+            AdditiveOracle(hidden), range(tree.n), bound, random.Random(seed)
+        )
+        want_edges, want_stats = reconstruct_tree(
+            ExactOracle(tree), range(tree.n), bound, random.Random(seed)
+        )
+        assert edges == want_edges == set(tree.edges())
+        assert {e: w.hex() for e, w in weights.items()} == {
+            e: w.hex() for e, w in hidden.weights.items()
+        }
+        assert stats.rounds_total == want_stats.rounds_total
+        assert stats.recursion_depth_max == want_stats.recursion_depth_max
+
+    def test_scan_skips_only_the_deeper_nodes(self, monkeypatch):
+        # Each query charged to the innermost phase asking it. Against the
+        # exact run with the same rng, the weighted run places with the
+        # same queries, and its scans ask the same pairs but those (k, i)
+        # with k deeper than i, save the first round's, which finds the
+        # root. Its only sort is that round's, and it reads n - 1 depths,
+        # Q(root, k) in node order, before any placement.
+        tree = random_tree(300, 3, seed=5)
+        hidden = uniform_weights(tree, seed=9)
+        dist = _depths(hidden)
+        phases = ["driver"]
+
+        class Charging:
+            def __init__(self, inner):
+                self.inner, self.log = inner, []
+
+            def query(self, i, j):
+                self.log.append((phases[-1], i, j))
+                return self.inner.query(i, j)
+
+        for name in ("reconstruct_skeleton_path", "sort_by_ancestry", "path_pieces"):
+
+            def wrapper(*args, _real=getattr(reconstruct, name), _name=name):
+                phases.append(_name)
+                try:
+                    return _real(*args)
+                finally:
+                    phases.pop()
+
+            monkeypatch.setattr(reconstruct, name, wrapper)
+
+        exact, weighted = Charging(ExactOracle(tree)), Charging(AdditiveOracle(hidden))
+        reconstruct_tree(exact, range(tree.n), 3, random.Random(0))
+        edges, _, _ = reconstruct_weighted(weighted, range(tree.n), 3, random.Random(0))
+
+        def asked(oracle, phase):
+            return [(i, j) for at, i, j in oracle.log if at == phase]
+
+        assert asked(weighted, "path_pieces") == asked(exact, "path_pieces")
+        first = tree.n - 1
+        scan, want = asked(weighted, "reconstruct_skeleton_path"), asked(exact, "reconstruct_skeleton_path")
+        assert scan[:first] == want[:first]
+        assert scan[first:] == [(k, i) for k, i in want[first:] if not dist[k] > dist[i]]
+        assert len(scan) < len(want)
+        sort = asked(weighted, "sort_by_ancestry")
+        assert sort == asked(exact, "sort_by_ancestry")[: len(sort)]
+        driver = asked(weighted, "driver")
+        root = tree.root
+        assert driver[:first] == [(root, k) for k in range(tree.n) if k != root]
+        assert sorted(driver[first:]) == sorted((p, c) for p, c in edges if p != root)
+        phase_of = [at for at, _, _ in weighted.log]
+        reads = phase_of.index("driver")
+        assert "sort_by_ancestry" not in phase_of[reads:]
+        assert "path_pieces" not in phase_of[:reads]
 
     def test_weight_keys_are_the_recovered_edges(self):
         tree = random_tree(20, 4, seed=3)
