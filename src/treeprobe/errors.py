@@ -32,13 +32,13 @@ class TreeFormatError(ValueError):
 class InconsistentOracleError(RuntimeError):
     """Oracle answers are consistent with no directed rooted tree.
 
-    Raised in any regime when the driver's audit hears a denial of an edge
-    it was about to return (a weight read of 0 counts as one), or when the
-    two nodes of a 2-node node set both reach or both miss each other. Not
-    every lie is caught, so a run that hears lies can return a wrong tree.
-    An oracle that answers every query truly never triggers this. When the
-    reconstruction driver raises it, ``stats`` holds the driver's counters
-    up to the failure.
+    Raised in any regime when the driver's audit finds a denial of an edge
+    it was about to return (a weight of 0, read or kept, counts as one), or
+    when the two nodes of a 2-node node set both reach or both miss each
+    other. Not every lie is caught, so a run that hears lies can return a
+    wrong tree. An oracle that answers every query truly never triggers
+    this. When the reconstruction driver raises it, ``stats`` holds the
+    driver's counters up to the failure.
     """
 
     def __init__(self, message: str, stats=None):

@@ -68,12 +68,12 @@ and float addition is monotone, so an ancestor of i is never deeper than
 i, bit for bit, though depths can tie. Every later scan for i so skips the
 nodes strictly deeper than i and orders its path by depth, asking
 comparisons only when two of its depths tie. On consistent answers the
-rounds, their draws and their placements are the exact regime's. It keeps
-the answers heard on returned edges as weights: the audit's, a 2-node node
-set's yes, and the depth of each root child. It reads every other
-recovered edge's weight with one more query. So each returned edge is asked
-on its own, and an edge that a depth-ordered path holds with no comparison
-is still checked: a weight of 0 raises.
+rounds, their draws and their placements are the exact regime's. An answer
+on an edge is its weight: a 2-node node set's yes and each root child's
+depth are kept, and the audit reads every other returned edge, in sorted
+order. So each returned edge is asked on its own, and an edge that a
+depth-ordered path holds with no comparison is still checked: a weight of
+0, read or kept, raises.
 """
 
 from __future__ import annotations
@@ -97,12 +97,13 @@ class ReconstructionStats:
         >= 3 nodes runs at least one, and a 2-node part is settled without
         a round.
     recursion_depth_max: deepest split level, the whole node set being 1.
-    audit_queries: queries the end-of-run audit asked, one per returned
-        edge that no earlier answer vouched for.
+    audit_queries: queries after the last round, all the audit's: one per
+        returned edge that no earlier answer vouched for, or in the additive
+        regime one per returned edge whose weight no answer gave.
     """
 
     rounds_total: int = 0
-    recursion_depth_max: int = 0
+    recursion_depth_max: int = 1
     audit_queries: int = 0
 
 
@@ -319,7 +320,7 @@ def reconstruct_tree(
     oracle's answers. An InconsistentOracleError raised on the way carries
     the counters so far as its ``stats``.
     """
-    edges, stats, _ = _reconstruct(oracle, nodes, degree_bound, rng)
+    edges, _, stats = _reconstruct(oracle, nodes, degree_bound, rng)
     return edges, stats
 
 
@@ -329,12 +330,13 @@ def _reconstruct(
     degree_bound: int,
     rng: random.Random,
     additive: bool = False,
-) -> tuple[Edges, ReconstructionStats, dict[tuple[int, int], object]]:
-    """reconstruct_tree, which also returns the answers it kept: on each edge
-    that the audit asked or that oriented a 2-node node set, and with
-    ``additive`` (path sums) each depth read Q(root, k), which every later
-    scan then takes (see the module docstring). Every query is asked in the
-    driver loop or by the audit after it."""
+) -> tuple[Edges, dict[tuple[int, int], object], ReconstructionStats]:
+    """reconstruct_tree, which also returns the answer the audit checked on
+    each edge it walked. With ``additive`` (path sums) the run reads each
+    depth Q(root, k), which every later scan then takes (see the module
+    docstring), and the audit walks every returned edge in sorted order, so
+    it returns each edge's weight. Every query is asked in the driver loop
+    or by the audit after it."""
     part = sorted(nodes)
     for a, b in zip(part, part[1:]):
         if a == b:
@@ -345,9 +347,9 @@ def _reconstruct(
     # Edges no answer vouches for yet, to ask once at the end.
     audit: list[tuple[int, int]] = []
     answers: dict[tuple[int, int], object] = {}
-    # With ``additive``, the weighted depths once read, as the scan's last
-    # argument; until then, and in the other regimes, no argument.
-    by_depth: tuple[list[float], ...] = ()
+    # With ``additive``, each node's weighted depth once the root is known,
+    # for the scans to read; until then, and in the other regimes, None.
+    dist: list[float] | None = None
     # Parts still to solve, each listing its root first, with its gate
     # bound, failed rounds so far, the pieces its rounds found, and one flag
     # per piece. Each piece lists its path node first, so the pieces in path
@@ -364,7 +366,6 @@ def _reconstruct(
     stack = [(part, 1, degree_bound, 0, [], [False])]
     while stack:
         part, depth, bound, failed, pieces, vouched = stack.pop()
-        stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
         size = len(part)
         if size <= 1:
             continue
@@ -405,9 +406,9 @@ def _reconstruct(
             if i == p:
                 tail = [p]
             else:
-                tail = [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i, *by_depth)]
-                # The scan and the sort vouch for every edge below tail[1],
-                # and in the additive regime the weight reads do; only a
+                tail = [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i, dist)]
+                # The scan and the sort vouch for every edge below tail[1]
+                # (in the additive regime the audit asks them all); only a
                 # vouched piece vouches for p -> tail[1].
                 if not vouched[t]:
                     audit.append((p, tail[1]))
@@ -423,11 +424,10 @@ def _reconstruct(
             part = [p, *(k for k in part if k != p)]
             if additive:
                 # Q(p, k) is k's weighted depth, and on an edge out of the
-                # root its weight, so the audit and the weight reads skip it.
+                # root its weight, so the audit does not ask it again.
                 dist = [0.0] * (max(part) + 1)
                 for k in part[1:]:
                     dist[k] = answers[(p, k)] = oracle.query(p, k)
-                by_depth = (dist,)
             pieces, t = [part], 0
         branch = pieces[t + 1 :]
         below = path_pieces(oracle, pieces[t], tail)
@@ -474,19 +474,25 @@ def _reconstruct(
         for q in below[1:]:
             if len(q) > 1:
                 stack.append((q, depth, bound, 0, [q], [True]))
-    # A retry can drop an edge queued before it: ask only the returned ones,
-    # each once.
-    for edge in audit:
-        if edge in edges and edge not in answers:
-            answers[edge] = answer = oracle.query(*edge)
+    # The one pass after the last round walks each queued edge that was
+    # returned (a retry can drop one) once, or in the additive regime every
+    # returned edge, as its answer is its weight. It asks each edge no
+    # answer was heard on, and a falsy answer, heard or asked, raises.
+    checked: dict[tuple[int, int], object] = {}
+    for edge in sorted(edges) if additive else dict.fromkeys(e for e in audit if e in edges):
+        if edge in answers:
+            answer = answers[edge]
+        else:
+            answer = oracle.query(*edge)
             stats.audit_queries += 1
-            if not answer:
-                raise InconsistentOracleError(
-                    f"the oracle denies the edge {edge} its answers implied; "
-                    "oracle answers are inconsistent",
-                    stats,
-                )
-    return edges, stats, answers
+        if not answer:
+            raise InconsistentOracleError(
+                f"the oracle denies the edge {edge} its answers implied; "
+                "oracle answers are inconsistent",
+                stats,
+            )
+        checked[edge] = answer
+    return edges, checked, stats
 
 
 def reconstruct_weighted(
@@ -503,20 +509,10 @@ def reconstruct_weighted(
     later scan skips the nodes deeper than its target and orders its path
     by depth (see the module docstring). On consistent answers the rounds,
     the split depth and the edges are those of ``reconstruct_tree`` with the
-    same rng. An additive answer on an edge is its weight, so the answers
-    the audit heard, a 2-node node set's orienting yes and each root
-    child's depth are kept, and every other edge is read once more; each is
-    stored verbatim. The reads are the audit of the other edges: a read of
-    0 raises InconsistentOracleError with the run's stats.
+    same rng. An additive answer on an edge is its weight, so a 2-node node
+    set's orienting yes and each root child's depth are kept, and the audit
+    reads every other edge once, in sorted order, as ``audit_queries``;
+    each is stored verbatim. A weight of 0, read or kept, raises
+    InconsistentOracleError with the run's stats.
     """
-    edges, stats, heard = _reconstruct(oracle, nodes, degree_bound, rng, additive=True)
-    weights = {}
-    for edge in sorted(edges):
-        weights[edge] = heard[edge] if edge in heard else oracle.query(*edge)
-        if not weights[edge]:
-            raise InconsistentOracleError(
-                f"the oracle reads the edge {edge} as weight 0; "
-                "oracle answers are inconsistent",
-                stats,
-            )
-    return edges, weights, stats
+    return _reconstruct(oracle, nodes, degree_bound, rng, additive=True)

@@ -207,7 +207,7 @@ class TestRunSingle:
             lambda: uniform_weights(random_tree(300, 5, seed=6), seed=7),
             5,
             6,
-            (3610, 3610, 127, 2, 9),
+            (3610, 3610, 127, 295, 9),
         ),
     ]
 

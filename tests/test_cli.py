@@ -180,6 +180,21 @@ class TestReconstruct:
         assert code == EXIT_OK
         assert run("verify", "--expected", str(hidden), "--actual", str(recovered)) == EXIT_OK
 
+    def test_weighted_stats_count_the_weight_reads(self, tmp_path, capsys):
+        # A root child's depth read is its weight already; every other edge
+        # is read once after the last round, and the audit counts each read.
+        hidden = tmp_path / "weighted.txt"
+        assert run("generate", "--shape", "random", "--nodes", "40", "--degree", "3",
+                   "--seed", "5", "--weights", "uniform", "--out", str(hidden)) == EXIT_OK
+        capsys.readouterr()
+        code = run("reconstruct", "--tree", str(hidden), "--regime", "weighted", "--stats")
+        assert code == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        tree = load_tree(hidden).tree
+        from_root = len(tree.children[tree.root])
+        assert from_root > 0
+        assert f"audit_queries={tree.n - 1 - from_root}" in out
+
     def test_one_node_weighted_round_trip(self, tmp_path, capsys):
         # A 1-node tree has no edge to carry a weight, so its file reads
         # back unweighted; the weighted regime still takes it.

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -610,9 +612,10 @@ def test_every_bag_search_query_is_asked_inside_path_pieces(monkeypatch):
     charged("sort_by_ancestry")
     scan, pieces_of = charged("reconstruct_skeleton_path"), charged("path_pieces")
 
-    def reconstruct_skeleton_path(oracle_, nodes, i):
+    def reconstruct_skeleton_path(oracle_, nodes, i, dist=None):
+        assert dist is None  # only the additive regime reads depths
         before = asked["reconstruct_skeleton_path"]
-        path = scan(oracle_, nodes, i)
+        path = scan(oracle_, nodes, i, dist)
         own = asked["reconstruct_skeleton_path"] - before
         seen["scans"].append((len(nodes), own == len(nodes) - 1))
         return path
@@ -1112,16 +1115,15 @@ class TestAudit:
         else:
             edges, stats = reconstruct_tree(recorder, range(tree.n), bound, rng)
         assert edges == set(tree.edges())
-        # The weighted run reads the edges the audit left after it, all but
-        # those out of the root: their depth reads, or a 2-node node set's
-        # orienting yes, are their weights already. Its scans are ordered by
-        # depth and ask no comparisons, so the weight reads count as heard.
+        # The audit's queries end the run. The weighted run's audit reads
+        # every edge but those out of the root, whose depth reads, or a
+        # 2-node node set's orienting yes, are their weights already.
         end = len(recorder.transcript)
         if regime == "weighted":
-            end -= len(edges) - stats.audit_queries - sum(p == tree.root for p, _ in edges)
-        audit = [(a, b) for a, b, _ in recorder.transcript[end - stats.audit_queries : end]]
+            assert stats.audit_queries == len(edges) - sum(p == tree.root for p, _ in edges)
+        audit = [(a, b) for a, b, _ in recorder.transcript[end - stats.audit_queries :]]
         assert len(set(audit)) == len(audit) and set(audit) <= edges
-        heard = recorder.transcript[: end - stats.audit_queries] + recorder.transcript[end:]
+        heard = recorder.transcript[: end - stats.audit_queries]
         yes = {(a, b) for a, b, bit in heard if bit}
         no = {(a, b) for a, b, bit in heard if not bit}
         for p, c in edges - set(audit):
@@ -1187,21 +1189,33 @@ class TestQueryFloor:
 
 
 def _run_exact(tree, bound):
-    oracle = ExactOracle(tree)
+    oracle = _RecordingOracle(ExactOracle(tree))
     edges, stats = reconstruct_tree(oracle, range(tree.n), bound, random.Random(0))
     return oracle, edges, stats
 
 
 def _run_noisy(tree, bound):
-    oracle = NoisyOracle(tree, 0.1, seed=1, votes=55)
+    oracle = _RecordingOracle(NoisyOracle(tree, 0.1, seed=1, votes=55))
     edges, stats = reconstruct_tree(oracle, range(tree.n), bound, random.Random(0))
     return oracle, edges, stats
 
 
 def _run_weighted(tree, bound):
-    oracle = AdditiveOracle(uniform_weights(tree, seed=9))
+    oracle = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=9)))
     edges, _, stats = reconstruct_weighted(oracle, range(tree.n), bound, random.Random(0))
     return oracle, edges, stats
+
+
+# sha256 of repr() of each stream's ordered list of (i, j) pairs.
+TRANSCRIPTS = {
+    "random-d3": "759ae80e723790722144eda41d6c934e8c2c18459155a65825edd17d881e2763",
+    "random-d10": "c7a97ada8a4b4f4893980ec1f02c23cdc1c40a08292d6d6aa6684993e3cccff4",
+    "parallel-chain": "dfed0205d59804e4796ccb145b1a54790746c684c9ce8f5b8869321220b626de",
+    "star-doubling": "abe120cb4df97d84033d9d0f2c40158167438d4a25afc02cfc03631399da08c8",
+    "wrong-bound": "e91bf3b3313d15d76707041154c1f02f76bcbe24a4ceccb986db2135569fc6bf",
+    "noisy": "13b672269b6cb74d3dc5ec1dfb9e1815fad6ebc2a6b8f8433d2a76d6247a507b",
+    "weighted": "66501d16f27ea1cb25f0c1062d1b87839f73e2b20f61ff870e98aa7325046706",
+}
 
 
 @pytest.mark.parametrize(
@@ -1216,12 +1230,16 @@ def _run_weighted(tree, bound):
         pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3369, 97, 8, id="weighted"),
     ],
 )
-def test_query_stream_is_pinned(run, tree, bound, calls, rounds, depth):
-    # Query, round and depth counts are a pure function of the seeds, so any
-    # change to the order of rng draws or oracle queries shows here.
+def test_query_stream_is_pinned(request, run, tree, bound, calls, rounds, depth):
+    # Query, round and depth counts and the ordered pairs asked are a pure
+    # function of the seeds, so any change to the order of rng draws or
+    # oracle queries shows here.
     oracle, edges, stats = run(tree, bound)
     assert edges == set(tree.edges())
-    assert (oracle.calls, stats.rounds_total, stats.recursion_depth_max) == (calls, rounds, depth)
+    pairs = [(i, j) for i, j, _ in oracle.transcript]
+    assert (len(pairs), stats.rounds_total, stats.recursion_depth_max) == (calls, rounds, depth)
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest == TRANSCRIPTS[request.node.callspec.id]
 
 
 def test_a_seeded_liar_fails_with_pinned_counters():
@@ -1338,8 +1356,8 @@ class TestReconstructWeighted:
 
     def test_weight_reads_are_counted(self, bent_tree):
         # Path sums drive a run with the exact run's rounds and split depth.
-        # After its last round, every edge that neither the audit nor a
-        # depth read asked is read once more.
+        # After its last round the audit reads every edge that no depth
+        # read asked, and counts each read.
         shapes = [
             bent_tree,
             shaped_tree("chain", 40),
@@ -1359,18 +1377,18 @@ class TestReconstructWeighted:
             assert edges == want_edges == set(tree.edges())
             assert stats.rounds_total == want_stats.rounds_total
             assert stats.recursion_depth_max == want_stats.recursion_depth_max
-            assert stats.audit_queries <= want_stats.audit_queries
             from_root = sum(p == tree.root for p, _ in edges)
-            # The queries after the last gate are the audit's and the reads.
-            assert len(recorder.transcript) - gates[-1][0] == tree.n - 1 - from_root
+            assert stats.audit_queries == tree.n - 1 - from_root
+            # The queries after the last gate are the audit's reads.
+            assert len(recorder.transcript) - gates[-1][0] == stats.audit_queries
 
     @pytest.mark.parametrize("shape", ["star", "random"])
     def test_no_edge_is_read_twice(self, shape):
-        # After the last round the run asks each edge once, but for the
-        # edges out of the root: the audit's answers are weights already,
-        # the reads cover the rest, and a root child's depth read, asked
-        # once before, is its weight. A star's edges all leave the root, so
-        # its audit asks nothing; the random tree's asks an edge below.
+        # After the last round the audit reads each edge once, in sorted
+        # order, but for the edges out of the root: a root child's depth
+        # read, asked once before, is its weight. A star's edges all leave
+        # the root, so its audit asks nothing; the random tree's reads the
+        # edges below.
         tree = shaped_tree("star", 30) if shape == "star" else random_tree(200, 3, seed=2)
         recorder = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=5)))
         with _recording_gates(recorder) as gates:
@@ -1379,7 +1397,8 @@ class TestReconstructWeighted:
             )
         after = [(a, b) for a, b, _ in recorder.transcript[gates[-1][0] :]]
         from_root = [(p, c) for p, c in edges if p == tree.root]
-        assert sorted(after + from_root) == sorted(edges) == sorted(weights)
+        assert after == sorted(after)
+        assert sorted(after + from_root) == sorted(edges) == list(weights)
         depth_reads = [(a, b) for a, b, _ in recorder.transcript if a == tree.root]
         assert len(set(depth_reads)) == tree.n - 1
         assert (stats.audit_queries > 0) == (shape == "random")
@@ -1400,13 +1419,13 @@ class TestReconstructWeighted:
 
     def test_a_weight_read_of_zero_fails_the_run(self):
         # The liar answers truly until every query a truthful run asks
-        # before its weight reads, the audit included, is spent, then reads
-        # every weight as 0.0. Edges out of the root are not read again.
+        # before its weight reads is spent, then reads every weight as 0.0.
+        # Edges out of the root are not read again.
         tree = random_tree(40, 3, seed=11)
         truthful = AdditiveOracle(uniform_weights(tree, seed=12))
         edges, _, want_stats = reconstruct_weighted(truthful, range(tree.n), 3, random.Random(6))
-        reads = len(edges) - want_stats.audit_queries - sum(p == tree.root for p, _ in edges)
-        assert reads > 0
+        reads = want_stats.audit_queries
+        assert reads == len(edges) - sum(p == tree.root for p, _ in edges) > 0
         honest = truthful.calls - reads
 
         class LateLiar(AdditiveOracle):
@@ -1417,8 +1436,27 @@ class TestReconstructWeighted:
         liar = LateLiar(uniform_weights(tree, seed=12))
         with pytest.raises(InconsistentOracleError) as caught:
             reconstruct_weighted(liar, range(tree.n), 3, random.Random(6))
-        assert caught.value.stats == want_stats
+        assert caught.value.stats == dataclasses.replace(want_stats, audit_queries=1)
         assert liar.calls == honest + 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_root_childs_depth_read_of_zero_fails_the_run(self, seed):
+        # A root child's depth read is its edge's weight, and no later query
+        # asks that edge again. A read of 0.0 there must still fail the run,
+        # not come back as a weight.
+        tree = random_tree(40, 3, seed=11)
+        hidden = uniform_weights(tree, seed=12)
+        for child in tree.children[tree.root]:
+
+            class RootLiar(AdditiveOracle):
+                def query(self, i, j):
+                    answer = super().query(i, j)
+                    return 0.0 if (i, j) == (tree.root, child) else answer
+
+            with pytest.raises(InconsistentOracleError):
+                reconstruct_weighted(
+                    RootLiar(hidden), range(tree.n), 3, random.Random(seed)
+                )
 
     @settings(max_examples=150, deadline=None)
     @given(
