@@ -77,15 +77,13 @@ def run_single(
     the node sampling (seed*4+0 and +3 are reserved for tree generation and
     weights by :func:`bench_run`). A noisy run votes with a cap of
     ``votes`` answers and a lead of ``lead``, and its ``raw_queries`` are
-    the answers its votes asked. ``eps`` and ``delta`` belong to the noisy
-    regime alone: given to another, they raise ValueError before any
-    oracle is built.
+    the answers its votes asked. The weighted regime needs a weighted
+    ``hidden`` unless its single node leaves no edge to weigh. An unknown
+    regime, ``eps`` or ``delta`` missing in the noisy regime or given in
+    another, ``eps`` outside (0, 1/2) or ``delta`` outside (0, 1) raise
+    ValueError before any oracle is built, on a 1-node tree too.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}; pick one of {REGIMES}")
-    if regime != "noisy" and (eps is not None or delta is not None):
-        # A noise rate the run never used must not reach its output.
-        raise ValueError("eps and delta apply only to the noisy regime")
+    _check_run(regime, eps, delta)
     plain = hidden.tree if isinstance(hidden, WeightedDirectedRootedTree) else hidden
     rng = random.Random(seed * 4 + 2)
     votes = lead = None
@@ -94,8 +92,6 @@ def run_single(
     if regime == "exact":
         oracle = ExactOracle(plain)
     elif regime == "noisy":
-        if eps is None or delta is None:
-            raise ValueError("the noisy regime needs eps and delta")
         # A single node asks no query, so there is nothing to vote on.
         votes = lead = 1
         if plain.n > 1:
@@ -103,7 +99,10 @@ def run_single(
         oracle = NoisyOracle(plain, eps, seed=seed * 4 + 1, votes=votes, lead=lead)
     else:
         if not isinstance(hidden, WeightedDirectedRootedTree):
-            raise ValueError("the weighted regime needs a weighted hidden tree")
+            # A 1-node tree has no edge to weigh, so it may come unweighted.
+            if plain.n > 1:
+                raise ValueError("the weighted regime needs a weighted hidden tree")
+            hidden = WeightedDirectedRootedTree(plain, {})
         oracle = AdditiveOracle(hidden)
 
     try:
@@ -146,10 +145,11 @@ def bench_run(
     Each record's seed is derived independently from ``base_seed``, so the
     grid order never shifts a run's randomness. Re-running the same grid
     reproduces everything but the wall times. ``eps`` and ``delta`` are
-    the noisy regime's noise rate and failure budget.
+    the noisy regime's noise rate and failure budget. Bad arguments raise
+    ValueError as in :func:`run_single`, and so does a negative ``reps``,
+    before any tree is built, so a 0-rep grid refuses them too.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
+    _check_run(regime, eps, delta)
     if reps < 0:
         raise ValueError("reps must be >= 0")
     records = []
@@ -195,3 +195,20 @@ def records_to_csv(records: Iterable[BenchRecord]) -> str:
             f"{str(r.success).lower()},{r.wall_ms:.3f}"
         )
     return "\n".join(lines) + "\n"
+
+
+def _check_run(regime: str, eps: float | None, delta: float | None) -> None:
+    """Raise ValueError unless the regime is known and ``eps`` and ``delta``
+    are both given, in range, in the noisy regime and neither in another."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; pick one of {REGIMES}")
+    if regime != "noisy":
+        if eps is not None or delta is not None:
+            # A noise rate the run never used must not reach its output.
+            raise ValueError("eps and delta apply only to the noisy regime")
+    elif eps is None or delta is None:
+        raise ValueError("the noisy regime needs eps and delta")
+    elif not 0.0 < eps < 0.5:
+        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
+    elif not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")

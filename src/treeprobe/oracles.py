@@ -97,20 +97,21 @@ class NoisyOracle(_Oracle):
     at the full lead, where a lead from ``vote_size`` is far below it.
     ``noise`` may be 0.0 (degenerate no-flip limit) but must stay below 1/2.
 
-    Deterministic given (seed, call order): every query draws exactly one
-    uniform variate from its own RNG, against the chance that the vote is
-    wrong. ``raw``, the noisy answers asked so far, is billed when read from
-    a second stream derived from ``seed``, so it is deterministic given the
-    seed and the calls made before each read, and never moves an answer. The
-    exact bit is an O(1) comparison of preorder spans, built on the first
-    query.
+    ``seed`` has no default, so no stream seeds from OS entropy, and the
+    oracle is deterministic given (seed, call order): every query draws
+    exactly one uniform variate from its own RNG, against the chance that
+    the vote is wrong. ``raw``, the noisy answers asked so far, is billed
+    when read from a second stream derived from ``seed``, so it is
+    deterministic given the seed and the calls made before each read, and
+    never moves an answer. The exact bit is an O(1) comparison of preorder
+    spans, built on the first query.
     """
 
     def __init__(
         self,
         tree: DirectedRootedTree,
         noise: float,
-        seed: int | None = None,
+        seed: int,
         votes: int = 1,
         lead: int | None = None,
     ):
@@ -159,8 +160,7 @@ class NoisyOracle(_Oracle):
         calls, flips = self.calls, self._flips
         if calls != self._billed:
             if self._bill_rng is None:
-                seed = self._seed
-                self._bill_rng = random.Random(None if seed is None else f"bill:{seed}")
+                self._bill_rng = random.Random(f"bill:{self._seed}")
             new_flips = flips - self._billed_flips
             self._raw += _bill(self._bill_rng, self._right_stops, calls - self._billed - new_flips)
             self._raw += _bill(self._bill_rng, self._wrong_stops, new_flips)

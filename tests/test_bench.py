@@ -193,6 +193,34 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="noisy"):
             bench_run(regime, [10], [3], 1, 0, **noise)
 
+    @pytest.mark.parametrize(
+        "regime, noise, message",
+        [
+            ("telepathic", {}, "unknown regime"),
+            ("exact", {"eps": 0.1}, "only to the noisy regime"),
+            ("weighted", {"delta": 0.1}, "only to the noisy regime"),
+            ("noisy", {"eps": 0.1}, "needs eps and delta"),
+            ("noisy", {"delta": 0.1}, "needs eps and delta"),
+            ("noisy", {"eps": 0.0, "delta": 0.1}, "eps must lie"),
+            ("noisy", {"eps": 0.5, "delta": 0.1}, "eps must lie"),
+            ("noisy", {"eps": 0.1, "delta": 0.0}, "delta must lie"),
+            ("noisy", {"eps": 0.1, "delta": 1.5}, "delta must lie"),
+        ],
+    )
+    def test_bad_arguments_are_refused_on_a_single_node(self, regime, noise, message):
+        # A 1-node tree asks no query and never sizes a vote, so only the
+        # argument check can refuse it.
+        with pytest.raises(ValueError, match=message):
+            run_single(regime, from_edges(1, set()), 1, seed=0, **noise)
+        with pytest.raises(ValueError, match=message):
+            bench_run(regime, [10], [3], 0, 0, **noise)
+
+    def test_weighted_regime_takes_an_unweighted_single_node(self):
+        outcome = run_single("weighted", from_edges(1, set()), 1, seed=0)
+        assert outcome.success
+        assert outcome.edges == set() and outcome.weights == {}
+        assert outcome.logical_queries == 0
+
     # (logical_queries, raw_queries, rounds_total, audit_queries,
     # recursion_depth_max) per cell. Any change to what the driver asks, in
     # what order, or to what the rng draws moves at least one of them.

@@ -88,6 +88,19 @@ class TestGenerate:
                 "--degree", "1", "--out", str(tmp_path / "t.txt"))
         assert caught.value.code == 2
 
+    @pytest.mark.parametrize("nodes", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "shape", ["random", "chain", "star", "caterpillar", "balanced", "parallel-chain"]
+    )
+    def test_no_nodes_is_a_usage_error(self, tmp_path, shape, nodes):
+        out = tmp_path / "t.txt"
+        # One branch fits any count, so parallel_chain itself refuses it.
+        degree = {"random": ["--degree", "2"], "parallel-chain": ["--degree", "1"]}.get(shape, [])
+        with pytest.raises(SystemExit) as caught:
+            run("generate", "--shape", shape, "--nodes", nodes, *degree, "--out", str(out))
+        assert caught.value.code == 2
+        assert not out.exists()
+
 
 class TestReconstruct:
     @pytest.fixture
@@ -229,7 +242,30 @@ class TestReconstruct:
         with pytest.raises(SystemExit) as caught:
             run("reconstruct", "--tree", str(hidden_file), "--regime", regime, flag, "0.1")
         assert caught.value.code == 2
-        assert "only to --regime noisy" in capsys.readouterr().err
+        assert "eps and delta apply only to the noisy regime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "eps, delta, message",
+        [("0", "0.1", "eps must lie in (0, 0.5)"), ("0.1", "1.5", "delta must lie in (0, 1)")],
+    )
+    def test_noise_out_of_range_on_a_single_node_is_a_usage_error(
+        self, tmp_path, capsys, eps, delta, message
+    ):
+        # A 1-node run sizes no vote, so the range check alone refuses it.
+        hidden = tmp_path / "one.txt"
+        save_tree(from_edges(1, set()), hidden)
+        with pytest.raises(SystemExit) as caught:
+            run("reconstruct", "--tree", str(hidden), "--regime", "noisy",
+                "--eps", eps, "--delta", delta)
+        assert caught.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_missing_file_is_reported_before_bad_flags(self, tmp_path, capsys):
+        # The file is read before the run checks its arguments.
+        code = run("reconstruct", "--tree", str(tmp_path / "absent.txt"),
+                   "--regime", "exact", "--eps", "0.1")
+        assert code == EXIT_IO
+        assert "error:" in capsys.readouterr().err
 
     def test_weighted_requires_a_weighted_file(self, hidden_file):
         with pytest.raises(SystemExit) as caught:
@@ -329,6 +365,23 @@ class TestBench:
         with pytest.raises(SystemExit) as caught:
             run("bench", "--regime", regime, flag, "0.3", "--nodes", "12",
                 "--degrees", "3", "--reps", "1", "--csv", str(target))
+        assert caught.value.code == 2
+        assert not target.exists()
+
+    def test_zero_reps_still_refuse_noise_flags(self, tmp_path, capsys):
+        target = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as caught:
+            run("bench", "--reps", "0", "--regime", "exact", "--eps", "0.1",
+                "--nodes", "12", "--degrees", "3", "--csv", str(target))
+        assert caught.value.code == 2
+        assert "only to the noisy regime" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_negative_reps_is_a_usage_error(self, tmp_path):
+        target = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as caught:
+            run("bench", "--reps", "-1", "--nodes", "12", "--degrees", "3",
+                "--csv", str(target))
         assert caught.value.code == 2
         assert not target.exists()
 

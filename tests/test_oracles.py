@@ -71,7 +71,7 @@ class TestExactOracle:
 @pytest.mark.parametrize("tree", DEEP_AND_RELABELLED)
 def test_exact_and_noiseless_bits_match_the_parent_walk(tree):
     exact = ExactOracle(tree)
-    noiseless = NoisyOracle(tree, 0.0)
+    noiseless = NoisyOracle(tree, 0.0, seed=0)
     for i, j in _ordered_pairs(tree.n):
         truth = int(is_ancestor(tree, i, j))
         assert exact.query(i, j) == truth
@@ -125,10 +125,15 @@ class TestNoisyOracle:
         expected = [int(is_ancestor(tree, i, j)) ^ (ref.random() < 0.25) for i, j in pairs]
         assert [oracle.query(i, j) for i, j in pairs] == expected
 
+    def test_seed_is_required(self, bent_tree):
+        # A default of None would seed both streams from OS entropy.
+        with pytest.raises(TypeError):
+            NoisyOracle(bent_tree, 0.1)
+
     @pytest.mark.parametrize("noise", [-0.01, 0.5, 0.7])
     def test_noise_domain(self, bent_tree, noise):
         with pytest.raises(ValueError):
-            NoisyOracle(bent_tree, noise)
+            NoisyOracle(bent_tree, noise, seed=0)
 
 
 def _magnitude_chain(n):
@@ -296,7 +301,7 @@ class TestMajorityError:
         ],
     )
     def test_oracle_binds_the_walk_table(self, bent_tree, votes, lead, noise):
-        oracle = NoisyOracle(bent_tree, noise, votes=votes, lead=lead)
+        oracle = NoisyOracle(bent_tree, noise, seed=0, votes=votes, lead=lead)
         table = _walk(votes, oracle.lead, noise)
         assert oracle._wrong.hex() == table[0].hex()
         assert (oracle._wrong, oracle._right_stops, oracle._wrong_stops) == table
@@ -321,7 +326,7 @@ class TestMajorityQuery:
     def test_draw_just_below_the_tail_flips_the_answer(self, bent_tree):
         wrong = _majority(5, 0.3)
         truth = int(is_ancestor(bent_tree, 2, 10))
-        voter = NoisyOracle(bent_tree, 0.3, votes=5)
+        voter = NoisyOracle(bent_tree, 0.3, seed=0, votes=5)
         voter._rng = _FixedDraw(math.nextafter(wrong, 0.0))
         assert voter.query(2, 10) == 1 - truth
         for at_or_above in (wrong, math.nextafter(wrong, 1.0)):
@@ -350,7 +355,7 @@ class TestMajorityOracle:
     @pytest.mark.parametrize("votes", [0, -1, 2, 8])
     def test_vote_count_must_be_odd_and_positive(self, bent_tree, votes):
         with pytest.raises(ValueError):
-            NoisyOracle(bent_tree, 0.1, votes=votes)
+            NoisyOracle(bent_tree, 0.1, seed=0, votes=votes)
 
     @pytest.mark.parametrize("votes", [1, 3, 7])
     def test_noiseless_inner_gives_exact_bits(self, bent_tree, votes):
@@ -410,9 +415,9 @@ def test_query_is_the_only_public_callable(bent_tree, kind):
     weighted = WeightedDirectedRootedTree(bent_tree, {edge: 1.0 for edge in bent_tree.edges()})
     oracle = {
         "exact": ExactOracle(bent_tree),
-        "noisy": NoisyOracle(bent_tree, 0.1),
+        "noisy": NoisyOracle(bent_tree, 0.1, seed=0),
         "additive": AdditiveOracle(weighted),
-        "majority": NoisyOracle(bent_tree, 0.1, votes=3),
+        "majority": NoisyOracle(bent_tree, 0.1, seed=0, votes=3),
     }[kind]
     public = [name for name in dir(oracle) if not name.startswith("_")]
     assert [name for name in public if callable(getattr(oracle, name))] == ["query"]
@@ -596,7 +601,7 @@ class TestSequentialVote:
     @pytest.mark.parametrize("lead", [0, -1, 4])
     def test_lead_must_fit_the_votes(self, bent_tree, lead):
         with pytest.raises(ValueError):
-            NoisyOracle(bent_tree, 0.1, votes=5, lead=lead)
+            NoisyOracle(bent_tree, 0.1, seed=0, votes=5, lead=lead)
 
 
 class TestBinomial:

@@ -1328,7 +1328,7 @@ class TestReconstructNoisy:
         assert edges == set(tree.edges())
 
     def test_single_node_needs_no_vote_count(self):
-        noisy = NoisyOracle(shaped_tree("chain", 1), 0.1, votes=1)
+        noisy = NoisyOracle(shaped_tree("chain", 1), 0.1, seed=0, votes=1)
         edges, stats = reconstruct_tree(noisy, range(1), 1, random.Random(0))
         assert edges == set()
         assert stats.rounds_total == 0
