@@ -7,13 +7,9 @@ from .bench import (
     run_single,
 )
 from .errors import (
-    CycleError,
-    DegreeBoundError,
     InconsistentOracleError,
     InfeasibleDegreeError,
     InvalidTreeError,
-    MultipleRootsError,
-    SelfQueryError,
     TreeFormatError,
 )
 from .generators import parallel_chain, random_tree, shaped_tree, uniform_weights
@@ -39,17 +35,13 @@ __all__ = [
     "ROOT",
     "AdditiveOracle",
     "BenchRecord",
-    "CycleError",
-    "DegreeBoundError",
     "DirectedRootedTree",
     "ExactOracle",
     "InconsistentOracleError",
     "InfeasibleDegreeError",
     "InvalidTreeError",
-    "MultipleRootsError",
     "NoisyOracle",
     "ReconstructionStats",
-    "SelfQueryError",
     "TreeFormatError",
     "WeightedDirectedRootedTree",
     "bench_run",

@@ -107,11 +107,9 @@ def run_single(
 
     try:
         if regime == "weighted":
-            edges, weights_out, stats = reconstruct_weighted(
-                oracle, range(plain.n), degree_bound, rng
-            )
+            edges, weights_out, stats = reconstruct_weighted(oracle, plain.n, degree_bound, rng)
         else:
-            edges, stats = reconstruct_tree(oracle, range(plain.n), degree_bound, rng)
+            edges, stats = reconstruct_tree(oracle, plain.n, degree_bound, rng)
     except InconsistentOracleError as err:
         edges, stats, success = set(), err.stats, False
     else:

@@ -2,23 +2,8 @@
 
 
 class InvalidTreeError(ValueError):
-    """Parent array does not describe a directed rooted tree."""
-
-
-class MultipleRootsError(InvalidTreeError):
-    """More than one entry claims to be the root."""
-
-
-class CycleError(InvalidTreeError):
-    """Parent pointers contain a cycle (which includes the no-root case)."""
-
-
-class DegreeBoundError(InvalidTreeError):
-    """A node exceeds the declared degree bound, or the bound is < 1."""
-
-
-class SelfQueryError(ValueError):
-    """Path queries and ancestor tests are undefined for i == j."""
+    """Input describes no valid tree: several roots, a cycle, a parent out
+    of range, a degree above the bound, or a bad edge weight."""
 
 
 class InfeasibleDegreeError(ValueError):

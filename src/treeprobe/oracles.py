@@ -44,7 +44,6 @@ import random
 from itertools import accumulate
 from typing import Iterator
 
-from .errors import SelfQueryError
 from .trees import DirectedRootedTree, WeightedDirectedRootedTree, check_degree_feasible
 
 
@@ -448,8 +447,8 @@ def _preorder_spans(tree: DirectedRootedTree) -> tuple[list[int], list[int]]:
 
 
 def _check(n: int, i: int, j: int) -> None:
-    """Raise for a self pair or an out-of-range node; the callers test first."""
+    """Raise ValueError for a self pair or an out-of-range node; callers test first."""
     if i == j:
-        raise SelfQueryError(f"oracle queried with i == j == {i}")
+        raise ValueError(f"oracle queried with i == j == {i}")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"node pair ({i}, {j}) out of range for n={n}")

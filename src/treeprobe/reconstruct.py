@@ -83,7 +83,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InconsistentOracleError
 from .trees import check_degree_feasible
@@ -284,11 +284,11 @@ def reconstruct_skeleton_path(
 
 def reconstruct_tree(
     oracle,
-    nodes: Iterable[int],
+    n: int,
     degree_bound: int,
     rng: random.Random,
 ) -> tuple[Edges, ReconstructionStats]:
-    """Recover every edge of the hidden tree spanning ``nodes``.
+    """Recover every edge of the hidden tree on nodes ``0 .. n-1``.
 
     ``oracle.query(i, j)`` must be truthy exactly when the oracle claims a
     directed path i -> j; nothing else of an answer is read.
@@ -311,8 +311,8 @@ def reconstruct_tree(
     a denial there raises InconsistentOracleError. ``stats.audit_queries``
     counts the audit's queries: none on a chain unless the first draw is
     the root, about one per leaf on a star.
-    ``degree_bound`` sets only the balance gate. A node listed twice raises
-    ValueError, and a bound that no tree on these nodes fits (below 1, or 1
+    ``degree_bound`` sets only the balance gate. A negative ``n`` raises
+    ValueError, and a bound that no tree on ``n`` nodes fits (below 1, or 1
     with more than two nodes) raises InfeasibleDegreeError, both before any
     query. A part whose rounds keep failing under a bound below the true
     degree doubles its own bound, which its pieces inherit, so the edges
@@ -320,28 +320,27 @@ def reconstruct_tree(
     oracle's answers. An InconsistentOracleError raised on the way carries
     the counters so far as its ``stats``.
     """
-    edges, _, stats = _reconstruct(oracle, nodes, degree_bound, rng)
+    edges, _, stats = _reconstruct(oracle, n, degree_bound, rng)
     return edges, stats
 
 
 def _reconstruct(
     oracle,
-    nodes: Iterable[int],
+    n: int,
     degree_bound: int,
     rng: random.Random,
     additive: bool = False,
 ) -> tuple[Edges, dict[tuple[int, int], object], ReconstructionStats]:
-    """reconstruct_tree, which also returns the answer the audit checked on
-    each edge it walked. With ``additive`` (path sums) the run reads each
-    depth Q(root, k), which every later scan then takes (see the module
-    docstring), and the audit walks every returned edge in sorted order, so
-    it returns each edge's weight. Every query is asked in the driver loop
-    or by the audit after it."""
-    part = sorted(nodes)
-    for a, b in zip(part, part[1:]):
-        if a == b:
-            raise ValueError(f"node {a} is listed more than once")
-    check_degree_feasible(len(part), degree_bound)
+    """reconstruct_tree on nodes ``0 .. n-1``, which also returns the answer
+    the audit checked on each edge it walked. With ``additive`` (path sums)
+    the run reads each depth Q(root, k), which every later scan then takes
+    (see the module docstring), and the audit walks every returned edge in
+    sorted order, so it returns each edge's weight. Every query is asked in
+    the driver loop or by the audit after it."""
+    if n < 0:
+        raise ValueError(f"node count must be >= 0, got {n}")
+    check_degree_feasible(n, degree_bound)
+    part = list(range(n))
     stats = ReconstructionStats()
     edges: Edges = set()
     # Edges no answer vouches for yet, to ask once at the end.
@@ -425,7 +424,7 @@ def _reconstruct(
             if additive:
                 # Q(p, k) is k's weighted depth, and on an edge out of the
                 # root its weight, so the audit does not ask it again.
-                dist = [0.0] * (max(part) + 1)
+                dist = [0.0] * n
                 for k in part[1:]:
                     dist[k] = answers[(p, k)] = oracle.query(p, k)
             pieces, t = [part], 0
@@ -497,11 +496,13 @@ def _reconstruct(
 
 def reconstruct_weighted(
     oracle,
-    nodes: Iterable[int],
+    n: int,
     degree_bound: int,
     rng: random.Random,
 ) -> tuple[Edges, dict[tuple[int, int], float], ReconstructionStats]:
-    """Recover edges and exact weights from an additive oracle.
+    """Recover the edges on nodes ``0 .. n-1`` and their exact weights from
+    an additive oracle, refusing ``n`` and the bound as ``reconstruct_tree``
+    does.
 
     The driver reads each path sum as a truth value, which is sound because
     weights are strictly positive, and as a depth: once the first round has
@@ -515,4 +516,4 @@ def reconstruct_weighted(
     each is stored verbatim. A weight of 0, read or kept, raises
     InconsistentOracleError with the run's stats.
     """
-    return _reconstruct(oracle, nodes, degree_bound, rng, additive=True)
+    return _reconstruct(oracle, n, degree_bound, rng, additive=True)

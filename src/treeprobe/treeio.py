@@ -14,7 +14,9 @@ the identical float. Node order in the file is not significant.
 
 from __future__ import annotations
 
+import dataclasses
 import os
+
 from .errors import InvalidTreeError, TreeFormatError
 from .trees import (
     ROOT,
@@ -83,9 +85,12 @@ def parse_tree(text: str) -> AnyTree:
             weighted_lines += 1
 
     try:
-        tree = validate_tree(parent, max_node_degree(parent))  # type: ignore[arg-type]
+        # Every tree on n nodes fits bound n, and a parent out of range is
+        # caught here before max_node_degree would index with it.
+        tree = validate_tree(parent, n)  # type: ignore[arg-type]
     except InvalidTreeError as exc:
         raise TreeFormatError(f"not a valid tree: {exc}") from None
+    tree = dataclasses.replace(tree, degree_bound=max_node_degree(tree.parent))
 
     if weighted_lines == 0:
         return tree

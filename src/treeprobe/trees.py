@@ -15,13 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    CycleError,
-    DegreeBoundError,
-    InfeasibleDegreeError,
-    InvalidTreeError,
-    MultipleRootsError,
-)
+from .errors import InfeasibleDegreeError, InvalidTreeError
 
 ROOT = -1
 
@@ -79,21 +73,21 @@ class WeightedDirectedRootedTree:
 def validate_tree(parent: Sequence[int], degree_bound: int) -> DirectedRootedTree:
     """Check a parent array and return the immutable tree.
 
-    Raises MultipleRootsError, CycleError or DegreeBoundError when the array
-    is not a directed rooted tree within the bound.
+    Raises InvalidTreeError when the array is not a directed rooted tree
+    within the bound.
     """
     parent = tuple(parent)
     n = len(parent)
     if n == 0:
         raise InvalidTreeError("a tree needs at least one node")
     if degree_bound < 1:
-        raise DegreeBoundError(f"degree bound must be >= 1, got {degree_bound}")
+        raise InvalidTreeError(f"degree bound must be >= 1, got {degree_bound}")
 
     roots = [v for v, p in enumerate(parent) if p == ROOT]
     if len(roots) > 1:
-        raise MultipleRootsError(f"nodes {roots} all claim to be the root")
+        raise InvalidTreeError(f"nodes {roots} all claim to be the root")
     if not roots:
-        raise CycleError("no root: every parent chain must then loop")
+        raise InvalidTreeError("no root: every parent chain must then loop")
     root = roots[0]
 
     kids: list[list[int]] = [[] for _ in range(n)]
@@ -103,7 +97,7 @@ def validate_tree(parent: Sequence[int], degree_bound: int) -> DirectedRootedTre
         if not 0 <= p < n:
             raise InvalidTreeError(f"parent of node {v} is out of range: {p}")
         if p == v:
-            raise CycleError(f"node {v} is its own parent")
+            raise InvalidTreeError(f"node {v} is its own parent")
         kids[p].append(v)
 
     # Reachability from the root doubles as the cycle check: with exactly one
@@ -120,12 +114,12 @@ def validate_tree(parent: Sequence[int], degree_bound: int) -> DirectedRootedTre
             stack.append(c)
     if seen != n:
         bad = [v for v in range(n) if not reached[v]]
-        raise CycleError(f"nodes {bad} are not reachable from the root")
+        raise InvalidTreeError(f"nodes {bad} are not reachable from the root")
 
     for v in range(n):
         deg = len(kids[v]) + (0 if v == root else 1)
         if deg > degree_bound:
-            raise DegreeBoundError(
+            raise InvalidTreeError(
                 f"node {v} has degree {deg}, above the bound {degree_bound}"
             )
 

@@ -21,6 +21,17 @@ from treeprobe import DirectedRootedTree, max_node_degree, validate_tree
 SPINE_PARENT = (-1, 0, 1, 2, 3, 0, 0, 1, 2, 8, 4)
 BENT_PARENT = (1, 2, 8, 2, 3, 0, 0, 1, -1, 8, 4)
 
+# Tree files that parse line by line but hold no tree, each with the reason
+# that follows "not a valid tree: " in parse_tree's error.
+NOT_A_TREE = [
+    ("2\n0 -1\n1 -1\n", "nodes [0, 1] all claim to be the root"),
+    ("2\n0 1\n1 0\n", "no root: every parent chain must then loop"),
+    ("2\n0 -1\n1 1\n", "node 1 is its own parent"),
+    ("3\n0 -1\n1 2\n2 1\n", "nodes [1, 2] are not reachable from the root"),
+    ("2\n0 -1\n1 -2\n", "parent of node 1 is out of range: -2"),
+    ("2\n0 -1\n1 5\n", "parent of node 1 is out of range: 5"),
+]
+
 
 @pytest.fixture
 def spine_tree() -> DirectedRootedTree:

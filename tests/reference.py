@@ -25,7 +25,6 @@ from treeprobe import (
     ROOT,
     DirectedRootedTree,
     InvalidTreeError,
-    SelfQueryError,
     reconstruct,
     validate_tree,
 )
@@ -148,7 +147,7 @@ def subtree_size(tree: DirectedRootedTree, v: int) -> int:
 
 def _check_pair(n: int, i: int, j: int) -> None:
     if i == j:
-        raise SelfQueryError(f"i and j must differ, both are {i}")
+        raise ValueError(f"i and j must differ, both are {i}")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"node pair ({i}, {j}) out of range for n={n}")
 

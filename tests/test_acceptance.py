@@ -78,7 +78,7 @@ def test_criterion_1_every_small_tree_is_recovered(report):
             # bound only makes the separator search easier.
             tree = validate_tree(loose.parent, max_node_degree(loose.parent))
             edges, _ = reconstruct_tree(
-                ExactOracle(tree), range(n), tree.degree_bound, rng
+                ExactOracle(tree), n, tree.degree_bound, rng
             )
             if edges != set(tree.edges()):
                 failures.append(tree.parent)
@@ -238,7 +238,7 @@ def test_criterion_7_subprocedures_match_ground_truth(report):
         with accepted_cuts() as cuts:
             reconstruct_tree(
                 ExactOracle(tree),
-                range(tree.n),
+                tree.n,
                 tree.degree_bound,
                 random.Random(rng.getrandbits(32)),
             )

@@ -22,6 +22,8 @@ from treeprobe import cli
 from treeprobe.bench import RunOutcome
 from treeprobe.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
 
+from conftest import NOT_A_TREE
+
 
 def run(*argv: str) -> int:
     return main(list(argv))
@@ -282,6 +284,17 @@ class TestReconstruct:
             bad.write_bytes(content)
             assert run("reconstruct", "--tree", str(bad)) == EXIT_IO
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, reason", NOT_A_TREE)
+    def test_a_file_that_is_no_tree_exits_three_and_says_why(
+        self, tmp_path, capsys, text, reason
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run("reconstruct", "--tree", str(bad)) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == f"error: not a valid tree: {reason}\n"
+        assert captured.out == ""
 
 
 class TestVerify:

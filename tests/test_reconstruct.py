@@ -637,7 +637,7 @@ def test_every_bag_search_query_is_asked_inside_path_pieces(monkeypatch):
     monkeypatch.setattr(reconstruct, "path_pieces", path_pieces)
     monkeypatch.setattr(reconstruct, "find_even_separator", find_even_separator)
     with accepted_cuts() as accepted:
-        edges, stats = reconstruct_tree(Charging(), range(tree.n), 3, random.Random(1))
+        edges, stats = reconstruct_tree(Charging(), tree.n, 3, random.Random(1))
     assert edges == set(tree.edges())
     assert calls["path_pieces"] == stats.rounds_total
     assert asked["path_pieces"] > 0
@@ -661,23 +661,30 @@ class TestReconstructTree:
         for tree in (spine_tree, bent_tree):
             oracle = ExactOracle(tree)
             with accepted_cuts() as cuts:
-                edges, stats = reconstruct_tree(oracle, range(11), 3, random.Random(5))
+                edges, stats = reconstruct_tree(oracle, 11, 3, random.Random(5))
             assert edges == set(tree.edges())
             # Each accepted round keeps at least one new edge, so at most ten.
             assert 1 <= len(cuts) <= min(10, stats.rounds_total)
             assert stats.recursion_depth_max >= 2
 
-    def test_single_node_needs_nothing(self):
-        oracle = ExactOracle(shaped_tree("chain", 1))
-        edges, stats = reconstruct_tree(oracle, [0], 1, random.Random(0))
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_fewer_than_two_nodes_need_nothing(self, n, weighted):
+        recorder = _RecordingOracle(_ZeroOracle())
+        if weighted:
+            edges, weights, stats = reconstruct_weighted(recorder, n, 1, random.Random(0))
+            assert weights == {}
+        else:
+            edges, stats = reconstruct_tree(recorder, n, 1, random.Random(0))
         assert edges == set()
-        assert stats.rounds_total == 0
+        assert stats == reconstruct.ReconstructionStats()
+        assert recorder.transcript == []
 
     def test_two_nodes_at_degree_one_are_settled_by_two_checks(self):
         # Bound 1 fits two nodes and never reaches a gate: asking both ways
         # orients the pair and settles the edge, and the audit asks nothing.
         oracle = ExactOracle(shaped_tree("chain", 2))
-        edges, stats = reconstruct_tree(oracle, [0, 1], 1, random.Random(0))
+        edges, stats = reconstruct_tree(oracle, 2, 1, random.Random(0))
         assert edges == {(0, 1)}
         assert stats.rounds_total == 0
         assert oracle.calls == 2
@@ -689,17 +696,18 @@ class TestReconstructTree:
         # No balanced cut exists below d=2, so these rounds used to spin forever.
         oracle = ExactOracle(shaped_tree("chain", n))
         with pytest.raises(InfeasibleDegreeError):
-            reconstruct_tree(oracle, range(n), bound, random.Random(0))
+            reconstruct_tree(oracle, n, bound, random.Random(0))
         assert oracle.calls == 0
 
-    @pytest.mark.parametrize("nodes", [[0, 1, 2, 0], [0, 1, 1, 2]])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_repeated_node_raises_before_any_query(self, nodes, seed):
-        # Unchecked, the repeat made the outcome depend on the pairs drawn.
-        oracle = ExactOracle(shaped_tree("chain", 3))
-        with pytest.raises(ValueError, match="node [01] is listed more than once"):
-            reconstruct_tree(oracle, nodes, 2, random.Random(seed))
-        assert oracle.calls == 0
+    @pytest.mark.parametrize("n", [-1, -7])
+    @pytest.mark.parametrize("driver", [reconstruct_tree, reconstruct_weighted])
+    def test_negative_node_count_raises_before_any_query(self, n, driver):
+        # The count is checked before the bound, which no tree fits here.
+        recorder = _RecordingOracle(_ZeroOracle())
+        with pytest.raises(ValueError, match=f"node count must be >= 0, got {n}") as err:
+            driver(recorder, n, 0, random.Random(0))
+        assert type(err.value) is ValueError
+        assert recorder.transcript == []
 
     def test_forced_first_pair_yields_the_expected_cut(self, bent_tree):
         # The first round's path runs from the root 8 to the scripted 0, with
@@ -708,7 +716,7 @@ class TestReconstructTree:
         oracle = ExactOracle(bent_tree)
         rng = ScriptedRng([0], seed=1)
         with accepted_cuts() as accepted:
-            edges, _ = reconstruct_tree(oracle, range(11), 3, rng)
+            edges, _ = reconstruct_tree(oracle, 11, 3, rng)
         assert accepted[0] == ((2, 1), (8, 0, 1, 2, 3, 4, 5, 6, 7, 9, 10))
         assert edges == set(bent_tree.edges())
 
@@ -720,7 +728,7 @@ class TestReconstructTree:
         # about the root 8.
         recorder = _RecordingOracle(ExactOracle(bent_tree))
         with _recording_gates(recorder) as gates:
-            reconstruct_tree(recorder, range(11), 3, ScriptedRng([0]))
+            reconstruct_tree(recorder, 11, 3, ScriptedRng([0]))
         first_cut_at = next(at for at, cut in gates if cut is not None)
         assert recorder.transcript[7] == (8, 0, True)
         bag_queries = recorder.transcript[12:first_cut_at]
@@ -732,7 +740,7 @@ class TestReconstructTree:
         truth = set(bent_tree.edges())
         oracle = ExactOracle(bent_tree)
         with accepted_cuts() as accepted:
-            reconstruct_tree(oracle, range(11), 3, random.Random(3))
+            reconstruct_tree(oracle, 11, 3, random.Random(3))
         seen = [cut for cut, _ in accepted]
         # One gating cut per accepted round, each a distinct true edge.
         assert seen
@@ -743,20 +751,20 @@ class TestReconstructTree:
         runs = []
         for _ in range(2):
             recorder = _RecordingOracle(ExactOracle(bent_tree))
-            edges, _ = reconstruct_tree(recorder, range(11), 3, random.Random(7))
+            edges, _ = reconstruct_tree(recorder, 11, 3, random.Random(7))
             runs.append((edges, recorder.transcript))
         assert runs[0] == runs[1]
 
     def test_star_with_a_full_degree_hub(self):
         star = shaped_tree("star", 4)
         oracle = ExactOracle(star)
-        edges, _ = reconstruct_tree(oracle, range(4), 3, random.Random(2))
+        edges, _ = reconstruct_tree(oracle, 4, 3, random.Random(2))
         assert edges == set(star.edges())
 
     def test_parallel_chains_worst_case_family(self):
         tree = parallel_chain(3, 4)
         oracle = ExactOracle(tree)
-        edges, _ = reconstruct_tree(oracle, range(tree.n), 3, random.Random(11))
+        edges, _ = reconstruct_tree(oracle, tree.n, 3, random.Random(11))
         assert edges == set(tree.edges())
 
     @settings(max_examples=80, deadline=None)
@@ -764,20 +772,20 @@ class TestReconstructTree:
     def test_recovers_random_trees(self, tree):
         oracle = ExactOracle(tree)
         edges, _ = reconstruct_tree(
-            oracle, range(tree.n), tree.degree_bound, random.Random(1234)
+            oracle, tree.n, tree.degree_bound, random.Random(1234)
         )
         assert edges == set(tree.edges())
 
     def test_lying_oracle_is_detected(self):
         with pytest.raises(InconsistentOracleError):
-            reconstruct_tree(_ZeroOracle(), range(3), 2, random.Random(0))
+            reconstruct_tree(_ZeroOracle(), 3, 2, random.Random(0))
 
     def test_a_denied_edge_fails_the_run_with_its_counters(self):
         # Nothing reaches anything, so the first round takes its node for
         # the root and the next one's path to the other node it draws is
         # one unvouched edge, which the audit asks first and hears denied.
         with pytest.raises(InconsistentOracleError) as caught:
-            reconstruct_tree(_ZeroOracle(), range(3), 2, random.Random(0))
+            reconstruct_tree(_ZeroOracle(), 3, 2, random.Random(0))
         stats = caught.value.stats
         assert (stats.rounds_total, stats.recursion_depth_max) == (2, 2)
         assert stats.audit_queries == 1
@@ -787,7 +795,7 @@ class TestReconstructTree:
         # parts nest about n deep.
         star = shaped_tree("star", 2100)
         edges, stats = reconstruct_tree(
-            ExactOracle(star), range(star.n), star.degree_bound, random.Random(0)
+            ExactOracle(star), star.n, star.degree_bound, random.Random(0)
         )
         assert edges == set(star.edges())
         assert stats.recursion_depth_max > sys.getrecursionlimit()
@@ -797,7 +805,7 @@ class TestReconstructTree:
         # swallow the whole part and recurse on it unchanged.
         liar = _TableOracle({(0, 1): 1, (1, 0): 1})
         with pytest.raises(InconsistentOracleError):
-            reconstruct_tree(liar, range(2), 2, random.Random(0))
+            reconstruct_tree(liar, 2, 2, random.Random(0))
 
 
 def _relabelled(tree, seed):
@@ -832,7 +840,7 @@ class TestRootRounds:
         root = tree.parent.index(ROOT)
         recorder = _RecordingOracle(ExactOracle(tree))
         with _recording_gates(recorder) as gates:
-            reconstruct_tree(recorder, range(n), tree.degree_bound, random.Random(seed))
+            reconstruct_tree(recorder, n, tree.degree_bound, random.Random(seed))
         i = recorder.transcript[0][1]
         scan = recorder.transcript[: n - 1]
         assert [(a, b) for a, b, _ in scan] == [(k, i) for k in range(n) if k != i]
@@ -854,7 +862,7 @@ class TestRootRounds:
         recorder = _RecordingOracle(ExactOracle(tree))
         with _recording_gates(recorder) as gates:
             edges, stats = reconstruct_tree(
-                recorder, range(tree.n), tree.degree_bound, ScriptedRng([root], seed=seed)
+                recorder, tree.n, tree.degree_bound, ScriptedRng([root], seed=seed)
             )
         assert edges == set(tree.edges())
         return tree.n, root, recorder.transcript, gates, stats
@@ -893,7 +901,7 @@ class TestRootRounds:
         # On the chain 0 -> 1 -> 2 any path with an edge is accepted, so the
         # run takes one round, and one more when the first draw is the root.
         oracle = ExactOracle(shaped_tree("chain", 3))
-        edges, stats = reconstruct_tree(oracle, range(3), 2, ScriptedRng([first]))
+        edges, stats = reconstruct_tree(oracle, 3, 2, ScriptedRng([first]))
         assert edges == {(0, 1), (1, 2)}
         assert stats.rounds_total == rounds
 
@@ -918,7 +926,7 @@ class TestRootRounds:
         )
         with scanning:
             edges, _ = reconstruct_tree(
-                recorder, range(tree.n), tree.degree_bound, random.Random(seed)
+                recorder, tree.n, tree.degree_bound, random.Random(seed)
             )
         i = recorder.transcript[0][1]
         scan = [(a, b) for a, b, _ in recorder.transcript[: tree.n - 1]]
@@ -933,7 +941,7 @@ class TestRootRounds:
         recorder = _RecordingOracle(ExactOracle(tree))
         rng = random.Random(3)
         state = rng.getstate()
-        edges, stats = reconstruct_tree(recorder, range(2), 2, rng)
+        edges, stats = reconstruct_tree(recorder, 2, 2, rng)
         assert edges == {(root, x)}
         # The two queries orient the pair, and one of them is the edge's.
         assert [(a, b) for a, b, _ in recorder.transcript] == [(1, 0), (0, 1)]
@@ -943,7 +951,7 @@ class TestRootRounds:
     @pytest.mark.parametrize("table", [{}, {(0, 1): 1, (1, 0): 1}])
     def test_two_node_set_needs_exactly_one_yes(self, table):
         with pytest.raises(InconsistentOracleError) as caught:
-            reconstruct_tree(_TableOracle(table), range(2), 1, random.Random(0))
+            reconstruct_tree(_TableOracle(table), 2, 1, random.Random(0))
         assert caught.value.stats.rounds_total == 0
         # The pair is oriented in the driver loop, so its counters are the
         # loop's: the whole node set is level 1.
@@ -956,7 +964,7 @@ class TestRootRounds:
         tree = validate_tree((ROOT, 0, 1, 1), 3)
         recorder = _RecordingOracle(ExactOracle(tree))
         with _recording_gates(recorder) as gates:
-            edges, stats = reconstruct_tree(recorder, range(4), 3, ScriptedRng([2]))
+            edges, stats = reconstruct_tree(recorder, 4, 3, ScriptedRng([2]))
         assert edges == set(tree.edges())
         assert recorder.transcript[-2:] == [(1, 3, True), (2, 3, False)]
         assert gates == [(len(recorder.transcript), (0, 1))]
@@ -969,7 +977,7 @@ class TestRootRounds:
         tree = validate_tree((ROOT, 0, 0, 1), 2)
         recorder = _RecordingOracle(ExactOracle(tree))
         with _recording_gates(recorder) as gates:
-            edges, stats = reconstruct_tree(recorder, range(4), 2, ScriptedRng([3]))
+            edges, stats = reconstruct_tree(recorder, 4, 2, ScriptedRng([3]))
         assert edges == set(tree.edges())
         assert gates == [(len(recorder.transcript) - 1, (0, 1))]
         assert recorder.transcript[-1] == (0, 2, True)
@@ -992,7 +1000,7 @@ class TestRetries:
         tree = validate_tree(self.PARENT, 3)
         recorder = _RecordingOracle(ExactOracle(tree))
         with _recording_gates(recorder) as gates:
-            edges, stats = reconstruct_tree(recorder, range(tree.n), 3, ScriptedRng(script))
+            edges, stats = reconstruct_tree(recorder, tree.n, 3, ScriptedRng(script))
         assert edges == set(tree.edges())
         pairs = [(a, b) for a, b, _ in recorder.transcript]
         return pairs, [at for at, _ in gates], [cut for _, cut in gates], stats
@@ -1028,7 +1036,7 @@ class TestRetries:
         tree = validate_tree((ROOT, 0, 1, 1, 1, 3, 3, 4, 4, 5, 5, 6, 6), 4)
         recorder = _RecordingOracle(ExactOracle(tree))
         with _recording_gates(recorder) as gates:
-            edges, _ = reconstruct_tree(recorder, range(tree.n), 3, ScriptedRng([2, 1, 5]))
+            edges, _ = reconstruct_tree(recorder, tree.n, 3, ScriptedRng([2, 1, 5]))
         assert edges == set(tree.edges())
         (first, miss), (retry, again), (third, cut) = gates[:3]
         assert miss is None and again is None and cut == (1, 3)
@@ -1072,7 +1080,7 @@ class TestRetries:
 
         oracle = _CappedOracle(ExactOracle(tree), _query_cap(tree.n))
         with accepted_cuts() as cuts:
-            edges, stats = reconstruct_tree(oracle, range(tree.n), bound, Recording(seed))
+            edges, stats = reconstruct_tree(oracle, tree.n, bound, Recording(seed))
         assert edges == set(tree.edges())
         assert len(drawn_from) == stats.rounds_total
         assert all(others == sorted(others) for others in drawn_from)
@@ -1111,9 +1119,9 @@ class TestAudit:
         recorder = _RecordingOracle(self.ORACLES[regime](tree))
         rng = random.Random(seed)
         if regime == "weighted":
-            edges, _, stats = reconstruct_weighted(recorder, range(tree.n), bound, rng)
+            edges, _, stats = reconstruct_weighted(recorder, tree.n, bound, rng)
         else:
-            edges, stats = reconstruct_tree(recorder, range(tree.n), bound, rng)
+            edges, stats = reconstruct_tree(recorder, tree.n, bound, rng)
         assert edges == set(tree.edges())
         # The audit's queries end the run. The weighted run's audit reads
         # every edge but those out of the root, whose depth reads, or a
@@ -1138,7 +1146,7 @@ class TestAudit:
         # the next round's first edge is the one edge the audit asks.
         chain = shaped_tree("chain", n)
         first = random.Random(seed).choice(range(n))
-        edges, stats = reconstruct_tree(ExactOracle(chain), range(n), bound, random.Random(seed))
+        edges, stats = reconstruct_tree(ExactOracle(chain), n, bound, random.Random(seed))
         assert edges == set(chain.edges())
         assert stats.audit_queries == (first == 0)
 
@@ -1148,7 +1156,7 @@ class TestAudit:
     def test_a_star_audits_at_most_one_query_per_leaf(self, n, bound, seed):
         star = shaped_tree("star", n)
         d = star.degree_bound if bound == "true" else 2
-        edges, stats = reconstruct_tree(ExactOracle(star), range(n), d, random.Random(seed))
+        edges, stats = reconstruct_tree(ExactOracle(star), n, d, random.Random(seed))
         assert edges == set(star.edges())
         assert 0 < stats.audit_queries <= n - 1
 
@@ -1181,7 +1189,7 @@ class TestQueryFloor:
     @staticmethod
     def _check(tree, bound, seed):
         recorder = _RecordingOracle(ExactOracle(tree))
-        edges, _ = reconstruct_tree(recorder, range(tree.n), bound, random.Random(seed))
+        edges, _ = reconstruct_tree(recorder, tree.n, bound, random.Random(seed))
         assert edges == set(tree.edges())
         asked = {(i, j) for i, j, _ in recorder.transcript}
         missing = _sibling_leaf_pairs(tree) - asked
@@ -1190,19 +1198,19 @@ class TestQueryFloor:
 
 def _run_exact(tree, bound):
     oracle = _RecordingOracle(ExactOracle(tree))
-    edges, stats = reconstruct_tree(oracle, range(tree.n), bound, random.Random(0))
+    edges, stats = reconstruct_tree(oracle, tree.n, bound, random.Random(0))
     return oracle, edges, stats
 
 
 def _run_noisy(tree, bound):
     oracle = _RecordingOracle(NoisyOracle(tree, 0.1, seed=1, votes=55))
-    edges, stats = reconstruct_tree(oracle, range(tree.n), bound, random.Random(0))
+    edges, stats = reconstruct_tree(oracle, tree.n, bound, random.Random(0))
     return oracle, edges, stats
 
 
 def _run_weighted(tree, bound):
     oracle = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=9)))
-    edges, _, stats = reconstruct_weighted(oracle, range(tree.n), bound, random.Random(0))
+    edges, _, stats = reconstruct_weighted(oracle, tree.n, bound, random.Random(0))
     return oracle, edges, stats
 
 
@@ -1248,7 +1256,7 @@ def test_a_seeded_liar_fails_with_pinned_counters():
     tree = random_tree(200, 3, seed=0)
     liar = _FlippingOracle(ExactOracle(tree), 0.01, seed=0)
     with pytest.raises(InconsistentOracleError, match=r"\(17, 157\)") as caught:
-        reconstruct_tree(liar, range(200), 3, random.Random(0))
+        reconstruct_tree(liar, 200, 3, random.Random(0))
     stats = caught.value.stats
     counts = (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries)
     assert (liar.calls, *counts) == (5360, 161, 13, 8)
@@ -1260,7 +1268,7 @@ class TestEveryInputTerminates:
     def test_star_under_a_wrong_bound(self):
         star = shaped_tree("star", 5)
         oracle = _CappedOracle(ExactOracle(star), _query_cap(5))
-        edges, _ = reconstruct_tree(oracle, range(5), 2, random.Random(0))
+        edges, _ = reconstruct_tree(oracle, 5, 2, random.Random(0))
         assert edges == set(star.edges())
 
     @pytest.mark.parametrize("seed", range(10))
@@ -1268,7 +1276,7 @@ class TestEveryInputTerminates:
         # Restarting every piece at bound 2 costs about 4 n^3 queries here.
         star = shaped_tree("star", 100)
         oracle = _CappedOracle(ExactOracle(star), 100**3)
-        edges, _ = reconstruct_tree(oracle, range(100), 2, random.Random(seed))
+        edges, _ = reconstruct_tree(oracle, 100, 2, random.Random(seed))
         assert edges == set(star.edges())
 
     @settings(max_examples=60, deadline=None)
@@ -1280,7 +1288,7 @@ class TestEveryInputTerminates:
     def test_bound_two_recovers_every_shape(self, shape, n, seed):
         tree = _shaped(shape, n, seed)
         oracle = _CappedOracle(ExactOracle(tree), _query_cap(tree.n))
-        edges, _ = reconstruct_tree(oracle, range(tree.n), 2, random.Random(seed))
+        edges, _ = reconstruct_tree(oracle, tree.n, 2, random.Random(seed))
         assert edges == set(tree.edges())
 
     @settings(max_examples=100, deadline=None)
@@ -1296,9 +1304,9 @@ class TestEveryInputTerminates:
         oracle = _CappedOracle(_RandomLiar(seed), _query_cap(n))
         try:
             if additive:
-                edges, _, _ = reconstruct_weighted(oracle, range(n), bound, random.Random(seed))
+                edges, _, _ = reconstruct_weighted(oracle, n, bound, random.Random(seed))
             else:
-                edges, _ = reconstruct_tree(oracle, range(n), bound, random.Random(seed))
+                edges, _ = reconstruct_tree(oracle, n, bound, random.Random(seed))
         except InconsistentOracleError:
             return
         # The pieces of every accepted round partition its part, so even
@@ -1312,7 +1320,7 @@ class TestReconstructNoisy:
     def test_zero_noise_single_vote_is_exact(self):
         tree = random_tree(15, 3, seed=21)
         voter = NoisyOracle(tree, 0.0, seed=0, votes=1)
-        edges, _ = reconstruct_tree(voter, range(15), 3, random.Random(0))
+        edges, _ = reconstruct_tree(voter, 15, 3, random.Random(0))
         assert edges == set(tree.edges())
 
     def test_zero_noise_rejects_the_default_vote_formula(self):
@@ -1324,12 +1332,12 @@ class TestReconstructNoisy:
         tree = random_tree(12, 3, seed=8)
         votes, lead = vote_size(0.1, 0.1, 12, 3)
         voter = NoisyOracle(tree, 0.1, seed=42, votes=votes, lead=lead)
-        edges, _ = reconstruct_tree(voter, range(12), 3, random.Random(4))
+        edges, _ = reconstruct_tree(voter, 12, 3, random.Random(4))
         assert edges == set(tree.edges())
 
     def test_single_node_needs_no_vote_count(self):
         noisy = NoisyOracle(shaped_tree("chain", 1), 0.1, seed=0, votes=1)
-        edges, stats = reconstruct_tree(noisy, range(1), 1, random.Random(0))
+        edges, stats = reconstruct_tree(noisy, 1, 1, random.Random(0))
         assert edges == set()
         assert stats.rounds_total == 0
         assert noisy.calls == 0
@@ -1338,7 +1346,7 @@ class TestReconstructNoisy:
         tree = random_tree(10, 3, seed=5)
         voter = NoisyOracle(tree, 0.05, seed=6, votes=3)
         try:
-            reconstruct_tree(voter, range(10), 3, random.Random(9))
+            reconstruct_tree(voter, 10, 3, random.Random(9))
         except InconsistentOracleError:
             pass  # three votes lie often enough for the run itself to fail
         assert voter.calls > 0
@@ -1350,7 +1358,7 @@ class TestReconstructWeighted:
     def test_edges_and_weights_recovered_verbatim(self, bent_tree):
         hidden = uniform_weights(bent_tree, seed=17)
         oracle = AdditiveOracle(hidden)
-        edges, weights, _ = reconstruct_weighted(oracle, range(11), 3, random.Random(1))
+        edges, weights, _ = reconstruct_weighted(oracle, 11, 3, random.Random(1))
         assert edges == set(bent_tree.edges())
         assert weights == dict(hidden.weights)
 
@@ -1369,10 +1377,10 @@ class TestReconstructWeighted:
             recorder = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=17)))
             with _recording_gates(recorder) as gates:
                 edges, _, stats = reconstruct_weighted(
-                    recorder, range(tree.n), tree.degree_bound, random.Random(1)
+                    recorder, tree.n, tree.degree_bound, random.Random(1)
                 )
             want_edges, want_stats = reconstruct_tree(
-                ExactOracle(tree), range(tree.n), tree.degree_bound, random.Random(1)
+                ExactOracle(tree), tree.n, tree.degree_bound, random.Random(1)
             )
             assert edges == want_edges == set(tree.edges())
             assert stats.rounds_total == want_stats.rounds_total
@@ -1393,7 +1401,7 @@ class TestReconstructWeighted:
         recorder = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=5)))
         with _recording_gates(recorder) as gates:
             edges, weights, stats = reconstruct_weighted(
-                recorder, range(tree.n), tree.degree_bound, random.Random(4)
+                recorder, tree.n, tree.degree_bound, random.Random(4)
             )
         after = [(a, b) for a, b, _ in recorder.transcript[gates[-1][0] :]]
         from_root = [(p, c) for p, c in edges if p == tree.root]
@@ -1410,7 +1418,7 @@ class TestReconstructWeighted:
         tree = validate_tree(parent, 1)
         hidden = uniform_weights(tree, seed=5)
         recorder = _RecordingOracle(AdditiveOracle(hidden))
-        edges, weights, stats = reconstruct_weighted(recorder, range(2), 1, random.Random(0))
+        edges, weights, stats = reconstruct_weighted(recorder, 2, 1, random.Random(0))
         assert edges == set(tree.edges())
         assert weights == dict(hidden.weights)
         pairs = [(a, b) for a, b, _ in recorder.transcript]
@@ -1423,7 +1431,7 @@ class TestReconstructWeighted:
         # Edges out of the root are not read again.
         tree = random_tree(40, 3, seed=11)
         truthful = AdditiveOracle(uniform_weights(tree, seed=12))
-        edges, _, want_stats = reconstruct_weighted(truthful, range(tree.n), 3, random.Random(6))
+        edges, _, want_stats = reconstruct_weighted(truthful, tree.n, 3, random.Random(6))
         reads = want_stats.audit_queries
         assert reads == len(edges) - sum(p == tree.root for p, _ in edges) > 0
         honest = truthful.calls - reads
@@ -1435,7 +1443,7 @@ class TestReconstructWeighted:
 
         liar = LateLiar(uniform_weights(tree, seed=12))
         with pytest.raises(InconsistentOracleError) as caught:
-            reconstruct_weighted(liar, range(tree.n), 3, random.Random(6))
+            reconstruct_weighted(liar, tree.n, 3, random.Random(6))
         assert caught.value.stats == dataclasses.replace(want_stats, audit_queries=1)
         assert liar.calls == honest + 1
 
@@ -1455,7 +1463,7 @@ class TestReconstructWeighted:
 
             with pytest.raises(InconsistentOracleError):
                 reconstruct_weighted(
-                    RootLiar(hidden), range(tree.n), 3, random.Random(seed)
+                    RootLiar(hidden), tree.n, 3, random.Random(seed)
                 )
 
     @settings(max_examples=150, deadline=None)
@@ -1472,10 +1480,10 @@ class TestReconstructWeighted:
         hidden = _magnitudes(tree, seed)
         bound = tree.degree_bound
         edges, weights, stats = reconstruct_weighted(
-            AdditiveOracle(hidden), range(tree.n), bound, random.Random(seed)
+            AdditiveOracle(hidden), tree.n, bound, random.Random(seed)
         )
         want_edges, want_stats = reconstruct_tree(
-            ExactOracle(tree), range(tree.n), bound, random.Random(seed)
+            ExactOracle(tree), tree.n, bound, random.Random(seed)
         )
         assert edges == want_edges == set(tree.edges())
         assert {e: w.hex() for e, w in weights.items()} == {
@@ -1516,8 +1524,8 @@ class TestReconstructWeighted:
             monkeypatch.setattr(reconstruct, name, wrapper)
 
         exact, weighted = Charging(ExactOracle(tree)), Charging(AdditiveOracle(hidden))
-        reconstruct_tree(exact, range(tree.n), 3, random.Random(0))
-        edges, _, _ = reconstruct_weighted(weighted, range(tree.n), 3, random.Random(0))
+        reconstruct_tree(exact, tree.n, 3, random.Random(0))
+        edges, _, _ = reconstruct_weighted(weighted, tree.n, 3, random.Random(0))
 
         def asked(oracle, phase):
             return [(i, j) for at, i, j in oracle.log if at == phase]
@@ -1543,6 +1551,6 @@ class TestReconstructWeighted:
         tree = random_tree(20, 4, seed=3)
         hidden = uniform_weights(tree, seed=4)
         edges, weights, _ = reconstruct_weighted(
-            AdditiveOracle(hidden), range(20), 4, random.Random(2)
+            AdditiveOracle(hidden), 20, 4, random.Random(2)
         )
         assert set(weights) == edges

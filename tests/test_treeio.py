@@ -14,6 +14,7 @@ from treeprobe import (
     validate_tree,
 )
 
+from conftest import NOT_A_TREE
 from reference import tree_equals
 
 
@@ -78,6 +79,13 @@ def test_load_missing_file_raises_oserror(tmp_path):
 def test_malformed_inputs_rejected(text):
     with pytest.raises(TreeFormatError):
         parse_tree(text)
+
+
+@pytest.mark.parametrize("text, reason", NOT_A_TREE)
+def test_a_file_that_is_no_tree_says_why(text, reason):
+    with pytest.raises(TreeFormatError) as err:
+        parse_tree(text)
+    assert str(err.value) == f"not a valid tree: {reason}"
 
 
 def test_single_node_round_trip():
