@@ -12,7 +12,7 @@ from .errors import InconsistentOracleError
 from .generators import random_tree, uniform_weights
 from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, vote_size
 from .reconstruct import ReconstructionStats, reconstruct_tree, reconstruct_weighted
-from .trees import DirectedRootedTree, WeightedDirectedRootedTree
+from .trees import DirectedRootedTree, WeightedDirectedRootedTree, check_degree_feasible
 
 REGIMES = ("exact", "noisy", "weighted")
 
@@ -78,10 +78,13 @@ def run_single(
     weights by :func:`bench_run`). A noisy run votes with a cap of
     ``votes`` answers and a lead of ``lead``, and its ``raw_queries`` are
     the answers its votes asked. The weighted regime needs a weighted
-    ``hidden`` unless its single node leaves no edge to weigh. An unknown
-    regime, ``eps`` or ``delta`` missing in the noisy regime or given in
-    another, ``eps`` outside (0, 1/2) or ``delta`` outside (0, 1) raise
-    ValueError before any oracle is built, on a 1-node tree too.
+    ``hidden`` unless its single node leaves no edge to weigh; its driver
+    reads no degree bound, but a bound no tree on ``hidden``'s nodes fits
+    raises InfeasibleDegreeError before any query, as in the other
+    regimes. An unknown regime, ``eps`` or ``delta`` missing in the noisy
+    regime or given in another, ``eps`` outside (0, 1/2) or ``delta``
+    outside (0, 1) raise ValueError before any oracle is built, on a 1-node
+    tree too.
     """
     _check_run(regime, eps, delta)
     plain = hidden.tree if isinstance(hidden, WeightedDirectedRootedTree) else hidden
@@ -103,11 +106,12 @@ def run_single(
             if plain.n > 1:
                 raise ValueError("the weighted regime needs a weighted hidden tree")
             hidden = WeightedDirectedRootedTree(plain, {})
+        check_degree_feasible(plain.n, degree_bound)
         oracle = AdditiveOracle(hidden)
 
     try:
         if regime == "weighted":
-            edges, weights_out, stats = reconstruct_weighted(oracle, plain.n, degree_bound, rng)
+            edges, weights_out, stats = reconstruct_weighted(oracle, plain.n, rng)
         else:
             edges, stats = reconstruct_tree(oracle, plain.n, degree_bound, rng)
     except InconsistentOracleError as err:

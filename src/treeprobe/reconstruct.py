@@ -61,19 +61,43 @@ which asking both ways settles.
 
 The exact and noisy regimes read every answer only as a truth value: an
 exact bit or a noisy vote's bit. The additive regime reads path sums, which
-are positive exactly when the path exists, and also reads them as depths.
-Once the first round has found the root r, it asks Q(r, k) for every other
-node k, k's weighted depth D(k). The oracle sums a path from its deep end,
-and float addition is monotone, so an ancestor of i is never deeper than
-i, bit for bit, though depths can tie. Every later scan for i so skips the
-nodes strictly deeper than i and orders its path by depth, asking
-comparisons only when two of its depths tie. On consistent answers the
-rounds, their draws and their placements are the exact regime's. An answer
-on an edge is its weight: a 2-node node set's yes and each root child's
-depth are kept, and the audit reads every other returned edge, in sorted
-order. So each returned edge is asked on its own, and an edge that a
-depth-ordered path holds with no comparison is still checked: a weight of
-0, read or kept, raises.
+are positive exactly when the path exists, and runs no rounds and reads no
+degree bound. It draws one node i and asks Q(k, i) for every other node k:
+the ancestors of i answer their sums to i, and the largest is the root's,
+with one comparison per tie. Then it reads every depth D(k) = Q(r, k). The
+oracle sums a path from its deep end, and float addition is monotone, so an
+ancestor of k is never deeper than k, bit for bit, though depths can tie.
+The nodes so go in by ascending depth, ties by id, and the nodes in at any
+time form a known tree, the hidden tree restricted to them. Each new node
+only looks for its deepest ancestor in it.
+
+That search runs down heavy paths (Sleator and Tarjan). Every node keeps
+its children largest subtree first, the first being its heavy child, and a
+heavy path runs from its head through heavy children to a leaf.
+Reachability along a path is a prefix of yeses, and the path is split by
+Mehlhorn's rule, as in search_plan, where a path node weighs its subtree
+less its heavy child's: one bisection on the path's negated sizes. At the
+deepest path node that reaches k, the search asks the light children,
+largest first, and a yes starts it again on that child's heavy path. k
+hangs from the node where it ends, and the last yes on that node is the
+edge's weight, or k's depth under the root. Only a node of k's own depth
+can already sit below k, and it hangs from k's parent, so k asks each child
+of its parent at its depth and moves under itself those it reaches. So each
+returned weight is a yes heard on its own edge, stored verbatim. A depth
+read of 0.0 below the root raises.
+
+The cost is O(d n log n) queries, a log below the rounds' bound. A
+weight-balanced search that ends at a position of weight w out of W asks at
+most 2 ceil(log2(W / w)) queries, and the light child a search starts again
+at is smaller than w, so over one node's search the logs telescope to
+2 log2 n, plus 2 per heavy path. A light child holds at most half of its
+parent's subtree, so a search crosses at most log2 n light edges. With
+distinct depths the nodes in are closed under ancestors, so the known tree
+is a subtree of the hidden one, and each path's end has at most d - 1 light
+children to ask. One node so asks O(d log n) queries, and the root scan and
+the depth reads add 2n - 2 in all. Tied depths add one ask per tied child
+of the parent. A star asks each pair of its leaves once, C(n - 1, 2) in all,
+which is the additive regime's floor.
 """
 
 from __future__ import annotations
@@ -98,8 +122,11 @@ class ReconstructionStats:
         a round.
     recursion_depth_max: deepest split level, the whole node set being 1.
     audit_queries: queries after the last round, all the audit's: one per
-        returned edge that no earlier answer vouched for, or in the additive
-        regime one per returned edge whose weight no answer gave.
+        returned edge that no earlier answer vouched for.
+
+    An additive run has no rounds, no split and no audit, so it reports the
+    defaults: ``rounds_total`` 0, ``recursion_depth_max`` 1 and
+    ``audit_queries`` 0.
     """
 
     rounds_total: int = 0
@@ -253,9 +280,7 @@ def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[i
         start, stop = stop, stop * 8
 
 
-def reconstruct_skeleton_path(
-    oracle, nodes: Sequence[int], i: int, dist: Sequence[float] | None = None
-) -> list[int]:
+def reconstruct_skeleton_path(oracle, nodes: Sequence[int], i: int) -> list[int]:
     """The nodes of ``nodes`` that reach ``i``, sorted by ancestry, then ``i``.
 
     One query per other node, then the sort. On a subtree that holds ``i``
@@ -263,23 +288,10 @@ def reconstruct_skeleton_path(
     node is the root, and it is ``[i]`` when ``i`` is the root. A round on a
     part whose root it knows passes the part without its root and puts the
     root in front.
-
-    ``dist``, if given, holds each node's weighted depth, an additive
-    oracle's sum from the root. No ancestor of ``i`` is deeper than ``i``,
-    bit for bit, so the scan skips every node that is, and the path is
-    ordered by depth with no query. Depths can tie in floats, so a path with
-    two equal depths is sorted by comparisons instead.
     """
     query = oracle.query
-    if dist is None:
-        between = [k for k in nodes if k != i and query(k, i)]
-        return [*sort_by_ancestry(oracle, between), i]
-    most = dist[i]
-    between = [k for k in nodes if dist[k] <= most and k != i and query(k, i)]
-    between.sort(key=dist.__getitem__)
-    if len(set(map(dist.__getitem__, between))) < len(between):
-        between = sort_by_ancestry(oracle, between)
-    return [*between, i]
+    between = [k for k in nodes if k != i and query(k, i)]
+    return [*sort_by_ancestry(oracle, between), i]
 
 
 def reconstruct_tree(
@@ -320,23 +332,6 @@ def reconstruct_tree(
     oracle's answers. An InconsistentOracleError raised on the way carries
     the counters so far as its ``stats``.
     """
-    edges, _, stats = _reconstruct(oracle, n, degree_bound, rng)
-    return edges, stats
-
-
-def _reconstruct(
-    oracle,
-    n: int,
-    degree_bound: int,
-    rng: random.Random,
-    additive: bool = False,
-) -> tuple[Edges, dict[tuple[int, int], object], ReconstructionStats]:
-    """reconstruct_tree on nodes ``0 .. n-1``, which also returns the answer
-    the audit checked on each edge it walked. With ``additive`` (path sums)
-    the run reads each depth Q(root, k), which every later scan then takes
-    (see the module docstring), and the audit walks every returned edge in
-    sorted order, so it returns each edge's weight. Every query is asked in
-    the driver loop or by the audit after it."""
     if n < 0:
         raise ValueError(f"node count must be >= 0, got {n}")
     check_degree_feasible(n, degree_bound)
@@ -345,10 +340,6 @@ def _reconstruct(
     edges: Edges = set()
     # Edges no answer vouches for yet, to ask once at the end.
     audit: list[tuple[int, int]] = []
-    answers: dict[tuple[int, int], object] = {}
-    # With ``additive``, each node's weighted depth once the root is known,
-    # for the scans to read; until then, and in the other regimes, None.
-    dist: list[float] | None = None
     # Parts still to solve, each listing its root first, with its gate
     # bound, failed rounds so far, the pieces its rounds found, and one flag
     # per piece. Each piece lists its path node first, so the pieces in path
@@ -371,7 +362,7 @@ def _reconstruct(
         if size == 2:
             if not pieces:
                 # A node set of two nodes is listed root first by asking
-                # both ways, and the yes is its edge's answer.
+                # both ways.
                 backward = oracle.query(part[1], part[0])
                 forward = oracle.query(part[0], part[1])
                 if bool(backward) == bool(forward):
@@ -382,7 +373,6 @@ def _reconstruct(
                     )
                 if backward:
                     part.reverse()
-                answers[(part[0], part[1])] = backward or forward
             elif len(pieces) == 1 and not vouched[0]:
                 # With the root known there is nothing left to sample. The
                 # edge is on the known path already, or the piece vouches
@@ -405,10 +395,9 @@ def _reconstruct(
             if i == p:
                 tail = [p]
             else:
-                tail = [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i, dist)]
-                # The scan and the sort vouch for every edge below tail[1]
-                # (in the additive regime the audit asks them all); only a
-                # vouched piece vouches for p -> tail[1].
+                tail = [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i)]
+                # The scan and the sort vouch for every edge below tail[1];
+                # only a vouched piece vouches for p -> tail[1].
                 if not vouched[t]:
                     audit.append((p, tail[1]))
         else:
@@ -421,12 +410,6 @@ def _reconstruct(
             tail = reconstruct_skeleton_path(oracle, part, i)
             p = tail[0]
             part = [p, *(k for k in part if k != p)]
-            if additive:
-                # Q(p, k) is k's weighted depth, and on an edge out of the
-                # root its weight, so the audit does not ask it again.
-                dist = [0.0] * n
-                for k in part[1:]:
-                    dist[k] = answers[(p, k)] = oracle.query(p, k)
             pieces, t = [part], 0
         branch = pieces[t + 1 :]
         below = path_pieces(oracle, pieces[t], tail)
@@ -473,47 +456,159 @@ def _reconstruct(
         for q in below[1:]:
             if len(q) > 1:
                 stack.append((q, depth, bound, 0, [q], [True]))
-    # The one pass after the last round walks each queued edge that was
-    # returned (a retry can drop one) once, or in the additive regime every
-    # returned edge, as its answer is its weight. It asks each edge no
-    # answer was heard on, and a falsy answer, heard or asked, raises.
-    checked: dict[tuple[int, int], object] = {}
-    for edge in sorted(edges) if additive else dict.fromkeys(e for e in audit if e in edges):
-        if edge in answers:
-            answer = answers[edge]
-        else:
-            answer = oracle.query(*edge)
-            stats.audit_queries += 1
-        if not answer:
+    # The one pass after the last round asks each queued edge that was
+    # returned (a retry can drop one) once, and a denial raises.
+    for edge in dict.fromkeys(e for e in audit if e in edges):
+        stats.audit_queries += 1
+        if not oracle.query(*edge):
             raise InconsistentOracleError(
                 f"the oracle denies the edge {edge} its answers implied; "
                 "oracle answers are inconsistent",
                 stats,
             )
-        checked[edge] = answer
-    return edges, checked, stats
+    return edges, stats
 
 
 def reconstruct_weighted(
     oracle,
     n: int,
-    degree_bound: int,
     rng: random.Random,
 ) -> tuple[Edges, dict[tuple[int, int], float], ReconstructionStats]:
     """Recover the edges on nodes ``0 .. n-1`` and their exact weights from
-    an additive oracle, refusing ``n`` and the bound as ``reconstruct_tree``
-    does.
+    an additive oracle, by inserting the nodes in depth order (see the
+    module docstring).
 
-    The driver reads each path sum as a truth value, which is sound because
-    weights are strictly positive, and as a depth: once the first round has
-    found the root, Q(root, k) is read for every other node k, and each
-    later scan skips the nodes deeper than its target and orders its path
-    by depth (see the module docstring). On consistent answers the rounds,
-    the split depth and the edges are those of ``reconstruct_tree`` with the
-    same rng. An additive answer on an edge is its weight, so a 2-node node
-    set's orienting yes and each root child's depth are kept, and the audit
-    reads every other edge once, in sorted order, as ``audit_queries``;
-    each is stored verbatim. A weight of 0, read or kept, raises
-    InconsistentOracleError with the run's stats.
+    ``oracle.query(i, j)`` must return the weight of the path i -> j, and a
+    falsy answer when there is none. The root scan's node is drawn with
+    ``rng.choice``. Each returned weight is a yes heard on its edge, stored
+    verbatim. No degree bound is read and no round is run, so the stats
+    keep their defaults. A negative ``n`` raises ValueError before any
+    query, and a depth read of 0.0 below the root raises
+    InconsistentOracleError.
     """
-    return _reconstruct(oracle, n, degree_bound, rng, additive=True)
+    if n < 0:
+        raise ValueError(f"node count must be >= 0, got {n}")
+    stats = ReconstructionStats()
+    if n < 2:
+        return set(), {}, stats
+    query = oracle.query
+    i = rng.choice(range(n))
+    sums = [query(k, i) if k != i else 0.0 for k in range(n)]
+    top = max(sums)
+    root = i
+    if top:
+        root = -1
+        for k, s in enumerate(sums):
+            if s == top and (root < 0 or query(k, root)):
+                root = k
+    dist = [0.0] * n
+    for k in range(n):
+        if k != root:
+            dist[k] = d = sums[root] if k == i else query(root, k)
+            if not d:
+                raise InconsistentOracleError(
+                    f"the oracle reads node {k} at depth 0 below the root {root}; "
+                    "oracle answers are inconsistent",
+                    stats,
+                )
+    order = sorted(range(n), key=dist.__getitem__)
+    order.remove(root)
+    # The tree on the nodes in so far: parents, each node's subtree size
+    # negated, its children largest subtree first, and the weight into each
+    # node. Sizes fall down a heavy path, so its negated sizes ascend, and
+    # the path's split points are bisections keyed on them.
+    par = [-1] * n
+    neg = [-1] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    weight = dist[:]
+    key = neg.__getitem__
+    previous = dist[root]
+    for k in order:
+        d = dist[k]
+        head, last = root, d
+        while True:
+            # The heavy path down from head, which reaches k, split by
+            # Mehlhorn's rule. Until a miss the interval runs to the path's
+            # end, whose bound is 0, so the split is the last node with at
+            # least half of path[lo]'s size, or else path[lo]'s heavy child,
+            # and the path is walked only that far.
+            path = [head]
+            lo = hi = 0
+            while True:
+                cut = neg[path[lo]] // 2
+                v = path[-1]
+                while neg[v] <= cut and kids[v]:
+                    v = kids[v][0]
+                    path.append(v)
+                m = len(path) - 1 if neg[v] <= cut else len(path) - 2
+                if m <= lo:
+                    if lo == len(path) - 1:
+                        break
+                    m = lo + 1
+                answer = query(path[m], k)
+                if answer:
+                    lo, last = m, answer
+                else:
+                    hi, end = m - 1, neg[path[m]]
+                    break
+            while lo < hi:
+                cut = (neg[path[lo]] + end) // 2
+                m = bisect_right(path, cut, lo + 1, hi + 1, key=key) - 1
+                if m <= lo:
+                    m = lo + 1
+                answer = query(path[m], k)
+                if answer:
+                    lo, last = m, answer
+                else:
+                    hi, end = m - 1, neg[path[m]]
+            p = path[lo]
+            for c in kids[p][1:]:
+                answer = query(c, k)
+                if answer:
+                    head, last = c, answer
+                    break
+            else:
+                break
+        weight[k] = last
+        siblings = kids[p]
+        if d == previous:
+            # Only a node of k's own depth can be in below k already, and
+            # it hangs from p.
+            mine = []
+            for c in siblings:
+                if dist[c] == d:
+                    answer = query(k, c)
+                    if answer:
+                        weight[c] = answer
+                        mine.append(c)
+            if mine:
+                kids[p] = siblings = [c for c in siblings if c not in mine]
+                kids[k] = mine
+                for c in mine:
+                    par[c] = k
+                    neg[k] += neg[c]
+                mine.sort(key=key)
+        par[k] = p
+        siblings.append(k)
+        _settle(siblings, neg, len(siblings) - 1)
+        v = p
+        while v >= 0:
+            neg[v] -= 1
+            u = par[v]
+            if u >= 0 and kids[u][0] != v:
+                _settle(kids[u], neg, kids[u].index(v))
+            v = u
+        previous = d
+    weights = {(par[c], c): weight[c] for c in range(n) if c != root}
+    return set(weights), weights, stats
+
+
+def _settle(siblings: list[int], neg: Sequence[int], at: int) -> None:
+    """Move ``siblings[at]`` forward past every sibling with a smaller
+    subtree, by negated sizes ``neg``, so the list stays largest first."""
+    v = siblings[at]
+    s = neg[v]
+    while at and neg[siblings[at - 1]] > s:
+        siblings[at] = siblings[at - 1]
+        at -= 1
+    siblings[at] = v

@@ -80,6 +80,8 @@ def validate_tree(parent: Sequence[int], degree_bound: int) -> DirectedRootedTre
     n = len(parent)
     if n == 0:
         raise InvalidTreeError("a tree needs at least one node")
+    if not isinstance(degree_bound, int):
+        raise InvalidTreeError(f"degree bound must be an int, got {degree_bound!r}")
     if degree_bound < 1:
         raise InvalidTreeError(f"degree bound must be >= 1, got {degree_bound}")
 
@@ -143,7 +145,10 @@ def max_node_degree(parent: Sequence[int]) -> int:
 
 
 def check_degree_feasible(n: int, degree_bound: int) -> None:
-    """Raise InfeasibleDegreeError when no tree on n nodes fits the bound."""
+    """Raise InfeasibleDegreeError when no tree on n nodes fits the bound,
+    a bound that is not an int included (a NaN passes every comparison)."""
+    if not isinstance(degree_bound, int):
+        raise InfeasibleDegreeError(f"degree bound must be an int, got {degree_bound!r}")
     if degree_bound < 1:
         raise InfeasibleDegreeError(f"degree bound must be >= 1, got {degree_bound}")
     if n >= 3 and degree_bound < 2:
@@ -163,6 +168,8 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> DirectedRootedTree:
     for p, c in edges:
         if not 0 <= c < n:
             raise InvalidTreeError(f"child {c} out of range")
+        if not 0 <= p < n:
+            raise InvalidTreeError(f"parent {p} of node {c} out of range")
         if parent[c] != ROOT:
             raise InvalidTreeError(f"node {c} has two parents")
         parent[c] = p

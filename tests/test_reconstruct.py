@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import dataclasses
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -258,14 +260,6 @@ class TestReconstructSkeletonPath:
                 _assert_matches_ground_truth(oracle, tree, p, i)
 
 
-def _depths(weighted):
-    """Each node's weighted depth, as the additive oracle sums it from the
-    root: 0.0 at the root."""
-    oracle = AdditiveOracle(weighted)
-    root = weighted.tree.root
-    return [0.0 if k == root else oracle.query(root, k) for k in range(weighted.n)]
-
-
 def _magnitudes(tree, seed):
     """``tree`` with weight 1.0 on about a quarter of its edges, drawn by
     ``seed``, and 2**-53 on the rest, so that many depths tie in floats: the
@@ -274,50 +268,6 @@ def _magnitudes(tree, seed):
     rng = random.Random(seed)
     weights = {edge: 1.0 if rng.random() < 0.25 else 2.0**-53 for edge in sorted(tree.edges())}
     return WeightedDirectedRootedTree(tree, weights)
-
-
-class TestDepthOrderedScan:
-    """``reconstruct_skeleton_path`` given each node's weighted depth."""
-
-    def test_skips_the_deeper_nodes_and_sorts_by_depth(self, spine_tree):
-        # Only the nodes no deeper than 4 are asked, in node order, and the
-        # path 1, 2, 3 below the root 0 comes in depth order with no
-        # comparison.
-        hidden = uniform_weights(spine_tree, seed=3)
-        dist = _depths(hidden)
-        recorder = _RecordingOracle(AdditiveOracle(hidden))
-        path = reconstruct_skeleton_path(recorder, range(1, 11), 4, dist)
-        assert path == [1, 2, 3, 4]
-        asked = [k for k in range(1, 11) if k != 4 and dist[k] <= dist[4]]
-        assert [(a, b) for a, b, _ in recorder.transcript] == [(k, 4) for k in asked]
-
-    def test_tied_depths_fall_back_to_the_comparison_sort(self):
-        # On the magnitude chain 1.0 + 2**-53 rounds to 1.0, so nodes 1 and
-        # 2 share depth 1.0. A path through both is sorted by comparisons
-        # after its scan, and comes out in ancestry order.
-        chain = shaped_tree("chain", 12)
-        weights = {(c - 1, c): 1.0 if c % 4 == 1 else 2.0**-53 for c in range(1, 12)}
-        hidden = WeightedDirectedRootedTree(chain, weights)
-        dist = _depths(hidden)
-        assert dist[1] == dist[2] == 1.0
-        nodes = list(range(11, 0, -1))
-        for i in range(2, 12):
-            recorder = _RecordingOracle(AdditiveOracle(hidden))
-            assert reconstruct_skeleton_path(recorder, nodes, i, dist) == list(range(1, i + 1))
-            scanned = sum(k != i and dist[k] <= dist[i] for k in nodes)
-            assert (len(recorder.transcript) > scanned) == (i > 2)
-
-    @settings(max_examples=60, deadline=None)
-    @given(parent_array_trees(min_n=2, max_n=9), st.integers(min_value=0, max_value=2**16))
-    def test_matches_ground_truth_under_ties(self, tree, seed):
-        hidden = _magnitudes(tree, seed)
-        oracle = AdditiveOracle(hidden)
-        dist = _depths(hidden)
-        for i in range(tree.n):
-            for p in root_chain(tree, i):
-                nodes = subtree_nodes(tree, p)[1:]
-                path = [p, *reconstruct_skeleton_path(oracle, nodes, i, dist)]
-                assert path == skeleton_path(tree, p, i)[1]
 
 
 def _assert_matches_ground_truth(oracle, tree, p, i):
@@ -612,10 +562,9 @@ def test_every_bag_search_query_is_asked_inside_path_pieces(monkeypatch):
     charged("sort_by_ancestry")
     scan, pieces_of = charged("reconstruct_skeleton_path"), charged("path_pieces")
 
-    def reconstruct_skeleton_path(oracle_, nodes, i, dist=None):
-        assert dist is None  # only the additive regime reads depths
+    def reconstruct_skeleton_path(oracle_, nodes, i):
         before = asked["reconstruct_skeleton_path"]
-        path = scan(oracle_, nodes, i, dist)
+        path = scan(oracle_, nodes, i)
         own = asked["reconstruct_skeleton_path"] - before
         seen["scans"].append((len(nodes), own == len(nodes) - 1))
         return path
@@ -672,7 +621,7 @@ class TestReconstructTree:
     def test_fewer_than_two_nodes_need_nothing(self, n, weighted):
         recorder = _RecordingOracle(_ZeroOracle())
         if weighted:
-            edges, weights, stats = reconstruct_weighted(recorder, n, 1, random.Random(0))
+            edges, weights, stats = reconstruct_weighted(recorder, n, random.Random(0))
             assert weights == {}
         else:
             edges, stats = reconstruct_tree(recorder, n, 1, random.Random(0))
@@ -699,13 +648,41 @@ class TestReconstructTree:
             reconstruct_tree(oracle, n, bound, random.Random(0))
         assert oracle.calls == 0
 
+    @pytest.mark.parametrize("bound", ["float('nan')", "2.5", "float('inf')", "None"])
+    def test_a_bound_that_is_not_an_int_raises_before_any_query(self, bound):
+        # A NaN bound passed every comparison, so no cut met the gate and
+        # the gate never doubled: the run spun forever. It runs in a child
+        # process with a timeout, so that a regression fails and does not
+        # hang the suite.
+        script = (
+            "import random\n"
+            "from treeprobe import ExactOracle, InfeasibleDegreeError, reconstruct_tree, shaped_tree\n"
+            "oracle = ExactOracle(shaped_tree('chain', 6))\n"
+            "try:\n"
+            f"    reconstruct_tree(oracle, 6, {bound}, random.Random(0))\n"
+            "except InfeasibleDegreeError as err:\n"
+            "    print(oracle.calls, err)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("0 degree bound must be an int, got ")
+
     @pytest.mark.parametrize("n", [-1, -7])
     @pytest.mark.parametrize("driver", [reconstruct_tree, reconstruct_weighted])
     def test_negative_node_count_raises_before_any_query(self, n, driver):
         # The count is checked before the bound, which no tree fits here.
+        # Only reconstruct_tree takes a bound.
+        bound = (0,) if driver is reconstruct_tree else ()
         recorder = _RecordingOracle(_ZeroOracle())
         with pytest.raises(ValueError, match=f"node count must be >= 0, got {n}") as err:
-            driver(recorder, n, 0, random.Random(0))
+            driver(recorder, n, *bound, random.Random(0))
         assert type(err.value) is ValueError
         assert recorder.transcript == []
 
@@ -1119,16 +1096,18 @@ class TestAudit:
         recorder = _RecordingOracle(self.ORACLES[regime](tree))
         rng = random.Random(seed)
         if regime == "weighted":
-            edges, _, stats = reconstruct_weighted(recorder, tree.n, bound, rng)
+            edges, weights, stats = reconstruct_weighted(recorder, tree.n, rng)
         else:
             edges, stats = reconstruct_tree(recorder, tree.n, bound, rng)
         assert edges == set(tree.edges())
-        # The audit's queries end the run. The weighted run's audit reads
-        # every edge but those out of the root, whose depth reads, or a
-        # 2-node node set's orienting yes, are their weights already.
+        # The audit's queries end the run. The weighted run, which reads no
+        # bound, has no audit: each weight it returns is a yes it heard on
+        # that edge.
         end = len(recorder.transcript)
         if regime == "weighted":
-            assert stats.audit_queries == len(edges) - sum(p == tree.root for p, _ in edges)
+            assert stats.audit_queries == 0
+            heard = {(a, b): answer for a, b, answer in recorder.transcript if answer}
+            assert {e: heard.get(e) for e in weights} == weights
         audit = [(a, b) for a, b, _ in recorder.transcript[end - stats.audit_queries :]]
         assert len(set(audit)) == len(audit) and set(audit) <= edges
         heard = recorder.transcript[: end - stats.audit_queries]
@@ -1209,8 +1188,9 @@ def _run_noisy(tree, bound):
 
 
 def _run_weighted(tree, bound):
+    # The weighted driver reads no bound.
     oracle = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=9)))
-    edges, _, stats = reconstruct_weighted(oracle, tree.n, bound, random.Random(0))
+    edges, _, stats = reconstruct_weighted(oracle, tree.n, random.Random(0))
     return oracle, edges, stats
 
 
@@ -1222,7 +1202,7 @@ TRANSCRIPTS = {
     "star-doubling": "abe120cb4df97d84033d9d0f2c40158167438d4a25afc02cfc03631399da08c8",
     "wrong-bound": "e91bf3b3313d15d76707041154c1f02f76bcbe24a4ceccb986db2135569fc6bf",
     "noisy": "13b672269b6cb74d3dc5ec1dfb9e1815fad6ebc2a6b8f8433d2a76d6247a507b",
-    "weighted": "66501d16f27ea1cb25f0c1062d1b87839f73e2b20f61ff870e98aa7325046706",
+    "weighted": "9847b4310167233104f6d75f897ceec647140dc0bbdcdeab74f1c9f5563b90bb",
 }
 
 
@@ -1235,7 +1215,7 @@ TRANSCRIPTS = {
         pytest.param(_run_exact, shaped_tree("star", 40), 2, 21428, 311, 39, id="star-doubling"),
         pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2140, 93, 7, id="wrong-bound"),
         pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1063, 43, 6, id="noisy"),
-        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3369, 97, 8, id="weighted"),
+        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3083, 0, 1, id="weighted"),
     ],
 )
 def test_query_stream_is_pinned(request, run, tree, bound, calls, rounds, depth):
@@ -1300,17 +1280,18 @@ class TestEveryInputTerminates:
     )
     def test_random_liar_returns_or_raises(self, n, bound, seed, additive):
         # In the additive regime the coin flips are depths too, so its
-        # pruned, depth-ordered scans meet made-up and tied depths.
+        # depth-ordered insertion meets made-up and tied depths.
         oracle = _CappedOracle(_RandomLiar(seed), _query_cap(n))
         try:
             if additive:
-                edges, _, _ = reconstruct_weighted(oracle, n, bound, random.Random(seed))
+                edges, _, _ = reconstruct_weighted(oracle, n, random.Random(seed))
             else:
                 edges, _ = reconstruct_tree(oracle, n, bound, random.Random(seed))
         except InconsistentOracleError:
             return
-        # The pieces of every accepted round partition its part, so even
-        # made-up answers yield n - 1 distinct pairs.
+        # The pieces of every accepted round partition its part, and each
+        # inserted node gets one parent, so even made-up answers yield n - 1
+        # distinct pairs.
         assert len(edges) == n - 1
 
 
@@ -1355,97 +1336,89 @@ class TestReconstructNoisy:
 
 
 class TestReconstructWeighted:
+    """The additive regime, which inserts the nodes in depth order, checked
+    against the hidden tree."""
+
     def test_edges_and_weights_recovered_verbatim(self, bent_tree):
         hidden = uniform_weights(bent_tree, seed=17)
         oracle = AdditiveOracle(hidden)
-        edges, weights, _ = reconstruct_weighted(oracle, 11, 3, random.Random(1))
+        edges, weights, _ = reconstruct_weighted(oracle, 11, random.Random(1))
         assert edges == set(bent_tree.edges())
         assert weights == dict(hidden.weights)
 
-    def test_weight_reads_are_counted(self, bent_tree):
-        # Path sums drive a run with the exact run's rounds and split depth.
-        # After its last round the audit reads every edge that no depth
-        # read asked, and counts each read.
-        shapes = [
-            bent_tree,
+    @pytest.mark.parametrize(
+        "tree",
+        [
             shaped_tree("chain", 40),
             shaped_tree("star", 40),
             shaped_tree("caterpillar", 40),
             random_tree(60, 3, seed=29),
-        ]
-        for tree in shapes:
-            recorder = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=17)))
-            with _recording_gates(recorder) as gates:
-                edges, _, stats = reconstruct_weighted(
-                    recorder, tree.n, tree.degree_bound, random.Random(1)
-                )
-            want_edges, want_stats = reconstruct_tree(
-                ExactOracle(tree), tree.n, tree.degree_bound, random.Random(1)
-            )
-            assert edges == want_edges == set(tree.edges())
-            assert stats.rounds_total == want_stats.rounds_total
-            assert stats.recursion_depth_max == want_stats.recursion_depth_max
-            from_root = sum(p == tree.root for p, _ in edges)
-            assert stats.audit_queries == tree.n - 1 - from_root
-            # The queries after the last gate are the audit's reads.
-            assert len(recorder.transcript) - gates[-1][0] == stats.audit_queries
+        ],
+        ids=["chain", "star", "caterpillar", "random"],
+    )
+    def test_a_run_has_no_rounds(self, tree):
+        # No round, no split and no audit: the stats keep their defaults.
+        hidden = uniform_weights(tree, seed=17)
+        edges, weights, stats = reconstruct_weighted(
+            AdditiveOracle(hidden), tree.n, random.Random(1)
+        )
+        assert edges == set(tree.edges())
+        assert weights == dict(hidden.weights)
+        assert stats == reconstruct.ReconstructionStats()
+        assert (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries) == (0, 1, 0)
 
     @pytest.mark.parametrize("shape", ["star", "random"])
-    def test_no_edge_is_read_twice(self, shape):
-        # After the last round the audit reads each edge once, in sorted
-        # order, but for the edges out of the root: a root child's depth
-        # read, asked once before, is its weight. A star's edges all leave
-        # the root, so its audit asks nothing; the random tree's reads the
-        # edges below.
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_root_scan_and_the_depth_reads_come_first(self, shape, seed):
+        # Q(k, i) for every k != i of the drawn i, then Q(root, k) for every
+        # k but the root and i, both in node order. No later query asks the
+        # root, or asks about a node deeper than its target.
         tree = shaped_tree("star", 30) if shape == "star" else random_tree(200, 3, seed=2)
-        recorder = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=5)))
-        with _recording_gates(recorder) as gates:
-            edges, weights, stats = reconstruct_weighted(
-                recorder, tree.n, tree.degree_bound, random.Random(4)
-            )
-        after = [(a, b) for a, b, _ in recorder.transcript[gates[-1][0] :]]
-        from_root = [(p, c) for p, c in edges if p == tree.root]
-        assert after == sorted(after)
-        assert sorted(after + from_root) == sorted(edges) == list(weights)
-        depth_reads = [(a, b) for a, b, _ in recorder.transcript if a == tree.root]
-        assert len(set(depth_reads)) == tree.n - 1
-        assert (stats.audit_queries > 0) == (shape == "random")
+        tree = _relabelled(tree, seed)
+        hidden = uniform_weights(tree, seed=5)
+        recorder = _RecordingOracle(AdditiveOracle(hidden))
+        edges, weights, _ = reconstruct_weighted(recorder, tree.n, random.Random(seed))
+        assert edges == set(tree.edges()) and weights == dict(hidden.weights)
+        pairs = [(a, b) for a, b, _ in recorder.transcript]
+        i, root, n = pairs[0][1], tree.root, tree.n
+        assert pairs[: n - 1] == [(k, i) for k in range(n) if k != i]
+        reads = [(root, k) for k in range(n) if k not in (root, i)]
+        assert pairs[n - 1 : n - 1 + len(reads)] == reads
+        depth = {k: recorder.inner.query(root, k) for k in range(n) if k != root}
+        depth[root] = 0.0
+        later = pairs[n - 1 + len(reads) :]
+        assert later and all(a != root and depth[a] <= depth[b] for a, b in later)
+
+    def test_tied_sums_keep_the_highest_node_as_root(self):
+        # The root 1 sits 2**-53 above node 0, so Q(0, 4) and Q(1, 4) both
+        # read 3.0; one comparison, Q(1, 0), puts 1 above 0. The depth
+        # reads skip 4, whose depth the scan heard.
+        tree = validate_tree([1, ROOT, 0, 2, 3], 2)
+        weights = {(1, 0): 2.0**-53, (0, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0}
+        hidden = WeightedDirectedRootedTree(tree, weights)
+        recorder = _RecordingOracle(AdditiveOracle(hidden))
+        edges, got, _ = reconstruct_weighted(recorder, 5, ScriptedRng([4]))
+        assert edges == set(tree.edges())
+        assert {e: w.hex() for e, w in got.items()} == {e: w.hex() for e, w in weights.items()}
+        # The depth read of 0 asks the comparison's pair again.
+        pairs = [(a, b) for a, b, _ in recorder.transcript]
+        assert pairs[:7] == [(0, 4), (1, 4), (2, 4), (3, 4), (1, 0), (1, 0), (1, 2)]
 
     @pytest.mark.parametrize("parent", [(ROOT, 0), (1, ROOT)])
-    def test_a_two_node_set_reads_its_weight_off_the_orienting_yes(self, parent):
-        # Asking both ways orients the pair, and the yes is the edge's
-        # weight, so no pair is asked twice.
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_nodes_take_at_most_two_queries(self, parent, seed):
+        # Drawing the child settles the pair in one query, whose answer is
+        # the depth; drawing the root takes a depth read after it.
         tree = validate_tree(parent, 1)
         hidden = uniform_weights(tree, seed=5)
         recorder = _RecordingOracle(AdditiveOracle(hidden))
-        edges, weights, stats = reconstruct_weighted(recorder, 2, 1, random.Random(0))
+        edges, weights, stats = reconstruct_weighted(recorder, 2, random.Random(seed))
         assert edges == set(tree.edges())
         assert weights == dict(hidden.weights)
         pairs = [(a, b) for a, b, _ in recorder.transcript]
-        assert pairs == [(1, 0), (0, 1)]
-        assert stats.audit_queries == 0
-
-    def test_a_weight_read_of_zero_fails_the_run(self):
-        # The liar answers truly until every query a truthful run asks
-        # before its weight reads is spent, then reads every weight as 0.0.
-        # Edges out of the root are not read again.
-        tree = random_tree(40, 3, seed=11)
-        truthful = AdditiveOracle(uniform_weights(tree, seed=12))
-        edges, _, want_stats = reconstruct_weighted(truthful, tree.n, 3, random.Random(6))
-        reads = want_stats.audit_queries
-        assert reads == len(edges) - sum(p == tree.root for p, _ in edges) > 0
-        honest = truthful.calls - reads
-
-        class LateLiar(AdditiveOracle):
-            def query(self, i, j):
-                answer = super().query(i, j)
-                return answer if self.calls <= honest else 0.0
-
-        liar = LateLiar(uniform_weights(tree, seed=12))
-        with pytest.raises(InconsistentOracleError) as caught:
-            reconstruct_weighted(liar, tree.n, 3, random.Random(6))
-        assert caught.value.stats == dataclasses.replace(want_stats, audit_queries=1)
-        assert liar.calls == honest + 1
+        drawn = pairs[0][1]
+        assert pairs == ([(tree.root, drawn)] if drawn != tree.root else [(1 - drawn, drawn), (drawn, 1 - drawn)])
+        assert stats == reconstruct.ReconstructionStats()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_a_root_childs_depth_read_of_zero_fails_the_run(self, seed):
@@ -1462,9 +1435,28 @@ class TestReconstructWeighted:
                     return 0.0 if (i, j) == (tree.root, child) else answer
 
             with pytest.raises(InconsistentOracleError):
-                reconstruct_weighted(
-                    RootLiar(hidden), tree.n, 3, random.Random(seed)
-                )
+                reconstruct_weighted(RootLiar(hidden), tree.n, random.Random(seed))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_deeper_depth_read_of_zero_fails_before_any_insertion(self, seed):
+        # Every depth is read before the first node goes in, so a read of
+        # 0.0 below the root's children raises after at most 2n - 2 queries,
+        # with the stats of a run that ran no round.
+        tree = random_tree(40, 3, seed=11)
+        hidden = uniform_weights(tree, seed=12)
+        deeper = [k for k in range(tree.n) if tree.parent[k] not in (ROOT, tree.root)]
+        for k in deeper[:: 4]:
+
+            class DepthLiar(AdditiveOracle):
+                def query(self, i, j):
+                    answer = super().query(i, j)
+                    return 0.0 if (i, j) == (tree.root, k) else answer
+
+            liar = DepthLiar(hidden)
+            with pytest.raises(InconsistentOracleError, match="depth 0") as caught:
+                reconstruct_weighted(liar, tree.n, random.Random(seed))
+            assert caught.value.stats == reconstruct.ReconstructionStats()
+            assert liar.calls <= 2 * tree.n - 2
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1473,84 +1465,55 @@ class TestReconstructWeighted:
         st.integers(min_value=0, max_value=2**16),
     )
     def test_tied_depths_keep_every_edge_and_weight(self, shape, n, seed):
-        # Weights of 1.0 and 2**-53 make many depths tie in floats, so the
-        # scans skip only strictly deeper nodes and sort tied paths by
-        # comparisons. The run still matches the exact one round for round.
+        # Weights of 1.0 and 2**-53 make many depths and sums tie in floats,
+        # so ancestors share their descendants' depths, nodes go in below
+        # their tied descendants and move them, and the root scan compares
+        # tied sums. Every edge and every weight, bit for bit, is the hidden
+        # tree's.
         tree = _relabelled(_shaped(shape, n, seed), seed)
         hidden = _magnitudes(tree, seed)
-        bound = tree.degree_bound
-        edges, weights, stats = reconstruct_weighted(
-            AdditiveOracle(hidden), tree.n, bound, random.Random(seed)
+        edges, weights, _ = reconstruct_weighted(
+            AdditiveOracle(hidden), tree.n, random.Random(seed)
         )
-        want_edges, want_stats = reconstruct_tree(
-            ExactOracle(tree), tree.n, bound, random.Random(seed)
-        )
-        assert edges == want_edges == set(tree.edges())
+        assert edges == set(tree.edges())
         assert {e: w.hex() for e, w in weights.items()} == {
             e: w.hex() for e, w in hidden.weights.items()
         }
-        assert stats.rounds_total == want_stats.rounds_total
-        assert stats.recursion_depth_max == want_stats.recursion_depth_max
-
-    def test_scan_skips_only_the_deeper_nodes(self, monkeypatch):
-        # Each query charged to the innermost phase asking it. Against the
-        # exact run with the same rng, the weighted run places with the
-        # same queries, and its scans ask the same pairs but those (k, i)
-        # with k deeper than i, save the first round's, which finds the
-        # root. Its only sort is that round's, and it reads n - 1 depths,
-        # Q(root, k) in node order, before any placement.
-        tree = random_tree(300, 3, seed=5)
-        hidden = uniform_weights(tree, seed=9)
-        dist = _depths(hidden)
-        phases = ["driver"]
-
-        class Charging:
-            def __init__(self, inner):
-                self.inner, self.log = inner, []
-
-            def query(self, i, j):
-                self.log.append((phases[-1], i, j))
-                return self.inner.query(i, j)
-
-        for name in ("reconstruct_skeleton_path", "sort_by_ancestry", "path_pieces"):
-
-            def wrapper(*args, _real=getattr(reconstruct, name), _name=name):
-                phases.append(_name)
-                try:
-                    return _real(*args)
-                finally:
-                    phases.pop()
-
-            monkeypatch.setattr(reconstruct, name, wrapper)
-
-        exact, weighted = Charging(ExactOracle(tree)), Charging(AdditiveOracle(hidden))
-        reconstruct_tree(exact, tree.n, 3, random.Random(0))
-        edges, _, _ = reconstruct_weighted(weighted, tree.n, 3, random.Random(0))
-
-        def asked(oracle, phase):
-            return [(i, j) for at, i, j in oracle.log if at == phase]
-
-        assert asked(weighted, "path_pieces") == asked(exact, "path_pieces")
-        first = tree.n - 1
-        scan, want = asked(weighted, "reconstruct_skeleton_path"), asked(exact, "reconstruct_skeleton_path")
-        assert scan[:first] == want[:first]
-        assert scan[first:] == [(k, i) for k, i in want[first:] if not dist[k] > dist[i]]
-        assert len(scan) < len(want)
-        sort = asked(weighted, "sort_by_ancestry")
-        assert sort == asked(exact, "sort_by_ancestry")[: len(sort)]
-        driver = asked(weighted, "driver")
-        root = tree.root
-        assert driver[:first] == [(root, k) for k in range(tree.n) if k != root]
-        assert sorted(driver[first:]) == sorted((p, c) for p, c in edges if p != root)
-        phase_of = [at for at, _, _ in weighted.log]
-        reads = phase_of.index("driver")
-        assert "sort_by_ancestry" not in phase_of[reads:]
-        assert "path_pieces" not in phase_of[:reads]
 
     def test_weight_keys_are_the_recovered_edges(self):
         tree = random_tree(20, 4, seed=3)
         hidden = uniform_weights(tree, seed=4)
-        edges, weights, _ = reconstruct_weighted(
-            AdditiveOracle(hidden), 20, 4, random.Random(2)
-        )
+        edges, weights, _ = reconstruct_weighted(AdditiveOracle(hidden), 20, random.Random(2))
         assert set(weights) == edges
+
+
+class TestAdditiveFloor:
+    """The weighted twin of TestQueryFloor. Take sibling leaves a and b with
+    D(a) <= D(b). Hanging b under a, with the weight D(b) - D(a), agrees
+    with every depth and every other answer but Q(a, b), so a run that is
+    always right asks every unordered pair of sibling leaves in at least
+    one direction: C(n - 1, 2) pairs on an n-node star, half the exact
+    floor."""
+
+    @staticmethod
+    def _check(tree, seed):
+        hidden = uniform_weights(tree, seed=seed)
+        recorder = _RecordingOracle(AdditiveOracle(hidden))
+        edges, weights, _ = reconstruct_weighted(recorder, tree.n, random.Random(seed))
+        assert edges == set(tree.edges()) and weights == dict(hidden.weights)
+        asked = {frozenset((i, j)) for i, j, _ in recorder.transcript}
+        missing = {frozenset(pair) for pair in _sibling_leaf_pairs(tree)} - asked
+        assert not missing, (tree.parent, seed, sorted(map(sorted, missing)))
+        return len(recorder.transcript)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 30, 150])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_star_asks_its_floor_and_its_reads(self, n, seed):
+        star = _relabelled(shaped_tree("star", n), seed)
+        asked = self._check(star, seed)
+        assert asked <= math.comb(n - 1, 2) + 2 * n - 2
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_a_random_tree_asks_every_sibling_leaf_pair(self, d):
+        for n, seed in itertools.product((3, 8, 30, 150), range(10)):
+            self._check(_relabelled(random_tree(n, d, seed=seed), seed), seed)

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given
 
 from treeprobe import (
+    InfeasibleDegreeError,
     InvalidTreeError,
     WeightedDirectedRootedTree,
     from_edges,
     max_node_degree,
     validate_tree,
 )
+from treeprobe.trees import check_degree_feasible
 
 from conftest import BENT_PARENT, SPINE_PARENT, parent_array_trees
 from reference import (
@@ -75,6 +77,13 @@ class TestValidateTree:
     def test_bound_below_one_rejected(self):
         with pytest.raises(InvalidTreeError, match="degree bound must be >= 1, got 0"):
             validate_tree([-1], 0)
+
+    @pytest.mark.parametrize("bound", [float("nan"), 2.5, float("inf"), None])
+    def test_bound_that_is_not_an_int_rejected(self, bound):
+        # None used to raise TypeError from a comparison, and NaN, 2.5 and
+        # inf passed.
+        with pytest.raises(InvalidTreeError, match="degree bound must be an int, got"):
+            validate_tree([-1, 0], bound)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidTreeError):
@@ -216,6 +225,28 @@ class TestHelpers:
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(InvalidTreeError):
             from_edges(3, [(0, 1), (0, 7)])
+
+    def test_from_edges_rejects_a_parent_past_the_last_node(self):
+        # This raised IndexError from the degree count.
+        with pytest.raises(InvalidTreeError, match="parent 5 of node 2 out of range"):
+            from_edges(3, [(0, 1), (5, 2)])
+
+    def test_from_edges_rejects_a_negative_parent(self):
+        # A parent of -1 read as a second root.
+        with pytest.raises(InvalidTreeError, match="parent -1 of node 2 out of range"):
+            from_edges(3, [(0, 1), (-1, 2)])
+
+
+class TestCheckDegreeFeasible:
+    @pytest.mark.parametrize("n, bound", [(1, 1), (2, 1), (3, 2), (40, 10)])
+    def test_a_bound_some_tree_fits_passes(self, n, bound):
+        check_degree_feasible(n, bound)
+
+    @pytest.mark.parametrize("bound", [float("nan"), 2.5, float("inf"), None])
+    def test_a_bound_that_is_not_an_int_is_refused(self, bound):
+        # Both comparisons are False for NaN, so it used to pass.
+        with pytest.raises(InfeasibleDegreeError, match="degree bound must be an int, got"):
+            check_degree_feasible(6, bound)
 
 
 class TestWeightedTree:
