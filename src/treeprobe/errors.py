@@ -20,7 +20,8 @@ class InconsistentOracleError(RuntimeError):
     Raised when the driver's audit finds a denial of an edge it was about
     to return, when the two nodes of a 2-node node set both reach or both
     miss each other, or in the additive regime when a node below the root
-    reads depth 0. Not every lie is caught, so a run that hears lies can
+    reads depth 0 or the audit reads an edge out of the root
+    differently. Not every lie is caught, so a run that hears lies can
     return a wrong tree. An oracle that answers every query truly never
     triggers this. When the reconstruction driver raises it, ``stats``
     holds the driver's counters up to the failure.

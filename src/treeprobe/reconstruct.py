@@ -86,6 +86,16 @@ of its parent at its depth and moves under itself those it reaches. So each
 returned weight is a yes heard on its own edge, stored verbatim. A depth
 read of 0.0 below the root raises.
 
+A lie told after the depth reads can leave a tree that agrees with every
+answer heard: an oracle that denies every later path hangs each later node
+from the root, with its depth as its weight. The edges out of the root are
+the ones whose only yes came before any insertion, as every other edge's
+yes was heard when its child went in, or when a node of the child's depth
+took it. So an audit after the last insertion asks each edge (root, c)
+once more, and an answer that is falsy or differs from the stored weight,
+bit for bit, raises. The root always has a child, so a liar that denies
+every path from some point on is caught.
+
 The cost is O(d n log n) queries, a log below the rounds' bound. A
 weight-balanced search that ends at a position of weight w out of W asks at
 most 2 ceil(log2(W / w)) queries, and the light child a search starts again
@@ -94,10 +104,10 @@ at is smaller than w, so over one node's search the logs telescope to
 parent's subtree, so a search crosses at most log2 n light edges. With
 distinct depths the nodes in are closed under ancestors, so the known tree
 is a subtree of the hidden one, and each path's end has at most d - 1 light
-children to ask. One node so asks O(d log n) queries, and the root scan and
-the depth reads add 2n - 2 in all. Tied depths add one ask per tied child
-of the parent. A star asks each pair of its leaves once, C(n - 1, 2) in all,
-which is the additive regime's floor.
+children to ask. One node so asks O(d log n) queries, and the root scan
+and the depth reads add 2n - 2 in all, the audit at most d more. Tied
+depths add one ask per tied child of the parent. A star asks each pair of
+its leaves once, C(n - 1, 2) in all, which is the additive regime's floor.
 """
 
 from __future__ import annotations
@@ -124,9 +134,9 @@ class ReconstructionStats:
     audit_queries: queries after the last round, all the audit's: one per
         returned edge that no earlier answer vouched for.
 
-    An additive run has no rounds, no split and no audit, so it reports the
-    defaults: ``rounds_total`` 0, ``recursion_depth_max`` 1 and
-    ``audit_queries`` 0.
+    An additive run has no rounds and no split, so it reports
+    ``rounds_total`` 0 and ``recursion_depth_max`` 1; its audit asks each
+    edge out of the root, so ``audit_queries`` is the root's degree.
     """
 
     rounds_total: int = 0
@@ -481,10 +491,12 @@ def reconstruct_weighted(
     ``oracle.query(i, j)`` must return the weight of the path i -> j, and a
     falsy answer when there is none. The root scan's node is drawn with
     ``rng.choice``. Each returned weight is a yes heard on its edge, stored
-    verbatim. No degree bound is read and no round is run, so the stats
-    keep their defaults. A negative ``n`` raises ValueError before any
-    query, and a depth read of 0.0 below the root raises
-    InconsistentOracleError.
+    verbatim. No degree bound is read and no round is run. A negative ``n``
+    raises ValueError before any query. A depth read of 0.0 below the root
+    raises InconsistentOracleError, and so does an audit read of an edge
+    out of the root that is falsy or differs from its stored weight;
+    ``stats.audit_queries`` counts the audit's reads, one per child of the
+    root.
     """
     if n < 0:
         raise ValueError(f"node count must be >= 0, got {n}")
@@ -599,6 +611,15 @@ def reconstruct_weighted(
                 _settle(kids[u], neg, kids[u].index(v))
             v = u
         previous = d
+    for c in sorted(kids[root]):
+        answer = query(root, c)
+        stats.audit_queries += 1
+        if not answer or answer != weight[c]:
+            raise InconsistentOracleError(
+                f"the oracle reads the edge {(root, c)} as {answer!r}, having read it "
+                f"as {weight[c]!r}; oracle answers are inconsistent",
+                stats,
+            )
     weights = {(par[c], c): weight[c] for c in range(n) if c != root}
     return set(weights), weights, stats
 

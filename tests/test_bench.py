@@ -91,21 +91,14 @@ class TestRunSingle:
         assert outcome.votes == outcome.lead == 1
         assert outcome.raw_queries == outcome.logical_queries == 0
 
-    @pytest.mark.parametrize(
-        "regime, base, honest", [("exact", ExactOracle, 60), ("weighted", AdditiveOracle, 25)]
-    )
-    def test_inconsistent_answers_fail_the_run_in_every_regime(
-        self, monkeypatch, regime, base, honest
-    ):
-        # The weighted liar starts denying inside the depth reads, which
-        # follow the 19 queries of the root scan; a denial after them can
-        # leave a tree that agrees with every answer heard.
+    @pytest.mark.parametrize("regime, base", [("exact", ExactOracle), ("weighted", AdditiveOracle)])
+    def test_inconsistent_answers_fail_the_run_in_every_regime(self, monkeypatch, regime, base):
         class LateLiar(base):
             """Honest for a while, then denies every path."""
 
             def query(self, i, j):
                 answer = super().query(i, j)
-                return answer if self.calls <= honest else 0
+                return answer if self.calls <= 60 else 0
 
         monkeypatch.setattr(bench, base.__name__, LateLiar)
         tree = random_tree(20, 3, seed=101)
@@ -114,7 +107,8 @@ class TestRunSingle:
         assert not outcome.success
         assert outcome.edges == set() and outcome.weights is None
         assert (outcome.stats.rounds_total >= 1) == (regime == "exact")
-        assert outcome.raw_queries == outcome.logical_queries > honest
+        assert outcome.stats.audit_queries >= 1
+        assert outcome.raw_queries == outcome.logical_queries > 60
 
     def test_a_denial_in_the_audit_keeps_the_run_counters(self, monkeypatch):
         # The liar answers truly through every round, then denies the first
@@ -242,7 +236,7 @@ class TestRunSingle:
             lambda: uniform_weights(random_tree(300, 5, seed=6), seed=7),
             5,
             6,
-            (2907, 2907, 0, 0, 1),
+            (2911, 2911, 0, 4, 1),
         ),
     ]
 

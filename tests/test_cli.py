@@ -195,10 +195,10 @@ class TestReconstruct:
         assert code == EXIT_OK
         assert run("verify", "--expected", str(hidden), "--actual", str(recovered)) == EXIT_OK
 
-    def test_weighted_stats_report_no_rounds(self, tmp_path, capsys):
+    def test_weighted_stats_count_the_weight_reads(self, tmp_path, capsys):
         # The additive regime inserts nodes in depth order: it runs no
-        # round, splits nothing and has no audit, as every weight is a yes
-        # the run heard on its edge.
+        # round and splits nothing, and its audit reads each edge out of the
+        # root once more after the last insertion.
         hidden = tmp_path / "weighted.txt"
         assert run("generate", "--shape", "random", "--nodes", "40", "--degree", "3",
                    "--seed", "5", "--weights", "uniform", "--out", str(hidden)) == EXIT_OK
@@ -206,7 +206,9 @@ class TestReconstruct:
         code = run("reconstruct", "--tree", str(hidden), "--regime", "weighted", "--stats")
         assert code == EXIT_OK
         out = capsys.readouterr().out.splitlines()
-        assert {"success=true", "rounds=0", "max_depth=1", "audit_queries=0"} <= set(out)
+        tree = load_tree(hidden).tree
+        from_root = len(tree.children[tree.root])
+        assert {"success=true", "rounds=0", "max_depth=1", f"audit_queries={from_root}"} <= set(out)
 
     def test_one_node_weighted_round_trip(self, tmp_path, capsys):
         # A 1-node tree has no edge to carry a weight, so its file reads

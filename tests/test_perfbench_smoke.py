@@ -21,7 +21,7 @@ COUNTS = {
     "exact-random": (854764, 854764, 17219),
     "exact-deep": (1008591, 1008591, 2174),
     "noisy-random": (95069, 895189, 2673),
-    "weighted-random": (271021, 271021, 0),
+    "weighted-random": (271081, 271081, 0),
 }
 
 

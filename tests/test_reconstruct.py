@@ -1100,13 +1100,14 @@ class TestAudit:
         else:
             edges, stats = reconstruct_tree(recorder, tree.n, bound, rng)
         assert edges == set(tree.edges())
-        # The audit's queries end the run. The weighted run, which reads no
-        # bound, has no audit: each weight it returns is a yes it heard on
-        # that edge.
+        # The audit's queries end the run. The weighted run's audit reads
+        # each edge out of the root once more, and each weight it returns is
+        # also a yes it heard on that edge before the audit.
         end = len(recorder.transcript)
         if regime == "weighted":
-            assert stats.audit_queries == 0
-            heard = {(a, b): answer for a, b, answer in recorder.transcript if answer}
+            assert stats.audit_queries == len(tree.children[tree.root])
+            before = recorder.transcript[: end - stats.audit_queries]
+            heard = {(a, b): answer for a, b, answer in before if answer}
             assert {e: heard.get(e) for e in weights} == weights
         audit = [(a, b) for a, b, _ in recorder.transcript[end - stats.audit_queries :]]
         assert len(set(audit)) == len(audit) and set(audit) <= edges
@@ -1202,7 +1203,7 @@ TRANSCRIPTS = {
     "star-doubling": "abe120cb4df97d84033d9d0f2c40158167438d4a25afc02cfc03631399da08c8",
     "wrong-bound": "e91bf3b3313d15d76707041154c1f02f76bcbe24a4ceccb986db2135569fc6bf",
     "noisy": "13b672269b6cb74d3dc5ec1dfb9e1815fad6ebc2a6b8f8433d2a76d6247a507b",
-    "weighted": "9847b4310167233104f6d75f897ceec647140dc0bbdcdeab74f1c9f5563b90bb",
+    "weighted": "7f26a2c0f7991f769cb83d8b5ca83198ae97e277dccb96108f2c175db99ad268",
 }
 
 
@@ -1215,7 +1216,7 @@ TRANSCRIPTS = {
         pytest.param(_run_exact, shaped_tree("star", 40), 2, 21428, 311, 39, id="star-doubling"),
         pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2140, 93, 7, id="wrong-bound"),
         pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1063, 43, 6, id="noisy"),
-        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3083, 0, 1, id="weighted"),
+        pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3086, 0, 1, id="weighted"),
     ],
 )
 def test_query_stream_is_pinned(request, run, tree, bound, calls, rounds, depth):
@@ -1357,22 +1358,25 @@ class TestReconstructWeighted:
         ids=["chain", "star", "caterpillar", "random"],
     )
     def test_a_run_has_no_rounds(self, tree):
-        # No round, no split and no audit: the stats keep their defaults.
+        # No round and no split; the audit reads each edge out of the root.
         hidden = uniform_weights(tree, seed=17)
         edges, weights, stats = reconstruct_weighted(
             AdditiveOracle(hidden), tree.n, random.Random(1)
         )
         assert edges == set(tree.edges())
         assert weights == dict(hidden.weights)
-        assert stats == reconstruct.ReconstructionStats()
-        assert (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries) == (0, 1, 0)
+        assert (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries) == (
+            0, 1, len(tree.children[tree.root])
+        )
 
     @pytest.mark.parametrize("shape", ["star", "random"])
     @pytest.mark.parametrize("seed", range(3))
     def test_the_root_scan_and_the_depth_reads_come_first(self, shape, seed):
         # Q(k, i) for every k != i of the drawn i, then Q(root, k) for every
-        # k but the root and i, both in node order. No later query asks the
-        # root, or asks about a node deeper than its target.
+        # k but the root and i, both in node order. No insertion query asks
+        # the root, or asks about a node deeper than its target, and the
+        # audit ends the run with the root's edges, in order of the child's
+        # id.
         tree = shaped_tree("star", 30) if shape == "star" else random_tree(200, 3, seed=2)
         tree = _relabelled(tree, seed)
         hidden = uniform_weights(tree, seed=5)
@@ -1386,8 +1390,10 @@ class TestReconstructWeighted:
         assert pairs[n - 1 : n - 1 + len(reads)] == reads
         depth = {k: recorder.inner.query(root, k) for k in range(n) if k != root}
         depth[root] = 0.0
-        later = pairs[n - 1 + len(reads) :]
+        audit = [(root, c) for c in sorted(tree.children[root])]
+        later = pairs[n - 1 + len(reads) : -len(audit)]
         assert later and all(a != root and depth[a] <= depth[b] for a, b in later)
+        assert pairs[-len(audit) :] == audit
 
     def test_tied_sums_keep_the_highest_node_as_root(self):
         # The root 1 sits 2**-53 above node 0, so Q(0, 4) and Q(1, 4) both
@@ -1406,9 +1412,10 @@ class TestReconstructWeighted:
 
     @pytest.mark.parametrize("parent", [(ROOT, 0), (1, ROOT)])
     @pytest.mark.parametrize("seed", range(4))
-    def test_two_nodes_take_at_most_two_queries(self, parent, seed):
+    def test_two_nodes_take_at_most_three_queries(self, parent, seed):
         # Drawing the child settles the pair in one query, whose answer is
-        # the depth; drawing the root takes a depth read after it.
+        # the depth; drawing the root takes a depth read after it. The
+        # audit reads the edge once more.
         tree = validate_tree(parent, 1)
         hidden = uniform_weights(tree, seed=5)
         recorder = _RecordingOracle(AdditiveOracle(hidden))
@@ -1417,8 +1424,9 @@ class TestReconstructWeighted:
         assert weights == dict(hidden.weights)
         pairs = [(a, b) for a, b, _ in recorder.transcript]
         drawn = pairs[0][1]
-        assert pairs == ([(tree.root, drawn)] if drawn != tree.root else [(1 - drawn, drawn), (drawn, 1 - drawn)])
-        assert stats == reconstruct.ReconstructionStats()
+        found = [(tree.root, drawn)] if drawn != tree.root else [(1 - drawn, drawn), (drawn, 1 - drawn)]
+        assert pairs == found + [(tree.root, 1 - tree.root)]
+        assert stats == reconstruct.ReconstructionStats(audit_queries=1)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_a_root_childs_depth_read_of_zero_fails_the_run(self, seed):
@@ -1493,18 +1501,20 @@ class TestAdditiveFloor:
     with every depth and every other answer but Q(a, b), so a run that is
     always right asks every unordered pair of sibling leaves in at least
     one direction: C(n - 1, 2) pairs on an n-node star, half the exact
-    floor."""
+    floor. The counts below leave out the audit's reads after the last
+    insertion, one per child of the root."""
 
     @staticmethod
     def _check(tree, seed):
         hidden = uniform_weights(tree, seed=seed)
         recorder = _RecordingOracle(AdditiveOracle(hidden))
-        edges, weights, _ = reconstruct_weighted(recorder, tree.n, random.Random(seed))
+        edges, weights, stats = reconstruct_weighted(recorder, tree.n, random.Random(seed))
         assert edges == set(tree.edges()) and weights == dict(hidden.weights)
         asked = {frozenset((i, j)) for i, j, _ in recorder.transcript}
         missing = {frozenset(pair) for pair in _sibling_leaf_pairs(tree)} - asked
         assert not missing, (tree.parent, seed, sorted(map(sorted, missing)))
-        return len(recorder.transcript)
+        assert stats.audit_queries == len(tree.children[tree.root])
+        return len(recorder.transcript) - stats.audit_queries
 
     @pytest.mark.parametrize("n", [2, 3, 5, 30, 150])
     @pytest.mark.parametrize("seed", range(5))
