@@ -9,14 +9,17 @@ whole node set on the way: it samples i from every node, and the nodes that
 reach i, sorted, are the path down to i from the root, which comes first; if
 no node reaches i, i is the root, and the round fails on a one-node path.
 Each piece is a subtree rooted at its path node, so no later part looks for
-its root, and a 2-node part is settled with nothing to sample. Parts still
-to solve wait on a stack, the whole node set first, and each pass of the
-driver loop runs one round on the top part: an accepted round keeps every
-path edge and pushes each piece; a failed round pushes its part back. A
-node set of two nodes has no round: its pass orients it by asking both
-ways. With a degree bound d the balanced cut leaves sides no larger than a
-(d-1)/d fraction and every piece lies inside one side, so the split depth
-stays logarithmic and the whole thing needs O(d n log^2 n) queries in
+its root, and a 2-node piece has nothing to sample: the round that finds it
+adds its edge. Parts still to solve wait on a stack, the whole node set
+first, and each pass of the driver loop runs one round on the top part: an
+accepted round keeps every path edge and pushes each piece of 3 or more
+nodes; a failed round pushes its part back. A 2-node piece whose edge the
+audit must ask is pushed too, and its pass adds the edge and queues it, so
+the audit asks in the order the stack reaches it. A node set of two nodes has
+no round: the driver orients it before its loop by asking both ways. With
+a degree bound d the balanced cut leaves sides no larger than a (d-1)/d
+fraction and every piece lies inside one side, so the split depth stays
+logarithmic and the whole thing needs O(d n log^2 n) queries in
 expectation.
 
 Every part lists its root first, and a path is one list from a part's root
@@ -128,8 +131,9 @@ class ReconstructionStats:
     """Counters from one reconstruction run.
 
     rounds_total: sampling rounds summed over all parts; every part of
-        >= 3 nodes runs at least one, and a 2-node part is settled without
-        a round.
+        >= 3 nodes runs at least one. A 2-node piece runs none: the round
+        that finds it settles it, or queues its edge for the audit, and a
+        node set of two nodes is oriented before any round.
     recursion_depth_max: deepest split level, the whole node set being 1.
     audit_queries: queries after the last round, all the audit's: one per
         returned edge that no earlier answer vouched for.
@@ -156,6 +160,10 @@ def sort_by_ancestry(oracle, items: Sequence[int]) -> list[int]:
     """Sort nodes of one directed path ancestor-first, one query per compare."""
     if len(items) < 2:
         return list(items)
+    if len(items) == 2:
+        # The one comparison sorted() asks of two items.
+        a, b = items
+        return [b, a] if oracle.query(b, a) else [a, b]
 
     def compare(a: int, b: int) -> int:
         return -1 if oracle.query(a, b) else 1
@@ -231,10 +239,10 @@ def find_even_separator(
     low = -(-(n - 1) // degree_bound)
     high = n - low
     left = 0
-    for upper, lower in zip(pieces, pieces[1:]):
-        left += len(upper)
+    for r in range(len(pieces) - 1):
+        left += len(pieces[r])
         if low <= left <= high:
-            return upper[0], lower[0]
+            return pieces[r][0], pieces[r + 1][0]
     return None
 
 
@@ -261,21 +269,22 @@ def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[i
     W, so at most 2 ceil(log2 s) + 2 on a part of s nodes.
     """
     query = oracle.query
+    if len(path) == 1:
+        r = path[0]
+        return [[r, *(k for k in part if k != r)]]
+    if len(path) == 2:
+        r, last = path
+        top, below = [r], [last]
+        for k in part:
+            if k != r and k != last:
+                if query(last, k):
+                    below.append(k)
+                else:
+                    top.append(k)
+        return [top, below]
     pieces = [[k] for k in path]
     on_path = set(path)
     todo = [k for k in part if k not in on_path]
-    if len(path) == 1:
-        pieces[0] += todo
-        return pieces
-    if len(path) == 2:
-        top, below = pieces
-        last = path[1]
-        for k in todo:
-            if query(last, k):
-                below.append(k)
-            else:
-                top.append(k)
-        return pieces
     first, hit, miss = _unit_plan(len(path))
     start, stop = 0, 16
     while True:
@@ -319,8 +328,8 @@ def reconstruct_tree(
     whether it reaches i: the first node of the path it finds is the root.
     If no node reaches i, i is the root. From then on the node set is one
     part, its root first and the rest in ascending order. A node set of two
-    nodes runs no round: the driver loop asks both ways instead, and raises
-    InconsistentOracleError unless exactly one answer is yes.
+    nodes runs no round: the driver asks both ways before its loop instead,
+    and raises InconsistentOracleError unless exactly one answer is yes.
     Each round hands its pieces, one per path node in path order, to
     ``find_even_separator``, and is accepted if that finds a balanced cut.
     An accepted round adds every edge of its path and splits its part into
@@ -333,21 +342,38 @@ def reconstruct_tree(
     a denial there raises InconsistentOracleError. ``stats.audit_queries``
     counts the audit's queries: none on a chain unless the first draw is
     the root, about one per leaf on a star.
-    ``degree_bound`` sets only the balance gate. A negative ``n`` raises
-    ValueError, and a bound that no tree on ``n`` nodes fits (below 1, or 1
-    with more than two nodes) raises InfeasibleDegreeError, both before any
-    query. A part whose rounds keep failing under a bound below the true
-    degree doubles its own bound, which its pieces inherit, so the edges
-    stay exact. The run is deterministic given the rng state and the
-    oracle's answers. An InconsistentOracleError raised on the way carries
-    the counters so far as its ``stats``.
+    ``degree_bound`` sets only the balance gate. An ``n`` that is not an
+    int, or is negative, raises ValueError, and a bound that no tree on
+    ``n`` nodes fits (below 1, or 1 with more than two nodes) raises
+    InfeasibleDegreeError, both before any query. A part whose rounds keep
+    failing under a bound below the true degree doubles its own bound,
+    which its pieces inherit, so the edges stay exact. The run is
+    deterministic given the rng state and the oracle's answers. An
+    InconsistentOracleError raised on the way carries the counters so far
+    as its ``stats``.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"node count must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"node count must be >= 0, got {n}")
     check_degree_feasible(n, degree_bound)
-    part = list(range(n))
     stats = ReconstructionStats()
     edges: Edges = set()
+    if n < 3:
+        if n == 2:
+            # A node set of two nodes is oriented by asking both ways.
+            backward = oracle.query(1, 0)
+            forward = oracle.query(0, 1)
+            if bool(backward) == bool(forward):
+                raise InconsistentOracleError(
+                    "exactly one of nodes 0 and 1 must reach the other; "
+                    "oracle answers are inconsistent",
+                    stats,
+                )
+            edges.add((1, 0) if backward else (0, 1))
+        return edges, stats
+    choice = rng.choice
+    add = edges.add
     # Edges no answer vouches for yet, to ask once at the end.
     audit: list[tuple[int, int]] = []
     # Parts still to solve, each listing its root first, with its gate
@@ -355,44 +381,28 @@ def reconstruct_tree(
     # per piece. Each piece lists its path node first, so the pieces in path
     # order begin with the path from the part's root. A fresh part is its
     # own one piece. The whole node set has no pieces instead, as its root
-    # is not known, and stays in ascending order until its first round, or
-    # for two nodes its orientation, finds the root. A piece is vouched
-    # when its path node has been heard to reach each of its members. A
-    # failed part goes back on top, so it is retried next. Pieces of two or
-    # more nodes are pushed in path order, so the last is solved first; that
-    # order fixes which nodes rng draws. Only parts of 3 or more nodes run
-    # rounds, and those exist only at bounds of 2 or more, so the gate never
-    # divides by zero. Only the whole node set can hold fewer than 2 nodes.
-    stack = [(part, 1, degree_bound, 0, [], [False])]
+    # is not known, and stays in ascending order until its first round
+    # finds the root. A piece is vouched when its path node has been heard
+    # to reach each of its members. A failed part goes back on top, so it
+    # is retried next. Pieces of three or more nodes are pushed in path
+    # order, so the last is solved first; that order fixes which nodes rng
+    # draws. A two-node piece has nothing to sample: its edge is added at
+    # once, unless the audit must ask it, and then the piece is pushed too,
+    # so the audit asks in the order the stack reaches it. Only parts of 3
+    # or more nodes run rounds, and those exist only at bounds of 2 or
+    # more, so the gate never divides by zero.
+    stack = [(list(range(n)), 1, degree_bound, 0, [], [False])]
+    push = stack.append
     while stack:
         part, depth, bound, failed, pieces, vouched = stack.pop()
-        size = len(part)
-        if size <= 1:
-            continue
-        if size == 2:
-            if not pieces:
-                # A node set of two nodes is listed root first by asking
-                # both ways.
-                backward = oracle.query(part[1], part[0])
-                forward = oracle.query(part[0], part[1])
-                if bool(backward) == bool(forward):
-                    raise InconsistentOracleError(
-                        f"exactly one of nodes {part[0]} and {part[1]} must reach "
-                        "the other; oracle answers are inconsistent",
-                        stats,
-                    )
-                if backward:
-                    part.reverse()
-            elif len(pieces) == 1 and not vouched[0]:
-                # With the root known there is nothing left to sample. The
-                # edge is on the known path already, or the piece vouches
-                # for it, or the audit asks it.
-                audit.append((part[0], part[1]))
-            edges.add((part[0], part[1]))
+        if len(part) == 2:
+            # The edge is on no path yet and no answer vouches for it.
+            audit.append((part[0], part[1]))
+            add((part[0], part[1]))
             continue
         stats.rounds_total += 1
         if pieces:
-            i = rng.choice(part[1:])
+            i = choice(part[1:])
             # The known path r -> p, to the path node p whose piece holds i,
             # is a prefix of the path r -> i. The rest of it runs through
             # p's piece, and the known branch below p hangs off p beside it.
@@ -416,7 +426,7 @@ def reconstruct_tree(
             # heard the last node above i reach it, and the sort compared
             # the two ends of every other edge, so the whole path is
             # vouched. From here on the part is fresh, root first.
-            i = rng.choice(part)
+            i = choice(part)
             tail = reconstruct_skeleton_path(oracle, part, i)
             p = tail[0]
             part = [p, *(k for k in part if k != p)]
@@ -447,25 +457,38 @@ def reconstruct_tree(
                 # heard covers the edge from p to it. Keeping the flag lets a
                 # liar's wrong edge past the audit.
                 vouched = [*vouched[:t], vouched[t] and not branch, *[True] * (len(tail) - 1)]
-            stack.append((part, depth, bound, failed, pieces, vouched))
+            push((part, depth, bound, failed, pieces, vouched))
             continue
-        path = [q[0] for q in found]
-        edges.update(zip(path, path[1:]))
-        # Each piece of two or more nodes is pushed, rooted at its path node;
-        # a one-node piece has nothing left to solve. p's piece keeps the
-        # branch below p as its known pieces; every other piece is fresh.
-        # The pieces are one level deeper, which the round records here, as
-        # a popped part would.
+        above = part[0]
+        for r in range(1, len(found)):
+            k = found[r][0]
+            add((above, k))
+            above = k
+        # Each piece of three or more nodes is pushed, rooted at its path
+        # node; a one-node piece has nothing left to solve, and a two-node
+        # piece is settled here unless the audit must ask its edge. p's
+        # piece keeps the branch below p as its known pieces, whose path
+        # edges vouch for it; every other piece is fresh. The pieces are one
+        # level deeper, which the round records here.
         depth += 1
-        stats.recursion_depth_max = max(stats.recursion_depth_max, depth)
-        for q, v in zip(pieces[:t], vouched):
-            if len(q) > 1:
-                stack.append((q, depth, bound, 0, [q], [v]))
-        if len(merged) > 1:
-            stack.append((merged, depth, bound, 0, [own, *branch], vouched[t:]))
-        for q in below[1:]:
-            if len(q) > 1:
-                stack.append((q, depth, bound, 0, [q], [True]))
+        if depth > stats.recursion_depth_max:
+            stats.recursion_depth_max = depth
+        for r in range(t):
+            q = pieces[r]
+            if len(q) == 2 and vouched[r]:
+                add((q[0], q[1]))
+            elif len(q) > 1:
+                push((q, depth, bound, 0, [q], [vouched[r]]))
+        if len(merged) == 2 and (branch or vouched[t]):
+            add((p, merged[1]))
+        elif len(merged) > 1:
+            push((merged, depth, bound, 0, [own, *branch], vouched[t:]))
+        for r in range(1, len(below)):
+            q = below[r]
+            if len(q) == 2:
+                add((q[0], q[1]))
+            elif len(q) > 1:
+                push((q, depth, bound, 0, [q], [True]))
     # The one pass after the last round asks each queued edge that was
     # returned (a retry can drop one) once, and a denial raises.
     for edge in dict.fromkeys(e for e in audit if e in edges):
@@ -491,13 +514,15 @@ def reconstruct_weighted(
     ``oracle.query(i, j)`` must return the weight of the path i -> j, and a
     falsy answer when there is none. The root scan's node is drawn with
     ``rng.choice``. Each returned weight is a yes heard on its edge, stored
-    verbatim. No degree bound is read and no round is run. A negative ``n``
-    raises ValueError before any query. A depth read of 0.0 below the root
-    raises InconsistentOracleError, and so does an audit read of an edge
-    out of the root that is falsy or differs from its stored weight;
-    ``stats.audit_queries`` counts the audit's reads, one per child of the
-    root.
+    verbatim. No degree bound is read and no round is run. An ``n`` that is
+    not an int, or is negative, raises ValueError before any query. A depth
+    read of 0.0 below the root raises InconsistentOracleError, and so does
+    an audit read of an edge out of the root that is falsy or differs from
+    its stored weight; ``stats.audit_queries`` counts the audit's reads, one
+    per child of the root.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"node count must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"node count must be >= 0, got {n}")
     stats = ReconstructionStats()

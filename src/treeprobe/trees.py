@@ -160,12 +160,17 @@ def check_degree_feasible(n: int, degree_bound: int) -> None:
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> DirectedRootedTree:
     """Build a validated tree from (parent, child) pairs, at the tight bound.
 
-    Raises InvalidTreeError when the pairs are not a tree on 0..n-1 (useful
-    for vetting edge sets recovered from unreliable oracles).
+    Raises InvalidTreeError when the pairs are not a tree on 0..n-1, ``n``
+    or a node id that is not an int included (useful for vetting edge sets
+    recovered from unreliable oracles).
     """
+    if not isinstance(n, int):
+        raise InvalidTreeError(f"node count must be an int, got {n!r}")
     parent = [ROOT] * n
     count = 0
     for p, c in edges:
+        if not (isinstance(p, int) and isinstance(c, int)):
+            raise InvalidTreeError(f"node ids must be ints, got the edge {(p, c)!r}")
         if not 0 <= c < n:
             raise InvalidTreeError(f"child {c} out of range")
         if not 0 <= p < n:

@@ -16,7 +16,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from treeprobe import DirectedRootedTree, max_node_degree, validate_tree
+from treeprobe import DirectedRootedTree, validate_tree
+from treeprobe.trees import max_node_degree
 
 SPINE_PARENT = (-1, 0, 1, 2, 3, 0, 0, 1, 2, 8, 4)
 BENT_PARENT = (1, 2, 8, 2, 3, 0, 0, 1, -1, 8, 4)

@@ -22,12 +22,12 @@ from typing import Iterator, Sequence
 from unittest import mock
 
 from treeprobe import (
-    ROOT,
     DirectedRootedTree,
     InvalidTreeError,
     reconstruct,
     validate_tree,
 )
+from treeprobe.trees import ROOT
 
 ENUMERATION_CAP = 7
 

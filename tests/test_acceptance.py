@@ -15,10 +15,8 @@ import statistics
 import pytest
 
 from treeprobe import (
-    ROOT,
     ExactOracle,
     bench_run,
-    max_node_degree,
     random_tree,
     reconstruct_tree,
     validate_tree,
@@ -26,6 +24,7 @@ from treeprobe import (
 )
 from treeprobe.cli import EXIT_OK, main as cli_main
 from treeprobe.reconstruct import path_pieces, reconstruct_skeleton_path
+from treeprobe.trees import ROOT, max_node_degree
 
 from reference import (
     accepted_cuts,

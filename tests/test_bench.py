@@ -7,7 +7,6 @@ import pytest
 from treeprobe import bench
 from treeprobe import (
     AdditiveOracle,
-    BenchRecord,
     ExactOracle,
     InfeasibleDegreeError,
     NoisyOracle,
@@ -21,7 +20,7 @@ from treeprobe import (
     uniform_weights,
     vote_size,
 )
-from treeprobe.bench import CSV_HEADER, derive_seed
+from treeprobe.bench import CSV_HEADER, BenchRecord, derive_seed
 
 
 class TestDeriveSeed:

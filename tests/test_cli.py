@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from treeprobe import (
-    ReconstructionStats,
     WeightedDirectedRootedTree,
     from_edges,
     load_tree,
@@ -21,6 +20,7 @@ from treeprobe import (
 from treeprobe import cli
 from treeprobe.bench import RunOutcome
 from treeprobe.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
+from treeprobe.reconstruct import ReconstructionStats
 
 from conftest import NOT_A_TREE
 

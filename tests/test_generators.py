@@ -6,12 +6,12 @@ import pytest
 
 from treeprobe import (
     InfeasibleDegreeError,
-    max_node_degree,
     parallel_chain,
     random_tree,
     shaped_tree,
     uniform_weights,
 )
+from treeprobe.trees import max_node_degree
 
 from reference import tree_equals
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import hashlib
 import itertools
 import math
@@ -19,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeprobe import (
-    ROOT,
     AdditiveOracle,
     ExactOracle,
     InconsistentOracleError,
@@ -44,6 +44,7 @@ from treeprobe.reconstruct import (
     search_plan,
     sort_by_ancestry,
 )
+from treeprobe.trees import ROOT
 
 from conftest import ScriptedRng, parent_array_trees
 from reference import (
@@ -168,6 +169,18 @@ class TestSortByAncestry:
         oracle = ExactOracle(shaped_tree("chain", 3))
         assert sort_by_ancestry(oracle, []) == []
         assert sort_by_ancestry(oracle, [2]) == [2]
+
+    @pytest.mark.parametrize("items", [[3, 5], [5, 3]])
+    def test_two_items_ask_the_pair_sorted_asks(self, items):
+        # Two items take one comparison, asked directly. sorted() with the
+        # comparison as its key asks the same pair and returns the same
+        # order, for a yes ([5, 3]) and for a no ([3, 5]).
+        chain = shaped_tree("chain", 8)
+        oracle = _RecordingOracle(ExactOracle(chain))
+        reference = _RecordingOracle(ExactOracle(chain))
+        compare = functools.cmp_to_key(lambda a, b: -1 if reference.query(a, b) else 1)
+        assert sort_by_ancestry(oracle, items) == sorted(items, key=compare) == [3, 5]
+        assert oracle.transcript == reference.transcript == [(items[1], items[0], items == [5, 3])]
 
 
 def _shaped(shape, n, seed):
@@ -686,6 +699,17 @@ class TestReconstructTree:
         assert type(err.value) is ValueError
         assert recorder.transcript == []
 
+    @pytest.mark.parametrize("n", [2.5, None])
+    @pytest.mark.parametrize("driver", [reconstruct_tree, reconstruct_weighted])
+    def test_a_node_count_that_is_not_an_int_raises_before_any_query(self, n, driver):
+        # Both raised TypeError, from range or from a comparison.
+        bound = (3,) if driver is reconstruct_tree else ()
+        recorder = _RecordingOracle(_ZeroOracle())
+        with pytest.raises(ValueError, match=f"node count must be an int, got {n}") as err:
+            driver(recorder, n, *bound, random.Random(0))
+        assert type(err.value) is ValueError
+        assert recorder.transcript == []
+
     def test_forced_first_pair_yields_the_expected_cut(self, bent_tree):
         # The first round's path runs from the root 8 to the scripted 0, with
         # pieces of 3, 2, 4 and 2 nodes from 0 up; (2, 1) leaves 5 below it.
@@ -930,8 +954,8 @@ class TestRootRounds:
         with pytest.raises(InconsistentOracleError) as caught:
             reconstruct_tree(_TableOracle(table), 2, 1, random.Random(0))
         assert caught.value.stats.rounds_total == 0
-        # The pair is oriented in the driver loop, so its counters are the
-        # loop's: the whole node set is level 1.
+        # The pair is oriented before the driver loop, at the whole node
+        # set's level 1.
         assert caught.value.stats.recursion_depth_max == 1
 
     def test_two_node_part_of_a_placed_piece_asks_nothing(self):
@@ -1204,6 +1228,12 @@ TRANSCRIPTS = {
     "wrong-bound": "e91bf3b3313d15d76707041154c1f02f76bcbe24a4ceccb986db2135569fc6bf",
     "noisy": "13b672269b6cb74d3dc5ec1dfb9e1815fad6ebc2a6b8f8433d2a76d6247a507b",
     "weighted": "7f26a2c0f7991f769cb83d8b5ca83198ae97e277dccb96108f2c175db99ad268",
+    "relabelled-n3": "a9295fd8cd4832aa67165473eba8001e972aeb253e2e54ca4ecf1a6540e8fd63",
+    "relabelled-n5": "f689bae74f80dd0338770cc50c5d019200268616339325c62d908fe0e575db67",
+    "relabelled-n8": "7ca816f3a5279aaac7a8fb6f17b8b3ef7318636d0fb2317b57ef083991552346",
+    "two-node-forward": "6d44e6b042522da41ca61db3695729778e687aa344a630cadb567b159a196e63",
+    "two-node-backward": "6d44e6b042522da41ca61db3695729778e687aa344a630cadb567b159a196e63",
+    "audited-two-node-piece": "2e112116541f0b7258a5c9199d22a816b6486172cb0aa2984d5167efe0f8b7af",
 }
 
 
@@ -1217,6 +1247,29 @@ TRANSCRIPTS = {
         pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2140, 93, 7, id="wrong-bound"),
         pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1063, 43, 6, id="noisy"),
         pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3086, 0, 1, id="weighted"),
+        # Small parts, where most two-node pieces are settled as they are found.
+        pytest.param(
+            _run_exact, _relabelled(random_tree(3, 3, seed=3), 3), 3, 6, 2, 2, id="relabelled-n3"
+        ),
+        pytest.param(
+            _run_exact, _relabelled(random_tree(5, 3, seed=5), 5), 3, 9, 1, 2, id="relabelled-n5"
+        ),
+        pytest.param(
+            _run_exact, _relabelled(random_tree(8, 3, seed=8), 8), 3, 20, 2, 3, id="relabelled-n8"
+        ),
+        pytest.param(_run_exact, validate_tree((ROOT, 0), 1), 1, 2, 0, 1, id="two-node-forward"),
+        pytest.param(_run_exact, validate_tree((1, ROOT), 1), 1, 2, 0, 1, id="two-node-backward"),
+        # Its audit asks three edges, one of them a two-node piece's; queued
+        # when the piece is found, that edge would be asked before another.
+        pytest.param(
+            _run_exact,
+            _relabelled(random_tree(44, 3, seed=1), 1),
+            3,
+            317,
+            14,
+            5,
+            id="audited-two-node-piece",
+        ),
     ],
 )
 def test_query_stream_is_pinned(request, run, tree, bound, calls, rounds, depth):

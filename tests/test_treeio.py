@@ -7,12 +7,11 @@ import pytest
 from treeprobe import (
     TreeFormatError,
     WeightedDirectedRootedTree,
-    format_tree,
     load_tree,
-    parse_tree,
     save_tree,
     validate_tree,
 )
+from treeprobe.treeio import format_tree, parse_tree
 
 from conftest import NOT_A_TREE
 from reference import tree_equals

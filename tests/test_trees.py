@@ -12,10 +12,9 @@ from treeprobe import (
     InvalidTreeError,
     WeightedDirectedRootedTree,
     from_edges,
-    max_node_degree,
     validate_tree,
 )
-from treeprobe.trees import check_degree_feasible
+from treeprobe.trees import check_degree_feasible, max_node_degree
 
 from conftest import BENT_PARENT, SPINE_PARENT, parent_array_trees
 from reference import (
@@ -230,6 +229,17 @@ class TestHelpers:
         # This raised IndexError from the degree count.
         with pytest.raises(InvalidTreeError, match="parent 5 of node 2 out of range"):
             from_edges(3, [(0, 1), (5, 2)])
+
+    def test_from_edges_rejects_a_node_id_that_is_not_an_int(self):
+        # This raised TypeError from indexing the parent list.
+        match = r"node ids must be ints, got the edge \(0, 1\.0\)"
+        with pytest.raises(InvalidTreeError, match=match):
+            from_edges(2, [(0, 1.0)])
+
+    def test_from_edges_rejects_a_node_count_that_is_not_an_int(self):
+        # This raised TypeError from sizing the parent list.
+        with pytest.raises(InvalidTreeError, match="node count must be an int, got 2.0"):
+            from_edges(2.0, [(0, 1)])
 
     def test_from_edges_rejects_a_negative_parent(self):
         # A parent of -1 read as a second root.
