@@ -1,12 +1,7 @@
 """treeprobe: reconstruct hidden directed rooted trees from path queries."""
 
 from .bench import bench_run, records_to_csv, run_single
-from .errors import (
-    InconsistentOracleError,
-    InfeasibleDegreeError,
-    InvalidTreeError,
-    TreeFormatError,
-)
+from .errors import InconsistentOracleError, InvalidTreeError
 from .generators import parallel_chain, random_tree, shaped_tree, uniform_weights
 from .oracles import AdditiveOracle, ExactOracle, NoisyOracle, vote_size
 from .reconstruct import reconstruct_tree, reconstruct_weighted
@@ -25,10 +20,8 @@ __all__ = [
     "DirectedRootedTree",
     "ExactOracle",
     "InconsistentOracleError",
-    "InfeasibleDegreeError",
     "InvalidTreeError",
     "NoisyOracle",
-    "TreeFormatError",
     "WeightedDirectedRootedTree",
     "bench_run",
     "from_edges",

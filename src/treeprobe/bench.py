@@ -80,11 +80,11 @@ def run_single(
     the answers its votes asked. The weighted regime needs a weighted
     ``hidden`` unless its single node leaves no edge to weigh; its driver
     reads no degree bound, but a bound no tree on ``hidden``'s nodes fits
-    raises InfeasibleDegreeError before any query, as in the other
-    regimes. An unknown regime, ``eps`` or ``delta`` missing in the noisy
-    regime or given in another, ``eps`` outside (0, 1/2) or ``delta``
-    outside (0, 1) raise ValueError before any oracle is built, on a 1-node
-    tree too.
+    raises InvalidTreeError before any query, from the gate the other
+    regimes reach through their driver or ``vote_size``. An unknown
+    regime, ``eps`` or ``delta`` missing in the noisy regime or given in
+    another, ``eps`` outside (0, 1/2) or ``delta`` outside (0, 1) raise
+    ValueError before any oracle is built, on a 1-node tree too.
     """
     _check_run(regime, eps, delta)
     plain = hidden.tree if isinstance(hidden, WeightedDirectedRootedTree) else hidden
@@ -152,8 +152,8 @@ def bench_run(
     before any tree is built, so a 0-rep grid refuses them too.
     """
     _check_run(regime, eps, delta)
-    if reps < 0:
-        raise ValueError("reps must be >= 0")
+    if not isinstance(reps, int) or reps < 0:
+        raise ValueError(f"reps must be an int >= 0, got {reps!r}")
     records = []
     for n in nodes:
         for d in degrees:

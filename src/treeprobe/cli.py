@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verify mismatch or failed reconstruction, 2 usage
-error, 3 IO or parse error. The library checks a run's arguments, and a
-ValueError it raises on them is a usage error.
+error, 3 IO error or a tree file that describes no tree (InvalidTreeError).
+The library checks a run's arguments, and a ValueError it raises on them,
+an InvalidTreeError on a bound no tree fits included, is a usage error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 
 from .bench import REGIMES, bench_run, records_to_csv, run_single
-from .errors import TreeFormatError
+from .errors import InvalidTreeError
 from .generators import SHAPES, parallel_chain, random_tree, shaped_tree, uniform_weights
 from .treeio import load_tree, save_tree
 from .trees import DirectedRootedTree, WeightedDirectedRootedTree, from_edges
@@ -27,7 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args, parser)
-    except (OSError, TreeFormatError) as exc:
+    except (OSError, InvalidTreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -2,16 +2,10 @@
 
 
 class InvalidTreeError(ValueError):
-    """Input describes no valid tree: several roots, a cycle, a parent out
-    of range, a degree above the bound, or a bad edge weight."""
-
-
-class InfeasibleDegreeError(ValueError):
-    """No tree with the requested node count satisfies the degree bound."""
-
-
-class TreeFormatError(ValueError):
-    """Tree text file is malformed."""
+    """Input describes no tree that can exist: a malformed tree file,
+    several roots, a cycle, a parent out of range, a degree above the
+    bound, a bad edge weight, or a node count and degree bound that no
+    tree fits."""
 
 
 class InconsistentOracleError(RuntimeError):

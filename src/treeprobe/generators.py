@@ -26,9 +26,9 @@ def random_tree(n: int, degree_bound: int, seed) -> DirectedRootedTree:
     bound has positive probability, and the result is a pure function of the
     seed.
     """
+    check_degree_feasible(n, degree_bound)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    check_degree_feasible(n, degree_bound)
     rng = random.Random(seed)
 
     shape = [-1] * n
@@ -59,8 +59,8 @@ def parallel_chain(branches: int, length: int) -> DirectedRootedTree:
     This is the classic worst case for pair sampling: n = branches*length + 1
     nodes and no split better than one whole chain.
     """
-    if branches < 1 or length < 1:
-        raise ValueError("need at least one branch and length >= 1")
+    if not (isinstance(branches, int) and isinstance(length, int)) or branches < 1 or length < 1:
+        raise ValueError(f"need int branches and length >= 1, got {branches!r} and {length!r}")
     n = branches * length + 1
     parent = [-1] * n
     for b in range(branches):
@@ -73,8 +73,8 @@ def parallel_chain(branches: int, length: int) -> DirectedRootedTree:
 
 def shaped_tree(shape: str, n: int) -> DirectedRootedTree:
     """Canonical named shapes: chain, star, caterpillar, balanced (binary)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"need an int n >= 1, got {n!r}")
     if shape == "chain":
         parent = [-1] + list(range(n - 1))
         bound = 2

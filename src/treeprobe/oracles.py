@@ -116,13 +116,13 @@ class NoisyOracle(_Oracle):
     ):
         if not 0.0 <= noise < 0.5:
             raise ValueError(f"noise must lie in [0, 0.5), got {noise}")
-        if votes < 1 or votes % 2 == 0:
-            raise ValueError(f"vote count must be odd and >= 1, got {votes}")
+        if not isinstance(votes, int) or votes < 1 or votes % 2 == 0:
+            raise ValueError(f"vote count must be an odd int >= 1, got {votes!r}")
         half = (votes + 1) // 2
         if lead is None:
             lead = half
-        elif not 1 <= lead <= half:
-            raise ValueError(f"lead must lie in [1, {half}] for {votes} votes, got {lead}")
+        elif not isinstance(lead, int) or not 1 <= lead <= half:
+            raise ValueError(f"lead must be an int in [1, {half}] for {votes} votes, got {lead!r}")
         super().__init__(tree)
         self.noise = noise
         self.votes = votes
@@ -253,13 +253,13 @@ def vote_size(noise: float, failure_prob: float, n: int, degree_bound: int) -> t
     exp(-2 m (1/2 - noise)^2) bounds a majority of m's error. Cached: every
     run of a grid cell asks the same.
     """
-    if not 0.0 < noise < 0.5:
+    if noise is None or not 0.0 < noise < 0.5:
         raise ValueError(f"noise must lie in (0, 0.5), got {noise}")
-    if not 0.0 < failure_prob < 1.0:
+    if failure_prob is None or not 0.0 < failure_prob < 1.0:
         raise ValueError(f"failure probability must lie in (0, 1), got {failure_prob}")
+    check_degree_feasible(n, degree_bound)
     if n < 2:
         raise ValueError(f"need at least two nodes, got {n}")
-    check_degree_feasible(n, degree_bound)
     log_ceil = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
     target = failure_prob / (4.0 * degree_bound * n * log_ceil**2)
     need = -math.log(target) / (2.0 * (0.5 - noise) ** 2)

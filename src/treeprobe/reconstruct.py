@@ -343,19 +343,15 @@ def reconstruct_tree(
     counts the audit's queries: none on a chain unless the first draw is
     the root, about one per leaf on a star.
     ``degree_bound`` sets only the balance gate. An ``n`` that is not an
-    int, or is negative, raises ValueError, and a bound that no tree on
-    ``n`` nodes fits (below 1, or 1 with more than two nodes) raises
-    InfeasibleDegreeError, both before any query. A part whose rounds keep
-    failing under a bound below the true degree doubles its own bound,
-    which its pieces inherit, so the edges stay exact. The run is
+    int, or is negative, and a bound that no tree on ``n`` nodes fits (not
+    an int, below 1, or 1 with more than two nodes) raise InvalidTreeError
+    from :func:`check_degree_feasible` before any query. A part whose
+    rounds keep failing under a bound below the true degree doubles its
+    own bound, which its pieces inherit, so the edges stay exact. The run is
     deterministic given the rng state and the oracle's answers. An
     InconsistentOracleError raised on the way carries the counters so far
     as its ``stats``.
     """
-    if not isinstance(n, int):
-        raise ValueError(f"node count must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"node count must be >= 0, got {n}")
     check_degree_feasible(n, degree_bound)
     stats = ReconstructionStats()
     edges: Edges = set()

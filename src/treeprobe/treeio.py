@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import os
 
-from .errors import InvalidTreeError, TreeFormatError
+from .errors import InvalidTreeError
 from .trees import (
     ROOT,
     DirectedRootedTree,
@@ -48,39 +48,41 @@ def parse_tree(text: str) -> AnyTree:
     """Parse the text format; returns a weighted tree iff weights appear.
 
     The degree bound of the returned tree is the smallest valid one (the
-    maximum node degree), since the format does not carry a bound.
+    maximum node degree), since the format does not carry a bound. Text
+    that describes no tree raises InvalidTreeError, prefixed "not a valid
+    tree: " when its lines parse but their parent array is no tree.
     """
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
-        raise TreeFormatError("empty input")
+        raise InvalidTreeError("empty input")
     if len(rows[0]) != 1:
-        raise TreeFormatError(f"first line must be the node count, got {rows[0]}")
+        raise InvalidTreeError(f"first line must be the node count, got {rows[0]}")
     n = _int(rows[0][0], "node count")
     if n < 1:
-        raise TreeFormatError(f"node count must be >= 1, got {n}")
+        raise InvalidTreeError(f"node count must be >= 1, got {n}")
     if len(rows) - 1 != n:
-        raise TreeFormatError(f"expected {n} node lines, got {len(rows) - 1}")
+        raise InvalidTreeError(f"expected {n} node lines, got {len(rows) - 1}")
 
     parent = [None] * n
     weights: dict[tuple[int, int], float] = {}
     weighted_lines = 0
     for row in rows[1:]:
         if len(row) not in (2, 3):
-            raise TreeFormatError(f"bad node line: {' '.join(row)!r}")
+            raise InvalidTreeError(f"bad node line: {' '.join(row)!r}")
         v = _int(row[0], "node id")
         p = _int(row[1], "parent id")
         if not 0 <= v < n:
-            raise TreeFormatError(f"node id {v} out of range")
+            raise InvalidTreeError(f"node id {v} out of range")
         if parent[v] is not None:
-            raise TreeFormatError(f"node {v} listed twice")
+            raise InvalidTreeError(f"node {v} listed twice")
         parent[v] = p
         if len(row) == 3:
             if p == ROOT:
-                raise TreeFormatError("the root line cannot carry a weight")
+                raise InvalidTreeError("the root line cannot carry a weight")
             try:
                 w = float(row[2])
             except ValueError:
-                raise TreeFormatError(f"bad weight {row[2]!r}") from None
+                raise InvalidTreeError(f"bad weight {row[2]!r}") from None
             weights[(p, v)] = w
             weighted_lines += 1
 
@@ -89,17 +91,14 @@ def parse_tree(text: str) -> AnyTree:
         # caught here before max_node_degree would index with it.
         tree = validate_tree(parent, n)  # type: ignore[arg-type]
     except InvalidTreeError as exc:
-        raise TreeFormatError(f"not a valid tree: {exc}") from None
+        raise InvalidTreeError(f"not a valid tree: {exc}") from None
     tree = dataclasses.replace(tree, degree_bound=max_node_degree(tree.parent))
 
     if weighted_lines == 0:
         return tree
     if weighted_lines != n - 1:
-        raise TreeFormatError("either all non-root lines carry weights or none do")
-    try:
-        return WeightedDirectedRootedTree(tree, weights)
-    except InvalidTreeError as exc:
-        raise TreeFormatError(str(exc)) from None
+        raise InvalidTreeError("either all non-root lines carry weights or none do")
+    return WeightedDirectedRootedTree(tree, weights)
 
 
 def save_tree(tree: AnyTree, path: str | os.PathLike) -> None:
@@ -112,7 +111,7 @@ def load_tree(path: str | os.PathLike) -> AnyTree:
         try:
             text = fp.read()
         except UnicodeDecodeError as exc:
-            raise TreeFormatError(f"not an ASCII tree file: {exc}") from None
+            raise InvalidTreeError(f"not an ASCII tree file: {exc}") from None
     return parse_tree(text)
 
 
@@ -120,4 +119,4 @@ def _int(token: str, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise TreeFormatError(f"bad {what}: {token!r}") from None
+        raise InvalidTreeError(f"bad {what}: {token!r}") from None

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InfeasibleDegreeError, InvalidTreeError
+from .errors import InvalidTreeError
 
 ROOT = -1
 
@@ -74,16 +74,14 @@ def validate_tree(parent: Sequence[int], degree_bound: int) -> DirectedRootedTre
     """Check a parent array and return the immutable tree.
 
     Raises InvalidTreeError when the array is not a directed rooted tree
-    within the bound.
+    within the bound: a parent that is not an int, or a bound that no tree
+    on the array's nodes fits (:func:`check_degree_feasible`), included.
     """
     parent = tuple(parent)
     n = len(parent)
     if n == 0:
         raise InvalidTreeError("a tree needs at least one node")
-    if not isinstance(degree_bound, int):
-        raise InvalidTreeError(f"degree bound must be an int, got {degree_bound!r}")
-    if degree_bound < 1:
-        raise InvalidTreeError(f"degree bound must be >= 1, got {degree_bound}")
+    check_degree_feasible(n, degree_bound)
 
     roots = [v for v, p in enumerate(parent) if p == ROOT]
     if len(roots) > 1:
@@ -91,16 +89,24 @@ def validate_tree(parent: Sequence[int], degree_bound: int) -> DirectedRootedTre
     if not roots:
         raise InvalidTreeError("no root: every parent chain must then loop")
     root = roots[0]
+    if not isinstance(parent[root], int):
+        raise InvalidTreeError(f"parent of node {root} must be an int, got {parent[root]!r}")
 
     kids: list[list[int]] = [[] for _ in range(n)]
-    for v, p in enumerate(parent):
-        if p == ROOT:
-            continue
-        if not 0 <= p < n:
-            raise InvalidTreeError(f"parent of node {v} is out of range: {p}")
-        if p == v:
-            raise InvalidTreeError(f"node {v} is its own parent")
-        kids[p].append(v)
+    try:
+        for v, p in enumerate(parent):
+            if p == ROOT:
+                continue
+            if not 0 <= p < n:
+                raise InvalidTreeError(f"parent of node {v} is out of range: {p}")
+            if p == v:
+                raise InvalidTreeError(f"node {v} is its own parent")
+            kids[p].append(v)
+    except TypeError:
+        # Only a parent that is not an int fails to compare or to index. The
+        # try sits outside the loop, so a valid array pays nothing per node.
+        v, p = next((v, p) for v, p in enumerate(parent) if not isinstance(p, int))
+        raise InvalidTreeError(f"parent of node {v} must be an int, got {p!r}") from None
 
     # Reachability from the root doubles as the cycle check: with exactly one
     # root and n-1 parent pointers, any unreachable node sits on a cycle.
@@ -145,16 +151,20 @@ def max_node_degree(parent: Sequence[int]) -> int:
 
 
 def check_degree_feasible(n: int, degree_bound: int) -> None:
-    """Raise InfeasibleDegreeError when no tree on n nodes fits the bound,
-    a bound that is not an int included (a NaN passes every comparison)."""
+    """The one gate on a node count and a degree bound: raise
+    InvalidTreeError unless ``n`` is an int >= 0 and some tree on n nodes
+    fits the bound, an int >= 1 that is at least 2 above two nodes. Types
+    are checked first, since a NaN passes every comparison."""
+    if not isinstance(n, int):
+        raise InvalidTreeError(f"node count must be an int, got {n!r}")
+    if n < 0:
+        raise InvalidTreeError(f"node count must be >= 0, got {n}")
     if not isinstance(degree_bound, int):
-        raise InfeasibleDegreeError(f"degree bound must be an int, got {degree_bound!r}")
+        raise InvalidTreeError(f"degree bound must be an int, got {degree_bound!r}")
     if degree_bound < 1:
-        raise InfeasibleDegreeError(f"degree bound must be >= 1, got {degree_bound}")
+        raise InvalidTreeError(f"degree bound must be >= 1, got {degree_bound}")
     if n >= 3 and degree_bound < 2:
-        raise InfeasibleDegreeError(
-            f"no tree on {n} nodes fits degree bound {degree_bound}"
-        )
+        raise InvalidTreeError(f"no tree on {n} nodes fits degree bound {degree_bound}")
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> DirectedRootedTree:

@@ -8,7 +8,7 @@ from treeprobe import bench
 from treeprobe import (
     AdditiveOracle,
     ExactOracle,
-    InfeasibleDegreeError,
+    InvalidTreeError,
     NoisyOracle,
     bench_run,
     from_edges,
@@ -129,9 +129,12 @@ class TestRunSingle:
         assert outcome.stats.audit_queries == 1
         assert outcome.stats.rounds_total == honest.stats.rounds_total
 
-    @pytest.mark.parametrize("bound", [0, 1])
+    @pytest.mark.parametrize(
+        "bound, message",
+        [(0, "degree bound must be >= 1, got 0"), (1, "no tree on 5 nodes fits degree bound 1")],
+    )
     @pytest.mark.parametrize("regime", ["exact", "noisy", "weighted"])
-    def test_infeasible_degree_bound_raises_at_once(self, monkeypatch, regime, bound):
+    def test_infeasible_degree_bound_raises_at_once(self, monkeypatch, regime, bound, message):
         cls = {"exact": ExactOracle, "noisy": NoisyOracle, "weighted": AdditiveOracle}[regime]
         made = []
 
@@ -144,7 +147,7 @@ class TestRunSingle:
         chain = shaped_tree("chain", 5)
         hidden = uniform_weights(chain, seed=0) if regime == "weighted" else chain
         noise = {"eps": 0.1, "delta": 0.1} if regime == "noisy" else {}
-        with pytest.raises(InfeasibleDegreeError):
+        with pytest.raises(InvalidTreeError, match=message):
             run_single(regime, hidden, bound, 1, **noise)
         assert sum(oracle.calls for oracle in made) == 0
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from treeprobe import (
-    InfeasibleDegreeError,
+    InvalidTreeError,
     parallel_chain,
     random_tree,
     shaped_tree,
@@ -42,11 +42,11 @@ class TestRandomTree:
         assert sorted(tree.edges()) in ([(0, 1)], [(1, 0)])
 
     def test_infeasible_bounds_rejected(self):
-        with pytest.raises(InfeasibleDegreeError):
+        with pytest.raises(InvalidTreeError, match="no tree on 3 nodes fits degree bound 1"):
             random_tree(3, 1, seed=0)
-        with pytest.raises(InfeasibleDegreeError):
+        with pytest.raises(InvalidTreeError, match="degree bound must be >= 1, got 0"):
             random_tree(5, 0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
             random_tree(0, 3, seed=0)
 
 

@@ -23,7 +23,7 @@ from treeprobe import (
     AdditiveOracle,
     ExactOracle,
     InconsistentOracleError,
-    InfeasibleDegreeError,
+    InvalidTreeError,
     NoisyOracle,
     WeightedDirectedRootedTree,
     parallel_chain,
@@ -653,11 +653,20 @@ class TestReconstructTree:
         assert stats.recursion_depth_max == 1
         assert stats.audit_queries == 0
 
-    @pytest.mark.parametrize("n, bound", [(2, 0), (2, -1), (3, 1), (3, 0), (40, 1)])
-    def test_infeasible_degree_bound_raises_before_any_query(self, n, bound):
+    @pytest.mark.parametrize(
+        "n, bound, message",
+        [
+            (2, 0, "degree bound must be >= 1, got 0"),
+            (2, -1, "degree bound must be >= 1, got -1"),
+            (3, 1, "no tree on 3 nodes fits degree bound 1"),
+            (3, 0, "degree bound must be >= 1, got 0"),
+            (40, 1, "no tree on 40 nodes fits degree bound 1"),
+        ],
+    )
+    def test_infeasible_degree_bound_raises_before_any_query(self, n, bound, message):
         # No balanced cut exists below d=2, so these rounds used to spin forever.
         oracle = ExactOracle(shaped_tree("chain", n))
-        with pytest.raises(InfeasibleDegreeError):
+        with pytest.raises(InvalidTreeError, match=message):
             reconstruct_tree(oracle, n, bound, random.Random(0))
         assert oracle.calls == 0
 
@@ -669,11 +678,11 @@ class TestReconstructTree:
         # hang the suite.
         script = (
             "import random\n"
-            "from treeprobe import ExactOracle, InfeasibleDegreeError, reconstruct_tree, shaped_tree\n"
+            "from treeprobe import ExactOracle, InvalidTreeError, reconstruct_tree, shaped_tree\n"
             "oracle = ExactOracle(shaped_tree('chain', 6))\n"
             "try:\n"
             f"    reconstruct_tree(oracle, 6, {bound}, random.Random(0))\n"
-            "except InfeasibleDegreeError as err:\n"
+            "except InvalidTreeError as err:\n"
             "    print(oracle.calls, err)\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
@@ -691,12 +700,13 @@ class TestReconstructTree:
     @pytest.mark.parametrize("driver", [reconstruct_tree, reconstruct_weighted])
     def test_negative_node_count_raises_before_any_query(self, n, driver):
         # The count is checked before the bound, which no tree fits here.
-        # Only reconstruct_tree takes a bound.
+        # Only reconstruct_tree takes a bound, and its gate checks both.
         bound = (0,) if driver is reconstruct_tree else ()
+        refusal = InvalidTreeError if driver is reconstruct_tree else ValueError
         recorder = _RecordingOracle(_ZeroOracle())
         with pytest.raises(ValueError, match=f"node count must be >= 0, got {n}") as err:
             driver(recorder, n, *bound, random.Random(0))
-        assert type(err.value) is ValueError
+        assert type(err.value) is refusal
         assert recorder.transcript == []
 
     @pytest.mark.parametrize("n", [2.5, None])
@@ -704,10 +714,11 @@ class TestReconstructTree:
     def test_a_node_count_that_is_not_an_int_raises_before_any_query(self, n, driver):
         # Both raised TypeError, from range or from a comparison.
         bound = (3,) if driver is reconstruct_tree else ()
+        refusal = InvalidTreeError if driver is reconstruct_tree else ValueError
         recorder = _RecordingOracle(_ZeroOracle())
         with pytest.raises(ValueError, match=f"node count must be an int, got {n}") as err:
             driver(recorder, n, *bound, random.Random(0))
-        assert type(err.value) is ValueError
+        assert type(err.value) is refusal
         assert recorder.transcript == []
 
     def test_forced_first_pair_yields_the_expected_cut(self, bent_tree):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from treeprobe import (
-    TreeFormatError,
+    InvalidTreeError,
     WeightedDirectedRootedTree,
     load_tree,
     save_tree,
@@ -51,38 +51,41 @@ def test_load_missing_file_raises_oserror(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "",
-        "   \n\n",
-        "2 extra\n0 -1\n1 0\n",  # first line must be the bare count
-        "x\n0 -1\n",
-        "0\n",
-        "-3\n",
-        "3\n0 -1\n1 0\n",  # one node line short
-        "2\n0 -1\n1 0\n2 1\n",  # one node line over
-        "2\n0 -1\n1 0 0.5 junk\n",  # too many columns
-        "2\n0 -1\n7 0\n",  # id out of range
-        "2\n0 -1\n0 -1\n",  # node listed twice
-        "2\nzero -1\n1 0\n",
-        "2\n0 -1\n1 zero\n",
-        "2\n0 -1 0.25\n1 0 0.25\n",  # root line must not carry a weight
-        "3\n0 -1\n1 0 0.25\n2 1\n",  # weights must cover every edge or none
-        "2\n0 -1\n1 0 heavy\n",
-        "2\n0 -1\n1 0 0.0\n",  # weights must be positive
-        "2\n0 -1\n1 0 -2.5\n",
-        "2\n0 1\n1 0\n",  # not a tree: parent cycle
-        "2\n0 -1\n1 -1\n",  # not a tree: two roots
+        ("", "empty input"),
+        ("   \n\n", "empty input"),
+        # The first line must be the bare count.
+        ("2 extra\n0 -1\n1 0\n", "first line must be the node count, got ['2', 'extra']"),
+        ("x\n0 -1\n", "bad node count: 'x'"),
+        ("0\n", "node count must be >= 1, got 0"),
+        ("-3\n", "node count must be >= 1, got -3"),
+        ("3\n0 -1\n1 0\n", "expected 3 node lines, got 2"),
+        ("2\n0 -1\n1 0\n2 1\n", "expected 2 node lines, got 3"),
+        ("2\n0 -1\n1 0 0.5 junk\n", "bad node line: '1 0 0.5 junk'"),
+        ("2\n0 -1\n7 0\n", "node id 7 out of range"),
+        ("2\n0 -1\n0 -1\n", "node 0 listed twice"),
+        ("2\nzero -1\n1 0\n", "bad node id: 'zero'"),
+        ("2\n0 -1\n1 zero\n", "bad parent id: 'zero'"),
+        ("2\n0 -1 0.25\n1 0 0.25\n", "the root line cannot carry a weight"),
+        ("3\n0 -1\n1 0 0.25\n2 1\n", "either all non-root lines carry weights or none do"),
+        ("2\n0 -1\n1 0 heavy\n", "bad weight 'heavy'"),
+        # Weights must be positive; the weighted tree's own message passes through.
+        ("2\n0 -1\n1 0 0.0\n", "weight for edge (0, 1) must be > 0, got 0.0"),
+        ("2\n0 -1\n1 0 -2.5\n", "weight for edge (0, 1) must be > 0, got -2.5"),
+        ("2\n0 1\n1 0\n", "not a valid tree: no root: every parent chain must then loop"),
+        ("2\n0 -1\n1 -1\n", "not a valid tree: nodes [0, 1] all claim to be the root"),
     ],
 )
-def test_malformed_inputs_rejected(text):
-    with pytest.raises(TreeFormatError):
+def test_malformed_inputs_rejected(text, message):
+    with pytest.raises(InvalidTreeError) as err:
         parse_tree(text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("text, reason", NOT_A_TREE)
 def test_a_file_that_is_no_tree_says_why(text, reason):
-    with pytest.raises(TreeFormatError) as err:
+    with pytest.raises(InvalidTreeError) as err:
         parse_tree(text)
     assert str(err.value) == f"not a valid tree: {reason}"
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 
 from treeprobe import (
-    InfeasibleDegreeError,
     InvalidTreeError,
     WeightedDirectedRootedTree,
     from_edges,
@@ -255,7 +254,7 @@ class TestCheckDegreeFeasible:
     @pytest.mark.parametrize("bound", [float("nan"), 2.5, float("inf"), None])
     def test_a_bound_that_is_not_an_int_is_refused(self, bound):
         # Both comparisons are False for NaN, so it used to pass.
-        with pytest.raises(InfeasibleDegreeError, match="degree bound must be an int, got"):
+        with pytest.raises(InvalidTreeError, match="degree bound must be an int, got"):
             check_degree_feasible(6, bound)
 
 
