@@ -24,11 +24,13 @@ def random_tree(n: int, degree_bound: int, seed) -> DirectedRootedTree:
     degree_bound children, everyone else one fewer). Labels are then shuffled
     so node ids carry no structural signal. Every topology that fits the
     bound has positive probability, and the result is a pure function of the
-    seed.
+    seed, which must not be None.
     """
     check_degree_feasible(n, degree_bound)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if seed is None:
+        raise ValueError("seed must not be None, which seeds from OS entropy")
     rng = random.Random(seed)
 
     shape = [-1] * n
@@ -96,7 +98,10 @@ def shaped_tree(shape: str, n: int) -> DirectedRootedTree:
 
 
 def uniform_weights(tree: DirectedRootedTree, seed) -> WeightedDirectedRootedTree:
-    """Attach independent uniform (0, 1] weights to every edge."""
+    """Attach independent uniform (0, 1] weights to every edge, a pure
+    function of ``seed``, which must not be None."""
+    if seed is None:
+        raise ValueError("seed must not be None, which seeds from OS entropy")
     rng = random.Random(seed)
     weights = {edge: 1.0 - rng.random() for edge in sorted(tree.edges())}
     return WeightedDirectedRootedTree(tree, weights)

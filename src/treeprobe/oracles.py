@@ -96,14 +96,14 @@ class NoisyOracle(_Oracle):
     at the full lead, where a lead from ``vote_size`` is far below it.
     ``noise`` may be 0.0 (degenerate no-flip limit) but must stay below 1/2.
 
-    ``seed`` has no default, so no stream seeds from OS entropy, and the
-    oracle is deterministic given (seed, call order): every query draws
-    exactly one uniform variate from its own RNG, against the chance that
-    the vote is wrong. ``raw``, the noisy answers asked so far, is billed
-    when read from a second stream derived from ``seed``, so it is
-    deterministic given the seed and the calls made before each read, and
-    never moves an answer. The exact bit is an O(1) comparison of preorder
-    spans, built on the first query.
+    ``seed`` has no default and must not be None, so no stream seeds from
+    OS entropy, and the oracle is deterministic given (seed, call order):
+    every query draws exactly one uniform variate from its own RNG, against
+    the chance that the vote is wrong. ``raw``, the noisy answers asked so
+    far, is billed when read from a second stream derived from ``seed``, so
+    it is deterministic given the seed and the calls made before each read,
+    and never moves an answer. The exact bit is an O(1) comparison of
+    preorder spans, built on the first query.
     """
 
     def __init__(
@@ -116,6 +116,8 @@ class NoisyOracle(_Oracle):
     ):
         if not 0.0 <= noise < 0.5:
             raise ValueError(f"noise must lie in [0, 0.5), got {noise}")
+        if seed is None:
+            raise ValueError("seed must not be None, which seeds from OS entropy")
         if not isinstance(votes, int) or votes < 1 or votes % 2 == 0:
             raise ValueError(f"vote count must be an odd int >= 1, got {votes!r}")
         half = (votes + 1) // 2

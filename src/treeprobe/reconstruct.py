@@ -10,17 +10,16 @@ reach i, sorted, are the path down to i from the root, which comes first; if
 no node reaches i, i is the root, and the round fails on a one-node path.
 Each piece is a subtree rooted at its path node, so no later part looks for
 its root, and a 2-node piece has nothing to sample: the round that finds it
-adds its edge. Parts still to solve wait on a stack, the whole node set
-first, and each pass of the driver loop runs one round on the top part: an
-accepted round keeps every path edge and pushes each piece of 3 or more
-nodes; a failed round pushes its part back. A 2-node piece whose edge the
-audit must ask is pushed too, and its pass adds the edge and queues it, so
-the audit asks in the order the stack reaches it. A node set of two nodes has
-no round: the driver orients it before its loop by asking both ways. With
-a degree bound d the balanced cut leaves sides no larger than a (d-1)/d
-fraction and every piece lies inside one side, so the split depth stays
-logarithmic and the whole thing needs O(d n log^2 n) queries in
-expectation.
+adds its edge, and queues it for the audit if no answer vouches for it.
+Parts still to solve wait on a stack, the whole node set first, and each
+pass of the driver loop runs one round on the top part: an accepted round
+keeps every path edge and pushes each piece of 3 or more nodes; a failed
+round pushes its part back. So every part on the stack has 3 or more nodes.
+A node set of two nodes has no round: the driver orients it before its loop
+by asking both ways. With a degree bound d the balanced cut leaves sides no
+larger than a (d-1)/d fraction and every piece lies inside one side, so the
+split depth stays logarithmic and the whole thing needs O(d n log^2 n)
+queries in expectation.
 
 Every part lists its root first, and a path is one list from a part's root
 down, so consecutive path nodes are (parent, child) edges as they stand. A
@@ -130,9 +129,9 @@ from .trees import check_degree_feasible
 class ReconstructionStats:
     """Counters from one reconstruction run.
 
-    rounds_total: sampling rounds summed over all parts; every part of
-        >= 3 nodes runs at least one. A 2-node piece runs none: the round
-        that finds it settles it, or queues its edge for the audit, and a
+    rounds_total: sampling rounds summed over all parts, each of >= 3
+        nodes. A 2-node piece runs none: the round that finds it adds its
+        edge, queued for the audit unless an answer vouches for it, and a
         node set of two nodes is oriented before any round.
     recursion_depth_max: deepest split level, the whole node set being 1.
     audit_queries: queries after the last round, all the audit's: one per
@@ -332,10 +331,10 @@ def reconstruct_tree(
     and raises InconsistentOracleError unless exactly one answer is yes.
     Each round hands its pieces, one per path node in path order, to
     ``find_even_separator``, and is accepted if that finds a balanced cut.
-    An accepted round adds every edge of its path and splits its part into
-    its pieces, each listed with its path node first and the rest in
-    ascending order. A part's next round reuses the pieces its last round
-    found and asks only inside the one that holds its new node.
+    An accepted round adds every edge of its path and of each two-node
+    piece, and pushes each larger piece, its path node first and the rest
+    in ascending order. A part's next round reuses the pieces its last
+    round found and asks only inside the one that holds its new node.
     No round checks its answers: every returned edge (p, c) is vouched for
     by an answer the run heard, Q(p, c) = 1 or Q(c, p) = 0, or is asked
     once by the audit after the last round (see the module docstring), and
@@ -382,20 +381,15 @@ def reconstruct_tree(
     # to reach each of its members. A failed part goes back on top, so it
     # is retried next. Pieces of three or more nodes are pushed in path
     # order, so the last is solved first; that order fixes which nodes rng
-    # draws. A two-node piece has nothing to sample: its edge is added at
-    # once, unless the audit must ask it, and then the piece is pushed too,
-    # so the audit asks in the order the stack reaches it. Only parts of 3
-    # or more nodes run rounds, and those exist only at bounds of 2 or
-    # more, so the gate never divides by zero.
+    # draws. Smaller pieces are never pushed: a two-node piece's edge is
+    # added where the piece is found, and queued then if the audit must ask
+    # it. So every part on the stack runs a round, and parts of 3 or more
+    # nodes exist only at bounds of 2 or more, so the gate never divides by
+    # zero.
     stack = [(list(range(n)), 1, degree_bound, 0, [], [False])]
     push = stack.append
     while stack:
         part, depth, bound, failed, pieces, vouched = stack.pop()
-        if len(part) == 2:
-            # The edge is on no path yet and no answer vouches for it.
-            audit.append((part[0], part[1]))
-            add((part[0], part[1]))
-            continue
         stats.rounds_total += 1
         if pieces:
             i = choice(part[1:])
@@ -436,6 +430,7 @@ def reconstruct_tree(
         own = below[0]
         merged = [p, *sorted(chain(own[1:], *branch))] if branch else own
         found = [*pieces[:t], merged, *below[1:]]
+        flags = [*vouched[:t], vouched[t] and not branch, *[True] * (len(below) - 1)]
         if find_even_separator(found, bound) is None:
             # A correct bound b needs b^2/(b-1) rounds on average. After
             # four times that many failures the part's gate doubles b; at
@@ -447,44 +442,35 @@ def reconstruct_tree(
             # A round that drew a path node asked nothing, so its part
             # keeps the longer path it knew and its retry scans less.
             if i != p:
-                pieces = found
                 # A merged piece loses its flag: with lying answers a later
                 # round's tail[1] can be any node of the branch, and no answer
                 # heard covers the edge from p to it. Keeping the flag lets a
                 # liar's wrong edge past the audit.
-                vouched = [*vouched[:t], vouched[t] and not branch, *[True] * (len(tail) - 1)]
+                pieces, vouched = found, flags
             push((part, depth, bound, failed, pieces, vouched))
             continue
-        above = part[0]
-        for r in range(1, len(found)):
-            k = found[r][0]
-            add((above, k))
-            above = k
-        # Each piece of three or more nodes is pushed, rooted at its path
-        # node; a one-node piece has nothing left to solve, and a two-node
-        # piece is settled here unless the audit must ask its edge. p's
-        # piece keeps the branch below p as its known pieces, whose path
-        # edges vouch for it; every other piece is fresh. The pieces are one
-        # level deeper, which the round records here.
+        # One pass over the pieces, one level deeper, adds the path edge
+        # into each. A two-node piece is settled: its edge is added, and
+        # queued for the audit unless its flag or p's known path edge into
+        # the branch vouches for it. A piece of three or more nodes is
+        # pushed; p's keeps the branch below p as its known pieces, whose
+        # path edges vouch for it, and every other piece is fresh.
         depth += 1
         if depth > stats.recursion_depth_max:
             stats.recursion_depth_max = depth
-        for r in range(t):
-            q = pieces[r]
-            if len(q) == 2 and vouched[r]:
-                add((q[0], q[1]))
-            elif len(q) > 1:
-                push((q, depth, bound, 0, [q], [vouched[r]]))
-        if len(merged) == 2 and (branch or vouched[t]):
-            add((p, merged[1]))
-        elif len(merged) > 1:
-            push((merged, depth, bound, 0, [own, *branch], vouched[t:]))
-        for r in range(1, len(below)):
-            q = below[r]
+        for r, q in enumerate(found):
+            if r:
+                add((found[r - 1][0], q[0]))
             if len(q) == 2:
-                add((q[0], q[1]))
-            elif len(q) > 1:
-                push((q, depth, bound, 0, [q], [True]))
+                edge = (q[0], q[1])
+                add(edge)
+                if not (flags[r] or (r == t and branch)):
+                    audit.append(edge)
+            elif len(q) > 2:
+                if r == t:
+                    push((q, depth, bound, 0, [own, *branch], vouched[t:]))
+                else:
+                    push((q, depth, bound, 0, [q], [flags[r]]))
     # The one pass after the last round asks each queued edge that was
     # returned (a retry can drop one) once, and a denial raises.
     for edge in dict.fromkeys(e for e in audit if e in edges):

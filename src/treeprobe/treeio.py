@@ -38,9 +38,9 @@ def format_tree(tree: AnyTree) -> str:
     lines = [str(tree.n)]
     for v, p in enumerate(tree.parent):
         if weights is not None and p != ROOT:
-            lines.append(f"{v} {p} {weights[(p, v)]!r}")
+            lines.append(f"{v} {p:d} {weights[(p, v)]!r}")
         else:
-            lines.append(f"{v} {p}")
+            lines.append(f"{v} {p:d}")
     return "\n".join(lines) + "\n"
 
 

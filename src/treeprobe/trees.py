@@ -176,6 +176,8 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> DirectedRootedTree:
     """
     if not isinstance(n, int):
         raise InvalidTreeError(f"node count must be an int, got {n!r}")
+    if n < 1:
+        raise InvalidTreeError("a tree needs at least one node")
     parent = [ROOT] * n
     count = 0
     for p, c in edges:

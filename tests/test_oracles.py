@@ -125,9 +125,16 @@ class TestNoisyOracle:
         assert [oracle.query(i, j) for i, j in pairs] == expected
 
     def test_seed_is_required(self, bent_tree):
-        # A default of None would seed both streams from OS entropy.
+        # A default of None would seed both streams from OS entropy, and so
+        # would an explicit None.
         with pytest.raises(TypeError):
             NoisyOracle(bent_tree, 0.1)
+        with pytest.raises(ValueError, match="seed must not be None"):
+            NoisyOracle(bent_tree, 0.1, seed=None)
+        with pytest.raises(ValueError, match="seed must not be None"):
+            random_tree(10, 3, seed=None)
+        with pytest.raises(ValueError, match="seed must not be None"):
+            uniform_weights(bent_tree, seed=None)
 
     @pytest.mark.parametrize("noise", [-0.01, 0.5, 0.7])
     def test_noise_domain(self, bent_tree, noise):

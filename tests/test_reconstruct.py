@@ -1244,7 +1244,7 @@ TRANSCRIPTS = {
     "relabelled-n8": "7ca816f3a5279aaac7a8fb6f17b8b3ef7318636d0fb2317b57ef083991552346",
     "two-node-forward": "6d44e6b042522da41ca61db3695729778e687aa344a630cadb567b159a196e63",
     "two-node-backward": "6d44e6b042522da41ca61db3695729778e687aa344a630cadb567b159a196e63",
-    "audited-two-node-piece": "2e112116541f0b7258a5c9199d22a816b6486172cb0aa2984d5167efe0f8b7af",
+    "audited-two-node-piece": "dcc8d080c6353e5e407a49ca888b807a93e539b008f6da5e403f9d20b481cd60",
 }
 
 
@@ -1270,8 +1270,10 @@ TRANSCRIPTS = {
         ),
         pytest.param(_run_exact, validate_tree((ROOT, 0), 1), 1, 2, 0, 1, id="two-node-forward"),
         pytest.param(_run_exact, validate_tree((1, ROOT), 1), 1, 2, 0, 1, id="two-node-backward"),
-        # Its audit asks three edges, one of them a two-node piece's; queued
-        # when the piece is found, that edge would be asked before another.
+        # Its audit asks three edges, one of them a two-node piece's. The
+        # audit asks edges in the order the rounds queued them, and a piece's
+        # edge is queued when it is found, so (42, 28) comes before (3, 33),
+        # which a later round queues.
         pytest.param(
             _run_exact,
             _relabelled(random_tree(44, 3, seed=1), 1),

@@ -7,6 +7,7 @@ import pytest
 from treeprobe import (
     InvalidTreeError,
     WeightedDirectedRootedTree,
+    from_edges,
     load_tree,
     save_tree,
     validate_tree,
@@ -43,6 +44,20 @@ def test_save_and_load(tmp_path, bent_tree):
     target = tmp_path / "tree.txt"
     save_tree(bent_tree, target)
     assert tree_equals(load_tree(target), bent_tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [validate_tree([-1, False, True], 2), from_edges(3, [(False, True), (True, 2)])],
+    ids=["validate_tree", "from_edges"],
+)
+def test_bool_ids_are_saved_as_ints(tmp_path, tree):
+    # A bool is an int, so both accept it as a parent id; this wrote
+    # "1 False", a line parse_tree refuses.
+    target = tmp_path / "tree.txt"
+    save_tree(tree, target)
+    assert target.read_text() == "3\n0 -1\n1 0\n2 1\n"
+    assert tree_equals(load_tree(target), tree)
 
 
 def test_load_missing_file_raises_oserror(tmp_path):

@@ -216,6 +216,12 @@ class TestHelpers:
         with pytest.raises(InvalidTreeError):
             from_edges(3, [(0, 1), (2, 1)])
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_from_edges_refuses_a_node_count_below_one_first(self, n):
+        # This said "expected -1 edges, got 0" for n = 0.
+        with pytest.raises(InvalidTreeError, match="^a tree needs at least one node$"):
+            from_edges(n, [])
+
     def test_from_edges_rejects_wrong_edge_count(self):
         with pytest.raises(InvalidTreeError):
             from_edges(3, [(0, 1)])
