@@ -117,8 +117,14 @@ def run_single(
     except InconsistentOracleError as err:
         edges, stats, success = set(), err.stats, False
     else:
-        success = edges == set(plain.edges()) and (
-            weights_out is None or weights_out == dict(hidden.weights)
+        # The edges are the hidden tree's when there are n - 1 of them and
+        # each names its child's parent: no child repeats, as its parent
+        # would, and no pair names the root's entry ROOT (-1) as a parent.
+        parent = plain.parent
+        success = (
+            len(edges) == plain.n - 1
+            and all(0 <= c < plain.n and parent[c] == p >= 0 for p, c in edges)
+            and (weights_out is None or weights_out == dict(hidden.weights))
         )
 
     return RunOutcome(

@@ -3,18 +3,19 @@
 The driver is a Las-Vegas divide and conquer over parts whose root it knows.
 A round on a part with root r samples one other node i, rebuilds the path
 r -> i with one membership query per other node, puts every other node into
-the piece of the path node it hangs from, and accepts the round if some path
-edge has two balanced enough sides. The first round finds the root of the
-whole node set on the way: it samples i from every node, and the nodes that
-reach i, sorted, are the path down to i from the root, which comes first; if
-no node reaches i, i is the root, and the round fails on a one-node path.
+the piece of the path node it hangs from, and accepts the round if some
+known edge has two balanced enough sides. The first round finds the root of
+the whole node set on the way: it samples i from every node, and the nodes
+that reach i, sorted, are the path down to i from the root, which comes
+first; if no node reaches i, i is the root, and the round fails on a
+one-node path.
 Each piece is a subtree rooted at its path node, so no later part looks for
-its root, and a 2-node piece has nothing to sample: the round that finds it
-adds its edge, and queues it for the audit if no answer vouches for it.
-Parts still to solve wait on a stack, the whole node set first, and each
-pass of the driver loop runs one round on the top part: an accepted round
-keeps every path edge and pushes each piece of 3 or more nodes; a failed
-round pushes its part back. So every part on the stack has 3 or more nodes.
+its root, and a 2-node piece has nothing to sample: the accepted round that
+leaves it adds its edge, and queues it for the audit if no answer vouches
+for it. Parts still to solve wait on a stack, the whole node set first, and
+each pass of the driver loop runs one round on the top part: an accepted
+round pushes each piece of 3 or more nodes as a fresh part; a failed round
+pushes its part back. So every part on the stack has 3 or more nodes.
 A node set of two nodes has no round: the driver orients it before its loop
 by asking both ways. With a degree bound d the balanced cut leaves sides no
 larger than a (d-1)/d fraction and every piece lies inside one side, so the
@@ -23,25 +24,35 @@ queries in expectation.
 
 Every part lists its root first, and a path is one list from a part's root
 down, so consecutive path nodes are (parent, child) edges as they stand. A
-part's only record of its rounds is the pieces its last round found, in
-path order, each listing its path node first: their first nodes are the
-path, and the balance gate reads the cut sizes off them. A round's node i
-lies in the piece of one path node p, so the path r -> p is known and the
-rest of r -> i runs through p's piece: the round scans and places only that
-piece, and the known path below p joins p's new piece unasked. A node on
-the known path costs nothing, and if its round fails the part keeps the
-longer path it knew. A failed round pushes its part back with its new
-pieces, and an accepted one hands p's piece the pieces of the branch below
-p. A retry so asks no more than a fresh round would, and on consistent
-answers it draws, accepts and adds exactly what a fresh round would.
+part keeps every piece its rounds found, each listing its path node first.
+The path nodes form a subtree from the part's root down, and each edge
+between them is added in the round that finds it, as no later round drops
+it. A round's node i lies in the piece of one path node p, so the path
+r -> p is known and the rest of r -> i runs through p's piece: the round
+scans and places only that piece. p keeps what hangs from it, each new path
+node takes a new piece, and the known pieces below p stay where they hang.
+A node on a known path costs nothing. So no round asks again what an
+earlier one heard: on consistent answers the only pairs a run asks twice
+are pairs that one sort compares twice.
+
+A part also keeps its best cut: the known edge whose smaller side is
+largest, with that side's size. The nodes below the edge into a new path
+node are the new pieces from it down, and every older cut keeps its sides,
+as every new path node comes out of p's piece. So a round updates the cut
+from its own path alone, and the gate reads only the part's size and that
+side.
 
 No round checks its answers. Every returned edge is instead vouched for by
 an answer the run heard: the scan's on the edge into i, the sort's
 comparison on every other edge it found, and, for the edge from p into the
-path, the placements that put each member of p's piece there. A placement
-at a path node below the part's root asks that node, so only the root's
-piece and pieces that a known branch was merged into lack that answer. The
-audit asks the few edges out of those once, after the last round.
+path, the placements that put each member of p's piece there. Each member
+of a piece was put there by a yes from its path node, in this part or in
+the one it was cut from, except in the pieces of the run's root: no
+placement asks a part's root, and the run's root heads the whole node set.
+The audit asks the few edges out of the root that no answer vouches for
+once, after the last round, and never a pair the run heard before. So an
+edge that a lie vouches for is not asked again: the audit catches only a
+liar that denies an edge out of the root.
 
 A node is put into its piece by a search down the path for the deepest path
 node that reaches it. On a two-node path that is one query to the lower
@@ -118,7 +129,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import InconsistentOracleError
@@ -130,12 +141,13 @@ class ReconstructionStats:
     """Counters from one reconstruction run.
 
     rounds_total: sampling rounds summed over all parts, each of >= 3
-        nodes. A 2-node piece runs none: the round that finds it adds its
-        edge, queued for the audit unless an answer vouches for it, and a
-        node set of two nodes is oriented before any round.
+        nodes. A 2-node piece runs none: the accepted round that leaves it
+        adds its edge, queued for the audit unless an answer vouches for
+        it, and a node set of two nodes is oriented before any round.
     recursion_depth_max: deepest split level, the whole node set being 1.
     audit_queries: queries after the last round, all the audit's: one per
-        returned edge that no earlier answer vouched for.
+        returned edge that no earlier answer vouched for, each out of the
+        root and never asked before.
 
     An additive run has no rounds and no split, so it reports
     ``rounds_total`` 0 and ``recursion_depth_max`` 1; its audit asks each
@@ -220,28 +232,21 @@ def _unit_plan(length: int) -> Plan:
 
 
 def find_even_separator(
-    pieces: Sequence[Sequence[int]], degree_bound: int
+    part: Sequence[int], side: int, cut: tuple[int, int] | None, degree_bound: int
 ) -> tuple[int, int] | None:
-    """First path edge whose cut leaves both sides big enough, if any.
+    """``cut`` if its smaller side, ``side`` nodes of ``part``, is big enough.
 
-    ``pieces`` are a part's pieces in path order, each listing its path node
-    first, so edge r runs from the first node of piece r to that of piece
-    r+1; the part has n nodes, their total. A side counts as big enough at
-    ceil((n-1)/d) nodes. For integer sizes this matches the ideal n/d
-    fraction except when n is 1 mod d, where the ideal is unreachable (stars
-    and spiders with a full-degree hub have no better split than (n-1)/d)
-    and one fewer node must be accepted. An edge meeting this threshold
-    always exists: the heaviest component around a centroid has at least
-    ceil((n-1)/d) nodes and at most floor(n/2).
+    ``cut`` is the known edge of the part whose smaller side is largest, or
+    None with ``side`` 0 while the part knows no edge. A side counts as big
+    enough at ceil((n-1)/d) nodes on a part of n nodes. For integer sizes
+    this matches the ideal n/d fraction except when n is 1 mod d, where the
+    ideal is unreachable (stars and spiders with a full-degree hub have no
+    better split than (n-1)/d) and one fewer node must be accepted. An edge
+    meeting this threshold always exists: the heaviest component around a
+    centroid has at least ceil((n-1)/d) nodes and at most floor(n/2).
     """
-    n = sum(map(len, pieces))
-    low = -(-(n - 1) // degree_bound)
-    high = n - low
-    left = 0
-    for r in range(len(pieces) - 1):
-        left += len(pieces[r])
-        if low <= left <= high:
-            return pieces[r][0], pieces[r + 1][0]
+    if side >= -(-(len(part) - 1) // degree_bound):
+        return cut
     return None
 
 
@@ -329,12 +334,13 @@ def reconstruct_tree(
     part, its root first and the rest in ascending order. A node set of two
     nodes runs no round: the driver asks both ways before its loop instead,
     and raises InconsistentOracleError unless exactly one answer is yes.
-    Each round hands its pieces, one per path node in path order, to
-    ``find_even_separator``, and is accepted if that finds a balanced cut.
-    An accepted round adds every edge of its path and of each two-node
-    piece, and pushes each larger piece, its path node first and the rest
-    in ascending order. A part's next round reuses the pieces its last
-    round found and asks only inside the one that holds its new node.
+    Each round adds the edges of the path it finds and hands its part's
+    best known cut, with that cut's smaller side, to
+    ``find_even_separator``, and is accepted if that passes the cut. An
+    accepted round adds the edge of each two-node piece and pushes each
+    larger piece, its path node first and the rest in ascending order. A
+    part keeps every piece its rounds found, and its next round asks only
+    inside the one that holds its new node.
     No round checks its answers: every returned edge (p, c) is vouched for
     by an answer the run heard, Q(p, c) = 1 or Q(c, p) = 0, or is asked
     once by the audit after the last round (see the module docstring), and
@@ -369,35 +375,32 @@ def reconstruct_tree(
         return edges, stats
     choice = rng.choice
     add = edges.add
-    # Edges no answer vouches for yet, to ask once at the end.
+    # Edges no answer vouches for yet, to ask once at the end: each leaves
+    # the run's root, as only its pieces hold nodes that no path node was
+    # heard to reach.
     audit: list[tuple[int, int]] = []
     # Parts still to solve, each listing its root first, with its gate
-    # bound, failed rounds so far, the pieces its rounds found, and one flag
-    # per piece. Each piece lists its path node first, so the pieces in path
-    # order begin with the path from the part's root. A fresh part is its
-    # own one piece. The whole node set has no pieces instead, as its root
-    # is not known, and stays in ascending order until its first round
-    # finds the root. A piece is vouched when its path node has been heard
-    # to reach each of its members. A failed part goes back on top, so it
-    # is retried next. Pieces of three or more nodes are pushed in path
-    # order, so the last is solved first; that order fixes which nodes rng
-    # draws. Smaller pieces are never pushed: a two-node piece's edge is
-    # added where the piece is found, and queued then if the audit must ask
-    # it. So every part on the stack runs a round, and parts of 3 or more
-    # nodes exist only at bounds of 2 or more, so the gate never divides by
-    # zero.
-    stack = [(list(range(n)), 1, degree_bound, 0, [], [False])]
+    # bound, failed rounds so far, the pieces its rounds found, and its best
+    # cut with that cut's smaller side. A fresh part is its own one piece
+    # and knows no edge. The whole node set has no pieces instead, as its
+    # root is not known, and stays in ascending order until its first round
+    # finds the root. A failed part goes back on top, so it is retried next.
+    # Pieces of three or more nodes are pushed in the order they were
+    # found, so the last is solved first; that order fixes which nodes rng
+    # draws. A two-node piece is settled instead, so every part on the
+    # stack runs a round, and parts of 3 or more nodes exist only at bounds
+    # of 2 or more, so the gate never divides by zero.
+    stack = [(list(range(n)), 1, degree_bound, 0, [], None, 0)]
     push = stack.append
     while stack:
-        part, depth, bound, failed, pieces, vouched = stack.pop()
+        part, depth, bound, failed, pieces, cut, side = stack.pop()
         stats.rounds_total += 1
         if pieces:
             i = choice(part[1:])
             # The known path r -> p, to the path node p whose piece holds i,
-            # is a prefix of the path r -> i. The rest of it runs through
-            # p's piece, and the known branch below p hangs off p beside it.
-            # The root's piece, often the largest, holds what no other
-            # piece does.
+            # is a prefix of the path r -> i, and the rest of it runs through
+            # p's piece. The root's piece, often the largest, holds what no
+            # other piece does.
             t = len(pieces) - 1
             while t and i not in pieces[t]:
                 t -= 1
@@ -406,9 +409,9 @@ def reconstruct_tree(
                 tail = [p]
             else:
                 tail = [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i)]
-                # The scan and the sort vouch for every edge below tail[1];
-                # only a vouched piece vouches for p -> tail[1].
-                if not vouched[t]:
+                # The scan and the sort vouch for every edge below tail[1],
+                # and p's placements for p -> tail[1], unless p is the root.
+                if p == root:
                     audit.append((p, tail[1]))
         else:
             # The root reaches i, so it heads the path to i; with no node
@@ -418,62 +421,49 @@ def reconstruct_tree(
             # vouched. From here on the part is fresh, root first.
             i = choice(part)
             tail = reconstruct_skeleton_path(oracle, part, i)
-            p = tail[0]
+            root = p = tail[0]
             part = [p, *(k for k in part if k != p)]
             pieces, t = [part], 0
-        branch = pieces[t + 1 :]
+        # p keeps what hangs from it, and each tail node below p takes a new
+        # piece. The nodes below the edge into tail[r] are the new pieces
+        # from r down, and no older cut changes size.
         below = path_pieces(oracle, pieces[t], tail)
-        # p's new piece is what it kept of its old one and the branch, and
-        # stays vouched only if its old one was and no branch joins. Every
-        # member of the tail's other pieces was placed by a yes from its
-        # path node, so those pieces are vouched.
-        own = below[0]
-        merged = [p, *sorted(chain(own[1:], *branch))] if branch else own
-        found = [*pieces[:t], merged, *below[1:]]
-        flags = [*vouched[:t], vouched[t] and not branch, *[True] * (len(below) - 1)]
-        if find_even_separator(found, bound) is None:
+        under = len(pieces[t]) - len(below[0])
+        pieces[t] = below[0]
+        for r in range(1, len(tail)):
+            edge = (tail[r - 1], tail[r])
+            add(edge)
+            small = min(under, len(part) - under)
+            if small > side:
+                cut, side = edge, small
+            under -= len(below[r])
+            pieces.append(below[r])
+        if find_even_separator(part, side, cut, bound) is None:
             # A correct bound b needs b^2/(b-1) rounds on average. After
             # four times that many failures the part's gate doubles b; at
-            # b >= size - 1 it accepts any path. Any true edge is a correct
-            # cut, so the pieces keep the bound the part was accepted at.
+            # b >= size - 1 it accepts any known edge. Any true edge is a
+            # correct cut, so the pieces keep the bound the part was
+            # accepted at.
             failed += 1
             if failed >= 4 * bound * bound // (bound - 1):
                 bound, failed = 2 * bound, 0
-            # A round that drew a path node asked nothing, so its part
-            # keeps the longer path it knew and its retry scans less.
-            if i != p:
-                # A merged piece loses its flag: with lying answers a later
-                # round's tail[1] can be any node of the branch, and no answer
-                # heard covers the edge from p to it. Keeping the flag lets a
-                # liar's wrong edge past the audit.
-                pieces, vouched = found, flags
-            push((part, depth, bound, failed, pieces, vouched))
+            push((part, depth, bound, failed, pieces, cut, side))
             continue
-        # One pass over the pieces, one level deeper, adds the path edge
-        # into each. A two-node piece is settled: its edge is added, and
-        # queued for the audit unless its flag or p's known path edge into
-        # the branch vouches for it. A piece of three or more nodes is
-        # pushed; p's keeps the branch below p as its known pieces, whose
-        # path edges vouch for it, and every other piece is fresh.
+        # One level deeper, each two-node piece's edge is added, and each
+        # piece of three or more nodes is pushed as a fresh part.
         depth += 1
         if depth > stats.recursion_depth_max:
             stats.recursion_depth_max = depth
-        for r, q in enumerate(found):
-            if r:
-                add((found[r - 1][0], q[0]))
+        for q in pieces:
             if len(q) == 2:
-                edge = (q[0], q[1])
-                add(edge)
-                if not (flags[r] or (r == t and branch)):
-                    audit.append(edge)
+                add((q[0], q[1]))
+                if q[0] == root:
+                    audit.append((q[0], q[1]))
             elif len(q) > 2:
-                if r == t:
-                    push((q, depth, bound, 0, [own, *branch], vouched[t:]))
-                else:
-                    push((q, depth, bound, 0, [q], [flags[r]]))
-    # The one pass after the last round asks each queued edge that was
-    # returned (a retry can drop one) once, and a denial raises.
-    for edge in dict.fromkeys(e for e in audit if e in edges):
+                push((q, depth, bound, 0, [q], None, 0))
+    # The one pass after the last round asks each queued edge once, and a
+    # denial raises.
+    for edge in audit:
         stats.audit_queries += 1
         if not oracle.query(*edge):
             raise InconsistentOracleError(

@@ -263,21 +263,19 @@ def check_separator(tree: DirectedRootedTree, separator: tuple[int, int]) -> boo
 def accepted_cuts() -> Iterator[list[tuple[tuple[int, int], tuple[int, ...]]]]:
     """Collect ``(cut, part)`` for every round accepted while the block runs.
 
-    Every round hands its pieces to ``reconstruct.find_even_separator``, so
-    wrapping it sees each cut the gate lets through. The part is rebuilt
-    from the pieces as the driver lists it: its root, the first piece's
-    path node, then every other node ascending.
+    Every round hands its part and its best cut to
+    ``reconstruct.find_even_separator``, so wrapping it sees each cut the
+    gate lets through. The part is listed as the driver lists it: its root
+    first, then every other node ascending.
     """
     cuts = []
     gate = reconstruct.find_even_separator
 
-    def recording(pieces, degree_bound):
-        cut = gate(pieces, degree_bound)
-        if cut is not None:
-            root = pieces[0][0]
-            rest = sorted(k for piece in pieces for k in piece if k != root)
-            cuts.append((cut, (root, *rest)))
-        return cut
+    def recording(part, side, cut, degree_bound):
+        found = gate(part, side, cut, degree_bound)
+        if found is not None:
+            cuts.append((found, (part[0], *sorted(part[1:]))))
+        return found
 
     with mock.patch.object(reconstruct, "find_even_separator", recording):
         yield cuts

@@ -290,26 +290,33 @@ def _assert_matches_ground_truth(oracle, tree, p, i):
 
 
 class TestFindEvenSeparator:
-    # The pieces of the spine 0-1-2-3-4 in spine_tree, in path order, each
-    # listing its path node first.
-    SPINE_PIECES = [[0, 5, 6], [1, 7], [2, 8, 9], [3], [4, 10]]
+    """The gate reads only the part's size and its best cut's smaller side:
+    a side of ceil((n-1)/d) nodes or more passes it."""
+
+    # The spine 0-1-2-3-4 of spine_tree, whose pieces from the root down
+    # hold 3, 2, 3, 1 and 2 nodes.
+    SPINE_PART = list(range(11))
 
     def test_edge_right_of_the_lca_points_forward(self):
-        # A path runs down from its part's root, the walk's LCA, so edge r
-        # runs from piece r's path node to piece r+1's. At n = 11, d = 3 a
-        # side needs 4 nodes: 3 above (0, 1) are too few, 5 above (1, 2) do.
-        assert find_even_separator(self.SPINE_PIECES, 3) == (1, 2)
+        # A path runs down from its part's root, the walk's LCA, so each cut
+        # is (parent, child). At n = 11, d = 3 a side needs 4 nodes: the 3
+        # above (0, 1) are too few, and the 5 above (1, 2), its best cut,
+        # do.
+        assert find_even_separator(self.SPINE_PART, 3, (0, 1), 3) is None
+        assert find_even_separator(self.SPINE_PART, 5, (1, 2), 3) == (1, 2)
 
     def test_no_balanced_edge_returns_none(self):
-        # 7 of the 9 nodes hang from the middle path node: prefixes are 1
-        # and 8, both outside [3, 6] at n=9, d=3.
-        assert find_even_separator([[0], [1, 3, 4, 5, 6, 7, 8], [2]], 3) is None
+        # 7 of the 9 nodes hang from the middle node of the path 0 -> 1 -> 2,
+        # so each of its edges leaves 1 node on one side, below the 3 that
+        # n = 9, d = 3 asks for. A part that knows no edge has no cut.
+        assert find_even_separator(list(range(9)), 1, (0, 1), 3) is None
+        assert find_even_separator(list(range(9)), 0, None, 3) is None
 
     def test_tight_star_threshold_accepts_a_leaf_edge(self):
         # n = 4 around a full-degree hub 0 on the path 0 -> 1: every cut is
         # (1, 3), and the acceptance floor must come down to
         # ceil((n-1)/d) = 1 for any progress to be possible.
-        assert find_even_separator([[0, 2, 3], [1]], 3) == (0, 1)
+        assert find_even_separator([0, 1, 2, 3], 1, (0, 1), 3) == (0, 1)
 
 
 class TestPathPieces:
@@ -998,7 +1005,8 @@ class TestRootRounds:
 
 
 class TestRetries:
-    """A failed round's path and pieces carry over to the part's next round.
+    """A failed round's pieces and path edges carry over to the part's next
+    round, which splits only the piece that holds its node.
 
     The tree hangs 1 -> 3, 2 and the leaf 12 from the root 0, and the binary
     subtree 2 -> 4, 5; 4 -> 6, 7; 5 -> 8, 9; 6 -> 10, 11 below 2. At bound 3
@@ -1019,10 +1027,11 @@ class TestRetries:
 
     def test_retry_asks_only_inside_the_piece_of_its_node(self):
         # The retry draws 6, which lies in the root's piece: every node but
-        # 1 and 3. It scans that piece alone, without its root, and is
-        # accepted at (2, 4); it asks nothing about the root 0.
+        # the branch 1 -> 3 that the failed round found. It scans that piece
+        # alone, without its root, and asks nothing about the root 0 or the
+        # branch. Its best cut is (2, 4), with 5 nodes below it.
         pairs, at, cuts, _ = self._run([3, 6])
-        assert cuts[:2] == [None, (0, 2)]
+        assert cuts[:2] == [None, (2, 4)]
         retry = pairs[at[0] : at[1]]
         piece = set(range(13)) - {1, 3}
         assert retry[:9] == [(k, 6) for k in sorted(piece - {0, 6})]
@@ -1055,16 +1064,17 @@ class TestRetries:
         assert first == retry < third
         assert all(2 not in pair[:2] for pair in recorder.transcript[retry:third])
 
-    def test_accepted_retry_hands_its_branch_to_the_root_piece(self):
-        # The accepted retry leaves the root's piece 0, 1, 3, 12 with the
-        # known path 0 -> 1 -> 3, so the round that draws 12, alone in the
-        # root's piece beside that path, scans nothing, and the part 0, 1, 3
-        # left after it draws a node on its known path and asks nothing.
-        # The root's piece is unvouched, so the audit asks the root's edges
-        # to 2 and 12, once each, after the last round.
-        pairs, at, cuts, stats = self._run([3, 6, 10, 8, 12])
-        assert cuts[-2:] == [(0, 12), (0, 1)]
-        assert at[-3] == at[-2] == at[-1] == len(pairs) - 2
+    def test_accepted_retry_keeps_its_failed_rounds_branch(self):
+        # The failed round's pieces 1 and 3 and its edges (0, 1) and (1, 3)
+        # stay as they were found, so once it has failed no query asks
+        # about 1 or 3. The accepted retry leaves the root's piece 0, 12, a
+        # two-node piece that no answer vouches for, and the pieces of 2
+        # and 6, which take one round each. Then the audit asks the root's
+        # edges to 2 and 12, once each.
+        pairs, at, cuts, stats = self._run([3, 6, 10, 8])
+        assert cuts == [None, (2, 4), (6, 10), (2, 5)]
+        assert stats.rounds_total == 4
+        assert not {1, 3} & {k for pair in pairs[at[0] :] for k in pair}
         assert pairs[-2:] == [(0, 2), (0, 12)]
         assert pairs.count((0, 12)) == 1
         assert stats.audit_queries == 2
@@ -1176,6 +1186,82 @@ class TestAudit:
         assert 0 < stats.audit_queries <= n - 1
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["chain", "star", "caterpillar", "parallel_chain", "random"]),
+        st.integers(min_value=3, max_value=60),
+        st.integers(min_value=0, max_value=2**16),
+        st.booleans(),
+        st.sampled_from(["true", "two"]),
+    )
+    def test_the_audit_asks_only_unheard_edges_out_of_the_root(
+        self, shape, n, seed, relabel, bound
+    ):
+        # Every piece's path node was heard to reach each of its members,
+        # except in the pieces of the run's root, as no placement asks a
+        # part's root. So every edge the audit asks leaves the root, and no
+        # query before the audit asked it.
+        tree = _shaped(shape, n, seed)
+        if relabel:
+            tree = _relabelled(tree, seed)
+        bound = tree.degree_bound if bound == "true" else 2
+        recorder = _RecordingOracle(ExactOracle(tree))
+        edges, stats = reconstruct_tree(recorder, tree.n, bound, random.Random(seed))
+        assert edges == set(tree.edges())
+        end = len(recorder.transcript) - stats.audit_queries
+        audit = [(a, b) for a, b, _ in recorder.transcript[end:]]
+        heard = {(a, b) for a, b, _ in recorder.transcript[:end]}
+        assert all(a == tree.root for a, _ in audit)
+        assert not heard & set(audit)
+
+
+class TestNoRepeatedQuery:
+    """A failed round's pieces and edges stay, and a retry asks only inside
+    the piece that holds its node, so no round asks again what an earlier
+    one heard. The only pairs an exact run asks twice are pairs that one
+    ``sorted`` call compares twice."""
+
+    SHAPES = [("random", 3), ("random", 5), ("random", 10)] + [
+        (shape, None) for shape in ("star", "chain", "caterpillar", "parallel_chain")
+    ]
+
+    @pytest.mark.parametrize("shape, d", SHAPES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_pair_is_asked_twice_outside_one_sort(self, monkeypatch, shape, d, seed):
+        if shape == "random":
+            tree = random_tree(400, d, seed=seed)
+        else:
+            tree = _shaped(shape, 400, seed)
+        if seed % 2:
+            tree = _relabelled(tree, seed)
+        # The sort call each query is asked in, None outside every sort.
+        inside = [None]
+        sorts = itertools.count()
+        real_sort = reconstruct.sort_by_ancestry
+
+        def sort_by_ancestry(oracle, items):
+            inside[0] = next(sorts)
+            try:
+                return real_sort(oracle, items)
+            finally:
+                inside[0] = None
+
+        inner = ExactOracle(tree)
+        first = {}
+
+        class Tagging:
+            def query(self, i, j):
+                if (i, j) in first:
+                    assert inside[0] is not None and first[i, j] == inside[0], (i, j)
+                else:
+                    first[i, j] = inside[0]
+                return inner.query(i, j)
+
+        monkeypatch.setattr(reconstruct, "sort_by_ancestry", sort_by_ancestry)
+        edges, _ = reconstruct_tree(Tagging(), tree.n, tree.degree_bound, random.Random(seed))
+        assert edges == set(tree.edges())
+
+
 def _sibling_leaf_pairs(tree):
     """Every ordered pair of distinct leaves with the same parent."""
     leaves = collections.defaultdict(list)
@@ -1232,31 +1318,31 @@ def _run_weighted(tree, bound):
 
 # sha256 of repr() of each stream's ordered list of (i, j) pairs.
 TRANSCRIPTS = {
-    "random-d3": "759ae80e723790722144eda41d6c934e8c2c18459155a65825edd17d881e2763",
-    "random-d10": "c7a97ada8a4b4f4893980ec1f02c23cdc1c40a08292d6d6aa6684993e3cccff4",
+    "random-d3": "710f76554a5370d168a2abe1bfe5925fcaa52de42bf9611dd70cad09d8daee3c",
+    "random-d10": "2fc60bb4465b2f40667fe4b97cb949ccaa01dae7f5d58a9cf9064a2fdf1bc865",
     "parallel-chain": "dfed0205d59804e4796ccb145b1a54790746c684c9ce8f5b8869321220b626de",
-    "star-doubling": "abe120cb4df97d84033d9d0f2c40158167438d4a25afc02cfc03631399da08c8",
-    "wrong-bound": "e91bf3b3313d15d76707041154c1f02f76bcbe24a4ceccb986db2135569fc6bf",
-    "noisy": "13b672269b6cb74d3dc5ec1dfb9e1815fad6ebc2a6b8f8433d2a76d6247a507b",
+    "star-doubling": "6461d36de0a1a2bdc827f24ad502aaffaefc85af5a05937095451f2834a6d708",
+    "wrong-bound": "72f681d8ba60c54d3a26aab5475a1ec5d1788811c2da5f199ebea6106179943a",
+    "noisy": "ab46178077431ad839b0538df80b1912f58f86dc5ba09cfe01866dbd2e79249d",
     "weighted": "7f26a2c0f7991f769cb83d8b5ca83198ae97e277dccb96108f2c175db99ad268",
     "relabelled-n3": "a9295fd8cd4832aa67165473eba8001e972aeb253e2e54ca4ecf1a6540e8fd63",
     "relabelled-n5": "f689bae74f80dd0338770cc50c5d019200268616339325c62d908fe0e575db67",
     "relabelled-n8": "7ca816f3a5279aaac7a8fb6f17b8b3ef7318636d0fb2317b57ef083991552346",
     "two-node-forward": "6d44e6b042522da41ca61db3695729778e687aa344a630cadb567b159a196e63",
     "two-node-backward": "6d44e6b042522da41ca61db3695729778e687aa344a630cadb567b159a196e63",
-    "audited-two-node-piece": "dcc8d080c6353e5e407a49ca888b807a93e539b008f6da5e403f9d20b481cd60",
+    "audited-two-node-piece": "251b01ab2f2df2a3db696f9c9a1fed72b6ca6c7827b7d1592d35c51e42029ed4",
 }
 
 
 @pytest.mark.parametrize(
     "run, tree, bound, calls, rounds, depth",
     [
-        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 3350, 97, 8, id="random-d3"),
-        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4203, 114, 11, id="random-d10"),
+        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 3255, 94, 7, id="random-d3"),
+        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4088, 120, 10, id="random-d10"),
         pytest.param(_run_exact, parallel_chain(4, 30), 4, 1131, 11, 7, id="parallel-chain"),
-        pytest.param(_run_exact, shaped_tree("star", 40), 2, 21428, 311, 39, id="star-doubling"),
-        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2140, 93, 7, id="wrong-bound"),
-        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1063, 43, 6, id="noisy"),
+        pytest.param(_run_exact, shaped_tree("star", 40), 2, 1521, 274, 2, id="star-doubling"),
+        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2178, 128, 6, id="wrong-bound"),
+        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1096, 44, 7, id="noisy"),
         pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3086, 0, 1, id="weighted"),
         # Small parts, where most two-node pieces are settled as they are found.
         pytest.param(
@@ -1270,16 +1356,16 @@ TRANSCRIPTS = {
         ),
         pytest.param(_run_exact, validate_tree((ROOT, 0), 1), 1, 2, 0, 1, id="two-node-forward"),
         pytest.param(_run_exact, validate_tree((1, ROOT), 1), 1, 2, 0, 1, id="two-node-backward"),
-        # Its audit asks three edges, one of them a two-node piece's. The
-        # audit asks edges in the order the rounds queued them, and a piece's
-        # edge is queued when it is found, so (42, 28) comes before (3, 33),
-        # which a later round queues.
+        # Its audit asks two edges out of the root 42 in the order the
+        # rounds queued them: (42, 17), queued by the round whose path found
+        # it, then (42, 28), queued by the accepted round that settles the
+        # two-node piece 42, 28.
         pytest.param(
             _run_exact,
             _relabelled(random_tree(44, 3, seed=1), 1),
             3,
-            317,
-            14,
+            311,
+            12,
             5,
             id="audited-two-node-piece",
         ),
@@ -1301,12 +1387,25 @@ def test_a_seeded_liar_fails_with_pinned_counters():
     # A 1% liar on a random tree fails at the audit. The counters it carries
     # are a pure function of the seeds, the deepest split level included.
     tree = random_tree(200, 3, seed=0)
-    liar = _FlippingOracle(ExactOracle(tree), 0.01, seed=0)
-    with pytest.raises(InconsistentOracleError, match=r"\(17, 157\)") as caught:
+    liar = _FlippingOracle(ExactOracle(tree), 0.01, seed=5)
+    with pytest.raises(InconsistentOracleError, match=r"\(26, 74\)") as caught:
         reconstruct_tree(liar, 200, 3, random.Random(0))
     stats = caught.value.stats
     counts = (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries)
-    assert (liar.calls, *counts) == (5360, 161, 13, 8)
+    assert (liar.calls, *counts) == (2387, 96, 8, 1)
+
+
+def test_a_seeded_liar_can_pass_the_audit():
+    # An edge that a lie vouches for is never asked again: the audit asks
+    # only the edges out of the root that no answer vouches for.
+    # This liar's run returns 199 edges, 72 of them wrong, and its counters
+    # are a pure function of the seeds.
+    tree = random_tree(200, 3, seed=0)
+    liar = _FlippingOracle(ExactOracle(tree), 0.01, seed=0)
+    edges, stats = reconstruct_tree(liar, 200, 3, random.Random(0))
+    assert (len(edges), len(edges - set(tree.edges()))) == (199, 72)
+    counts = (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries)
+    assert (liar.calls, *counts) == (2401, 70, 7, 3)
 
 
 class TestEveryInputTerminates:
