@@ -11,11 +11,11 @@ first; if no node reaches i, i is the root, and the round fails on a
 one-node path.
 Each piece is a subtree rooted at its path node, so no later part looks for
 its root, and a 2-node piece has nothing to sample: the accepted round that
-leaves it adds its edge, and queues it for the audit if no answer vouches
-for it. Parts still to solve wait on a stack, the whole node set first, and
-each pass of the driver loop runs one round on the top part: an accepted
-round pushes each piece of 3 or more nodes as a fresh part; a failed round
-pushes its part back. So every part on the stack has 3 or more nodes.
+leaves it adds its edge. Parts still to solve wait on a stack, the whole
+node set first, and each pass of the driver loop runs one round on the top
+part: an accepted round pushes each piece of 3 or more nodes as a fresh
+part; a failed round pushes its part back. So every part on the stack has 3
+or more nodes.
 A node set of two nodes has no round: the driver orients it before its loop
 by asking both ways. With a degree bound d the balanced cut leaves sides no
 larger than a (d-1)/d fraction and every piece lies inside one side, so the
@@ -45,12 +45,14 @@ side.
 No round checks its answers. Every returned edge is instead vouched for by
 an answer the run heard: the scan's on the edge into i, the sort's
 comparison on every other edge it found, and, for the edge from p into the
-path, the placements that put each member of p's piece there. Each member
-of a piece was put there by a yes from its path node, in this part or in
-the one it was cut from, except in the pieces of the run's root: no
-placement asks a part's root, and the run's root heads the whole node set.
-The audit asks the few edges out of the root that no answer vouches for
-once, after the last round, and never a pair the run heard before. So an
+path, the yes that put the path's next node into p's piece. Each member of
+a piece was put there by a yes from its path node, except in the pieces of
+the run's root r: no placement asks a part's root, and r heads the whole
+node set. So only the edges out of r can lack a voucher, and the first
+round's scan and sort vouch for the one into the first node of its path.
+After the last round the audit reads its list off the returned edges: it
+asks Q(r, c) once for every other returned edge (r, c), in ascending order
+of c, and a denial raises. It never asks a pair the run heard before, so an
 edge that a lie vouches for is not asked again: the audit catches only a
 liar that denies an edge out of the root.
 
@@ -105,9 +107,10 @@ from the root, with its depth as its weight. The edges out of the root are
 the ones whose only yes came before any insertion, as every other edge's
 yes was heard when its child went in, or when a node of the child's depth
 took it. So an audit after the last insertion asks each edge (root, c)
-once more, and an answer that is falsy or differs from the stored weight,
-bit for bit, raises. The root always has a child, so a liar that denies
-every path from some point on is caught.
+once more, in ascending order of c, as the rounds' audit does, and an
+answer that is falsy or differs from the stored weight, bit for bit,
+raises. The root always has a child, so a liar that denies every path from
+some point on is caught.
 
 The cost is O(d n log n) queries, a log below the rounds' bound. A
 weight-balanced search that ends at a position of weight w out of W asks at
@@ -142,12 +145,12 @@ class ReconstructionStats:
 
     rounds_total: sampling rounds summed over all parts, each of >= 3
         nodes. A 2-node piece runs none: the accepted round that leaves it
-        adds its edge, queued for the audit unless an answer vouches for
-        it, and a node set of two nodes is oriented before any round.
+        adds its edge, and a node set of two nodes is oriented before any
+        round.
     recursion_depth_max: deepest split level, the whole node set being 1.
     audit_queries: queries after the last round, all the audit's: one per
-        returned edge that no earlier answer vouched for, each out of the
-        root and never asked before.
+        returned edge out of the root but the one the first round's path
+        starts with, which that round heard.
 
     An additive run has no rounds and no split, so it reports
     ``rounds_total`` 0 and ``recursion_depth_max`` 1; its audit asks each
@@ -341,12 +344,12 @@ def reconstruct_tree(
     larger piece, its path node first and the rest in ascending order. A
     part keeps every piece its rounds found, and its next round asks only
     inside the one that holds its new node.
-    No round checks its answers: every returned edge (p, c) is vouched for
-    by an answer the run heard, Q(p, c) = 1 or Q(c, p) = 0, or is asked
-    once by the audit after the last round (see the module docstring), and
-    a denial there raises InconsistentOracleError. ``stats.audit_queries``
-    counts the audit's queries: none on a chain unless the first draw is
-    the root, about one per leaf on a star.
+    No round checks its answers. After the last round the audit asks
+    Q(root, c) once for every returned edge (root, c) but the one the first
+    round's path starts with, in ascending order of c (see the module
+    docstring), and a denial raises InconsistentOracleError.
+    ``stats.audit_queries`` counts the audit's queries: none on a chain
+    unless the first draw is the root, about one per leaf on a star.
     ``degree_bound`` sets only the balance gate. An ``n`` that is not an
     int, or is negative, and a bound that no tree on ``n`` nodes fits (not
     an int, below 1, or 1 with more than two nodes) raise InvalidTreeError
@@ -375,10 +378,6 @@ def reconstruct_tree(
         return edges, stats
     choice = rng.choice
     add = edges.add
-    # Edges no answer vouches for yet, to ask once at the end: each leaves
-    # the run's root, as only its pieces hold nodes that no path node was
-    # heard to reach.
-    audit: list[tuple[int, int]] = []
     # Parts still to solve, each listing its root first, with its gate
     # bound, failed rounds so far, the pieces its rounds found, and its best
     # cut with that cut's smaller side. A fresh part is its own one piece
@@ -409,19 +408,15 @@ def reconstruct_tree(
                 tail = [p]
             else:
                 tail = [p, *reconstruct_skeleton_path(oracle, pieces[t][1:], i)]
-                # The scan and the sort vouch for every edge below tail[1],
-                # and p's placements for p -> tail[1], unless p is the root.
-                if p == root:
-                    audit.append((p, tail[1]))
         else:
             # The root reaches i, so it heads the path to i; with no node
             # reaching i, i is the root and the path is i alone. The scan
-            # heard the last node above i reach it, and the sort compared
-            # the two ends of every other edge, so the whole path is
-            # vouched. From here on the part is fresh, root first.
+            # and the sort vouch for the whole path, the edge out of the
+            # root too. From here on the part is fresh, root first.
             i = choice(part)
             tail = reconstruct_skeleton_path(oracle, part, i)
             root = p = tail[0]
+            heard = tail[1:2]
             part = [p, *(k for k in part if k != p)]
             pieces, t = [part], 0
         # p keeps what hangs from it, and each tail node below p takes a new
@@ -457,20 +452,11 @@ def reconstruct_tree(
         for q in pieces:
             if len(q) == 2:
                 add((q[0], q[1]))
-                if q[0] == root:
-                    audit.append((q[0], q[1]))
             elif len(q) > 2:
                 push((q, depth, bound, 0, [q], None, 0))
-    # The one pass after the last round asks each queued edge once, and a
-    # denial raises.
-    for edge in audit:
-        stats.audit_queries += 1
-        if not oracle.query(*edge):
-            raise InconsistentOracleError(
-                f"the oracle denies the edge {edge} its answers implied; "
-                "oracle answers are inconsistent",
-                stats,
-            )
+    # No answer vouches for an edge out of the root but the first path's.
+    children = sorted(c for r, c in edges if r == root and c not in heard)
+    _audit_root(oracle, root, children, stats)
     return edges, stats
 
 
@@ -488,10 +474,11 @@ def reconstruct_weighted(
     ``rng.choice``. Each returned weight is a yes heard on its edge, stored
     verbatim. No degree bound is read and no round is run. An ``n`` that is
     not an int, or is negative, raises ValueError before any query. A depth
-    read of 0.0 below the root raises InconsistentOracleError, and so does
-    an audit read of an edge out of the root that is falsy or differs from
-    its stored weight; ``stats.audit_queries`` counts the audit's reads, one
-    per child of the root.
+    read of 0.0 below the root raises InconsistentOracleError. After the
+    last insertion the audit reads Q(root, c) once for every child c of the
+    root, in ascending order of c, and an answer that is falsy or differs
+    from the stored weight raises too; ``stats.audit_queries`` counts these
+    reads, one per child of the root.
     """
     if not isinstance(n, int):
         raise ValueError(f"node count must be an int, got {n!r}")
@@ -608,17 +595,28 @@ def reconstruct_weighted(
                 _settle(kids[u], neg, kids[u].index(v))
             v = u
         previous = d
-    for c in sorted(kids[root]):
-        answer = query(root, c)
-        stats.audit_queries += 1
-        if not answer or answer != weight[c]:
-            raise InconsistentOracleError(
-                f"the oracle reads the edge {(root, c)} as {answer!r}, having read it "
-                f"as {weight[c]!r}; oracle answers are inconsistent",
-                stats,
-            )
+    _audit_root(oracle, root, sorted(kids[root]), stats, weight)
     weights = {(par[c], c): weight[c] for c in range(n) if c != root}
     return set(weights), weights, stats
+
+
+def _audit_root(
+    oracle, root: int, children: Sequence[int], stats: ReconstructionStats, weight=None
+) -> None:
+    """Ask ``Q(root, c)`` once for each of ``children`` in turn, counting
+    each in ``stats.audit_queries``. An answer that is falsy, or, given
+    ``weight``, differs from ``weight[c]``, raises
+    InconsistentOracleError carrying ``stats``."""
+    for c in children:
+        answer = oracle.query(root, c)
+        stats.audit_queries += 1
+        if not answer or (weight is not None and answer != weight[c]):
+            read = "a path" if weight is None else repr(weight[c])
+            raise InconsistentOracleError(
+                f"the oracle reads the edge {(root, c)} as {answer!r}, having read it "
+                f"as {read}; oracle answers are inconsistent",
+                stats,
+            )
 
 
 def _settle(siblings: list[int], neg: Sequence[int], at: int) -> None:

@@ -65,7 +65,6 @@ def parse_tree(text: str) -> AnyTree:
 
     parent = [None] * n
     weights: dict[tuple[int, int], float] = {}
-    weighted_lines = 0
     for row in rows[1:]:
         if len(row) not in (2, 3):
             raise InvalidTreeError(f"bad node line: {' '.join(row)!r}")
@@ -84,7 +83,6 @@ def parse_tree(text: str) -> AnyTree:
             except ValueError:
                 raise InvalidTreeError(f"bad weight {row[2]!r}") from None
             weights[(p, v)] = w
-            weighted_lines += 1
 
     try:
         # Every tree on n nodes fits bound n, and a parent out of range is
@@ -94,9 +92,9 @@ def parse_tree(text: str) -> AnyTree:
         raise InvalidTreeError(f"not a valid tree: {exc}") from None
     tree = dataclasses.replace(tree, degree_bound=max_node_degree(tree.parent))
 
-    if weighted_lines == 0:
+    if not weights:
         return tree
-    if weighted_lines != n - 1:
+    if len(weights) != n - 1:
         raise InvalidTreeError("either all non-root lines carry weights or none do")
     return WeightedDirectedRootedTree(tree, weights)
 

@@ -145,6 +145,16 @@ class _TableOracle:
         return self._table.get((i, j), 0)
 
 
+class _ReplayOracle:
+    """Gives ``answers`` in order, then a yes to every later query."""
+
+    def __init__(self, answers):
+        self._answers = iter(answers)
+
+    def query(self, i, j):
+        return next(self._answers, True)
+
+
 @contextlib.contextmanager
 def _recording_gates(recorder):
     """Collect the transcript position and result of every gate the driver
@@ -1214,6 +1224,68 @@ class TestAudit:
         assert all(a == tree.root for a, _ in audit)
         assert not heard & set(audit)
 
+    TREES = {
+        "random-d3": lambda seed: random_tree(150, 3, seed=seed),
+        "random-d5": lambda seed: random_tree(100, 5, seed=seed),
+        **{
+            shape: lambda seed, shape=shape: _shaped(shape, 60, seed)
+            for shape in ("star", "chain", "caterpillar", "parallel_chain")
+        },
+    }
+    AUDITED_ORACLES = {
+        "exact": lambda tree, seed: ExactOracle(tree),
+        "noisy": lambda tree, seed: NoisyOracle(tree, 0.1, seed=seed, votes=5),
+        "liar": lambda tree, seed: _FlippingOracle(ExactOracle(tree), 0.01, seed),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(TREES))
+    @pytest.mark.parametrize("bound", ["true", "two"])
+    @pytest.mark.parametrize("regime", sorted(AUDITED_ORACLES))
+    def test_the_audit_asks_each_root_edge_but_the_first_scans_in_order(
+        self, monkeypatch, shape, bound, regime
+    ):
+        # The first round's scan hears the root reach the first node of its
+        # path, if that path has two nodes or more. The audit asks every
+        # other returned edge out of the root once, in ascending order of
+        # the child, and stops at the first denial.
+        scans = []
+        real_scan = reconstruct.reconstruct_skeleton_path
+
+        def scan(*args):
+            scans.append(real_scan(*args))
+            return scans[-1]
+
+        monkeypatch.setattr(reconstruct, "reconstruct_skeleton_path", scan)
+        for seed in range(10):
+            tree = self.TREES[shape](seed)
+            if seed % 2:
+                tree = _relabelled(tree, seed)
+            d = tree.degree_bound if bound == "true" else 2
+            recorder = _RecordingOracle(self.AUDITED_ORACLES[regime](tree, seed))
+            scans.clear()
+            try:
+                edges, stats = reconstruct_tree(recorder, tree.n, d, random.Random(seed))
+                raised = False
+            except InconsistentOracleError as err:
+                edges, stats, raised = None, err.stats, True
+            first = scans[0]
+            end = len(recorder.transcript) - stats.audit_queries
+            audit = [(a, b) for a, b, _ in recorder.transcript[end:]]
+            if raised:
+                # On three or more nodes only the audit raises, at its last
+                # query. The same answers up to the audit, and a yes to each
+                # audit query, return the edges the run had built.
+                assert audit and not recorder.transcript[-1][2]
+                replay = _ReplayOracle([bit for _, _, bit in recorder.transcript[:end]])
+                edges, _ = reconstruct_tree(replay, tree.n, d, random.Random(seed))
+            elif regime == "exact":
+                assert edges == set(tree.edges())
+            root = first[0]
+            expected = [(root, c) for c in sorted(c for a, c in edges if a == root)]
+            if len(first) > 1:
+                expected.remove((root, first[1]))
+            assert audit == (expected[: len(audit)] if raised else expected)
+
 
 class TestNoRepeatedQuery:
     """A failed round's pieces and edges stay, and a retry asks only inside
@@ -1319,15 +1391,15 @@ def _run_weighted(tree, bound):
 # sha256 of repr() of each stream's ordered list of (i, j) pairs.
 TRANSCRIPTS = {
     "random-d3": "710f76554a5370d168a2abe1bfe5925fcaa52de42bf9611dd70cad09d8daee3c",
-    "random-d10": "2fc60bb4465b2f40667fe4b97cb949ccaa01dae7f5d58a9cf9064a2fdf1bc865",
-    "parallel-chain": "dfed0205d59804e4796ccb145b1a54790746c684c9ce8f5b8869321220b626de",
-    "star-doubling": "6461d36de0a1a2bdc827f24ad502aaffaefc85af5a05937095451f2834a6d708",
-    "wrong-bound": "72f681d8ba60c54d3a26aab5475a1ec5d1788811c2da5f199ebea6106179943a",
-    "noisy": "ab46178077431ad839b0538df80b1912f58f86dc5ba09cfe01866dbd2e79249d",
+    "random-d10": "6a8b021dff2b44c431c4f6acb145b2f3e192a03b0a29a1b13a4ebfbd413b920f",
+    "parallel-chain": "c3958d57aec6be6a2465f3272b10b02908f94ade0f7db7742f2462ba8997645b",
+    "star-doubling": "4203fc5f89e977f434703f046e2c6fc7724ae87d01dc7dcd55ccf4e935eda49f",
+    "wrong-bound": "5acc5b60e54852db6089a6be123cc8fe65e70d8dd96e6f8627430ddaa8788571",
+    "noisy": "da7b446b517d88f6ae51472c8631d802c227a320bc3983706d873fc6dd0e3247",
     "weighted": "7f26a2c0f7991f769cb83d8b5ca83198ae97e277dccb96108f2c175db99ad268",
-    "relabelled-n3": "a9295fd8cd4832aa67165473eba8001e972aeb253e2e54ca4ecf1a6540e8fd63",
+    "relabelled-n3": "41e900f87b6be6200414eb2c8d3a68da0597838e77476c6c69ea54719a7bd79e",
     "relabelled-n5": "f689bae74f80dd0338770cc50c5d019200268616339325c62d908fe0e575db67",
-    "relabelled-n8": "7ca816f3a5279aaac7a8fb6f17b8b3ef7318636d0fb2317b57ef083991552346",
+    "relabelled-n8": "2ea6b82b16164f1f291d35ac34d246fd001ec880dd16064dc41e2d1cf2de0415",
     "two-node-forward": "6d44e6b042522da41ca61db3695729778e687aa344a630cadb567b159a196e63",
     "two-node-backward": "6d44e6b042522da41ca61db3695729778e687aa344a630cadb567b159a196e63",
     "audited-two-node-piece": "251b01ab2f2df2a3db696f9c9a1fed72b6ca6c7827b7d1592d35c51e42029ed4",
@@ -1356,10 +1428,9 @@ TRANSCRIPTS = {
         ),
         pytest.param(_run_exact, validate_tree((ROOT, 0), 1), 1, 2, 0, 1, id="two-node-forward"),
         pytest.param(_run_exact, validate_tree((1, ROOT), 1), 1, 2, 0, 1, id="two-node-backward"),
-        # Its audit asks two edges out of the root 42 in the order the
-        # rounds queued them: (42, 17), queued by the round whose path found
-        # it, then (42, 28), queued by the accepted round that settles the
-        # two-node piece 42, 28.
+        # Its audit asks two edges out of the root 42 in ascending order:
+        # (42, 17), found by a later round's path, then (42, 28), settled
+        # as the two-node piece 42, 28.
         pytest.param(
             _run_exact,
             _relabelled(random_tree(44, 3, seed=1), 1),
@@ -1406,6 +1477,22 @@ def test_a_seeded_liar_can_pass_the_audit():
     assert (len(edges), len(edges - set(tree.edges()))) == (199, 72)
     counts = (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries)
     assert (liar.calls, *counts) == (2401, 70, 7, 3)
+
+
+def test_seeded_liars_are_caught_no_less_often():
+    # 120 runs of a 1% liar at the true bound: 14 raise, and every other
+    # run returns a wrong edge set. A check that catches more lies raises
+    # on more of them; none may raise on fewer.
+    caught = 0
+    for n, d in ((200, 3), (100, 5), (300, 3)):
+        for seed in range(40):
+            tree = random_tree(n, d, seed=seed)
+            liar = _FlippingOracle(ExactOracle(tree), 0.01, seed)
+            try:
+                reconstruct_tree(liar, n, tree.degree_bound, random.Random(seed))
+            except InconsistentOracleError:
+                caught += 1
+    assert caught >= 14
 
 
 class TestEveryInputTerminates:
