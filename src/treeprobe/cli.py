@@ -19,7 +19,6 @@ from .trees import DirectedRootedTree, WeightedDirectedRootedTree, from_edges
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
-EXIT_USAGE = 2
 EXIT_IO = 3
 
 

@@ -254,6 +254,12 @@ def vote_size(noise: float, failure_prob: float, n: int, degree_bound: int) -> t
     plain majority of it, which always meets the target, since
     exp(-2 m (1/2 - noise)^2) bounds a majority of m's error. Cached: every
     run of a grid cell asks the same.
+
+    A pass costs about ``most * lead`` steps, so sizing near noise 1/2 or
+    delta 0 can take hours before the first query. A cell whose Hoeffding
+    count times Wald's lead exceeds 10**7 steps, over a second of passes
+    in CPython, raises ValueError before any pass runs; at n = 400, d = 3
+    and delta = 0.1 that refuses noise 0.49 and keeps 0.48.
     """
     if noise is None or not 0.0 < noise < 0.5:
         raise ValueError(f"noise must lie in (0, 0.5), got {noise}")
@@ -268,6 +274,11 @@ def vote_size(noise: float, failure_prob: float, n: int, degree_bound: int) -> t
     most = math.ceil(need) // 2 * 2 + 1
     log_odds = math.log1p(-noise) - math.log(noise)
     wald = max(1, math.ceil(math.log((1.0 - target) / target) / log_odds))
+    if most * wald > 10**7:
+        raise ValueError(
+            f"sizing votes for noise {noise} and failure probability {failure_prob} "
+            f"takes about {most * wald:.2g} steps, more than the budget of 1e7"
+        )
     for lead in range(wald, (most + 1) // 2):
         for votes, error in _cap_errors(lead, noise, most):
             if error <= target and _walk(votes, lead, noise)[0] <= target:

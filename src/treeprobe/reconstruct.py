@@ -68,11 +68,11 @@ Every placement still asks O(log n) queries, which the bound above rests
 on.
 
 A bound below the true degree can leave no balanced edge on any path. Any
-true edge is a correct cut, so the bound only sets the gate: a part whose
-rounds keep failing doubles its gate's bound, which accepts any path once it
-reaches the part size less one, and its pieces start from the bound it was
-accepted at. Every input therefore ends. A bound of 1 fits only two nodes,
-which asking both ways settles.
+true edge is a correct cut, so the bound only sets the gate: when one part's
+rounds keep failing, the run doubles its gate's bound for that part and
+every later one, and a bound of the part size less one accepts any path.
+Every input therefore ends. A bound of 1 fits only two nodes, which asking
+both ways settles.
 
 The exact and noisy regimes read every answer only as a truth value: an
 exact bit or a noisy vote's bit. The additive regime reads path sums, which
@@ -354,9 +354,9 @@ def reconstruct_tree(
     int, or is negative, and a bound that no tree on ``n`` nodes fits (not
     an int, below 1, or 1 with more than two nodes) raise InvalidTreeError
     from :func:`check_degree_feasible` before any query. A part whose
-    rounds keep failing under a bound below the true degree doubles its
-    own bound, which its pieces inherit, so the edges stay exact. The run is
-    deterministic given the rng state and the oracle's answers. An
+    rounds keep failing under a bound below the true degree doubles the
+    run's bound, for it and every later part, so the edges stay exact. The
+    run is deterministic given the rng state and the oracle's answers. An
     InconsistentOracleError raised on the way carries the counters so far
     as its ``stats``.
     """
@@ -378,21 +378,23 @@ def reconstruct_tree(
         return edges, stats
     choice = rng.choice
     add = edges.add
-    # Parts still to solve, each listing its root first, with its gate
-    # bound, failed rounds so far, the pieces its rounds found, and its best
-    # cut with that cut's smaller side. A fresh part is its own one piece
-    # and knows no edge. The whole node set has no pieces instead, as its
-    # root is not known, and stays in ascending order until its first round
-    # finds the root. A failed part goes back on top, so it is retried next.
+    # Parts still to solve, each listing its root first, with the pieces
+    # its rounds found and its best cut with that cut's smaller side. A
+    # fresh part is its own one piece and knows no edge. The whole node set
+    # has no pieces instead, as its root is not known, and stays in
+    # ascending order until its first round finds the root. A failed part
+    # goes back on top, so it is retried next.
     # Pieces of three or more nodes are pushed in the order they were
     # found, so the last is solved first; that order fixes which nodes rng
     # draws. A two-node piece is settled instead, so every part on the
     # stack runs a round, and parts of 3 or more nodes exist only at bounds
-    # of 2 or more, so the gate never divides by zero.
-    stack = [(list(range(n)), 1, degree_bound, 0, [], None, 0)]
+    # of 2 or more, so the gate never divides by zero. The gate's bound and
+    # the failed rounds in a row belong to the run, not to a part.
+    stack = [(list(range(n)), 1, [], None, 0)]
     push = stack.append
+    bound, failed = degree_bound, 0
     while stack:
-        part, depth, bound, failed, pieces, cut, side = stack.pop()
+        part, depth, pieces, cut, side = stack.pop()
         stats.rounds_total += 1
         if pieces:
             i = choice(part[1:])
@@ -435,15 +437,16 @@ def reconstruct_tree(
             pieces.append(below[r])
         if find_even_separator(part, side, cut, bound) is None:
             # A correct bound b needs b^2/(b-1) rounds on average. After
-            # four times that many failures the part's gate doubles b; at
-            # b >= size - 1 it accepts any known edge. Any true edge is a
-            # correct cut, so the pieces keep the bound the part was
-            # accepted at.
+            # four times that many failures in a row, all this part's as a
+            # failed part is retried next, the run's gate doubles b for this
+            # part and every later one; at b >= size - 1 it accepts any
+            # known edge.
             failed += 1
             if failed >= 4 * bound * bound // (bound - 1):
                 bound, failed = 2 * bound, 0
-            push((part, depth, bound, failed, pieces, cut, side))
+            push((part, depth, pieces, cut, side))
             continue
+        failed = 0
         # One level deeper, each two-node piece's edge is added, and each
         # piece of three or more nodes is pushed as a fresh part.
         depth += 1
@@ -453,7 +456,7 @@ def reconstruct_tree(
             if len(q) == 2:
                 add((q[0], q[1]))
             elif len(q) > 2:
-                push((q, depth, bound, 0, [q], None, 0))
+                push((q, depth, [q], None, 0))
     # No answer vouches for an edge out of the root but the first path's.
     children = sorted(c for r, c in edges if r == root and c not in heard)
     _audit_root(oracle, root, children, stats)

@@ -26,6 +26,7 @@ from treeprobe import (
     uniform_weights,
     vote_size,
 )
+from treeprobe import oracles
 from treeprobe.oracles import _binomial, _cap_errors, _walk
 
 from reference import enumerate_trees, is_ancestor, majority_error, walk_by_positions
@@ -493,6 +494,20 @@ class TestVoteSize:
                 before = vote_size(noise, delta, 300, 5)[1]
                 after = vote_size(noise, delta / 2, 300, 5)[1]
                 assert before <= after <= before + step + 1
+
+    def test_a_cell_over_the_sizing_budget_raises_before_any_pass(self, monkeypatch):
+        # Each refused cell took seconds to size; near noise 1/2, hours.
+        def fail(*args):
+            raise AssertionError("sizing ran a pass")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(oracles, "_cap_errors", fail)
+            patched.setattr(oracles, "_walk", fail)
+            for cell in ((0.4, 1e-300, 32, 32), (0.49, 0.1, 400, 3), (0.499, 0.1, 400, 3)):
+                with pytest.raises(ValueError, match="budget"):
+                    vote_size(*cell)
+        # The slowest cell kept at n = 400, d = 3: about 3.6e6 steps.
+        assert vote_size(0.48, 0.1, 400, 3) == (18367, 191)
 
     @pytest.mark.parametrize(
         "noise, delta, n, d",

@@ -111,10 +111,12 @@ class _RandomLiar:
 def _query_cap(n):
     """The budget every run in TestEveryInputTerminates must stay within.
 
-    A star rebuilt at bound 2 is the costliest case: its first part fails
-    until its gate has doubled past the hub degree, and its pieces start
-    from that bound, at most 1.88 n^3 queries (at n = 6) over n 2-40 and
-    rng seeds 0-19. 16 n^3 leaves room for every shape and seed drawn here.
+    Under a bound below the true degree a part fails until the run's gate
+    has doubled enough: a star rebuilt at bound 2 is one part, which fails
+    until the bound passes its hub degree. At bound 2 over n 2-40 and rng
+    seeds 0-19, every shape drawn here asks at most 0.25 n^3 queries, the
+    most at n = 2 and 3. 16 n^3 leaves room for every shape and seed drawn
+    here.
     """
     return 16 * n**3
 
@@ -1394,7 +1396,7 @@ TRANSCRIPTS = {
     "random-d10": "6a8b021dff2b44c431c4f6acb145b2f3e192a03b0a29a1b13a4ebfbd413b920f",
     "parallel-chain": "c3958d57aec6be6a2465f3272b10b02908f94ade0f7db7742f2462ba8997645b",
     "star-doubling": "4203fc5f89e977f434703f046e2c6fc7724ae87d01dc7dcd55ccf4e935eda49f",
-    "wrong-bound": "5acc5b60e54852db6089a6be123cc8fe65e70d8dd96e6f8627430ddaa8788571",
+    "wrong-bound": "5cf7fb36d99caefba2c3a9a58142219522c4ea7a16c50343c69c5bcba179431d",
     "noisy": "da7b446b517d88f6ae51472c8631d802c227a320bc3983706d873fc6dd0e3247",
     "weighted": "7f26a2c0f7991f769cb83d8b5ca83198ae97e277dccb96108f2c175db99ad268",
     "relabelled-n3": "41e900f87b6be6200414eb2c8d3a68da0597838e77476c6c69ea54719a7bd79e",
@@ -1413,7 +1415,7 @@ TRANSCRIPTS = {
         pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4088, 120, 10, id="random-d10"),
         pytest.param(_run_exact, parallel_chain(4, 30), 4, 1131, 11, 7, id="parallel-chain"),
         pytest.param(_run_exact, shaped_tree("star", 40), 2, 1521, 274, 2, id="star-doubling"),
-        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2178, 128, 6, id="wrong-bound"),
+        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2085, 87, 9, id="wrong-bound"),
         pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1096, 44, 7, id="noisy"),
         pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3086, 0, 1, id="weighted"),
         # Small parts, where most two-node pieces are settled as they are found.
@@ -1454,6 +1456,24 @@ def test_query_stream_is_pinned(request, run, tree, bound, calls, rounds, depth)
     assert digest == TRANSCRIPTS[request.node.callspec.id]
 
 
+def test_a_wrong_bound_doubles_once_for_the_run(monkeypatch):
+    # The tree behind the wrong-bound pin. Once a part's failures double
+    # the gate's bound, every later part starts from the doubled bound, so
+    # no sibling part climbs the ladder again from 3.
+    tree = random_tree(200, 5, seed=3)
+    bounds = []
+    gate = reconstruct.find_even_separator
+
+    def recording(part, side, cut, degree_bound):
+        bounds.append(degree_bound)
+        return gate(part, side, cut, degree_bound)
+
+    monkeypatch.setattr(reconstruct, "find_even_separator", recording)
+    edges, _ = reconstruct_tree(ExactOracle(tree), tree.n, 3, random.Random(0))
+    assert edges == set(tree.edges())
+    assert [bound for bound, _ in itertools.groupby(bounds)] == [3, 6]
+
+
 def test_a_seeded_liar_fails_with_pinned_counters():
     # A 1% liar on a random tree fails at the audit. The counters it carries
     # are a pure function of the seeds, the deepest split level included.
@@ -1463,20 +1483,20 @@ def test_a_seeded_liar_fails_with_pinned_counters():
         reconstruct_tree(liar, 200, 3, random.Random(0))
     stats = caught.value.stats
     counts = (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries)
-    assert (liar.calls, *counts) == (2387, 96, 8, 1)
+    assert (liar.calls, *counts) == (2438, 77, 8, 1)
 
 
 def test_a_seeded_liar_can_pass_the_audit():
     # An edge that a lie vouches for is never asked again: the audit asks
     # only the edges out of the root that no answer vouches for.
-    # This liar's run returns 199 edges, 72 of them wrong, and its counters
+    # This liar's run returns 199 edges, 71 of them wrong, and its counters
     # are a pure function of the seeds.
     tree = random_tree(200, 3, seed=0)
     liar = _FlippingOracle(ExactOracle(tree), 0.01, seed=0)
     edges, stats = reconstruct_tree(liar, 200, 3, random.Random(0))
-    assert (len(edges), len(edges - set(tree.edges()))) == (199, 72)
+    assert (len(edges), len(edges - set(tree.edges()))) == (199, 71)
     counts = (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries)
-    assert (liar.calls, *counts) == (2401, 70, 7, 3)
+    assert (liar.calls, *counts) == (2379, 72, 8, 2)
 
 
 def test_seeded_liars_are_caught_no_less_often():
