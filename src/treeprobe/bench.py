@@ -121,9 +121,10 @@ def run_single(
         # each names its child's parent: no child repeats, as its parent
         # would, and no pair names the root's entry ROOT (-1) as a parent.
         parent = plain.parent
+        n = len(parent)
         success = (
-            len(edges) == plain.n - 1
-            and all(0 <= c < plain.n and parent[c] == p >= 0 for p, c in edges)
+            len(edges) == n - 1
+            and all(0 <= c < n and parent[c] == p >= 0 for p, c in edges)
             and (weights_out is None or weights_out == dict(hidden.weights))
         )
 

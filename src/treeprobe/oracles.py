@@ -46,6 +46,10 @@ from typing import Iterator
 
 from .trees import DirectedRootedTree, WeightedDirectedRootedTree, check_degree_feasible
 
+# Walk steps that sizing a cell's votes, or building one vote table, may
+# cost: about a second in CPython.
+_STEP_BUDGET = 10**7
+
 
 class _Oracle:
     """What every oracle keeps: the hidden tree, the queries it has answered,
@@ -93,7 +97,9 @@ class NoisyOracle(_Oracle):
     (votes + 1) / 2, a plain majority of ``votes`` stopped once decided,
     whose error and stopping law come from the same ``_walk`` table as any
     other lead's. Building that table costs O(votes * lead), so O(votes^2)
-    at the full lead, where a lead from ``vote_size`` is far below it.
+    at the full lead, where a lead from ``vote_size`` is far below it; a
+    ``votes * lead`` over 10**7 steps raises ValueError before the table
+    is built.
     ``noise`` may be 0.0 (degenerate no-flip limit) but must stay below 1/2.
 
     ``seed`` has no default and must not be None, so no stream seeds from
@@ -125,6 +131,7 @@ class NoisyOracle(_Oracle):
             lead = half
         elif not isinstance(lead, int) or not 1 <= lead <= half:
             raise ValueError(f"lead must be an int in [1, {half}] for {votes} votes, got {lead!r}")
+        _check_table(votes, lead)
         super().__init__(tree)
         self.noise = noise
         self.votes = votes
@@ -259,7 +266,10 @@ def vote_size(noise: float, failure_prob: float, n: int, degree_bound: int) -> t
     delta 0 can take hours before the first query. A cell whose Hoeffding
     count times Wald's lead exceeds 10**7 steps, over a second of passes
     in CPython, raises ValueError before any pass runs; at n = 400, d = 3
-    and delta = 0.1 that refuses noise 0.49 and keeps 0.48.
+    and delta = 0.1 that refuses noise 0.49 and keeps 0.48. A few cells
+    just under that find a pair whose own table, ``votes * lead`` steps,
+    is over the budget, which ``NoisyOracle`` refuses: they raise
+    ValueError before building it, so every pair returned builds.
     """
     if noise is None or not 0.0 < noise < 0.5:
         raise ValueError(f"noise must lie in (0, 0.5), got {noise}")
@@ -274,16 +284,29 @@ def vote_size(noise: float, failure_prob: float, n: int, degree_bound: int) -> t
     most = math.ceil(need) // 2 * 2 + 1
     log_odds = math.log1p(-noise) - math.log(noise)
     wald = max(1, math.ceil(math.log((1.0 - target) / target) / log_odds))
-    if most * wald > 10**7:
+    if most * wald > _STEP_BUDGET:
         raise ValueError(
             f"sizing votes for noise {noise} and failure probability {failure_prob} "
             f"takes about {most * wald:.2g} steps, more than the budget of 1e7"
         )
     for lead in range(wald, (most + 1) // 2):
         for votes, error in _cap_errors(lead, noise, most):
-            if error <= target and _walk(votes, lead, noise)[0] <= target:
-                return votes, lead
+            if error <= target:
+                _check_table(votes, lead)
+                if _walk(votes, lead, noise)[0] <= target:
+                    return votes, lead
+    _check_table(most, (most + 1) // 2)
     return most, (most + 1) // 2
+
+
+def _check_table(votes: int, lead: int) -> None:
+    """Raise ValueError if the vote table for ``votes`` and ``lead`` would
+    cost more than the step budget, ``votes * lead`` steps, to build."""
+    if votes * lead > _STEP_BUDGET:
+        raise ValueError(
+            f"a vote table for {votes} votes with lead {lead} takes {votes * lead:,} "
+            "steps, more than the budget of 1e7"
+        )
 
 
 def _cap_errors(lead: int, noise: float, most: int) -> Iterator[tuple[int, float]]:

@@ -10,12 +10,15 @@ that reach i, sorted, are the path down to i from the root, which comes
 first; if no node reaches i, i is the root, and the round fails on a
 one-node path.
 Each piece is a subtree rooted at its path node, so no later part looks for
-its root, and a 2-node piece has nothing to sample: the accepted round that
-leaves it adds its edge. Parts still to solve wait on a stack, the whole
-node set first, and each pass of the driver loop runs one round on the top
-part: an accepted round pushes each piece of 3 or more nodes as a fresh
-part; a failed round pushes its part back. So every part on the stack has 3
-or more nodes.
+its root, and the accepted round that leaves a piece of 2 or 3 nodes
+settles it: a 2-node piece is one edge, and a 3-node piece [q, a, b] is a
+chain or a cherry below q, told apart by Q(a, b), then Q(b, a) on a no.
+With random labels that asks 1.5 queries for a chain and 2 for a cherry,
+what a round on it would, and draws nothing. Parts still to solve wait on
+a stack, the whole node set first, and each pass of the driver loop runs
+one round on the top part: an accepted round pushes each piece of 4 or
+more nodes as a fresh part; a failed round pushes its part back. So every
+part on the stack but the whole node set has 4 or more nodes.
 A node set of two nodes has no round: the driver orients it before its loop
 by asking both ways. With a degree bound d the balanced cut leaves sides no
 larger than a (d-1)/d fraction and every piece lies inside one side, so the
@@ -44,9 +47,10 @@ side.
 
 No round checks its answers. Every returned edge is instead vouched for by
 an answer the run heard: the scan's on the edge into i, the sort's
-comparison on every other edge it found, and, for the edge from p into the
-path, the yes that put the path's next node into p's piece. Each member of
-a piece was put there by a yes from its path node, except in the pieces of
+comparison on every other edge it found, for the edge from p into the
+path, the yes that put the path's next node into p's piece, and for the
+lower edge of a settled chain, the yes that settled it. Each member of a
+piece was put there by a yes from its path node, except in the pieces of
 the run's root r: no placement asks a part's root, and r heads the whole
 node set. So only the edges out of r can lack a voucher, and the first
 round's scan and sort vouch for the one into the first node of its path.
@@ -143,11 +147,13 @@ from .trees import check_degree_feasible
 class ReconstructionStats:
     """Counters from one reconstruction run.
 
-    rounds_total: sampling rounds summed over all parts, each of >= 3
-        nodes. A 2-node piece runs none: the accepted round that leaves it
-        adds its edge, and a node set of two nodes is oriented before any
-        round.
-    recursion_depth_max: deepest split level, the whole node set being 1.
+    rounds_total: sampling rounds summed over all parts, each of >= 4
+        nodes but the whole node set. A piece of 2 or 3 nodes runs none:
+        the accepted round that leaves it settles it, and a node set of two
+        nodes is oriented before any round.
+    recursion_depth_max: deepest split level, the whole node set being 1
+        and each piece one level below the part it came from. A settled
+        piece of 2 or 3 nodes is the last level of its branch.
     audit_queries: queries after the last round, all the audit's: one per
         returned edge out of the root but the one the first round's path
         starts with, which that round heard.
@@ -340,10 +346,11 @@ def reconstruct_tree(
     Each round adds the edges of the path it finds and hands its part's
     best known cut, with that cut's smaller side, to
     ``find_even_separator``, and is accepted if that passes the cut. An
-    accepted round adds the edge of each two-node piece and pushes each
-    larger piece, its path node first and the rest in ascending order. A
-    part keeps every piece its rounds found, and its next round asks only
-    inside the one that holds its new node.
+    accepted round settles each piece of two or three nodes (see the
+    module docstring) and pushes each larger piece, its path node first
+    and the rest in ascending order. A part keeps every piece its rounds
+    found, and its next round asks only inside the one that holds its new
+    node.
     No round checks its answers. After the last round the audit asks
     Q(root, c) once for every returned edge (root, c) but the one the first
     round's path starts with, in ascending order of c (see the module
@@ -377,6 +384,7 @@ def reconstruct_tree(
             edges.add((1, 0) if backward else (0, 1))
         return edges, stats
     choice = rng.choice
+    query = oracle.query
     add = edges.add
     # Parts still to solve, each listing its root first, with the pieces
     # its rounds found and its best cut with that cut's smaller side. A
@@ -384,9 +392,9 @@ def reconstruct_tree(
     # has no pieces instead, as its root is not known, and stays in
     # ascending order until its first round finds the root. A failed part
     # goes back on top, so it is retried next.
-    # Pieces of three or more nodes are pushed in the order they were
-    # found, so the last is solved first; that order fixes which nodes rng
-    # draws. A two-node piece is settled instead, so every part on the
+    # Pieces of four or more nodes are pushed in the order they were found,
+    # so the last is solved first; that order fixes which nodes rng draws.
+    # A piece of two or three nodes is settled instead, so every part on the
     # stack runs a round, and parts of 3 or more nodes exist only at bounds
     # of 2 or more, so the gate never divides by zero. The gate's bound and
     # the failed rounds in a row belong to the run, not to a part.
@@ -447,15 +455,29 @@ def reconstruct_tree(
             push((part, depth, pieces, cut, side))
             continue
         failed = 0
-        # One level deeper, each two-node piece's edge is added, and each
-        # piece of three or more nodes is pushed as a fresh part.
+        # One level deeper, each piece of two or three nodes is settled, and
+        # each piece of four or more is pushed as a fresh part. Below q[0], a
+        # three-node piece is a chain or a cherry: Q(a, b), then Q(b, a),
+        # tells which.
         depth += 1
         if depth > stats.recursion_depth_max:
             stats.recursion_depth_max = depth
         for q in pieces:
-            if len(q) == 2:
+            size = len(q)
+            if size == 2:
                 add((q[0], q[1]))
-            elif len(q) > 2:
+            elif size == 3:
+                top, a, b = q
+                if query(a, b):
+                    add((top, a))
+                    add((a, b))
+                elif query(b, a):
+                    add((top, b))
+                    add((b, a))
+                else:
+                    add((top, a))
+                    add((top, b))
+            elif size > 3:
                 push((q, depth, [q], None, 0))
     # No answer vouches for an edge out of the root but the first path's.
     children = sorted(c for r, c in edges if r == root and c not in heard)

@@ -251,11 +251,11 @@ class TestRunSingle:
     # recursion_depth_max) per cell. Any change to what the driver asks, in
     # what order, or to what the rng draws moves at least one of them.
     PINNED = [
-        ("exact", lambda: random_tree(300, 3, seed=1), 3, 1, (3258, 3258, 99, 2, 7)),
+        ("exact", lambda: random_tree(300, 3, seed=1), 3, 1, (3524, 3524, 80, 2, 6)),
         ("exact", lambda: shaped_tree("chain", 200), 2, 2, (1035, 1035, 7, 0, 5)),
-        ("exact", lambda: shaped_tree("star", 60), 59, 3, (3481, 3481, 58, 58, 59)),
-        ("exact", lambda: parallel_chain(4, 30), 4, 4, (1250, 1250, 13, 3, 7)),
-        ("noisy", lambda: random_tree(60, 3, seed=5), 3, 5, (418, 3124, 17, 2, 5)),
+        ("exact", lambda: shaped_tree("star", 60), 59, 3, (3481, 3481, 57, 58, 58)),
+        ("exact", lambda: parallel_chain(4, 30), 4, 4, (1056, 1056, 10, 3, 7)),
+        ("noisy", lambda: random_tree(60, 3, seed=5), 3, 5, (430, 3216, 11, 2, 5)),
         (
             "weighted",
             lambda: uniform_weights(random_tree(300, 5, seed=6), seed=7),

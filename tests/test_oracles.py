@@ -509,6 +509,13 @@ class TestVoteSize:
         # The slowest cell kept at n = 400, d = 3: about 3.6e6 steps.
         assert vote_size(0.48, 0.1, 400, 3) == (18367, 191)
 
+    def test_a_pair_whose_table_is_over_the_budget_raises_before_it_is_built(self):
+        # Sizing this cell takes 35,233 x 283 steps, under the budget, but
+        # the pair it finds, 35,229 votes at lead 284, has a table over it,
+        # which NoisyOracle would refuse.
+        with pytest.raises(ValueError, match="35229 votes with lead 284 takes 10,005,036 steps"):
+            vote_size(0.4839299739064129, 1e-6, 2, 10)
+
     @pytest.mark.parametrize(
         "noise, delta, n, d",
         [

@@ -555,10 +555,11 @@ def test_every_bag_search_query_is_asked_inside_path_pieces(monkeypatch):
     # the root, must ask its queries inside reconstruct_skeleton_path (its
     # sort inside sort_by_ancestry), and the round's placement inside one
     # path_pieces call, also once the plans are reweighed and in retries.
-    # The driver itself asks only the audit, after the last round, and a
-    # 2-node node set's two orienting queries. Tracers count accepted rounds
-    # as the non-None returns of find_even_separator, so every round must
-    # consult it exactly once.
+    # The driver itself asks only the settles of three-node pieces, right
+    # after the gate that accepts them, the audit, after the last round,
+    # and a 2-node node set's two orienting queries. Tracers count accepted
+    # rounds as the non-None returns of find_even_separator, so every round
+    # must consult it exactly once.
     tree = random_tree(600, 3, seed=4)
     inner = ExactOracle(tree)
     phases = ["outside"]
@@ -566,13 +567,18 @@ def test_every_bag_search_query_is_asked_inside_path_pieces(monkeypatch):
     calls = collections.Counter()
     seen = {"largest": 0, "scans": []}
     gates = []
+    settles = []
 
     order = []
+
+    # Every piece found so far, its path node first, each as path_pieces
+    # returned it: a call splits the piece that is its part.
+    known = [tuple(range(tree.n))]
 
     class Charging:
         def query(self, i, j):
             asked[phases[-1]] += 1
-            order.append(phases[-1])
+            order.append((phases[-1], (i, j)))
             return inner.query(i, j)
 
     def charged(name):
@@ -605,13 +611,27 @@ def test_every_bag_search_query_is_asked_inside_path_pieces(monkeypatch):
         placements = len(part) - len(path)
         if len(path) > 2:
             seen["largest"] = max(seen["largest"], placements)
-        return pieces_of(oracle_, part, path)
+        pieces = pieces_of(oracle_, part, path)
+        split = next(at for at, piece in enumerate(known) if set(piece) == set(part))
+        known[split] = tuple(pieces[0])
+        known.extend(map(tuple, pieces[1:]))
+        return pieces
 
     real_find_even_separator = reconstruct.find_even_separator
 
     def find_even_separator(*args):
         gates.append(real_find_even_separator(*args))
-        order.append("gate")
+        # An accepted round settles each of its part's three-node pieces
+        # (q, a, b), a < b: Q(a, b), and Q(b, a) unless a is b's parent.
+        settle = []
+        if gates[-1] is not None:
+            part = set(args[0])
+            for q, a, b in [piece for piece in known if len(piece) == 3 and part >= set(piece)]:
+                assert a < b
+                known.remove((q, a, b))
+                settles.append(1 if tree.parent[b] == a else 2)
+                settle += [(a, b), (b, a)][: settles[-1]]
+        order.append(("gate", settle))
         return gates[-1]
 
     monkeypatch.setattr(reconstruct, "reconstruct_skeleton_path", reconstruct_skeleton_path)
@@ -622,9 +642,22 @@ def test_every_bag_search_query_is_asked_inside_path_pieces(monkeypatch):
     assert edges == set(tree.edges())
     assert calls["path_pieces"] == stats.rounds_total
     assert asked["path_pieces"] > 0
-    # Every query the driver asks itself is the audit's, after the last gate.
+    # Each settle asks its 1 or 2 queries in the driver, in piece order,
+    # right after the gate that accepts its piece and before the next round.
+    assert set(settles) == {1, 2}
+    phased, at = [], 0
+    while at < len(order):
+        phase, what = order[at]
+        at += 1
+        if phase == "gate":
+            assert order[at : at + len(what)] == [("outside", pair) for pair in what]
+            at += len(what)
+        phased.append(phase)
+    order = phased
+    # Every other query the driver asks itself is the audit's, after the
+    # last gate and its settles.
     audit = stats.audit_queries
-    assert 0 < audit == asked["outside"]
+    assert 0 < audit == asked["outside"] - sum(settles)
     assert order[-audit - 1 :] == ["gate", *["outside"] * audit]
     # A round whose node is on its part's known path scans nothing; every
     # other round scans once, the first over the whole node set.
@@ -1016,6 +1049,88 @@ class TestRootRounds:
         assert stats.audit_queries == 1
 
 
+class TestThreeNodePieces:
+    """An accepted round settles each three-node piece [q, a, b] where it
+    finds it, with no round and no draw: Q(a, b), then Q(b, a) on a no.
+
+    The tree hangs q from the root and the sampled node i and the piece's
+    other two nodes from q, so the one round, on the path root -> q -> i,
+    leaves the piece q, a, b. The part has 5 nodes, and at bound 4 any
+    edge passes the gate. The root's only edge is the path's first, which
+    the scan vouches for, so no audit follows the settle.
+    """
+
+    # Ids of (root, q, i, lo, hi) under two labelings: lo < hi are the
+    # piece's other nodes, so a = lo and b = hi in part order.
+    LABELINGS = {"ascending": (0, 1, 4, 2, 3), "descending": (4, 3, 0, 1, 2)}
+
+    @pytest.mark.parametrize("labeling", sorted(LABELINGS))
+    @pytest.mark.parametrize("shape", ["chain a -> b", "chain b -> a", "cherry"])
+    def test_a_three_node_piece_is_settled_by_one_or_two_queries(self, shape, labeling):
+        root, q, i, a, b = self.LABELINGS[labeling]
+        edges = {(root, q), (q, i)}
+        if shape == "chain a -> b":
+            edges |= {(q, a), (a, b)}
+            settle = [(a, b)]
+        elif shape == "chain b -> a":
+            edges |= {(q, b), (b, a)}
+            settle = [(a, b), (b, a)]
+        else:
+            edges |= {(q, a), (q, b)}
+            settle = [(a, b), (b, a)]
+        parent = [ROOT] * 5
+        for p, c in edges:
+            parent[c] = p
+        tree = validate_tree(parent, 4)
+        recorder = _RecordingOracle(ExactOracle(tree))
+        drawn_from = []
+
+        class Recording(ScriptedRng):
+            def choice(self, population):
+                drawn_from.append(list(population))
+                return super().choice(population)
+
+        with _recording_gates(recorder) as gates:
+            found, stats = reconstruct_tree(recorder, 5, 4, Recording([i]))
+        assert found == edges == set(tree.edges())
+        # The whole node set's round is the only round and the only draw.
+        assert drawn_from == [list(range(5))]
+        assert stats.rounds_total == 1 and stats.audit_queries == 0
+        assert [cut for _, cut in gates] == [(root, q)]
+        # Everything after the gate is the settle's.
+        pairs = [(x, y) for x, y, _ in recorder.transcript]
+        assert pairs[gates[0][0] :] == settle
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["chain", "star", "caterpillar", "parallel_chain", "random"]),
+        st.integers(min_value=3, max_value=60),
+        st.integers(min_value=0, max_value=2**16),
+        st.data(),
+    )
+    def test_every_later_part_has_four_or_more_nodes(self, shape, n, seed, data):
+        # Only the whole node set, which may have three nodes, runs its
+        # rounds on fewer than four; every later round is on a pushed piece
+        # of four or more. Below the true bound too.
+        tree = _shaped(shape, n, seed)
+        bound = data.draw(st.integers(min_value=2, max_value=max(2, tree.degree_bound)))
+        sizes = []
+        gate = reconstruct.find_even_separator
+
+        def recording(part, side, cut, degree_bound):
+            sizes.append(len(part))
+            return gate(part, side, cut, degree_bound)
+
+        oracle = _CappedOracle(ExactOracle(tree), _query_cap(tree.n))
+        with mock.patch.object(reconstruct, "find_even_separator", recording):
+            edges, stats = reconstruct_tree(oracle, tree.n, bound, random.Random(seed))
+        assert edges == set(tree.edges())
+        assert len(sizes) == stats.rounds_total
+        whole = sizes.count(tree.n)
+        assert whole >= 1 and sizes[:whole] == [tree.n] * whole
+        assert all(4 <= size < tree.n for size in sizes[whole:])
+
+
 class TestRetries:
     """A failed round's pieces and path edges carry over to the part's next
     round, which splits only the piece that holds its node.
@@ -1080,12 +1195,14 @@ class TestRetries:
         # The failed round's pieces 1 and 3 and its edges (0, 1) and (1, 3)
         # stay as they were found, so once it has failed no query asks
         # about 1 or 3. The accepted retry leaves the root's piece 0, 12, a
-        # two-node piece that no answer vouches for, and the pieces of 2
-        # and 6, which take one round each. Then the audit asks the root's
+        # two-node piece that no answer vouches for, the three-node piece
+        # 6, 10, 11, a cherry settled at once by asking both ways, and the
+        # piece of 2, which takes one round. Then the audit asks the root's
         # edges to 2 and 12, once each.
-        pairs, at, cuts, stats = self._run([3, 6, 10, 8])
-        assert cuts == [None, (2, 4), (6, 10), (2, 5)]
-        assert stats.rounds_total == 4
+        pairs, at, cuts, stats = self._run([3, 6, 8])
+        assert cuts == [None, (2, 4), (2, 5)]
+        assert stats.rounds_total == 3
+        assert pairs[at[1] : at[1] + 2] == [(10, 11), (11, 10)]
         assert not {1, 3} & {k for pair in pairs[at[0] :] for k in pair}
         assert pairs[-2:] == [(0, 2), (0, 12)]
         assert pairs.count((0, 12)) == 1
@@ -1392,31 +1509,31 @@ def _run_weighted(tree, bound):
 
 # sha256 of repr() of each stream's ordered list of (i, j) pairs.
 TRANSCRIPTS = {
-    "random-d3": "710f76554a5370d168a2abe1bfe5925fcaa52de42bf9611dd70cad09d8daee3c",
-    "random-d10": "6a8b021dff2b44c431c4f6acb145b2f3e192a03b0a29a1b13a4ebfbd413b920f",
-    "parallel-chain": "c3958d57aec6be6a2465f3272b10b02908f94ade0f7db7742f2462ba8997645b",
+    "random-d3": "11411370fb4a235118483e47059f1c30a92d2ed78d4a4cf6451db14dad31b906",
+    "random-d10": "b08953e162e11b9df7c761d1302122663b5fbe215a24455c80f1b7852beeb7a0",
+    "parallel-chain": "738a98bfed103cd393b34a212f30735e4e9097c89ed55b11f743790ec04cb87f",
     "star-doubling": "4203fc5f89e977f434703f046e2c6fc7724ae87d01dc7dcd55ccf4e935eda49f",
-    "wrong-bound": "5cf7fb36d99caefba2c3a9a58142219522c4ea7a16c50343c69c5bcba179431d",
-    "noisy": "da7b446b517d88f6ae51472c8631d802c227a320bc3983706d873fc6dd0e3247",
+    "wrong-bound": "7a9f4aeaf9df95318f2a981bd3a4736e0e08c912ef59c1af3d40e6fb93729983",
+    "noisy": "5d34c2bc64998fc174a3156267501034e35e6496150d0223de07d29a57c624b7",
     "weighted": "7f26a2c0f7991f769cb83d8b5ca83198ae97e277dccb96108f2c175db99ad268",
     "relabelled-n3": "41e900f87b6be6200414eb2c8d3a68da0597838e77476c6c69ea54719a7bd79e",
     "relabelled-n5": "f689bae74f80dd0338770cc50c5d019200268616339325c62d908fe0e575db67",
     "relabelled-n8": "2ea6b82b16164f1f291d35ac34d246fd001ec880dd16064dc41e2d1cf2de0415",
     "two-node-forward": "6d44e6b042522da41ca61db3695729778e687aa344a630cadb567b159a196e63",
     "two-node-backward": "6d44e6b042522da41ca61db3695729778e687aa344a630cadb567b159a196e63",
-    "audited-two-node-piece": "251b01ab2f2df2a3db696f9c9a1fed72b6ca6c7827b7d1592d35c51e42029ed4",
+    "audited-two-node-piece": "bf7a1a2a311f3e97c0eed4e4c6d72571b308fa855157b1774a6247ea2c0ca5f9",
 }
 
 
 @pytest.mark.parametrize(
     "run, tree, bound, calls, rounds, depth",
     [
-        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 3255, 94, 7, id="random-d3"),
-        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 4088, 120, 10, id="random-d10"),
-        pytest.param(_run_exact, parallel_chain(4, 30), 4, 1131, 11, 7, id="parallel-chain"),
+        pytest.param(_run_exact, random_tree(300, 3, seed=5), 3, 3329, 78, 7, id="random-d3"),
+        pytest.param(_run_exact, random_tree(300, 10, seed=6), 10, 3714, 76, 11, id="random-d10"),
+        pytest.param(_run_exact, parallel_chain(4, 30), 4, 1244, 13, 8, id="parallel-chain"),
         pytest.param(_run_exact, shaped_tree("star", 40), 2, 1521, 274, 2, id="star-doubling"),
-        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2085, 87, 9, id="wrong-bound"),
-        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1096, 44, 7, id="noisy"),
+        pytest.param(_run_exact, random_tree(200, 5, seed=3), 3, 2172, 71, 9, id="wrong-bound"),
+        pytest.param(_run_noisy, random_tree(120, 3, seed=7), 3, 1046, 35, 5, id="noisy"),
         pytest.param(_run_weighted, random_tree(300, 3, seed=5), 3, 3086, 0, 1, id="weighted"),
         # Small parts, where most two-node pieces are settled as they are found.
         pytest.param(
@@ -1426,7 +1543,7 @@ TRANSCRIPTS = {
             _run_exact, _relabelled(random_tree(5, 3, seed=5), 5), 3, 9, 1, 2, id="relabelled-n5"
         ),
         pytest.param(
-            _run_exact, _relabelled(random_tree(8, 3, seed=8), 8), 3, 20, 2, 3, id="relabelled-n8"
+            _run_exact, _relabelled(random_tree(8, 3, seed=8), 8), 3, 20, 1, 2, id="relabelled-n8"
         ),
         pytest.param(_run_exact, validate_tree((ROOT, 0), 1), 1, 2, 0, 1, id="two-node-forward"),
         pytest.param(_run_exact, validate_tree((1, ROOT), 1), 1, 2, 0, 1, id="two-node-backward"),
@@ -1438,8 +1555,8 @@ TRANSCRIPTS = {
             _relabelled(random_tree(44, 3, seed=1), 1),
             3,
             311,
-            12,
-            5,
+            9,
+            4,
             id="audited-two-node-piece",
         ),
     ],
@@ -1479,24 +1596,24 @@ def test_a_seeded_liar_fails_with_pinned_counters():
     # are a pure function of the seeds, the deepest split level included.
     tree = random_tree(200, 3, seed=0)
     liar = _FlippingOracle(ExactOracle(tree), 0.01, seed=5)
-    with pytest.raises(InconsistentOracleError, match=r"\(26, 74\)") as caught:
+    with pytest.raises(InconsistentOracleError, match=r"\(26, 22\)") as caught:
         reconstruct_tree(liar, 200, 3, random.Random(0))
     stats = caught.value.stats
     counts = (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries)
-    assert (liar.calls, *counts) == (2438, 77, 8, 1)
+    assert (liar.calls, *counts) == (2218, 64, 8, 1)
 
 
 def test_a_seeded_liar_can_pass_the_audit():
     # An edge that a lie vouches for is never asked again: the audit asks
     # only the edges out of the root that no answer vouches for.
-    # This liar's run returns 199 edges, 71 of them wrong, and its counters
+    # This liar's run returns 199 edges, 84 of them wrong, and its counters
     # are a pure function of the seeds.
     tree = random_tree(200, 3, seed=0)
     liar = _FlippingOracle(ExactOracle(tree), 0.01, seed=0)
     edges, stats = reconstruct_tree(liar, 200, 3, random.Random(0))
-    assert (len(edges), len(edges - set(tree.edges()))) == (199, 71)
+    assert (len(edges), len(edges - set(tree.edges()))) == (199, 84)
     counts = (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries)
-    assert (liar.calls, *counts) == (2379, 72, 8, 2)
+    assert (liar.calls, *counts) == (2965, 55, 7, 4)
 
 
 def test_seeded_liars_are_caught_no_less_often():

@@ -11,7 +11,9 @@ ints, floats, NaN, inf, None and bools, and accepts only a return, a
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from treeprobe import (
     validate_tree,
     vote_size,
 )
+from treeprobe import oracles
 from treeprobe.bench import REGIMES
 from treeprobe.generators import SHAPES
 
@@ -82,6 +85,37 @@ def test_a_value_of_the_wrong_type_is_a_typed_refusal(call, refusal, message):
     with pytest.raises(refusal, match=message) as err:
         call()
     assert isinstance(err.value, ValueError)
+
+
+def test_a_vote_table_over_the_budget_is_refused_before_it_is_built(monkeypatch):
+    # At the full lead this table is about 4e7 walk steps, which took
+    # seconds to build; the refusal builds nothing.
+    def fail(*args):
+        raise AssertionError("built the vote table")
+
+    monkeypatch.setattr(oracles, "_walk", fail)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="budget"):
+        NoisyOracle(random_tree(10, 3, seed=1), 0.45, seed=1, votes=9001)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_every_sized_vote_builds_its_oracle():
+    # The oracle's budget is vote_size's, so every cell of this grid is
+    # sized, none refused, and nothing vote_size returns is refused: 6
+    # noise rates up to 0.45 x 4 failure budgets x 33 (n, d) cells up to
+    # (10**5, 32). Its noise 0.45 cells take most of the 10 s it runs.
+    tree = random_tree(10, 3, seed=1)
+    grid = itertools.product(
+        (0.01, 0.05, 0.1, 0.25, 0.4, 0.45),
+        (1e-6, 1e-3, 0.1, 0.5),
+        (2, 3, 5, 12, 60, 200, 400, 3000, 10**4, 3 * 10**4, 10**5),
+        (2, 10, 32),
+    )
+    for noise, delta, n, d in grid:
+        votes, lead = vote_size(noise, delta, n, d)
+        oracle = NoisyOracle(tree, noise, seed=1, votes=votes, lead=lead)
+        assert (oracle.votes, oracle.lead) == (votes, lead)
 
 
 def _weighted_run(n, bound):
