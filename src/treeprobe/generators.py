@@ -25,19 +25,29 @@ def random_tree(n: int, degree_bound: int, seed) -> DirectedRootedTree:
     so node ids carry no structural signal. Every topology that fits the
     bound has positive probability, and the result is a pure function of the
     seed, which must not be None.
+
+    Each draw below m takes m.bit_length() bits from the seeded ``Random``'s
+    ``getrandbits`` and draws again while the value is m or more: the
+    rejection sampler behind ``Random.randrange(m)`` and ``Random.shuffle``
+    (Durstenfeld's shuffle, CACM 1964, Algorithm 235), inlined, so a seed
+    gives the same tree as those two calls would.
     """
     check_degree_feasible(n, degree_bound)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if seed is None:
         raise ValueError("seed must not be None, which seeds from OS entropy")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
 
     shape = [-1] * n
     capacity = [degree_bound] + [degree_bound - 1] * (n - 1)
     open_slots = [0]
     for t in range(1, n):
-        at = rng.randrange(len(open_slots))
+        m = len(open_slots)
+        k = m.bit_length()
+        at = bits(k)
+        while at >= m:
+            at = bits(k)
         p = open_slots[at]
         shape[t] = p
         capacity[p] -= 1
@@ -48,10 +58,16 @@ def random_tree(n: int, degree_bound: int, seed) -> DirectedRootedTree:
             open_slots.append(t)
 
     label = list(range(n))
-    rng.shuffle(label)
+    for i in range(n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
+        label[i], label[j] = label[j], label[i]
     parent = [0] * n
-    for t in range(n):
-        parent[label[t]] = -1 if shape[t] == -1 else label[shape[t]]
+    for v, s in zip(label, shape):
+        parent[v] = label[s]
+    parent[label[0]] = -1
     return validate_tree(parent, degree_bound)
 
 

@@ -13,7 +13,7 @@ immutable once validated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidTreeError
 
@@ -41,11 +41,10 @@ class DirectedRootedTree:
     def n(self) -> int:
         return len(self.parent)
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield the n-1 directed edges as (parent, child), child-ascending."""
-        for child, par in enumerate(self.parent):
-            if par != ROOT:
-                yield (par, child)
+    def edges(self) -> list[tuple[int, int]]:
+        """Return a new list of the n-1 directed edges as (parent, child),
+        child-ascending."""
+        return [(par, child) for child, par in enumerate(self.parent) if par != ROOT]
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,7 @@ class WeightedDirectedRootedTree:
     weights: Mapping[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        expected = set(self.tree.edges())
-        if set(self.weights) != expected:
+        if self.weights.keys() != set(self.tree.edges()):
             raise InvalidTreeError(
                 "weights must be keyed by exactly the tree's (parent, child) edges"
             )
@@ -83,15 +81,54 @@ def validate_tree(parent: Sequence[int], degree_bound: int) -> DirectedRootedTre
         raise InvalidTreeError("a tree needs at least one node")
     check_degree_feasible(n, degree_bound)
 
-    roots = [v for v, p in enumerate(parent) if p == ROOT]
-    if len(roots) > 1:
-        raise InvalidTreeError(f"nodes {roots} all claim to be the root")
+    roots = parent.count(ROOT)
+    if roots > 1:
+        claims = [v for v, p in enumerate(parent) if p == ROOT]
+        raise InvalidTreeError(f"nodes {claims} all claim to be the root")
     if not roots:
         raise InvalidTreeError("no root: every parent chain must then loop")
-    root = roots[0]
+    root = parent.index(ROOT)
     if not isinstance(parent[root], int):
         raise InvalidTreeError(f"parent of node {root} must be an int, got {parent[root]!r}")
 
+    # kids has one extra list, kids[ROOT], for the root. Any fault leaves
+    # this path: a parent that is not an int or is above n stops the pass,
+    # one below ROOT fails the min, and one at n, a self-parent or a cycle
+    # leaves nodes that the walk from the root does not reach.
+    kids: list[list[int]] = [[] for _ in range(n + 1)]
+    try:
+        for v, p in enumerate(parent):
+            kids[p].append(v)
+        order = [root] if min(parent) == ROOT else []
+    except (TypeError, IndexError):
+        order = []
+    for u in order:
+        order.extend(kids[u])
+    if len(order) != n:
+        _raise_first_fault(parent, root)
+    del kids[ROOT]
+
+    if max(map(len, kids)) >= degree_bound:
+        for v in range(n):
+            deg = len(kids[v]) + (0 if v == root else 1)
+            if deg > degree_bound:
+                raise InvalidTreeError(
+                    f"node {v} has degree {deg}, above the bound {degree_bound}"
+                )
+
+    return DirectedRootedTree(
+        parent=parent,
+        children=tuple(map(tuple, kids)),
+        root=root,
+        degree_bound=degree_bound,
+    )
+
+
+def _raise_first_fault(parent: tuple, root: int) -> None:
+    """Name what makes ``parent``, with its one int root, no tree: the
+    first node, in id order, whose parent is out of range, itself or not an
+    int, else every node the root does not reach."""
+    n = len(parent)
     kids: list[list[int]] = [[] for _ in range(n)]
     try:
         for v, p in enumerate(parent):
@@ -103,40 +140,16 @@ def validate_tree(parent: Sequence[int], degree_bound: int) -> DirectedRootedTre
                 raise InvalidTreeError(f"node {v} is its own parent")
             kids[p].append(v)
     except TypeError:
-        # Only a parent that is not an int fails to compare or to index. The
-        # try sits outside the loop, so a valid array pays nothing per node.
+        # Only a parent that is not an int fails to compare or to index.
         v, p = next((v, p) for v, p in enumerate(parent) if not isinstance(p, int))
         raise InvalidTreeError(f"parent of node {v} must be an int, got {p!r}") from None
 
-    # Reachability from the root doubles as the cycle check: with exactly one
-    # root and n-1 parent pointers, any unreachable node sits on a cycle.
-    seen = 1
-    stack = [root]
-    reached = bytearray(n)
-    reached[root] = 1
-    while stack:
-        u = stack.pop()
-        for c in kids[u]:
-            reached[c] = 1
-            seen += 1
-            stack.append(c)
-    if seen != n:
-        bad = [v for v in range(n) if not reached[v]]
-        raise InvalidTreeError(f"nodes {bad} are not reachable from the root")
-
-    for v in range(n):
-        deg = len(kids[v]) + (0 if v == root else 1)
-        if deg > degree_bound:
-            raise InvalidTreeError(
-                f"node {v} has degree {deg}, above the bound {degree_bound}"
-            )
-
-    return DirectedRootedTree(
-        parent=parent,
-        children=tuple(tuple(c) for c in kids),
-        root=root,
-        degree_bound=degree_bound,
-    )
+    order = [root]
+    for u in order:
+        order.extend(kids[u])
+    reached = set(order)
+    bad = [v for v in range(n) if v not in reached]
+    raise InvalidTreeError(f"nodes {bad} are not reachable from the root")
 
 
 def max_node_degree(parent: Sequence[int]) -> int:

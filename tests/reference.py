@@ -7,14 +7,17 @@ separator check recomputes component sizes from ground truth, on the cuts
 that ``accepted_cuts`` collects from the driver's own gate, the sequential
 vote's billing table steps every position of the walk, a plain majority's
 error is its closed-form binomial tail, the search plan is split by
-recursion, and placement walks a plan for every node, on paths of two nodes
-too.
+recursion, placement walks a plan for every node, on paths of two nodes
+too, the random tree draws through ``randrange`` and ``shuffle``, validation
+checks a parent array one node at a time, and a weighted tree compares two
+key sets.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -27,7 +30,7 @@ from treeprobe import (
     reconstruct,
     validate_tree,
 )
-from treeprobe.trees import ROOT
+from treeprobe.trees import ROOT, check_degree_feasible
 
 ENUMERATION_CAP = 7
 
@@ -388,3 +391,111 @@ def plan_walk_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[l
             return list(pieces.values())
         first, hit, miss = recursive_search_plan([len(pieces[v]) for v in path])
         start, stop = stop, stop * 8
+
+
+def random_tree_by_randrange(n: int, degree_bound: int, seed) -> DirectedRootedTree:
+    """``generators.random_tree`` with its draws made by ``rng.randrange``
+    and ``rng.shuffle``, and the tree checked by
+    :func:`validate_tree_node_by_node`."""
+    check_degree_feasible(n, degree_bound)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if seed is None:
+        raise ValueError("seed must not be None, which seeds from OS entropy")
+    rng = random.Random(seed)
+
+    shape = [-1] * n
+    capacity = [degree_bound] + [degree_bound - 1] * (n - 1)
+    open_slots = [0]
+    for t in range(1, n):
+        at = rng.randrange(len(open_slots))
+        p = open_slots[at]
+        shape[t] = p
+        capacity[p] -= 1
+        if capacity[p] == 0:
+            open_slots[at] = open_slots[-1]
+            open_slots.pop()
+        if capacity[t] > 0:
+            open_slots.append(t)
+
+    label = list(range(n))
+    rng.shuffle(label)
+    parent = [0] * n
+    for t in range(n):
+        parent[label[t]] = -1 if shape[t] == -1 else label[shape[t]]
+    return validate_tree_node_by_node(parent, degree_bound)
+
+
+def validate_tree_node_by_node(parent: Sequence[int], degree_bound: int) -> DirectedRootedTree:
+    """``validate_tree``, checking each node's parent in id order, then
+    reachability by a stack walk, then each node's degree."""
+    parent = tuple(parent)
+    n = len(parent)
+    if n == 0:
+        raise InvalidTreeError("a tree needs at least one node")
+    check_degree_feasible(n, degree_bound)
+
+    roots = [v for v, p in enumerate(parent) if p == ROOT]
+    if len(roots) > 1:
+        raise InvalidTreeError(f"nodes {roots} all claim to be the root")
+    if not roots:
+        raise InvalidTreeError("no root: every parent chain must then loop")
+    root = roots[0]
+    if not isinstance(parent[root], int):
+        raise InvalidTreeError(f"parent of node {root} must be an int, got {parent[root]!r}")
+
+    kids: list[list[int]] = [[] for _ in range(n)]
+    try:
+        for v, p in enumerate(parent):
+            if p == ROOT:
+                continue
+            if not 0 <= p < n:
+                raise InvalidTreeError(f"parent of node {v} is out of range: {p}")
+            if p == v:
+                raise InvalidTreeError(f"node {v} is its own parent")
+            kids[p].append(v)
+    except TypeError:
+        v, p = next((v, p) for v, p in enumerate(parent) if not isinstance(p, int))
+        raise InvalidTreeError(f"parent of node {v} must be an int, got {p!r}") from None
+
+    seen = 1
+    stack = [root]
+    reached = bytearray(n)
+    reached[root] = 1
+    while stack:
+        u = stack.pop()
+        for c in kids[u]:
+            reached[c] = 1
+            seen += 1
+            stack.append(c)
+    if seen != n:
+        bad = [v for v in range(n) if not reached[v]]
+        raise InvalidTreeError(f"nodes {bad} are not reachable from the root")
+
+    for v in range(n):
+        deg = len(kids[v]) + (0 if v == root else 1)
+        if deg > degree_bound:
+            raise InvalidTreeError(
+                f"node {v} has degree {deg}, above the bound {degree_bound}"
+            )
+
+    return DirectedRootedTree(
+        parent=parent,
+        children=tuple(tuple(c) for c in kids),
+        root=root,
+        degree_bound=degree_bound,
+    )
+
+
+def check_weights_by_key_sets(tree: DirectedRootedTree, weights) -> None:
+    """``WeightedDirectedRootedTree``'s check of its weights, with the key
+    set and the edge set built as two sets: raise InvalidTreeError unless
+    the keys are exactly the tree's edges and every weight is > 0."""
+    expected = {(p, c) for c, p in enumerate(tree.parent) if p != ROOT}
+    if set(weights) != expected:
+        raise InvalidTreeError(
+            "weights must be keyed by exactly the tree's (parent, child) edges"
+        )
+    for edge, w in weights.items():
+        if not w > 0:
+            raise InvalidTreeError(f"weight for edge {edge} must be > 0, got {w!r}")

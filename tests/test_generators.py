@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from treeprobe import (
@@ -13,7 +15,7 @@ from treeprobe import (
 )
 from treeprobe.trees import max_node_degree
 
-from reference import tree_equals
+from reference import random_tree_by_randrange, tree_equals
 
 
 class TestRandomTree:
@@ -48,6 +50,16 @@ class TestRandomTree:
             random_tree(5, 0, seed=0)
         with pytest.raises(ValueError, match="need n >= 1, got 0"):
             random_tree(0, 3, seed=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+    def test_draws_match_randrange_and_shuffle(self, d):
+        # The inlined draws take the bits Random._randbelow takes, so every
+        # seed gives the parent array randrange and shuffle give.
+        for n in range(1, 41):
+            if n >= 3 and d < 2:
+                continue
+            for seed in range(25):
+                assert random_tree(n, d, seed).parent == random_tree_by_randrange(n, d, seed).parent
 
 
 class TestShapedTree:
@@ -116,3 +128,14 @@ class TestUniformWeights:
         a = uniform_weights(bent_tree, seed=1)
         b = uniform_weights(bent_tree, seed=2)
         assert dict(a.weights) != dict(b.weights)
+
+    @pytest.mark.parametrize("n, d, seed", [(1, 1, 0), (2, 1, 4), (11, 3, 7), (300, 3, 1), (300, 10, 2)])
+    def test_weights_are_the_ones_drawn_over_sorted_edges(self, n, d, seed):
+        # One uniform (0, 1] draw per edge, in (parent, child) order: the
+        # same keys in the same order and the same floats, bit for bit.
+        tree = random_tree(n, d, seed=seed)
+        rng = random.Random(seed + 1)
+        edges = sorted((p, c) for c, p in enumerate(tree.parent) if p != -1)
+        expected = [(edge, (1.0 - rng.random()).hex()) for edge in edges]
+        weights = uniform_weights(tree, seed=seed + 1).weights
+        assert [(edge, w.hex()) for edge, w in weights.items()] == expected

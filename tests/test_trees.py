@@ -5,25 +5,62 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeprobe import (
     InvalidTreeError,
     WeightedDirectedRootedTree,
     from_edges,
+    random_tree,
     validate_tree,
 )
-from treeprobe.trees import check_degree_feasible, max_node_degree
+from treeprobe.trees import ROOT, check_degree_feasible, max_node_degree
 
 from conftest import BENT_PARENT, SPINE_PARENT, parent_array_trees
 from reference import (
     bag_nodes,
+    check_weights_by_key_sets,
     is_ancestor,
     root_chain,
     skeleton_path,
+    subtree_nodes,
     subtree_size,
     tree_equals,
+    validate_tree_node_by_node,
 )
+
+# Ways to break a valid parent array; "entry" writes one of ENTRIES.
+MUTATIONS = ["second root", "no root", "self-parent", "cycle", "out of range", "negative", "entry"]
+ENTRIES = [-1.0, 0.0, None, "1", True]
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the message of the InvalidTreeError
+    it raises."""
+    try:
+        return call(*args)
+    except InvalidTreeError as err:
+        return str(err)
+
+
+def _mutate(tree, parent, mutation, data) -> None:
+    n = tree.n
+    v = data.draw(st.integers(0, n - 1), label="node")
+    if mutation == "second root":
+        parent[v] = ROOT
+    elif mutation == "no root":
+        parent[tree.root] = v
+    elif mutation == "self-parent":
+        parent[v] = v
+    elif mutation == "cycle" and v != tree.root:
+        parent[v] = data.draw(st.sampled_from(subtree_nodes(tree, v)), label="below")
+    elif mutation == "out of range":
+        parent[v] = data.draw(st.integers(n, n + 3), label="past")
+    elif mutation == "negative":
+        parent[v] = data.draw(st.integers(-n - 3, -2), label="below zero")
+    elif mutation == "entry":
+        parent[v] = data.draw(st.sampled_from(ENTRIES), label="entry")
 
 
 class TestValidateTree:
@@ -82,6 +119,18 @@ class TestValidateTree:
         # inf passed.
         with pytest.raises(InvalidTreeError, match="degree bound must be an int, got"):
             validate_tree([-1, 0], bound)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(tree=parent_array_trees(max_n=12), data=st.data())
+    def test_matches_the_node_by_node_reference(self, tree, data):
+        # Up to two faults at once, so the first offender in id order is
+        # named as the node-by-node check names it.
+        parent = list(tree.parent)
+        for mutation in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=2), label="faults"):
+            _mutate(tree, parent, mutation, data)
+        bound = data.draw(st.integers(1, tree.n + 1), label="bound")
+        got = _outcome(validate_tree, parent, bound)
+        assert got == _outcome(validate_tree_node_by_node, parent, bound)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidTreeError):
@@ -264,6 +313,16 @@ class TestCheckDegreeFeasible:
             check_degree_feasible(6, bound)
 
 
+class TestEdges:
+    @pytest.mark.parametrize("n, d, seed", [(1, 1, 0), (2, 1, 0), (40, 3, 5), (300, 10, 1)])
+    def test_two_calls_give_the_same_child_ascending_list(self, n, d, seed):
+        tree = random_tree(n, d, seed=seed)
+        first, second = tree.edges(), tree.edges()
+        assert type(first) is list and first == second and first is not second
+        assert [c for _, c in first] == [c for c in range(n) if c != tree.root]
+        assert all(tree.parent[c] == p for p, c in first)
+
+
 class TestWeightedTree:
     def test_accepts_matching_weights(self, spine_tree):
         weights = {edge: 0.5 for edge in spine_tree.edges()}
@@ -285,3 +344,20 @@ class TestWeightedTree:
         weights[(0, 1)] = 0.0
         with pytest.raises(InvalidTreeError):
             WeightedDirectedRootedTree(spine_tree, weights)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tree=parent_array_trees(max_n=12), data=st.data())
+    def test_matches_the_key_set_reference(self, tree, data):
+        weights = {edge: 0.5 for edge in tree.edges()}
+        changes = ["missing", "extra", 0.0, -1.0, float("nan")]
+        for change in data.draw(st.lists(st.sampled_from(changes), max_size=2), label="changes"):
+            edge = data.draw(st.sampled_from(sorted(weights) or [(0, 0)]), label="edge")
+            if change == "missing":
+                weights.pop(edge, None)
+            elif change == "extra":
+                weights[edge[::-1]] = 0.5
+            elif edge in weights:
+                weights[edge] = change
+        got = _outcome(WeightedDirectedRootedTree, tree, weights)
+        expected = _outcome(check_weights_by_key_sets, tree, weights)
+        assert (got if isinstance(got, str) else None) == expected
