@@ -74,8 +74,9 @@ def run_single(
 
     ``seed`` feeds the role streams: seed*4+1 drives the noise (the answers,
     and a stream derived from it that bills each vote's answers), seed*4+2
-    the node sampling (seed*4+0 and +3 are reserved for tree generation and
-    weights by :func:`bench_run`). A noisy run votes with a cap of
+    the exact and noisy drivers' node sampling (seed*4+0 and +3 are
+    reserved for tree generation and weights by :func:`bench_run`); the
+    weighted driver draws nothing. A noisy run votes with a cap of
     ``votes`` answers and a lead of ``lead``, and its ``raw_queries`` are
     the answers its votes asked. The weighted regime needs a weighted
     ``hidden`` unless its single node leaves no edge to weigh; its driver
@@ -88,7 +89,6 @@ def run_single(
     """
     _check_run(regime, eps, delta)
     plain = hidden.tree if isinstance(hidden, WeightedDirectedRootedTree) else hidden
-    rng = random.Random(seed * 4 + 2)
     votes = lead = None
     weights_out = None
 
@@ -111,9 +111,9 @@ def run_single(
 
     try:
         if regime == "weighted":
-            edges, weights_out, stats = reconstruct_weighted(oracle, plain.n, rng)
+            edges, weights_out, stats = reconstruct_weighted(oracle, plain.n)
         else:
-            edges, stats = reconstruct_tree(oracle, plain.n, degree_bound, rng)
+            edges, stats = reconstruct_tree(oracle, plain.n, degree_bound, random.Random(seed * 4 + 2))
     except InconsistentOracleError as err:
         edges, stats, success = set(), err.stats, False
     else:
@@ -152,11 +152,13 @@ def bench_run(
     """Run the full (n, d, rep) grid and return one record per run.
 
     Each record's seed is derived independently from ``base_seed``, so the
-    grid order never shifts a run's randomness. Re-running the same grid
-    reproduces everything but the wall times. ``eps`` and ``delta`` are
-    the noisy regime's noise rate and failure budget. Bad arguments raise
-    ValueError as in :func:`run_single`, and so does a negative ``reps``,
-    before any tree is built, so a 0-rep grid refuses them too.
+    grid order never shifts a run's randomness: seed s builds the tree from
+    s*4, its weights from s*4+3, and :func:`run_single` the rest. Re-running
+    the same grid reproduces everything but the wall times. ``eps`` and
+    ``delta`` are the noisy regime's noise rate and failure budget. Bad
+    arguments raise ValueError as in :func:`run_single`, and so does a
+    negative ``reps``, before any tree is built, so a 0-rep grid refuses
+    them too.
     """
     _check_run(regime, eps, delta)
     if not isinstance(reps, int) or reps < 0:

@@ -80,15 +80,16 @@ both ways settles.
 
 The exact and noisy regimes read every answer only as a truth value: an
 exact bit or a noisy vote's bit. The additive regime reads path sums, which
-are positive exactly when the path exists, and runs no rounds and reads no
-degree bound. It draws one node i and asks Q(k, i) for every other node k:
-the ancestors of i answer their sums to i, and the largest is the root's,
-with one comparison per tie. Then it reads every depth D(k) = Q(r, k). The
-oracle sums a path from its deep end, and float addition is monotone, so an
-ancestor of k is never deeper than k, bit for bit, though depths can tie.
-The nodes so go in by ascending depth, ties by id, and the nodes in at any
-time form a known tree, the hidden tree restricted to them. Each new node
-only looks for its deepest ancestor in it.
+are positive exactly when the path exists, and runs no rounds, reads no
+degree bound and draws nothing. Its root r wins a tournament: node 0 is the
+first candidate, each later node k with Q(k, candidate) a yes the next, and
+r reaches every node. Then it reads every depth D(k) = Q(r, k) but that of
+the node r beat, which r's yes was. The oracle sums a path from its deep
+end, and float addition is monotone, so an ancestor of k is never deeper
+than k, bit for bit, though depths can tie. The nodes so go in by ascending
+depth, ties by id, and the nodes in at any time form a known tree, the
+hidden tree restricted to them. Each new node only looks for its deepest
+ancestor in it.
 
 That search runs down heavy paths (Sleator and Tarjan). Every node keeps
 its children largest subtree first, the first being its heavy child, and a
@@ -124,10 +125,10 @@ at is smaller than w, so over one node's search the logs telescope to
 parent's subtree, so a search crosses at most log2 n light edges. With
 distinct depths the nodes in are closed under ancestors, so the known tree
 is a subtree of the hidden one, and each path's end has at most d - 1 light
-children to ask. One node so asks O(d log n) queries, and the root scan
-and the depth reads add 2n - 2 in all, the audit at most d more. Tied
-depths add one ask per tied child of the parent. A star asks each pair of
-its leaves once, C(n - 1, 2) in all, which is the additive regime's floor.
+children to ask. One node so asks O(d log n) queries, and the tournament
+and the depth reads add 2n - 3, 2n - 2 if node 0 is the root, the audit at
+most d more. Tied depths add one ask per tied child of the parent. A star
+asks each pair of its leaves once, C(n - 1, 2) in all, the regime's floor.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import InconsistentOracleError
-from .trees import check_degree_feasible
+from .trees import check_degree_feasible, check_node_count
 
 
 @dataclass
@@ -486,54 +487,44 @@ def reconstruct_tree(
 
 
 def reconstruct_weighted(
-    oracle,
-    n: int,
-    rng: random.Random,
+    oracle, n: int
 ) -> tuple[Edges, dict[tuple[int, int], float], ReconstructionStats]:
     """Recover the edges on nodes ``0 .. n-1`` and their exact weights from
     an additive oracle, by inserting the nodes in depth order (see the
     module docstring).
 
     ``oracle.query(i, j)`` must return the weight of the path i -> j, and a
-    falsy answer when there is none. The root scan's node is drawn with
-    ``rng.choice``. Each returned weight is a yes heard on its edge, stored
-    verbatim. No degree bound is read and no round is run. An ``n`` that is
-    not an int, or is negative, raises ValueError before any query. A depth
-    read of 0.0 below the root raises InconsistentOracleError. After the
-    last insertion the audit reads Q(root, c) once for every child c of the
-    root, in ascending order of c, and an answer that is falsy or differs
-    from the stored weight raises too; ``stats.audit_queries`` counts these
-    reads, one per child of the root.
+    falsy answer when there is none. Each returned weight is a yes heard on
+    its edge, stored verbatim. No degree bound is read, no round is run and
+    nothing is drawn. An ``n`` that is not an int, or is negative, raises
+    InvalidTreeError before any query. A depth read of 0.0 below the root
+    raises InconsistentOracleError. After the last insertion the audit reads
+    Q(root, c) once for every child c of the root, in ascending order of c,
+    and an answer that is falsy or differs from the stored weight raises
+    too; ``stats.audit_queries`` counts these reads.
     """
-    if not isinstance(n, int):
-        raise ValueError(f"node count must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"node count must be >= 0, got {n}")
+    check_node_count(n)
     stats = ReconstructionStats()
     if n < 2:
         return set(), {}, stats
     query = oracle.query
-    i = rng.choice(range(n))
-    sums = [query(k, i) if k != i else 0.0 for k in range(n)]
-    top = max(sums)
-    root = i
-    if top:
-        root = -1
-        for k, s in enumerate(sums):
-            if s == top and (root < 0 or query(k, root)):
-                root = k
+    # The root reaches every node, so it ends as the candidate.
+    root, beaten, last = 0, -1, 0.0
+    for k in range(1, n):
+        answer = query(k, root)
+        if answer:
+            root, beaten, last = k, root, answer
     dist = [0.0] * n
     for k in range(n):
         if k != root:
-            dist[k] = d = sums[root] if k == i else query(root, k)
+            dist[k] = d = last if k == beaten else query(root, k)
             if not d:
                 raise InconsistentOracleError(
                     f"the oracle reads node {k} at depth 0 below the root {root}; "
                     "oracle answers are inconsistent",
                     stats,
                 )
-    order = sorted(range(n), key=dist.__getitem__)
-    order.remove(root)
+    order = sorted((k for k in range(n) if k != root), key=dist.__getitem__)
     # The tree on the nodes in so far: parents, each node's subtree size
     # negated, its children largest subtree first, and the weight into each
     # node. Sizes fall down a heavy path, so its negated sizes ascend, and

@@ -163,15 +163,20 @@ def max_node_degree(parent: Sequence[int]) -> int:
     return max(deg, default=0) or 1
 
 
-def check_degree_feasible(n: int, degree_bound: int) -> None:
-    """The one gate on a node count and a degree bound: raise
-    InvalidTreeError unless ``n`` is an int >= 0 and some tree on n nodes
-    fits the bound, an int >= 1 that is at least 2 above two nodes. Types
-    are checked first, since a NaN passes every comparison."""
+def check_node_count(n: int) -> None:
+    """Raise InvalidTreeError unless ``n`` is an int >= 0."""
     if not isinstance(n, int):
         raise InvalidTreeError(f"node count must be an int, got {n!r}")
     if n < 0:
         raise InvalidTreeError(f"node count must be >= 0, got {n}")
+
+
+def check_degree_feasible(n: int, degree_bound: int) -> None:
+    """The one gate on a node count and a degree bound: raise
+    InvalidTreeError unless :func:`check_node_count` passes ``n`` and some
+    tree on n nodes fits the bound, an int >= 1 that is at least 2 above
+    two nodes. Types come first, since a NaN passes every comparison."""
+    check_node_count(n)
     if not isinstance(degree_bound, int):
         raise InvalidTreeError(f"degree bound must be an int, got {degree_bound!r}")
     if degree_bound < 1:

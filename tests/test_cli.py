@@ -210,6 +210,21 @@ class TestReconstruct:
         from_root = len(tree.children[tree.root])
         assert {"success=true", "rounds=0", "max_depth=1", f"audit_queries={from_root}"} <= set(out)
 
+    def test_weighted_stats_do_not_move_with_the_seed(self, tmp_path, capsys):
+        # The additive regime draws nothing, so --seed changes no count.
+        hidden = tmp_path / "weighted.txt"
+        assert run("generate", "--shape", "random", "--nodes", "40", "--degree", "3",
+                   "--seed", "5", "--weights", "uniform", "--out", str(hidden)) == EXIT_OK
+        printed = []
+        for seed in ("0", "7"):
+            capsys.readouterr()
+            code = run("reconstruct", "--tree", str(hidden), "--regime", "weighted",
+                       "--stats", "--seed", seed)
+            assert code == EXIT_OK
+            printed.append(capsys.readouterr().out.splitlines())
+        assert "success=true" in printed[0]
+        assert printed[0] == printed[1]
+
     def test_one_node_weighted_round_trip(self, tmp_path, capsys):
         # A 1-node tree has no edge to carry a weight, so its file reads
         # back unweighted; the weighted regime still takes it.

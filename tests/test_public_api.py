@@ -1,6 +1,5 @@
 """The package's public surface, pinned so that any change to it is explicit."""
 
-import importlib
 import inspect
 
 import treeprobe
@@ -47,39 +46,15 @@ def test_driver_signatures_are_pinned():
     # only the tests.
     params = list(inspect.signature(treeprobe.reconstruct_tree).parameters)
     assert params == ["oracle", "n", "degree_bound", "rng"]
-    # The additive regime inserts in depth order and reads no bound.
+    # The additive regime inserts in depth order, reads no bound and draws
+    # nothing.
     params = list(inspect.signature(treeprobe.reconstruct_weighted).parameters)
-    assert params == ["oracle", "n", "rng"]
+    assert params == ["oracle", "n"]
 
 
 def test_bench_run_takes_the_grid_as_parameters():
     params = list(inspect.signature(treeprobe.bench_run).parameters)
     assert params == ["regime", "nodes", "degrees", "reps", "base_seed", "eps", "delta"]
-
-
-def test_traced_driver_names_exist():
-    # perfbench/tracer.py wraps these by name and reports a missing one as
-    # absent, so a rename would silently empty its per-phase spans. Its
-    # reconstruct.bag_search phase wraps find_bag, which is gone: placement
-    # runs inline in path_pieces, so that phase reads absent and its
-    # queries are charged to reconstruct.driver (to reconstruct.weights in
-    # the weighted regime).
-    traced = {
-        "bench": ["run_single"],
-        "reconstruct": [
-            "reconstruct_tree",
-            "reconstruct_weighted",
-            "reconstruct_skeleton_path",
-            "sort_by_ancestry",
-            "find_even_separator",
-        ],
-        "generators": ["random_tree", "parallel_chain", "shaped_tree", "uniform_weights"],
-        "trees": ["validate_tree"],
-    }
-    for module, names in traced.items():
-        namespace = importlib.import_module(f"treeprobe.{module}")
-        for name in names:
-            assert callable(getattr(namespace, name, None)), f"{module}.{name}"
 
 
 def test_base_oracles_define_their_own_query():

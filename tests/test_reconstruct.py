@@ -51,6 +51,7 @@ from reference import (
     accepted_cuts,
     bag_nodes,
     descent,
+    is_ancestor,
     plan_walk_pieces,
     recursive_search_plan,
     root_chain,
@@ -686,7 +687,7 @@ class TestReconstructTree:
     def test_fewer_than_two_nodes_need_nothing(self, n, weighted):
         recorder = _RecordingOracle(_ZeroOracle())
         if weighted:
-            edges, weights, stats = reconstruct_weighted(recorder, n, random.Random(0))
+            edges, weights, stats = reconstruct_weighted(recorder, n)
             assert weights == {}
         else:
             edges, stats = reconstruct_tree(recorder, n, 1, random.Random(0))
@@ -752,25 +753,22 @@ class TestReconstructTree:
     @pytest.mark.parametrize("driver", [reconstruct_tree, reconstruct_weighted])
     def test_negative_node_count_raises_before_any_query(self, n, driver):
         # The count is checked before the bound, which no tree fits here.
-        # Only reconstruct_tree takes a bound, and its gate checks both.
-        bound = (0,) if driver is reconstruct_tree else ()
-        refusal = InvalidTreeError if driver is reconstruct_tree else ValueError
+        # Only reconstruct_tree takes a bound and an rng; both gates check
+        # the count the same way.
+        args = (0, random.Random(0)) if driver is reconstruct_tree else ()
         recorder = _RecordingOracle(_ZeroOracle())
-        with pytest.raises(ValueError, match=f"node count must be >= 0, got {n}") as err:
-            driver(recorder, n, *bound, random.Random(0))
-        assert type(err.value) is refusal
+        with pytest.raises(InvalidTreeError, match=f"node count must be >= 0, got {n}"):
+            driver(recorder, n, *args)
         assert recorder.transcript == []
 
     @pytest.mark.parametrize("n", [2.5, None])
     @pytest.mark.parametrize("driver", [reconstruct_tree, reconstruct_weighted])
     def test_a_node_count_that_is_not_an_int_raises_before_any_query(self, n, driver):
         # Both raised TypeError, from range or from a comparison.
-        bound = (3,) if driver is reconstruct_tree else ()
-        refusal = InvalidTreeError if driver is reconstruct_tree else ValueError
+        args = (3, random.Random(0)) if driver is reconstruct_tree else ()
         recorder = _RecordingOracle(_ZeroOracle())
-        with pytest.raises(ValueError, match=f"node count must be an int, got {n}") as err:
-            driver(recorder, n, *bound, random.Random(0))
-        assert type(err.value) is refusal
+        with pytest.raises(InvalidTreeError, match=f"node count must be an int, got {n}"):
+            driver(recorder, n, *args)
         assert recorder.transcript == []
 
     def test_forced_first_pair_yields_the_expected_cut(self, bent_tree):
@@ -1268,11 +1266,10 @@ class TestAudit:
         d = tree.degree_bound
         bound = {"true": d, "one below": max(2, d - 1), "two": 2}[bound]
         recorder = _RecordingOracle(self.ORACLES[regime](tree))
-        rng = random.Random(seed)
         if regime == "weighted":
-            edges, weights, stats = reconstruct_weighted(recorder, tree.n, rng)
+            edges, weights, stats = reconstruct_weighted(recorder, tree.n)
         else:
-            edges, stats = reconstruct_tree(recorder, tree.n, bound, rng)
+            edges, stats = reconstruct_tree(recorder, tree.n, bound, random.Random(seed))
         assert edges == set(tree.edges())
         # The audit's queries end the run. The weighted run's audit reads
         # each edge out of the root once more, and each weight it returns is
@@ -1503,7 +1500,7 @@ def _run_noisy(tree, bound):
 def _run_weighted(tree, bound):
     # The weighted driver reads no bound.
     oracle = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=9)))
-    edges, _, stats = reconstruct_weighted(oracle, tree.n, random.Random(0))
+    edges, _, stats = reconstruct_weighted(oracle, tree.n)
     return oracle, edges, stats
 
 
@@ -1515,7 +1512,7 @@ TRANSCRIPTS = {
     "star-doubling": "4203fc5f89e977f434703f046e2c6fc7724ae87d01dc7dcd55ccf4e935eda49f",
     "wrong-bound": "7a9f4aeaf9df95318f2a981bd3a4736e0e08c912ef59c1af3d40e6fb93729983",
     "noisy": "5d34c2bc64998fc174a3156267501034e35e6496150d0223de07d29a57c624b7",
-    "weighted": "7f26a2c0f7991f769cb83d8b5ca83198ae97e277dccb96108f2c175db99ad268",
+    "weighted": "7590bacb69dac9735f30a68ebe41ee219403e8c53960daefc40504e65c1dda8f",
     "relabelled-n3": "41e900f87b6be6200414eb2c8d3a68da0597838e77476c6c69ea54719a7bd79e",
     "relabelled-n5": "f689bae74f80dd0338770cc50c5d019200268616339325c62d908fe0e575db67",
     "relabelled-n8": "2ea6b82b16164f1f291d35ac34d246fd001ec880dd16064dc41e2d1cf2de0415",
@@ -1674,7 +1671,7 @@ class TestEveryInputTerminates:
         oracle = _CappedOracle(_RandomLiar(seed), _query_cap(n))
         try:
             if additive:
-                edges, _, _ = reconstruct_weighted(oracle, n, random.Random(seed))
+                edges, _, _ = reconstruct_weighted(oracle, n)
             else:
                 edges, _ = reconstruct_tree(oracle, n, bound, random.Random(seed))
         except InconsistentOracleError:
@@ -1732,7 +1729,7 @@ class TestReconstructWeighted:
     def test_edges_and_weights_recovered_verbatim(self, bent_tree):
         hidden = uniform_weights(bent_tree, seed=17)
         oracle = AdditiveOracle(hidden)
-        edges, weights, _ = reconstruct_weighted(oracle, 11, random.Random(1))
+        edges, weights, _ = reconstruct_weighted(oracle, 11)
         assert edges == set(bent_tree.edges())
         assert weights == dict(hidden.weights)
 
@@ -1749,9 +1746,7 @@ class TestReconstructWeighted:
     def test_a_run_has_no_rounds(self, tree):
         # No round and no split; the audit reads each edge out of the root.
         hidden = uniform_weights(tree, seed=17)
-        edges, weights, stats = reconstruct_weighted(
-            AdditiveOracle(hidden), tree.n, random.Random(1)
-        )
+        edges, weights, stats = reconstruct_weighted(AdditiveOracle(hidden), tree.n)
         assert edges == set(tree.edges())
         assert weights == dict(hidden.weights)
         assert (stats.rounds_total, stats.recursion_depth_max, stats.audit_queries) == (
@@ -1761,21 +1756,28 @@ class TestReconstructWeighted:
     @pytest.mark.parametrize("shape", ["star", "random"])
     @pytest.mark.parametrize("seed", range(3))
     def test_the_root_scan_and_the_depth_reads_come_first(self, shape, seed):
-        # Q(k, i) for every k != i of the drawn i, then Q(root, k) for every
-        # k but the root and i, both in node order. No insertion query asks
-        # the root, or asks about a node deeper than its target, and the
-        # audit ends the run with the root's edges, in order of the child's
-        # id.
+        # The tournament's Q(k, candidate) for k = 1 .. n-1, a candidate
+        # beaten by each k that reaches it, then Q(root, k) in node order
+        # for every k but the root and the node it beat, whose depth its
+        # yes was. No insertion query asks the root, or asks about a node
+        # deeper than its target, and the audit ends the run with the
+        # root's edges, in order of the child's id.
         tree = shaped_tree("star", 30) if shape == "star" else random_tree(200, 3, seed=2)
         tree = _relabelled(tree, seed)
         hidden = uniform_weights(tree, seed=5)
         recorder = _RecordingOracle(AdditiveOracle(hidden))
-        edges, weights, _ = reconstruct_weighted(recorder, tree.n, random.Random(seed))
+        edges, weights, _ = reconstruct_weighted(recorder, tree.n)
         assert edges == set(tree.edges()) and weights == dict(hidden.weights)
         pairs = [(a, b) for a, b, _ in recorder.transcript]
-        i, root, n = pairs[0][1], tree.root, tree.n
-        assert pairs[: n - 1] == [(k, i) for k in range(n) if k != i]
-        reads = [(root, k) for k in range(n) if k not in (root, i)]
+        root, n = tree.root, tree.n
+        candidate, beaten, tournament = 0, None, []
+        for k in range(1, n):
+            tournament.append((k, candidate))
+            if is_ancestor(tree, k, candidate):
+                candidate, beaten = k, candidate
+        assert candidate == root
+        assert pairs[: n - 1] == tournament
+        reads = [(root, k) for k in range(n) if k not in (root, beaten)]
         assert pairs[n - 1 : n - 1 + len(reads)] == reads
         depth = {k: recorder.inner.query(root, k) for k in range(n) if k != root}
         depth[root] = 0.0
@@ -1786,43 +1788,46 @@ class TestReconstructWeighted:
 
     def test_tied_sums_keep_the_highest_node_as_root(self):
         # The root 1 sits 2**-53 above node 0, so Q(0, 4) and Q(1, 4) both
-        # read 3.0; one comparison, Q(1, 0), puts 1 above 0. The depth
-        # reads skip 4, whose depth the scan heard.
+        # read 3.0. No sum is compared: Q(1, 0) beats the candidate 0, and
+        # its answer, 2**-53, is 0's depth, which no depth read asks again.
         tree = validate_tree([1, ROOT, 0, 2, 3], 2)
         weights = {(1, 0): 2.0**-53, (0, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0}
         hidden = WeightedDirectedRootedTree(tree, weights)
         recorder = _RecordingOracle(AdditiveOracle(hidden))
-        edges, got, _ = reconstruct_weighted(recorder, 5, ScriptedRng([4]))
+        edges, got, stats = reconstruct_weighted(recorder, 5)
         assert edges == set(tree.edges())
         assert {e: w.hex() for e, w in got.items()} == {e: w.hex() for e, w in weights.items()}
-        # The depth read of 0 asks the comparison's pair again.
         pairs = [(a, b) for a, b, _ in recorder.transcript]
-        assert pairs[:7] == [(0, 4), (1, 4), (2, 4), (3, 4), (1, 0), (1, 0), (1, 2)]
+        assert pairs[:7] == [(1, 0), (2, 1), (3, 1), (4, 1), (1, 2), (1, 3), (1, 4)]
+        before = pairs[: len(pairs) - stats.audit_queries]
+        assert len(set(before)) == len(before)
 
     @pytest.mark.parametrize("parent", [(ROOT, 0), (1, ROOT)])
     @pytest.mark.parametrize("seed", range(4))
     def test_two_nodes_take_at_most_three_queries(self, parent, seed):
-        # Drawing the child settles the pair in one query, whose answer is
-        # the depth; drawing the root takes a depth read after it. The
-        # audit reads the edge once more.
+        # The tournament's one query, Q(1, 0), settles the pair when 1 is
+        # the root, its answer being 0's depth; with 0 the root a depth
+        # read follows. The audit reads the edge once more. The seed draws
+        # only the weight.
         tree = validate_tree(parent, 1)
-        hidden = uniform_weights(tree, seed=5)
+        hidden = uniform_weights(tree, seed=seed)
         recorder = _RecordingOracle(AdditiveOracle(hidden))
-        edges, weights, stats = reconstruct_weighted(recorder, 2, random.Random(seed))
+        edges, weights, stats = reconstruct_weighted(recorder, 2)
         assert edges == set(tree.edges())
         assert weights == dict(hidden.weights)
         pairs = [(a, b) for a, b, _ in recorder.transcript]
-        drawn = pairs[0][1]
-        found = [(tree.root, drawn)] if drawn != tree.root else [(1 - drawn, drawn), (drawn, 1 - drawn)]
+        found = [(1, 0)] if tree.root == 1 else [(1, 0), (0, 1)]
         assert pairs == found + [(tree.root, 1 - tree.root)]
         assert stats == reconstruct.ReconstructionStats(audit_queries=1)
 
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", range(4))
     def test_a_root_childs_depth_read_of_zero_fails_the_run(self, seed):
         # A root child's depth read is its edge's weight, and no later query
         # asks that edge again. A read of 0.0 there must still fail the run,
-        # not come back as a weight.
-        tree = random_tree(40, 3, seed=11)
+        # not come back as a weight. The seed relabels the tree; at seed 3
+        # the root beats its child 24 in the tournament, so the 0.0 there
+        # denies the yes that would have made the root the candidate.
+        tree = _relabelled(random_tree(40, 3, seed=11), seed)
         hidden = uniform_weights(tree, seed=12)
         for child in tree.children[tree.root]:
 
@@ -1832,14 +1837,15 @@ class TestReconstructWeighted:
                     return 0.0 if (i, j) == (tree.root, child) else answer
 
             with pytest.raises(InconsistentOracleError):
-                reconstruct_weighted(RootLiar(hidden), tree.n, random.Random(seed))
+                reconstruct_weighted(RootLiar(hidden), tree.n)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_a_deeper_depth_read_of_zero_fails_before_any_insertion(self, seed):
         # Every depth is read before the first node goes in, so a read of
         # 0.0 below the root's children raises after at most 2n - 2 queries,
-        # with the stats of a run that ran no round.
-        tree = random_tree(40, 3, seed=11)
+        # with the stats of a run that ran no round. The seed relabels the
+        # tree.
+        tree = _relabelled(random_tree(40, 3, seed=11), seed)
         hidden = uniform_weights(tree, seed=12)
         deeper = [k for k in range(tree.n) if tree.parent[k] not in (ROOT, tree.root)]
         for k in deeper[:: 4]:
@@ -1851,7 +1857,7 @@ class TestReconstructWeighted:
 
             liar = DepthLiar(hidden)
             with pytest.raises(InconsistentOracleError, match="depth 0") as caught:
-                reconstruct_weighted(liar, tree.n, random.Random(seed))
+                reconstruct_weighted(liar, tree.n)
             assert caught.value.stats == reconstruct.ReconstructionStats()
             assert liar.calls <= 2 * tree.n - 2
 
@@ -1863,24 +1869,57 @@ class TestReconstructWeighted:
     )
     def test_tied_depths_keep_every_edge_and_weight(self, shape, n, seed):
         # Weights of 1.0 and 2**-53 make many depths and sums tie in floats,
-        # so ancestors share their descendants' depths, nodes go in below
-        # their tied descendants and move them, and the root scan compares
-        # tied sums. Every edge and every weight, bit for bit, is the hidden
-        # tree's.
+        # so ancestors share their descendants' depths, and nodes go in
+        # below their tied descendants and move them. Every edge and every
+        # weight, bit for bit, is the hidden tree's.
         tree = _relabelled(_shaped(shape, n, seed), seed)
         hidden = _magnitudes(tree, seed)
-        edges, weights, _ = reconstruct_weighted(
-            AdditiveOracle(hidden), tree.n, random.Random(seed)
-        )
+        edges, weights, _ = reconstruct_weighted(AdditiveOracle(hidden), tree.n)
         assert edges == set(tree.edges())
         assert {e: w.hex() for e, w in weights.items()} == {
             e: w.hex() for e, w in hidden.weights.items()
         }
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["chain", "star", "random"]),
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_a_run_is_a_function_of_its_oracle(self, shape, n, seed):
+        # The run draws nothing, so two runs over fresh oracles on one tree
+        # ask the same pairs, hear the same answers and return the same tree.
+        tree = _relabelled(_shaped(shape, n, seed), seed)
+        hidden = uniform_weights(tree, seed=seed)
+        runs = []
+        for _ in range(2):
+            recorder = _RecordingOracle(AdditiveOracle(hidden))
+            runs.append((reconstruct_weighted(recorder, tree.n), recorder.transcript))
+        assert runs[0] == runs[1]
+        assert runs[0][0][1] == dict(hidden.weights)
+
+    @pytest.mark.parametrize("shape", ["chain", "star", "caterpillar", "random"])
+    @pytest.mark.parametrize("seed", range(1, 4))
+    def test_the_root_asks_the_node_it_beat_once(self, shape, seed):
+        # The yes that makes the root the candidate is the beaten node's
+        # depth, so no depth read or insertion asks (root, beaten) again
+        # before the audit. These labels keep the root off node 0, so the
+        # root beats some node.
+        tree = _relabelled(_shaped(shape, 40, seed), seed)
+        assert tree.root != 0
+        recorder = _RecordingOracle(AdditiveOracle(uniform_weights(tree, seed=seed)))
+        edges, _, stats = reconstruct_weighted(recorder, tree.n)
+        assert edges == set(tree.edges())
+        pairs = [(a, b) for a, b, _ in recorder.transcript]
+        before = pairs[: len(pairs) - stats.audit_queries]
+        yes = [(a, b) for a, b, answer in recorder.transcript[: tree.n - 1] if answer]
+        assert yes[-1][0] == tree.root
+        assert before.count(yes[-1]) == 1
+
     def test_weight_keys_are_the_recovered_edges(self):
         tree = random_tree(20, 4, seed=3)
         hidden = uniform_weights(tree, seed=4)
-        edges, weights, _ = reconstruct_weighted(AdditiveOracle(hidden), 20, random.Random(2))
+        edges, weights, _ = reconstruct_weighted(AdditiveOracle(hidden), 20)
         assert set(weights) == edges
 
 
@@ -1897,7 +1936,7 @@ class TestAdditiveFloor:
     def _check(tree, seed):
         hidden = uniform_weights(tree, seed=seed)
         recorder = _RecordingOracle(AdditiveOracle(hidden))
-        edges, weights, stats = reconstruct_weighted(recorder, tree.n, random.Random(seed))
+        edges, weights, stats = reconstruct_weighted(recorder, tree.n)
         assert edges == set(tree.edges()) and weights == dict(hidden.weights)
         asked = {frozenset((i, j)) for i, j, _ in recorder.transcript}
         missing = {frozenset(pair) for pair in _sibling_leaf_pairs(tree)} - asked
