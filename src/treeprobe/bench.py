@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InconsistentOracleError
@@ -21,9 +21,11 @@ CSV_HEADER = "regime,n,d,eps,delta,seed,raw_queries,logical_queries,rounds,succe
 _SEED_MASK = (1 << 63) - 1
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """One reconstruction run, as written to the CSV."""
+@dataclass
+class RunOutcome:
+    """One simulated run: its inputs, what it recovered and what it cost,
+    for ``--stats`` and a bench CSV row alike. Runs that differ only in
+    ``wall_ms`` compare equal."""
 
     regime: str
     n: int
@@ -31,25 +33,19 @@ class BenchRecord:
     eps: float | None
     delta: float | None
     seed: int
-    raw_queries: int
-    logical_queries: int
-    rounds: int
-    success: bool
-    wall_ms: float
-
-
-@dataclass
-class RunOutcome:
-    """Everything a single simulated run produced (bench rows keep a subset)."""
-
     edges: set[tuple[int, int]]
     weights: dict[tuple[int, int], float] | None
     stats: ReconstructionStats
     raw_queries: int
     logical_queries: int
     success: bool
-    votes: int | None = None
-    lead: int | None = None
+    votes: int | None
+    lead: int | None
+    wall_ms: float = field(compare=False)
+
+    @property
+    def rounds(self) -> int:
+        return self.stats.rounds_total
 
 
 def derive_seed(base_seed: int, n: int, d: int, rep: int) -> int:
@@ -85,8 +81,10 @@ def run_single(
     regimes reach through their driver or ``vote_size``. An unknown
     regime, ``eps`` or ``delta`` missing in the noisy regime or given in
     another, ``eps`` outside (0, 1/2) or ``delta`` outside (0, 1) raise
-    ValueError before any oracle is built, on a 1-node tree too.
+    ValueError before any oracle is built, on a 1-node tree too. The
+    outcome keeps the run's arguments, and its ``wall_ms`` times the call.
     """
+    started = time.perf_counter()
     _check_run(regime, eps, delta)
     plain = hidden.tree if isinstance(hidden, WeightedDirectedRootedTree) else hidden
     votes = lead = None
@@ -129,6 +127,12 @@ def run_single(
         )
 
     return RunOutcome(
+        regime=regime,
+        n=plain.n,
+        d=degree_bound,
+        eps=eps,
+        delta=delta,
+        seed=seed,
         edges=edges,
         weights=weights_out,
         stats=stats,
@@ -137,6 +141,7 @@ def run_single(
         success=success,
         votes=votes,
         lead=lead,
+        wall_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 
@@ -148,54 +153,43 @@ def bench_run(
     base_seed: int,
     eps: float | None = None,
     delta: float | None = None,
-) -> list[BenchRecord]:
-    """Run the full (n, d, rep) grid and return one record per run.
+) -> list[RunOutcome]:
+    """Run the full (n, d, rep) grid and return one :class:`RunOutcome` per
+    run, each made by :func:`run_single`.
 
-    Each record's seed is derived independently from ``base_seed``, so the
+    Each run's seed is derived independently from ``base_seed``, so the
     grid order never shifts a run's randomness: seed s builds the tree from
     s*4, its weights from s*4+3, and :func:`run_single` the rest. Re-running
     the same grid reproduces everything but the wall times. ``eps`` and
     ``delta`` are the noisy regime's noise rate and failure budget. Bad
-    arguments raise ValueError as in :func:`run_single`, and so does a
-    negative ``reps``, before any tree is built, so a 0-rep grid refuses
-    them too.
+    arguments raise ValueError as in :func:`run_single`, and so do a
+    negative ``reps`` and a cell with no tree (``n`` below 1, or a bound no
+    tree on ``n`` nodes fits), before any tree is built, so a 0-rep grid
+    refuses them too.
     """
     _check_run(regime, eps, delta)
     if not isinstance(reps, int) or reps < 0:
         raise ValueError(f"reps must be an int >= 0, got {reps!r}")
-    records = []
+    for n in nodes:
+        for d in degrees:
+            check_degree_feasible(n, d)
+            if n < 1:
+                raise ValueError(f"grid sizes must be >= 1, got {n}")
+    runs = []
     for n in nodes:
         for d in degrees:
             for rep in range(reps):
                 seed = derive_seed(base_seed, n, d, rep)
                 tree = random_tree(n, d, seed=seed * 4)
+                hidden: DirectedRootedTree | WeightedDirectedRootedTree = tree
                 if regime == "weighted":
-                    hidden: DirectedRootedTree | WeightedDirectedRootedTree
                     hidden = uniform_weights(tree, seed=seed * 4 + 3)
-                else:
-                    hidden = tree
-                started = time.perf_counter()
-                outcome = run_single(regime, hidden, d, seed, eps=eps, delta=delta)
-                wall_ms = (time.perf_counter() - started) * 1000.0
-                records.append(
-                    BenchRecord(
-                        regime=regime,
-                        n=n,
-                        d=d,
-                        eps=eps,
-                        delta=delta,
-                        seed=seed,
-                        raw_queries=outcome.raw_queries,
-                        logical_queries=outcome.logical_queries,
-                        rounds=outcome.stats.rounds_total,
-                        success=outcome.success,
-                        wall_ms=wall_ms,
-                    )
-                )
-    return records
+                runs.append(run_single(regime, hidden, d, seed, eps=eps, delta=delta))
+    return runs
 
 
-def records_to_csv(records: Iterable[BenchRecord]) -> str:
+def records_to_csv(records: Iterable[RunOutcome]) -> str:
+    """The CSV of a grid's runs: :data:`CSV_HEADER`, then one row per run."""
     lines = [CSV_HEADER]
     for r in records:
         eps = "" if r.eps is None else repr(r.eps)

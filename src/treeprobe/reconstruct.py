@@ -270,9 +270,10 @@ def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[i
     it is monotone (a prefix of ones), so each node off the path is placed
     under the deepest path node that reaches it; the root is never asked.
 
-    A path of one node asks nothing. A path of two nodes has one split, so
-    each node off it asks ``Q(path[1], k)`` once, in ``part`` order, in one
-    pass. On a longer path each node walks a ``search_plan`` over the
+    A path of one node asks nothing: its plan is one answer, so the walk
+    puts every other node in its one piece. A path of two nodes has one
+    split, so each node off it asks ``Q(path[1], k)`` once, in ``part``
+    order, in one pass. On a longer path each node walks a ``search_plan`` over the
     path's positions. The first 16 nodes are placed with unit weights, by
     plain binary searches with ceiling midpoints that ask at most
     ceil(log2 k) queries on a k-node path. Then the path is reweighed, and
@@ -283,9 +284,6 @@ def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[i
     W, so at most 2 ceil(log2 s) + 2 on a part of s nodes.
     """
     query = oracle.query
-    if len(path) == 1:
-        r = path[0]
-        return [[r, *(k for k in part if k != r)]]
     if len(path) == 2:
         r, last = path
         top, below = [r], [last]

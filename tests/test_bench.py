@@ -20,7 +20,7 @@ from treeprobe import (
     uniform_weights,
     vote_size,
 )
-from treeprobe.bench import CSV_HEADER, BenchRecord, derive_seed
+from treeprobe.bench import CSV_HEADER, RunOutcome, derive_seed
 
 
 class TestDeriveSeed:
@@ -334,13 +334,27 @@ class TestBenchRun:
             assert r.wall_ms >= 0.0
 
     def test_rerun_matches_except_wall_time(self):
-        def key(r: BenchRecord):
+        def key(r: RunOutcome):
             return (
                 r.regime, r.n, r.d, r.eps, r.delta, r.seed,
                 r.raw_queries, r.logical_queries, r.rounds, r.success,
             )
 
         assert list(map(key, bench_run(*self.GRID))) == list(map(key, bench_run(*self.GRID)))
+
+    @pytest.mark.parametrize("regime", ["exact", "noisy", "weighted"])
+    def test_each_record_is_run_single_on_its_cell(self, regime):
+        # A grid row is the run itself, not a copy of some of its fields.
+        noise = {"eps": 0.1, "delta": 0.1} if regime == "noisy" else {}
+        (record,) = bench_run(regime, [15], [3], 1, 4, **noise)
+        seed = derive_seed(4, 15, 3, 0)
+        hidden = random_tree(15, 3, seed=seed * 4)
+        if regime == "weighted":
+            hidden = uniform_weights(hidden, seed=seed * 4 + 3)
+        alone = run_single(regime, hidden, 3, seed, **noise)
+        assert alone.success
+        # Inputs, edges, weights, stats, counts, votes and lead: all but wall_ms.
+        assert record == alone
 
     def test_record_seeds_do_not_depend_on_grid_position(self):
         wide_by_n = {r.n: r for r in bench_run("exact", [12, 18], [3], 1, 77)}
@@ -382,12 +396,15 @@ class TestCsv:
         float(fields[10])  # wall_ms parses
 
     def test_noise_columns_round_trip_through_repr(self):
-        record = BenchRecord(
+        record = RunOutcome(
             regime="noisy", n=10, d=3, eps=0.1, delta=0.05, seed=1,
-            raw_queries=100, logical_queries=10, rounds=9, success=False, wall_ms=1.5,
+            edges=set(), weights=None, stats=bench.ReconstructionStats(rounds_total=9),
+            raw_queries=100, logical_queries=10, success=False, votes=11, lead=6, wall_ms=1.5,
         )
         line = records_to_csv([record]).splitlines()[1]
         fields = line.split(",")
         assert float(fields[3]) == 0.1
         assert float(fields[4]) == 0.05
+        assert fields[8] == "9"
         assert fields[9] == "false"
+        assert fields[10] == "1.500"

@@ -17,7 +17,7 @@ from treeprobe import (
     save_tree,
     shaped_tree,
 )
-from treeprobe import cli
+from treeprobe import bench, cli
 from treeprobe.bench import RunOutcome
 from treeprobe.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
 from treeprobe.reconstruct import ReconstructionStats
@@ -127,7 +127,10 @@ class TestReconstruct:
     def test_failed_run_prints_its_audit_count(self, hidden_file, monkeypatch, capsys):
         def failed_run(*args, **kwargs):
             stats = ReconstructionStats(rounds_total=5, audit_queries=3)
-            return RunOutcome(set(), None, stats, 40, 40, success=False)
+            return RunOutcome(
+                "exact", 3, 2, None, None, 0, set(), None, stats, 40, 40,
+                success=False, votes=None, lead=None, wall_ms=0.0,
+            )
 
         monkeypatch.setattr(cli, "run_single", failed_run)
         assert run("reconstruct", "--tree", str(hidden_file), "--stats") == EXIT_MISMATCH
@@ -171,7 +174,10 @@ class TestReconstruct:
         edges = set(spine_tree.edges()) if with_out else set()
 
         def failed_run(*args, **kwargs):
-            return RunOutcome(edges, None, ReconstructionStats(), 0, 0, success=False)
+            return RunOutcome(
+                "exact", 3, 2, None, None, 0, edges, None, ReconstructionStats(), 0, 0,
+                success=False, votes=None, lead=None, wall_ms=0.0,
+            )
 
         monkeypatch.setattr(cli, "run_single", failed_run)
         argv = ["reconstruct", "--tree", str(hidden_file), "--stats"]
@@ -351,11 +357,29 @@ class TestBench:
         assert len(lines) == 1 + 4
         assert "wrote 4 records" in capsys.readouterr().out
 
-    def test_rejects_tiny_nodes(self, tmp_path):
+    @pytest.mark.parametrize("regime", ["exact", "noisy", "weighted"])
+    def test_single_node_grid_succeeds(self, tmp_path, regime):
+        csv_path = tmp_path / "one.csv"
+        noise = ["--eps", "0.1", "--delta", "0.1"] if regime == "noisy" else []
+        code = run("bench", "--regime", regime, *noise, "--nodes", "1", "--degrees", "1,2",
+                   "--reps", "2", "--csv", str(csv_path))
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(row[1] == "1" and row[9] == "true" for row in rows)
+
+    @pytest.mark.parametrize("nodes, degrees", [("12,0", "3"), ("12", "1")])
+    def test_bad_cell_is_refused_before_any_cell_runs(self, tmp_path, monkeypatch, nodes, degrees):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was checked")
+
+        monkeypatch.setattr(bench, "run_single", no_run)
+        target = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as caught:
-            run("bench", "--nodes", "1,5", "--degrees", "2", "--reps", "1",
-                "--csv", str(tmp_path / "x.csv"))
+            run("bench", "--nodes", nodes, "--degrees", degrees, "--reps", "1",
+                "--csv", str(target))
         assert caught.value.code == 2
+        assert not target.exists()
 
     @pytest.mark.parametrize("degrees", ["1", "0"])
     def test_infeasible_degree_is_a_usage_error(self, tmp_path, degrees):

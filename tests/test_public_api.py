@@ -1,5 +1,6 @@
 """The package's public surface, pinned so that any change to it is explicit."""
 
+import dataclasses
 import inspect
 
 import treeprobe
@@ -55,6 +56,16 @@ def test_driver_signatures_are_pinned():
 def test_bench_run_takes_the_grid_as_parameters():
     params = list(inspect.signature(treeprobe.bench_run).parameters)
     assert params == ["regime", "nodes", "degrees", "reps", "base_seed", "eps", "delta"]
+
+
+def test_run_record_fields_are_pinned():
+    # One record serves the CLI's --stats lines, a bench grid and its CSV.
+    fields = [f.name for f in dataclasses.fields(treeprobe.bench.RunOutcome)]
+    assert fields == [
+        "regime", "n", "d", "eps", "delta", "seed",
+        "edges", "weights", "stats", "raw_queries", "logical_queries", "success",
+        "votes", "lead", "wall_ms",
+    ]
 
 
 def test_base_oracles_define_their_own_query():

@@ -513,10 +513,13 @@ class TestWeightedPlacement:
             p, i = descent(tree, rng.randrange)
             rest = subtree_nodes(tree, p)[1:]
             rng.shuffle(rest)
-            part, path = [p, *rest], skeleton_path(tree, p, i)[1]
-            fast, walk = _RecordingOracle(ExactOracle(tree)), _RecordingOracle(ExactOracle(tree))
-            assert path_pieces(fast, part, path) == plan_walk_pieces(walk, part, path)
-            assert fast.transcript == walk.transcript
+            part = [p, *rest]
+            # A round that draws a node of an earlier path walks the path [p].
+            for path in (skeleton_path(tree, p, i)[1], [p]):
+                fast = _RecordingOracle(ExactOracle(tree))
+                walk = _RecordingOracle(ExactOracle(tree))
+                assert path_pieces(fast, part, path) == plan_walk_pieces(walk, part, path)
+                assert fast.transcript == walk.transcript
 
     @pytest.mark.parametrize("seed", range(5))
     def test_first_placements_ask_what_plain_binary_search_asks(self, seed):
