@@ -20,7 +20,8 @@ stopped as soon as it is decided: a plain majority is the full-lead walk,
 read from the same table as every other lead. The chance that the vote is
 wrong, and the law of the time it stops at, are computed exactly once per
 (votes, lead, noise) and cached (``_walk``), and an oracle binds its table
-at construction. The oracle answers each query with one uniform draw
+at construction. A table over 10**7 walk steps is refused before it is
+built. The oracle answers each query with one uniform draw
 against that chance, and bills the votes of the queries it answered only
 when ``raw`` is read: per outcome, how many of them stopped at each time is
 one multinomial draw from a second random stream that the answers never
@@ -28,8 +29,8 @@ see. Given the outcomes, the stopping times are independent of everything
 else, so answers and bill have the same joint law as votes asked one by
 one.
 
-``vote_size`` sizes a run's votes: the smallest lead from Wald's up that an
-odd cap keeps, and the smallest such cap, so every vote stops within it.
+``vote_size`` sizes a run's votes: the Hoeffding count caps them, and the
+lead is the smallest from Wald's up whose table at that cap meets delta / B.
 
 Every oracle answers ``query(i, j)``, truthy exactly when it claims a
 directed path i -> j: the exact bit, a noisy vote's bit, or the path's
@@ -42,12 +43,11 @@ import functools
 import math
 import random
 from itertools import accumulate
-from typing import Iterator
 
 from .trees import DirectedRootedTree, WeightedDirectedRootedTree, check_degree_feasible
 
-# Walk steps that sizing a cell's votes, or building one vote table, may
-# cost: about a second in CPython.
+# Walk steps that building one vote table may cost: about a second in
+# CPython.
 _STEP_BUDGET = 10**7
 
 
@@ -97,9 +97,9 @@ class NoisyOracle(_Oracle):
     (votes + 1) / 2, a plain majority of ``votes`` stopped once decided,
     whose error and stopping law come from the same ``_walk`` table as any
     other lead's. Building that table costs O(votes * lead), so O(votes^2)
-    at the full lead, where a lead from ``vote_size`` is far below it; a
-    ``votes * lead`` over 10**7 steps raises ValueError before the table
-    is built.
+    at the full lead, where a lead from ``vote_size`` is far below it;
+    ``_walk`` refuses a ``votes * lead`` over 10**7 steps with ValueError
+    before its first step.
     ``noise`` may be 0.0 (degenerate no-flip limit) but must stay below 1/2.
 
     ``seed`` has no default and must not be None, so no stream seeds from
@@ -131,7 +131,6 @@ class NoisyOracle(_Oracle):
             lead = half
         elif not isinstance(lead, int) or not 1 <= lead <= half:
             raise ValueError(f"lead must be an int in [1, {half}] for {votes} votes, got {lead!r}")
-        _check_table(votes, lead)
         super().__init__(tree)
         self.noise = noise
         self.votes = votes
@@ -244,32 +243,31 @@ def vote_size(noise: float, failure_prob: float, n: int, degree_bound: int) -> t
     ``degree_bound`` is at least the true degree, and the tests check it on
     random trees at d = 3, 5 and 10.
 
+    The cap is the Hoeffding count, the smallest odd integer at least
+
+        ln(B / delta) / (2 * (1/2 - noise)^2).
+
     With r = (1 - noise) / noise, a vote that stops with lead |D| is wrong
     with posterior chance Z = 1 / (1 + r^|D|) under a fair prior on the true
     bit, and its error is E[Z]. A capped walk stops with |D| <= h, so its
     error is at least 1 / (1 + r^h), the error of Wald's uncapped walk: no
     lead below the smallest h with 1 / (1 + r^h) <= delta / B can do. From
-    that h up, one pass of ``_cap_errors`` per lead gives the error of every
-    odd cap up to the Hoeffding count, the smallest odd integer at least
+    that h up, each lead's table at the cap, the one the oracle bills from
+    (``_walk``), is built until its error meets the target. A capped error
+    tends to Wald's from above, so a lead whose Wald error sits just under
+    the target may miss and the next lead is tried. The search ends by the
+    full lead (cap + 1) / 2 at the latest, a plain majority of the cap,
+    since exp(-2 m (1/2 - noise)^2) bounds a majority of m's error. Sizing
+    builds only tables it could return, and the pair returned has its table
+    cached. Cached: every run of a grid cell asks the same.
 
-        ln(B / delta) / (2 * (1/2 - noise)^2),
-
-    and the first cap that meets the target there and in the table the
-    oracle bills from (``_walk``) is taken. A capped error tends to Wald's
-    from above, so a lead whose Wald error sits just under the target may
-    have no cap and the next lead is tried. Half the Hoeffding count is a
-    plain majority of it, which always meets the target, since
-    exp(-2 m (1/2 - noise)^2) bounds a majority of m's error. Cached: every
-    run of a grid cell asks the same.
-
-    A pass costs about ``most * lead`` steps, so sizing near noise 1/2 or
-    delta 0 can take hours before the first query. A cell whose Hoeffding
-    count times Wald's lead exceeds 10**7 steps, over a second of passes
-    in CPython, raises ValueError before any pass runs; at n = 400, d = 3
-    and delta = 0.1 that refuses noise 0.49 and keeps 0.48. A few cells
-    just under that find a pair whose own table, ``votes * lead`` steps,
-    is over the budget, which ``NoisyOracle`` refuses: they raise
-    ValueError before building it, so every pair returned builds.
+    A table costs ``votes * lead`` steps, so sizing near noise 1/2 or delta
+    0 could take hours before the first query. ``_walk`` refuses a table
+    over 10**7 steps, about a second in CPython, with ValueError before its
+    first step, so a cell is refused once a lead it tries has a table over
+    that, and every pair returned builds; at n = 400, d = 3 and delta = 0.1
+    that refuses noise 0.49 and keeps 0.48. A delta / B that underflows to
+    0.0 raises ValueError.
     """
     if noise is None or not 0.0 < noise < 0.5:
         raise ValueError(f"noise must lie in (0, 0.5), got {noise}")
@@ -280,66 +278,19 @@ def vote_size(noise: float, failure_prob: float, n: int, degree_bound: int) -> t
         raise ValueError(f"need at least two nodes, got {n}")
     log_ceil = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
     target = failure_prob / (4.0 * degree_bound * n * log_ceil**2)
+    if not target:
+        raise ValueError(
+            f"failure probability {failure_prob} is too small: its share of each query "
+            "underflows to 0"
+        )
     need = -math.log(target) / (2.0 * (0.5 - noise) ** 2)
     most = math.ceil(need) // 2 * 2 + 1
     log_odds = math.log1p(-noise) - math.log(noise)
-    wald = max(1, math.ceil(math.log((1.0 - target) / target) / log_odds))
-    if most * wald > _STEP_BUDGET:
-        raise ValueError(
-            f"sizing votes for noise {noise} and failure probability {failure_prob} "
-            f"takes about {most * wald:.2g} steps, more than the budget of 1e7"
-        )
-    for lead in range(wald, (most + 1) // 2):
-        for votes, error in _cap_errors(lead, noise, most):
-            if error <= target:
-                _check_table(votes, lead)
-                if _walk(votes, lead, noise)[0] <= target:
-                    return votes, lead
-    _check_table(most, (most + 1) // 2)
-    return most, (most + 1) // 2
-
-
-def _check_table(votes: int, lead: int) -> None:
-    """Raise ValueError if the vote table for ``votes`` and ``lead`` would
-    cost more than the step budget, ``votes * lead`` steps, to build."""
-    if votes * lead > _STEP_BUDGET:
-        raise ValueError(
-            f"a vote table for {votes} votes with lead {lead} takes {votes * lead:,} "
-            "steps, more than the budget of 1e7"
-        )
-
-
-def _cap_errors(lead: int, noise: float, most: int) -> Iterator[tuple[int, float]]:
-    """Yield (votes, error) for each odd cap from 2 * lead - 1 up to ``most``:
-    the chance that the capped walk with this lead is wrong.
-
-    One forward pass of the walk with its barrier fixed at +-lead serves
-    every cap. Stopping early, once the answers left can no longer overturn
-    the lead, never changes the answer, so the walk capped at t is wrong
-    exactly when this one was absorbed at -lead by t or is still alive below
-    0 at t. At odd t the walk sits on the odd D in (-lead, lead), so the pass
-    takes two answers a step: D moves up 2, stays or moves down 2, and an
-    even lead is hit on the answer between, which halves the stay chance at
-    the two ends. A step costs O(lead), the pass O(most * lead).
-    """
-    q = 1.0 - noise
-    up, stay, down = q * q, 2.0 * q * noise, noise * noise
-    half = lead // 2
-    alive = [0.0] * (2 * half)  # alive[half + (D - 1) // 2], after one answer
-    low = noise
-    if half:
-        alive[half - 1], alive[half], low = noise, q, 0.0
-    edge, drop = (stay, down) if lead % 2 else (q * noise, noise)
-    for t in range(1, most + 1, 2):
-        if t >= 2 * lead - 1:
-            yield t, low + sum(alive[:half])
-        if half:
-            low += drop * alive[0]
-            alive = [
-                edge * alive[0] + down * alive[1],
-                *[up * b + stay * c + down * d for b, c, d in zip(alive, alive[1:], alive[2:])],
-                up * alive[-2] + edge * alive[-1],
-            ]
+    # ln((1 - target) / target), whose quotient overflows below about 5e-309.
+    lead = max(1, math.ceil((math.log1p(-target) - math.log(target)) / log_odds))
+    while _walk(most, lead, noise)[0] > target:
+        lead += 1
+    return most, lead
 
 
 # (t, P(T = t, outcome), P(T = t | T >= t, outcome)) for each stopping time t
@@ -362,11 +313,17 @@ def _walk(votes: int, lead: int, noise: float) -> tuple[float, _Stops, _Stops]:
     mass is the same two-term sum as in a step over all of them, bit for bit
     (``tests/reference.py``). The masses are forward sums of positive terms,
     so no cancellation loses the tail; a step costs O(lead), a walk
-    O(votes * lead). At the full lead (votes + 1) / 2 the error is a plain
+    O(votes * lead), and a walk over 10**7 steps raises ValueError before
+    its first. At the full lead (votes + 1) / 2 the error is a plain
     majority's binomial tail. Each stop's share is its mass over the mass
     at its time and later. Cached: every oracle and ``vote_size`` with the
     same (votes, lead, noise) read one table.
     """
+    if votes * lead > _STEP_BUDGET:
+        raise ValueError(
+            f"a vote table for {votes} votes with lead {lead} takes {votes * lead:,} "
+            "steps, more than the budget of 1e7"
+        )
     q = 1.0 - noise
     alive = [0.0] * (lead + 1 - lead % 2)  # alive[m]: D = -lead + off + 2 * m
     alive[lead // 2] = 1.0

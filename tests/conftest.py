@@ -11,12 +11,14 @@ hand from the drawing.
 
 from __future__ import annotations
 
+import contextlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
-from treeprobe import DirectedRootedTree, validate_tree
+from treeprobe import DirectedRootedTree, oracles, validate_tree
 from treeprobe.trees import max_node_degree
 
 SPINE_PARENT = (-1, 0, 1, 2, 3, 0, 0, 1, 2, 8, 4)
@@ -42,6 +44,19 @@ def spine_tree() -> DirectedRootedTree:
 @pytest.fixture
 def bent_tree() -> DirectedRootedTree:
     return validate_tree(BENT_PARENT, 3)
+
+
+@contextlib.contextmanager
+def no_walk_step():
+    """Fail any step of a vote table's walk, and yield ``_walk``'s cache
+    size on entry. Each step pairs neighbouring masses with ``zip``, which
+    this shadows in the oracles module."""
+
+    def step(*args):
+        raise AssertionError("a vote table's walk took a step")
+
+    with mock.patch.object(oracles, "zip", step, create=True):
+        yield oracles._walk.cache_info().currsize
 
 
 class ScriptedRng:

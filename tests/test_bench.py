@@ -255,7 +255,7 @@ class TestRunSingle:
         ("exact", lambda: shaped_tree("chain", 200), 2, 2, (1035, 1035, 7, 0, 5)),
         ("exact", lambda: shaped_tree("star", 60), 59, 3, (3481, 3481, 57, 58, 58)),
         ("exact", lambda: parallel_chain(4, 30), 4, 4, (1056, 1056, 10, 3, 7)),
-        ("noisy", lambda: random_tree(60, 3, seed=5), 3, 5, (430, 3216, 11, 2, 5)),
+        ("noisy", lambda: random_tree(60, 3, seed=5), 3, 5, (430, 3218, 11, 2, 5)),
         (
             "weighted",
             lambda: uniform_weights(random_tree(300, 5, seed=6), seed=7),

@@ -14,6 +14,7 @@ from treeprobe import (
     WeightedDirectedRootedTree,
     from_edges,
     load_tree,
+    random_tree,
     save_tree,
     shaped_tree,
 )
@@ -152,6 +153,27 @@ class TestReconstruct:
         assert votes % 2 == 1 and 1 <= lead <= (votes + 1) // 2
         logical = int(out["logical_queries"])
         assert lead * logical <= int(out["raw_queries"]) <= votes * logical
+
+    def test_a_vanishing_failure_budget_still_sizes_its_votes(self, tmp_path, capsys):
+        # On the README's 12-node tree delta / B is about 4e-314, below the
+        # 5e-309 or so where (1 - target) / target overflows a float.
+        hidden = tmp_path / "hidden.txt"
+        save_tree(random_tree(12, 3, seed=4), hidden)
+        code = run(
+            "reconstruct", "--tree", str(hidden), "--regime", "noisy",
+            "--eps", "0.01", "--delta", "1e-310", "--stats",
+        )
+        assert code == EXIT_OK
+        assert "success=true" in capsys.readouterr().out
+
+    def test_a_failure_budget_that_underflows_is_a_usage_error(self, tmp_path, capsys):
+        hidden = tmp_path / "hidden.txt"
+        save_tree(random_tree(12, 3, seed=4), hidden)
+        with pytest.raises(SystemExit) as caught:
+            run("reconstruct", "--tree", str(hidden), "--regime", "noisy",
+                "--eps", "0.01", "--delta", "5e-324")
+        assert caught.value.code == 2
+        assert "failure probability 5e-324 is too small" in capsys.readouterr().err
 
     def test_noisy_run_on_a_single_node_asks_nothing(self, tmp_path, capsys):
         hidden = tmp_path / "one.txt"

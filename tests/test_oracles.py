@@ -26,9 +26,9 @@ from treeprobe import (
     uniform_weights,
     vote_size,
 )
-from treeprobe import oracles
-from treeprobe.oracles import _binomial, _cap_errors, _walk
+from treeprobe.oracles import _binomial, _walk
 
+from conftest import no_walk_step
 from reference import enumerate_trees, is_ancestor, majority_error, walk_by_positions
 
 DEEP_AND_RELABELLED = [
@@ -285,7 +285,7 @@ class TestMajorityError:
         # Near eps 1/2 a vote runs to thousands of answers; its error must
         # stay finite and meet delta / B in the table the oracle bills from.
         votes, lead = vote_size(0.45, 0.1, 400, 3)
-        assert (votes, lead) == (2997, 76)
+        assert (votes, lead) == (3035, 76)
         wrong = _walk(votes, lead, 0.45)[0]
         assert math.isfinite(wrong)
         assert 0.0 < wrong <= 0.1 / _budget(400, 3)
@@ -446,31 +446,27 @@ def _hoeffding_count(noise, delta, n, d):
 
 class TestVoteSize:
     def test_default_budget_values(self):
-        assert vote_size(0.1, 0.1, 200, 5) == (25, 7)
-        assert vote_size(0.1, 0.05, 200, 5) == (25, 8)
+        assert vote_size(0.1, 0.1, 200, 5) == (47, 7)
+        assert vote_size(0.1, 0.05, 200, 5) == (49, 8)
 
     @pytest.mark.parametrize("noise", [0.05, 0.1, 0.2, 0.3, 0.45])
-    def test_walk_meets_the_target_with_the_smallest_lead_and_cap(self, noise):
+    def test_walk_meets_the_target_with_the_smallest_lead_at_the_hoeffding_cap(self, noise):
         for delta, n, d in itertools.product((0.01, 0.1, 0.4), (2, 50, 400, 3000), (3, 5, 10)):
             cell = (noise, delta, n, d)
             target = delta / _budget(n, d)
-            most = _hoeffding_count(noise, delta, n, d)
             votes, lead = vote_size(noise, delta, n, d)
-            assert votes % 2 == 1 and votes <= most, (cell, votes, most)
+            assert votes == _hoeffding_count(noise, delta, n, d), (cell, votes)
             assert 1 <= lead <= (votes + 1) // 2, (cell, votes, lead)
-            # The exact table the oracle bills from keeps the run's delta.
+            # The exact table the oracle bills from keeps the run's delta ...
             assert _walk(votes, lead, noise)[0] <= target, (cell, votes, lead)
-            # No cap up to the Hoeffding count keeps it at a lower lead ...
-            if lead > 1:
-                misses = [error > target for _, error in _cap_errors(lead - 1, noise, most)]
-                assert all(misses), (cell, votes, lead)
-            # ... and no smaller cap at this lead.
-            assert votes == 1 or _walk(votes - 2, lead, noise)[0] > target, (cell, votes, lead)
+            # ... and no lower lead's table at this cap does, since the error
+            # falls with the lead.
+            assert lead == 1 or _walk(votes, lead - 1, noise)[0] > target, (cell, votes, lead)
 
     def test_a_lead_below_the_full_one_is_always_found(self):
-        # The search tries only leads below (most + 1) / 2, where most is
-        # the Hoeffding count, so a lead that low means it never fell back
-        # to its last resort, a plain majority of the Hoeffding count.
+        # The search stops by (most + 1) / 2 at the latest, where most is
+        # the Hoeffding count, since a plain majority of it meets the
+        # target; on this grid it always stops below.
         grid = itertools.product(
             (0.01, 0.05, 0.1, 0.25, 0.4, 0.45), (1e-3, 0.1, 0.5), (2, 3, 60, 400, 10**4), (2, 3, 10)
         )
@@ -487,7 +483,7 @@ class TestVoteSize:
 
     def test_halving_delta_raises_the_lead_boundedly(self):
         # Halving delta adds ln 2 to ln(B / delta), so Wald's floor grows by
-        # at most ceil(ln 2 / ln r); the cap search may add one more lead.
+        # at most ceil(ln 2 / ln r); the walk's check may add one more lead.
         for noise in (0.1, 0.25, 0.4):
             step = math.ceil(math.log(2) / math.log((1 - noise) / noise))
             for delta in (0.2, 0.1, 0.05):
@@ -495,26 +491,49 @@ class TestVoteSize:
                 after = vote_size(noise, delta / 2, 300, 5)[1]
                 assert before <= after <= before + step + 1
 
-    def test_a_cell_over_the_sizing_budget_raises_before_any_pass(self, monkeypatch):
-        # Each refused cell took seconds to size; near noise 1/2, hours.
-        def fail(*args):
-            raise AssertionError("sizing ran a pass")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(oracles, "_cap_errors", fail)
-            patched.setattr(oracles, "_walk", fail)
+    def test_a_cell_over_the_budget_raises_before_any_walk_step(self):
+        # Each refused cell would take seconds to size; near noise 1/2,
+        # hours. Its first table, Wald's lead at the Hoeffding count, is
+        # over the budget.
+        with no_walk_step() as cached:
             for cell in ((0.4, 1e-300, 32, 32), (0.49, 0.1, 400, 3), (0.499, 0.1, 400, 3)):
                 with pytest.raises(ValueError, match="budget"):
                     vote_size(*cell)
+        assert _walk.cache_info().currsize == cached
         # The slowest cell kept at n = 400, d = 3: about 3.6e6 steps.
-        assert vote_size(0.48, 0.1, 400, 3) == (18367, 191)
+        assert vote_size(0.48, 0.1, 400, 3) == (18967, 191)
 
     def test_a_pair_whose_table_is_over_the_budget_raises_before_it_is_built(self):
-        # Sizing this cell takes 35,233 x 283 steps, under the budget, but
-        # the pair it finds, 35,229 votes at lead 284, has a table over it,
-        # which NoisyOracle would refuse.
-        with pytest.raises(ValueError, match="35229 votes with lead 284 takes 10,005,036 steps"):
-            vote_size(0.4839299739064129, 1e-6, 2, 10)
+        # Wald's lead, 283, misses the target in its table of 35,233 x 283
+        # steps, under the budget; the next lead's table is over it.
+        noise = 0.4839299739064129
+        assert _walk(35233, 283, noise)[0] > 1e-6 / _budget(2, 10)
+        with no_walk_step() as cached:
+            with pytest.raises(ValueError, match="35233 votes with lead 284 takes 10,006,172 steps"):
+                vote_size(noise, 1e-6, 2, 10)
+        assert _walk.cache_info().currsize == cached
+
+    @pytest.mark.parametrize("cell", [(0.1, 0.1, 400, 3), (0.3, 0.1, 2, 2), (0.4, 1e-6, 2, 3)])
+    def test_sizing_builds_only_tables_it_could_return(self, cell):
+        # One table per lead tried, from Wald's up, each at the Hoeffding
+        # count: the last is the one the oracle bills from.
+        noise, delta, n, d = cell
+        target = delta / _budget(n, d)
+        wald = math.ceil(math.log((1 - target) / target) / math.log((1 - noise) / noise))
+        vote_size.cache_clear()
+        _walk.cache_clear()
+        votes, lead = vote_size(*cell)
+        info = _walk.cache_info()
+        assert lead >= wald and info.misses == info.currsize == lead - wald + 1
+        _walk(votes, lead, noise)
+        assert _walk.cache_info()[:2] == (info.hits + 1, info.misses)
+
+    def test_a_vanishing_failure_share_still_sizes_or_is_refused(self):
+        # delta / B is about 3e-310 here, where (1 - target) / target
+        # overflows a float; a share that underflows to 0.0 has no lead.
+        assert vote_size(0.01, 1e-300, 10**5, 32) == (1485, 156)
+        with pytest.raises(ValueError, match="failure probability 5e-324"):
+            vote_size(0.1, 5e-324, 2, 2)
 
     @pytest.mark.parametrize(
         "noise, delta, n, d",
@@ -610,19 +629,9 @@ class TestSequentialVote:
     def test_noiseless_walk_stops_at_its_lead(self):
         assert _walk(25, 8, 0.0) == (0.0, ((8, 1.0, 1.0),), ())
 
-    @pytest.mark.parametrize("noise", [0.05, 0.1, 0.3, 0.45])
-    def test_one_pass_gives_every_caps_error(self, noise):
-        # The walk capped at t with its early stop, against the barrier-only
-        # pass at t: stopping early never changes the answer.
-        for lead in range(1, 12):
-            caps = list(_cap_errors(lead, noise, 41))
-            assert [t for t, _ in caps] == list(range(2 * lead - 1, 42, 2))
-            for t, error in caps:
-                assert error == pytest.approx(_walk(t, lead, noise)[0], rel=1e-12, abs=0.0)
-
     @pytest.mark.parametrize(
         "n, d, votes, lead, mean",
-        [(400, 3, 29, 7, 8.75), (400, 10, 29, 8, 10.00), (200, 5, 25, 7, 8.75)],
+        [(400, 3, 49, 7, 8.75), (400, 10, 53, 8, 10.00), (200, 5, 47, 7, 8.75)],
     )
     def test_default_leads(self, n, d, votes, lead, mean):
         assert vote_size(0.1, 0.1, n, d) == (votes, lead)

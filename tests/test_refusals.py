@@ -42,7 +42,7 @@ from treeprobe import oracles
 from treeprobe.bench import REGIMES
 from treeprobe.generators import SHAPES
 
-from conftest import parent_array_trees
+from conftest import no_walk_step, parent_array_trees
 
 NAN, INF = float("nan"), float("inf")
 
@@ -88,24 +88,23 @@ def test_a_value_of_the_wrong_type_is_a_typed_refusal(call, refusal, message):
     assert isinstance(err.value, ValueError)
 
 
-def test_a_vote_table_over_the_budget_is_refused_before_it_is_built(monkeypatch):
+def test_a_vote_table_over_the_budget_is_refused_before_it_is_built():
     # At the full lead this table is about 4e7 walk steps, which took
-    # seconds to build; the refusal builds nothing.
-    def fail(*args):
-        raise AssertionError("built the vote table")
-
-    monkeypatch.setattr(oracles, "_walk", fail)
+    # seconds to build; the refusal takes no step and caches nothing.
+    hidden = random_tree(10, 3, seed=1)
     started = time.perf_counter()
-    with pytest.raises(ValueError, match="budget"):
-        NoisyOracle(random_tree(10, 3, seed=1), 0.45, seed=1, votes=9001)
+    with no_walk_step() as cached:
+        with pytest.raises(ValueError, match="budget"):
+            NoisyOracle(hidden, 0.45, seed=1, votes=9001)
     assert time.perf_counter() - started < 0.1
+    assert oracles._walk.cache_info().currsize == cached
 
 
 def test_every_sized_vote_builds_its_oracle():
-    # The oracle's budget is vote_size's, so every cell of this grid is
-    # sized, none refused, and nothing vote_size returns is refused: 6
-    # noise rates up to 0.45 x 4 failure budgets x 33 (n, d) cells up to
-    # (10**5, 32). Its noise 0.45 cells take most of the 10 s it runs.
+    # vote_size returns a pair only once its table is built, so every cell
+    # of this grid is sized, none refused, and every pair builds its
+    # oracle: 6 noise rates up to 0.45 x 4 failure budgets x 33 (n, d)
+    # cells up to (10**5, 32). Its noise 0.45 cells take most of its time.
     tree = random_tree(10, 3, seed=1)
     grid = itertools.product(
         (0.01, 0.05, 0.1, 0.25, 0.4, 0.45),
