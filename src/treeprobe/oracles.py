@@ -34,7 +34,11 @@ lead is the smallest from Wald's up whose table at that cap meets delta / B.
 
 Every oracle answers ``query(i, j)``, truthy exactly when it claims a
 directed path i -> j: the exact bit, a noisy vote's bit, or the path's
-weight sum, exactly 0.0 when there is no path.
+weight sum, exactly 0.0 when there is no path. The exact oracle also
+answers a batch, ``reaching(nodes, j)``: the nodes that reach j, one query
+each, by one pass over the spans. A ``query`` replaced on a subclass, the
+class or the instance turns the batch back into one ``query`` call per
+pair, in order, so every wrapper sees every query.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import functools
 import math
 import random
 from itertools import accumulate
+from typing import Sequence
 
 from .trees import DirectedRootedTree, WeightedDirectedRootedTree, check_degree_feasible
 
@@ -84,6 +89,34 @@ class ExactOracle(_Oracle):
             self._spans = _preorder_spans(self.tree)
         tin, tout = self._spans
         return 1 if tin[i] < tin[j] < tout[i] else 0
+
+    def reaching(self, nodes: Sequence[int], j: int) -> list[int]:
+        """The nodes of ``nodes``, ``j`` skipped, that answer ``Q(k, j)``, in
+        order: one query each, asked as one batch.
+
+        A ``query`` other than this class's own, on a subclass, on the class
+        or on the instance, is asked per pair in order instead, so every
+        override and wrapper sees every query. So is an input with a node
+        out of range, whose first bad pair raises the ValueError ``query``
+        raises, with ``calls`` where asking per pair leaves it.
+        """
+        n = self._n
+        if getattr(self.query, "__func__", None) is not _exact_query or not (
+            0 <= j < n and (not nodes or (0 <= min(nodes) and max(nodes) < n))
+        ):
+            query = self.query
+            return [k for k in nodes if k != j and query(k, j)]
+        self.calls += len(nodes) - nodes.count(j)
+        if self._spans is None:
+            self._spans = _preorder_spans(self.tree)
+        tin, tout = self._spans
+        t = tin[j]
+        return [k for k in nodes if tin[k] < t < tout[k]]
+
+
+# The query ``reaching`` batches. A wrapper set on the class later replaces
+# ``ExactOracle.query``, not this.
+_exact_query = ExactOracle.query
 
 
 class NoisyOracle(_Oracle):
@@ -298,7 +331,7 @@ def vote_size(noise: float, failure_prob: float, n: int, degree_bound: int) -> t
 _Stops = tuple[tuple[int, float, float], ...]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=32)
 def _walk(votes: int, lead: int, noise: float) -> tuple[float, _Stops, _Stops]:
     """The capped sequential vote's error and its stopping-time law for
     each outcome, ``(error, right, wrong)``, exactly.
@@ -316,8 +349,10 @@ def _walk(votes: int, lead: int, noise: float) -> tuple[float, _Stops, _Stops]:
     O(votes * lead), and a walk over 10**7 steps raises ValueError before
     its first. At the full lead (votes + 1) / 2 the error is a plain
     majority's binomial tail. Each stop's share is its mass over the mass
-    at its time and later. Cached: every oracle and ``vote_size`` with the
-    same (votes, lead, noise) read one table.
+    at its time and later. Cached, for the 32 latest (votes, lead, noise):
+    every oracle and ``vote_size`` with the same ones read one table. An
+    oracle binds its table at construction, so eviction never reaches a
+    live oracle.
     """
     if votes * lead > _STEP_BUDGET:
         raise ValueError(

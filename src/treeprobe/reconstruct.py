@@ -4,11 +4,12 @@ The driver is a Las-Vegas divide and conquer over parts whose root it knows.
 A round on a part with root r samples one other node i, rebuilds the path
 r -> i with one membership query per other node, puts every other node into
 the piece of the path node it hangs from, and accepts the round if some
-known edge has two balanced enough sides. The first round finds the root of
-the whole node set on the way: it samples i from every node, and the nodes
-that reach i, sorted, are the path down to i from the root, which comes
-first; if no node reaches i, i is the root, and the round fails on a
-one-node path.
+known edge has two balanced enough sides. No answer of that scan changes
+which pair it asks next, so an oracle with a ``reaching`` method answers
+the scan as one batch. The first round finds the root of the whole node
+set on the way: it samples i from every node, and the nodes that reach i,
+sorted, are the path down to i from the root, which comes first; if no
+node reaches i, i is the root, and the round fails on a one-node path.
 Each piece is a subtree rooted at its path node, so no later part looks for
 its root, and the accepted round that leaves a piece of 2 or 3 nodes
 settles it: a 2-node piece is one edge, and a 3-node piece [q, a, b] is a
@@ -314,14 +315,21 @@ def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[i
 def reconstruct_skeleton_path(oracle, nodes: Sequence[int], i: int) -> list[int]:
     """The nodes of ``nodes`` that reach ``i``, sorted by ancestry, then ``i``.
 
-    One query per other node, then the sort. On a subtree that holds ``i``
-    this is the path from the subtree's root down to ``i``, so its first
-    node is the root, and it is ``[i]`` when ``i`` is the root. A round on a
-    part whose root it knows passes the part without its root and puts the
-    root in front.
+    One query per other node, then the sort. No answer of the scan changes
+    which pair it asks next, so an oracle with a ``reaching`` method answers
+    it as one batch, ``oracle.reaching(nodes, i)``; any other oracle is
+    asked one query at a time. On a subtree that holds ``i`` this is the
+    path from the subtree's root down to ``i``, so its first node is the
+    root, and it is ``[i]`` when ``i`` is the root. A round on a part whose
+    root it knows passes the part without its root and puts the root in
+    front.
     """
-    query = oracle.query
-    between = [k for k in nodes if k != i and query(k, i)]
+    reaching = getattr(oracle, "reaching", None)
+    if reaching is None:
+        query = oracle.query
+        between = [k for k in nodes if k != i and query(k, i)]
+    else:
+        between = reaching(nodes, i)
     return [*sort_by_ancestry(oracle, between), i]
 
 

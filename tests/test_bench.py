@@ -283,9 +283,10 @@ class TestRunSingle:
 class TestEveryQueryIsOneQueryCall:
     """A tracer counts logical queries by wrapping the oracle class's
     ``query`` method, as ``perfbench/tracer.py`` does, and checks that
-    count against the run's own. A fast path that read answers some other
-    way would break that check, so each regime's runs must ask every query
-    through one ``query`` call."""
+    count against the run's own. ``ExactOracle.reaching`` asks a scan as
+    one batch, but a class-level wrapper on ``query`` turns that batch back
+    into one ``query`` call per pair, so under the wrapper each regime's
+    runs still ask every query through one ``query`` call."""
 
     CELLS = [
         pytest.param("exact", ExactOracle, lambda: random_tree(150, 3, seed=2), 3, id="random"),

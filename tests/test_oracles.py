@@ -44,6 +44,99 @@ def _ordered_pairs(n):
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
+REACHING_TREES = [
+    pytest.param(lambda: random_tree(80, 3, seed=5), id="random"),
+    pytest.param(lambda: shaped_tree("star", 40), id="star"),
+    pytest.param(lambda: shaped_tree("chain", 60), id="chain"),
+    pytest.param(lambda: parallel_chain(3, 20), id="parallel-chain"),
+]
+
+
+def _scan(query, nodes, j):
+    """The scan ``reaching`` batches, asked one query at a time."""
+    return [k for k in nodes if k != j and query(k, j)]
+
+
+def _reaching_cases(tree, seed):
+    """Seeded ``(nodes, j)`` cases: ``j`` inside ``nodes``, ``j`` outside
+    them, and an empty list."""
+    rng = random.Random(seed)
+    n = tree.n
+    for _ in range(6):
+        nodes = rng.sample(range(n), rng.randint(1, n - 1))
+        yield nodes, rng.choice(nodes)
+        yield nodes, rng.choice(sorted(set(range(n)) - set(nodes)))
+    yield [], rng.randrange(n)
+
+
+class TestReaching:
+    """``ExactOracle.reaching(nodes, j)`` is ``_scan`` asked as one batch."""
+
+    @pytest.mark.parametrize("hidden", REACHING_TREES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_scan_and_counts_one_query_a_node(self, hidden, seed):
+        tree = hidden()
+        batch, single = ExactOracle(tree), ExactOracle(tree)
+        for nodes, j in _reaching_cases(tree, seed):
+            before = batch.calls
+            assert batch.reaching(nodes, j) == _scan(single.query, nodes, j)
+            assert batch.calls == single.calls
+            assert batch.calls - before == len(nodes) - nodes.count(j)
+
+    @pytest.mark.parametrize("hidden", REACHING_TREES)
+    @pytest.mark.parametrize("where", ["node", "j"])
+    @pytest.mark.parametrize("bad", [-1, "n", "n + 3"])
+    def test_a_node_out_of_range_raises_what_query_raises(self, hidden, where, bad):
+        tree = hidden()
+        bad = {"n": tree.n, "n + 3": tree.n + 3}.get(bad, bad)
+        for nodes, j in _reaching_cases(tree, 7):
+            if where == "node":
+                nodes = [*nodes]
+                nodes.insert(len(nodes) // 2, bad)
+            else:
+                j = bad
+            batch, single = ExactOracle(tree), ExactOracle(tree)
+            if not nodes:
+                assert batch.reaching(nodes, j) == [] and batch.calls == 0
+                continue
+            with pytest.raises(ValueError) as expected:
+                _scan(single.query, nodes, j)
+            with pytest.raises(ValueError) as got:
+                batch.reaching(nodes, j)
+            assert str(got.value) == str(expected.value)
+            assert batch.calls == single.calls
+
+    @pytest.mark.parametrize("hidden", REACHING_TREES)
+    def test_a_replaced_query_sees_every_pair_in_order(self, monkeypatch, hidden):
+        tree = hidden()
+        cases = list(_reaching_cases(tree, 11))
+        answers = [ExactOracle(tree).reaching(nodes, j) for nodes, j in cases]
+        pairs = [[(k, j) for k in nodes if k != j] for nodes, j in cases]
+        seen = []
+
+        class Subclass(ExactOracle):
+            def query(self, i, j):
+                seen.append((i, j))
+                return super().query(i, j)
+
+        def check(oracle):
+            for (nodes, j), answer, asked in zip(cases, answers, pairs):
+                seen.clear()
+                assert oracle.reaching(nodes, j) == answer
+                assert seen == asked
+            assert oracle.calls == sum(map(len, pairs))
+
+        check(Subclass(tree))
+        real = ExactOracle.query
+
+        def wrapped(self, i, j):
+            seen.append((i, j))
+            return real(self, i, j)
+
+        monkeypatch.setattr(ExactOracle, "query", wrapped)
+        check(ExactOracle(tree))
+
+
 class TestExactOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_is_ancestor_exhaustively(self, n):
@@ -421,6 +514,7 @@ def test_bad_pairs_raise_before_anything_is_charged(at, pair):
 
 @pytest.mark.parametrize("kind", ["exact", "noisy", "additive", "majority"])
 def test_query_is_the_only_public_callable(bent_tree, kind):
+    # The exact oracle also answers a scan as one batch, ``reaching``.
     weighted = WeightedDirectedRootedTree(bent_tree, {edge: 1.0 for edge in bent_tree.edges()})
     oracle = {
         "exact": ExactOracle(bent_tree),
@@ -429,8 +523,11 @@ def test_query_is_the_only_public_callable(bent_tree, kind):
         "majority": NoisyOracle(bent_tree, 0.1, seed=0, votes=3),
     }[kind]
     public = [name for name in dir(oracle) if not name.startswith("_")]
-    assert [name for name in public if callable(getattr(oracle, name))] == ["query"]
+    expected = ["query", "reaching"] if kind == "exact" else ["query"]
+    assert [name for name in public if callable(getattr(oracle, name))] == expected
     assert list(inspect.signature(oracle.query).parameters) == ["i", "j"]
+    if kind == "exact":
+        assert list(inspect.signature(oracle.reaching).parameters) == ["nodes", "j"]
 
 
 def _budget(n, d):
@@ -527,6 +624,21 @@ class TestVoteSize:
         assert lead >= wald and info.misses == info.currsize == lead - wald + 1
         _walk(votes, lead, noise)
         assert _walk.cache_info()[:2] == (info.hits + 1, info.misses)
+
+    def test_sizing_many_cells_keeps_the_table_cache_bounded(self):
+        # Each noise level is a new cell with tables of its own; the oldest
+        # are evicted, and the latest cell's table is still the cached one.
+        bound = _walk.cache_info().maxsize
+        assert bound is not None
+        misses = _walk.cache_info().misses
+        for step in range(2 * bound):
+            noise = 0.05 + 0.004 * step
+            votes, lead = vote_size(noise, 0.1, 30, 3)
+            assert _walk.cache_info().currsize <= bound
+        assert _walk.cache_info().misses - misses > bound
+        hits = _walk.cache_info().hits
+        _walk(votes, lead, noise)
+        assert _walk.cache_info().hits == hits + 1
 
     def test_a_vanishing_failure_share_still_sizes_or_is_refused(self):
         # delta / B is about 3e-310 here, where (1 - target) / target

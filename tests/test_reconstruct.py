@@ -286,6 +286,80 @@ class TestReconstructSkeletonPath:
                 _assert_matches_ground_truth(oracle, tree, p, i)
 
 
+class TestBatchedScan:
+    """On a plain ``ExactOracle`` each round's scan is one ``reaching`` call
+    that asks ``query`` nothing, and the run is the same one, rng stream
+    and all, as the run whose class-level ``query`` wrapper turns every scan
+    back into one ``query`` call per pair."""
+
+    TREES = {
+        "star": lambda: shaped_tree("star", 60),
+        "chain": lambda: shaped_tree("chain", 120),
+        "parallel-chain": lambda: parallel_chain(3, 30),
+        "random": lambda: random_tree(200, 3, seed=11),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(TREES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_scan_is_one_batch_and_the_run_is_unchanged(self, monkeypatch, shape, seed):
+        tree = self.TREES[shape]()
+        real_scan = reconstruct.reconstruct_skeleton_path
+        real_reaching = ExactOracle.reaching
+        query_code = ExactOracle.query.__code__
+        scans, batches = [], []
+
+        def scan(oracle, nodes, i):
+            scans.append((list(nodes), i))
+            return real_scan(oracle, nodes, i)
+
+        def reaching(self, nodes, j):
+            # Count the ``query`` calls the batch makes: the fast path makes none.
+            asked = []
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code is query_code:
+                    asked.append(1)
+
+            before = self.calls
+            sys.setprofile(profile)
+            try:
+                found = real_reaching(self, nodes, j)
+            finally:
+                sys.setprofile(None)
+            batches.append((list(nodes), j, self.calls - before, len(asked)))
+            return found
+
+        monkeypatch.setattr(reconstruct, "reconstruct_skeleton_path", scan)
+        monkeypatch.setattr(ExactOracle, "reaching", reaching)
+        rng = random.Random(seed)
+        batched = ExactOracle(tree)
+        edges, stats = reconstruct_tree(batched, tree.n, tree.degree_bound, rng)
+        assert edges == set(tree.edges()) and scans
+        assert [(nodes, j) for nodes, j, _, _ in batches] == scans
+        assert all(
+            asked == len(nodes) - nodes.count(j) and not queries
+            for nodes, j, asked, queries in batches
+        )
+
+        monkeypatch.setattr(ExactOracle, "reaching", real_reaching)
+        real_query = ExactOracle.query
+        seen = []
+
+        def query(self, i, j):
+            seen.append((i, j))
+            return real_query(self, i, j)
+
+        monkeypatch.setattr(ExactOracle, "query", query)
+        per_pair_rng = random.Random(seed)
+        per_pair = ExactOracle(tree)
+        assert reconstruct_tree(per_pair, tree.n, tree.degree_bound, per_pair_rng) == (
+            edges,
+            stats,
+        )
+        assert per_pair.calls == batched.calls == len(seen)
+        assert per_pair_rng.getstate() == rng.getstate()
+
+
 def _magnitudes(tree, seed):
     """``tree`` with weight 1.0 on about a quarter of its edges, drawn by
     ``seed``, and 2**-53 on the rest, so that many depths tie in floats: the
