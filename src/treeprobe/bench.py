@@ -6,7 +6,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InconsistentOracleError
 from .generators import random_tree, uniform_weights
@@ -167,6 +167,21 @@ def bench_run(
     tree on ``n`` nodes fits), before any tree is built, so a 0-rep grid
     refuses them too.
     """
+    return list(_grid_runs(regime, nodes, degrees, reps, base_seed, eps, delta))
+
+
+def _grid_runs(
+    regime: str,
+    nodes: Sequence[int],
+    degrees: Sequence[int],
+    reps: int,
+    base_seed: int,
+    eps: float | None,
+    delta: float | None,
+) -> Iterator[RunOutcome]:
+    """:func:`bench_run`'s runs, each made as it is drawn, so a caller that
+    writes each out holds one run at a time. The arguments are checked
+    before this returns."""
     _check_run(regime, eps, delta)
     if not isinstance(reps, int) or reps < 0:
         raise ValueError(f"reps must be an int >= 0, got {reps!r}")
@@ -175,31 +190,35 @@ def bench_run(
             check_degree_feasible(n, d)
             if n < 1:
                 raise ValueError(f"grid sizes must be >= 1, got {n}")
-    runs = []
-    for n in nodes:
-        for d in degrees:
-            for rep in range(reps):
-                seed = derive_seed(base_seed, n, d, rep)
-                tree = random_tree(n, d, seed=seed * 4)
-                hidden: DirectedRootedTree | WeightedDirectedRootedTree = tree
-                if regime == "weighted":
-                    hidden = uniform_weights(tree, seed=seed * 4 + 3)
-                runs.append(run_single(regime, hidden, d, seed, eps=eps, delta=delta))
-    return runs
+
+    def runs() -> Iterator[RunOutcome]:
+        for n in nodes:
+            for d in degrees:
+                for rep in range(reps):
+                    seed = derive_seed(base_seed, n, d, rep)
+                    tree = random_tree(n, d, seed=seed * 4)
+                    hidden: DirectedRootedTree | WeightedDirectedRootedTree = tree
+                    if regime == "weighted":
+                        hidden = uniform_weights(tree, seed=seed * 4 + 3)
+                    yield run_single(regime, hidden, d, seed, eps=eps, delta=delta)
+
+    return runs()
 
 
 def records_to_csv(records: Iterable[RunOutcome]) -> str:
     """The CSV of a grid's runs: :data:`CSV_HEADER`, then one row per run."""
-    lines = [CSV_HEADER]
-    for r in records:
-        eps = "" if r.eps is None else repr(r.eps)
-        delta = "" if r.delta is None else repr(r.delta)
-        lines.append(
-            f"{r.regime},{r.n},{r.d},{eps},{delta},{r.seed},"
-            f"{r.raw_queries},{r.logical_queries},{r.rounds},"
-            f"{str(r.success).lower()},{r.wall_ms:.3f}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join([CSV_HEADER + "\n", *map(_csv_row, records)])
+
+
+def _csv_row(r: RunOutcome) -> str:
+    """One run's CSV row, with its line end."""
+    eps = "" if r.eps is None else repr(r.eps)
+    delta = "" if r.delta is None else repr(r.delta)
+    return (
+        f"{r.regime},{r.n},{r.d},{eps},{delta},{r.seed},"
+        f"{r.raw_queries},{r.logical_queries},{r.rounds},"
+        f"{str(r.success).lower()},{r.wall_ms:.3f}\n"
+    )
 
 
 def _check_run(regime: str, eps: float | None, delta: float | None) -> None:

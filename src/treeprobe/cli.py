@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import REGIMES, bench_run, records_to_csv, run_single
+from .bench import CSV_HEADER, REGIMES, _csv_row, _grid_runs, run_single
 from .errors import InvalidTreeError
 from .generators import SHAPES, parallel_chain, random_tree, shaped_tree, uniform_weights
 from .treeio import load_tree, save_tree
@@ -149,14 +149,19 @@ def _cmd_reconstruct(args, parser) -> int:
 
 def _cmd_bench(args, parser) -> int:
     try:
-        records = bench_run(
+        runs = _grid_runs(
             args.regime, args.nodes, args.degrees, args.reps, args.seed, args.eps, args.delta
         )
     except ValueError as exc:
         parser.error(str(exc))
+    # Each row is written as its run ends, so one run is held at a time.
+    count = 0
     with open(args.csv, "w", encoding="ascii") as fp:
-        fp.write(records_to_csv(records))
-    print(f"wrote {len(records)} records to {args.csv}")
+        fp.write(CSV_HEADER + "\n")
+        for run in runs:
+            fp.write(_csv_row(run))
+            count += 1
+    print(f"wrote {count} records to {args.csv}")
     return EXIT_OK
 
 

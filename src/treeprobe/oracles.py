@@ -35,10 +35,13 @@ lead is the smallest from Wald's up whose table at that cap meets delta / B.
 Every oracle answers ``query(i, j)``, truthy exactly when it claims a
 directed path i -> j: the exact bit, a noisy vote's bit, or the path's
 weight sum, exactly 0.0 when there is no path. The exact oracle also
-answers a batch, ``reaching(nodes, j)``: the nodes that reach j, one query
-each, by one pass over the spans. A ``query`` replaced on a subclass, the
-class or the instance turns the batch back into one ``query`` call per
-pair, in order, so every wrapper sees every query.
+answers two batches from the spans: ``reaching(nodes, j)``, the nodes that
+reach j, one query each, and ``deepest(path, plan, nodes)``, where each
+node's walk down a search plan over ``path`` ends, one query per step. A
+``query`` replaced on a subclass, the class or the instance turns a batch
+back into one ``query`` call per pair, in order, so every wrapper sees
+every query; so does a node out of range, or a node of ``nodes`` on
+``path``, so the first bad pair raises as ``query`` does.
 """
 
 from __future__ import annotations
@@ -92,29 +95,109 @@ class ExactOracle(_Oracle):
 
     def reaching(self, nodes: Sequence[int], j: int) -> list[int]:
         """The nodes of ``nodes``, ``j`` skipped, that answer ``Q(k, j)``, in
-        order: one query each, asked as one batch.
-
-        A ``query`` other than this class's own, on a subclass, on the class
-        or on the instance, is asked per pair in order instead, so every
-        override and wrapper sees every query. So is an input with a node
-        out of range, whose first bad pair raises the ValueError ``query``
-        raises, with ``calls`` where asking per pair leaves it.
+        order: one query each, asked as one batch, or per pair where
+        ``_batch_spans`` says so.
         """
-        n = self._n
-        if getattr(self.query, "__func__", None) is not _exact_query or not (
-            0 <= j < n and (not nodes or (0 <= min(nodes) and max(nodes) < n))
+        spans = self._batch_spans(nodes, (j,))
+        if spans is not None:
+            tin, tout = spans
+            try:
+                t = tin[j]
+                found = [k for k in nodes if tin[k] < t < tout[k]]
+            except IndexError:
+                pass
+            else:
+                self.calls += len(nodes) - nodes.count(j)
+                return found
+        query = self.query
+        return [k for k in nodes if k != j and query(k, j)]
+
+    def deepest(
+        self,
+        path: Sequence[int],
+        plan: tuple[int, Sequence[int], Sequence[int]],
+        nodes: Sequence[int],
+    ) -> list[int]:
+        """Each node's answer to a search ``plan`` down ``path``, in the order
+        of ``nodes``: one query per step walked, each node's walk asked as one
+        batch, or per pair where ``_batch_spans`` says so.
+
+        A plan ``(first, hit, miss)`` over the positions of ``path``, as
+        ``reconstruct.search_plan`` builds it, is walked from entry
+        ``first``. An entry m >= 1 is a split point: it asks
+        ``Q(path[m], k)`` and goes on to ``hit[m]`` on a yes, ``miss[m]`` on
+        a no. An entry below 0 ends the walk, with the answer ``~entry``, a
+        position of ``path``. A node of ``nodes`` that lies on ``path`` is
+        asked per pair too, so that its pair with itself raises where the
+        walk reaches it.
+        """
+        first, hit, miss = plan
+        spans = self._batch_spans(nodes, path)
+        if spans is not None:
+            tin, tout = spans
+            try:
+                ins = [tin[v] for v in path]
+                outs = [tout[v] for v in path]
+                # A path node's own time reads None while the nodes walk, so a
+                # node on the path raises TypeError at its first comparison,
+                # as a node past the spans' end raises IndexError: either
+                # sends the batch per pair.
+                for v in path:
+                    tin[v] = None
+                try:
+                    found = []
+                    append = found.append
+                    steps = 0
+                    for k in nodes:
+                        t = tin[k]
+                        at = first
+                        while at > 0:
+                            steps += 1
+                            at = hit[at] if ins[at] < t < outs[at] else miss[at]
+                        append(~at)
+                finally:
+                    for v, entry in zip(path, ins):
+                        tin[v] = entry
+            except (IndexError, TypeError):
+                pass
+            else:
+                self.calls += steps
+                return found
+        query = self.query
+        found = []
+        for k in nodes:
+            at = first
+            while at > 0:
+                at = hit[at] if query(path[at], k) else miss[at]
+            found.append(~at)
+        return found
+
+    def _batch_spans(
+        self, nodes: Sequence[int], ends: Sequence[int]
+    ) -> tuple[list[int], list[int]] | None:
+        """The preorder spans for a batch that asks each node of ``nodes``
+        against nodes of ``ends``, built on first use, or None where the
+        batch must be asked one ``query`` per pair, in order.
+
+        That is where ``query`` is not this class's own, replaced on a
+        subclass, on the class or on the instance, so that every override
+        and wrapper sees every query; and where a node is negative. A batch
+        that reads a node past the spans' end (an IndexError) is asked per
+        pair as well. Either way the first bad pair raises the ValueError
+        ``query`` raises, with ``calls`` where asking per pair leaves it.
+        """
+        if (
+            getattr(self.query, "__func__", None) is not _exact_query
+            or min(ends) < 0
+            or (nodes and min(nodes) < 0)
         ):
-            query = self.query
-            return [k for k in nodes if k != j and query(k, j)]
-        self.calls += len(nodes) - nodes.count(j)
+            return None
         if self._spans is None:
             self._spans = _preorder_spans(self.tree)
-        tin, tout = self._spans
-        t = tin[j]
-        return [k for k in nodes if tin[k] < t < tout[k]]
+        return self._spans
 
 
-# The query ``reaching`` batches. A wrapper set on the class later replaces
+# The query the batches ask. A wrapper set on the class later replaces
 # ``ExactOracle.query``, not this.
 _exact_query = ExactOracle.query
 

@@ -69,8 +69,10 @@ searches. After that the search is weighted by the sizes the pieces have
 reached so far (Mehlhorn's bisection rule), so nodes of the big pieces, the
 root's on random trees and the sampled node's on chains, cost fewer
 queries. Each search walks a plan built in one loop, with no recursion.
-Every placement still asks O(log n) queries, which the bound above rests
-on.
+The searches between two reweighings walk one plan and do not depend on
+each other, so an oracle with a ``deepest`` method walks each such chunk
+as one batch, with the same pairs in the same order. Every placement still
+asks O(log n) queries, which the bound above rests on.
 
 A bound below the true degree can leave no balanced edge on any path. Any
 true edge is a correct cut, so the bound only sets the gate: when one part's
@@ -274,15 +276,19 @@ def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[i
     A path of one node asks nothing: its plan is one answer, so the walk
     puts every other node in its one piece. A path of two nodes has one
     split, so each node off it asks ``Q(path[1], k)`` once, in ``part``
-    order, in one pass. On a longer path each node walks a ``search_plan`` over the
-    path's positions. The first 16 nodes are placed with unit weights, by
-    plain binary searches with ceiling midpoints that ask at most
-    ceil(log2 k) queries on a k-node path. Then the path is reweighed, and
-    again each time the count of placed nodes grows eightfold, so a round
-    builds only a few plans. A position weighs its piece so far, so a node
-    asks fewer queries the more of the part its piece holds: a weighted
-    plan asks at most 2 ceil(log2(W / w)) for an answer of weight w out of
-    W, so at most 2 ceil(log2 s) + 2 on a part of s nodes.
+    order, in one pass. On a longer path each node walks a ``search_plan``
+    over the path's positions. The first 16 nodes are placed with unit
+    weights, by plain binary searches with ceiling midpoints that ask at
+    most ceil(log2 k) queries on a k-node path. Then the path is reweighed,
+    and again each time the count of placed nodes grows eightfold, so a
+    round builds only a few plans. A position weighs its piece so far, so a
+    node asks fewer queries the more of the part its piece holds: a
+    weighted plan asks at most 2 ceil(log2(W / w)) for an answer of weight w
+    out of W, so at most 2 ceil(log2 s) + 2 on a part of s nodes. The nodes
+    between two reweighings walk one plan and no answer of one moves
+    another, so an oracle with a ``deepest`` method walks each such chunk as
+    one batch, ``oracle.deepest(path, plan, chunk)``; any other oracle is
+    asked one query at a time, the same pairs in the same order.
     """
     query = oracle.query
     if len(path) == 2:
@@ -298,17 +304,24 @@ def path_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[i
     pieces = [[k] for k in path]
     on_path = set(path)
     todo = [k for k in part if k not in on_path]
-    first, hit, miss = _unit_plan(len(path))
+    deepest = getattr(oracle, "deepest", None)
+    plan = _unit_plan(len(path))
     start, stop = 0, 16
     while True:
-        for k in todo[start:stop]:
-            at = first
-            while at > 0:
-                at = hit[at] if query(path[at], k) else miss[at]
-            pieces[~at].append(k)
+        if deepest is None:
+            first, hit, miss = plan
+            for k in todo[start:stop]:
+                at = first
+                while at > 0:
+                    at = hit[at] if query(path[at], k) else miss[at]
+                pieces[~at].append(k)
+        else:
+            chunk = todo[start:stop]
+            for k, at in zip(chunk, deepest(path, plan, chunk)):
+                pieces[at].append(k)
         if stop >= len(todo):
             return pieces
-        first, hit, miss = search_plan(list(map(len, pieces)))
+        plan = search_plan(list(map(len, pieces)))
         start, stop = stop, stop * 8
 
 

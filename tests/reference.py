@@ -368,6 +368,19 @@ def recursive_search_plan(weights: Sequence[int]) -> reconstruct.Plan:
     return split(0, len(weights) - 1), hit, miss
 
 
+def walk_plan(query, path: Sequence[int], plan, nodes: Sequence[int]) -> list[int]:
+    """The walks ``ExactOracle.deepest`` batches, asked one query at a time:
+    each node's answer position, in order."""
+    first, hit, miss = plan
+    found = []
+    for k in nodes:
+        at = first
+        while at > 0:
+            at = hit[at] if query(path[at], k) else miss[at]
+        found.append(~at)
+    return found
+
+
 def plan_walk_pieces(oracle, part: Sequence[int], path: Sequence[int]) -> list[list[int]]:
     """``reconstruct.path_pieces`` with every node placed by a plan walk,
     whatever the path's length, and plans from ``recursive_search_plan``.

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -377,6 +379,29 @@ class TestBench:
         assert code == EXIT_OK
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 1 + 4
+        assert "wrote 4 records" in capsys.readouterr().out
+
+    def test_each_run_is_let_go_once_its_row_is_written(self, tmp_path, monkeypatch, capsys):
+        real = bench.run_single
+        outcomes = []
+
+        def run_single(*args, **kwargs):
+            # Only the run whose row was written last may still be held.
+            gc.collect()
+            assert all(ref() is None for ref in outcomes[:-1])
+            outcome = real(*args, **kwargs)
+            outcomes.append(weakref.ref(outcome))
+            return outcome
+
+        monkeypatch.setattr(bench, "run_single", run_single)
+        csv_path = tmp_path / "runs.csv"
+        code = run(
+            "bench", "--nodes", "12,16", "--degrees", "3", "--reps", "2",
+            "--seed", "5", "--csv", str(csv_path),
+        )
+        assert code == EXIT_OK and len(outcomes) == 4
+        rows = csv_path.read_text().splitlines()
+        assert rows[0] == bench.CSV_HEADER and len(rows) == 5
         assert "wrote 4 records" in capsys.readouterr().out
 
     @pytest.mark.parametrize("regime", ["exact", "noisy", "weighted"])

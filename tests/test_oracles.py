@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 import inspect
 import itertools
 import math
@@ -27,9 +28,17 @@ from treeprobe import (
     vote_size,
 )
 from treeprobe.oracles import _binomial, _walk
+from treeprobe.reconstruct import _unit_plan, search_plan
 
 from conftest import no_walk_step
-from reference import enumerate_trees, is_ancestor, majority_error, walk_by_positions
+from reference import (
+    enumerate_trees,
+    is_ancestor,
+    majority_error,
+    root_chain,
+    walk_by_positions,
+    walk_plan,
+)
 
 DEEP_AND_RELABELLED = [
     pytest.param(shaped_tree("chain", 300), id="chain"),
@@ -135,6 +144,128 @@ class TestReaching:
 
         monkeypatch.setattr(ExactOracle, "query", wrapped)
         check(ExactOracle(tree))
+
+
+DEEPEST_TREES = [
+    pytest.param(lambda: shaped_tree("star", 40), id="star"),
+    pytest.param(lambda: shaped_tree("chain", 60), id="chain"),
+    pytest.param(lambda: parallel_chain(3, 20), id="parallel-chain"),
+    pytest.param(lambda: shaped_tree("caterpillar", 60), id="caterpillar"),
+    pytest.param(lambda: random_tree(80, 3, seed=5), id="random"),
+]
+
+
+def _deepest_cases(tree, seed):
+    """Seeded ``(path, plan, nodes)`` cases: paths from the root down and
+    paths of arbitrary nodes, each under its unit plan and a plan over
+    seeded weights, with seeded nodes off the path; then a one-node path
+    and an empty ``nodes``."""
+    rng = random.Random(seed)
+    n = tree.n
+    for _ in range(3):
+        end = rng.randrange(n)
+        down = [*root_chain(tree, end), end]
+        for path in (down, rng.sample(range(n), rng.randint(2, 8))):
+            rest = [k for k in range(n) if k not in path]
+            nodes = rng.sample(rest, rng.randint(1, len(rest)))
+            weights = [rng.randint(1, 9) for _ in path]
+            yield path, _unit_plan(len(path)), nodes
+            yield path, search_plan(weights), nodes
+    one = [rng.randrange(n)]
+    yield one, _unit_plan(1), [k for k in range(n) if k != one[0]]
+    yield down, search_plan([1] * len(down)), []
+
+
+def _outcome(ask):
+    """What ``ask()`` returns, or the message of the ValueError it raises."""
+    try:
+        return ask()
+    except ValueError as err:
+        return str(err)
+
+
+class TestDeepest:
+    """``ExactOracle.deepest(path, plan, nodes)`` is ``walk_plan`` asked as
+    one batch."""
+
+    @pytest.mark.parametrize("hidden", DEEPEST_TREES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_walk_and_counts_one_query_a_step(self, hidden, seed):
+        tree = hidden()
+        batch, single = ExactOracle(tree), ExactOracle(tree)
+        for path, plan, nodes in _deepest_cases(tree, seed):
+            found = batch.deepest(path, plan, nodes)
+            assert found == walk_plan(single.query, path, plan, nodes)
+            assert batch.calls == single.calls
+            down = path[0] == tree.root and all(
+                map(functools.partial(is_ancestor, tree), path, path[1:])
+            )
+            if down:
+                # On a path from the root down the answer is the deepest ancestor.
+                for k, at in zip(nodes, found):
+                    assert is_ancestor(tree, path[at], k)
+                    assert at + 1 == len(path) or not is_ancestor(tree, path[at + 1], k)
+
+    @pytest.mark.parametrize("hidden", DEEPEST_TREES)
+    @pytest.mark.parametrize("where", ["node", "path"])
+    @pytest.mark.parametrize("bad", [-1, "n", "n + 3", "on the path"])
+    def test_a_bad_node_raises_what_query_raises(self, hidden, where, bad):
+        tree = hidden()
+        n = tree.n
+        batch, single = ExactOracle(tree), ExactOracle(tree)
+        raised = 0
+        for at, (path, plan, nodes) in enumerate(_deepest_cases(tree, 7)):
+            if bad == "on the path":
+                if where == "node":
+                    value = path[at % len(path)]
+                else:
+                    value = nodes[at % len(nodes)] if nodes else path[0]
+            else:
+                value = {"n": n, "n + 3": n + 3}.get(bad, bad)
+            if where == "node":
+                nodes = [*nodes]
+                nodes.insert(len(nodes) // 2, value)
+            else:
+                path = [*path]
+                path[at % len(path)] = value
+            expected = _outcome(lambda: walk_plan(single.query, path, plan, nodes))
+            assert _outcome(lambda: batch.deepest(path, plan, nodes)) == expected
+            assert batch.calls == single.calls
+            raised += isinstance(expected, str)
+            # A batch that fell back leaves the oracle as it was.
+            path, plan, nodes = next(_deepest_cases(tree, at))
+            found = walk_plan(single.query, path, plan, nodes)
+            assert batch.deepest(path, plan, nodes) == found
+            assert batch.calls == single.calls
+        assert raised
+
+    @pytest.mark.parametrize("hidden", DEEPEST_TREES)
+    @pytest.mark.parametrize("replaced", ["subclass", "class", "instance"])
+    def test_a_replaced_query_sees_every_pair_in_order(self, monkeypatch, hidden, replaced):
+        tree = hidden()
+        cases = list(_deepest_cases(tree, 11))
+        asked = []
+        answers = [
+            walk_plan(lambda i, j: asked.append((i, j)) or is_ancestor(tree, i, j), *case)
+            for case in cases
+        ]
+        seen = []
+        real = ExactOracle.query
+
+        def wrapped(self, i, j):
+            seen.append((i, j))
+            return real(self, i, j)
+
+        if replaced == "subclass":
+            oracle = type("Subclass", (ExactOracle,), {"query": wrapped})(tree)
+        elif replaced == "class":
+            monkeypatch.setattr(ExactOracle, "query", wrapped)
+            oracle = ExactOracle(tree)
+        else:
+            oracle = ExactOracle(tree)
+            oracle.query = wrapped.__get__(oracle)
+        assert [oracle.deepest(*case) for case in cases] == answers
+        assert seen == asked and oracle.calls == len(asked)
 
 
 class TestExactOracle:
@@ -514,7 +645,8 @@ def test_bad_pairs_raise_before_anything_is_charged(at, pair):
 
 @pytest.mark.parametrize("kind", ["exact", "noisy", "additive", "majority"])
 def test_query_is_the_only_public_callable(bent_tree, kind):
-    # The exact oracle also answers a scan as one batch, ``reaching``.
+    # The exact oracle also answers a scan as one batch, ``reaching``, and a
+    # batch of placement walks, ``deepest``.
     weighted = WeightedDirectedRootedTree(bent_tree, {edge: 1.0 for edge in bent_tree.edges()})
     oracle = {
         "exact": ExactOracle(bent_tree),
@@ -523,11 +655,12 @@ def test_query_is_the_only_public_callable(bent_tree, kind):
         "majority": NoisyOracle(bent_tree, 0.1, seed=0, votes=3),
     }[kind]
     public = [name for name in dir(oracle) if not name.startswith("_")]
-    expected = ["query", "reaching"] if kind == "exact" else ["query"]
+    expected = ["deepest", "query", "reaching"] if kind == "exact" else ["query"]
     assert [name for name in public if callable(getattr(oracle, name))] == expected
     assert list(inspect.signature(oracle.query).parameters) == ["i", "j"]
     if kind == "exact":
         assert list(inspect.signature(oracle.reaching).parameters) == ["nodes", "j"]
+        assert list(inspect.signature(oracle.deepest).parameters) == ["path", "plan", "nodes"]
 
 
 def _budget(n, d):

@@ -57,6 +57,7 @@ from reference import (
     root_chain,
     skeleton_path,
     subtree_nodes,
+    walk_plan,
 )
 
 
@@ -342,6 +343,92 @@ class TestBatchedScan:
         )
 
         monkeypatch.setattr(ExactOracle, "reaching", real_reaching)
+        real_query = ExactOracle.query
+        seen = []
+
+        def query(self, i, j):
+            seen.append((i, j))
+            return real_query(self, i, j)
+
+        monkeypatch.setattr(ExactOracle, "query", query)
+        per_pair_rng = random.Random(seed)
+        per_pair = ExactOracle(tree)
+        assert reconstruct_tree(per_pair, tree.n, tree.degree_bound, per_pair_rng) == (
+            edges,
+            stats,
+        )
+        assert per_pair.calls == batched.calls == len(seen)
+        assert per_pair_rng.getstate() == rng.getstate()
+
+
+class TestBatchedPlacement:
+    """On a plain ``ExactOracle`` each placement chunk off a path of other
+    than two nodes is one ``deepest`` call that asks ``query`` nothing, and
+    the run is the same one, rng stream and all, as the run whose
+    class-level ``query`` wrapper turns every walk back into one ``query``
+    call per pair."""
+
+    TREES = {
+        "star": lambda: shaped_tree("star", 60),
+        "chain": lambda: shaped_tree("chain", 120),
+        "parallel-chain": lambda: parallel_chain(3, 30),
+        "caterpillar": lambda: shaped_tree("caterpillar", 120),
+        "random": lambda: random_tree(400, 3, seed=11),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(TREES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_chunk_is_one_batch_and_the_run_is_unchanged(self, monkeypatch, shape, seed):
+        tree = self.TREES[shape]()
+        real_pieces = reconstruct.path_pieces
+        real_deepest = ExactOracle.deepest
+        query_code = ExactOracle.query.__code__
+        chunks, batches = [], []
+
+        def pieces(oracle, part, path):
+            if len(path) != 2:
+                on_path = set(path)
+                todo = [k for k in part if k not in on_path]
+                start, stop = 0, 16
+                while True:
+                    chunks.append((list(path), todo[start:stop]))
+                    if stop >= len(todo):
+                        break
+                    start, stop = stop, stop * 8
+            return real_pieces(oracle, part, path)
+
+        def deepest(self, path, plan, nodes):
+            # Count the ``query`` calls the batch makes: the fast path makes none.
+            asked = []
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code is query_code:
+                    asked.append(1)
+
+            before = self.calls
+            sys.setprofile(profile)
+            try:
+                found = real_deepest(self, path, plan, nodes)
+            finally:
+                sys.setprofile(None)
+            walked = ExactOracle(tree)
+            batches.append((list(path), list(nodes), len(asked)))
+            assert found == walk_plan(walked.query, path, plan, nodes)
+            assert self.calls - before == walked.calls
+            return found
+
+        monkeypatch.setattr(reconstruct, "path_pieces", pieces)
+        monkeypatch.setattr(ExactOracle, "deepest", deepest)
+        rng = random.Random(seed)
+        batched = ExactOracle(tree)
+        edges, stats = reconstruct_tree(batched, tree.n, tree.degree_bound, rng)
+        assert edges == set(tree.edges())
+        # Nearly every path on a star has two nodes, which one pass places.
+        assert chunks or shape == "star"
+        assert [(path, nodes) for path, nodes, _ in batches] == chunks
+        assert not any(queries for _, _, queries in batches)
+
+        monkeypatch.setattr(ExactOracle, "deepest", real_deepest)
         real_query = ExactOracle.query
         seen = []
 
